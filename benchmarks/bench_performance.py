@@ -10,13 +10,15 @@ configurations:
                       configuration)
 * harrier-no-bb     — dataflow on, BB-frequency counting off
 * harrier-full      — the complete monitor
-* *-interp variants — the same configuration with the block translation
-                      cache disabled (per-instruction interpretation),
-                      the PIN-without-code-cache counterfactual
+* *-interp variants — the same configuration on the reference
+                      per-instruction interpreter (``tests/oracles``)
+                      instead of the block translation cache, the
+                      PIN-without-code-cache counterfactual
 * harrier-fastpath(-off) — the full monitor with the zero-taint dataflow
-                      fast path explicitly on/off (fastpath == the
-                      default harrier-full; -off replays every taint
-                      template per transfer)
+                      fast path on/off (fastpath == the default
+                      harrier-full; -off runs the forced template-replay
+                      oracle, replaying every taint template per
+                      transfer)
 * warm-cache        — repeat traffic answered by the content-addressed
                       verdict cache: no execution at all, the stored
                       report replayed bit-identically
@@ -28,6 +30,7 @@ cache pays for itself).  The summary benchmark also writes
 ``benchmarks/results/BENCH_performance.json`` with the raw numbers.
 """
 
+import contextlib
 import json
 
 import pytest
@@ -46,6 +49,7 @@ from repro.telemetry import (
     STAGE_NATIVE,
     Telemetry,
 )
+from tests.oracles import reference_interpreter, template_replay
 
 #: A busy workload: string shuffling, arithmetic, file writes.
 WORKLOAD_SOURCE = """
@@ -86,48 +90,48 @@ text: .asciz "the quick brown fox jumps over the lazy dog"
 buf:  .space 64
 """
 
-#: name -> (harrier config or None for unmonitored, use the block cache?,
-#: use the zero-taint dataflow fast path?)
+_PRODUCTION = contextlib.nullcontext
+
+#: name -> (harrier config or None for unmonitored, the oracle to run
+#: under — production itself for the non-reference rows)
 _CONFIGS = {
-    "native": (None, True, True),
-    "native-interp": (None, False, True),
+    "native": (None, _PRODUCTION),
+    "native-interp": (None, reference_interpreter),
     "harrier-no-dataflow": (
-        HarrierConfig(track_dataflow=False), True, True
+        HarrierConfig(track_dataflow=False), _PRODUCTION
     ),
     "harrier-no-bbfreq": (
-        HarrierConfig(track_bb_frequency=False), True, True
+        HarrierConfig(track_bb_frequency=False), _PRODUCTION
     ),
-    "harrier-full": (HarrierConfig(), True, True),
-    "harrier-full-interp": (HarrierConfig(), False, True),
-    "harrier-fastpath": (HarrierConfig(), True, True),
-    "harrier-fastpath-off": (HarrierConfig(), True, False),
+    "harrier-full": (HarrierConfig(), _PRODUCTION),
+    "harrier-full-interp": (HarrierConfig(), reference_interpreter),
+    "harrier-fastpath": (HarrierConfig(), _PRODUCTION),
+    "harrier-fastpath-off": (HarrierConfig(), template_replay),
     "harrier-provenance-off": (
-        HarrierConfig(provenance=False), True, True
+        HarrierConfig(provenance=False), _PRODUCTION
     ),
 }
 
 
 def run_workload(config_name, telemetry=None):
-    config, block_cache, taint_fastpath = _CONFIGS[config_name]
-    options = RunOptions(
-        harrier_config=config,
-        block_cache=block_cache,
-        taint_fastpath=taint_fastpath,
-    )
-    if config is None:
-        # Unmonitored native baseline: repro.api always monitors, so the
-        # raw HTH constructor stays the entry point here.
-        hth = HTH(monitored=False, telemetry=telemetry, options=options)
-        report = hth.run(assemble("/bin/perf", WORKLOAD_SOURCE))
-    else:
-        # One-shot through the facade: a throwaway Session per call, so
-        # every measured run still pays (and measures) cold translation.
-        report = api_run(
-            WORKLOAD_SOURCE,
-            options=options,
-            telemetry=telemetry,
-            path="/bin/perf",
-        )
+    config, oracle = _CONFIGS[config_name]
+    options = RunOptions(harrier_config=config)
+    with oracle():
+        if config is None:
+            # Unmonitored native baseline: repro.api always monitors, so
+            # the raw HTH constructor stays the entry point here.
+            hth = HTH(monitored=False, telemetry=telemetry, options=options)
+            report = hth.run(assemble("/bin/perf", WORKLOAD_SOURCE))
+        else:
+            # One-shot through the facade: a throwaway Session per call,
+            # so every measured run still pays (and measures) cold
+            # translation.
+            report = api_run(
+                WORKLOAD_SOURCE,
+                options=options,
+                telemetry=telemetry,
+                path="/bin/perf",
+            )
     assert report.exit_code == 0
     return report
 

@@ -3,7 +3,8 @@
 The property that justifies the Rete network (and that CLIPS gave the
 paper for free): per-event match cost must stay *flat* as working
 memory accumulates, because the network only touches the delta.  The
-naive matcher re-joins every rule against every fact per firing, so its
+naive matcher (the ``tests/oracles`` reference, installed with
+``naive_matcher``) re-joins every rule against every fact per firing, so its
 per-event cost grows linearly with working-memory size — a daemon
 retaining session state slows down the longer it runs.
 
@@ -36,6 +37,7 @@ pytest-benchmark like the other bench modules.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 
@@ -49,6 +51,7 @@ from repro.expert import (
     Test,
     V,
 )
+from tests.oracles import naive_matcher
 
 KINDS = [f"kind{i}" for i in range(8)]
 KEYS = [f"key{i}" for i in range(32)]
@@ -67,8 +70,10 @@ STREAM_EVENTS = 150
 
 
 def build_engine(rete: bool) -> InferenceEngine:
-    """20 productions over event/state/suppress working memory."""
-    engine = InferenceEngine(rete=rete)
+    """20 productions over event/state/suppress working memory, matched
+    by the Rete network or (``rete=False``) by the naive oracle."""
+    with contextlib.nullcontext() if rete else naive_matcher():
+        engine = InferenceEngine()
     engine.define_template(Template.define("event", "kind", "key", "val"))
     engine.define_template(Template.define("state", "key", "lvl"))
     engine.define_template(Template.define("suppress", "key"))

@@ -1,13 +1,17 @@
 """Perf smoke check: the block cache must not be slower than the
-interpreter, and the zero-taint fast path must actually pay off.
+reference interpreter, and the zero-taint fast path must actually pay off.
+
+The reference sides — the per-instruction interpreter, forced template
+replay and the naive rule matcher — are the ``tests/oracles``
+implementations, so run from the repository root.
 
 Runs the Section 9 workload under the full monitor and fails (exit 1)
 when either property breaks:
 
-* the cached path is slower than the per-instruction interpreter
-  beyond a small noise margin;
+* the cached path is slower than the reference per-instruction
+  interpreter beyond a small noise margin;
 * the dataflow fast path is not at least :data:`FASTPATH_SPEEDUP`
-  faster than per-transfer template replay — or the two modes disagree
+  faster than forced per-transfer template replay — or the two disagree
   on retired instructions or emitted warnings (they must be
   observationally identical; the exhaustive bit-identical check over
   all workloads lives in tests/harrier/test_blockcache_differential.py);

@@ -164,10 +164,7 @@ def _emit_telemetry(
 def _run_options(args: argparse.Namespace, **overrides) -> RunOptions:
     """Fold the shared CLI execution flags into a :class:`RunOptions`."""
     return RunOptions(
-        block_cache=not getattr(args, "no_block_cache", False),
-        taint_fastpath=not getattr(args, "no_taint_fastpath", False),
         provenance=not getattr(args, "no_provenance", False),
-        rete=not getattr(args, "no_rete", False),
         cache=not getattr(args, "no_cache", False),
         max_ticks=getattr(args, "max_ticks", None) or 5_000_000,
         **overrides,
@@ -883,19 +880,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="disable basic-block frequency counting")
     run.add_argument("--incomplete-dataflow", action="store_true",
                      help="emulate the paper's incomplete prototype")
-    run.add_argument("--no-block-cache", action="store_true",
-                     help="execute per-instruction instead of through the "
-                          "translated-block cache (reference semantics)")
-    run.add_argument("--no-taint-fastpath", action="store_true",
-                     help="replay taint templates per transfer instead of "
-                          "evaluating block liveness summaries (reference "
-                          "dataflow semantics)")
     run.add_argument("--no-provenance", action="store_true",
                      help="skip recording per-warning evidence trails")
-    run.add_argument("--no-rete", action="store_true",
-                     help="match Secpert rules with the naive full-rejoin "
-                          "engine instead of the incremental Rete network "
-                          "(reference matching semantics)")
     run.add_argument("--max-ticks", type=int, default=5_000_000)
     run.add_argument("--json", metavar="FILE",
                      help="write the machine-readable RunReport as JSON "
@@ -934,16 +920,8 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="reproduce one of the paper's evaluation tables"
     )
     table.add_argument("number", choices=sorted(_TABLE_BENCHES))
-    table.add_argument("--no-block-cache", action="store_true",
-                       help="run workloads on the per-instruction "
-                            "interpreter instead of the block cache")
-    table.add_argument("--no-taint-fastpath", action="store_true",
-                       help="disable the zero-taint dataflow fast path")
     table.add_argument("--no-provenance", action="store_true",
                        help="skip recording per-warning evidence trails")
-    table.add_argument("--no-rete", action="store_true",
-                       help="use the naive matcher instead of the "
-                            "incremental Rete network")
     _add_cache_options(table)
     _add_telemetry_options(table)
     table.set_defaults(func=cmd_table)
@@ -1013,16 +991,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--max-retries", type=int, default=1,
                        help="retries per run on watchdog/monitor-fault "
                             "outcomes (default: 1)")
-    fleet.add_argument("--no-block-cache", action="store_true",
-                       help="run workloads on the per-instruction "
-                            "interpreter instead of the block cache")
-    fleet.add_argument("--no-taint-fastpath", action="store_true",
-                       help="disable the zero-taint dataflow fast path")
     fleet.add_argument("--no-provenance", action="store_true",
                        help="skip recording per-warning evidence trails")
-    fleet.add_argument("--no-rete", action="store_true",
-                       help="use the naive matcher instead of the "
-                            "incremental Rete network")
     fleet.add_argument("--json", metavar="FILE",
                        help="write the merged FleetReport as JSON")
     _add_cache_options(fleet)
@@ -1063,16 +1033,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-retries", type=int, default=1,
                        help="retries per run on watchdog/monitor-fault "
                             "outcomes (default: 1)")
-    sweep.add_argument("--no-block-cache", action="store_true",
-                       help="run variants on the per-instruction "
-                            "interpreter instead of the block cache")
-    sweep.add_argument("--no-taint-fastpath", action="store_true",
-                       help="disable the zero-taint dataflow fast path")
     sweep.add_argument("--no-provenance", action="store_true",
                        help="skip recording per-warning evidence trails")
-    sweep.add_argument("--no-rete", action="store_true",
-                       help="use the naive matcher instead of the "
-                            "incremental Rete network")
     sweep.add_argument("--json", metavar="FILE",
                        help="write the deterministic BENCH payload "
                             "(matrix + evasions) as JSON")
@@ -1168,15 +1130,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-run wall deadline hint for the daemon")
     submit.add_argument("--timeout", type=float, default=120.0,
                         help="client-side socket timeout (default: 120s)")
-    submit.add_argument("--no-block-cache", action="store_true",
-                        help="run on the per-instruction interpreter")
-    submit.add_argument("--no-taint-fastpath", action="store_true",
-                        help="disable the zero-taint dataflow fast path")
     submit.add_argument("--no-provenance", action="store_true",
                         help="skip recording per-warning evidence trails")
-    submit.add_argument("--no-rete", action="store_true",
-                        help="use the naive matcher instead of the "
-                             "incremental Rete network")
     submit.add_argument("--no-cache", action="store_true",
                         help="ask the daemon to execute fresh instead of "
                              "answering from its verdict cache")
@@ -1205,11 +1160,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--serve", action="append",
                          metavar="HOST:PORT=DATA",
                          help="register a peer that pushes DATA on connect")
-    profile.add_argument("--no-block-cache", action="store_true",
-                         help="profile the per-instruction interpreter "
-                              "instead of the block cache")
-    profile.add_argument("--no-taint-fastpath", action="store_true",
-                         help="disable the zero-taint dataflow fast path")
     profile.add_argument("--no-provenance", action="store_true",
                          help="skip recording per-warning evidence trails")
     profile.add_argument("--max-ticks", type=int, default=5_000_000)

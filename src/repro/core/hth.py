@@ -108,19 +108,16 @@ class HTH:
         #: The analysis side: Secpert by default, or any EventAnalyzer
         #: exposing a ``warnings`` list (e.g. the cross-session or
         #: multi-program wrappers).
-        self.analyzer = analyzer if analyzer is not None else Secpert(
-            self.policy, rete=options.rete
+        self.analyzer = (
+            analyzer if analyzer is not None else Secpert(self.policy)
         )
         self.secpert = self.analyzer if isinstance(
             self.analyzer, Secpert
         ) else getattr(self.analyzer, "secpert", None)
         config = harrier_config or options.harrier_config or HarrierConfig()
-        if not options.taint_fastpath and config.taint_fastpath:
-            # The escape hatch only ever *disables* the fast path; an
-            # explicit HarrierConfig(taint_fastpath=False) always wins.
-            config = replace(config, taint_fastpath=False)
         if not options.provenance and config.provenance:
-            # Same escape-hatch shape for the evidence recorder.
+            # The switch only ever *disables* the evidence recorder; an
+            # explicit HarrierConfig(provenance=False) always wins.
             config = replace(config, provenance=False)
         self.harrier = Harrier(
             analyzer=self.analyzer,
@@ -138,7 +135,6 @@ class HTH:
             libraries=libs,
             fault_injector=fault_injector,
             telemetry=self.telemetry,
-            use_block_cache=options.block_cache,
             block_cache_store=(
                 engine.block_caches if engine is not None else None
             ),

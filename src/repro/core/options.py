@@ -2,8 +2,8 @@
 
 Every layer that executes a guest — :class:`repro.core.hth.HTH`, a
 :class:`repro.programs.base.Workload`, the CLI, and the fleet engine —
-historically grew its own ad-hoc keyword arguments (``block_cache=``,
-``taint_fastpath=``, telemetry hubs, fault injectors, tick budgets).
+historically grew its own ad-hoc keyword arguments (telemetry hubs,
+fault injectors, tick budgets).
 :class:`RunOptions` replaces that sprawl with one frozen, picklable
 value object:
 
@@ -17,10 +17,9 @@ value object:
   :meth:`RunOptions.make_fault_injector`) build *fresh* per-run state so
   two runs with the same options are independent and deterministic.
 
-The old boolean kwargs (``block_cache=`` / ``taint_fastpath=``) are
-gone: :func:`fold_legacy_flags` now *rejects* them with a
-:class:`TypeError` naming the replacement (covered by
-``tests/core/test_options.py``).
+There is one execution engine, one taint path and one rule matcher, so
+nothing here selects between implementations; the reference semantics
+the differential suites compare against live in ``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faultinject.injector import FaultInjector
     from repro.faultinject.plan import FaultProfile
     from repro.telemetry import Telemetry
-
-#: Sentinel distinguishing "caller never passed the kwarg" from an
-#: explicit None/False — the deprecation shims need the difference.
-UNSET = object()
 
 #: Default virtual-time budget for one run (matches the historical
 #: ``HTH.run(max_ticks=...)`` default).
@@ -59,17 +54,8 @@ class RunOptions:
     #: Monitor configuration; ``None`` means the default
     #: :class:`HarrierConfig` (or the workload's own override).
     harrier_config: Optional[HarrierConfig] = None
-    #: Execute through the block translation cache (PIN's code cache).
-    block_cache: bool = True
-    #: Use the zero-taint dataflow fast path.
-    taint_fastpath: bool = True
     #: Record per-warning taint-provenance evidence trails.
     provenance: bool = True
-    #: Match Secpert rules through the incremental Rete network.
-    #: ``False`` falls back to the naive full-rejoin matcher — the
-    #: differential oracle behind the ``--no-rete`` CLI flag; both
-    #: produce bit-identical warnings and fire traces.
-    rete: bool = True
     #: Collect a metrics registry for the run.
     metrics: bool = False
     #: Collect a span trace (implies a metrics registry).
@@ -123,33 +109,3 @@ class RunOptions:
     ) -> "RunOptions":
         return replace(self, fault_profile=profile, fault_seed=seed)
 
-
-def fold_legacy_flags(
-    where: str,
-    options: Optional[RunOptions],
-    *,
-    block_cache: object = UNSET,
-    taint_fastpath: object = UNSET,
-    stacklevel: int = 3,
-) -> RunOptions:
-    """Reject the removed boolean kwargs; default ``options`` otherwise.
-
-    The historical ``block_cache=`` / ``taint_fastpath=`` keyword
-    arguments on ``HTH``, ``Workload.run`` and ``run_monitored`` went
-    through a deprecation cycle and are now an error: passing either
-    raises :class:`TypeError` naming the ``RunOptions`` replacement.
-    The function itself stays as the one place a caller-supplied
-    ``options=None`` is defaulted.
-    """
-    legacy = []
-    if block_cache is not UNSET:
-        legacy.append("block_cache")
-    if taint_fastpath is not UNSET:
-        legacy.append("taint_fastpath")
-    if legacy:
-        names = ", ".join(legacy)
-        raise TypeError(
-            f"{where}: the {names} keyword argument(s) were removed; "
-            f"pass options=RunOptions({names}=...) instead"
-        )
-    return options if options is not None else RunOptions()

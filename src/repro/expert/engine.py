@@ -6,12 +6,12 @@ and fires the top one; firing may assert/retract facts, which recomputes
 activations.  Refraction guarantees an activation fires at most once for a
 given combination of facts, so rules do not loop on stable memory.
 
-Matching is incremental by default: assert/retract feed deltas through a
-Rete network (:mod:`repro.expert.rete`) that maintains the agenda, so
-match cost scales with working-memory *changes* rather than its size —
-the property the paper gets for free from CLIPS.  ``rete=False`` keeps
-the original naive matcher (full ``match_lhs`` re-join per firing) as a
-differential oracle; both produce bit-identical agendas and fire traces.
+Matching is incremental: assert/retract feed deltas through a Rete
+network (:mod:`repro.expert.rete`) that maintains the agenda, so match
+cost scales with working-memory *changes* rather than its size — the
+property the paper gets for free from CLIPS.  The naive full-rejoin
+matcher it must agree with, activation for activation, is a test-side
+oracle (``tests/oracles``).
 
 The engine also records a fire trace — CLIPS's headline advantage over
 black-box classifiers is that "an expert system can give the user all of
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.expert.conditions import ConditionalElement, match_lhs
+from repro.expert.conditions import ConditionalElement
 from repro.expert.template import Fact, Template
 
 
@@ -116,7 +116,7 @@ class _Instruments:
 
 
 class InferenceEngine:
-    def __init__(self, rete: bool = True) -> None:
+    def __init__(self) -> None:
         self.templates: Dict[str, Template] = {}
         self.rules: List[Rule] = []
         self._facts: Dict[int, Fact] = {}
@@ -145,12 +145,8 @@ class InferenceEngine:
 
         #: Always-on match instrumentation, cheap enough to keep without
         #: a registry (see :class:`repro.expert.rete.MatchStats`).
-        self.stats = MatchStats(engine="rete" if rete else "naive")
-        self._rete = ReteNetwork(self) if rete else None
-
-    @property
-    def rete_enabled(self) -> bool:
-        return self._rete is not None
+        self.stats = MatchStats()
+        self._rete = ReteNetwork(self)
 
     #: Optional telemetry registry (repro.telemetry.MetricsRegistry).
     #: When set, the engine records facts asserted, per-rule firing
@@ -177,8 +173,7 @@ class InferenceEngine:
         if any(r.name == rule.name for r in self.rules):
             raise EngineError(f"duplicate rule {rule.name!r}")
         self.rules.append(rule)
-        if self._rete is not None:
-            self._rete.add_production(rule, len(self.rules) - 1)
+        self._rete.add_production(rule, len(self.rules) - 1)
         return rule
 
     # -- working memory ----------------------------------------------------------
@@ -193,8 +188,7 @@ class InferenceEngine:
         fact.recency = self._recency
         self._facts[fact.fact_id] = fact
         self.stats.facts_asserted += 1
-        if self._rete is not None:
-            self._propagate(self._rete.assert_fact, fact)
+        self._propagate(self._rete.assert_fact, fact)
         if self._metrics is not None:
             self._metrics.counter("secpert_facts_asserted_total").inc()
         return fact
@@ -205,8 +199,7 @@ class InferenceEngine:
         del self._facts[fact.fact_id]
         for key in self._fired_by_fact.pop(fact.fact_id, ()):
             self._fired.discard(key)
-        if self._rete is not None:
-            self._propagate(self._rete.retract_fact, fact)
+        self._propagate(self._rete.retract_fact, fact)
 
     def facts(self, template: Optional[str] = None) -> List[Fact]:
         out = list(self._facts.values())
@@ -218,8 +211,7 @@ class InferenceEngine:
         self._facts.clear()
         self._fired.clear()
         self._fired_by_fact.clear()
-        if self._rete is not None:
-            self._rebuild_network()
+        self._rebuild_network()
 
     def reset(self) -> None:
         """CLIPS (reset): wipe facts, refraction memory, and trace."""
@@ -227,11 +219,11 @@ class InferenceEngine:
         self.fire_trace.clear()
 
     def _rebuild_network(self) -> None:
-        from repro.expert.rete import ReteNetwork
-
         self.stats.beta_tokens_live = 0
         self.stats.agenda_size = 0
-        network = ReteNetwork(self)
+        # An engine keeps its matcher class for life, so a matcher
+        # installed at construction survives clear_facts().
+        network = type(self._rete)(self)
         self._rete = network
         for index, rule in enumerate(self.rules):
             network.add_production(rule, index)
@@ -258,37 +250,7 @@ class InferenceEngine:
 
     # -- agenda -----------------------------------------------------------------
     def agenda(self) -> List[Activation]:
-        if self._rete is not None:
-            return self._rete.agenda()
-        stats = self.stats
-        start = perf_counter()
-        facts = list(self._facts.values())
-        activations: List[Activation] = []
-        for rule in self.rules:
-            if rule.name in self.quarantined:
-                continue
-            for match in match_lhs(rule.lhs, facts):
-                activation = Activation(
-                    rule=rule,
-                    facts=tuple(match["facts"]),
-                    bindings=match["bindings"],
-                )
-                if activation.key() not in self._fired:
-                    activations.append(activation)
-        activations.sort(
-            key=lambda a: (a.rule.salience, a.recency()), reverse=True
-        )
-        elapsed = perf_counter() - start
-        stats.match_calls += 1
-        stats.match_seconds += elapsed
-        stats.agenda_size = len(activations)
-        if stats.agenda_size > stats.agenda_peak:
-            stats.agenda_peak = stats.agenda_size
-        instruments = self._instruments
-        if instruments is not None:
-            instruments.match_seconds.observe(elapsed)
-            instruments.agenda_size.set(stats.agenda_size)
-        return activations
+        return self._rete.agenda()
 
     def match_stats(self) -> Dict[str, Any]:
         """Wire-friendly snapshot of the always-on match instrumentation."""
@@ -298,15 +260,9 @@ class InferenceEngine:
         """Fire until quiescent; returns the number of rules fired."""
         fired = 0
         while fired < limit:
-            if self._rete is not None:
-                activation = self._rete.pop_best()
-                if activation is None:
-                    break
-            else:
-                agenda = self.agenda()
-                if not agenda:
-                    break
-                activation = agenda[0]
+            activation = self._rete.pop_best()
+            if activation is None:
+                break
             key = activation.key()
             self._fired.add(key)
             for fact_id in key[1]:

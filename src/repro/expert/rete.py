@@ -1,8 +1,9 @@
 """Rete-style incremental matching (the CLIPS algorithm, paper section 6.2.1).
 
-The naive engine recomputes the whole agenda after every firing: each
+A naive engine recomputes the whole agenda after every firing: each
 ``agenda()`` call re-runs ``match_lhs`` for every rule over every fact, an
-O(rules x facts^k) join.  CLIPS — the shell the paper builds Secpert on —
+O(rules x facts^k) join (that engine survives as the differential oracle
+in ``tests/oracles``).  CLIPS — the shell the paper builds Secpert on —
 never does that: its Rete network makes match cost proportional to the
 *change* in working memory, which is what lets a detector keep up with a
 high event rate.
@@ -70,7 +71,6 @@ class MatchStats:
     metrics.
     """
 
-    engine: str = "rete"
     facts_asserted: int = 0
     match_calls: int = 0
     match_seconds: float = 0.0
@@ -82,7 +82,6 @@ class MatchStats:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "engine": self.engine,
             "facts_asserted": self.facts_asserted,
             "match_calls": self.match_calls,
             "match_seconds": self.match_seconds,

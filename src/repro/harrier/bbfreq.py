@@ -16,12 +16,12 @@ from repro.harrier.state import ProcessShadow
 
 
 class CodeExecutionPatterns:
-    """Per-step leader bookkeeping over a :class:`ProcessShadow`."""
+    """Leader-count queries over a :class:`ProcessShadow`.
 
-    def observe(self, shadow: ProcessShadow, pc: int) -> None:
-        if pc in shadow.app_leaders:
-            shadow.bb_counts[pc] = shadow.bb_counts.get(pc, 0) + 1
-            shadow.last_app_bb = pc
+    The counting itself happens in ``Harrier.on_block``: a block entry
+    at an application leader bumps ``bb_counts`` and becomes
+    ``last_app_bb``.
+    """
 
     def event_context(self, shadow: ProcessShadow) -> Tuple[int, str]:
         """(frequency, address) attached to an outgoing event.

@@ -28,15 +28,8 @@ DEFAULT_TRUSTED_IMAGES: FrozenSet[str] = frozenset(
 
 @dataclass(frozen=True)
 class HarrierConfig:
-    #: Per-instruction taint propagation (the expensive part).
+    #: Instruction-level taint propagation (the expensive part).
     track_dataflow: bool = True
-    #: Use the zero-taint fast path: evaluate each block's precomputed
-    #: taint-liveness summary instead of replaying its transfer
-    #: templates (see ``InstructionDataFlow.apply_summary``).  False
-    #: forces the per-transfer replay everywhere — the escape hatch
-    #: mirroring ``--no-block-cache``; the differential suite proves
-    #: both modes bit-identical.
-    taint_fastpath: bool = True
     #: Count application basic-block executions (section 7.4).
     track_bb_frequency: bool = True
     #: Short-circuit name-translating library routines (section 7.2).

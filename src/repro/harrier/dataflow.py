@@ -1,6 +1,6 @@
 """Instruction-level dataflow tracking (paper section 7.3.1).
 
-Replays the CPU's :class:`TaintTransfer` records over the process shadow
+Applies each translated block's taint transfers over the process shadow
 state.  The interesting cases, matching the paper's examples:
 
 * ``mov %esp,%ebp`` — destination inherits the source register's tags;
@@ -9,17 +9,17 @@ state.  The interesting cases, matching the paper's examples:
 * ``add %ebx,%eax`` — destination gets the *union* of both operands' tags;
 * ``cpuid`` — the output registers get the HARDWARE tag.
 
-Three application paths exist: :meth:`InstructionDataFlow.apply` replays
-one :class:`StepResult` (the interpreter path),
-:meth:`InstructionDataFlow.apply_block` replays a whole
-:class:`BlockRecord` from the block cache's precompiled taint templates,
-and :meth:`InstructionDataFlow.apply_summary` — the fast path — skips
+Two application paths exist.  The compiled summary applier
+(:meth:`InstructionDataFlow.install_applier`) — the fast path — skips
 the per-transfer replay entirely and evaluates the block's precomputed
 :class:`TaintSummary` support expressions against the entry state, in
-O(#outputs).  The batched paths route every union through a
-:class:`TagSetInterner`, so the steady state of a guest loop — the same
-block's templates over mostly-unchanged shadow state — costs dict
-probes instead of frozenset allocations.
+O(#outputs).  :meth:`InstructionDataFlow.apply_block` replays a
+:class:`BlockRecord` from the block's precompiled taint templates; it is
+the only path for partial blocks and for intra-block load/store
+aliasing.  Both route every union through a :class:`TagSetInterner`, so
+the steady state of a guest loop — the same block's templates over
+mostly-unchanged shadow state — costs dict probes instead of frozenset
+allocations.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.harrier.state import ProcessShadow
-from repro.isa.cpu import StepResult
 from repro.isa.memory import MAX_CSTRING
 from repro.isa.translate import BlockRecord
 from repro.taint.tags import EMPTY, DataSource, TagSet, TagSetInterner
@@ -60,47 +59,14 @@ class InstructionDataFlow:
             self._binary_tags[image_name] = tags
         return tags
 
-    def apply(self, shadow: ProcessShadow, step: StepResult) -> None:
-        transfers = step.transfers
-        if not transfers:
-            return
-        regs = shadow.regs
-        memory = shadow.memory
-        imm_tags: TagSet = None  # lazily resolved per step
-        for transfer in transfers:
-            tags = EMPTY
-            for src in transfer.srcs:
-                kind = src[0]
-                if kind == "reg":
-                    tags = tags.union(regs.get(src[1]))
-                elif kind == "mem":
-                    tags = tags.union(memory.get(src[1]))
-                elif kind == "imm":
-                    if imm_tags is None:
-                        image = shadow.code_image.get(step.pc)
-                        imm_tags = (
-                            self.binary_tag(image.name)
-                            if image is not None
-                            else EMPTY
-                        )
-                    tags = tags.union(imm_tags)
-                elif kind == "hardware":
-                    tags = tags.union(_HARDWARE)
-                # 'zero' contributes nothing (xor r,r / call return slots)
-            dst = transfer.dst
-            if dst[0] == "reg":
-                regs.set(dst[1], tags)
-            else:
-                memory.set(dst[1], tags)
-
     def apply_block(self, shadow: ProcessShadow, rec: BlockRecord) -> None:
         """Replay one block record's taint templates over the shadow.
 
-        Equivalent to :meth:`apply` over the per-instruction StepResults
-        the record stands for, but with the transfer shapes precompiled:
-        the only per-execution inputs are the dynamic memory addresses in
-        ``rec.holes`` (consumed positionally — at most one per
-        instruction in this ISA) and the shadow state itself.
+        Transfer by transfer, in retirement order, with the transfer
+        shapes precompiled: the only per-execution inputs are the dynamic
+        memory addresses in ``rec.holes`` (consumed positionally — at
+        most one per instruction in this ISA) and the shadow state
+        itself.
         """
         n = rec.executed
         if n == 0:
@@ -155,13 +121,19 @@ class InstructionDataFlow:
                 else:
                     mset(addr, tags)
 
-    def apply_summary(self, shadow: ProcessShadow, rec: BlockRecord) -> bool:
-        """Fast path: evaluate the block's :class:`TaintSummary` instead
-        of replaying its templates transfer by transfer.
+    def install_applier(self, plan):
+        """Compile one block's :class:`TaintSummary` into an applier
+        closure — ``applier(shadow, rec) -> bool`` — and cache it on
+        ``plan.taint_apply``, mirroring how the translator compiles
+        ``body_ops``: the summary's shape is frozen into closure cells
+        so the per-execution cost is the entry-key build, one cache
+        probe, and the output writes.
 
-        Valid only for *full* executions (``rec.executed ==
-        plan.length`` — the caller checks), because the summary folds
-        the whole block.  Returns False — caller falls back to
+        The applier is the fast path: it evaluates the summary instead
+        of replaying the templates transfer by transfer.  It is valid
+        only for *full* executions (``rec.executed == plan.length`` —
+        the caller checks), because the summary folds the whole block,
+        and it returns False — the caller falls back to
         :meth:`apply_block` — when a load aliases an earlier store of
         the same block, the one case where entry-state evaluation and
         sequential replay can disagree.
@@ -173,20 +145,6 @@ class InstructionDataFlow:
         * a loop body whose registers already hold the image's BINARY
           tag re-derives the same interned sets via memoized unions —
           per *output*, not per instruction.
-        """
-        plan = rec.plan
-        applier = plan.taint_apply
-        if applier is None:
-            applier = self.install_applier(plan)
-        return applier(shadow, rec)
-
-    def install_applier(self, plan):
-        """Compile one block's :class:`TaintSummary` into an applier
-        closure — ``applier(shadow, rec) -> bool`` — and cache it on
-        ``plan.taint_apply``, mirroring how the translator compiles
-        ``body_ops``: the summary's shape is frozen into closure cells
-        so the per-execution cost is the entry-key build, one cache
-        probe, and the output writes.
         """
         summary = plan.taint_summary
         if summary.is_noop:
@@ -350,7 +308,7 @@ class InstructionDataFlow:
 
     def _evaluate_summary(self, shadow, plan, summary, key):
         """Evaluate every support expression against the entry values in
-        ``key`` (the memo-miss path of :meth:`apply_summary`).
+        ``key`` (the memo-miss path of the compiled applier).
 
         Returns ``(reg_sets, reg_clears, mem_out)``: the non-empty
         register writes, the registers whose stale tags must be cleared,

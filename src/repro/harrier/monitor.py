@@ -4,7 +4,7 @@ Harrier virtualizes the application (Figure 4): it receives every
 architectural, OS, and library-level event from the simulated kernel
 through the :class:`KernelHooks` interface and
 
-* propagates multi-source taint per instruction (``InstructionDataFlow``),
+* propagates multi-source taint per translated block (``InstructionDataFlow``),
 * counts application basic-block executions (``CodeExecutionPatterns``),
 * short-circuits name-translating library routines (``RoutineShortCircuit``),
 * tags loaded binaries BINARY and the initial stack USER INPUT,
@@ -32,7 +32,6 @@ from repro.harrier.events import SecurityEvent
 from repro.harrier.routines import RoutineShortCircuit
 from repro.harrier.state import ProcessShadow
 from repro.harrier.syscall_events import SyscallEventGenerator
-from repro.isa.cpu import StepResult
 from repro.kernel.hooks import KernelHooks
 from repro.kernel.kernel import Kernel
 from repro.kernel.loader import LoadedImage
@@ -89,7 +88,6 @@ class Harrier(KernelHooks):
         #: Cached (config is frozen): the per-block dispatch flags, so
         #: the on_block hot path loads slots instead of chasing the
         #: config dataclass per block.
-        self._fastpath = self.config.taint_fastpath
         self._track_df = self.config.track_dataflow
         self._track_bb = self.config.track_bb_frequency
         self._short_circuit = self.config.short_circuit_routines
@@ -208,41 +206,19 @@ class Harrier(KernelHooks):
                 resource=proc.command, via="initial_stack",
             )
 
-    # -- per-instruction events (section 7.3.1 / 7.4 / 7.2) --------------------
-    def on_instruction(self, proc: Process, step: StepResult) -> None:
-        shadow = self.shadow(proc)
-        if self._profiler is None:
-            if self.config.track_dataflow:
-                self.dataflow.apply(shadow, step)
-                if self.config.short_circuit_routines:
-                    self.routines.on_step(proc, shadow, step)
-            if self.config.track_bb_frequency:
-                self.bbfreq.observe(shadow, step.pc)
-            return
-        # Profiled path: attribute each component's wall time to its §8
-        # stage.  Kept separate so the unprofiled path pays one None check.
-        prof = self._profiler
-        if self.config.track_dataflow:
-            t0 = perf_counter()
-            self.dataflow.apply(shadow, step)
-            if self.config.short_circuit_routines:
-                self.routines.on_step(proc, shadow, step)
-            prof.add(STAGE_DATAFLOW, perf_counter() - t0)
-        if self.config.track_bb_frequency:
-            t0 = perf_counter()
-            self.bbfreq.observe(shadow, step.pc)
-            prof.add(STAGE_BBFREQ, perf_counter() - t0)
-
+    # -- per-block events (section 7.3.1 / 7.4 / 7.2) -------------------------
     def on_block(self, proc: Process, rec) -> None:
-        """Batched per-block observation (the block-cache hot path).
+        """Observe one executed (prefix of a) translated block.
 
-        One call replaces ``executed`` on_instruction calls: the
-        dataflow templates are applied in a single pass, the routine
-        short-circuit sees the record only when its terminator was a
-        CALL/RET (those always end a block, so register state at hook
-        time matches the per-step path), and BB frequency is observed
-        once at the block's entry pc — interior pcs are never leaders by
-        construction of the translation cut.
+        The block's taint effects are applied in one pass: the compiled
+        summary applier for full executions, template replay for partial
+        blocks and for the load/store aliasing the summary cannot
+        express.  The routine short-circuit sees the record only when
+        its terminator was a CALL/RET (those always end a block), and BB
+        frequency is observed once at the block's entry pc — interior
+        pcs are never leaders by construction of the translation cut.
+        With a stage profiler attached, the same code runs with each
+        component's wall time attributed to its §8 stage.
         """
         if rec.executed == 0:
             return
@@ -251,69 +227,37 @@ class Harrier(KernelHooks):
         shadow = meta.get(_SHADOW_KEY)
         if shadow is None:
             shadow = meta[_SHADOW_KEY] = ProcessShadow()
-        if self._profiler is None:
-            plan = rec.plan
-            if self._track_df:
-                # _apply_block_dataflow, inlined; the compiled applier
-                # is called straight off the plan.
-                if (
-                    self._fastpath
-                    and rec.executed == plan.length
-                    and (
-                        plan.taint_apply
-                        or self.dataflow.install_applier(plan)
-                    )(shadow, rec)
-                ):
-                    self.fastpath_blocks += 1
-                    if self._prov is not None:
-                        self._prov.observe_block(plan)
-                else:
-                    self.slowpath_blocks += 1
-                    self.dataflow.apply_block(shadow, rec)
-                if self._short_circuit and (
-                    rec.call_target is not None
-                    or rec.ret_target is not None
-                ):
-                    self.routines.on_step(proc, shadow, rec)
-            if self._track_bb:
-                # self.bbfreq.observe, inlined.
-                pc = plan.start
-                if pc in shadow.app_leaders:
-                    shadow.bb_counts[pc] = shadow.bb_counts.get(pc, 0) + 1
-                    shadow.last_app_bb = pc
-            return
         prof = self._profiler
-        config = self.config
-        if config.track_dataflow:
-            t0 = perf_counter()
-            self._apply_block_dataflow(shadow, rec)
-            if config.short_circuit_routines and (
+        plan = rec.plan
+        if self._track_df:
+            if prof is not None:
+                t0 = perf_counter()
+            # The compiled applier is called straight off the plan; it
+            # returns False when the block must be replayed instead.
+            if rec.executed == plan.length and (
+                plan.taint_apply or self.dataflow.install_applier(plan)
+            )(shadow, rec):
+                self.fastpath_blocks += 1
+                if self._prov is not None:
+                    self._prov.observe_block(plan)
+            else:
+                self.slowpath_blocks += 1
+                self.dataflow.apply_block(shadow, rec)
+            if self._short_circuit and (
                 rec.call_target is not None or rec.ret_target is not None
             ):
                 self.routines.on_step(proc, shadow, rec)
-            prof.add(STAGE_DATAFLOW, perf_counter() - t0)
-        if config.track_bb_frequency:
-            t0 = perf_counter()
-            self.bbfreq.observe(shadow, rec.plan.start)
-            prof.add(STAGE_BBFREQ, perf_counter() - t0)
-
-    def _apply_block_dataflow(self, shadow: ProcessShadow, rec) -> None:
-        """Apply one block's taint effects, fast path first.
-
-        The summary fast path is valid only for full executions (a
-        partial block's templates were only partially applied) and bails
-        on intra-block load/store aliasing; everything else replays the
-        templates per transfer.
-        """
-        if (
-            self._fastpath
-            and rec.executed == rec.plan.length
-            and self.dataflow.apply_summary(shadow, rec)
-        ):
-            self.fastpath_blocks += 1
-            return
-        self.slowpath_blocks += 1
-        self.dataflow.apply_block(shadow, rec)
+            if prof is not None:
+                prof.add(STAGE_DATAFLOW, perf_counter() - t0)
+        if self._track_bb:
+            if prof is not None:
+                t0 = perf_counter()
+            pc = plan.start
+            if pc in shadow.app_leaders:
+                shadow.bb_counts[pc] = shadow.bb_counts.get(pc, 0) + 1
+                shadow.last_app_bb = pc
+            if prof is not None:
+                prof.add(STAGE_BBFREQ, perf_counter() - t0)
 
     # -- syscall events (section 7.1) -----------------------------------------
     def on_syscall_pre(

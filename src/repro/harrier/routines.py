@@ -26,13 +26,13 @@ class RoutineShortCircuit:
     def on_step(
         self, proc: Process, shadow: ProcessShadow, step
     ) -> None:
-        """Track CALL/RET bookkeeping for one step-like record.
+        """Track CALL/RET bookkeeping for one executed record.
 
         ``step`` is any object carrying ``call_target``,
-        ``call_return_addr`` and ``ret_target`` — a :class:`StepResult`
-        from the interpreter, or a :class:`BlockRecord` from the block
-        cache (CALL/RET always terminate a block, so the live register
-        state at hook time is the same in both paths).
+        ``call_return_addr`` and ``ret_target`` — a :class:`BlockRecord`
+        in production.  CALL/RET always terminate a block, so the live
+        register state at hook time is the state right after the
+        CALL/RET retired.
         """
         if step.call_target is not None:
             symbol = shadow.routine_addrs.get(step.call_target)

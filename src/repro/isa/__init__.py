@@ -1,4 +1,4 @@
-"""Mini-ISA substrate: instruction set, assembler, images, CPU interpreter.
+"""Mini-ISA substrate: instruction set, assembler, images, block translator.
 
 This package replaces the paper's x86/PIN environment with a small register
 machine that preserves everything Harrier observes: per-instruction data
@@ -13,11 +13,6 @@ from repro.isa.cpu import (
     LOC_HARDWARE,
     LOC_IMM,
     LOC_ZERO,
-    StepKind,
-    StepResult,
-    TaintTransfer,
-    mem_loc,
-    reg_loc,
 )
 from repro.isa.image import DataRelocation, Image, TextRelocation
 from repro.isa.instructions import (
@@ -69,11 +64,6 @@ __all__ = [
     "CONTROL_TRANSFER_OPCODES",
     "CPU",
     "CpuFault",
-    "StepKind",
-    "StepResult",
-    "TaintTransfer",
-    "reg_loc",
-    "mem_loc",
     "LOC_IMM",
     "LOC_HARDWARE",
     "LOC_ZERO",

@@ -1,47 +1,31 @@
-"""CPU interpreter with per-instruction effect traces.
+"""CPU context: registers, flags and program counter over a memory.
 
-The interpreter executes one instruction per :meth:`CPU.step` call and
-returns a :class:`StepResult` describing *what moved where*: a list of
-:class:`TaintTransfer` records mapping each written location to the
-locations that produced its value.  Harrier's dataflow module replays these
-transfers over shadow state — the CPU itself knows nothing about taint,
+Execution lives in :mod:`repro.isa.translate`: basic blocks are compiled
+once and the compiled plans run against a :class:`CPU`, the same way
+PIN's code cache runs translated traces (paper section 7).  A plan
+records what moved where as precomputed taint-transfer templates built
+from the location tuples below; Harrier's dataflow module replays them
+over shadow state, so the CPU itself knows nothing about taint,
 mirroring the paper's separation between the tracking mechanism and the
 analysis (Figure 1).
 
-System calls (``int 0x80``) are *not* executed here: the step returns with
-``kind=SYSCALL`` and the program counter already advanced, and the kernel
-performs the call.  This is the hook point where Harrier interposes
-(paper section 7.1: "Harrier will interrupt the execution of the program
-and wait until Secpert analysis is done").
+System calls (``int 0x80``) are not executed here: a plan exits with the
+program counter already advanced and the kernel performs the call.  This
+is the hook point where Harrier interposes (paper section 7.1: "Harrier
+will interrupt the execution of the program and wait until Secpert
+analysis is done").
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Tuple, Union
 
-from repro.isa.instructions import (
-    ALU_OPCODES,
-    Imm,
-    Instruction,
-    Mem,
-    Opcode,
-    Reg,
-)
-from repro.isa.memory import FlatMemory, MemoryFault
-from repro.isa.registers import CPUID_REGISTERS, RegisterFile
+from repro.isa.memory import FlatMemory
+from repro.isa.registers import RegisterFile
 
 
 class CpuFault(Exception):
     """An execution fault (bad fetch, division by zero, HLT)."""
-
-
-class StepKind(enum.Enum):
-    NORMAL = "normal"
-    SYSCALL = "syscall"   # int 0x80 reached; kernel must service it
-    CPUID = "cpuid"
-    HALT = "halt"         # HLT executed
 
 
 #: A location in a taint transfer: a register, a memory cell, an immediate
@@ -53,39 +37,6 @@ Location = Union[RegLoc, MemLoc, Tuple[str]]
 LOC_IMM: Location = ("imm",)
 LOC_HARDWARE: Location = ("hardware",)
 LOC_ZERO: Location = ("zero",)
-
-
-def reg_loc(name: str) -> Location:
-    return ("reg", name)
-
-
-def mem_loc(addr: int) -> Location:
-    return ("mem", addr)
-
-
-@dataclass(frozen=True)
-class TaintTransfer:
-    """``dst``'s new value was computed from ``srcs``."""
-
-    dst: Location
-    srcs: Tuple[Location, ...]
-
-
-@dataclass
-class StepResult:
-    """Everything Harrier needs to know about one executed instruction."""
-
-    pc: int
-    instruction: Instruction
-    kind: StepKind = StepKind.NORMAL
-    transfers: List[TaintTransfer] = field(default_factory=list)
-    #: CALL bookkeeping for the routine-level short-circuit module.
-    call_target: Optional[int] = None
-    call_return_addr: Optional[int] = None
-    #: RET bookkeeping.
-    ret_target: Optional[int] = None
-    #: Next pc after this instruction (where execution will resume).
-    next_pc: int = 0
 
 
 #: Fixed CPUID identification values (arbitrary but stable; what matters to
@@ -115,212 +66,3 @@ class CPU:
         dup.sf = self.sf
         dup.halted = self.halted
         return dup
-
-    # -- execution ----------------------------------------------------------
-    def step(self) -> StepResult:
-        """Execute one instruction; raises :class:`CpuFault` on faults."""
-        if self.halted:
-            raise CpuFault("CPU is halted")
-        pc = self.pc
-        try:
-            instr = self.memory.fetch(pc)
-        except MemoryFault as exc:
-            self.halted = True
-            raise CpuFault(str(exc)) from exc
-
-        result = StepResult(pc=pc, instruction=instr)
-        self.pc = pc + 1  # default fall-through; transfers may override
-        op = instr.opcode
-
-        if op is Opcode.MOV:
-            self._exec_mov(instr, result)
-        elif op is Opcode.LOAD:
-            self._exec_load(instr, result)
-        elif op is Opcode.STORE:
-            self._exec_store(instr, result)
-        elif op in ALU_OPCODES:
-            self._exec_alu(instr, result)
-        elif op is Opcode.CMP:
-            self._exec_cmp(instr)
-        elif op in (Opcode.JMP, Opcode.JZ, Opcode.JNZ, Opcode.JL,
-                    Opcode.JLE, Opcode.JG, Opcode.JGE):
-            self._exec_jump(instr)
-        elif op is Opcode.CALL:
-            self._exec_call(instr, result)
-        elif op is Opcode.RET:
-            self._exec_ret(result)
-        elif op is Opcode.PUSH:
-            self._exec_push(instr, result)
-        elif op is Opcode.POP:
-            self._exec_pop(instr, result)
-        elif op is Opcode.INT:
-            vector = self._imm_value(instr.a)
-            if vector != 0x80:
-                self.halted = True
-                raise CpuFault(f"unsupported interrupt {vector:#x} at {pc:#x}")
-            result.kind = StepKind.SYSCALL
-        elif op is Opcode.CPUID:
-            self._exec_cpuid(result)
-        elif op is Opcode.NOP:
-            pass
-        elif op is Opcode.HLT:
-            self.halted = True
-            result.kind = StepKind.HALT
-        else:  # pragma: no cover - exhaustive
-            raise CpuFault(f"unimplemented opcode {op}")
-
-        result.next_pc = self.pc
-        return result
-
-    # -- operand helpers ------------------------------------------------------
-    @staticmethod
-    def _imm_value(operand) -> int:
-        if not isinstance(operand, Imm):
-            raise CpuFault(f"expected immediate, got {operand}")
-        return operand.value
-
-    def _source_value(self, operand) -> Tuple[int, Location]:
-        """Value and taint location of a Reg|Imm source operand."""
-        if isinstance(operand, Reg):
-            return self.regs.get(operand.name), reg_loc(operand.name)
-        if isinstance(operand, Imm):
-            return operand.value, LOC_IMM
-        raise CpuFault(f"bad source operand {operand}")
-
-    def _mem_addr(self, operand: Mem) -> int:
-        return self.regs.get(operand.base) + operand.offset
-
-    def _set_flags(self, value: int) -> None:
-        self.zf = value == 0
-        self.sf = value < 0
-
-    # -- per-opcode implementations ------------------------------------------
-    def _exec_mov(self, instr: Instruction, result: StepResult) -> None:
-        dst: Reg = instr.a  # type: ignore[assignment]
-        value, src_loc = self._source_value(instr.b)
-        self.regs.set(dst.name, value)
-        result.transfers.append(TaintTransfer(reg_loc(dst.name), (src_loc,)))
-
-    def _exec_load(self, instr: Instruction, result: StepResult) -> None:
-        dst: Reg = instr.a  # type: ignore[assignment]
-        addr = self._mem_addr(instr.b)  # type: ignore[arg-type]
-        self.regs.set(dst.name, self.memory.read(addr))
-        result.transfers.append(
-            TaintTransfer(reg_loc(dst.name), (mem_loc(addr),))
-        )
-
-    def _exec_store(self, instr: Instruction, result: StepResult) -> None:
-        addr = self._mem_addr(instr.a)  # type: ignore[arg-type]
-        value, src_loc = self._source_value(instr.b)
-        self.memory.write(addr, value)
-        result.transfers.append(TaintTransfer(mem_loc(addr), (src_loc,)))
-
-    def _exec_alu(self, instr: Instruction, result: StepResult) -> None:
-        dst: Reg = instr.a  # type: ignore[assignment]
-        lhs = self.regs.get(dst.name)
-        rhs, src_loc = self._source_value(instr.b)
-        op = instr.opcode
-        if op is Opcode.ADD:
-            value = lhs + rhs
-        elif op is Opcode.SUB:
-            value = lhs - rhs
-        elif op is Opcode.MUL:
-            value = lhs * rhs
-        elif op in (Opcode.DIV, Opcode.MOD):
-            if rhs == 0:
-                self.halted = True
-                raise CpuFault(f"division by zero at {result.pc:#x}")
-            if op is Opcode.DIV:
-                value = int(lhs / rhs)  # truncate toward zero, like x86 idiv
-            else:
-                value = lhs - int(lhs / rhs) * rhs
-        elif op is Opcode.XOR:
-            value = lhs ^ rhs
-        elif op is Opcode.AND:
-            value = lhs & rhs
-        elif op is Opcode.OR:
-            value = lhs | rhs
-        elif op is Opcode.SHL:
-            # Mask the count to 0-63 like x86: a guest-controlled count
-            # must not allocate multi-gigabyte ints and stall the monitor.
-            value = lhs << (rhs & 63)
-        elif op is Opcode.SHR:
-            value = lhs >> (rhs & 63)
-        else:  # pragma: no cover - exhaustive
-            raise CpuFault(f"bad ALU opcode {op}")
-        self.regs.set(dst.name, value)
-        self._set_flags(value)
-
-        same_reg = isinstance(instr.b, Reg) and instr.b.name == dst.name
-        if op in (Opcode.XOR, Opcode.SUB) and same_reg:
-            # xor r, r / sub r, r produce a constant zero: the standard
-            # taint-tracking special case — the result carries no data.
-            srcs: Tuple[Location, ...] = (LOC_ZERO,)
-        else:
-            srcs = (reg_loc(dst.name), src_loc)
-        result.transfers.append(TaintTransfer(reg_loc(dst.name), srcs))
-
-    def _exec_cmp(self, instr: Instruction) -> None:
-        lhs = self.regs.get(instr.a.name)  # type: ignore[union-attr]
-        rhs, _ = self._source_value(instr.b)
-        self._set_flags(lhs - rhs)
-
-    def _exec_jump(self, instr: Instruction) -> None:
-        target = self._imm_value(instr.a)
-        op = instr.opcode
-        taken = (
-            op is Opcode.JMP
-            or (op is Opcode.JZ and self.zf)
-            or (op is Opcode.JNZ and not self.zf)
-            or (op is Opcode.JL and self.sf)
-            or (op is Opcode.JLE and (self.sf or self.zf))
-            or (op is Opcode.JG and not (self.sf or self.zf))
-            or (op is Opcode.JGE and not self.sf)
-        )
-        if taken:
-            self.pc = target
-
-    def _exec_call(self, instr: Instruction, result: StepResult) -> None:
-        if isinstance(instr.a, Reg):
-            target = self.regs.get(instr.a.name)
-        else:
-            target = self._imm_value(instr.a)
-        return_addr = self.pc  # already advanced past the CALL
-        sp = self.regs.get("esp") - 1
-        self.regs.set("esp", sp)
-        self.memory.write(sp, return_addr)
-        result.transfers.append(TaintTransfer(mem_loc(sp), (LOC_ZERO,)))
-        self.pc = target
-        result.call_target = target
-        result.call_return_addr = return_addr
-
-    def _exec_ret(self, result: StepResult) -> None:
-        sp = self.regs.get("esp")
-        target = self.memory.read(sp)
-        self.regs.set("esp", sp + 1)
-        self.pc = target
-        result.ret_target = target
-
-    def _exec_push(self, instr: Instruction, result: StepResult) -> None:
-        value, src_loc = self._source_value(instr.a)
-        sp = self.regs.get("esp") - 1
-        self.regs.set("esp", sp)
-        self.memory.write(sp, value)
-        result.transfers.append(TaintTransfer(mem_loc(sp), (src_loc,)))
-
-    def _exec_pop(self, instr: Instruction, result: StepResult) -> None:
-        dst: Reg = instr.a  # type: ignore[assignment]
-        sp = self.regs.get("esp")
-        self.regs.set(dst.name, self.memory.read(sp))
-        self.regs.set("esp", sp + 1)
-        result.transfers.append(
-            TaintTransfer(reg_loc(dst.name), (mem_loc(sp),))
-        )
-
-    def _exec_cpuid(self, result: StepResult) -> None:
-        for reg in CPUID_REGISTERS:
-            self.regs.set(reg, CPUID_VALUES[reg])
-            result.transfers.append(
-                TaintTransfer(reg_loc(reg), (LOC_HARDWARE,))
-            )
-        result.kind = StepKind.CPUID

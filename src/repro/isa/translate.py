@@ -9,26 +9,24 @@ sections 7 and 9).  This module reproduces that idea for the mini-ISA.
 compiles every instruction into a closure with its operand accessors
 resolved ahead of time — no ``isinstance`` checks and no if/elif opcode
 dispatch remain on the hot path.  Alongside each closure it precomputes a
-*static taint-transfer template*: the dst/src location shapes of the
-instruction's :class:`TaintTransfer` records are known at decode time for
-everything except dynamic ``Mem`` addresses, which get a hole
-(:data:`MEM_HOLE`) filled from the runtime address trace.
+*static taint-transfer template*: the dst/src location shapes of what
+the instruction moves are known at decode time for everything except
+dynamic ``Mem`` addresses, which get a hole (:data:`MEM_HOLE`) filled
+from the runtime address trace.
 
 A :class:`BlockPlan` executes with explicit exit conditions: it returns a
 :class:`BlockRecord` whose ``kind`` says *why* the block stopped —
 fall-through/branch (:data:`EXIT_CONTINUE`), syscall
 (:data:`EXIT_SYSCALL`), HLT (:data:`EXIT_HALT`), CPU fault
 (:data:`EXIT_FAULT`) or quantum/deadline expiry (:data:`EXIT_BUDGET`).
-The record is the monitor's batched unit of observation: one record per
-block entry instead of one :class:`StepResult` per instruction.
-``BlockPlan.iter_steps`` reconstructs the per-instruction StepResults for
-consumers that still want them (the default hook compatibility path),
-bit-identical to what the interpreter would have produced.
+The record is the monitor's unit of observation: one record per block
+entry.  The reference per-instruction interpreter these plans must match
+bit for bit lives with the differential tests (``tests/oracles``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.cpu import (
     CPUID_VALUES,
@@ -36,9 +34,6 @@ from repro.isa.cpu import (
     LOC_HARDWARE,
     LOC_IMM,
     LOC_ZERO,
-    StepKind,
-    StepResult,
-    TaintTransfer,
 )
 from repro.isa.instructions import (
     CONTROL_TRANSFER_OPCODES,
@@ -82,8 +77,8 @@ BodyOp = Callable[[object, dict, dict, list], None]
 
 #: Taint template: ``None`` (no transfers) or ``(has_hole, transfers)``
 #: where each transfer is ``(dst_spec, src_specs)`` built from the same
-#: location tuples the interpreter emits, with MEM_HOLE for the dynamic
-#: address.
+#: location tuples as :mod:`repro.isa.cpu` (``("reg", name)``, LOC_IMM,
+#: ...), with MEM_HOLE for the dynamic address.
 TaintTemplate = Optional[Tuple[bool, Tuple[Tuple[tuple, Tuple[tuple, ...]], ...]]]
 
 #: Summary-expression tokens (see :class:`TaintSummary`).  ``("reg", r)``
@@ -105,7 +100,7 @@ class TaintSummary:
     commutative, and idempotent, evaluating the supports against the
     shadow state at block entry reproduces the per-transfer replay
     exactly, in O(#outputs) instead of O(#transfers) — the monitor's
-    fast path (see ``InstructionDataFlow.apply_summary``).
+    fast path (see ``InstructionDataFlow.install_applier``).
 
     Validity: the expressions assume every ``("mem", k)`` read sees the
     cell's *entry* tags, so they only hold when no load aliases an
@@ -246,8 +241,8 @@ class BlockRecord:
     clock or fired the hook for it).  ``holes`` is the dynamic memory
     address trace, in retirement order, consumed positionally by the
     taint templates.  ``call_target``/``call_return_addr``/``ret_target``
-    mirror :class:`StepResult` so the routine short-circuit module can
-    consume a record directly (CALL/RET always terminate a block).
+    carry the CALL/RET bookkeeping the routine short-circuit module
+    consumes (CALL/RET always terminate a block).
     """
 
     __slots__ = (
@@ -314,7 +309,7 @@ class BlockPlan:
         #: Block-level liveness/fold summary for the zero-taint fast path.
         self.taint_summary = summarize_taint(taint)
         #: The compiled summary applier, installed lazily by the fast
-        #: path (``InstructionDataFlow.apply_summary``) the first time
+        #: path (``InstructionDataFlow.install_applier``) the first time
         #: this block's taint effects are applied — a closure shaped to
         #: this block's summary, with its own entry-values memo, just as
         #: ``body_ops`` are closures shaped to the instructions.
@@ -370,58 +365,6 @@ class BlockPlan:
         cpu.pc = self.pcs[n]
         rec.next_pc = cpu.pc
         return rec
-
-    # -- compatibility ----------------------------------------------------
-    def iter_steps(self, rec: BlockRecord) -> Iterator[StepResult]:
-        """Reconstruct per-instruction :class:`StepResult`s for a record.
-
-        Used by the default hook path so monitors that only implement
-        ``on_instruction`` keep working under the block cache.  The
-        yielded steps match what :meth:`CPU.step` would have returned for
-        the same execution, transfer for transfer.
-        """
-        n = rec.executed
-        if n == 0:
-            return
-        holes = rec.holes
-        cursor = 0
-        pcs = self.pcs
-        instrs = self.instructions
-        taint = self.taint
-        last = n - 1
-        # The terminator retired only on a non-fault, non-budget exit.
-        term_retired = rec.kind in (EXIT_CONTINUE, EXIT_SYSCALL, EXIT_HALT)
-        for i in range(n):
-            instr = instrs[i]
-            step = StepResult(pc=pcs[i], instruction=instr)
-            tmpl = taint[i]
-            addr = None
-            if tmpl is not None:
-                if tmpl[0]:
-                    addr = holes[cursor]
-                    cursor += 1
-                for dst_spec, src_specs in tmpl[1]:
-                    dst = ("mem", addr) if dst_spec is MEM_HOLE else dst_spec
-                    srcs = tuple(
-                        ("mem", addr) if s is MEM_HOLE else s
-                        for s in src_specs
-                    )
-                    step.transfers.append(TaintTransfer(dst, srcs))
-            opcode = instr.opcode
-            if opcode is Opcode.CPUID:
-                step.kind = StepKind.CPUID
-            if i == last and term_retired:
-                if opcode is Opcode.INT:
-                    step.kind = StepKind.SYSCALL
-                elif opcode is Opcode.HLT:
-                    step.kind = StepKind.HALT
-                step.call_target = rec.call_target
-                step.call_return_addr = rec.call_return_addr
-                step.ret_target = rec.ret_target
-                step.next_pc = rec.next_pc
-            else:
-                step.next_pc = pcs[i] + 1
-            yield step
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"BlockPlan(start={self.start:#x}, len={self.length})"
@@ -508,7 +451,7 @@ def _c_store(instr: Instruction, pc: int):
 
 #: Plain binary ALU value functions.  Shift counts are masked to 0-63
 #: like x86 (keeps guest-controlled counts from allocating huge ints);
-#: the interpreter applies the same mask — see CPU._exec_alu.
+#: the reference interpreter in ``tests/oracles`` applies the same mask.
 _ALU_FUNCS = {
     Opcode.ADD: lambda l, r: l + r,
     Opcode.SUB: lambda l, r: l - r,

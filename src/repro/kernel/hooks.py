@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.isa.cpu import StepResult
     from repro.isa.translate import BlockRecord
     from repro.kernel.loader import LoadedImage
     from repro.kernel.process import Process
@@ -31,22 +30,13 @@ class KernelHooks:
     ) -> None:
         """The loader wrote argc/argv/envp into [start, end)."""
 
-    def on_instruction(self, proc: "Process", step: "StepResult") -> None:
-        """One instruction finished executing."""
-
     def on_block(self, proc: "Process", rec: "BlockRecord") -> None:
         """A translated basic block (or a prefix of one) finished.
 
-        Fired by the block-cache execution path *instead of* per-step
-        ``on_instruction`` calls.  The default replays the record as
-        per-instruction StepResults so monitors that only override
-        ``on_instruction`` observe the identical stream; batched
-        monitors (Harrier) override this and consume the record
-        directly.
+        ``rec`` says how many instructions retired, why the block
+        stopped, and which addresses it touched; the plan behind it
+        carries the block's precomputed taint templates.
         """
-        on_instruction = self.on_instruction
-        for step in rec.plan.iter_steps(rec):
-            on_instruction(proc, step)
 
     def on_syscall_pre(
         self,
@@ -85,9 +75,6 @@ class KernelHooks:
 class NullHooks(KernelHooks):
     """Explicit no-op monitor (native execution)."""
 
-    def on_block(self, proc, rec) -> None:
-        """No replay either — native execution stays on the fast path."""
-
 
 class CompositeHooks(KernelHooks):
     """Fan one hook stream out to several monitors (e.g. Harrier plus a
@@ -109,13 +96,7 @@ class CompositeHooks(KernelHooks):
         for child in self.children:
             child.on_initial_stack(proc, start, end)
 
-    def on_instruction(self, proc, step):
-        for child in self.children:
-            child.on_instruction(proc, step)
-
     def on_block(self, proc, rec):
-        # Each child gets its own view: overridden on_block where the
-        # child is batch-aware, the default per-step replay otherwise.
         for child in self.children:
             child.on_block(proc, rec)
 

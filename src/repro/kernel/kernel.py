@@ -17,7 +17,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
-from repro.isa.cpu import CPU, CpuFault, StepKind
+from repro.isa.cpu import CPU
 from repro.isa.image import Image
 from repro.isa.memory import FlatMemory, MemoryFault
 from repro.isa.translate import (
@@ -92,15 +92,9 @@ class Kernel:
         quantum: int = 200,
         fault_injector: Optional["FaultInjector"] = None,
         telemetry: Optional[Telemetry] = None,
-        use_block_cache: bool = True,
         block_cache_store=None,
     ) -> None:
         self.hooks = hooks or NullHooks()
-        #: Translate basic blocks once and re-execute the compiled plans
-        #: (PIN's code cache).  False falls back to the per-instruction
-        #: interpreter — the differential tests run both and assert
-        #: identical results.
-        self.use_block_cache = use_block_cache
         #: Optional deterministic chaos source (see repro.faultinject).
         self.fault_injector = fault_injector
         #: Observability hub (see repro.telemetry).  A disabled hub wires
@@ -276,8 +270,7 @@ class Kernel:
         self._next_pid += 1
         proc.image_map = load.image_map
         proc.brk = load.heap_base
-        if self.use_block_cache:
-            proc.block_cache = self._block_cache_for(image, load.image_map)
+        proc.block_cache = self._block_cache_for(image, load.image_map)
         self._install_stdio(proc)
         self.procs[proc.pid] = proc
         self._announce_load(proc, load)
@@ -378,15 +371,14 @@ class Kernel:
         proc.image_map = load.image_map
         proc.brk = load.heap_base
         proc.start_time = self.now
-        if self.use_block_cache:
-            # The old image's translations are invalid for the new address
-            # space: swap to the new image's (shared) cache.  Counted as a
-            # flush — this is the "Infrequent execve" cost of the paper's
-            # Table 8 in code-cache terms.
-            proc.block_cache = self._block_cache_for(image, load.image_map)
-            self.block_cache_flushes += 1
-            if self._metrics is not None:
-                self._c_bc_flushes.inc()
+        # The old image's translations are invalid for the new address
+        # space: swap to the new image's (shared) cache.  Counted as a
+        # flush — this is the "Infrequent execve" cost of the paper's
+        # Table 8 in code-cache terms.
+        proc.block_cache = self._block_cache_for(image, load.image_map)
+        self.block_cache_flushes += 1
+        if self._metrics is not None:
+            self._c_bc_flushes.inc()
         self._announce_load(proc, load)
         return 0
 
@@ -555,9 +547,6 @@ class Kernel:
                 self._h_quantum.observe(executed)
 
     def _exec_quantum(self, proc: Process, deadline: int) -> None:
-        if proc.block_cache is None:
-            self._exec_quantum_interp(proc, deadline)
-            return
         quantum = self.quantum
         if self.fault_injector is not None:
             quantum = self.fault_injector.quantum(quantum)
@@ -573,8 +562,8 @@ class Kernel:
             try:
                 plan = cache.lookup(cpu.memory, cpu.pc)
             except MemoryFault as fault:
-                # Interpreter parity: an unmapped fetch halts the CPU and
-                # faults with the fetch message, pc unchanged.
+                # An unmapped fetch halts the CPU and faults with the
+                # fetch message, pc unchanged.
                 cpu.halted = True
                 self._fault_log.append((proc.pid, str(fault)))
                 if self._metrics is not None:
@@ -603,37 +592,6 @@ class Kernel:
                 self._fault_log.append((proc.pid, str(rec.fault)))
                 if self._metrics is not None:
                     self._c_cpu_faults.inc()
-                self.exit_process(proc, EXIT_FAULT)
-                return
-
-    def _exec_quantum_interp(self, proc: Process, deadline: int) -> None:
-        """The original per-instruction interpreter loop (no block cache).
-
-        Kept verbatim as the reference semantics: the differential suite
-        runs every workload through both paths and asserts identical
-        reports.
-        """
-        quantum = self.quantum
-        if self.fault_injector is not None:
-            quantum = self.fault_injector.quantum(quantum)
-        for _ in range(quantum):
-            if proc.state is not ProcessState.RUNNABLE or self.now >= deadline:
-                return
-            try:
-                step = proc.cpu.step()
-            except CpuFault as fault:
-                self._fault_log.append((proc.pid, str(fault)))
-                if self._metrics is not None:
-                    self._c_cpu_faults.inc()
-                self.exit_process(proc, EXIT_FAULT)
-                return
-            self.now += 1
-            self.instructions += 1
-            self.hooks.on_instruction(proc, step)
-            if step.kind is StepKind.SYSCALL:
-                self._service_syscall(proc)
-            elif step.kind is StepKind.HALT:
-                self._fault_log.append((proc.pid, "HLT executed"))
                 self.exit_process(proc, EXIT_FAULT)
                 return
 

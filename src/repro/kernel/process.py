@@ -151,7 +151,7 @@ class Process:
         #: Filled by the loader.
         self.image_map: Optional["ImageMap"] = None  # noqa: F821
         #: The translated-block cache for this process's image layout
-        #: (None = per-instruction interpretation).  Shared across fork
+        #: (set by the kernel at spawn).  Shared across fork
         #: (plans — including their taint-liveness summaries — are
         #: immutable); swapped by the kernel on execve.
         self.block_cache: Optional["BlockCache"] = None  # noqa: F821

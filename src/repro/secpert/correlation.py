@@ -50,12 +50,8 @@ class MachineState:
 class InteractionAnalyzer:
     """EventAnalyzer wrapper correlating events across programs."""
 
-    def __init__(
-        self,
-        policy: Optional[PolicyConfig] = None,
-        rete: bool = True,
-    ) -> None:
-        self.secpert = Secpert(policy, rete=rete)
+    def __init__(self, policy: Optional[PolicyConfig] = None) -> None:
+        self.secpert = Secpert(policy)
         self.state = MachineState()
         self.warnings: List[SecurityWarning] = []
 
@@ -128,10 +124,7 @@ class MultiProgramMonitor:
     def __init__(self, policy: Optional[PolicyConfig] = None, **hth_kwargs):
         from repro.core.hth import HTH
 
-        options = hth_kwargs.get("options")
-        self.analyzer = InteractionAnalyzer(
-            policy, rete=options.rete if options is not None else True
-        )
+        self.analyzer = InteractionAnalyzer(policy)
         self.hth = HTH(analyzer=self.analyzer, **hth_kwargs)
         # Track fork lineage so children stay in the parent's group.
         original_fork = self.hth.kernel.fork_process

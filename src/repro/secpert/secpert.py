@@ -23,13 +23,8 @@ from repro.secpert.warnings import SecurityWarning, WarningSink
 
 
 class Secpert(EventAnalyzer):
-    def __init__(
-        self,
-        policy: Optional[PolicyConfig] = None,
-        rete: bool = True,
-    ) -> None:
+    def __init__(self, policy: Optional[PolicyConfig] = None) -> None:
         self.policy = policy or PolicyConfig()
-        self.rete = rete
         self.sink = WarningSink()
         self.engine = self._build_engine()
         #: Optional ProvenanceRecorder (repro.telemetry.provenance).
@@ -39,7 +34,7 @@ class Secpert(EventAnalyzer):
         self._rule_docs = {r.name: r.doc for r in self.engine.rules}
 
     def _build_engine(self) -> InferenceEngine:
-        engine = InferenceEngine(rete=self.rete)
+        engine = InferenceEngine()
         for template in ALL_TEMPLATES:
             engine.define_template(template)
         for rule in (

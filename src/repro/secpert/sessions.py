@@ -120,10 +120,9 @@ class CrossSessionAnalyzer:
         self,
         store: SessionStore,
         policy: Optional[PolicyConfig] = None,
-        rete: bool = True,
     ) -> None:
         self.store = store
-        self.secpert = Secpert(policy, rete=rete)
+        self.secpert = Secpert(policy)
         self.program: str = "?"
         #: Rewritten warnings (what the user actually sees).
         self.warnings: List[SecurityWarning] = []
@@ -227,12 +226,8 @@ class CrossSessionMonitor:
     def __init__(self, policy: Optional[PolicyConfig] = None, **hth_kwargs):
         from repro.core.hth import HTH  # local: avoids a circular import
 
-        options = hth_kwargs.get("options")
         self.store = SessionStore()
-        self.analyzer = CrossSessionAnalyzer(
-            self.store, policy,
-            rete=options.rete if options is not None else True,
-        )
+        self.analyzer = CrossSessionAnalyzer(self.store, policy)
         self.hth = HTH(analyzer=self.analyzer, **hth_kwargs)
         self.sessions: List[SessionReport] = []
 

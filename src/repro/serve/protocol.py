@@ -71,6 +71,18 @@ class ProtocolError(ValueError):
     """A submission or event that does not follow the wire contract."""
 
 
+#: Option keys older clients send on every submission.  Each once chose
+#: between the production path and a reference implementation that now
+#: lives only with the differential tests: ``true`` (the production
+#: path) is accepted and ignored, anything else asked for the removed
+#: oracle and is rejected.
+_REMOVED_SWITCHES = {
+    "block_cache": "the per-instruction interpreter",
+    "taint_fastpath": "all-replay taint",
+    "rete": "the naive rule matcher",
+}
+
+
 # ---------------------------------------------------------------------------
 # RunOptions <-> wire
 
@@ -83,10 +95,7 @@ def options_to_wire(options: RunOptions) -> Dict[str, object]:
     schedule seed (collection fields keep defaults).
     """
     wire: Dict[str, object] = {
-        "block_cache": options.block_cache,
-        "taint_fastpath": options.taint_fastpath,
         "provenance": options.provenance,
-        "rete": options.rete,
         "metrics": options.metrics,
         "max_ticks": options.max_ticks,
         "wall_timeout": options.wall_timeout,
@@ -110,18 +119,20 @@ def options_from_wire(data: Optional[Mapping[str, object]]) -> RunOptions:
         return RunOptions()
     data = dict(data)
     fault = data.pop("fault", None)
+    for key, oracle in _REMOVED_SWITCHES.items():
+        if key in data and data.pop(key) is not True:
+            raise ProtocolError(
+                f"options field {key!r}: {oracle} was removed from the "
+                f"runtime; only true is accepted"
+            )
     allowed = {
-        "block_cache", "taint_fastpath", "provenance", "rete", "metrics",
-        "max_ticks", "wall_timeout", "cache",
+        "provenance", "metrics", "max_ticks", "wall_timeout", "cache",
     }
     unknown = set(data) - allowed
     if unknown:
         raise ProtocolError(f"unknown options field(s): {sorted(unknown)}")
     options = RunOptions(
-        block_cache=bool(data.get("block_cache", True)),
-        taint_fastpath=bool(data.get("taint_fastpath", True)),
         provenance=bool(data.get("provenance", True)),
-        rete=bool(data.get("rete", True)),
         metrics=bool(data.get("metrics", False)),
         cache=bool(data.get("cache", True)),
         max_ticks=int(data.get("max_ticks", DEFAULT_MAX_TICKS)),

@@ -47,9 +47,7 @@ def execute_submission(
     tap = None
     if on_warning is not None:
         policy = submission.options.policy or PolicyConfig()
-        tap = TapAnalyzer(
-            Secpert(policy, rete=submission.options.rete), on_warning
-        )
+        tap = TapAnalyzer(Secpert(policy), on_warning)
 
     def engine_stats() -> Optional[Dict[str, Any]]:
         if tap is None:

@@ -4,7 +4,7 @@ The paper's §8/§9 overhead study compares native execution against
 monitoring with basic-block frequency counting (+bbfreq), full dataflow
 tracking (+dataflow), and the expert-system analysis.  The
 :class:`StageProfiler` reproduces that breakdown from a *single* run:
-Harrier attributes the wall time of each per-instruction component and
+Harrier attributes the wall time of each per-block component and
 each analysis dispatch to a stage, the kernel reports total run wall
 time, and whatever is left is the ``native`` stage (guest execution plus
 kernel bookkeeping — what a run with monitoring off would cost).

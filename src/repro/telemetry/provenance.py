@@ -86,8 +86,8 @@ class ProvenanceRecorder:
         self.events_observed = 0
         #: Evidence objects built by :meth:`evidence_for`.
         self.evidence_built = 0
-        # Block-mode diagnostics (metrics only — never part of evidence,
-        # because the interpreter path has no blocks to observe).
+        # Fast-path block diagnostics (metrics only — never part of
+        # evidence, because replayed blocks are not observed).
         self.blocks_observed = 0
         self.block_tokens = 0
         self._seen_plans: set = set()
@@ -267,7 +267,8 @@ class ProvenanceRecorder:
         """Mode-independent run-level counts for the report (schema v2).
 
         Deliberately excludes the block-observation diagnostics, which
-        differ between the interpreter and block-cache modes.
+        count fast-path blocks only and so depend on how each block's
+        taint was applied.
         """
         return {
             "schema_version": EVIDENCE_SCHEMA_VERSION,

@@ -138,8 +138,6 @@ class TestOptionsFingerprint:
         base = RunOptions()
         fp = options_fingerprint(base)
         perturbations = {
-            "block_cache": False,
-            "taint_fastpath": False,
             "provenance": False,
             "metrics": True,
             "trace": True,

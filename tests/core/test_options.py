@@ -1,24 +1,18 @@
-"""RunOptions: the unified run-configuration object and the end state
-of its migration.
+"""RunOptions: the unified run-configuration object.
 
-The deprecation window is over: the old ``block_cache=`` /
-``taint_fastpath=`` boolean kwargs are gone from ``HTH``,
-``Workload.run``/``build_machine`` and ``run_monitored``, and
-:func:`fold_legacy_flags` now rejects them with a ``TypeError`` naming
-the ``options=RunOptions(...)`` replacement.
+It configures a run; it never selects an implementation.  The old
+``block_cache`` / ``taint_fastpath`` / ``rete`` switches to reference
+implementations are gone from ``RunOptions``, ``HTH`` and
+``run_monitored`` alike (the references live in ``tests/oracles``).
 """
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.core.hth import HTH, run_monitored
-from repro.core.options import (
-    DEFAULT_MAX_TICKS,
-    RunOptions,
-    UNSET,
-    fold_legacy_flags,
-)
+from repro.core.options import DEFAULT_MAX_TICKS, RunOptions
 from repro.isa import assemble
 
 SOURCE = """
@@ -35,15 +29,14 @@ def _image():
 class TestRunOptions:
     def test_defaults(self):
         options = RunOptions()
-        assert options.block_cache is True
-        assert options.taint_fastpath is True
+        assert options.provenance is True
         assert options.max_ticks == DEFAULT_MAX_TICKS
         assert options.wall_timeout is None
         assert not options.wants_telemetry
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            RunOptions().block_cache = False
+            RunOptions().metrics = True
 
     def test_picklable(self):
         from repro.faultinject import TRANSPARENT_PROFILE
@@ -58,8 +51,8 @@ class TestRunOptions:
         from repro.faultinject import TRANSPARENT_PROFILE
 
         base = RunOptions()
-        assert base.replaced(block_cache=False).block_cache is False
-        assert base.replaced(block_cache=False) != base
+        assert base.replaced(metrics=True).metrics is True
+        assert base.replaced(metrics=True) != base
         chaotic = base.with_faults(TRANSPARENT_PROFILE, 42)
         assert chaotic.fault_profile is TRANSPARENT_PROFILE
         assert chaotic.fault_seed == 42
@@ -86,37 +79,6 @@ class TestRunOptions:
         assert RunOptions().make_fault_injector() is None
 
 
-class TestFoldLegacyFlags:
-    def test_no_flags_pass_through(self):
-        assert fold_legacy_flags("X", None) == RunOptions()
-        custom = RunOptions(block_cache=False)
-        assert fold_legacy_flags("X", custom) is custom
-
-    def test_legacy_flag_is_an_error(self):
-        with pytest.raises(TypeError, match="block_cache"):
-            fold_legacy_flags("X", None, block_cache=False)
-        with pytest.raises(TypeError, match="taint_fastpath"):
-            fold_legacy_flags("X", None, taint_fastpath=True)
-
-    def test_error_names_every_flag_and_the_callsite(self):
-        with pytest.raises(TypeError) as excinfo:
-            fold_legacy_flags(
-                "Workload.run", None,
-                block_cache=False, taint_fastpath=False,
-            )
-        message = str(excinfo.value)
-        assert "Workload.run" in message
-        assert "block_cache" in message and "taint_fastpath" in message
-        assert "options=RunOptions(" in message
-
-    def test_unset_sentinel_is_not_a_flag(self):
-        options = fold_legacy_flags(
-            "X", RunOptions(block_cache=False),
-            block_cache=UNSET, taint_fastpath=UNSET,
-        )
-        assert options.block_cache is False  # options value preserved
-
-
 class TestLegacyKwargsRemoved:
     def test_hth_rejects_legacy_kwarg(self):
         with pytest.raises(TypeError):
@@ -126,12 +88,13 @@ class TestLegacyKwargsRemoved:
         with pytest.raises(TypeError):
             run_monitored(_image(), taint_fastpath=False)
 
-    def test_options_equivalent_to_defaults(self):
-        explicit = HTH(
-            options=RunOptions(block_cache=True, taint_fastpath=True)
-        ).run(_image())
-        default = HTH().run(_image())
-        assert explicit.to_dict() == default.to_dict()
+    @pytest.mark.parametrize(
+        "switch", ["block_cache", "taint_fastpath", "rete"]
+    )
+    def test_run_options_have_no_engine_switches(self, switch):
+        assert switch not in {f.name for f in dataclasses.fields(RunOptions)}
+        with pytest.raises(TypeError):
+            RunOptions(**{switch: True})
 
     def test_hth_run_budgets_default_from_options(self):
         spin = assemble("/bin/spin", "main:\nloop:\n    jmp loop\n")

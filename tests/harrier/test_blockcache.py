@@ -14,6 +14,7 @@ from repro.isa.memory import MemoryFault
 from repro.kernel import Kernel
 from repro.programs.libc import libc_image
 from repro.telemetry import Telemetry
+from tests.oracles import reference_interpreter
 
 import pytest
 
@@ -111,13 +112,15 @@ class TestKernelLifecycle:
         assert a.block_cache is not None
         assert a.block_cache is b.block_cache
 
-    def test_use_block_cache_false_leaves_none(self):
-        k = make_kernel(use_block_cache=False)
+    def test_reference_interpreter_never_consults_the_cache(self):
+        k = make_kernel()
         proc = k.spawn(assemble("/bin/p", "main:\n  mov eax, 0\n  ret"))
-        assert proc.block_cache is None
-        result = k.run()
+        with reference_interpreter():
+            result = k.run()
         assert result.completed
         assert proc.exit_code == 0
+        stats = k.block_cache_stats()
+        assert stats["hits"] == stats["misses"] == 0
 
     def test_fork_shares_parent_cache(self):
         k = make_kernel()
@@ -178,9 +181,13 @@ done:
 """
         results = {}
         for use_cache in (True, False):
-            k = make_kernel(use_block_cache=use_cache)
+            k = make_kernel()
             proc = k.spawn(assemble("/bin/p", src))
-            result = k.run()
+            if use_cache:
+                result = k.run()
+            else:
+                with reference_interpreter():
+                    result = k.run()
             results[use_cache] = (
                 proc.exit_code,
                 result.instructions,

@@ -1,20 +1,23 @@
-"""Differential suite: every registered workload, cached vs interpreted,
-and taint fast path on vs off.
+"""Differential suite: every registered workload, production vs oracles.
 
 The block translation cache and the zero-taint fast path are pure
 performance substrates — it must be impossible to tell from any
-observable output which engine executed the guest or which dataflow
-path tagged it.  This runs the entire Table 4-8 + macro + extension +
-scenario registries through both engines and both dataflow paths and
-asserts the *full* report fingerprint matches: verdict, warnings,
-events, console output, fault log, virtual clock, per-process exit
-codes, and the monitor's internal shadow state (BB counters,
-register/memory tags).
+observable output that the guest did not run on the reference
+per-instruction interpreter, or that its taint was not replayed
+transfer by transfer.  This runs the entire Table 4-8 + macro +
+extension + scenario registries in production and under each oracle
+(``tests/oracles``) and asserts the *full* report fingerprint matches:
+verdict, warnings, events, console output, fault log, virtual clock,
+per-process exit codes, and the monitor's internal shadow state (BB
+counters, register/memory tags).
 """
 
+import contextlib
 import importlib
 
 import pytest
+
+from tests.oracles import reference_interpreter, template_replay
 
 _REGISTRIES = (
     ("table4", "repro.programs.micro.execflow", "table4_workloads"),
@@ -56,23 +59,21 @@ def _shadow_fingerprint(hth):
     return rows
 
 
-def _run_fingerprint(workload, block_cache, taint_fastpath=True,
+def _run_fingerprint(workload, oracle=contextlib.nullcontext,
                      provenance=True):
     from repro.core.options import RunOptions
 
-    hth = workload.build_machine(
-        options=RunOptions(
-            block_cache=block_cache, taint_fastpath=taint_fastpath,
-            provenance=provenance,
+    with oracle():
+        hth = workload.build_machine(
+            options=RunOptions(provenance=provenance)
         )
-    )
-    report = hth.run(
-        workload.image(),
-        argv=workload.argv or [workload.program_path],
-        env=workload.env,
-        stdin=workload.stdin,
-        max_ticks=workload.max_ticks,
-    )
+        report = hth.run(
+            workload.image(),
+            argv=workload.argv or [workload.program_path],
+            env=workload.env,
+            stdin=workload.stdin,
+            max_ticks=workload.max_ticks,
+        )
     return {
         "verdict": report.verdict,
         # repr() includes the evidence trail, so this fingerprint also
@@ -93,8 +94,8 @@ def _run_fingerprint(workload, block_cache, taint_fastpath=True,
 
 @pytest.mark.parametrize("workload", _all_workloads())
 def test_cached_execution_is_indistinguishable(workload):
-    cached = _run_fingerprint(workload, block_cache=True)
-    interp = _run_fingerprint(workload, block_cache=False)
+    cached = _run_fingerprint(workload)
+    interp = _run_fingerprint(workload, oracle=reference_interpreter)
     for key in cached:
         assert cached[key] == interp[key], (
             f"{workload.name}: {key} diverges between block-cache and "
@@ -104,8 +105,8 @@ def test_cached_execution_is_indistinguishable(workload):
 
 @pytest.mark.parametrize("workload", _all_workloads())
 def test_fastpath_is_indistinguishable(workload):
-    fast = _run_fingerprint(workload, block_cache=True, taint_fastpath=True)
-    slow = _run_fingerprint(workload, block_cache=True, taint_fastpath=False)
+    fast = _run_fingerprint(workload)
+    slow = _run_fingerprint(workload, oracle=template_replay)
     for key in fast:
         assert fast[key] == slow[key], (
             f"{workload.name}: {key} diverges between summary fast path "
@@ -122,8 +123,8 @@ def test_provenance_recorder_is_transparent(workload):
     events, clocks, and shadow state must be identical with it on or
     off — otherwise recording trails would perturb detection.
     """
-    on = _run_fingerprint(workload, block_cache=True, provenance=True)
-    off = _run_fingerprint(workload, block_cache=True, provenance=False)
+    on = _run_fingerprint(workload, provenance=True)
+    off = _run_fingerprint(workload, provenance=False)
     on_warnings = on.pop("warnings")
     off_warnings = off.pop("warnings")
     # Strip the evidence trail out of the reprs before comparing.

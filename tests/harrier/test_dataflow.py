@@ -1,5 +1,5 @@
 """Instruction-level taint propagation tests (driven end-to-end through
-small guest programs so real StepResults exercise the module)."""
+small guest programs so real block records exercise the module)."""
 
 from repro.core.hth import HTH
 from repro.harrier.state import ProcessShadow

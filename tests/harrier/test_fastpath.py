@@ -1,17 +1,21 @@
 """Zero-taint fast path: liveness summaries and their runtime evaluation.
 
-The contract under test: for any *fully executed* block,
-``InstructionDataFlow.apply_summary`` either refuses (returns False,
-load/store alias detected) or leaves the shadow state bit-identical to
-``apply_block``'s per-transfer replay.  Plus the monitor-level wiring:
-partial executions and the ``taint_fastpath=False`` escape hatch must
-route to the slow path, and the counters must say which path ran.
+The contract under test: for any *fully executed* block, the compiled
+summary applier (``InstructionDataFlow.install_applier``) either refuses
+(returns False, load/store alias detected) or leaves the shadow state
+bit-identical to ``apply_block``'s per-transfer replay.  Plus the
+monitor-level wiring: partial executions and the forced-replay oracle
+must route to the slow path, the counters must say which path ran, and
+a profiled run must take the same path as an unprofiled one.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import main as cli_main
 from repro.core.hth import HTH
+from repro.core.options import RunOptions
+from repro.fleet import workload_refs
 from repro.harrier.dataflow import InstructionDataFlow
 from repro.harrier.state import ProcessShadow
 from repro.isa import (
@@ -26,6 +30,7 @@ from repro.isa import (
 )
 from repro.isa.translate import TOK_HW, TOK_IMM, translate_block
 from repro.taint import DataSource, TagSet
+from tests.oracles import template_replay
 
 FILE_A = TagSet.of(DataSource.FILE, "/a")
 SOCK = TagSet.of(DataSource.SOCKET, "h:1")
@@ -59,7 +64,7 @@ def both_paths(instructions, taint_setup=None, cpu_setup=None):
         taint_setup(slow)
         taint_setup(fast)
     flow.apply_block(slow, rec)
-    took_fast = flow.apply_summary(fast, rec)
+    took_fast = flow.install_applier(plan)(fast, rec)
     return slow, fast, took_fast
 
 
@@ -322,10 +327,9 @@ loop:
         total = harrier.fastpath_blocks + harrier.slowpath_blocks
         assert total > 0
 
-    def test_escape_hatch_disables_fastpath(self):
-        from repro.core.options import RunOptions
-
-        harrier = self._run(options=RunOptions(taint_fastpath=False))
+    def test_replay_oracle_disables_fastpath(self):
+        with template_replay():
+            harrier = self._run()
         assert harrier.fastpath_blocks == 0
         assert harrier.slowpath_blocks > 0
 
@@ -337,20 +341,42 @@ loop:
         ])
         cpu = CPU(mem, entry=0)
         cpu.regs.set("esp", 0x1000)
-        rec = cpu_rec = plan.execute(cpu, 1)  # budget expires mid-block
+        rec = plan.execute(cpu, 1)  # budget expires mid-block
         assert rec.executed < plan.length
         harrier = self._run()
         before_slow = harrier.slowpath_blocks
         before_fast = harrier.fastpath_blocks
-        harrier._apply_block_dataflow(ProcessShadow(), cpu_rec)
+        harrier.on_block(SimpleNamespace(meta={}), rec)
         assert harrier.slowpath_blocks == before_slow + 1
         assert harrier.fastpath_blocks == before_fast
 
 
-class TestCliFlag:
-    def test_no_taint_fastpath_flag(self, tmp_path, capsys):
-        src = tmp_path / "t.s"
-        src.write_text("main:\n    mov eax, 0\n    ret\n")
-        assert cli_main(["run", str(src), "--no-taint-fastpath"]) == 0
-        out = capsys.readouterr().out
-        assert "verdict" in out
+def _monitor_gauges(workload, options):
+    hth = workload.build_machine(options=options)
+    hth.run(
+        workload.image(),
+        argv=workload.argv or [workload.program_path],
+        env=workload.env,
+        stdin=workload.stdin,
+        max_ticks=workload.max_ticks,
+    )
+    return {
+        sample["name"]: sample["value"]
+        for sample in hth.telemetry.metrics.samples()
+        if sample["kind"] == "gauge"
+        and sample["name"].startswith(("harrier_", "provenance_"))
+    }
+
+
+class TestProfiledPath:
+    @pytest.mark.parametrize(
+        "ref", workload_refs(["6"]), ids=lambda ref: ref.name
+    )
+    def test_profiling_leaves_monitor_gauges_unchanged(self, ref):
+        # The stage profiler only times on_block; the blocks take the
+        # same fast/slow path and feed the evidence recorder the same.
+        workload = ref.resolve()
+        plain = _monitor_gauges(workload, RunOptions(metrics=True))
+        profiled = _monitor_gauges(workload, RunOptions(profile=True))
+        assert plain["harrier_fastpath_blocks"] > 0
+        assert plain == profiled

@@ -1,4 +1,8 @@
-"""CPU interpreter tests: semantics, flags, stack, effect traces."""
+"""Reference interpreter tests: semantics, flags, stack, effect traces.
+
+The interpreter (``tests/oracles``) is the specification the block
+translator is checked against, so its own semantics are pinned here.
+"""
 
 import pytest
 
@@ -14,12 +18,15 @@ from repro.isa import (
     Mem,
     Opcode,
     Reg,
+)
+from repro.isa.cpu import CPUID_VALUES
+from tests.oracles.interpreter import (
     StepKind,
     TaintTransfer,
     mem_loc,
     reg_loc,
 )
-from repro.isa.cpu import CPUID_VALUES
+from tests.oracles.interpreter import step as interpret
 
 
 def make_cpu(*instructions, entry=0):
@@ -33,7 +40,7 @@ def make_cpu(*instructions, entry=0):
 def run(cpu, steps):
     results = []
     for _ in range(steps):
-        results.append(cpu.step())
+        results.append(interpret(cpu))
     return results
 
 
@@ -99,7 +106,7 @@ class TestAlu:
     def test_div_by_zero_faults(self):
         cpu = make_cpu(Instruction(Opcode.DIV, Reg("eax"), Imm(0)))
         with pytest.raises(CpuFault):
-            cpu.step()
+            interpret(cpu)
         assert cpu.halted
 
     def test_alu_sets_flags(self):
@@ -242,7 +249,7 @@ class TestSystem:
     def test_other_interrupt_faults(self):
         cpu = make_cpu(Instruction(Opcode.INT, Imm(3)))
         with pytest.raises(CpuFault):
-            cpu.step()
+            interpret(cpu)
 
     def test_cpuid_sets_registers_and_hardware_taint(self):
         cpu = make_cpu(Instruction(Opcode.CPUID))
@@ -259,18 +266,18 @@ class TestSystem:
         assert res.kind is StepKind.HALT
         assert cpu.halted
         with pytest.raises(CpuFault):
-            cpu.step()
+            interpret(cpu)
 
     def test_fetch_unmapped_faults(self):
         cpu = make_cpu(Instruction(Opcode.NOP))
-        cpu.step()
+        interpret(cpu)
         with pytest.raises(CpuFault):
-            cpu.step()
+            interpret(cpu)
 
     def test_copy_preserves_state(self):
         cpu = make_cpu(Instruction(Opcode.MOV, Reg("eax"), Imm(5)),
                        Instruction(Opcode.NOP))
-        cpu.step()
+        interpret(cpu)
         mem2 = cpu.memory.copy()
         dup = cpu.copy(mem2)
         assert dup.pc == cpu.pc

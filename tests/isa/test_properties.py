@@ -1,13 +1,16 @@
 """Property-based tests over the assembler + CPU: randomized straight-line
-programs must compute the same results as a Python model, and taint must
-stay conservative."""
+programs must compute the same results as a Python model — on the
+reference interpreter and on translated blocks — and taint must stay
+conservative."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hth import HTH
 from repro.isa import CPU, FlatMemory, assemble
+from repro.isa.translate import translate_block
 from repro.taint import DataSource
+from tests.oracles.interpreter import step as interpret
 
 _OPS = {
     "add": lambda a, b: a + b,
@@ -51,9 +54,24 @@ class TestComputationalEquivalence:
         cpu.regs.set("esp", 0x8000)
         memory.write(0x7FFF, 0xDEAD)  # fake return address for ret
         for _ in range(len(image.text) + 1):
-            result = cpu.step()
+            result = interpret(cpu)
             if result.ret_target is not None:
                 break
+        assert cpu.regs.get("eax") == expected
+
+    @given(straight_line_program())
+    @settings(max_examples=60, deadline=None)
+    def test_alu_sequences_match_python_translated(self, program):
+        source, expected = program
+        image = assemble("/bin/prop", source)
+        memory = FlatMemory()
+        memory.map_code(0x1000, image.text)
+        cpu = CPU(memory, entry=0x1000)
+        cpu.regs.set("esp", 0x8000)
+        # Straight-line code ending in ret is one block.
+        rec = translate_block(memory, 0x1000).execute(cpu, len(image.text))
+        assert rec.executed == len(image.text)
+        assert rec.ret_target is not None
         assert cpu.regs.get("eax") == expected
 
     @given(st.lists(st.integers(0, 255), min_size=1, max_size=16))

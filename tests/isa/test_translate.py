@@ -1,10 +1,12 @@
 """Block translation tests: cutting rules, differential equivalence
-against the interpreter, budget-limited partial execution, fault parity.
+against the reference interpreter, budget-limited partial execution,
+fault parity.
 
-The load-bearing property is that ``translate_block`` + ``execute`` +
-``iter_steps`` is observationally identical to calling :meth:`CPU.step`
-in a loop: same final machine state, same StepResult stream (transfers
-included), same fault messages.
+The load-bearing property is that ``translate_block`` + ``execute`` is
+observationally identical to stepping the reference interpreter
+(``tests/oracles``) in a loop: same final machine state, same StepResult
+stream (transfers included, rebuilt from the record by ``iter_steps``),
+same fault messages.
 """
 
 import pytest
@@ -18,7 +20,6 @@ from repro.isa import (
     Mem,
     Opcode,
     Reg,
-    StepKind,
 )
 from repro.isa.memory import MemoryFault
 from repro.isa.translate import (
@@ -30,6 +31,8 @@ from repro.isa.translate import (
     MAX_BLOCK_LEN,
     translate_block,
 )
+from tests.oracles.interpreter import StepKind, iter_steps
+from tests.oracles.interpreter import step as interpret
 
 
 def make_memory(instructions, base=0):
@@ -56,7 +59,7 @@ def run_differential(instructions, entry=0, max_steps=500, setup=None):
     steps_a, fault_a = [], None
     for _ in range(max_steps):
         try:
-            step = cpu_a.step()
+            step = interpret(cpu_a)
         except CpuFault as exc:
             fault_a = str(exc)
             break
@@ -70,13 +73,13 @@ def run_differential(instructions, entry=0, max_steps=500, setup=None):
         try:
             plan = translate_block(cpu_b.memory, cpu_b.pc)
         except MemoryFault as exc:
-            # mirror the kernel's lookup-fault handling (= cpu.step's)
+            # mirror the kernel's lookup-fault handling (= interpret's)
             cpu_b.halted = True
             fault_b = str(exc)
             break
         rec = plan.execute(cpu_b, remaining)
         remaining -= rec.executed
-        steps_b.extend(plan.iter_steps(rec))
+        steps_b.extend(iter_steps(plan, rec))
         if rec.kind == EXIT_FAULT:
             fault_b = str(rec.fault)
             break
@@ -354,7 +357,7 @@ class TestBudget:
         cpu_a = make_cpu(make_memory(instructions))
         steps = 0
         while steps < 200:
-            step = cpu_a.step()
+            step = interpret(cpu_a)
             steps += 1
             if step.kind is StepKind.HALT:
                 break

@@ -1,0 +1,25 @@
+"""Reference implementations the production paths must match bit for bit.
+
+The runtime has one execution engine (the block translation cache), one
+taint path (compiled block summaries, with template replay for partial
+blocks and load/store aliasing) and one rule matcher (Rete).  The
+simpler implementations they replaced live here, as differential
+oracles only:
+
+* :mod:`tests.oracles.interpreter` — the per-instruction CPU interpreter
+  with Harrier's per-instruction taint replay;
+* :mod:`tests.oracles.replay` — forced template replay of every block's
+  taint (the compiled summaries never run);
+* :mod:`tests.oracles.matcher` — the naive full-rejoin rule matcher.
+
+Each is installed with a context manager that patches the one production
+path it stands in for, so no product constructor, option or CLI flag
+selects it.  A patch made before a fork is inherited by fork-started
+fleet and serve workers.
+"""
+
+from tests.oracles.interpreter import reference_interpreter
+from tests.oracles.matcher import naive_matcher
+from tests.oracles.replay import template_replay
+
+__all__ = ["naive_matcher", "reference_interpreter", "template_replay"]

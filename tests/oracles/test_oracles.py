@@ -1,0 +1,93 @@
+"""The oracles engage while installed and leave production untouched after.
+
+A differential suite is only as strong as its evidence that the oracle
+side really ran the reference code; these tests pin that down for each
+context manager, plus the restore on exit.
+"""
+
+from repro.core.hth import HTH
+from repro.expert import InferenceEngine, Pattern, Rule, Template, V
+from repro.expert.rete import ReteNetwork
+from repro.isa import assemble
+from tests.oracles import naive_matcher, reference_interpreter, template_replay
+from tests.oracles.matcher import NaiveNetwork
+
+LOOP = """
+main:
+    mov ecx, 6
+loop:
+    mov ebx, eax
+    add ebx, ecx
+    sub ecx, 1
+    cmp ecx, 0
+    jnz loop
+    mov eax, 0
+    ret
+"""
+
+
+def _run():
+    hth = HTH()
+    report = hth.run(assemble("/bin/t", LOOP))
+    assert report.exit_code == 0
+    return hth
+
+
+class TestReferenceInterpreter:
+    def test_runs_without_the_block_cache(self):
+        with reference_interpreter():
+            hth = _run()
+        stats = hth.kernel.block_cache_stats()
+        assert stats["hits"] == stats["misses"] == 0
+        assert hth.kernel.instructions > 0
+        # Harrier saw every instruction through the oracle, not on_block.
+        assert hth.harrier.fastpath_blocks == hth.harrier.slowpath_blocks == 0
+        shadow = hth.harrier.shadow(next(iter(hth.kernel.procs.values())))
+        assert shadow.bb_counts
+
+    def test_restored_on_exit(self):
+        with reference_interpreter():
+            pass
+        hth = _run()
+        assert hth.kernel.block_cache_stats()["misses"] > 0
+
+
+class TestTemplateReplay:
+    def test_every_block_replays(self):
+        with template_replay():
+            hth = _run()
+        assert hth.harrier.fastpath_blocks == 0
+        assert hth.harrier.slowpath_blocks > 0
+
+    def test_restored_on_exit(self):
+        with template_replay():
+            _run()
+        assert _run().harrier.fastpath_blocks > 0
+
+
+def _engine():
+    engine = InferenceEngine()
+    engine.define_template(Template.define("ev", "key"))
+    engine.add_rule(Rule("r", [Pattern("ev", key=V("k"))], lambda ctx: None))
+    return engine
+
+
+class TestNaiveMatcher:
+    def test_engines_built_inside_match_naively(self):
+        with naive_matcher():
+            engine = _engine()
+        assert isinstance(engine._rete, NaiveNetwork)
+        engine.assert_fact(engine.templates["ev"].make(key="a"))
+        assert [a.key() for a in engine.agenda()] == [("r", (1,))]
+        assert engine.run() == 1
+
+    def test_engine_keeps_its_matcher_across_clear_facts(self):
+        with naive_matcher():
+            engine = _engine()
+        engine.clear_facts()
+        assert isinstance(engine._rete, NaiveNetwork)
+
+    def test_restored_on_exit(self):
+        with naive_matcher():
+            pass
+        assert isinstance(_engine()._rete, ReteNetwork)

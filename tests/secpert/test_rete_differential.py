@@ -1,17 +1,23 @@
 """The Rete differential: incremental matching changes nothing observable.
 
-The tentpole acceptance property for the incremental matcher: with the
-Rete network on (default) or off (``RunOptions(rete=False)``, the
-``--no-rete`` escape hatch), Secpert produces bit-identical warnings,
-reports, and fire traces — across the paper's full 62-workload matrix,
-in serial sessions, sharded fleets, and the serve worker path.
+The acceptance property for the incremental matcher: on the Rete
+network or on the naive full-rejoin oracle (``tests/oracles``), Secpert
+produces bit-identical warnings, reports, and fire traces — across the
+paper's full 62-workload matrix, in serial sessions, sharded fleets
+(whose fork-started workers inherit the oracle), and the serve worker
+path.
 """
 
+import contextlib
 import json
 
 from repro.api import Session
-from repro.core.options import RunOptions
 from repro.fleet import run_fleet, workload_refs
+from tests.oracles import naive_matcher
+
+
+def _matcher(rete):
+    return contextlib.nullcontext() if rete else naive_matcher()
 
 
 def _dump(report) -> str:
@@ -22,12 +28,13 @@ class TestSerialDifferential:
     def test_all_62_workloads_bit_identical(self):
         refs = workload_refs(None)
         assert len(refs) == 62
-        rete = Session(RunOptions())
-        naive = Session(RunOptions(rete=False))
+        rete = Session()
+        naive = Session()
         for ref in refs:
             workload = ref.resolve()
             a = rete.run_workload(workload)
-            b = naive.run_workload(workload)
+            with naive_matcher():
+                b = naive.run_workload(workload)
             assert _dump(a) == _dump(b), \
                 f"{ref.module}/{ref.name}: rete report differs from naive"
             assert a.render_warnings() == b.render_warnings(), ref.name
@@ -42,10 +49,9 @@ class TestSerialDifferential:
             workload = ref.resolve()
             traces = {}
             for flag in (True, False):
-                secpert = Secpert(rete=flag)
-                workload.run(
-                    options=RunOptions(rete=flag), analyzer=secpert
-                )
+                with _matcher(flag):
+                    secpert = Secpert()
+                workload.run(analyzer=secpert)
                 traces[flag] = [
                     (f.rule_name, f.fact_ids)
                     for f in secpert.engine.fire_trace
@@ -59,7 +65,8 @@ class TestFleetDifferential:
     def test_sharded_sweep_bit_identical(self):
         refs = workload_refs(["4", "8"])
         rete = run_fleet(refs, workers=2)
-        naive = run_fleet(refs, workers=2, options=RunOptions(rete=False))
+        with naive_matcher():
+            naive = run_fleet(refs, workers=2)
         by_name = lambda fleet: {  # noqa: E731
             r.name: json.dumps(r.report, sort_keys=True, default=str)
             for r in fleet.runs
@@ -70,8 +77,8 @@ class TestFleetDifferential:
 class TestServeDifferential:
     def test_streaming_worker_path_bit_identical(self):
         # The serve worker builds the streaming Secpert itself
-        # (TapAnalyzer) — the rete flag must reach it through the
-        # submission options and change nothing observable.
+        # (TapAnalyzer); matching it naively must change nothing
+        # observable.
         from repro.serve.protocol import Submission
         from repro.serve.worker import execute_submission
 
@@ -81,24 +88,14 @@ class TestServeDifferential:
             outputs = {}
             for flag in (True, False):
                 warnings = []
-                report, ok, engine = execute_submission(
-                    session,
-                    Submission(
-                        workload=("8", ref.name),
-                        options=RunOptions(rete=flag),
-                    ),
-                    on_warning=lambda seq, w: warnings.append((seq, str(w))),
-                )
+                with _matcher(flag):
+                    report, ok, engine = execute_submission(
+                        session,
+                        Submission(workload=("8", ref.name)),
+                        on_warning=lambda seq, w: warnings.append(
+                            (seq, str(w))
+                        ),
+                    )
                 outputs[flag] = (_dump(report), ok, warnings)
                 assert engine is not None
-                assert engine["engine"] == ("rete" if flag else "naive")
             assert outputs[True] == outputs[False], ref.name
-
-    def test_rete_survives_the_wire(self):
-        from repro.serve.protocol import Submission, options_from_wire
-
-        sub = Submission(source="nop", options=RunOptions(rete=False))
-        wire = sub.to_wire()
-        assert wire["options"]["rete"] is False
-        assert options_from_wire(wire["options"]).rete is False
-        assert options_from_wire({}).rete is True

@@ -78,10 +78,36 @@ class TestOptionsOnTheWire:
 
     def test_option_fields_round_trip(self):
         options = RunOptions(
-            block_cache=False, taint_fastpath=False, metrics=True,
-            max_ticks=777, wall_timeout=3.0,
+            provenance=False, metrics=True, max_ticks=777, wall_timeout=3.0,
+            cache=False,
         )
         assert options_from_wire(options_to_wire(options)) == options
+
+    def test_removed_switches_are_not_emitted(self):
+        wire = options_to_wire(RunOptions())
+        assert not {"block_cache", "taint_fastpath", "rete"} & set(wire)
+
+    def test_parent_client_switches_accepted_when_true(self):
+        # Every client of the previous release sends all three keys, as
+        # true, on every submission.
+        legacy = dict(
+            options_to_wire(RunOptions(metrics=True)),
+            block_cache=True, taint_fastpath=True, rete=True,
+        )
+        assert options_from_wire(legacy) == RunOptions(metrics=True)
+        sub = Submission.from_wire(
+            {"source": "nop", "options": legacy, "schema_version": 2}
+        )
+        assert sub.options == RunOptions(metrics=True)
+
+    @pytest.mark.parametrize("key, oracle", [
+        ("block_cache", "per-instruction interpreter"),
+        ("taint_fastpath", "all-replay taint"),
+        ("rete", "naive rule matcher"),
+    ])
+    def test_removed_switch_false_rejected(self, key, oracle):
+        with pytest.raises(ProtocolError, match=oracle):
+            options_from_wire({key: False})
 
     def test_unknown_option_field_rejected(self):
         with pytest.raises(ProtocolError, match="unknown options"):
