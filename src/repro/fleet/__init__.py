@@ -46,7 +46,6 @@ from repro.fleet.report import (
     FleetRunRecord,
 )
 from repro.fleet.worker import (
-    retry_delay,
     retry_reason,
     run_task_with_retry,
     worker_main,
@@ -67,7 +66,6 @@ __all__ = [
     "FleetRunRecord",
     "FLEET_SCHEMA_VERSION",
     "CANCELLED_PREFIX",
-    "retry_delay",
     "retry_reason",
     "run_task_with_retry",
     "worker_main",

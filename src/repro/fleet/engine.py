@@ -45,6 +45,7 @@ from repro.api import Session
 from repro.cache.store import VerdictCache, merge_cache_stats
 from repro.cache.triage import cluster_order, simhash64
 from repro.core.options import RunOptions
+from repro.core.procs import mp_context
 from repro.fleet.merge import merged_telemetry
 from repro.fleet.refs import FleetTask, WorkloadRef, make_tasks
 from repro.fleet.report import CANCELLED_PREFIX, FleetReport, FleetRunRecord
@@ -221,17 +222,6 @@ def _run_serial(
     return records, cache_parts
 
 
-def _mp_context(name: Optional[str] = None):
-    """Fork where available (cheap, inherits the imported stack), spawn
-    otherwise; ``worker_main`` is importable so both work."""
-    if name is not None:
-        return multiprocessing.get_context(name)
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
-
-
 def _collect(
     procs: Dict[int, "multiprocessing.process.BaseProcess"],
     assigned: Dict[int, List[FleetTask]],
@@ -321,7 +311,7 @@ def run_fleet(
     started = time.perf_counter()
     tasks = _normalize_tasks(work, options)
     workers = max(1, min(int(workers), len(tasks) or 1))
-    ctx = _mp_context(mp_start_method)
+    ctx = mp_context(mp_start_method)
     if stop_event is None:
         stop_event = ctx.Event() if workers > 1 else threading.Event()
     guard = _DrainGuard(stop_event).install()

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import time
 import traceback
-import zlib
 from typing import Callable, List, Optional
 
 from repro.api import Session
 from repro.cache.store import VerdictCache
+from repro.core.procs import retry_delay
 from repro.core.report import RunReport
 from repro.fleet.refs import FleetTask
 
@@ -43,22 +43,6 @@ DEFAULT_MAX_RETRY_WALL = 30.0
 RETRY_WATCHDOG = "watchdog"
 RETRY_MONITOR_FAULT = "monitor-fault"
 RETRY_ERROR = "error"
-
-
-def retry_delay(
-    backoff: float, attempt: int, seed: int = 0, index: int = 0
-) -> float:
-    """The planned sleep before retrying ``attempt`` (1-based).
-
-    Exponential in the attempt number, with a deterministic jitter
-    fraction in [0, 1) hashed from ``(seed, index, attempt)`` — the
-    task's fault seed and position, so concurrent retries desynchronize
-    without consulting a random source.  Bit-identical across replays.
-    """
-    if backoff <= 0:
-        return 0.0
-    frac = zlib.crc32(f"{seed}:{index}:{attempt}".encode()) / 2.0 ** 32
-    return backoff * (2.0 ** max(attempt - 1, 0)) * (1.0 + frac)
 
 
 def retry_reason(report: RunReport) -> Optional[str]:
@@ -130,8 +114,7 @@ def run_task_with_retry(
             break
         if attempt <= max_retries:
             delay = retry_delay(
-                backoff, attempt,
-                seed=task.options.fault_seed, index=task.index,
+                backoff, attempt, f"{task.options.fault_seed}:{task.index}"
             )
             if planned_wall + delay > max_retry_wall:
                 break  # retry budget spent; the last outcome stands

@@ -9,17 +9,15 @@ state.  The interesting cases, matching the paper's examples:
 * ``add %ebx,%eax`` — destination gets the *union* of both operands' tags;
 * ``cpuid`` — the output registers get the HARDWARE tag.
 
-Two application paths exist.  The compiled summary applier
-(:meth:`InstructionDataFlow.install_applier`) — the fast path — skips
-the per-transfer replay entirely and evaluates the block's precomputed
-:class:`TaintSummary` support expressions against the entry state, in
-O(#outputs).  :meth:`InstructionDataFlow.apply_block` replays a
-:class:`BlockRecord` from the block's precompiled taint templates; it is
-the only path for partial blocks and for intra-block load/store
-aliasing.  Both route every union through a :class:`TagSetInterner`, so
-the steady state of a guest loop — the same block's templates over
-mostly-unchanged shadow state — costs dict probes instead of frozenset
-allocations.
+Every block's taint goes through one path: the applier
+:meth:`InstructionDataFlow.install_applier` compiles from the block's
+:class:`TaintSummary` (for a partial execution, from its executed
+prefix's summary) and caches on the plan.  It evaluates the summary's
+support expressions against the entry state in O(#outputs).  Unions
+route through a :class:`TagSetInterner`, so the steady state of a guest
+loop costs dict probes instead of frozenset allocations.  The reference
+these appliers must match, transfer-by-transfer template replay, lives
+in ``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -28,23 +26,22 @@ from typing import Dict
 
 from repro.harrier.state import ProcessShadow
 from repro.isa.memory import MAX_CSTRING
-from repro.isa.translate import BlockRecord
+from repro.isa.translate import summarize_taint
 from repro.taint.tags import EMPTY, DataSource, TagSet, TagSetInterner
 
 _HARDWARE = TagSet.of(DataSource.HARDWARE)
 
 
-def _apply_noop(shadow, rec) -> bool:
+def _apply_noop(shadow, rec) -> None:
     """Shared applier for blocks whose summary has no taint effects."""
-    return True
 
 
 class InstructionDataFlow:
-    """Stateless transfer interpreter (tag caches only)."""
+    """Compiles block taint summaries into appliers (tag caches only)."""
 
     def __init__(self, interner: TagSetInterner = None) -> None:
         self._binary_tags: Dict[str, TagSet] = {}
-        #: Shared hash-consing table + union memo for the batched path.
+        #: Shared hash-consing table + union memo for the appliers.
         #: May be handed in warm (an ``EngineCache`` reusing interned
         #: sets across a sweep's runs); interning is value-preserving,
         #: so sharing never changes observable output.
@@ -59,84 +56,16 @@ class InstructionDataFlow:
             self._binary_tags[image_name] = tags
         return tags
 
-    def apply_block(self, shadow: ProcessShadow, rec: BlockRecord) -> None:
-        """Replay one block record's taint templates over the shadow.
-
-        Transfer by transfer, in retirement order, with the transfer
-        shapes precompiled: the only per-execution inputs are the dynamic
-        memory addresses in ``rec.holes`` (consumed positionally — at
-        most one per instruction in this ISA) and the shadow state
-        itself.
-        """
-        n = rec.executed
-        if n == 0:
-            return
-        plan = rec.plan
-        taint = plan.taint
-        holes = rec.holes
-        regs = shadow.regs
-        rget = regs.get
-        rset = regs.set
-        memory = shadow.memory
-        mget = memory.probe
-        mset = memory.set
-        union = self.interner.union
-        imm_tags: TagSet = None  # lazily resolved once per block
-        cursor = 0
-        addr = 0
-        for i in range(n):
-            tmpl = taint[i]
-            if tmpl is None:
-                continue
-            has_hole, transfers = tmpl
-            if has_hole:
-                addr = holes[cursor]
-                cursor += 1
-            for dst_spec, src_specs in transfers:
-                tags = EMPTY
-                for src in src_specs:
-                    kind = src[0]
-                    if kind == "reg":
-                        tags = union(tags, rget(src[1]))
-                    elif kind == "mem?":
-                        cell = mget(addr)
-                        if cell is not None:
-                            tags = union(tags, cell)
-                    elif kind == "imm":
-                        if imm_tags is None:
-                            # Blocks never span images (placement leaves
-                            # unmapped gaps), so one lookup covers them.
-                            image = shadow.code_image.get(plan.start)
-                            imm_tags = (
-                                self.binary_tag(image.name)
-                                if image is not None
-                                else EMPTY
-                            )
-                        tags = union(tags, imm_tags)
-                    elif kind == "hardware":
-                        tags = union(tags, _HARDWARE)
-                    # 'zero' contributes nothing
-                if dst_spec[0] == "reg":
-                    rset(dst_spec[1], tags)
-                else:
-                    mset(addr, tags)
-
-    def install_applier(self, plan):
-        """Compile one block's :class:`TaintSummary` into an applier
-        closure — ``applier(shadow, rec) -> bool`` — and cache it on
-        ``plan.taint_apply``, mirroring how the translator compiles
-        ``body_ops``: the summary's shape is frozen into closure cells
-        so the per-execution cost is the entry-key build, one cache
-        probe, and the output writes.
-
-        The applier is the fast path: it evaluates the summary instead
-        of replaying the templates transfer by transfer.  It is valid
-        only for *full* executions (``rec.executed == plan.length`` —
-        the caller checks), because the summary folds the whole block,
-        and it returns False — the caller falls back to
-        :meth:`apply_block` — when a load aliases an earlier store of
-        the same block, the one case where entry-state evaluation and
-        sequential replay can disagree.
+    def install_applier(self, plan, executed: int):
+        """Compile the applier for a run of ``plan``'s first ``executed``
+        instructions and cache it on the plan — ``plan.taint_apply`` for
+        a full execution, ``plan.prefix_apply[executed]`` for a partial
+        one.  The applier is a closure ``applier(shadow, rec)``,
+        mirroring how the translator compiles ``body_ops``: the
+        summary's shape is frozen into closure cells so the
+        per-execution cost is the entry-key build, one cache probe, and
+        the output writes.  A prefix's summary keeps the full block's
+        hole indices, so the same compiler serves it.
 
         The common shapes this collapses:
 
@@ -146,16 +75,27 @@ class InstructionDataFlow:
           tag re-derives the same interned sets via memoized unions —
           per *output*, not per instruction.
         """
-        summary = plan.taint_summary
+        if executed == plan.length:
+            applier = self._compile(plan, plan.taint_summary)
+            plan.taint_apply = applier
+        else:
+            applier = self._compile(
+                plan, summarize_taint(plan.taint[:executed])
+            )
+            if plan.prefix_apply is None:
+                plan.prefix_apply = {}
+            plan.prefix_apply[executed] = applier
+        return applier
+
+    def _compile(self, plan, summary):
+        """Build the applier closure for one block (prefix) summary."""
         if summary.is_noop:
-            plan.taint_apply = _apply_noop
             return _apply_noop
         live_in = summary.live_in
         #: Default args for the C-level ``map(rget, live_in, empties)``
         #: key build: absent register == EMPTY.
         empties = (EMPTY,) * len(live_in)
         read_holes = summary.read_holes
-        alias_checks = summary.alias_checks
         zero_gate = summary.zero_taint_safe
         touch_holes = summary.touch_holes
         evaluate = self._evaluate_summary
@@ -204,14 +144,14 @@ class InstructionDataFlow:
             front_out = out
             return out
 
-        if not (read_holes or alias_checks or summary.mem_writes):
+        if not (read_holes or summary.mem_writes):
             # Register-only block — the most common shape (about half
             # the executed blocks): no memory holes at all.  Outputs
             # depend on the register file alone, so once an application
             # changes nothing (the guest-loop steady state: every write
             # re-derives the value already there), the block collapses
             # to a generation check until *any* register tag changes.
-            def applier(shadow, rec) -> bool:
+            def applier(shadow, rec) -> None:
                 nonlocal front_rdict, front_rgen
                 regs = shadow.regs
                 # The raw register-tag dict, like ``BlockPlan.execute``
@@ -220,7 +160,7 @@ class InstructionDataFlow:
                 rtags = regs._tags
                 gen = regs.gen
                 if gen == front_rgen and rtags is front_rdict:
-                    return True
+                    return
                 key = tuple(map(rtags.get, live_in, empties))
                 if key == front_key:
                     out = front_out
@@ -230,7 +170,7 @@ class InstructionDataFlow:
                         # Zero-taint skip: state-neutral by definition.
                         front_rgen = gen
                         front_rdict = rtags
-                        return True
+                        return
                 reg_sets, reg_clears, _ = out
                 changed = False
                 rget = rtags.get
@@ -247,21 +187,14 @@ class InstructionDataFlow:
                     # State-neutral: arm the generation skip.
                     front_rgen = gen
                     front_rdict = rtags
-                return True
         else:
             # Memory-touching block: the probes must run every time
             # (the hole addresses change between executions), but the
             # register part of the key is reused while the register
             # file's generation holds still.
-            def applier(shadow, rec) -> bool:
+            def applier(shadow, rec) -> None:
                 nonlocal front_rdict, front_rgen, front_rkey
                 holes = rec.holes
-                if alias_checks:
-                    for ridx, widxs in alias_checks:
-                        addr = holes[ridx]
-                        for widx in widxs:
-                            if holes[widx] == addr:
-                                return False
                 regs = shadow.regs
                 rtags = regs._tags
                 gen = regs.gen
@@ -284,7 +217,7 @@ class InstructionDataFlow:
                 else:
                     out = resolve(shadow, rtags, holes, key)
                     if out is None:
-                        return True
+                        return
                 reg_sets, reg_clears, mem_out = out
                 changed = False
                 rget = rtags.get
@@ -301,9 +234,7 @@ class InstructionDataFlow:
                     mset = shadow.memory.set
                     for idx, tags in mem_out:
                         mset(holes[idx], tags)
-                return True
 
-        plan.taint_apply = applier
         return applier
 
     def _evaluate_summary(self, shadow, plan, summary, key):

@@ -114,9 +114,9 @@ class Harrier(KernelHooks):
         )
         #: Events discarded because the bounded log was full.
         self.events_dropped: int = 0
-        #: Blocks whose taint effects were applied via the summary fast
-        #: path / the per-transfer slow path (always counted — the perf
-        #: benchmarks read them without a metrics registry attached).
+        #: Block applications of a full block / of a prefix (a partial
+        #: execution); always counted — the perf benchmarks read them
+        #: without a metrics registry attached.
         self.fastpath_blocks: int = 0
         self.slowpath_blocks: int = 0
         #: (event, warning) pairs where the decision policy said "kill".
@@ -210,17 +210,18 @@ class Harrier(KernelHooks):
     def on_block(self, proc: Process, rec) -> None:
         """Observe one executed (prefix of a) translated block.
 
-        The block's taint effects are applied in one pass: the compiled
-        summary applier for full executions, template replay for partial
-        blocks and for the load/store aliasing the summary cannot
-        express.  The routine short-circuit sees the record only when
-        its terminator was a CALL/RET (those always end a block), and BB
-        frequency is observed once at the block's entry pc — interior
-        pcs are never leaders by construction of the translation cut.
-        With a stage profiler attached, the same code runs with each
-        component's wall time attributed to its §8 stage.
+        The block's taint effects are applied in one call: the compiled
+        summary applier of the block, or of the executed prefix when the
+        budget expired or a fault stopped the block mid-way.  The
+        routine short-circuit sees the record only when its terminator
+        was a CALL/RET (those always end a block), and BB frequency is
+        observed once at the block's entry pc — interior pcs are never
+        leaders by construction of the translation cut.  With a stage
+        profiler attached, the same code runs with each component's
+        wall time attributed to its §8 stage.
         """
-        if rec.executed == 0:
+        executed = rec.executed
+        if executed == 0:
             return
         # self.shadow(proc), inlined (hottest call site).
         meta = proc.meta
@@ -232,17 +233,18 @@ class Harrier(KernelHooks):
         if self._track_df:
             if prof is not None:
                 t0 = perf_counter()
-            # The compiled applier is called straight off the plan; it
-            # returns False when the block must be replayed instead.
-            if rec.executed == plan.length and (
-                plan.taint_apply or self.dataflow.install_applier(plan)
-            )(shadow, rec):
+            if executed == plan.length:
                 self.fastpath_blocks += 1
+                apply = plan.taint_apply
                 if self._prov is not None:
                     self._prov.observe_block(plan)
             else:
                 self.slowpath_blocks += 1
-                self.dataflow.apply_block(shadow, rec)
+                prefixes = plan.prefix_apply
+                apply = prefixes.get(executed) if prefixes else None
+            (apply or self.dataflow.install_applier(plan, executed))(
+                shadow, rec
+            )
             if self._short_circuit and (
                 rec.call_target is not None or rec.ret_target is not None
             ):

@@ -102,11 +102,11 @@ class TaintSummary:
     exactly, in O(#outputs) instead of O(#transfers) — the monitor's
     fast path (see ``InstructionDataFlow.install_applier``).
 
-    Validity: the expressions assume every ``("mem", k)`` read sees the
-    cell's *entry* tags, so they only hold when no load aliases an
-    earlier store of the same block.  ``alias_checks`` lists the
-    (read hole, earlier write holes) pairs the fast path must compare
-    at run time (almost always empty).
+    Validity: the expressions read every ``("mem", k)`` at the cell's
+    *entry* tags.  That is exact because :func:`translate_block` never
+    places a load after a store in one block, so no load can see a tag
+    the same block stored.  A prefix of a block (the first n templates)
+    summarizes the same way, with the same hole indices.
     """
 
     __slots__ = (
@@ -114,8 +114,6 @@ class TaintSummary:
         "read_holes",
         "reg_writes",
         "mem_writes",
-        "alias_checks",
-        "has_loads",
         "touch_holes",
         "is_noop",
         "zero_taint_safe",
@@ -127,7 +125,6 @@ class TaintSummary:
         read_holes: Tuple[int, ...],
         reg_writes: Tuple[Tuple[str, Tuple[tuple, ...]], ...],
         mem_writes: Tuple[Tuple[int, Tuple[tuple, ...]], ...],
-        alias_checks: Tuple[Tuple[int, Tuple[int, ...]], ...],
     ) -> None:
         #: Registers whose entry tags feed at least one output.
         self.live_in = live_in
@@ -137,8 +134,6 @@ class TaintSummary:
         self.reg_writes = reg_writes
         #: (hole index, support tokens) per memory store, program order.
         self.mem_writes = mem_writes
-        self.alias_checks = alias_checks
-        self.has_loads = bool(read_holes)
         #: Every hole index the expressions touch (loads + stores), for
         #: the page-granularity "can this block see/leave taint" gate.
         self.touch_holes = tuple(
@@ -171,14 +166,13 @@ class TaintSummary:
 def summarize_taint(
     taint: Tuple[TaintTemplate, ...]
 ) -> TaintSummary:
-    """Fold a block's taint templates into a :class:`TaintSummary`."""
+    """Fold a block's (or a block prefix's) taint templates into a
+    :class:`TaintSummary`."""
     written: Dict[str, frozenset] = {}
     reads: List[str] = []
     seen_reads = set()
     read_holes: List[int] = []
-    write_holes: List[int] = []
     mem_writes: List[Tuple[int, frozenset]] = []
-    alias_checks: List[Tuple[int, Tuple[int, ...]]] = []
     cursor = 0
     for tmpl in taint:
         if tmpl is None:
@@ -202,8 +196,6 @@ def summarize_taint(
                     else:
                         tokens |= chained
                 elif kind == "mem?":
-                    if write_holes:
-                        alias_checks.append((idx, tuple(write_holes)))
                     read_holes.append(idx)
                     tokens.add(("mem", idx))
                 elif kind == "imm":
@@ -215,7 +207,6 @@ def summarize_taint(
                 written[dst_spec[1]] = frozenset(tokens)
             else:
                 mem_writes.append((idx, frozenset(tokens)))
-                write_holes.append(idx)
     # Deterministic token order keeps evaluation reproducible.
     def _ordered(tokens: frozenset) -> Tuple[tuple, ...]:
         return tuple(sorted(tokens, key=lambda t: (t[0], str(t[1:]))))
@@ -229,7 +220,6 @@ def summarize_taint(
         mem_writes=tuple(
             (idx, _ordered(tokens)) for idx, tokens in mem_writes
         ),
-        alias_checks=tuple(alias_checks),
     )
 
 
@@ -288,6 +278,7 @@ class BlockPlan:
         "taint",
         "taint_summary",
         "taint_apply",
+        "prefix_apply",
         "length",
     )
 
@@ -306,14 +297,18 @@ class BlockPlan:
         self.body_ops = body_ops
         self.term_op = term_op
         self.taint = taint
-        #: Block-level liveness/fold summary for the zero-taint fast path.
+        #: Block-level liveness/fold summary the taint applier compiles.
         self.taint_summary = summarize_taint(taint)
-        #: The compiled summary applier, installed lazily by the fast
-        #: path (``InstructionDataFlow.install_applier``) the first time
+        #: The compiled summary applier for full executions, installed
+        #: lazily (``InstructionDataFlow.install_applier``) the first time
         #: this block's taint effects are applied — a closure shaped to
         #: this block's summary, with its own entry-values memo, just as
         #: ``body_ops`` are closures shaped to the instructions.
         self.taint_apply = None
+        #: Executed count -> compiled applier of that prefix's summary,
+        #: for partial executions (budget expiry or a fault mid-block);
+        #: None until the first one (most plans never run partially).
+        self.prefix_apply: Optional[Dict[int, Callable]] = None
         self.length = len(pcs)
 
     # -- execution --------------------------------------------------------
@@ -739,6 +734,12 @@ def _compile_terminator(instr: Instruction, pc: int):
     return term, tmpl
 
 
+#: Straight-line opcodes that load / store through a run-time address
+#: (a taint-template hole).  CALL also stores, but it ends its block.
+_HOLE_LOADS = frozenset({Opcode.LOAD, Opcode.POP})
+_HOLE_STORES = frozenset({Opcode.STORE, Opcode.PUSH})
+
+
 def translate_block(
     memory: FlatMemory,
     start: int,
@@ -749,9 +750,13 @@ def translate_block(
 
     Cutting rules: the block ends at the first control transfer or INT,
     just before any address in ``stop_leaders`` (so a later block entry
-    at a leader is always a cache key), before an unmapped address, or
-    at ``max_len`` instructions.  Raises :class:`MemoryFault` when
-    ``start`` itself is unmapped, with the interpreter's fetch message.
+    at a leader is always a cache key), before an unmapped address, at
+    ``max_len`` instructions, or just before a load (LOAD/POP) that
+    follows a store (STORE/PUSH) of the same block — so a block's
+    :class:`TaintSummary` never has to model a load reading a cell the
+    block itself stored.  The cut start is not a leader, so BB frequency
+    never sees it.  Raises :class:`MemoryFault` when ``start`` itself is
+    unmapped, with the interpreter's fetch message.
     """
     code = memory.code
     instr = code.get(start)
@@ -760,6 +765,7 @@ def translate_block(
     pcs: List[int] = []
     instrs: List[Instruction] = []
     pc = start
+    stored = False
     while True:
         pcs.append(pc)
         instrs.append(instr)
@@ -768,11 +774,12 @@ def translate_block(
             break
         if len(pcs) >= max_len:
             break
+        stored = stored or opcode in _HOLE_STORES
         nxt = pc + 1
         if nxt in stop_leaders:
             break
         instr = code.get(nxt)
-        if instr is None:
+        if instr is None or (stored and instr.opcode in _HOLE_LOADS):
             break
         pc = nxt
 

@@ -45,7 +45,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.server import ServeDaemon, run_daemon
 from repro.serve.streaming import TapAnalyzer, warning_to_wire
-from repro.serve.supervisor import Supervisor, retry_delay
+from repro.serve.supervisor import Supervisor
 
 __all__ = [
     "AdmissionController",
@@ -66,7 +66,6 @@ __all__ = [
     "http_get",
     "http_get_text",
     "http_submit",
-    "retry_delay",
     "run_daemon",
     "submit_async",
     "warning_to_wire",

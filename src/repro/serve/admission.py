@@ -21,6 +21,7 @@ clock is injectable, so admission behavior is deterministic under test.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
@@ -57,7 +58,13 @@ class TokenBucket:
             self._stamp = now
 
     def try_take(self, cost: float = 1.0) -> bool:
-        """Take ``cost`` tokens if available; never blocks."""
+        """Take ``cost`` tokens if available; never blocks.
+
+        Raises ValueError on a negative or non-finite cost: taking a
+        negative amount would add tokens past any limit.
+        """
+        if not 0 <= cost < math.inf:
+            raise ValueError(f"token cost must be finite and >= 0, got {cost}")
         self._refill()
         if self._tokens >= cost:
             self._tokens -= cost

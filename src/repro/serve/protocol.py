@@ -43,6 +43,7 @@ off, and v1 clients ignore event keys they do not know.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -131,15 +132,29 @@ def options_from_wire(data: Optional[Mapping[str, object]]) -> RunOptions:
     unknown = set(data) - allowed
     if unknown:
         raise ProtocolError(f"unknown options field(s): {sorted(unknown)}")
+    try:
+        max_ticks = int(data.get("max_ticks", DEFAULT_MAX_TICKS))
+        wall_timeout = data.get("wall_timeout")
+        if wall_timeout is not None:
+            wall_timeout = float(wall_timeout)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"bad options value: {exc}") from None
+    if max_ticks < 1:
+        # A negative budget would *refund* the tenant's tick bucket.
+        raise ProtocolError(
+            f"options field 'max_ticks' must be >= 1, got {max_ticks}"
+        )
+    if wall_timeout is not None and not 0 < wall_timeout < math.inf:
+        raise ProtocolError(
+            f"options field 'wall_timeout' must be finite and > 0, "
+            f"got {wall_timeout}"
+        )
     options = RunOptions(
         provenance=bool(data.get("provenance", True)),
         metrics=bool(data.get("metrics", False)),
         cache=bool(data.get("cache", True)),
-        max_ticks=int(data.get("max_ticks", DEFAULT_MAX_TICKS)),
-        wall_timeout=(
-            float(data["wall_timeout"])
-            if data.get("wall_timeout") is not None else None
-        ),
+        max_ticks=max_ticks,
+        wall_timeout=wall_timeout,
     )
     if fault is not None:
         from repro.faultinject.plan import FaultProfile

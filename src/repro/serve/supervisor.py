@@ -39,14 +39,13 @@ these threads — the asyncio server bridges them with
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import queue as queue_mod
 import threading
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.core.procs import mp_context, retry_delay
 from repro.serve.worker import serve_worker_main
 
 #: Default per-submission wall deadline, seconds.
@@ -67,25 +66,6 @@ STATE_STOPPED = "stopped"
 FAIL_CRASH = "worker-crash"
 FAIL_TIMEOUT = "timeout"
 FAIL_SHUTDOWN = "shutting-down"
-
-
-def retry_delay(base: float, attempt: int, key: str) -> float:
-    """Deterministic exponential backoff with keyed jitter.
-
-    ``crc32(key:attempt)`` supplies a reproducible jitter fraction in
-    [0, 1), so two runs of the same chaos schedule sleep identically.
-    """
-    frac = zlib.crc32(f"{key}:{attempt}".encode()) / 2.0 ** 32
-    return base * (2.0 ** max(attempt - 1, 0)) * (1.0 + frac)
-
-
-def _mp_context(name: Optional[str] = None):
-    if name is not None:
-        return multiprocessing.get_context(name)
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
 
 
 @dataclass
@@ -143,7 +123,7 @@ class Supervisor:
         self.poll_interval = poll_interval
         self.on_idle = on_idle
         self._metrics = metrics
-        self._ctx = _mp_context(mp_start_method)
+        self._ctx = mp_context(mp_start_method)
         self._result_queue = self._ctx.Queue()
         self._lock = threading.RLock()
         self._workers: Dict[int, _Worker] = {

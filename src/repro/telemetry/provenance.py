@@ -172,7 +172,7 @@ class ProvenanceRecorder:
     def observe_block(self, plan) -> None:
         """Count taint-carrying translated blocks (fastpath diagnostic).
 
-        Called from the block-cache fast path only; dedups per plan so
+        Called for full-block taint applications only; dedups per plan so
         hot loops cost one set probe.  Feeds ``provenance_*`` gauges —
         deliberately *not* evidence, which must be mode-independent.
         """

@@ -15,11 +15,11 @@ import pytest
 
 from repro.api import Session
 from repro.core.options import RunOptions
+from repro.core.procs import retry_delay
 from repro.fleet import (
     FleetTask,
     WorkloadRef,
     make_tasks,
-    retry_delay,
     retry_reason,
     run_fleet,
     run_task_with_retry,
@@ -128,7 +128,7 @@ class TestRetry:
         assert record["attempts"] == 2
         assert record["retries"] == ["watchdog"]
         # deterministic jittered backoff, attempt 1
-        assert sleeps == [retry_delay(0.01, 1, seed=0, index=0)]
+        assert sleeps == [retry_delay(0.01, 1, "0:0")]
         assert record["report"]["result"]["reason"] != "watchdog"
         assert record["ok"] is True
 
@@ -154,8 +154,8 @@ class TestRetry:
         assert record["retries"] == ["watchdog", "watchdog"]
         # deterministic jittered backoff, exponential base
         assert sleeps == [
-            retry_delay(0.01, 1, seed=0, index=0),
-            retry_delay(0.01, 2, seed=0, index=0),
+            retry_delay(0.01, 1, "0:0"),
+            retry_delay(0.01, 2, "0:0"),
         ]
         assert record["report"]["result"]["reason"] == "watchdog"
 

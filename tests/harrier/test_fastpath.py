@@ -1,17 +1,20 @@
-"""Zero-taint fast path: liveness summaries and their runtime evaluation.
+"""Block taint appliers: liveness summaries and their runtime evaluation.
 
-The contract under test: for any *fully executed* block, the compiled
-summary applier (``InstructionDataFlow.install_applier``) either refuses
-(returns False, load/store alias detected) or leaves the shadow state
-bit-identical to ``apply_block``'s per-transfer replay.  Plus the
-monitor-level wiring: partial executions and the forced-replay oracle
-must route to the slow path, the counters must say which path ran, and
-a profiled run must take the same path as an unprofiled one.
+The contract under test: for any execution of a block — full, or a
+prefix cut short by the budget or a fault — the compiled summary
+applier (``InstructionDataFlow.install_applier``) leaves the shadow
+state bit-identical to the replay oracle's transfer-by-transfer
+template replay (``tests.oracles.replay.apply_block``).  Plus the
+monitor-level wiring: the counters say how many full-block and prefix
+applications ran, and a profiled run takes the same path as an
+unprofiled one.
 """
 
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hth import HTH
 from repro.core.options import RunOptions
@@ -31,6 +34,7 @@ from repro.isa import (
 from repro.isa.translate import TOK_HW, TOK_IMM, translate_block
 from repro.taint import DataSource, TagSet
 from tests.oracles import template_replay
+from tests.oracles.replay import apply_block
 
 FILE_A = TagSet.of(DataSource.FILE, "/a")
 SOCK = TagSet.of(DataSource.SOCKET, "h:1")
@@ -42,30 +46,38 @@ def make_plan(instructions):
     return translate_block(mem, 0), mem
 
 
-def run_block(instructions, setup=None):
-    """Execute a block once; returns its (plan, record)."""
-    plan, mem = make_plan(instructions)
+def run_blocks(instructions, setup=None):
+    """Execute straight-line code block by block (the translator may cut
+    it); returns the executed (plan, record) pairs in order."""
+    mem = FlatMemory()
+    mem.map_code(0, instructions)
     cpu = CPU(mem, entry=0)
     cpu.regs.set("esp", 0x1000)
     if setup is not None:
         setup(cpu)
-    rec = plan.execute(cpu, plan.length)
-    assert rec.executed == plan.length
-    return plan, rec
+    out = []
+    while True:
+        plan = translate_block(mem, cpu.pc)
+        rec = plan.execute(cpu, plan.length)
+        assert rec.executed == plan.length
+        out.append((plan, rec))
+        if plan.pcs[-1] == len(instructions) - 1:
+            return out
 
 
 def both_paths(instructions, taint_setup=None, cpu_setup=None):
-    """Apply one record via slow and fast path on twin shadows."""
-    plan, rec = run_block(instructions, setup=cpu_setup)
+    """Apply every block record via replay and via the compiled applier
+    on twin shadows."""
     flow = InstructionDataFlow()
     slow = ProcessShadow()
     fast = ProcessShadow()
     if taint_setup is not None:
         taint_setup(slow)
         taint_setup(fast)
-    flow.apply_block(slow, rec)
-    took_fast = flow.install_applier(plan)(fast, rec)
-    return slow, fast, took_fast
+    for plan, rec in run_blocks(instructions, setup=cpu_setup):
+        apply_block(flow, slow, rec)
+        flow.install_applier(plan, rec.executed)(fast, rec)
+    return slow, fast
 
 
 def assert_identical(slow, fast):
@@ -82,7 +94,7 @@ class TestSummaryShape:
         summary = plan.taint_summary
         assert summary.is_noop
         assert summary.live_in == ()
-        assert not summary.has_loads
+        assert summary.read_holes == ()
 
     def test_register_chain_folds_to_entry_tokens(self):
         # ebx = eax; ebx += ecx  ==> ebx's support is {eax, ecx} at entry
@@ -130,35 +142,25 @@ class TestSummaryShape:
         assert summary.live_in == ()
         assert summary.zero_taint_safe
 
-    def test_load_records_hole_and_store_records_alias_check(self):
+    def test_load_and_store_record_their_holes(self):
         plan, _ = make_plan([
-            Instruction(Opcode.STORE, Mem("edi", 0), Reg("eax")),  # hole 0
-            Instruction(Opcode.LOAD, Reg("ebx"), Mem("esi", 0)),   # hole 1
+            Instruction(Opcode.LOAD, Reg("ebx"), Mem("esi", 0)),   # hole 0
+            Instruction(Opcode.STORE, Mem("edi", 0), Reg("ebx")),  # hole 1
             Instruction(Opcode.RET),
         ])
         summary = plan.taint_summary
-        assert summary.read_holes == (1,)
-        assert summary.alias_checks == ((1, (0,)),)
+        assert summary.read_holes == (0,)
         assert summary.touch_holes == (0, 1)
-        assert dict(summary.mem_writes) == {0: (("reg", "eax"),)}
-
-    def test_load_before_store_needs_no_alias_check(self):
-        plan, _ = make_plan([
-            Instruction(Opcode.LOAD, Reg("ebx"), Mem("esi", 0)),
-            Instruction(Opcode.STORE, Mem("edi", 0), Reg("ebx")),
-            Instruction(Opcode.RET),
-        ])
-        assert plan.taint_summary.alias_checks == ()
+        assert dict(summary.mem_writes) == {1: (("mem", 0),)}
 
 
 class TestEvaluationEquivalence:
     def test_clean_state_pure_block(self):
-        slow, fast, ok = both_paths([
+        slow, fast = both_paths([
             Instruction(Opcode.MOV, Reg("ebx"), Reg("eax")),
             Instruction(Opcode.ADD, Reg("ebx"), Reg("ecx")),
             Instruction(Opcode.RET),
         ])
-        assert ok
         assert_identical(slow, fast)
 
     def test_tainted_registers_propagate(self):
@@ -166,7 +168,7 @@ class TestEvaluationEquivalence:
             shadow.regs.set("eax", FILE_A)
             shadow.regs.set("ecx", SOCK)
 
-        slow, fast, ok = both_paths(
+        slow, fast = both_paths(
             [
                 Instruction(Opcode.MOV, Reg("ebx"), Reg("eax")),
                 Instruction(Opcode.ADD, Reg("ebx"), Reg("ecx")),
@@ -174,7 +176,6 @@ class TestEvaluationEquivalence:
             ],
             taint_setup=taint,
         )
-        assert ok
         assert_identical(slow, fast)
         assert fast.regs.get("ebx") == FILE_A.union(SOCK)
 
@@ -184,14 +185,13 @@ class TestEvaluationEquivalence:
         def taint(shadow):
             shadow.regs.set("ebx", FILE_A)
 
-        slow, fast, ok = both_paths(
+        slow, fast = both_paths(
             [
                 Instruction(Opcode.MOV, Reg("ebx"), Reg("eax")),
                 Instruction(Opcode.RET),
             ],
             taint_setup=taint,
         )
-        assert ok
         assert_identical(slow, fast)
         assert fast.regs.snapshot() == {}
 
@@ -202,7 +202,7 @@ class TestEvaluationEquivalence:
         def taint(shadow):
             shadow.memory.set(0x500, SOCK)
 
-        slow, fast, ok = both_paths(
+        slow, fast = both_paths(
             [
                 Instruction(Opcode.LOAD, Reg("ebx"), Mem("esi", 0)),
                 Instruction(Opcode.RET),
@@ -210,7 +210,6 @@ class TestEvaluationEquivalence:
             taint_setup=taint,
             cpu_setup=cpu_setup,
         )
-        assert ok
         assert_identical(slow, fast)
         assert fast.regs.get("ebx") == SOCK
 
@@ -221,7 +220,7 @@ class TestEvaluationEquivalence:
         def taint(shadow):
             shadow.regs.set("eax", FILE_A)
 
-        slow, fast, ok = both_paths(
+        slow, fast = both_paths(
             [
                 Instruction(Opcode.STORE, Mem("edi", 0), Reg("eax")),
                 Instruction(Opcode.RET),
@@ -229,21 +228,22 @@ class TestEvaluationEquivalence:
             taint_setup=taint,
             cpu_setup=cpu_setup,
         )
-        assert ok
         assert_identical(slow, fast)
         assert fast.memory.get(0x600) == FILE_A
 
-    def test_aliasing_load_bails_to_slow_path(self):
+    def test_aliasing_load_sees_the_stored_tags(self):
         # store [edi] then load [esi] with edi == esi: the load must see
-        # the *stored* tags, which entry-state evaluation cannot express.
+        # the *stored* tags.  The translator ends the block before the
+        # load, so each summary reads memory at its own entry.
         def cpu_setup(cpu):
             cpu.regs.set("edi", 0x700)
             cpu.regs.set("esi", 0x700)
 
         def taint(shadow):
             shadow.regs.set("eax", FILE_A)
+            shadow.memory.set(0x700, SOCK)
 
-        slow, fast, ok = both_paths(
+        slow, fast = both_paths(
             [
                 Instruction(Opcode.STORE, Mem("edi", 0), Reg("eax")),
                 Instruction(Opcode.LOAD, Reg("ebx"), Mem("esi", 0)),
@@ -252,11 +252,10 @@ class TestEvaluationEquivalence:
             taint_setup=taint,
             cpu_setup=cpu_setup,
         )
-        assert not ok  # caller must fall back to apply_block
-        # And the fallback produces the right answer:
-        assert slow.regs.get("ebx") == FILE_A
+        assert_identical(slow, fast)
+        assert fast.regs.get("ebx") == FILE_A
 
-    def test_non_aliasing_store_load_stays_fast(self):
+    def test_non_aliasing_store_then_load(self):
         def cpu_setup(cpu):
             cpu.regs.set("edi", 0x700)
             cpu.regs.set("esi", 0x800)
@@ -265,7 +264,7 @@ class TestEvaluationEquivalence:
             shadow.regs.set("eax", FILE_A)
             shadow.memory.set(0x800, SOCK)
 
-        slow, fast, ok = both_paths(
+        slow, fast = both_paths(
             [
                 Instruction(Opcode.STORE, Mem("edi", 0), Reg("eax")),
                 Instruction(Opcode.LOAD, Reg("ebx"), Mem("esi", 0)),
@@ -274,7 +273,6 @@ class TestEvaluationEquivalence:
             taint_setup=taint,
             cpu_setup=cpu_setup,
         )
-        assert ok
         assert_identical(slow, fast)
         assert fast.regs.get("ebx") == SOCK
         assert fast.memory.get(0x700) == FILE_A
@@ -287,7 +285,7 @@ class TestEvaluationEquivalence:
             shadow.regs.set("eax", FILE_A)
             shadow.regs.set("ebx", SOCK)
 
-        slow, fast, ok = both_paths(
+        slow, fast = both_paths(
             [
                 Instruction(Opcode.STORE, Mem("edi", 0), Reg("eax")),
                 Instruction(Opcode.STORE, Mem("edi", 0), Reg("ebx")),
@@ -296,7 +294,6 @@ class TestEvaluationEquivalence:
             taint_setup=taint,
             cpu_setup=cpu_setup,
         )
-        assert ok
         assert_identical(slow, fast)
         assert fast.memory.get(0x900) == SOCK
 
@@ -323,20 +320,25 @@ loop:
     def test_fastpath_counters(self):
         harrier = self._run()
         assert harrier.fastpath_blocks > 0
-        # Guest startup writes immediates etc., so both paths run.
         total = harrier.fastpath_blocks + harrier.slowpath_blocks
         assert total > 0
 
-    def test_replay_oracle_disables_fastpath(self):
-        with template_replay():
+    def test_replay_oracle_runs_every_application(self):
+        calls = []
+        with template_replay(calls):
             harrier = self._run()
-        assert harrier.fastpath_blocks == 0
-        assert harrier.slowpath_blocks > 0
+        production = self._run()
+        assert len(calls) == (
+            harrier.fastpath_blocks + harrier.slowpath_blocks
+        )
+        assert (harrier.fastpath_blocks, harrier.slowpath_blocks) == (
+            production.fastpath_blocks, production.slowpath_blocks
+        )
 
-    def test_partial_execution_routes_to_slow_path(self):
+    def test_partial_record_is_a_prefix_application(self):
         plan, mem = make_plan([
             Instruction(Opcode.MOV, Reg("ebx"), Reg("eax")),
-            Instruction(Opcode.MOV, Reg("ecx"), Reg("eax")),
+            Instruction(Opcode.MOV, Reg("ecx"), Imm(7)),
             Instruction(Opcode.RET),
         ])
         cpu = CPU(mem, entry=0)
@@ -346,9 +348,139 @@ loop:
         harrier = self._run()
         before_slow = harrier.slowpath_blocks
         before_fast = harrier.fastpath_blocks
-        harrier.on_block(SimpleNamespace(meta={}), rec)
+        proc = SimpleNamespace(meta={})
+        shadow = harrier.shadow(proc)
+        shadow.regs.set("eax", FILE_A)
+        shadow.regs.set("ecx", SOCK)
+        harrier.on_block(proc, rec)
         assert harrier.slowpath_blocks == before_slow + 1
         assert harrier.fastpath_blocks == before_fast
+        assert set(plan.prefix_apply) == {1}
+        # Only the executed prefix moved taint: ecx keeps its tags.
+        assert shadow.regs.snapshot() == {
+            "eax": FILE_A, "ebx": FILE_A, "ecx": SOCK,
+        }
+
+
+#: Registers the random blocks use; edi/esi/ebx start on a handful of
+#: nearby addresses so loads, stores and the stack collide often.
+_REGS = ("eax", "ebx", "ecx", "edx", "esi", "edi")
+_ADDR_REGS = ("ebx", "esi", "edi", "esp")
+_TAGS = (
+    FILE_A,
+    SOCK,
+    FILE_A.union(SOCK),
+    TagSet.of(DataSource.USER_INPUT),
+)
+
+_reg = st.sampled_from(_REGS)
+_dst = _reg.map(Reg)
+_src = st.one_of(_dst, st.integers(-3, 3).map(Imm))
+_mem = st.builds(Mem, st.sampled_from(_ADDR_REGS), st.integers(-1, 1))
+
+
+def _op(opcode, *operands):
+    return st.builds(Instruction, st.just(opcode), *operands)
+
+
+_instruction = st.one_of(
+    _op(Opcode.MOV, _dst, _src),
+    _op(Opcode.ADD, _dst, _src),
+    _op(Opcode.SUB, _dst, _src),
+    _op(Opcode.OR, _dst, _src),
+    _reg.map(lambda r: Instruction(Opcode.XOR, Reg(r), Reg(r))),
+    # May divide by zero: a fault stops the block mid-way.
+    _op(Opcode.DIV, _dst, _dst),
+    _op(Opcode.LOAD, _dst, _mem),
+    _op(Opcode.STORE, _mem, _src),
+    _op(Opcode.PUSH, _src),
+    _op(Opcode.POP, _dst),
+    _op(Opcode.CPUID),
+    _op(Opcode.CMP, _dst, _dst),
+    _op(Opcode.NOP),
+)
+
+
+@st.composite
+def _machine_state(draw):
+    """Entry register values plus random register and memory taint."""
+    values = {
+        reg: draw(st.integers(0x100, 0x103)) for reg in _ADDR_REGS
+    }
+    values.update({
+        reg: draw(st.integers(-2, 2))
+        for reg in _REGS if reg not in values
+    })
+    reg_tags = draw(st.dictionaries(_reg, st.sampled_from(_TAGS)))
+    mem_tags = draw(st.dictionaries(
+        st.integers(0xFC, 0x107), st.sampled_from(_TAGS)
+    ))
+    return values, reg_tags, mem_tags
+
+
+class TestPrefixEquivalence:
+    """Every prefix of every block: compiled applier == template replay."""
+
+    @given(
+        st.lists(_instruction, min_size=1, max_size=12),
+        _machine_state(),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_prefix_matches_replay(self, instructions, state,
+                                         in_image):
+        values, reg_tags, mem_tags = state
+        code = instructions + [Instruction(Opcode.RET)]
+        image = SimpleNamespace(name="/bin/h") if in_image else None
+
+        def shadow():
+            sh = ProcessShadow()
+            for reg, tags in reg_tags.items():
+                sh.regs.set(reg, tags)
+            for addr, tags in mem_tags.items():
+                sh.memory.set(addr, tags)
+            if image is not None:
+                for pc in range(len(code)):
+                    sh.code_image[pc] = image
+            return sh
+
+        def cpu(like=None):
+            """A fresh machine at entry, or a copy of ``like``'s state."""
+            mem = FlatMemory()
+            mem.map_code(0, code)
+            c = CPU(mem, entry=0)
+            if like is None:
+                for reg, value in values.items():
+                    c.regs.set(reg, value)
+            else:
+                c.regs._values.update(like.regs._values)
+                mem.cells.update(like.memory.cells)
+                c.pc = like.pc
+            return c
+
+        # Walk the blocks the translator forms over the sequence; at
+        # each block start, rerun the block for every prefix length.
+        lead = cpu()
+        while True:
+            plan = translate_block(lead.memory, lead.pc)
+            for n in range(1, plan.length + 1):
+                rec = plan.execute(cpu(like=lead), n)
+                if rec.executed == 0:
+                    continue
+                flow = InstructionDataFlow()
+                slow, fast = shadow(), shadow()
+                apply_block(flow, slow, rec)
+                applier = flow.install_applier(plan, rec.executed)
+                applier(fast, rec)
+                assert_identical(slow, fast)
+                # Re-entry (front cache, memo, generation skip) agrees.
+                apply_block(flow, slow, rec)
+                applier(fast, rec)
+                assert_identical(slow, fast)
+            if plan.pcs[-1] == len(instructions):
+                break  # the final RET block
+            if plan.execute(lead, plan.length).executed < plan.length:
+                break  # the block faults; nothing runs after it
 
 
 def _monitor_gauges(workload, options):

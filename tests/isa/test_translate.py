@@ -141,6 +141,38 @@ class TestCutting:
         plan = translate_block(mem, 0)
         assert plan.length == MAX_BLOCK_LEN
 
+    def test_block_cut_before_load_after_store(self):
+        mem = make_memory([
+            Instruction(Opcode.MOV, Reg("ebx"), Imm(0x200)),
+            Instruction(Opcode.STORE, Mem("ebx", 0), Reg("eax")),
+            Instruction(Opcode.MOV, Reg("ecx"), Imm(1)),
+            Instruction(Opcode.LOAD, Reg("edx"), Mem("ebx", 0)),
+            Instruction(Opcode.RET),
+        ])
+        assert translate_block(mem, 0).pcs == (0, 1, 2)
+        assert translate_block(mem, 3).pcs == (3, 4)
+
+    def test_block_cut_before_pop_after_push(self):
+        mem = make_memory([
+            Instruction(Opcode.PUSH, Reg("eax")),
+            Instruction(Opcode.POP, Reg("ebx")),
+            Instruction(Opcode.RET),
+        ])
+        assert translate_block(mem, 0).pcs == (0,)
+        assert translate_block(mem, 1).pcs == (1, 2)
+
+    def test_store_after_load_stays_in_block(self):
+        mem = make_memory([
+            Instruction(Opcode.LOAD, Reg("eax"), Mem("esi", 0)),
+            Instruction(Opcode.POP, Reg("ebx")),
+            Instruction(Opcode.STORE, Mem("edi", 0), Reg("eax")),
+            Instruction(Opcode.PUSH, Reg("ebx")),
+            Instruction(Opcode.RET),
+        ])
+        plan = translate_block(mem, 0)
+        assert plan.length == 5
+        assert plan.taint_summary.read_holes == (0, 1)
+
     def test_unmapped_start_raises_fetch_message(self):
         mem = make_memory([Instruction(Opcode.NOP)])
         with pytest.raises(MemoryFault, match="execute of unmapped"):

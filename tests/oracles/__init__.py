@@ -1,15 +1,14 @@
 """Reference implementations the production paths must match bit for bit.
 
 The runtime has one execution engine (the block translation cache), one
-taint path (compiled block summaries, with template replay for partial
-blocks and load/store aliasing) and one rule matcher (Rete).  The
-simpler implementations they replaced live here, as differential
-oracles only:
+taint path (compiled block and block-prefix summaries) and one rule
+matcher (Rete).  The simpler implementations they replaced live here,
+as differential oracles only:
 
 * :mod:`tests.oracles.interpreter` — the per-instruction CPU interpreter
   with Harrier's per-instruction taint replay;
-* :mod:`tests.oracles.replay` — forced template replay of every block's
-  taint (the compiled summaries never run);
+* :mod:`tests.oracles.replay` — template replay of every block's taint,
+  transfer by transfer (the compiled summaries never run);
 * :mod:`tests.oracles.matcher` — the naive full-rejoin rule matcher.
 
 Each is installed with a context manager that patches the one production

@@ -1,17 +1,18 @@
-"""Forced template replay: every block's taint applied transfer by transfer.
+"""Template replay: every block's taint applied transfer by transfer.
 
-``Harrier.on_block`` applies a fully executed block through the compiled
+``Harrier.on_block`` applies every block record through the compiled
 summary applier that ``InstructionDataFlow.install_applier`` caches on
-the plan, and falls back to ``InstructionDataFlow.apply_block`` (template
-replay) when the applier declines.  :func:`template_replay` patches
-``install_applier`` so that every applier declines: the compiled
-summaries never run and each block is replayed from its templates — the
-reference taint semantics the summaries must reproduce.
+the plan (the full block's, or the executed prefix's).
+:func:`template_replay` patches ``install_applier`` so that the applier
+it installs replays the record from the block's taint templates instead
+(:func:`apply_block`) — the reference taint semantics the compiled
+summaries must reproduce.
 
-Plans translated inside the block carry the declining applier; it is
-cleared on exit so a plan that outlives the block (a warm engine's block
-cache) compiles its real applier on next use.  Plans whose applier was
-compiled before the block keep it, so run the oracle on fresh machines.
+Plans that get a replay applier inside the block have both applier
+slots cleared on exit, so a plan that outlives the block (a warm
+engine's block cache) compiles its real appliers on next use.  Plans
+whose applier was compiled before the block keep it, so run the oracle
+on fresh machines.
 """
 
 from __future__ import annotations
@@ -20,21 +21,97 @@ from contextlib import contextmanager
 from unittest import mock
 
 from repro.harrier.dataflow import InstructionDataFlow
+from repro.taint.tags import EMPTY, DataSource, TagSet
+
+_HARDWARE = TagSet.of(DataSource.HARDWARE)
 
 
-def _decline(shadow, rec) -> bool:
-    return False
+def apply_block(flow: InstructionDataFlow, shadow, rec) -> None:
+    """Replay one block record's taint templates over the shadow.
+
+    Transfer by transfer, in retirement order, with the transfer shapes
+    precompiled: the only per-execution inputs are the dynamic memory
+    addresses in ``rec.holes`` (consumed positionally — at most one per
+    instruction in this ISA) and the shadow state itself.  ``flow``
+    supplies the interner and the image BINARY tags.
+    """
+    n = rec.executed
+    if n == 0:
+        return
+    plan = rec.plan
+    taint = plan.taint
+    holes = rec.holes
+    regs = shadow.regs
+    rget = regs.get
+    rset = regs.set
+    memory = shadow.memory
+    mget = memory.probe
+    mset = memory.set
+    union = flow.interner.union
+    imm_tags: TagSet = None  # lazily resolved once per block
+    cursor = 0
+    addr = 0
+    for i in range(n):
+        tmpl = taint[i]
+        if tmpl is None:
+            continue
+        has_hole, transfers = tmpl
+        if has_hole:
+            addr = holes[cursor]
+            cursor += 1
+        for dst_spec, src_specs in transfers:
+            tags = EMPTY
+            for src in src_specs:
+                kind = src[0]
+                if kind == "reg":
+                    tags = union(tags, rget(src[1]))
+                elif kind == "mem?":
+                    cell = mget(addr)
+                    if cell is not None:
+                        tags = union(tags, cell)
+                elif kind == "imm":
+                    if imm_tags is None:
+                        # Blocks never span images (placement leaves
+                        # unmapped gaps), so one lookup covers them.
+                        image = shadow.code_image.get(plan.start)
+                        imm_tags = (
+                            flow.binary_tag(image.name)
+                            if image is not None
+                            else EMPTY
+                        )
+                    tags = union(tags, imm_tags)
+                elif kind == "hardware":
+                    tags = union(tags, _HARDWARE)
+                # 'zero' contributes nothing
+            if dst_spec[0] == "reg":
+                rset(dst_spec[1], tags)
+            else:
+                mset(addr, tags)
 
 
 @contextmanager
-def template_replay():
-    """Replay every block's taint templates for the duration of the block."""
+def template_replay(calls=None):
+    """Replay every block's taint templates for the duration of the block.
+
+    ``calls``, when given, is a list that gets one entry per replayed
+    block record — proof that the oracle, not a compiled summary, ran.
+    """
     installed = []
 
-    def install_applier(self, plan):
-        plan.taint_apply = _decline
+    def install_applier(self, plan, executed):
+        def replay(shadow, rec):
+            if calls is not None:
+                calls.append(rec)
+            apply_block(self, shadow, rec)
+
+        if executed == plan.length:
+            plan.taint_apply = replay
+        else:
+            if plan.prefix_apply is None:
+                plan.prefix_apply = {}
+            plan.prefix_apply[executed] = replay
         installed.append(plan)
-        return _decline
+        return replay
 
     try:
         with mock.patch.object(
@@ -43,5 +120,5 @@ def template_replay():
             yield
     finally:
         for plan in installed:
-            if plan.taint_apply is _decline:
-                plan.taint_apply = None
+            plan.taint_apply = None
+            plan.prefix_apply = None

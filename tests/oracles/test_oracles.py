@@ -54,15 +54,20 @@ class TestReferenceInterpreter:
 
 class TestTemplateReplay:
     def test_every_block_replays(self):
-        with template_replay():
+        calls = []
+        with template_replay(calls):
             hth = _run()
-        assert hth.harrier.fastpath_blocks == 0
-        assert hth.harrier.slowpath_blocks > 0
+        applied = hth.harrier.fastpath_blocks + hth.harrier.slowpath_blocks
+        assert applied > 0
+        assert len(calls) == applied
 
     def test_restored_on_exit(self):
-        with template_replay():
+        calls = []
+        with template_replay(calls):
             _run()
+        replayed = len(calls)
         assert _run().harrier.fastpath_blocks > 0
+        assert len(calls) == replayed
 
 
 def _engine():

@@ -60,6 +60,17 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             TokenBucket(rate=1, burst=0)
 
+    @pytest.mark.parametrize(
+        "cost", [-1.0, -1e12, float("nan"), float("inf")]
+    )
+    def test_rejects_negative_or_nonfinite_cost(self, cost):
+        bucket = TokenBucket(rate=10.0, burst=100.0, clock=FakeClock())
+        assert bucket.try_take(100.0)
+        with pytest.raises(ValueError, match="token cost"):
+            bucket.try_take(cost)
+        # A refused take never adds tokens.
+        assert bucket.tokens == 0.0
+
 
 class TestQueueBound:
     def test_queue_limit_is_hard(self):
@@ -119,6 +130,13 @@ class TestTenantMeters:
         assert admission.try_admit("b", 100) is None
         clock.advance(1.0)  # +1000 ticks of allowance
         assert admission.try_admit("a", 900) is None
+
+    def test_negative_ticks_cannot_refill_the_budget(self):
+        admission, _ = self._admission(tick_rate=10.0, tick_burst=100.0)
+        assert admission.try_admit("a", 100) is None
+        with pytest.raises(ValueError):
+            admission.try_admit("a", -10 ** 12)
+        assert admission.try_admit("a", 1) == REASON_TICK_BUDGET
 
     def test_rate_checked_before_tick_budget(self):
         admission, _ = self._admission(

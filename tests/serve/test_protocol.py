@@ -113,6 +113,39 @@ class TestOptionsOnTheWire:
         with pytest.raises(ProtocolError, match="unknown options"):
             options_from_wire({"policy": "server-side-only"})
 
+    @pytest.mark.parametrize("max_ticks", [0, -1, -10 ** 12])
+    def test_nonpositive_max_ticks_rejected(self, max_ticks):
+        with pytest.raises(ProtocolError, match="max_ticks"):
+            options_from_wire({"max_ticks": max_ticks})
+
+    @pytest.mark.parametrize("options", [
+        {"max_ticks": float("nan")},
+        {"max_ticks": "many"},
+        {"wall_timeout": "soon"},
+        {"wall_timeout": [1]},
+    ])
+    def test_unconvertible_values_rejected(self, options):
+        with pytest.raises(ProtocolError, match="bad options value"):
+            options_from_wire(options)
+
+    @pytest.mark.parametrize(
+        "wall_timeout", [0, -1.0, float("nan"), float("inf")]
+    )
+    def test_nonpositive_or_nonfinite_wall_timeout_rejected(
+        self, wall_timeout
+    ):
+        with pytest.raises(ProtocolError, match="wall_timeout"):
+            options_from_wire({"wall_timeout": wall_timeout})
+
+    def test_tick_budget_bypass_submission_rejected(self):
+        with pytest.raises(ProtocolError):
+            Submission.from_wire({
+                "source": "nop",
+                "options": {"max_ticks": -10 ** 12,
+                            "wall_timeout": float("nan")},
+                "schema_version": 2,
+            })
+
     def test_fault_profile_scalars_travel(self):
         options = RunOptions(
             fault_profile=FaultProfile(stall_rate=0.25, errno_rate=0.1),

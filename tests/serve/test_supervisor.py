@@ -12,13 +12,13 @@ import time
 import pytest
 
 from repro.core.options import RunOptions
+from repro.core.procs import retry_delay
 from repro.serve.protocol import Submission
 from repro.serve.supervisor import (
     FAIL_CRASH,
     FAIL_TIMEOUT,
     Supervisor,
     _Job,
-    retry_delay,
 )
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -99,6 +99,19 @@ class TestRetryDelay:
     def test_different_jobs_jitter_apart(self):
         delays = {retry_delay(0.1, 1, f"job-{i}") for i in range(16)}
         assert len(delays) > 1
+
+    def test_planned_delays_are_pinned(self):
+        # Values of the fleet's (seed, index) keying and the serve job-id
+        # keying before the two functions were merged: chaos replays
+        # depend on them staying bit-identical.
+        assert retry_delay(0.01, 1, "0:0") == 0.01658346924232319
+        assert retry_delay(0.05, 3, "7:12") == 0.342325303144753
+        assert retry_delay(0.05, 2, "job-9") == 0.12359382775612177
+        assert retry_delay(0.1, 4, "job-1") == 1.4846500394865871
+
+    def test_nonpositive_base_never_sleeps(self):
+        assert retry_delay(0, 2, "1:1") == 0.0
+        assert retry_delay(-0.1, 1, "job-1") == 0.0
 
 
 # ---------------------------------------------------------------------------
