@@ -14,6 +14,9 @@ configurations:
                       per-instruction interpreter (``tests/oracles``)
                       instead of the block translation cache, the
                       PIN-without-code-cache counterfactual
+* harrier-closures  — the full monitor with the block JIT off: every
+                      block runs its per-instruction closures
+                      (``tests/oracles`` ``closure_only``)
 * harrier-fastpath(-off) — the full monitor with the zero-taint dataflow
                       fast path on/off (fastpath == the default
                       harrier-full; -off runs the forced template-replay
@@ -49,7 +52,7 @@ from repro.telemetry import (
     STAGE_NATIVE,
     Telemetry,
 )
-from tests.oracles import reference_interpreter, template_replay
+from tests.oracles import closure_only, reference_interpreter, template_replay
 
 #: A busy workload: string shuffling, arithmetic, file writes.
 WORKLOAD_SOURCE = """
@@ -105,6 +108,7 @@ _CONFIGS = {
     ),
     "harrier-full": (HarrierConfig(), _PRODUCTION),
     "harrier-full-interp": (HarrierConfig(), reference_interpreter),
+    "harrier-closures": (HarrierConfig(), closure_only),
     "harrier-fastpath": (HarrierConfig(), _PRODUCTION),
     "harrier-fastpath-off": (HarrierConfig(), template_replay),
     "harrier-provenance-off": (

@@ -10,6 +10,9 @@ when either property breaks:
 
 * the cached path is slower than the reference per-instruction
   interpreter beyond a small noise margin;
+* the block JIT (hot blocks fused into one generated function) is
+  slower than closure-only execution (``tests/oracles`` ``closure_only``)
+  beyond the same noise margin;
 * the dataflow fast path is not at least :data:`FASTPATH_SPEEDUP`
   faster than forced per-transfer template replay — or the two disagree
   on retired instructions or emitted warnings (they must be
@@ -139,6 +142,36 @@ def check_block_cache() -> int:
         )
         return 1
     print("ok: block-cache execution is not slower than interpretation")
+    return 0
+
+
+def check_block_jit() -> int:
+    jit_report = run_workload("harrier-full")
+    closure_report = run_workload("harrier-closures")
+    if jit_report.result.instructions != closure_report.result.instructions:
+        print(
+            "FAIL: the block JIT retired "
+            f"{jit_report.result.instructions} instructions, closure-only "
+            f"execution {closure_report.result.instructions}",
+            file=sys.stderr,
+        )
+        return 1
+    jit, closures = measure("harrier-full", "harrier-closures")
+    speedup = closures / jit if jit else float("inf")
+    print(
+        f"perf smoke: jit={jit * 1000:.2f} ms "
+        f"closures={closures * 1000:.2f} ms "
+        f"speedup={speedup:.2f}x"
+    )
+    if jit > closures * NOISE_MARGIN:
+        print(
+            "FAIL: block-JIT execution is slower than closure-only "
+            f"execution (margin {NOISE_MARGIN}x)",
+            file=sys.stderr,
+        )
+        return 1
+    print("ok: block-JIT execution is not slower than closure-only "
+          "execution")
     return 0
 
 
@@ -444,6 +477,7 @@ def check_rule_engine() -> int:
 #: runs a subset — the CI cache job runs just ``verdict_cache``).
 CHECKS = {
     "block_cache": check_block_cache,
+    "block_jit": check_block_jit,
     "fastpath": check_fastpath,
     "fleet": check_fleet,
     "provenance": check_provenance,

@@ -23,6 +23,7 @@ from repro.core.report import RunReport
 from repro.harrier.analyzer import DecisionPolicy, always_continue
 from repro.harrier.config import HarrierConfig
 from repro.harrier.monitor import Harrier
+from repro.isa import blockjit
 from repro.isa.assembler import assemble
 from repro.isa.image import Image
 from repro.kernel.console import Console
@@ -210,6 +211,7 @@ class HTH:
         )
         if self.telemetry.is_enabled:
             self.harrier.sample_state_gauges()
+            blockjit.sample_gauges(self.telemetry.metrics)
         injector = self.kernel.fault_injector
         return RunReport(
             program=proc.command,

@@ -76,19 +76,24 @@ class InstructionDataFlow:
           per *output*, not per instruction.
         """
         if executed == plan.length:
-            applier = self._compile(plan, plan.taint_summary)
+            applier = self._compile(plan.start, plan.taint_summary)
             plan.taint_apply = applier
         else:
             applier = self._compile(
-                plan, summarize_taint(plan.taint[:executed])
+                plan.start, summarize_taint(plan.taint[:executed])
             )
             if plan.prefix_apply is None:
                 plan.prefix_apply = {}
             plan.prefix_apply[executed] = applier
         return applier
 
-    def _compile(self, plan, summary):
-        """Build the applier closure for one block (prefix) summary."""
+    def _compile(self, start, summary):
+        """Build the applier closure for one block (prefix) summary.
+
+        The closure captures the block's entry pc, never the plan: the
+        applier is stored on the plan, and a reference back would leave
+        every dropped plan to the cycle collector.
+        """
         if summary.is_noop:
             return _apply_noop
         live_in = summary.live_in
@@ -134,7 +139,7 @@ class InstructionDataFlow:
                     return None
             out = memo.get(key)
             if out is None:
-                out = evaluate(shadow, plan, summary, key)
+                out = evaluate(shadow, start, summary, key)
                 if len(memo) >= 64:
                     # Pathological value churn; keep the memo tiny —
                     # the working set refills in a few entries.
@@ -237,7 +242,7 @@ class InstructionDataFlow:
 
         return applier
 
-    def _evaluate_summary(self, shadow, plan, summary, key):
+    def _evaluate_summary(self, shadow, start, summary, key):
         """Evaluate every support expression against the entry values in
         ``key`` (the memo-miss path of the compiled applier).
 
@@ -266,7 +271,7 @@ class InstructionDataFlow:
                         tags = union(tags, cell)
                 elif kind == "imm":
                     if imm_tags is None:
-                        image = shadow.code_image.get(plan.start)
+                        image = shadow.code_image.get(start)
                         imm_tags = (
                             self.binary_tag(image.name)
                             if image is not None

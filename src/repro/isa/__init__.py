@@ -1,4 +1,5 @@
-"""Mini-ISA substrate: instruction set, assembler, images, block translator.
+"""Mini-ISA substrate: instruction set, assembler, images, block translator
+and block JIT.
 
 This package replaces the paper's x86/PIN environment with a small register
 machine that preserves everything Harrier observes: per-instruction data

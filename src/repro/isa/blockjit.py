@@ -1,0 +1,412 @@
+"""Block JIT: one generated Python function per hot translated block.
+
+The translator (:mod:`repro.isa.translate`) compiles every instruction
+into a closure, so a block execution is one Python call per instruction,
+a dict access per register operand and two flag stores per ALU op.  PIN
+goes one step further and compiles the whole block into one stretch of
+native code (paper sections 7 and 9); this module is that step for the
+mini-ISA.  Once a block has run :data:`~repro.isa.translate.JIT_THRESHOLD`
+times in full, :func:`fuse` gives it a single generated function in
+which
+
+* the registers the block touches are loaded into locals at entry and
+  written back once, at the exit or at a fault;
+* ZF/SF are stored once, from the last flag-setting op (a conditional
+  branch tests that value directly);
+* the only fault checks are at the ops that can fault (a DIV/MOD by a
+  register), each with its own exit that records the faulting index;
+* memory addresses go to locals and become the record's ``holes`` list
+  in one step.
+
+The source is generated from the block's *shape* only — per instruction,
+the opcode and its GP register names (:attr:`BlockPlan.shape`).  Every
+guest value (immediates, offsets, branch targets, fall-through and fault
+addresses, fault messages) is a default argument bound from
+:attr:`BlockPlan.consts`, so no guest-controlled text reaches
+``compile()``, and a register name that is not in ``GP_REGISTERS``
+stops the emitter.  The compiled code objects are cached process-wide by
+shape in :data:`CODE_CACHE` (bounded, least recently used first out):
+a new block of a known shape costs one ``types.FunctionType`` call
+instead of a ``compile()``.
+
+A generated function takes the plan as an argument (the record needs
+it) and does not close over it, so a dropped plan is freed by reference
+counting, without the cycle collector.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from types import CodeType, FunctionType
+from typing import Dict, List, Optional, Tuple
+
+from repro.isa.cpu import CpuFault
+from repro.isa.registers import CPUID_REGISTERS, GP_REGISTERS
+from repro.isa.translate import (
+    EXIT_FAULT,
+    EXIT_HALT,
+    EXIT_SYSCALL,
+    SHAPE_IMM,
+    BlockPlan,
+    BlockRecord,
+)
+
+#: Code objects kept in :data:`CODE_CACHE`.  One 210-variant sweep
+#: round translates 6,420 blocks of 326 distinct shapes (32 of them hot
+#: enough to fuse), so the bound only caps adversarial shape churn: a
+#: code object takes about 1.4 kB for a 2-instruction block and 7.7 kB
+#: for a 64-instruction one, so a full cache holds at most ~8 MB.
+CODE_CACHE_MAX = 1024
+
+#: The generated functions' globals: they look nothing up, so they get
+#: no builtins either.
+_GLOBALS: Dict[str, object] = {"__builtins__": {}}
+
+_REGISTERS = frozenset(GP_REGISTERS)
+_ARITH = {"add": "+", "sub": "-", "mul": "*", "xor": "^", "and": "&",
+          "or": "|"}
+_SHIFTS = {"shl": "<<", "shr": ">>"}
+#: Branch condition on the last flag value, and on the cpu's stored
+#: flags for a block that sets none (zf == value == 0, sf == value < 0).
+_JCC = {
+    "jz": ("{} == 0", "cpu.zf"),
+    "jnz": ("{} != 0", "not cpu.zf"),
+    "jl": ("{} < 0", "cpu.sf"),
+    "jle": ("{} <= 0", "cpu.sf or cpu.zf"),
+    "jg": ("{} > 0", "not (cpu.sf or cpu.zf)"),
+    "jge": ("{} >= 0", "not cpu.sf"),
+}
+
+
+class _Emitter:
+    """Writes the body of one block function from its shape."""
+
+    def __init__(self) -> None:
+        self.nconsts = 0
+        self.nholes = 0
+        self.entry: List[str] = []     # registers loaded at entry
+        self.live = set()              # registers held in a local
+        self.written: List[str] = []   # registers to write back
+        #: The local holding the last flag-setting value (a register,
+        #: or ``f``), None until an op sets flags.
+        self.flag: Optional[str] = None
+        self.lines: List[str] = []
+        self.uses_cells = False
+        self.uses_cget = False
+        self.dead = False              # past an op that always faults
+        self.executed = 0              # instructions emitted so far
+
+    # -- names ---------------------------------------------------------
+    def const(self) -> str:
+        name = f"k{self.nconsts}"
+        self.nconsts += 1
+        return name
+
+    def hole(self) -> str:
+        name = f"h{self.nholes}"
+        self.nholes += 1
+        return name
+
+    @staticmethod
+    def reg(name: str) -> str:
+        if name not in _REGISTERS:
+            raise ValueError(f"not a GP register: {name!r}")
+        return name
+
+    def read(self, name: str) -> str:
+        name = self.reg(name)
+        if name not in self.live:
+            self.live.add(name)
+            self.entry.append(name)
+        return name
+
+    def src(self, operand: str) -> str:
+        return self.const() if operand == SHAPE_IMM else self.read(operand)
+
+    def write(self, name: str, sets_flag: bool = False) -> str:
+        name = self.reg(name)
+        if self.flag == name and not sets_flag:
+            # The pending flag value is about to be overwritten.
+            self.emit(f"f = {name}")
+            self.flag = "f"
+        self.live.add(name)
+        if name not in self.written:
+            self.written.append(name)
+        return name
+
+    def emit(self, line: str, indent: str = "") -> None:
+        if not self.dead:
+            self.lines.append("    " + indent + line)
+
+    # -- exits ---------------------------------------------------------
+    def state(self, indent: str = "") -> None:
+        """Write back registers, flags and the address trace."""
+        for name in self.written:
+            self.emit(f"regs[{name!r}] = {name}", indent)
+        if self.flag is not None:
+            self.emit(f"cpu.zf = {self.flag} == 0", indent)
+            self.emit(f"cpu.sf = {self.flag} < 0", indent)
+        if self.nholes:
+            holes = ", ".join(f"h{i}" for i in range(self.nholes))
+            self.emit(f"rec.holes = [{holes}]", indent)
+
+    def fault(self, halt: bool, indent: str = "") -> None:
+        """The exit of a fault at the current instruction (not retired;
+        the pc moves past it, as the interpreter leaves it)."""
+        message = self.const()
+        pc = self.const()
+        self.state(indent)
+        if halt:
+            self.emit("cpu.halted = True", indent)
+        self.emit(f"cpu.pc = rec.next_pc = {pc}", indent)
+        self.emit(f"rec.executed = {self.executed}", indent)
+        self.emit(f"rec.kind = {EXIT_FAULT}", indent)
+        self.emit(f"rec.fault = CpuFault({message})", indent)
+        self.emit("return rec", indent)
+
+    # -- instructions --------------------------------------------------
+    def straight(self, item: Tuple[str, ...]) -> None:
+        op = item[0]
+        if op == "mov":
+            value = self.src(item[2])
+            self.emit(f"{self.write(item[1])} = {value}")
+        elif op == "load":
+            offset = self.const()
+            base = self.read(item[2])
+            addr = self.hole()
+            self.emit(f"{addr} = {base} + {offset}")
+            self.uses_cget = True
+            self.emit(f"{self.write(item[1])} = cget({addr}, 0)")
+        elif op == "store":
+            offset = self.const()
+            base = self.read(item[1])
+            addr = self.hole()
+            self.emit(f"{addr} = {base} + {offset}")
+            self.uses_cells = True
+            self.emit(f"cells[{addr}] = {self.src(item[2])}")
+        elif op in _ARITH or op in _SHIFTS:
+            value = self.src(item[2])
+            dst = self.read(item[1])
+            self.write(dst, sets_flag=True)
+            if op in _ARITH:
+                self.emit(f"{dst} = {dst} {_ARITH[op]} {value}")
+            else:
+                self.emit(f"{dst} = {dst} {_SHIFTS[op]} ({value} & 63)")
+            self.flag = dst
+        elif op in ("div", "mod"):
+            dst = self.read(item[1])
+            if item[2] == SHAPE_IMM:
+                value = self.const()  # never zero: that decodes to a fault
+            else:
+                value = self.read(item[2])
+                self.emit(f"if {value} == 0:")
+                self.fault(halt=True, indent="    ")
+            # Truncating division, exact at any size (_trunc_div).
+            self.emit(f"q = {dst} // {value}")
+            self.emit(f"if q < 0 and q * {value} != {dst}:")
+            self.emit("q += 1", "    ")
+            self.write(dst, sets_flag=True)
+            if op == "div":
+                self.emit(f"{dst} = q")
+            else:
+                self.emit(f"{dst} = {dst} - q * {value}")
+            self.flag = dst
+        elif op == "cmp":
+            value = self.src(item[2])
+            self.emit(f"f = {self.read(item[1])} - {value}")
+            self.flag = "f"
+        elif op == "push":
+            value = self.src(item[1])
+            self.read("esp")
+            self.write("esp")
+            addr = self.hole()
+            self.uses_cells = True
+            # push esp stores the decremented esp, like the closure.
+            self.emit(f"esp = {addr} = esp - 1")
+            self.emit(f"cells[{addr}] = {value}")
+        elif op == "pop":
+            addr = self.hole()
+            self.emit(f"{addr} = {self.read('esp')}")
+            self.uses_cget = True
+            self.emit(f"{self.write(item[1])} = cget({addr}, 0)")
+            self.emit(f"{self.write('esp')} = {addr} + 1")
+        elif op == "cpuid":
+            for name in CPUID_REGISTERS:
+                value = self.const()
+                self.emit(f"{self.write(name)} = {value}")
+        elif op == "nop":
+            pass
+        elif op == "fault":
+            self.fault(halt=len(item) > 1)
+            self.dead = True
+        else:
+            raise ValueError(f"unknown shape item {op!r}")
+
+    def exit(self, item: Tuple[str, ...]) -> None:
+        """The block's final item: its control transfer or fall-through."""
+        op = item[0]
+        if op == "jmp":
+            target = self.const()
+            self.state()
+            self.emit(f"cpu.pc = rec.next_pc = {target}")
+        elif op in _JCC:
+            target = self.const()
+            fall = self.const()
+            on_value, on_flags = _JCC[op]
+            cond = on_value.format(self.flag) if self.flag else on_flags
+            self.state()
+            self.emit(f"cpu.pc = rec.next_pc = {target} if {cond} else {fall}")
+        elif op == "call":
+            if item[1] == SHAPE_IMM:
+                target = self.const()
+            else:
+                # Read before the push: ``call esp`` jumps to the old esp.
+                self.emit(f"t = {self.read(item[1])}")
+                target = "t"
+            ret = self.const()
+            self.read("esp")
+            self.write("esp")
+            addr = self.hole()
+            self.uses_cells = True
+            self.emit(f"esp = {addr} = esp - 1")
+            self.emit(f"cells[{addr}] = {ret}")
+            self.state()
+            self.emit(f"cpu.pc = rec.next_pc = rec.call_target = {target}")
+            self.emit(f"rec.call_return_addr = {ret}")
+        elif op == "ret":
+            # The return-address read is no taint hole (RET moves no
+            # tags), so it records no address.
+            self.uses_cget = True
+            self.emit(f"t = cget({self.read('esp')}, 0)")
+            self.emit(f"{self.write('esp')} = esp + 1")
+            self.state()
+            self.emit("cpu.pc = rec.next_pc = rec.ret_target = t")
+        elif op in ("int", "hlt", "fall"):
+            nxt = self.const()
+            self.state()
+            if op == "hlt":
+                self.emit("cpu.halted = True")
+            self.emit(f"cpu.pc = rec.next_pc = {nxt}")
+            if op != "fall":
+                kind = EXIT_SYSCALL if op == "int" else EXIT_HALT
+                self.emit(f"rec.kind = {kind}")
+        elif op == "fault":
+            self.straight(item)  # a terminator that always faults
+            return
+        else:
+            raise ValueError(f"unknown exit item {op!r}")
+        if op != "fall":
+            self.executed += 1
+        self.emit(f"rec.executed = {self.executed}")
+        self.emit("return rec")
+
+
+def block_source(shape: Tuple[tuple, ...]) -> str:
+    """The Python source of the fused function for ``shape``.
+
+    Raises ValueError for an item or register name the emitter does not
+    know, so nothing but opcode names, GP register names and the
+    emitter's own identifiers is ever written.
+    """
+    em = _Emitter()
+    for item in shape[:-1]:
+        em.straight(item)
+        em.executed += 1
+    em.exit(shape[-1])
+    params = ", ".join(
+        ["plan", "cpu", "BlockRecord", "CpuFault"]
+        + [f"k{i}" for i in range(em.nconsts)]
+    )
+    head = [f"def block({params}):", "    rec = BlockRecord(plan)"]
+    if em.entry or em.written:
+        head.append("    regs = cpu.regs._values")
+    if em.uses_cells or em.uses_cget:
+        head.append("    cells = cpu.memory.cells")
+    if em.uses_cget:
+        head.append("    cget = cells.get")
+    head.extend(f"    {name} = regs[{name!r}]" for name in em.entry)
+    return "\n".join(head + em.lines) + "\n"
+
+
+def compile_shape(shape: Tuple[tuple, ...]) -> CodeType:
+    """Compile ``shape``'s source; returns the function's code object."""
+    module = compile(block_source(shape), "<blockjit>", "exec",
+                     dont_inherit=True)
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+class CodeCache:
+    """Block shape -> compiled code object, bounded.
+
+    The least recently *fused* shape is evicted first once
+    ``max_entries`` is exceeded.  Eviction drops only the cache's
+    reference: functions already built from the code keep it.
+    Hits and misses happen once per fused block, never per execution.
+    """
+
+    def __init__(self, max_entries: int = CODE_CACHE_MAX) -> None:
+        self.max_entries = max_entries
+        self._codes: "OrderedDict[tuple, CodeType]" = OrderedDict()
+        self._lock = threading.Lock()
+        #: ``compile()`` calls (cache misses).
+        self.compiles = 0
+        self.evictions = 0
+        #: Functions built (blocks fused), hits and misses together.
+        self.fused = 0
+
+    def code_for(self, shape: Tuple[tuple, ...]) -> CodeType:
+        with self._lock:
+            codes = self._codes
+            code = codes.pop(shape, None)
+            if code is None:
+                code = compile_shape(shape)
+                self.compiles += 1
+            codes[shape] = code  # (re)inserted as most recently used
+            while len(codes) > self.max_entries:
+                codes.popitem(last=False)
+                self.evictions += 1
+            self.fused += 1
+            return code
+
+    def stats(self) -> Dict[str, int]:
+        return {
+            "code_objects": len(self._codes),
+            "compiles": self.compiles,
+            "evictions": self.evictions,
+            "fused_blocks": self.fused,
+        }
+
+
+#: The process-wide code cache (fleet and serve workers each own one).
+CODE_CACHE = CodeCache()
+
+#: ``blockjit_*`` gauge name -> :meth:`CodeCache.stats` key.
+GAUGES = {
+    "blockjit_code_objects": "code_objects",
+    "blockjit_compiles": "compiles",
+    "blockjit_evictions": "evictions",
+    "blockjit_fused_blocks": "fused_blocks",
+}
+
+
+def sample_gauges(registry, stats: Optional[Dict[str, int]] = None,
+                  **labels: str) -> None:
+    """Write the code cache's state (this process's, or ``stats`` from
+    another) into ``blockjit_*`` gauges on ``registry``."""
+    if stats is None:
+        stats = CODE_CACHE.stats()
+    for gauge, key in GAUGES.items():
+        registry.gauge(gauge, **labels).set(float(stats.get(key, 0) or 0))
+
+
+def fuse(plan: BlockPlan):
+    """Give ``plan`` its generated function and return it."""
+    fn = FunctionType(
+        CODE_CACHE.code_for(plan.shape),
+        _GLOBALS,
+        "block",
+        (BlockRecord, CpuFault) + plan.consts,
+    )
+    plan.fused = fn
+    return fn

@@ -14,6 +14,15 @@ the instruction moves are known at decode time for everything except
 dynamic ``Mem`` addresses, which get a hole (:data:`MEM_HOLE`) filled
 from the runtime address trace.
 
+Each instruction also decodes into a *shape item* (its opcode and GP
+register names) and a tuple of constants (immediates, offsets, targets,
+fall-through and fault addresses, fault messages).  A block that has
+run :data:`JIT_THRESHOLD` times in full is fused by the block JIT
+(:mod:`repro.isa.blockjit`) into one generated function built from the
+block's shape alone, with the constants bound as default arguments;
+the closures keep serving cold blocks and every partial execution.
+Both executors are held to the same records and machine state.
+
 A :class:`BlockPlan` executes with explicit exit conditions: it returns a
 :class:`BlockRecord` whose ``kind`` says *why* the block stopped —
 fall-through/branch (:data:`EXIT_CONTINUE`), syscall
@@ -71,6 +80,16 @@ MEM_HOLE: Tuple[str] = ("mem?",)
 #: Longest block the translator will form (defensive bound; real blocks
 #: end at control transfers or leaders long before this).
 MAX_BLOCK_LEN = 64
+
+#: Full executions after which a block is fused into one generated
+#: function (:mod:`repro.isa.blockjit`).  Fusing costs a ``compile()``
+#: (about 0.4 ms) the first time a block shape is seen and a function
+#: object after that, and pays back only over repeated runs: in one
+#: 210-variant sweep round 76% of the 6,420 translated blocks run
+#: exactly once (mean 4.35 full runs), while the hot blocks of a long
+#: guest run tens of thousands of times.  See docs/performance.md
+#: ("Block JIT").
+JIT_THRESHOLD = 16
 
 #: A compiled straight-line op: ``op(cpu, regs, cells, holes)``.
 BodyOp = Callable[[object, dict, dict, list], None]
@@ -267,7 +286,7 @@ class BlockRecord:
 
 
 class BlockPlan:
-    """A translated basic block: closures + taint templates."""
+    """A translated basic block: closures, taint templates, JIT shape."""
 
     __slots__ = (
         "start",
@@ -276,6 +295,10 @@ class BlockPlan:
         "body_ops",
         "term_op",
         "taint",
+        "shape",
+        "consts",
+        "runs",
+        "fused",
         "taint_summary",
         "taint_apply",
         "prefix_apply",
@@ -290,6 +313,8 @@ class BlockPlan:
         body_ops: Tuple[BodyOp, ...],
         term_op,
         taint: Tuple[TaintTemplate, ...],
+        shape: Tuple[tuple, ...],
+        consts: tuple,
     ) -> None:
         self.start = start
         self.pcs = pcs
@@ -297,6 +322,18 @@ class BlockPlan:
         self.body_ops = body_ops
         self.term_op = term_op
         self.taint = taint
+        #: The block JIT's code-cache key: per instruction, the opcode
+        #: and GP register names only (plus the exit), so blocks that
+        #: differ only in immediates, offsets and addresses share it.
+        self.shape = shape
+        #: Every other value the fused function needs, in emitter order;
+        #: bound as default arguments, never written into source text.
+        self.consts = consts
+        #: Full executions on the closure path so far.
+        self.runs = 0
+        #: The generated function ``fused(plan, cpu) -> BlockRecord``
+        #: for full executions, once ``runs`` reaches JIT_THRESHOLD.
+        self.fused = None
         #: Block-level liveness/fold summary the taint applier compiles.
         self.taint_summary = summarize_taint(taint)
         #: The compiled summary applier for full executions, installed
@@ -319,7 +356,21 @@ class BlockPlan:
         a partial execution stops with :data:`EXIT_BUDGET` and the cpu's
         pc parked on the first unexecuted instruction, so virtual-time
         interleaving is identical to the per-instruction interpreter.
+
+        A full execution runs the block's fused function once the block
+        has run :data:`JIT_THRESHOLD` times in full; before that, and
+        for every partial execution, the per-instruction closures run.
         """
+        if limit >= self.length:
+            fused = self.fused
+            if fused is not None:
+                return fused(self, cpu)
+            self.runs += 1
+            if self.runs >= JIT_THRESHOLD:
+                # Imported here: blockjit builds on this module.
+                from repro.isa.blockjit import fuse
+
+                return fuse(self)(self, cpu)
         rec = BlockRecord(self)
         holes = rec.holes
         regs = cpu.regs._values
@@ -366,27 +417,55 @@ class BlockPlan:
 
 
 # ---------------------------------------------------------------------------
-# Per-opcode compilation.  Each compiler returns (closure, taint_template).
-# Closures receive (cpu, regs, cells, holes): regs is the raw register
-# dict, cells the raw data-cell dict — both prebound per execution — and
-# holes the dynamic address trace the taint templates consume.
+# Per-opcode compilation.  Each compiler returns (closure, taint_template,
+# shape_item, constants).  Closures receive (cpu, regs, cells, holes): regs
+# is the raw register dict, cells the raw data-cell dict — both prebound
+# per execution — and holes the dynamic address trace the taint templates
+# consume.  The shape item names the opcode and the GP registers it uses
+# (:data:`SHAPE_IMM` for an immediate operand); ``constants`` holds every
+# other value the instruction needs, in the order the block JIT's emitter
+# (:mod:`repro.isa.blockjit`) consumes them.
 # ---------------------------------------------------------------------------
 
-def _fault_body(message: str, halt: bool) -> BodyOp:
+#: Shape-item marker for an immediate operand (its value is a constant).
+SHAPE_IMM = "#"
+
+
+def _trunc_div(lhs: int, rhs: int) -> int:
+    """Integer quotient rounded toward zero, like x86 ``idiv``.
+
+    Exact at any operand size: floor division, then one step back
+    toward zero when the quotient is negative and inexact.  (A float
+    quotient would overflow past 2**1024 and lose digits past 2**53.)
+    The block JIT emits the same three statements inline.
+    """
+    q = lhs // rhs
+    if q < 0 and q * rhs != lhs:
+        q += 1
+    return q
+
+
+def _fault_body(message: str, halt: bool, pc: int):
     """A compiled op that always faults (decode-time-known errors)."""
     def op(cpu, regs, cells, holes, _m=message, _h=halt):
         if _h:
             cpu.halted = True
         raise CpuFault(_m)
-    return op
+    item = ("fault", "halt") if halt else ("fault",)
+    return op, None, item, (message, pc + 1)
 
 
-def _fault_term(message: str, halt: bool):
+def _fault_term(message: str, halt: bool, pc: int):
     def term(cpu, regs, cells, holes, rec, _m=message, _h=halt):
         if _h:
             cpu.halted = True
         raise CpuFault(_m)
-    return term
+    item = ("fault", "halt") if halt else ("fault",)
+    return term, None, (item,), (message, pc + 1)
+
+
+def _bad_operand(operand, pc: int):
+    return _fault_body(f"bad source operand {operand}", False, pc)
 
 
 def _nop_op(cpu, regs, cells, holes) -> None:
@@ -401,13 +480,13 @@ def _c_mov(instr: Instruction, pc: int):
         s = b.name
         def op(cpu, regs, cells, holes, _d=d, _s=s):
             regs[_d] = regs[_s]
-        return op, (False, ((dloc, (("reg", s),)),))
+        return op, (False, ((dloc, (("reg", s),)),)), ("mov", d, s), ()
     if type(b) is Imm:
         v = b.value
         def op(cpu, regs, cells, holes, _d=d, _v=v):
             regs[_d] = _v
-        return op, (False, ((dloc, (LOC_IMM,)),))
-    return _fault_body(f"bad source operand {b}", halt=False), None
+        return op, (False, ((dloc, (LOC_IMM,)),)), ("mov", d, SHAPE_IMM), (v,)
+    return _bad_operand(b, pc)
 
 
 def _c_load(instr: Instruction, pc: int):
@@ -418,7 +497,8 @@ def _c_load(instr: Instruction, pc: int):
         addr = regs[_b] + _o
         holes.append(addr)
         regs[_d] = cells.get(addr, 0)
-    return op, (True, ((("reg", d), (MEM_HOLE,)),))
+    tmpl = (True, ((("reg", d), (MEM_HOLE,)),))
+    return op, tmpl, ("load", d, base), (off,)
 
 
 def _c_store(instr: Instruction, pc: int):
@@ -432,6 +512,7 @@ def _c_store(instr: Instruction, pc: int):
             holes.append(addr)
             cells[addr] = regs[_s]
         srcs: Tuple[tuple, ...] = (("reg", s),)
+        item, consts = ("store", base, s), (off,)
     elif type(b) is Imm:
         v = b.value
         def op(cpu, regs, cells, holes, _b=base, _o=off, _v=v):
@@ -439,9 +520,10 @@ def _c_store(instr: Instruction, pc: int):
             holes.append(addr)
             cells[addr] = _v
         srcs = (LOC_IMM,)
+        item, consts = ("store", base, SHAPE_IMM), (off, v)
     else:
-        return _fault_body(f"bad source operand {b}", halt=False), None
-    return op, (True, ((MEM_HOLE, srcs),))
+        return _bad_operand(b, pc)
+    return op, (True, ((MEM_HOLE, srcs),)), item, consts
 
 
 #: Plain binary ALU value functions.  Shift counts are masked to 0-63
@@ -466,7 +548,7 @@ def _c_alu(instr: Instruction, pc: int):
     dloc = ("reg", d)
     is_reg = type(b) is Reg
     if not is_reg and type(b) is not Imm:
-        return _fault_body(f"bad source operand {b}", halt=False), None
+        return _bad_operand(b, pc)
     if opcode in (Opcode.XOR, Opcode.SUB) and is_reg and b.name == d:
         # xor r,r / sub r,r: constant zero carries no data.
         srcs: Tuple[tuple, ...] = (LOC_ZERO,)
@@ -475,6 +557,7 @@ def _c_alu(instr: Instruction, pc: int):
     else:
         srcs = (dloc, LOC_IMM)
     tmpl = (False, ((dloc, srcs),))
+    name = opcode.value
 
     if opcode in (Opcode.DIV, Opcode.MOD):
         msg = f"division by zero at {pc:#x}"
@@ -488,23 +571,24 @@ def _c_alu(instr: Instruction, pc: int):
                 if rhs == 0:
                     cpu.halted = True
                     raise CpuFault(_m)
-                q = int(lhs / rhs)  # truncate toward zero, like x86 idiv
+                q = _trunc_div(lhs, rhs)
                 value = lhs - q * rhs if _mod else q
                 regs[_d] = value
                 cpu.zf = value == 0
                 cpu.sf = value < 0
-        else:
-            v = b.value
-            if v == 0:
-                return _fault_body(msg, halt=True), tmpl
-            def op(cpu, regs, cells, holes, _d=d, _v=v, _mod=is_mod):
-                lhs = regs[_d]
-                q = int(lhs / _v)
-                value = lhs - q * _v if _mod else q
-                regs[_d] = value
-                cpu.zf = value == 0
-                cpu.sf = value < 0
-        return op, tmpl
+            return op, tmpl, (name, d, s), (msg, pc + 1)
+        v = b.value
+        if v == 0:
+            op, _, item, consts = _fault_body(msg, True, pc)
+            return op, tmpl, item, consts
+        def op(cpu, regs, cells, holes, _d=d, _v=v, _mod=is_mod):
+            lhs = regs[_d]
+            q = _trunc_div(lhs, _v)
+            value = lhs - q * _v if _mod else q
+            regs[_d] = value
+            cpu.zf = value == 0
+            cpu.sf = value < 0
+        return op, tmpl, (name, d, SHAPE_IMM), (v,)
 
     fn = _ALU_FUNCS[opcode]
     if is_reg:
@@ -514,14 +598,14 @@ def _c_alu(instr: Instruction, pc: int):
             regs[_d] = value
             cpu.zf = value == 0
             cpu.sf = value < 0
-    else:
-        v = b.value
-        def op(cpu, regs, cells, holes, _d=d, _v=v, _fn=fn):
-            value = _fn(regs[_d], _v)
-            regs[_d] = value
-            cpu.zf = value == 0
-            cpu.sf = value < 0
-    return op, tmpl
+        return op, tmpl, (name, d, s), ()
+    v = b.value
+    def op(cpu, regs, cells, holes, _d=d, _v=v, _fn=fn):
+        value = _fn(regs[_d], _v)
+        regs[_d] = value
+        cpu.zf = value == 0
+        cpu.sf = value < 0
+    return op, tmpl, (name, d, SHAPE_IMM), (v,)
 
 
 def _c_cmp(instr: Instruction, pc: int):
@@ -533,15 +617,15 @@ def _c_cmp(instr: Instruction, pc: int):
             value = regs[_a] - regs[_s]
             cpu.zf = value == 0
             cpu.sf = value < 0
-    elif type(b) is Imm:
+        return op, None, ("cmp", a, s), ()
+    if type(b) is Imm:
         v = b.value
         def op(cpu, regs, cells, holes, _a=a, _v=v):
             value = regs[_a] - _v
             cpu.zf = value == 0
             cpu.sf = value < 0
-    else:
-        return _fault_body(f"bad source operand {b}", halt=False), None
-    return op, None
+        return op, None, ("cmp", a, SHAPE_IMM), (v,)
+    return _bad_operand(b, pc)
 
 
 def _c_push(instr: Instruction, pc: int):
@@ -554,6 +638,7 @@ def _c_push(instr: Instruction, pc: int):
             holes.append(sp)
             cells[sp] = regs[_s]
         srcs: Tuple[tuple, ...] = (("reg", s),)
+        item, consts = ("push", s), ()
     elif type(a) is Imm:
         v = a.value
         def op(cpu, regs, cells, holes, _v=v):
@@ -562,9 +647,10 @@ def _c_push(instr: Instruction, pc: int):
             holes.append(sp)
             cells[sp] = _v
         srcs = (LOC_IMM,)
+        item, consts = ("push", SHAPE_IMM), (v,)
     else:
-        return _fault_body(f"bad source operand {a}", halt=False), None
-    return op, (True, ((MEM_HOLE, srcs),))
+        return _bad_operand(a, pc)
+    return op, (True, ((MEM_HOLE, srcs),)), item, consts
 
 
 def _c_pop(instr: Instruction, pc: int):
@@ -574,7 +660,7 @@ def _c_pop(instr: Instruction, pc: int):
         holes.append(sp)
         regs[_d] = cells.get(sp, 0)
         regs["esp"] = sp + 1
-    return op, (True, ((("reg", d), (MEM_HOLE,)),))
+    return op, (True, ((("reg", d), (MEM_HOLE,)),)), ("pop", d), ()
 
 
 def _c_cpuid(instr: Instruction, pc: int):
@@ -586,11 +672,11 @@ def _c_cpuid(instr: Instruction, pc: int):
         False,
         tuple((("reg", r), (LOC_HARDWARE,)) for r in CPUID_REGISTERS),
     )
-    return op, tmpl
+    return op, tmpl, ("cpuid",), tuple(v for _, v in values)
 
 
 def _c_nop(instr: Instruction, pc: int):
-    return _nop_op, None
+    return _nop_op, None, ("nop",), ()
 
 
 _STRAIGHT_COMPILERS: Dict[Opcode, Callable] = {
@@ -619,7 +705,7 @@ def _compile_straight(instr: Instruction, pc: int):
     compiler = _STRAIGHT_COMPILERS.get(instr.opcode)
     if compiler is None:  # pragma: no cover - exhaustive opcode table
         return _fault_body(f"unimplemented opcode {instr.opcode}",
-                           halt=False), None
+                           False, pc)
     return compiler(instr, pc)
 
 
@@ -636,31 +722,35 @@ _JCC_CONDS = {
 
 
 def _compile_terminator(instr: Instruction, pc: int):
-    """Compile the block's last instruction; returns (term_op, taint)."""
+    """Compile the block's last instruction.
+
+    Returns (term_op, taint, shape_items, constants): one shape item for
+    a control transfer, INT or HLT, or the straight op's item followed
+    by ``("fall",)`` for a cut block.
+    """
     opcode = instr.opcode
+    name = opcode.value
 
     if opcode is Opcode.JMP:
         a = instr.a
         if type(a) is not Imm:
-            return _fault_term(f"expected immediate, got {a}",
-                               halt=False), None
+            return _fault_term(f"expected immediate, got {a}", False, pc)
         target = a.value
         def term(cpu, regs, cells, holes, rec, _t=target):
             cpu.pc = _t
-        return term, None
+        return term, None, ((name,),), (target,)
 
     cond = _JCC_CONDS.get(opcode)
     if cond is not None:
         a = instr.a
         if type(a) is not Imm:
-            return _fault_term(f"expected immediate, got {a}",
-                               halt=False), None
+            return _fault_term(f"expected immediate, got {a}", False, pc)
         target = a.value
         fall = pc + 1
         def term(cpu, regs, cells, holes, rec, _t=target, _f=fall,
                  _c=cond):
             cpu.pc = _t if _c(cpu) else _f
-        return term, None
+        return term, None, ((name,),), (target, fall)
 
     if opcode is Opcode.CALL:
         a = instr.a
@@ -676,6 +766,7 @@ def _compile_terminator(instr: Instruction, pc: int):
                 cpu.pc = target
                 rec.call_target = target
                 rec.call_return_addr = _r
+            item, consts = (name, s), (ret,)
         elif type(a) is Imm:
             target = a.value
             def term(cpu, regs, cells, holes, rec, _t=target, _r=ret):
@@ -686,10 +777,10 @@ def _compile_terminator(instr: Instruction, pc: int):
                 cpu.pc = _t
                 rec.call_target = _t
                 rec.call_return_addr = _r
+            item, consts = (name, SHAPE_IMM), (target, ret)
         else:
-            return _fault_term(f"expected immediate, got {a}",
-                               halt=False), None
-        return term, (True, ((MEM_HOLE, (LOC_ZERO,)),))
+            return _fault_term(f"expected immediate, got {a}", False, pc)
+        return term, (True, ((MEM_HOLE, (LOC_ZERO,)),)), (item,), consts
 
     if opcode is Opcode.RET:
         def term(cpu, regs, cells, holes, rec):
@@ -698,23 +789,21 @@ def _compile_terminator(instr: Instruction, pc: int):
             regs["esp"] = sp + 1
             cpu.pc = target
             rec.ret_target = target
-        return term, None
+        return term, None, ((name,),), ()
 
     if opcode is Opcode.INT:
         a = instr.a
         if type(a) is not Imm:
-            return _fault_term(f"expected immediate, got {a}",
-                               halt=False), None
+            return _fault_term(f"expected immediate, got {a}", False, pc)
         if a.value != 0x80:
             return _fault_term(
-                f"unsupported interrupt {a.value:#x} at {pc:#x}",
-                halt=True,
-            ), None
+                f"unsupported interrupt {a.value:#x} at {pc:#x}", True, pc
+            )
         nxt = pc + 1
         def term(cpu, regs, cells, holes, rec, _n=nxt):
             cpu.pc = _n
             rec.kind = EXIT_SYSCALL
-        return term, None
+        return term, None, ((name,),), (nxt,)
 
     if opcode is Opcode.HLT:
         nxt = pc + 1
@@ -722,16 +811,16 @@ def _compile_terminator(instr: Instruction, pc: int):
             cpu.halted = True
             cpu.pc = _n
             rec.kind = EXIT_HALT
-        return term, None
+        return term, None, ((name,),), (nxt,)
 
     # A cut block (leader / unmapped successor / max length): the last
     # instruction is an ordinary straight-line op plus a fall-through.
-    op, tmpl = _compile_straight(instr, pc)
+    op, tmpl, item, consts = _compile_straight(instr, pc)
     nxt = pc + 1
     def term(cpu, regs, cells, holes, rec, _op=op, _n=nxt):
         _op(cpu, regs, cells, holes)
         cpu.pc = _n
-    return term, tmpl
+    return term, tmpl, (item, ("fall",)), consts + (nxt,)
 
 
 #: Straight-line opcodes that load / store through a run-time address
@@ -785,12 +874,18 @@ def translate_block(
 
     body_ops: List[BodyOp] = []
     taint: List[TaintTemplate] = []
+    shape: List[tuple] = []
+    consts: list = []
     for i in range(len(pcs) - 1):
-        op, tmpl = _compile_straight(instrs[i], pcs[i])
+        op, tmpl, item, values = _compile_straight(instrs[i], pcs[i])
         body_ops.append(op)
         taint.append(tmpl)
-    term_op, tmpl = _compile_terminator(instrs[-1], pcs[-1])
+        shape.append(item)
+        consts.extend(values)
+    term_op, tmpl, items, values = _compile_terminator(instrs[-1], pcs[-1])
     taint.append(tmpl)
+    shape.extend(items)
+    consts.extend(values)
     return BlockPlan(
         start=start,
         pcs=tuple(pcs),
@@ -798,4 +893,6 @@ def translate_block(
         body_ops=tuple(body_ops),
         term_op=term_op,
         taint=tuple(taint),
+        shape=tuple(shape),
+        consts=tuple(consts),
     )

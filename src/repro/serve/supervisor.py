@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.procs import mp_context, retry_delay
+from repro.isa import blockjit
 from repro.serve.worker import serve_worker_main
 
 #: Default per-submission wall deadline, seconds.
@@ -429,6 +430,13 @@ class Supervisor:
             "secpert_agenda_size", worker=worker
         ).set(float(engine.get("agenda_size", 0) or 0))
 
+    def _absorb_jit(self, stats: object, wid: object) -> None:
+        """Mirror a worker's block-JIT code cache (size, compiles,
+        evictions, fused blocks) into per-worker ``blockjit_*`` gauges."""
+        if self._metrics is None or not isinstance(stats, dict):
+            return
+        blockjit.sample_gauges(self._metrics, stats, worker=str(wid))
+
     def _forward(self, job: _Job, event: Dict[str, object]) -> None:
         try:
             job.on_event(event)
@@ -487,6 +495,7 @@ class Supervisor:
         if kind == "result":
             self._absorb_report(msg.get("report"))
             self._absorb_engine(msg.get("engine"), wid)
+            self._absorb_jit(msg.get("jit"), wid)
             self._finish(job, {
                 "kind": "report",
                 "report": msg["report"],

@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.api import Session
 from repro.core.report import RunReport
+from repro.isa import blockjit
 from repro.secpert.policy import PolicyConfig
 from repro.secpert.secpert import Secpert
 from repro.serve.protocol import Submission
@@ -108,7 +109,7 @@ def serve_worker_main(worker_id: int, job_queue, result_queue) -> None:
         {"kind": "ready"}                       idle, health heartbeat
         {"kind": "start", job, attempt}         picked a job up
         {"kind": "warning", job, attempt, seq, warning}
-        {"kind": "result", job, attempt, report, ok, elapsed, engine}
+        {"kind": "result", job, attempt, report, ok, elapsed, engine, jit}
         {"kind": "error",  job, attempt, error, elapsed}
         {"kind": "bye"}                         clean poison-pill exit
     """
@@ -154,6 +155,8 @@ def serve_worker_main(worker_id: int, job_queue, result_queue) -> None:
                 "ok": ok,
                 "elapsed": time.perf_counter() - started,
                 "engine": engine,
+                # This worker's block-JIT code cache (it outlives runs).
+                "jit": blockjit.CODE_CACHE.stats(),
             })
         except Exception:
             result_queue.put({

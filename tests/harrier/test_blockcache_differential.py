@@ -1,8 +1,8 @@
 """Differential suite: every registered workload, production vs oracles.
 
-The block translation cache and the zero-taint fast path are pure
-performance substrates — it must be impossible to tell from any
-observable output that the guest did not run on the reference
+The block translation cache, the block JIT and the zero-taint fast path
+are pure performance substrates — it must be impossible to tell from
+any observable output that the guest did not run on the reference
 per-instruction interpreter, or that its taint was not replayed
 transfer by transfer.  This runs the entire Table 4-8 + macro +
 extension + scenario registries in production and under each oracle
@@ -17,7 +17,11 @@ import importlib
 
 import pytest
 
-from tests.oracles import reference_interpreter, template_replay
+from tests.oracles import (
+    fuse_every_block,
+    reference_interpreter,
+    template_replay,
+)
 
 _REGISTRIES = (
     ("table4", "repro.programs.micro.execflow", "table4_workloads"),
@@ -99,6 +103,19 @@ def test_cached_execution_is_indistinguishable(workload):
     for key in cached:
         assert cached[key] == interp[key], (
             f"{workload.name}: {key} diverges between block-cache and "
+            f"interpreter execution"
+        )
+
+
+@pytest.mark.parametrize("workload", _all_workloads())
+def test_fused_execution_is_indistinguishable(workload):
+    """Every block fused from its first execution (not only the hot
+    ones) still matches the reference interpreter."""
+    fused = _run_fingerprint(workload, oracle=fuse_every_block)
+    interp = _run_fingerprint(workload, oracle=reference_interpreter)
+    for key in fused:
+        assert fused[key] == interp[key], (
+            f"{workload.name}: {key} diverges between fused-block and "
             f"interpreter execution"
         )
 

@@ -1,15 +1,19 @@
 """Reference implementations the production paths must match bit for bit.
 
-The runtime has one execution engine (the block translation cache), one
-taint path (compiled block and block-prefix summaries) and one rule
-matcher (Rete).  The simpler implementations they replaced live here,
-as differential oracles only:
+The runtime has one execution engine (the block translation cache,
+whose blocks run as per-instruction closures until the block JIT fuses
+the hot ones), one taint path (compiled block and block-prefix
+summaries) and one rule matcher (Rete).  The simpler implementations
+they replaced live here, as differential oracles only, beside the
+switches that pin the block JIT to one executor:
 
 * :mod:`tests.oracles.interpreter` — the per-instruction CPU interpreter
   with Harrier's per-instruction taint replay;
 * :mod:`tests.oracles.replay` — template replay of every block's taint,
   transfer by transfer (the compiled summaries never run);
-* :mod:`tests.oracles.matcher` — the naive full-rejoin rule matcher.
+* :mod:`tests.oracles.matcher` — the naive full-rejoin rule matcher;
+* :mod:`tests.oracles.jit` — block-JIT thresholds: fuse every block from
+  its first execution, or run the per-instruction closures only.
 
 Each is installed with a context manager that patches the one production
 path it stands in for, so no product constructor, option or CLI flag
@@ -18,7 +22,14 @@ fleet and serve workers.
 """
 
 from tests.oracles.interpreter import reference_interpreter
+from tests.oracles.jit import closure_only, fuse_every_block
 from tests.oracles.matcher import naive_matcher
 from tests.oracles.replay import template_replay
 
-__all__ = ["naive_matcher", "reference_interpreter", "template_replay"]
+__all__ = [
+    "closure_only",
+    "fuse_every_block",
+    "naive_matcher",
+    "reference_interpreter",
+    "template_replay",
+]

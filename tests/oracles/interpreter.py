@@ -222,10 +222,15 @@ def _exec_alu(cpu: CPU, instr: Instruction, result: StepResult) -> None:
         if rhs == 0:
             cpu.halted = True
             raise CpuFault(f"division by zero at {result.pc:#x}")
+        # Truncate toward zero, like x86 idiv, in exact integer
+        # arithmetic: divide the magnitudes, then restore the sign.
+        quotient = abs(lhs) // abs(rhs)
+        if (lhs < 0) != (rhs < 0):
+            quotient = -quotient
         if op is Opcode.DIV:
-            value = int(lhs / rhs)  # truncate toward zero, like x86 idiv
+            value = quotient
         else:
-            value = lhs - int(lhs / rhs) * rhs
+            value = lhs - quotient * rhs
     elif op is Opcode.XOR:
         value = lhs ^ rhs
     elif op is Opcode.AND:

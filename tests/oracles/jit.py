@@ -1,0 +1,41 @@
+"""Block-JIT switches: fuse every block, or never fuse one.
+
+``BlockPlan.execute`` fuses a block into one generated function once
+the block has run ``repro.isa.translate.JIT_THRESHOLD`` times in full.
+These context managers patch that module constant, the way
+:func:`tests.oracles.template_replay` patches ``install_applier``:
+
+* :func:`fuse_every_block` — threshold 1: every full execution, from a
+  block's first, runs generated code (the differential suites use it to
+  hold fused execution to the reference interpreter on every block,
+  not only the hot ones);
+* :func:`closure_only` — no block is ever fused: the per-instruction
+  closure path, the baseline the JIT's perf gate compares against.
+
+Plans fused inside a block stay fused after it (fused and closure
+execution are interchangeable by contract), so run :func:`closure_only`
+on fresh machines.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from unittest import mock
+
+from repro.isa import translate
+
+
+@contextmanager
+def _threshold(value):
+    with mock.patch.object(translate, "JIT_THRESHOLD", value):
+        yield
+
+
+def fuse_every_block():
+    """Fuse each block at its first full execution."""
+    return _threshold(1)
+
+
+def closure_only():
+    """Never fuse a block: every execution runs the closures."""
+    return _threshold(float("inf"))

@@ -9,7 +9,13 @@ from repro.core.hth import HTH
 from repro.expert import InferenceEngine, Pattern, Rule, Template, V
 from repro.expert.rete import ReteNetwork
 from repro.isa import assemble
-from tests.oracles import naive_matcher, reference_interpreter, template_replay
+from tests.oracles import (
+    closure_only,
+    fuse_every_block,
+    naive_matcher,
+    reference_interpreter,
+    template_replay,
+)
 from tests.oracles.matcher import NaiveNetwork
 
 LOOP = """
@@ -68,6 +74,38 @@ class TestTemplateReplay:
         replayed = len(calls)
         assert _run().harrier.fastpath_blocks > 0
         assert len(calls) == replayed
+
+
+def _plans(hth):
+    return [
+        plan
+        for _, cache in hth.kernel._block_caches.values()
+        for plan in cache.plans.values()
+    ]
+
+
+class TestJitThresholds:
+    def test_fuse_every_block_fuses_on_first_execution(self):
+        with fuse_every_block():
+            hth = _run()
+        plans = _plans(hth)
+        # The loop's single-run blocks (entry, exit) are fused too.
+        assert plans and all(plan.fused is not None for plan in plans)
+
+    def test_closure_only_never_fuses(self):
+        with closure_only():
+            hth = _run()
+        assert all(plan.fused is None for plan in _plans(hth))
+        assert max(plan.runs for plan in _plans(hth)) >= 5
+
+    def test_restored_on_exit(self):
+        with fuse_every_block():
+            pass
+        with closure_only():
+            pass
+        # Production: a block run fewer times than the threshold is
+        # never fused.
+        assert all(plan.fused is None for plan in _plans(_run()))
 
 
 def _engine():

@@ -359,6 +359,10 @@ class TestHttpFront:
         assert value(warm["text"], "provenance_evidence_total") >= 1
         assert value(warm["text"], "provenance_sources_total") >= 1
         assert value(warm["text"], "harrier_events_emitted_total") >= 1
+        # The worker's block-JIT code cache, as of its last result.
+        for gauge in ("blockjit_code_objects", "blockjit_compiles",
+                      "blockjit_evictions", "blockjit_fused_blocks"):
+            assert value(warm["text"], f'{gauge}{{worker="0"}}') >= 0
 
     def test_http_backpressure_maps_to_429(self, tmp_path):
         async def main():
