@@ -17,6 +17,10 @@ configurations:
 * harrier-closures  — the full monitor with the block JIT off: every
                       block runs its per-instruction closures
                       (``tests/oracles`` ``closure_only``)
+* harrier-record-path — the full monitor with hot blocks fused but the
+                      monitor not inlined into them: every block
+                      returns a record to ``Harrier.on_block``
+                      (``tests/oracles`` ``record_path``)
 * harrier-fastpath(-off) — the full monitor with the zero-taint dataflow
                       fast path on/off (fastpath == the default
                       harrier-full; -off runs the forced template-replay
@@ -52,7 +56,12 @@ from repro.telemetry import (
     STAGE_NATIVE,
     Telemetry,
 )
-from tests.oracles import closure_only, reference_interpreter, template_replay
+from tests.oracles import (
+    closure_only,
+    record_path,
+    reference_interpreter,
+    template_replay,
+)
 
 #: A busy workload: string shuffling, arithmetic, file writes.
 WORKLOAD_SOURCE = """
@@ -109,6 +118,7 @@ _CONFIGS = {
     "harrier-full": (HarrierConfig(), _PRODUCTION),
     "harrier-full-interp": (HarrierConfig(), reference_interpreter),
     "harrier-closures": (HarrierConfig(), closure_only),
+    "harrier-record-path": (HarrierConfig(), record_path),
     "harrier-fastpath": (HarrierConfig(), _PRODUCTION),
     "harrier-fastpath-off": (HarrierConfig(), template_replay),
     "harrier-provenance-off": (

@@ -13,6 +13,10 @@ when either property breaks:
 * the block JIT (hot blocks fused into one generated function) is
   slower than closure-only execution (``tests/oracles`` ``closure_only``)
   beyond the same noise margin;
+* the full monitor inlined into fused blocks is slower than the same
+  blocks returning records to ``Harrier.on_block`` (``tests/oracles``
+  ``record_path``), or an ablation (no-bbfreq, no-dataflow) is slower
+  than the full monitor — both beyond the same noise margin;
 * the dataflow fast path is not at least :data:`FASTPATH_SPEEDUP`
   faster than forced per-transfer template replay — or the two disagree
   on retired instructions or emitted warnings (they must be
@@ -173,6 +177,52 @@ def check_block_jit() -> int:
     print("ok: block-JIT execution is not slower than closure-only "
           "execution")
     return 0
+
+
+def check_inline_monitor() -> int:
+    inlined = run_workload("harrier-full")
+    records = run_workload("harrier-record-path")
+    if (inlined.result.instructions != records.result.instructions
+            or inlined.warnings != records.warnings):
+        print(
+            "FAIL: the inlined monitor and the record path disagree on "
+            "retired instructions or warnings",
+            file=sys.stderr,
+        )
+        return 1
+    full, records = measure("harrier-full", "harrier-record-path")
+    speedup = records / full if full else float("inf")
+    print(
+        f"perf smoke: inlined={full * 1000:.2f} ms "
+        f"record-path={records * 1000:.2f} ms "
+        f"speedup={speedup:.2f}x"
+    )
+    failed = 0
+    if full > records * NOISE_MARGIN:
+        print(
+            "FAIL: the inlined monitor is slower than the record path "
+            f"(margin {NOISE_MARGIN}x)",
+            file=sys.stderr,
+        )
+        failed = 1
+    # The ROADMAP rule: an ablation never beats the full monitor's cost.
+    for ablation in ("harrier-no-bbfreq", "harrier-no-dataflow"):
+        less, full = measure(ablation, "harrier-full")
+        print(
+            f"perf smoke: {ablation}={less * 1000:.2f} ms "
+            f"harrier-full={full * 1000:.2f} ms"
+        )
+        if less > full * NOISE_MARGIN:
+            print(
+                f"FAIL: {ablation} is slower than the full monitor "
+                f"(margin {NOISE_MARGIN}x)",
+                file=sys.stderr,
+            )
+            failed = 1
+    if not failed:
+        print("ok: the inlined monitor is not slower than the record path, "
+              "and no ablation is slower than the full monitor")
+    return failed
 
 
 def check_fastpath() -> int:
@@ -478,6 +528,7 @@ def check_rule_engine() -> int:
 CHECKS = {
     "block_cache": check_block_cache,
     "block_jit": check_block_jit,
+    "inline_monitor": check_inline_monitor,
     "fastpath": check_fastpath,
     "fleet": check_fleet,
     "provenance": check_provenance,

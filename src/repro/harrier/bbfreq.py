@@ -18,9 +18,9 @@ from repro.harrier.state import ProcessShadow
 class CodeExecutionPatterns:
     """Leader-count queries over a :class:`ProcessShadow`.
 
-    The counting itself happens in ``Harrier.on_block``: a block entry
-    at an application leader bumps ``bb_counts`` and becomes
-    ``last_app_bb``.
+    The counting itself happens in ``Harrier.on_block``, or in a fused
+    block's inlined monitor code: a block entry at an application
+    leader bumps ``bb_counts`` and becomes ``last_app_bb``.
     """
 
     def event_context(self, shadow: ProcessShadow) -> Tuple[int, str]:

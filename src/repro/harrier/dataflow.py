@@ -27,12 +27,13 @@ from typing import Dict
 from repro.harrier.state import ProcessShadow
 from repro.isa.memory import MAX_CSTRING
 from repro.isa.translate import summarize_taint
+from repro.taint.shadow import PAGE_SHIFT
 from repro.taint.tags import EMPTY, DataSource, TagSet, TagSetInterner
 
 _HARDWARE = TagSet.of(DataSource.HARDWARE)
 
 
-def _apply_noop(shadow, rec) -> None:
+def _apply_noop(shadow, holes) -> None:
     """Shared applier for blocks whose summary has no taint effects."""
 
 
@@ -60,7 +61,8 @@ class InstructionDataFlow:
         """Compile the applier for a run of ``plan``'s first ``executed``
         instructions and cache it on the plan — ``plan.taint_apply`` for
         a full execution, ``plan.prefix_apply[executed]`` for a partial
-        one.  The applier is a closure ``applier(shadow, rec)``,
+        one.  The applier is a closure ``applier(shadow, holes)`` (the
+        execution's memory address trace, ``BlockRecord.holes``),
         mirroring how the translator compiles ``body_ops``: the
         summary's shape is frozen into closure cells so the
         per-execution cost is the entry-key build, one cache probe, and
@@ -156,7 +158,7 @@ class InstructionDataFlow:
             # changes nothing (the guest-loop steady state: every write
             # re-derives the value already there), the block collapses
             # to a generation check until *any* register tag changes.
-            def applier(shadow, rec) -> None:
+            def applier(shadow, holes) -> None:
                 nonlocal front_rdict, front_rgen
                 regs = shadow.regs
                 # The raw register-tag dict, like ``BlockPlan.execute``
@@ -197,9 +199,16 @@ class InstructionDataFlow:
             # (the hole addresses change between executions), but the
             # register part of the key is reused while the register
             # file's generation holds still.
-            def applier(shadow, rec) -> None:
+            #: (generation, register dict) right after the last
+            #: application of ``front_out``: while both still match, the
+            #: register file holds that application's writes, so the
+            #: same outputs would change no register.
+            done_rgen = -1
+            done_rdict = None
+
+            def applier(shadow, holes) -> None:
                 nonlocal front_rdict, front_rgen, front_rkey
-                holes = rec.holes
+                nonlocal done_rdict, done_rgen
                 regs = shadow.regs
                 rtags = regs._tags
                 gen = regs.gen
@@ -210,35 +219,48 @@ class InstructionDataFlow:
                     front_rgen = gen
                     front_rdict = rtags
                     front_rkey = key
-                if read_holes:
-                    key += tuple(
-                        map(
-                            shadow.memory.probe,
-                            map(holes.__getitem__, read_holes),
-                        )
-                    )
+                # The raw page table, like ``regs._tags`` above: the
+                # probes and the unchanged-store check below are
+                # ``ShadowMemory.probe`` inlined.
+                pages = shadow.memory._pages
+                for idx in read_holes:
+                    addr = holes[idx]
+                    page = pages.get(addr >> PAGE_SHIFT)
+                    key += (None if page is None else page.get(addr),)
                 if key == front_key:
                     out = front_out
+                    regs_done = gen == done_rgen and rtags is done_rdict
                 else:
                     out = resolve(shadow, rtags, holes, key)
                     if out is None:
                         return
+                    regs_done = False
                 reg_sets, reg_clears, mem_out = out
-                changed = False
-                rget = rtags.get
-                for reg, tags in reg_sets:
-                    if rget(reg) is not tags:
-                        rtags[reg] = tags
-                        changed = True
-                for reg in reg_clears:
-                    if rtags.pop(reg, None) is not None:
-                        changed = True
-                if changed:
-                    regs.gen = gen + 1
-                if mem_out:
-                    mset = shadow.memory.set
-                    for idx, tags in mem_out:
-                        mset(holes[idx], tags)
+                if not regs_done:
+                    changed = False
+                    rget = rtags.get
+                    for reg, tags in reg_sets:
+                        if rget(reg) is not tags:
+                            rtags[reg] = tags
+                            changed = True
+                    for reg in reg_clears:
+                        if rtags.pop(reg, None) is not None:
+                            changed = True
+                    if changed:
+                        gen += 1
+                        regs.gen = gen
+                    done_rgen = gen
+                    done_rdict = rtags
+                for idx, tags in mem_out:
+                    # A store of the tags the cell already holds (a guest
+                    # loop's steady state) changes nothing: skip it.
+                    addr = holes[idx]
+                    page = pages.get(addr >> PAGE_SHIFT)
+                    if page is None:
+                        if tags._tags:
+                            shadow.memory.set(addr, tags)
+                    elif page.get(addr) is not tags:
+                        shadow.memory.set(addr, tags)
 
         return applier
 

@@ -32,6 +32,7 @@ from repro.harrier.events import SecurityEvent
 from repro.harrier.routines import RoutineShortCircuit
 from repro.harrier.state import ProcessShadow
 from repro.harrier.syscall_events import SyscallEventGenerator
+from repro.isa import blockjit
 from repro.kernel.hooks import KernelHooks
 from repro.kernel.kernel import Kernel
 from repro.kernel.loader import LoadedImage
@@ -49,6 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import Telemetry
 
 _SHADOW_KEY = "harrier.shadow"
+#: Process.meta key of the process's block-JIT monitor context.
+_CONTEXT_KEY = "harrier.block_context"
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,19 @@ class Harrier(KernelHooks):
             self.config, self.dataflow, self.bbfreq,
             provenance=self.provenance,
         )
+        #: The on_block work a fused block does itself (see
+        #: :attr:`block_instrumentation`): the config picks what is
+        #: generated, so an ablation adds no runtime branch.
+        parts = []
+        if self._track_df:
+            parts.append(blockjit.TAINT)
+            if self._prov is not None:
+                parts.append(blockjit.PROVENANCE)
+            if self._short_circuit:
+                parts.append(blockjit.RECORD_CALLS)
+        if self._track_bb:
+            parts.append(blockjit.BBFREQ)
+        self._inline = blockjit.instrumentation(*parts)
         self.kernel: Optional[Kernel] = None
         #: Every event emitted, in order (when keep_event_log is set).
         #: Bounded by config.max_event_log: a deque(maxlen=cap) evicts the
@@ -153,6 +169,26 @@ class Harrier(KernelHooks):
         else:
             self._metrics = None
         return self
+
+    @property
+    def block_instrumentation(self):
+        """:meth:`on_block`'s work, inlined into fused blocks — except
+        while a stage profiler is attached: its per-stage timers live
+        in :meth:`on_block`, so a profiled run takes every record."""
+        return self._inline if self._profiler is None else None
+
+    def block_context(self, proc: Process) -> blockjit.MonitorContext:
+        """The process's context for inlined block work (built once)."""
+        meta = proc.meta
+        context = meta.get(_CONTEXT_KEY)
+        if context is None:
+            prov = self._prov
+            context = meta[_CONTEXT_KEY] = blockjit.MonitorContext(
+                self, self.shadow(proc), self.dataflow.install_applier,
+                prov.seen_plans if prov is not None else None,
+                prov.observe_block if prov is not None else None,
+            )
+        return context
 
     def shadow(self, proc: Process) -> ProcessShadow:
         """The per-process monitor state (one dict probe on the hot path)."""
@@ -210,7 +246,11 @@ class Harrier(KernelHooks):
     def on_block(self, proc: Process, rec) -> None:
         """Observe one executed (prefix of a) translated block.
 
-        The block's taint effects are applied in one call: the compiled
+        A fused block that leaves through its plain exit does this work
+        in its generated code instead (:attr:`block_instrumentation`),
+        with the same appliers and counters; this method sees every
+        other record.  The block's taint effects are applied in one
+        call: the compiled
         summary applier of the block, or of the executed prefix when the
         budget expired or a fault stopped the block mid-way.  The
         routine short-circuit sees the record only when its terminator
@@ -243,7 +283,7 @@ class Harrier(KernelHooks):
                 prefixes = plan.prefix_apply
                 apply = prefixes.get(executed) if prefixes else None
             (apply or self.dataflow.install_applier(plan, executed))(
-                shadow, rec
+                shadow, rec.holes
             )
             if self._short_circuit and (
                 rec.call_target is not None or rec.ret_target is not None

@@ -16,20 +16,33 @@ which
 * the only fault checks are at the ops that can fault (a DIV/MOD by a
   register), each with its own exit that records the faulting index;
 * memory addresses go to locals and become the record's ``holes`` list
-  in one step.
+  in one step;
+* the monitor's per-block work is inlined too, the way PIN inlines
+  analysis calls into a trace (paper Fig. 5): a hook that declares an
+  :func:`instrumentation` gets, on the block's plain fall-through or
+  branch exit, that work done in the same frame (taint summary, bbfreq
+  count, provenance note, see :data:`PARTS`) and no record at all —
+  the function returns None.  Faults, syscalls, HLT and (with
+  :data:`RECORD_CALLS`) CALL/RET still return a :class:`BlockRecord`,
+  and with no instrumentation (``None``) every exit does.
 
 The source is generated from the block's *shape* only — per instruction,
 the opcode and its GP register names (:attr:`BlockPlan.shape`).  Every
 guest value (immediates, offsets, branch targets, fall-through and fault
-addresses, fault messages) is a default argument bound from
-:attr:`BlockPlan.consts`, so no guest-controlled text reaches
+addresses, fault messages, the block's own address) is a default
+argument bound from :attr:`BlockPlan.consts` and :attr:`BlockPlan.start`,
+so no guest-controlled text reaches
 ``compile()``, and a register name that is not in ``GP_REGISTERS``
 stops the emitter.  The compiled code objects are cached process-wide by
-shape in :data:`CODE_CACHE` (bounded, least recently used first out):
-a new block of a known shape costs one ``types.FunctionType`` call
-instead of a ``compile()``.
+shape and instrumentation in :data:`CODE_CACHE` (bounded, least
+recently used first out): a new block of a known shape costs one
+``types.FunctionType`` call instead of a ``compile()``, and so does
+re-fusing a plan for another instrumentation (plans are shared across
+monitor configurations by a warm engine cache).
 
-A generated function takes the plan as an argument (the record needs
+A generated function is called ``fused(plan, cpu, m)`` with the hook's
+per-process :class:`MonitorContext` ``m`` (None for no monitor work).
+It takes the plan as an argument (the record and the taint applier need
 it) and does not close over it, so a dropped plan is freed by reference
 counting, without the cycle collector.
 """
@@ -79,10 +92,64 @@ _JCC = {
 }
 
 
+# -- inlined monitor work -----------------------------------------------------
+#: Instrumentation parts: the per-block monitor work a hook can have a
+#: fused block do on its plain exit (``KernelHooks.block_instrumentation``).
+#: Each reads the :class:`MonitorContext` slots named beside it.
+#:
+#: * count the full-block taint application (``monitor.fastpath_blocks``)
+#:   and apply the block's summary: ``plan.taint_apply``, compiled on
+#:   first use by ``install(plan, executed)``, called with ``shadow`` and
+#:   the address trace; nothing at all for a summary that moves no tags;
+TAINT = "taint"
+#: * with TAINT, note a taint-carrying plan once (``seen``, ``observe``);
+PROVENANCE = "provenance"
+#: * count an application basic block at its leader
+#:   (``shadow.app_leaders``, ``shadow.bb_counts``, ``shadow.last_app_bb``);
+BBFREQ = "bbfreq"
+#: * CALL/RET exits return their record instead (the hook reads the
+#:   call and return targets).
+RECORD_CALLS = "record_calls"
+PARTS = (TAINT, PROVENANCE, BBFREQ, RECORD_CALLS)
+
+_KEYS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+
+def _check_parts(parts) -> None:
+    unknown = set(parts) - set(PARTS)
+    if unknown:
+        raise ValueError(f"unknown instrumentation {sorted(unknown)!r}")
+
+
+def instrumentation(*parts: str) -> Tuple[str, ...]:
+    """The canonical key for a set of :data:`PARTS`: one object per
+    set, so a plan checks it against its fused function's with ``is``."""
+    _check_parts(parts)
+    key = tuple(part for part in PARTS if part in parts)
+    return _KEYS.setdefault(key, key)
+
+
+class MonitorContext:
+    """What an instrumented block function reads: one per monitored
+    process, handed to it as ``m`` (see :data:`PARTS`)."""
+
+    __slots__ = ("monitor", "shadow", "install", "seen", "observe")
+
+    def __init__(self, monitor, shadow, install, seen, observe) -> None:
+        self.monitor = monitor
+        self.shadow = shadow
+        self.install = install
+        self.seen = seen
+        self.observe = observe
+
+
 class _Emitter:
     """Writes the body of one block function from its shape."""
 
-    def __init__(self) -> None:
+    def __init__(self, instrumentation: Optional[Tuple[str, ...]],
+                 noop: bool) -> None:
+        self.instrumentation = instrumentation
+        self.noop = noop
         self.nconsts = 0
         self.nholes = 0
         self.entry: List[str] = []     # registers loaded at entry
@@ -107,6 +174,10 @@ class _Emitter:
         name = f"h{self.nholes}"
         self.nholes += 1
         return name
+
+    def holes(self) -> str:
+        """The address locals so far, comma-separated."""
+        return ", ".join(f"h{i}" for i in range(self.nholes))
 
     @staticmethod
     def reg(name: str) -> str:
@@ -141,15 +212,55 @@ class _Emitter:
 
     # -- exits ---------------------------------------------------------
     def state(self, indent: str = "") -> None:
-        """Write back registers, flags and the address trace."""
+        """Write back registers and flags."""
         for name in self.written:
             self.emit(f"regs[{name!r}] = {name}", indent)
         if self.flag is not None:
             self.emit(f"cpu.zf = {self.flag} == 0", indent)
             self.emit(f"cpu.sf = {self.flag} < 0", indent)
+
+    def record(self, pc: str, fields: Tuple[str, ...] = (),
+               indent: str = "") -> None:
+        """Set the pc, build the record (with the address trace and
+        ``fields``) and return it."""
+        self.emit("rec = BlockRecord(plan)", indent)
         if self.nholes:
-            holes = ", ".join(f"h{i}" for i in range(self.nholes))
-            self.emit(f"rec.holes = [{holes}]", indent)
+            self.emit(f"rec.holes = [{self.holes()}]", indent)
+        self.emit(f"cpu.pc = rec.next_pc = {pc}", indent)
+        for line in fields:
+            self.emit(line, indent)
+        self.emit(f"rec.executed = {self.executed}", indent)
+        self.emit("return rec", indent)
+
+    def leave(self, pc: str) -> None:
+        """A plain exit: set the pc, then run the inlined monitor work
+        and return None — or, with no instrumentation, return the
+        record."""
+        parts = self.instrumentation
+        if parts is None:
+            self.record(pc)
+            return
+        self.emit(f"cpu.pc = {pc}")
+        applies = TAINT in parts and not self.noop
+        if applies or BBFREQ in parts:
+            self.emit("sh = m.shadow")
+        if TAINT in parts:
+            self.emit("m.monitor.fastpath_blocks += 1")
+        if applies:
+            self.emit("ap = plan.taint_apply")
+            self.emit("if ap is None:")
+            self.emit(f"ap = m.install(plan, {self.executed})", "    ")
+            self.emit(f"ap(sh, ({self.holes()},))" if self.nholes
+                      else "ap(sh, ())")
+            if PROVENANCE in parts:
+                self.emit("if plan not in m.seen:")
+                self.emit("m.observe(plan)", "    ")
+        if BBFREQ in parts:
+            self.emit("if s in sh.app_leaders:")
+            self.emit("c = sh.bb_counts", "    ")
+            self.emit("c[s] = c.get(s, 0) + 1", "    ")
+            self.emit("sh.last_app_bb = s", "    ")
+        self.emit("return")
 
     def fault(self, halt: bool, indent: str = "") -> None:
         """The exit of a fault at the current instruction (not retired;
@@ -159,11 +270,10 @@ class _Emitter:
         self.state(indent)
         if halt:
             self.emit("cpu.halted = True", indent)
-        self.emit(f"cpu.pc = rec.next_pc = {pc}", indent)
-        self.emit(f"rec.executed = {self.executed}", indent)
-        self.emit(f"rec.kind = {EXIT_FAULT}", indent)
-        self.emit(f"rec.fault = CpuFault({message})", indent)
-        self.emit("return rec", indent)
+        self.record(pc, (
+            f"rec.kind = {EXIT_FAULT}",
+            f"rec.fault = CpuFault({message})",
+        ), indent)
 
     # -- instructions --------------------------------------------------
     def straight(self, item: Tuple[str, ...]) -> None:
@@ -246,24 +356,24 @@ class _Emitter:
     def exit(self, item: Tuple[str, ...]) -> None:
         """The block's final item: its control transfer or fall-through."""
         op = item[0]
-        if op == "jmp":
-            target = self.const()
-            self.state()
-            self.emit(f"cpu.pc = rec.next_pc = {target}")
+        if op == "fault":
+            self.straight(item)  # a terminator that always faults
+            return
+        if op in ("jmp", "fall"):
+            pc = self.const()
         elif op in _JCC:
             target = self.const()
             fall = self.const()
             on_value, on_flags = _JCC[op]
             cond = on_value.format(self.flag) if self.flag else on_flags
-            self.state()
-            self.emit(f"cpu.pc = rec.next_pc = {target} if {cond} else {fall}")
+            pc = f"{target} if {cond} else {fall}"
         elif op == "call":
             if item[1] == SHAPE_IMM:
-                target = self.const()
+                pc = self.const()
             else:
                 # Read before the push: ``call esp`` jumps to the old esp.
                 self.emit(f"t = {self.read(item[1])}")
-                target = "t"
+                pc = "t"
             ret = self.const()
             self.read("esp")
             self.write("esp")
@@ -271,54 +381,60 @@ class _Emitter:
             self.uses_cells = True
             self.emit(f"esp = {addr} = esp - 1")
             self.emit(f"cells[{addr}] = {ret}")
-            self.state()
-            self.emit(f"cpu.pc = rec.next_pc = rec.call_target = {target}")
-            self.emit(f"rec.call_return_addr = {ret}")
+            fields = (f"rec.call_target = {pc}",
+                      f"rec.call_return_addr = {ret}")
         elif op == "ret":
             # The return-address read is no taint hole (RET moves no
             # tags), so it records no address.
             self.uses_cget = True
             self.emit(f"t = cget({self.read('esp')}, 0)")
             self.emit(f"{self.write('esp')} = esp + 1")
-            self.state()
-            self.emit("cpu.pc = rec.next_pc = rec.ret_target = t")
-        elif op in ("int", "hlt", "fall"):
-            nxt = self.const()
-            self.state()
-            if op == "hlt":
-                self.emit("cpu.halted = True")
-            self.emit(f"cpu.pc = rec.next_pc = {nxt}")
-            if op != "fall":
-                kind = EXIT_SYSCALL if op == "int" else EXIT_HALT
-                self.emit(f"rec.kind = {kind}")
-        elif op == "fault":
-            self.straight(item)  # a terminator that always faults
-            return
+            pc = "t"
+            fields = ("rec.ret_target = t",)
+        elif op in ("int", "hlt"):
+            pc = self.const()
         else:
             raise ValueError(f"unknown exit item {op!r}")
+        self.state()
         if op != "fall":
             self.executed += 1
-        self.emit(f"rec.executed = {self.executed}")
-        self.emit("return rec")
+        if op in ("int", "hlt"):
+            if op == "hlt":
+                self.emit("cpu.halted = True")
+            kind = EXIT_SYSCALL if op == "int" else EXIT_HALT
+            self.record(pc, (f"rec.kind = {kind}",))
+        elif op in ("call", "ret") and (
+            self.instrumentation is None
+            or RECORD_CALLS in self.instrumentation
+        ):
+            self.record(pc, fields)
+        else:
+            self.leave(pc)
 
 
-def block_source(shape: Tuple[tuple, ...]) -> str:
-    """The Python source of the fused function for ``shape``.
+def block_source(shape: Tuple[tuple, ...],
+                 instrumentation: Optional[Tuple[str, ...]] = None,
+                 noop: bool = False) -> str:
+    """The Python source of the fused function for ``shape``, with the
+    monitor work ``instrumentation`` names inlined at its plain exits
+    (``noop``: the block's taint summary moves no tags).
 
-    Raises ValueError for an item or register name the emitter does not
-    know, so nothing but opcode names, GP register names and the
-    emitter's own identifiers is ever written.
+    Raises ValueError for an item, register name or instrumentation
+    part the emitter does not know, so nothing but opcode names, GP
+    register names and the emitter's own identifiers is ever written.
     """
-    em = _Emitter()
+    if instrumentation is not None:
+        _check_parts(instrumentation)
+    em = _Emitter(instrumentation, noop)
     for item in shape[:-1]:
         em.straight(item)
         em.executed += 1
     em.exit(shape[-1])
     params = ", ".join(
-        ["plan", "cpu", "BlockRecord", "CpuFault"]
+        ["plan", "cpu", "m", "BlockRecord", "CpuFault", "s"]
         + [f"k{i}" for i in range(em.nconsts)]
     )
-    head = [f"def block({params}):", "    rec = BlockRecord(plan)"]
+    head = [f"def block({params}):"]
     if em.entry or em.written:
         head.append("    regs = cpu.regs._values")
     if em.uses_cells or em.uses_cget:
@@ -329,10 +445,12 @@ def block_source(shape: Tuple[tuple, ...]) -> str:
     return "\n".join(head + em.lines) + "\n"
 
 
-def compile_shape(shape: Tuple[tuple, ...]) -> CodeType:
-    """Compile ``shape``'s source; returns the function's code object."""
-    module = compile(block_source(shape), "<blockjit>", "exec",
-                     dont_inherit=True)
+def compile_shape(shape: Tuple[tuple, ...],
+                  instrumentation: Optional[Tuple[str, ...]] = None,
+                  noop: bool = False) -> CodeType:
+    """Compile the block source; returns the function's code object."""
+    module = compile(block_source(shape, instrumentation, noop),
+                     "<blockjit>", "exec", dont_inherit=True)
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
@@ -355,14 +473,21 @@ class CodeCache:
         #: Functions built (blocks fused), hits and misses together.
         self.fused = 0
 
-    def code_for(self, shape: Tuple[tuple, ...]) -> CodeType:
+    def code_for(self, shape: Tuple[tuple, ...],
+                 instrumentation: Optional[Tuple[str, ...]] = None,
+                 noop: bool = False) -> CodeType:
+        # Only the inlined taint statements depend on ``noop``.
+        noop = noop and instrumentation is not None and (
+            TAINT in instrumentation
+        )
+        key = (shape, instrumentation, noop)
         with self._lock:
             codes = self._codes
-            code = codes.pop(shape, None)
+            code = codes.pop(key, None)
             if code is None:
-                code = compile_shape(shape)
+                code = compile_shape(shape, instrumentation, noop)
                 self.compiles += 1
-            codes[shape] = code  # (re)inserted as most recently used
+            codes[key] = code  # (re)inserted as most recently used
             while len(codes) > self.max_entries:
                 codes.popitem(last=False)
                 self.evictions += 1
@@ -400,13 +525,18 @@ def sample_gauges(registry, stats: Optional[Dict[str, int]] = None,
         registry.gauge(gauge, **labels).set(float(stats.get(key, 0) or 0))
 
 
-def fuse(plan: BlockPlan):
-    """Give ``plan`` its generated function and return it."""
+def fuse(plan: BlockPlan,
+         instrumentation: Optional[Tuple[str, ...]] = None):
+    """Give ``plan`` its generated function for ``instrumentation`` (an
+    :func:`instrumentation` key, or None for a function that returns a
+    record at every exit) and return it."""
     fn = FunctionType(
-        CODE_CACHE.code_for(plan.shape),
+        CODE_CACHE.code_for(plan.shape, instrumentation,
+                            plan.taint_summary.is_noop),
         _GLOBALS,
         "block",
-        (BlockRecord, CpuFault) + plan.consts,
+        (BlockRecord, CpuFault, plan.start) + plan.consts,
     )
     plan.fused = fn
+    plan.fused_for = instrumentation
     return fn

@@ -29,7 +29,10 @@ fall-through/branch (:data:`EXIT_CONTINUE`), syscall
 (:data:`EXIT_SYSCALL`), HLT (:data:`EXIT_HALT`), CPU fault
 (:data:`EXIT_FAULT`) or quantum/deadline expiry (:data:`EXIT_BUDGET`).
 The record is the monitor's unit of observation: one record per block
-entry.  The reference per-instruction interpreter these plans must match
+entry — except that a fused block, generated for a hook that inlines
+its per-block work (``KernelHooks.block_instrumentation``), does that
+work itself on a plain fall-through/branch exit and returns None.  The
+reference per-instruction interpreter these plans must match
 bit for bit lives with the differential tests (``tests/oracles``).
 """
 
@@ -299,6 +302,7 @@ class BlockPlan:
         "consts",
         "runs",
         "fused",
+        "fused_for",
         "taint_summary",
         "taint_apply",
         "prefix_apply",
@@ -331,9 +335,12 @@ class BlockPlan:
         self.consts = consts
         #: Full executions on the closure path so far.
         self.runs = 0
-        #: The generated function ``fused(plan, cpu) -> BlockRecord``
-        #: for full executions, once ``runs`` reaches JIT_THRESHOLD.
+        #: The generated function ``fused(plan, cpu, m)`` for full
+        #: executions, once ``runs`` reaches JIT_THRESHOLD, and the
+        #: monitor instrumentation it was generated for (see
+        #: :mod:`repro.isa.blockjit`).
         self.fused = None
+        self.fused_for = None
         #: Block-level liveness/fold summary the taint applier compiles.
         self.taint_summary = summarize_taint(taint)
         #: The compiled summary applier for full executions, installed
@@ -349,7 +356,8 @@ class BlockPlan:
         self.length = len(pcs)
 
     # -- execution --------------------------------------------------------
-    def execute(self, cpu, limit: int) -> BlockRecord:
+    def execute(self, cpu, limit: int, instrumentation=None,
+                monitor=None) -> Optional[BlockRecord]:
         """Run up to ``limit`` instructions of this block on ``cpu``.
 
         The quantum/deadline budget is enforced *here* (never overshot):
@@ -360,17 +368,23 @@ class BlockPlan:
         A full execution runs the block's fused function once the block
         has run :data:`JIT_THRESHOLD` times in full; before that, and
         for every partial execution, the per-instruction closures run.
+        The fused function is generated for the hook's
+        ``instrumentation`` (regenerated when it changes) and gets its
+        per-process ``monitor`` context: on a plain exit it does the
+        monitor's block work itself and returns None instead of a
+        record.  The closures always return the record.
         """
         if limit >= self.length:
             fused = self.fused
-            if fused is not None:
-                return fused(self, cpu)
-            self.runs += 1
-            if self.runs >= JIT_THRESHOLD:
+            if fused is not None and self.fused_for is instrumentation:
+                return fused(self, cpu, monitor)
+            if fused is None:
+                self.runs += 1
+            if fused is not None or self.runs >= JIT_THRESHOLD:
                 # Imported here: blockjit builds on this module.
                 from repro.isa.blockjit import fuse
 
-                return fuse(self)(self, cpu)
+                return fuse(self, instrumentation)(self, cpu, monitor)
         rec = BlockRecord(self)
         holes = rec.holes
         regs = cpu.regs._values

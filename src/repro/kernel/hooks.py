@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
+from repro.isa.blockjit import instrumentation
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.isa.translate import BlockRecord
     from repro.kernel.loader import LoadedImage
@@ -18,6 +20,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class KernelHooks:
     """Observation points in execution order."""
+
+    #: What a hook does per block inside the block JIT's generated code
+    #: (an :func:`repro.isa.blockjit.instrumentation` key).  None, the
+    #: default, means "give me every record": :meth:`on_block` runs once
+    #: per executed block.  The kernel reads it once per quantum.
+    block_instrumentation: Optional[Tuple[str, ...]] = None
+
+    def block_context(self, proc: "Process"):
+        """The per-process context a block instrumented for this hook
+        reads (a :class:`repro.isa.blockjit.MonitorContext`, or None
+        when the instrumentation reads nothing).  Fetched once per
+        quantum and again after each syscall, so it should be cached,
+        not built, per call."""
+        return None
 
     def on_process_start(self, proc: "Process") -> None:
         """A process began executing (after load or fork)."""
@@ -36,6 +52,14 @@ class KernelHooks:
         ``rec`` says how many instructions retired, why the block
         stopped, and which addresses it touched; the plan behind it
         carries the block's precomputed taint templates.
+
+        A hook that declares a :attr:`block_instrumentation` is not
+        called for a fused block that left through its plain
+        fall-through or branch exit: the generated code did the
+        declared work itself.  It still sees every other record —
+        faults, syscalls, HLT, CALL/RET when the instrumentation keeps
+        them (``RECORD_CALLS``), partial executions and blocks not yet
+        fused.
         """
 
     def on_syscall_pre(
@@ -73,13 +97,17 @@ class KernelHooks:
 
 
 class NullHooks(KernelHooks):
-    """Explicit no-op monitor (native execution)."""
+    """Explicit no-op monitor (native execution): fused blocks do no
+    monitor work and return no record on their plain exits."""
+
+    block_instrumentation = instrumentation()
 
 
 class CompositeHooks(KernelHooks):
     """Fan one hook stream out to several monitors (e.g. Harrier plus a
     baseline trace recorder).  A syscall proceeds only if every child
-    allows it."""
+    allows it.  It declares no block instrumentation, so every child
+    gets one :meth:`on_block` per executed block."""
 
     def __init__(self, children) -> None:
         self.children = list(children)

@@ -552,6 +552,10 @@ class Kernel:
             quantum = self.fault_injector.quantum(quantum)
         budget = quantum
         hooks = self.hooks
+        # A fused block instrumented for the hooks does their per-block
+        # work itself and returns no record on a plain exit.
+        inst = hooks.block_instrumentation
+        monitor = hooks.block_context(proc) if inst is not None else None
         while budget > 0:
             if proc.state is not ProcessState.RUNNABLE or self.now >= deadline:
                 return
@@ -573,7 +577,13 @@ class Kernel:
             limit = deadline - self.now
             if budget < limit:
                 limit = budget
-            rec = plan.execute(cpu, limit)
+            rec = plan.execute(cpu, limit, inst, monitor)
+            if rec is None:
+                executed = plan.length
+                self.now += executed
+                self.instructions += executed
+                budget -= executed
+                continue
             executed = rec.executed
             self.now += executed
             self.instructions += executed
@@ -584,6 +594,10 @@ class Kernel:
                 continue
             if kind == BLOCK_SYSCALL:
                 self._service_syscall(proc)
+                if inst is not None:
+                    # The call (an execve, say) may have changed what
+                    # the hooks keep for this process.
+                    monitor = hooks.block_context(proc)
             elif kind == BLOCK_HALT:
                 self._fault_log.append((proc.pid, "HLT executed"))
                 self.exit_process(proc, EXIT_FAULT)

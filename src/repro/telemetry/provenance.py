@@ -90,7 +90,9 @@ class ProvenanceRecorder:
         # evidence, because replayed blocks are not observed).
         self.blocks_observed = 0
         self.block_tokens = 0
-        self._seen_plans: set = set()
+        #: Plans :meth:`observe_block` has seen (fused blocks test it
+        #: before calling).
+        self.seen_plans: set = set()
 
     # -- recording -----------------------------------------------------------
     def record_source(
@@ -176,7 +178,7 @@ class ProvenanceRecorder:
         hot loops cost one set probe.  Feeds ``provenance_*`` gauges —
         deliberately *not* evidence, which must be mode-independent.
         """
-        seen = self._seen_plans
+        seen = self.seen_plans
         if plan in seen:
             return
         seen.add(plan)

@@ -9,7 +9,9 @@ extension + scenario registries in production and under each oracle
 (``tests/oracles``) and asserts the *full* report fingerprint matches:
 verdict, warnings, events, console output, fault log, virtual clock,
 per-process exit codes, and the monitor's internal shadow state (BB
-counters, register/memory tags).
+counters, register/memory tags) and its block counters (full and
+prefix taint applications, provenance block notes), which fused blocks
+keep in their inlined monitor code.
 """
 
 import contextlib
@@ -17,8 +19,11 @@ import importlib
 
 import pytest
 
+from repro.harrier.config import HarrierConfig
 from tests.oracles import (
+    closure_only,
     fuse_every_block,
+    record_path,
     reference_interpreter,
     template_replay,
 )
@@ -35,13 +40,44 @@ _REGISTRIES = (
 )
 
 
-def _all_workloads():
+def _workloads(tables=None):
     out = []
     for table, module_name, factory in _REGISTRIES:
+        if tables is not None and table not in tables:
+            continue
         module = importlib.import_module(module_name)
         for workload in getattr(module, factory)():
             out.append(pytest.param(workload, id=f"{table}-{workload.name}"))
     return out
+
+
+def _all_workloads():
+    return _workloads()
+
+
+#: The section 9 monitor ablations, each of which inlines different
+#: work into fused blocks (None: the workload's own configuration).
+_ABLATIONS = {
+    "full": None,
+    "no-dataflow": {"track_dataflow": False},
+    "no-bbfreq": {"track_bb_frequency": False},
+    "no-provenance": {"provenance": False},
+}
+
+
+def _ablation_cases():
+    """Every workload under the full monitor, and the Table 6 rows
+    under each ablation."""
+    cases = [
+        pytest.param(w.values[0], "full", id=w.id) for w in _all_workloads()
+    ]
+    for name in _ABLATIONS:
+        if name != "full":
+            cases += [
+                pytest.param(w.values[0], name, id=f"{w.id}-{name}")
+                for w in _workloads(("table6",))
+            ]
+    return cases
 
 
 def _shadow_fingerprint(hth):
@@ -63,13 +99,36 @@ def _shadow_fingerprint(hth):
     return rows
 
 
+def _counters(hth):
+    """The monitor's block counters: kept by ``on_block`` and by the
+    fused blocks' inlined code alike (the reference interpreter feeds
+    Harrier per instruction and keeps none of them)."""
+    harrier = hth.harrier
+    prov = harrier.provenance
+    return {
+        "harrier.fastpath_blocks": harrier.fastpath_blocks,
+        "harrier.slowpath_blocks": harrier.slowpath_blocks,
+        "provenance.blocks_observed": (
+            prov.blocks_observed if prov is not None else None),
+        "provenance.block_tokens": (
+            prov.block_tokens if prov is not None else None),
+    }
+
+
 def _run_fingerprint(workload, oracle=contextlib.nullcontext,
-                     provenance=True):
+                     provenance=True, ablation="full"):
+    from dataclasses import replace
+
     from repro.core.options import RunOptions
 
+    config = None
+    if _ABLATIONS[ablation] is not None:
+        config = replace(workload.harrier_config or HarrierConfig(),
+                         **_ABLATIONS[ablation])
     with oracle():
         hth = workload.build_machine(
-            options=RunOptions(provenance=provenance)
+            harrier_config=config,
+            options=RunOptions(provenance=provenance),
         )
         report = hth.run(
             workload.image(),
@@ -93,42 +152,68 @@ def _run_fingerprint(workload, oracle=contextlib.nullcontext,
         "faults": report.faults,
         "killed_by_monitor": report.killed_by_monitor,
         "shadow": _shadow_fingerprint(hth),
+        "counters": _counters(hth),
     }
+
+
+def _assert_same(got, want, what, skip=()):
+    for key in want:
+        if key not in skip:
+            assert got[key] == want[key], f"{key} diverges {what}"
 
 
 @pytest.mark.parametrize("workload", _all_workloads())
 def test_cached_execution_is_indistinguishable(workload):
     cached = _run_fingerprint(workload)
     interp = _run_fingerprint(workload, oracle=reference_interpreter)
-    for key in cached:
-        assert cached[key] == interp[key], (
-            f"{workload.name}: {key} diverges between block-cache and "
-            f"interpreter execution"
-        )
+    _assert_same(cached, interp, f"{workload.name}: between block-cache "
+                 "and interpreter execution", skip=("counters",))
 
 
-@pytest.mark.parametrize("workload", _all_workloads())
-def test_fused_execution_is_indistinguishable(workload):
+@pytest.mark.parametrize("workload,ablation", _ablation_cases())
+def test_fused_execution_is_indistinguishable(workload, ablation):
     """Every block fused from its first execution (not only the hot
-    ones) still matches the reference interpreter."""
-    fused = _run_fingerprint(workload, oracle=fuse_every_block)
-    interp = _run_fingerprint(workload, oracle=reference_interpreter)
-    for key in fused:
-        assert fused[key] == interp[key], (
-            f"{workload.name}: {key} diverges between fused-block and "
-            f"interpreter execution"
-        )
+    ones), its monitor work inlined, still matches the reference
+    interpreter — and closure-only execution, monitor counters
+    included — under every monitor ablation."""
+    fused = _run_fingerprint(workload, fuse_every_block, ablation=ablation)
+    interp = _run_fingerprint(workload, reference_interpreter,
+                              ablation=ablation)
+    _assert_same(fused, interp, f"{workload.name}/{ablation}: between "
+                 "fused-block and interpreter execution", skip=("counters",))
+    closures = _run_fingerprint(workload, closure_only, ablation=ablation)
+    _assert_same(fused, closures, f"{workload.name}/{ablation}: between "
+                 "fused-block and closure-only execution")
+
+
+@pytest.mark.parametrize("workload,ablation", _ablation_cases())
+def test_inlined_monitor_is_indistinguishable(workload, ablation):
+    """Monitor work inlined into fused blocks == the same blocks fused
+    with the monitor in ``on_block``, counters included."""
+    inlined = _run_fingerprint(workload, fuse_every_block, ablation=ablation)
+
+    @contextlib.contextmanager
+    def fused_record_path():
+        with fuse_every_block(), record_path():
+            yield
+
+    records = _run_fingerprint(workload, fused_record_path,
+                               ablation=ablation)
+    _assert_same(inlined, records, f"{workload.name}/{ablation}: between "
+                 "the inlined monitor and the record path")
+    production = _run_fingerprint(workload, ablation=ablation)
+    _assert_same(production, _run_fingerprint(
+        workload, record_path, ablation=ablation),
+        f"{workload.name}/{ablation}: between the inlined monitor and the "
+        "record path (hot blocks only)")
 
 
 @pytest.mark.parametrize("workload", _all_workloads())
 def test_fastpath_is_indistinguishable(workload):
     fast = _run_fingerprint(workload)
     slow = _run_fingerprint(workload, oracle=template_replay)
-    for key in fast:
-        assert fast[key] == slow[key], (
-            f"{workload.name}: {key} diverges between summary fast path "
-            f"and per-transfer template replay"
-        )
+    _assert_same(fast, slow, f"{workload.name}: between summary fast path "
+                 "and per-transfer template replay")
 
 
 @pytest.mark.parametrize("workload", _all_workloads())
@@ -144,6 +229,12 @@ def test_provenance_recorder_is_transparent(workload):
     off = _run_fingerprint(workload, provenance=False)
     on_warnings = on.pop("warnings")
     off_warnings = off.pop("warnings")
+    # The recorder's own counters exist only when it does.
+    for fingerprint in (on, off):
+        counters = fingerprint["counters"]
+        for key in list(counters):
+            if key.startswith("provenance."):
+                del counters[key]
     # Strip the evidence trail out of the reprs before comparing.
     import re
 

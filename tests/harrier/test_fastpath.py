@@ -76,7 +76,7 @@ def both_paths(instructions, taint_setup=None, cpu_setup=None):
         taint_setup(fast)
     for plan, rec in run_blocks(instructions, setup=cpu_setup):
         apply_block(flow, slow, rec)
-        flow.install_applier(plan, rec.executed)(fast, rec)
+        flow.install_applier(plan, rec.executed)(fast, rec.holes)
     return slow, fast
 
 
@@ -298,6 +298,32 @@ class TestEvaluationEquivalence:
         assert fast.memory.get(0x900) == SOCK
 
 
+class TestSharedApplier:
+    """One plan's applier serves every process running the block: its
+    front caches must never carry one register file's state over to
+    another."""
+
+    def test_register_files_at_equal_generations(self):
+        plan, _ = make_plan([
+            Instruction(Opcode.LOAD, Reg("eax"), Mem("ebx", 0)),
+            Instruction(Opcode.RET),
+        ])
+        applier = InstructionDataFlow().install_applier(plan, plan.length)
+        first, second = ProcessShadow(), ProcessShadow()
+        for shadow in (first, second):
+            shadow.memory.set(0x900, FILE_A)
+        applier(first, (0x900,))
+        assert first.regs.get("eax") == FILE_A
+        # Same entry key (the loaded cell), same generation, but a
+        # register file the applier never wrote.
+        second.regs.set("esi", SOCK)
+        assert second.regs.gen == first.regs.gen
+        applier(second, (0x900,))
+        assert second.regs.get("eax") == FILE_A
+        applier(first, (0x900,))
+        assert first.regs.snapshot() == {"eax": FILE_A}
+
+
 class TestMonitorWiring:
     SOURCE = """
 main:
@@ -471,11 +497,11 @@ class TestPrefixEquivalence:
                 slow, fast = shadow(), shadow()
                 apply_block(flow, slow, rec)
                 applier = flow.install_applier(plan, rec.executed)
-                applier(fast, rec)
+                applier(fast, rec.holes)
                 assert_identical(slow, fast)
                 # Re-entry (front cache, memo, generation skip) agrees.
                 apply_block(flow, slow, rec)
-                applier(fast, rec)
+                applier(fast, rec.holes)
                 assert_identical(slow, fast)
             if plan.pcs[-1] == len(instructions):
                 break  # the final RET block

@@ -7,16 +7,20 @@ record exactly as the per-instruction closures do — registers, flags,
 body under any terminator, faults included.  Plus what the JIT adds:
 the threshold, the bounded shape-keyed code cache and its gauges, no
 plan <-> applier reference cycles, exact DIV/MOD at any operand size,
-and generated source that no guest value ever reaches.
+monitor work inlined into fused blocks that leaves everything as
+``Harrier.on_block`` does with the record, and generated source that
+no guest value ever reaches.
 """
 
 import gc
 import io
+import itertools
 import re
 import sys
 import threading
 import tokenize
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +28,9 @@ from hypothesis import strategies as st
 
 from repro.core.hth import HTH
 from repro.core.options import RunOptions
+from repro.harrier.config import HarrierConfig
 from repro.harrier.dataflow import InstructionDataFlow
+from repro.harrier.monitor import Harrier
 from repro.harrier.state import ProcessShadow
 from repro.isa import (
     CPU,
@@ -38,7 +44,7 @@ from repro.isa import (
     blockjit,
     translate,
 )
-from repro.isa.blockjit import CodeCache, block_source, fuse
+from repro.isa.blockjit import CodeCache, block_source, compile_shape, fuse
 from repro.isa.registers import GP_REGISTERS
 from repro.isa.translate import (
     EXIT_BUDGET,
@@ -49,6 +55,7 @@ from repro.isa.translate import (
     translate_block,
 )
 from repro.kernel.kernel import EXIT_FAULT as PROCESS_EXIT_FAULT
+from repro.taint.tags import DataSource, TagSet
 from repro.telemetry.metrics import MetricsRegistry
 from tests.oracles import closure_only, fuse_every_block, reference_interpreter
 from tests.oracles.interpreter import step as interpret
@@ -184,12 +191,103 @@ class TestFusedMatchesClosures:
             with closure_only():
                 closure_rec = plan.execute(lead, plan.length)
             fused_plan = translate_block(twin.memory, twin.pc, leaders)
-            fused_rec = fuse(fused_plan)(fused_plan, twin)
+            fused_rec = fuse(fused_plan)(fused_plan, twin, None)
             assert _observe(twin, fused_rec) == _observe(lead, closure_rec)
             assert fused_rec.plan is fused_plan
             if (closure_rec.kind != EXIT_CONTINUE
                     or plan.pcs[-1] >= len(body)):
                 break
+
+
+#: Monitor configurations whose inlined work must match ``on_block``.
+_MONITOR_CONFIGS = {
+    "full": HarrierConfig(),
+    "no-dataflow": HarrierConfig(track_dataflow=False),
+    "no-bbfreq": HarrierConfig(track_bb_frequency=False),
+    "no-provenance": HarrierConfig(provenance=False),
+    "no-short-circuit": HarrierConfig(short_circuit_routines=False),
+}
+_USER = TagSet.of(DataSource.USER_INPUT)
+_FILE = TagSet.of(DataSource.FILE, "/f")
+
+
+def _monitored(harrier, proc, inline, plan, cpu):
+    """One full execution of ``plan``, the monitor inlined into its
+    fused function or given the record; True when no record came back."""
+    if inline:
+        rec = fuse(plan, harrier.block_instrumentation)(
+            plan, cpu, harrier.block_context(proc))
+    else:
+        rec = fuse(plan)(plan, cpu, None)
+    if rec is not None:
+        harrier.on_block(proc, rec)
+    return rec is None
+
+
+class TestInlinedMonitorMatchesOnBlock:
+    """A fused block's inlined monitor work leaves the shadow, the BB
+    counters and every monitor counter as ``on_block`` does with the
+    record, and skips the record exactly on plain exits."""
+
+    @given(
+        st.lists(_STRAIGHT, min_size=0, max_size=10),
+        _TERMINATOR,
+        _entry_state(),
+        st.sampled_from(sorted(_MONITOR_CONFIGS)),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_block_of_random_code(self, body, terminator, state,
+                                        config, leader):
+        values, zf, sf, cells = state
+        if terminator is None:
+            if not body:
+                return
+            code = body + [Instruction(Opcode.NOP)]
+            leaders = frozenset({len(body)})
+        else:
+            code = body + [terminator]
+            leaders = frozenset()
+        seen = {}
+        for inline in (False, True):
+            cpu = _machine(code, values, zf, sf, cells)
+            plan = translate_block(cpu.memory, 0, leaders)
+            harrier = Harrier(config=_MONITOR_CONFIGS[config])
+            proc = SimpleNamespace(meta={}, cpu=cpu, memory=cpu.memory)
+            shadow = harrier.shadow(proc)
+            for reg in ("eax", "ebx", "esp"):
+                shadow.regs.set(reg, _USER)
+            for addr in cells:
+                shadow.memory.set(addr, _FILE)
+            if leader:
+                shadow.app_leaders[0] = True
+            skipped = []
+            for _ in range(2):  # the second run meets warm appliers
+                cpu.pc = 0
+                skipped.append(_monitored(harrier, proc, inline, plan, cpu))
+            prov = harrier.provenance
+            seen[inline] = skipped, (
+                dict(cpu.regs._values), dict(cpu.memory.cells), cpu.pc,
+                shadow.regs.snapshot(), dict(shadow.memory.cell_tags),
+                dict(shadow.bb_counts), shadow.last_app_bb,
+                harrier.fastpath_blocks, harrier.slowpath_blocks,
+                None if prov is None else (
+                    prov.blocks_observed, prov.block_tokens),
+            )
+        assert seen[True][1] == seen[False][1]
+        assert seen[False][0] == [False, False]
+        with closure_only():
+            cpu = _machine(code, values, zf, sf, cells)
+            rec = translate_block(cpu.memory, 0, leaders).execute(cpu, 99)
+        records_calls = (
+            config not in ("no-dataflow", "no-short-circuit")
+        )
+        plain = rec.kind == EXIT_CONTINUE and not (
+            records_calls and (
+                rec.call_target is not None or rec.ret_target is not None
+            )
+        )
+        assert seen[True][0][0] == plain
 
 
 _JCCS = (Opcode.JZ, Opcode.JNZ, Opcode.JL, Opcode.JLE, Opcode.JG,
@@ -224,7 +322,7 @@ class TestBranches:
             closure_rec = plan.execute(closure, plan.length)
         fused = _machine(code, **state)
         plan = translate_block(fused.memory, 0)
-        fused_rec = fuse(plan)(plan, fused)
+        fused_rec = fuse(plan)(plan, fused, None)
         assert _observe(fused, fused_rec) == _observe(closure, closure_rec)
 
 
@@ -387,10 +485,10 @@ class TestNoReferenceCycles:
         try:
             plan = translate_block(cpu.memory, 0)
             rec = plan.execute(cpu, 2)                  # a prefix applier
-            flow.install_applier(plan, rec.executed)(shadow, rec)
+            flow.install_applier(plan, rec.executed)(shadow, rec.holes)
             cpu.pc = 0
-            rec = fuse(plan)(plan, cpu)                 # the fused function
-            flow.install_applier(plan, rec.executed)(shadow, rec)
+            rec = fuse(plan)(plan, cpu, None)           # the fused function
+            flow.install_applier(plan, rec.executed)(shadow, rec.holes)
             assert plan.fused is not None and plan.taint_apply is not None
             del plan, rec
             assert gc.collect() == 0
@@ -439,7 +537,7 @@ class TestExactDivision:
             assert plan.execute(closure, plan.length).kind == EXIT_HALT
         fused = _machine(code, values)
         plan = translate_block(fused.memory, 0)
-        assert fuse(plan)(plan, fused).kind == EXIT_HALT
+        assert fuse(plan)(plan, fused, None).kind == EXIT_HALT
         oracle = _machine(code, values)
         for _ in range(4):
             interpret(oracle)
@@ -520,20 +618,33 @@ evil: .asciz "\\"\\"\\"; exec('1') ; \\"\\"\\""
 """
 
 #: Every name generated code may look up: attributes of the cpu, its
-#: register file and memory, the record, and ``cells.get``.
+#: register file and memory, the record, ``cells.get``, and what the
+#: inlined monitor work reads of the plan and its context.
 CO_NAMES_ALLOWED = frozenset({
     "regs", "_values", "memory", "cells", "get", "zf", "sf", "pc",
     "halted", "holes", "next_pc", "executed", "kind", "fault",
     "call_target", "call_return_addr", "ret_target",
+    "monitor", "fastpath_blocks", "taint_apply", "install", "shadow",
+    "seen", "observe", "app_leaders", "bb_counts", "last_app_bb",
 })
 
 
 #: Every identifier generated source may contain.
 SOURCE_NAMES_ALLOWED = CO_NAMES_ALLOWED | set(GP_REGISTERS) | {
-    "def", "block", "plan", "cpu", "BlockRecord", "CpuFault", "rec",
-    "cget", "f", "q", "t", "if", "else", "and", "or", "not", "return",
-    "True",
+    "def", "block", "plan", "cpu", "m", "BlockRecord", "CpuFault", "s",
+    "rec", "cget", "f", "q", "t", "ap", "sh", "c", "if", "else", "and",
+    "or", "not", "is", "in", "return", "True", "None",
 }
+
+#: Every instrumentation a block can be fused for: None (a record at
+#: every exit) and each combination of the monitor parts, each with a
+#: taint summary that moves tags and one that does not.
+VARIANTS = [(None, False)] + [
+    (blockjit.instrumentation(*parts), noop)
+    for n in range(len(blockjit.PARTS) + 1)
+    for parts in itertools.combinations(blockjit.PARTS, n)
+    for noop in (False, True)
+]
 
 
 def _tokens(source):
@@ -556,21 +667,23 @@ class TestGuestValuesNeverReachSource:
         ]
         fused = [plan for plan in plans if plan.fused is not None]
         assert len(fused) >= 5
+        # The run fused its blocks for the full monitor's inlined work.
+        assert {plan.fused_for for plan in fused} == {
+            hth.harrier.block_instrumentation}
         # Only register names and shape-derived small literals: the
-        # shift mask, record kinds and executed counts (<= the longest
-        # block).
+        # shift mask, record kinds, executed counts (<= the longest
+        # block), the bbfreq increment and an empty address trace.
         small = set(range(MAX_BLOCK_LEN + 1))
-        co_consts_allowed = set(GP_REGISTERS) | small | {None, True}
+        co_consts_allowed = set(GP_REGISTERS) | small | {None, True, ()}
         numbers_allowed = {str(n) for n in small}
         strings_allowed = {repr(reg) for reg in GP_REGISTERS}
         needles = ("__import__", "0x41414141", str(0x41414141), "'os'",
                    "exec(", "lambda_", "system", "0x5f5f5f5f",
                    str(0x5F5F5F5F), str(0x22272729))
-        for plan in fused:
-            code = plan.fused.__code__
-            assert set(code.co_names) <= CO_NAMES_ALLOWED
-            assert set(code.co_consts) <= co_consts_allowed
-            source = block_source(plan.shape)
+
+        def check(code, source):
+            assert set(code.co_names) <= CO_NAMES_ALLOWED, source
+            assert set(code.co_consts) <= co_consts_allowed, source
             assert not any(needle in source for needle in needles), source
             for kind, text in _tokens(source):
                 if kind == tokenize.NUMBER:
@@ -583,10 +696,28 @@ class TestGuestValuesNeverReachSource:
                         or re.fullmatch(r"[kh]\d+", text)
                     ), source
 
+        for plan in fused:
+            check(plan.fused.__code__, block_source(
+                plan.shape, plan.fused_for, plan.taint_summary.is_noop))
+            for instrumentation, noop in VARIANTS:
+                check(
+                    compile_shape(plan.shape, instrumentation, noop),
+                    block_source(plan.shape, instrumentation, noop),
+                )
+
     def test_emitter_rejects_unknown_names(self):
+        for instrumentation, noop in VARIANTS:
+            for shape in (
+                (("mov", "__import__", "eax"), ("ret",)),
+                (("os.system", "eax"), ("ret",)),
+                (("nop",), ("exec('1')",)),
+                (("nop",), ("jmp",), ("exec('1')",)),
+            ):
+                with pytest.raises(ValueError):
+                    block_source(shape, instrumentation, noop)
+
+    def test_unknown_instrumentation_is_rejected(self):
         with pytest.raises(ValueError):
-            block_source((("mov", "__import__", "eax"), ("ret",)))
+            blockjit.instrumentation("taint", "__import__")
         with pytest.raises(ValueError):
-            block_source((("os.system", "eax"), ("ret",)))
-        with pytest.raises(ValueError):
-            block_source((("nop",), ("exec('1')",)))
+            block_source((("nop",), ("jmp",)), ("exec('1')",))

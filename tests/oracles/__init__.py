@@ -12,8 +12,9 @@ switches that pin the block JIT to one executor:
 * :mod:`tests.oracles.replay` — template replay of every block's taint,
   transfer by transfer (the compiled summaries never run);
 * :mod:`tests.oracles.matcher` — the naive full-rejoin rule matcher;
-* :mod:`tests.oracles.jit` — block-JIT thresholds: fuse every block from
-  its first execution, or run the per-instruction closures only.
+* :mod:`tests.oracles.jit` — block-JIT switches: fuse every block from
+  its first execution, run the per-instruction closures only, or keep
+  fused blocks on the record path (the monitor in ``on_block``).
 
 Each is installed with a context manager that patches the one production
 path it stands in for, so no product constructor, option or CLI flag
@@ -22,7 +23,7 @@ fleet and serve workers.
 """
 
 from tests.oracles.interpreter import reference_interpreter
-from tests.oracles.jit import closure_only, fuse_every_block
+from tests.oracles.jit import closure_only, fuse_every_block, record_path
 from tests.oracles.matcher import naive_matcher
 from tests.oracles.replay import template_replay
 
@@ -30,6 +31,7 @@ __all__ = [
     "closure_only",
     "fuse_every_block",
     "naive_matcher",
+    "record_path",
     "reference_interpreter",
     "template_replay",
 ]

@@ -10,7 +10,11 @@ These context managers patch that module constant, the way
   hold fused execution to the reference interpreter on every block,
   not only the hot ones);
 * :func:`closure_only` — no block is ever fused: the per-instruction
-  closure path, the baseline the JIT's perf gate compares against.
+  closure path, the baseline the JIT's perf gate compares against;
+* :func:`record_path` — hot blocks still fuse, but no hook declares a
+  block instrumentation, so every execution returns a record and the
+  monitor runs in ``on_block`` (the baseline of the inlined monitor's
+  perf gate).
 
 Plans fused inside a block stay fused after it (fused and closure
 execution are interchangeable by contract), so run :func:`closure_only`
@@ -22,7 +26,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from unittest import mock
 
+from repro.harrier.monitor import Harrier
 from repro.isa import translate
+from repro.kernel.hooks import NullHooks
 
 
 @contextmanager
@@ -39,3 +45,12 @@ def fuse_every_block():
 def closure_only():
     """Never fuse a block: every execution runs the closures."""
     return _threshold(float("inf"))
+
+
+@contextmanager
+def record_path():
+    """Fused guest code, monitor through ``on_block``: Harrier and
+    NullHooks declare no block instrumentation."""
+    with mock.patch.object(Harrier, "block_instrumentation", None), \
+            mock.patch.object(NullHooks, "block_instrumentation", None):
+        yield

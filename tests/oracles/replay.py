@@ -1,12 +1,15 @@
 """Template replay: every block's taint applied transfer by transfer.
 
-``Harrier.on_block`` applies every block record through the compiled
-summary applier that ``InstructionDataFlow.install_applier`` caches on
-the plan (the full block's, or the executed prefix's).
-:func:`template_replay` patches ``install_applier`` so that the applier
-it installs replays the record from the block's taint templates instead
-(:func:`apply_block`) — the reference taint semantics the compiled
-summaries must reproduce.
+Every block's taint goes through the compiled summary applier that
+``InstructionDataFlow.install_applier`` caches on the plan (the full
+block's, or the executed prefix's), called from ``Harrier.on_block`` or
+from a fused block's inlined monitor code.  :func:`template_replay`
+patches ``install_applier`` so that the applier it installs replays the
+execution from the block's taint templates instead
+(:func:`replay_block`) — the reference taint semantics the compiled
+summaries must reproduce.  It also runs under
+:func:`tests.oracles.jit.record_path`, so every application, zero-taint
+blocks included, reaches ``on_block`` and the oracle.
 
 Plans that get a replay applier inside the block have both applier
 slots cleared on exit, so a plan that outlives the block (a warm
@@ -22,25 +25,28 @@ from unittest import mock
 
 from repro.harrier.dataflow import InstructionDataFlow
 from repro.taint.tags import EMPTY, DataSource, TagSet
+from tests.oracles.jit import record_path
 
 _HARDWARE = TagSet.of(DataSource.HARDWARE)
 
 
 def apply_block(flow: InstructionDataFlow, shadow, rec) -> None:
-    """Replay one block record's taint templates over the shadow.
+    """Replay one block record's taint templates over the shadow."""
+    replay_block(flow, shadow, rec.plan, rec.executed, rec.holes)
+
+
+def replay_block(flow: InstructionDataFlow, shadow, plan, n, holes) -> None:
+    """Replay the taint templates of ``plan``'s first ``n`` instructions.
 
     Transfer by transfer, in retirement order, with the transfer shapes
     precompiled: the only per-execution inputs are the dynamic memory
-    addresses in ``rec.holes`` (consumed positionally — at most one per
+    addresses in ``holes`` (consumed positionally — at most one per
     instruction in this ISA) and the shadow state itself.  ``flow``
     supplies the interner and the image BINARY tags.
     """
-    n = rec.executed
     if n == 0:
         return
-    plan = rec.plan
     taint = plan.taint
-    holes = rec.holes
     regs = shadow.regs
     rget = regs.get
     rset = regs.set
@@ -93,16 +99,17 @@ def apply_block(flow: InstructionDataFlow, shadow, rec) -> None:
 def template_replay(calls=None):
     """Replay every block's taint templates for the duration of the block.
 
-    ``calls``, when given, is a list that gets one entry per replayed
-    block record — proof that the oracle, not a compiled summary, ran.
+    ``calls``, when given, is a list that gets one ``(plan, executed)``
+    entry per replayed application — proof that the oracle, not a
+    compiled summary, ran.
     """
     installed = []
 
     def install_applier(self, plan, executed):
-        def replay(shadow, rec):
+        def replay(shadow, holes):
             if calls is not None:
-                calls.append(rec)
-            apply_block(self, shadow, rec)
+                calls.append((plan, executed))
+            replay_block(self, shadow, plan, executed, holes)
 
         if executed == plan.length:
             plan.taint_apply = replay
@@ -114,7 +121,7 @@ def template_replay(calls=None):
         return replay
 
     try:
-        with mock.patch.object(
+        with record_path(), mock.patch.object(
             InstructionDataFlow, "install_applier", install_applier
         ):
             yield

@@ -8,11 +8,12 @@ context manager, plus the restore on exit.
 from repro.core.hth import HTH
 from repro.expert import InferenceEngine, Pattern, Rule, Template, V
 from repro.expert.rete import ReteNetwork
-from repro.isa import assemble
+from repro.isa import assemble, translate
 from tests.oracles import (
     closure_only,
     fuse_every_block,
     naive_matcher,
+    record_path,
     reference_interpreter,
     template_replay,
 )
@@ -32,9 +33,28 @@ loop:
 """
 
 
-def _run():
+#: A loop that runs past ``JIT_THRESHOLD``: its blocks fuse with the
+#: monitor inlined, and one of them (the bare compare-and-branch) moves
+#: no tags, so its inlined code applies nothing.
+HOT_LOOP = """
+main:
+    mov ecx, 40
+loop:
+    cmp ecx, 0
+    jz done
+    mov ebx, eax
+    add ebx, ecx
+    sub ecx, 1
+    jmp loop
+done:
+    mov eax, 0
+    ret
+"""
+
+
+def _run(source=LOOP):
     hth = HTH()
-    report = hth.run(assemble("/bin/t", LOOP))
+    report = hth.run(assemble("/bin/t", source))
     assert report.exit_code == 0
     return hth
 
@@ -65,6 +85,17 @@ class TestTemplateReplay:
             hth = _run()
         applied = hth.harrier.fastpath_blocks + hth.harrier.slowpath_blocks
         assert applied > 0
+        assert len(calls) == applied
+
+    def test_every_block_replays_after_it_fuses(self):
+        calls = []
+        with template_replay(calls):
+            hth = _run(HOT_LOOP)
+        fused = [plan for plan in _plans(hth) if plan.fused is not None]
+        assert len(fused) >= 2
+        assert any(plan.taint_summary.is_noop for plan in fused)
+        applied = hth.harrier.fastpath_blocks + hth.harrier.slowpath_blocks
+        assert applied > 2 * translate.JIT_THRESHOLD
         assert len(calls) == applied
 
     def test_restored_on_exit(self):
@@ -98,14 +129,28 @@ class TestJitThresholds:
         assert all(plan.fused is None for plan in _plans(hth))
         assert max(plan.runs for plan in _plans(hth)) >= 5
 
+    def test_record_path_fuses_without_inlining(self):
+        with record_path():
+            hth = _run(HOT_LOOP)
+        fused = [plan for plan in _plans(hth) if plan.fused is not None]
+        assert fused and all(plan.fused_for is None for plan in fused)
+
     def test_restored_on_exit(self):
         with fuse_every_block():
             pass
         with closure_only():
             pass
+        with record_path():
+            pass
         # Production: a block run fewer times than the threshold is
-        # never fused.
+        # never fused, and a hot one inlines the monitor.
         assert all(plan.fused is None for plan in _plans(_run()))
+        hth = _run(HOT_LOOP)
+        fused = [plan for plan in _plans(hth) if plan.fused is not None]
+        assert fused and all(
+            plan.fused_for is hth.harrier.block_instrumentation
+            is not None for plan in fused
+        )
 
 
 def _engine():
