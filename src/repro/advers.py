@@ -2,10 +2,11 @@
 
 This module drives :mod:`repro.programs.mutate` at scale: every Trojan
 of Tables 4-8 becomes the parent of N seed-deterministic variants per
-mutation class, the whole set fans out through the fleet engine (with
-``shard_by="cluster"`` so near-duplicate variants share a worker's warm
-caches), and the verdicts come back as a detection-rate matrix —
-variant class x policy rule x verdict.
+mutation class, the whole set fans out through the fleet engine
+(round-robin ``shard_by="interleave"``: the parent process only plans
+refs, and every worker mutates, assembles and runs its own variants),
+and the verdicts come back as a detection-rate matrix — variant class
+x policy rule x verdict.
 
 The point of the exercise is the *evasions*: any variant whose verdict
 lands **below** its parent's expected severity is a detector blind
@@ -78,8 +79,11 @@ def plan_sweep(
     Each cell is a picklable :class:`WorkloadRef` onto
     ``repro.programs.mutate.variants(parent, klass, vseed)`` — workers
     regenerate the variant locally, so the plan itself stays tiny no
-    matter how many thousand variants it spans.
+    matter how many thousand variants it spans.  ``per_class`` must be
+    at least 1: an empty grid would score a vacuous 100% detection rate.
     """
+    if per_class < 1:
+        raise ValueError(f"per_class must be >= 1, got {per_class}")
     parent_names = (
         list(parents) if parents is not None else default_parents()
     )
@@ -305,7 +309,7 @@ def run_sweep(
     seed: int = 0,
     options: Optional[RunOptions] = None,
     workers: int = 4,
-    shard_by: str = "cluster",
+    shard_by: str = "interleave",
     max_retries: int = 1,
     cache_dir: Optional[str] = None,
 ) -> SweepResult:
@@ -314,8 +318,13 @@ def run_sweep(
     Defaults sweep every mutation class over every Trojan of Tables
     4-8; ``per_class`` scales the grid (30 parents x 7 classes means
     ``per_class=5`` already exceeds a thousand variants).  The fleet
-    side reuses the cluster sharding of the verdict-cache work so the
-    near-identical variants of one parent stay on one warm worker.
+    shards round-robin by default, so the parent never touches a
+    variant: workers resolve, mutate and assemble their own.  Each
+    worker's warm engine still translates and relocates libc once for
+    all its variants (see :class:`repro.harrier.blockcache
+    .BlockCacheStore`).  ``shard_by="cluster"`` is opt-in: it assembles
+    every variant in the parent first to order them by similarity,
+    which costs more than the warmer caches save on a sweep.
     """
     plan = plan_sweep(parents, classes, per_class, seed)
     if options is None:

@@ -567,7 +567,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Adversarial variant sweep (``repro sweep``): mutate every Trojan
     parent N times per class, fan out through the fleet, report the
     detection-rate matrix and any evasions."""
-    from repro.advers import run_sweep
+    from repro.advers import plan_sweep, run_sweep
     from repro.programs.registry import find
 
     parents = args.parent or None
@@ -579,6 +579,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"no trojan rows in table(s) {', '.join(args.table)}"
             )
+    try:
+        # A bad class, parent or --per-class is a usage error.
+        plan_sweep(parents, args.klass or None, args.per_class, args.seed)
+    except (ValueError, LookupError) as exc:
+        args.parser.error(str(exc))
     result = run_sweep(
         parents=parents,
         classes=args.klass or None,
@@ -1026,10 +1031,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fleet worker processes (default: 4)")
     sweep.add_argument("--shard-by",
                        choices=("interleave", "chunk", "name", "cluster"),
-                       default="cluster",
-                       help="shard strategy (default: cluster — "
-                            "near-duplicate variants share a worker's "
-                            "warm caches)")
+                       default="interleave",
+                       help="shard strategy (default: interleave — the "
+                            "parent only plans, workers build their own "
+                            "variants; cluster is opt-in and slower: it "
+                            "assembles every variant in the parent to "
+                            "group near-duplicates)")
     sweep.add_argument("--max-retries", type=int, default=1,
                        help="retries per run on watchdog/monitor-fault "
                             "outcomes (default: 1)")
@@ -1044,7 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit nonzero when the Trojan detection "
                             "rate drops below RATE (e.g. 0.95)")
     _add_cache_options(sweep)
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(func=cmd_sweep, parser=sweep)
 
     serve = sub.add_parser(
         "serve",

@@ -13,7 +13,9 @@ An :class:`EngineCache` owns that reusable state:
 
 * a :class:`~repro.harrier.blockcache.BlockCacheStore` keyed by exact
   code-layout identity, so a second run of the same image starts with
-  every block already translated;
+  every block already translated — and, through its per-library plan
+  tables and relocation memo, a run of a *new* image starts with libc
+  already relocated and translated;
 * a shared :class:`~repro.taint.tags.TagSetInterner`, so hash-consed
   tag sets and the union memo stay warm across the sweep;
 * an assemble memo handing out images that share their (immutable)
@@ -85,7 +87,9 @@ class EngineCache:
         )
 
     def stats(self) -> Dict[str, object]:
-        """Aggregate warm-cache statistics (sweep diagnostics)."""
+        """Aggregate warm-cache statistics (sweep diagnostics),
+        library plan tables (``library_entries``/``library_plans``)
+        included."""
         stats = self.block_caches.stats()
         stats["images"] = len(self._images)
         return stats

@@ -7,6 +7,11 @@ is deterministic per image), and swaps them out on execve (counted as a
 flush).  Lookups are one dict probe on the hot path; misses pay the
 translation cost exactly once per block leader.
 
+Shared objects are the same code in every layout, so a warm
+:class:`BlockCacheStore` also keeps one plan table per library mapping:
+a new layout's cache starts with every library block already
+translated, and writes the library blocks it translates back.
+
 Hit/miss/translation counts are kept as plain ints (always, they feed
 the benchmark JSON) and mirrored into ``repro.telemetry`` counters when a
 metrics registry is attached:
@@ -18,10 +23,13 @@ metrics registry is attached:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.isa.memory import FlatMemory
 from repro.isa.translate import BlockPlan, translate_block
+
+#: One shared library's text range and its cross-layout plan table.
+LibraryRange = Tuple[int, int, Dict[int, BlockPlan]]
 
 
 class BlockCache:
@@ -29,6 +37,7 @@ class BlockCache:
 
     __slots__ = (
         "leaders",
+        "libraries",
         "plans",
         "hits",
         "misses",
@@ -45,11 +54,18 @@ class BlockCache:
         leaders: FrozenSet[int] = frozenset(),
         metrics=None,
         max_blocks: int = 65536,
+        libraries: Sequence[LibraryRange] = (),
     ) -> None:
         #: Every image's absolute BB-leader set; blocks are cut so they
         #: never run past one, making each leader a stable cache key.
         self.leaders = leaders
+        #: ``(text_start, text_end, plans)`` per shared library whose
+        #: plans are shared with other layouts (see
+        #: :meth:`BlockCacheStore.library_plans`): they seed this cache,
+        #: and a block translated inside one is written back to it.
+        self.libraries = tuple(libraries)
         self.plans: Dict[int, BlockPlan] = {}
+        self._seed()
         self.hits = 0
         self.misses = 0
         self.flushes = 0
@@ -96,15 +112,25 @@ class BlockCache:
         if len(self.plans) >= self.max_blocks:
             self.flush()
         self.plans[pc] = plan
+        for start, end, shared in self.libraries:
+            if start <= pc and plan.pcs[-1] < end:
+                shared.setdefault(pc, plan)
+                break
         self.translated_instructions += plan.length
         if self._c_translated is not None:
             self._c_translated.inc(plan.length)
         return plan
 
     def flush(self) -> None:
-        """Drop every translated block (refilled lazily on next lookup)."""
+        """Drop every translated block (refilled lazily on next lookup;
+        shared library plans come straight back)."""
         self.plans.clear()
+        self._seed()
         self.flushes += 1
+
+    def _seed(self) -> None:
+        for _start, _end, shared in self.libraries:
+            self.plans.update(shared)
 
     def hit_rate(self) -> Optional[float]:
         total = self.hits + self.misses
@@ -154,16 +180,33 @@ class BlockCacheStore:
     loader placed identical code identically, which is precisely when
     reusing the cache is sound.
 
-    Keys embed ``id()`` values, so the store *pins* the keyed images:
-    a strong reference per entry guarantees no id is ever recycled
-    while the store lives.  Stores are single-process state (each fleet
-    worker owns its own); they are never shared across processes.
+    A layout whose main image is new (every variant of a sweep) still
+    maps the same shared objects, so the store also keeps one plan
+    table per library mapping, keyed ``(name, base, id(text))`` on the
+    *relocated* text the loader mapped.  The loader's relocation memo
+    (:attr:`relocated`) hands out one patched tuple per (source text,
+    base, resolved relocation targets), so equal keys mean the same
+    instructions at the same addresses — a library whose relocations
+    resolve into the app gets a separate table per distinct app target.
+    A plan only depends on the code it was cut from (block cutting
+    stops at that library's own leaders and text end), so library
+    blocks translate once per store instead of once per layout.
+
+    Keys embed ``id()`` values, so the store *pins* the keyed images and
+    texts: a strong reference per entry guarantees no id is ever
+    recycled while the store lives.  Stores are single-process state
+    (each fleet worker owns its own); they are never shared across
+    processes.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_libraries", "relocated")
 
     def __init__(self) -> None:
         self._entries: Dict[tuple, tuple] = {}
+        self._libraries: Dict[tuple, tuple] = {}
+        #: The loader's relocation memo (see :class:`repro.kernel.loader
+        #: .Loader`): ``(id(text), base, targets)`` -> ``(text, patched)``.
+        self.relocated: Dict[tuple, tuple] = {}
 
     def get(self, key: tuple) -> Optional["BlockCache"]:
         entry = self._entries.get(key)
@@ -171,6 +214,27 @@ class BlockCacheStore:
 
     def put(self, key: tuple, cache: "BlockCache", pins: tuple = ()) -> None:
         self._entries[key] = (cache, pins)
+
+    def library_plans(
+        self, name: str, base: int, text: tuple
+    ) -> Dict[int, BlockPlan]:
+        """The shared plan table for library ``name``'s relocated
+        ``text`` mapped at ``base``, created empty on first use."""
+        key = (name, base, id(text))
+        entry = self._libraries.get(key)
+        if entry is None:
+            entry = self._libraries[key] = ({}, text)
+        return entry[0]
+
+    def library_stats(self) -> Dict[str, int]:
+        """Library plan tables held, and the plans across them (serve
+        exports each key as a ``blockcache_<key>`` gauge per worker)."""
+        return {
+            "library_entries": len(self._libraries),
+            "library_plans": sum(
+                len(plans) for plans, _text in self._libraries.values()
+            ),
+        }
 
     def stats(self) -> Dict[str, object]:
         """Aggregate counters across every stored cache."""
@@ -188,7 +252,9 @@ class BlockCacheStore:
             totals["translated_instructions"] += (
                 cache.translated_instructions
             )
+        totals.update(self.library_stats())
         return totals
 
     def __len__(self) -> int:
         return len(self._entries)
+

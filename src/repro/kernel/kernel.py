@@ -126,7 +126,13 @@ class Kernel:
         self.fs = FileSystem()
         self.network = Network()
         self.console = Console()
-        self.loader = Loader(libraries)
+        self.loader = Loader(
+            libraries,
+            relocated=(
+                block_cache_store.relocated
+                if block_cache_store is not None else None
+            ),
+        )
         self.syscalls = SyscallTable(self)
         self.procs: Dict[int, Process] = {}
         self.binaries: Dict[str, Image] = {}
@@ -161,15 +167,18 @@ class Kernel:
         self.fs.write_text("/etc/hosts", self.network.hosts_file_text())
 
     # -- block translation cache ------------------------------------------------
-    def _block_cache_for(self, image: Image, image_map) -> object:
+    def _block_cache_for(self, image: Image, load: LoadResult) -> object:
         """The shared cache for ``image``, created on first use.
 
         The loader's placement is deterministic per image (same base
         addresses, same libraries), so every process running the same
         image sees identical code at identical pcs and one cache serves
         them all.  Block cutting stops at every image's BB leaders so a
-        later entry at a leader always lands on a cache key.
+        later entry at a leader always lands on a cache key.  With a
+        warm store, a new layout shares its libraries' plan tables with
+        every other layout mapping the same relocated library text.
         """
+        image_map = load.image_map
         entry = self._block_caches.get(id(image))
         if entry is not None and entry[0] is image:
             return entry[1]
@@ -197,10 +206,19 @@ class Kernel:
                 self._block_caches[id(image)] = (image, cache)
                 return cache
         leaders = set()
-        for loaded in image_map:
+        libraries = []
+        for loaded, text in zip(image_map, load.texts):
             leaders.update(loaded.abs_bb_leaders())
+            if store is not None and not loaded.is_app:
+                libraries.append((
+                    loaded.text_start,
+                    loaded.text_end,
+                    store.library_plans(loaded.name, loaded.base, text),
+                ))
         cache = BlockCache(
-            leaders=frozenset(leaders), metrics=self._metrics
+            leaders=frozenset(leaders),
+            metrics=self._metrics,
+            libraries=libraries,
         )
         if store is not None:
             store.put(
@@ -270,7 +288,7 @@ class Kernel:
         self._next_pid += 1
         proc.image_map = load.image_map
         proc.brk = load.heap_base
-        proc.block_cache = self._block_cache_for(image, load.image_map)
+        proc.block_cache = self._block_cache_for(image, load)
         self._install_stdio(proc)
         self.procs[proc.pid] = proc
         self._announce_load(proc, load)
@@ -375,7 +393,7 @@ class Kernel:
         # space: swap to the new image's (shared) cache.  Counted as a
         # flush — this is the "Infrequent execve" cost of the paper's
         # Table 8 in code-cache terms.
-        proc.block_cache = self._block_cache_for(image, load.image_map)
+        proc.block_cache = self._block_cache_for(image, load)
         self.block_cache_flushes += 1
         if self._metrics is not None:
             self._c_bc_flushes.inc()

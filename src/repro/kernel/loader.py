@@ -159,13 +159,33 @@ class LoadResult:
     #: [start, STACK_TOP) region holding argc/argv/envp — USER INPUT.
     initial_stack_range: Tuple[int, int]
     heap_base: int
+    #: The relocated text mapped for each image, in ``image_map`` order.
+    #: A library's tuple is shared by every load with equal relocation
+    #: targets (see :meth:`Loader._relocate`), so its identity names the
+    #: code a translated block was cut from.
+    texts: Tuple[Tuple[Instruction, ...], ...]
 
 
 class Loader:
-    """Loads a main image plus shared libraries into a process memory."""
+    """Loads a main image plus shared libraries into a process memory.
 
-    def __init__(self, libraries: Sequence[Image] = ()) -> None:
+    ``relocated`` is an optional warm memo (a
+    :class:`repro.harrier.blockcache.BlockCacheStore`'s, which outlives
+    runs): ``(id(text), base, resolved targets)`` -> ``(text, patched
+    text)``.  With it each shared object is relocated once per process
+    instead of once per load, and every load with equal targets maps the
+    *same* patched tuple.  The entry pins the source text, so its id is
+    never recycled while the memo lives.  The main executable is never
+    memoized: it is the part of a layout that keeps changing.
+    """
+
+    def __init__(
+        self,
+        libraries: Sequence[Image] = (),
+        relocated: Optional[Dict[tuple, tuple]] = None,
+    ) -> None:
         self.libraries = list(libraries)
+        self.relocated = relocated
 
     def load(
         self,
@@ -190,8 +210,9 @@ class Loader:
         loaded = [shim] + placements
         image_map = ImageMap(loaded)
 
-        for li in loaded:
-            self._map_one(memory, li, image_map)
+        texts = tuple(
+            self._map_one(memory, li, image_map) for li in loaded
+        )
 
         sp = self._build_initial_stack(memory, argv, env)
         return LoadResult(
@@ -200,12 +221,14 @@ class Loader:
             initial_sp=sp,
             initial_stack_range=(sp, STACK_TOP),
             heap_base=HEAP_BASE,
+            texts=texts,
         )
 
     # -- internals -----------------------------------------------------------
     def _map_one(
         self, memory: FlatMemory, li: LoadedImage, image_map: ImageMap
-    ) -> None:
+    ) -> Tuple[Instruction, ...]:
+        """Map ``li`` (relocated text, then data) and return its text."""
         image = li.image
 
         def resolve(symbol: str) -> int:
@@ -219,18 +242,40 @@ class Loader:
                 )
             return addr
 
-        patched: List[Instruction] = list(image.text)
-        for reloc in image.text_relocations:
-            instr = patched[reloc.index]
-            target = resolve(reloc.symbol)
-            new_imm = Imm(target, symbol=reloc.symbol)
-            patched[reloc.index] = replace(instr, **{reloc.slot: new_imm})
-
-        memory.map_code(li.base, patched)
+        text = self._relocate(li, resolve)
+        memory.map_code(li.base, text)
         for off, value in image.data.items():
             memory.write(li.base + off, value)
         for dreloc in image.data_relocations:
             memory.write(li.base + dreloc.offset, resolve(dreloc.symbol))
+        return text
+
+    def _relocate(
+        self, li: LoadedImage, resolve
+    ) -> Tuple[Instruction, ...]:
+        """``li``'s text with every relocation patched in, reused from
+        the memo when text, base and resolved targets all match."""
+        image = li.image
+        relocations = image.text_relocations
+        if not relocations:
+            return image.text
+        targets = tuple(resolve(reloc.symbol) for reloc in relocations)
+        memo = None if li.is_app else self.relocated
+        if memo is not None:
+            key = (id(image.text), li.base, targets)
+            entry = memo.get(key)
+            if entry is not None:
+                return entry[1]
+        patched: List[Instruction] = list(image.text)
+        for reloc, target in zip(relocations, targets):
+            new_imm = Imm(target, symbol=reloc.symbol)
+            patched[reloc.index] = replace(
+                patched[reloc.index], **{reloc.slot: new_imm}
+            )
+        text = tuple(patched)
+        if memo is not None:
+            memo[key] = (image.text, text)
+        return text
 
     @staticmethod
     def _build_initial_stack(

@@ -430,12 +430,22 @@ class Supervisor:
             "secpert_agenda_size", worker=worker
         ).set(float(engine.get("agenda_size", 0) or 0))
 
-    def _absorb_jit(self, stats: object, wid: object) -> None:
+    def _absorb_code_caches(self, msg: Dict[str, object],
+                            wid: object) -> None:
         """Mirror a worker's block-JIT code cache (size, compiles,
-        evictions, fused blocks) into per-worker ``blockjit_*`` gauges."""
-        if self._metrics is None or not isinstance(stats, dict):
+        evictions, fused blocks) and library plan tables (entries,
+        plans) into per-worker ``blockjit_*`` and
+        ``blockcache_library_*`` gauges."""
+        if self._metrics is None:
             return
-        blockjit.sample_gauges(self._metrics, stats, worker=str(wid))
+        jit, library = msg.get("jit"), msg.get("library")
+        if isinstance(jit, dict):
+            blockjit.sample_gauges(self._metrics, jit, worker=str(wid))
+        if isinstance(library, dict):
+            for key, value in library.items():
+                self._metrics.gauge(
+                    f"blockcache_{key}", worker=str(wid)
+                ).set(float(value))
 
     def _forward(self, job: _Job, event: Dict[str, object]) -> None:
         try:
@@ -495,7 +505,7 @@ class Supervisor:
         if kind == "result":
             self._absorb_report(msg.get("report"))
             self._absorb_engine(msg.get("engine"), wid)
-            self._absorb_jit(msg.get("jit"), wid)
+            self._absorb_code_caches(msg, wid)
             self._finish(job, {
                 "kind": "report",
                 "report": msg["report"],

@@ -109,7 +109,8 @@ def serve_worker_main(worker_id: int, job_queue, result_queue) -> None:
         {"kind": "ready"}                       idle, health heartbeat
         {"kind": "start", job, attempt}         picked a job up
         {"kind": "warning", job, attempt, seq, warning}
-        {"kind": "result", job, attempt, report, ok, elapsed, engine, jit}
+        {"kind": "result", job, attempt, report, ok, elapsed, engine, jit,
+         library}
         {"kind": "error",  job, attempt, error, elapsed}
         {"kind": "bye"}                         clean poison-pill exit
     """
@@ -155,8 +156,10 @@ def serve_worker_main(worker_id: int, job_queue, result_queue) -> None:
                 "ok": ok,
                 "elapsed": time.perf_counter() - started,
                 "engine": engine,
-                # This worker's block-JIT code cache (it outlives runs).
+                # This worker's block-JIT code cache and library plan
+                # tables (both outlive runs).
                 "jit": blockjit.CODE_CACHE.stats(),
+                "library": session.engine.block_caches.library_stats(),
             })
         except Exception:
             result_queue.put({

@@ -2,6 +2,7 @@
 filed-evasion contract of the adversarial registry."""
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -13,6 +14,8 @@ from repro.advers import (
     run_sweep,
 )
 from repro.api import Session, sweep
+from repro.cli import main
+from repro.isa.assembler import Assembler
 from repro.programs.mutate import MUTATION_CLASSES
 from repro.programs.registry import registry_workloads
 
@@ -49,6 +52,20 @@ class TestPlanning:
         with pytest.raises(LookupError):
             plan_sweep(parents=["not a row"])
 
+    @pytest.mark.parametrize("per_class", [0, -3])
+    def test_empty_grid_rejected(self, per_class):
+        # An empty sweep would report a vacuous 100% detection rate.
+        with pytest.raises(ValueError, match="per_class must be >= 1"):
+            plan_sweep(parents=["superforker"], per_class=per_class)
+
+    @pytest.mark.parametrize("per_class", ["0", "-3"])
+    def test_cli_empty_grid_is_a_usage_error(self, per_class, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--parent", "superforker",
+                  "--per-class", per_class, "--fail-under", "1.0"])
+        assert exc.value.code == 2
+        assert "per_class must be >= 1" in capsys.readouterr().err
+
     def test_severity_order_is_total(self):
         assert SEVERITY["benign"] < SEVERITY["low"] \
             < SEVERITY["medium"] < SEVERITY["high"]
@@ -83,6 +100,24 @@ class TestSweepExecution:
         payload = json.loads(a)
         assert payload["config"]["variants"] == 8
         assert payload["benchmark"] == "adversarial_sweep"
+
+    def test_parent_process_does_no_variant_work(self):
+        # Workers resolve, mutate and assemble their own variants; the
+        # parent only plans refs and scores records.
+        calls = []
+        real = Assembler.assemble
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)  # fork-started workers count their own
+            return real(self, *args, **kwargs)
+
+        with mock.patch.object(Assembler, "assemble", counting):
+            result = run_sweep(
+                parents=["Hardcode", "tree forker", "grabem"],
+                classes=["rename-labels", "deadcode"], seed=3, workers=2,
+            )
+        assert result.total == 6 and not result.errors
+        assert calls == []
 
     def test_api_sweep_entry_point(self):
         result = sweep(parents=["Hardcode"], classes=["substitute"],

@@ -126,3 +126,83 @@ class TestImageMap:
     def test_app_property_requires_app(self):
         with pytest.raises(LoaderError):
             ImageMap([]).app
+
+
+class TestRelocationMemo:
+    """A shared object is relocated once per memo, and its patched text
+    is reused only for the same source text, base and targets."""
+
+    HOOKED_LIB = "lib_entry:\n    call app_hook\n    ret\n"
+
+    @staticmethod
+    def _app(pad: int):
+        # ``pad`` nops move app_hook, so each app resolves the library's
+        # relocation to a different address.
+        nops = "    nop\n" * pad
+        return assemble(
+            "/bin/app",
+            f"main:\n    call lib_entry\n    ret\n{nops}app_hook:\n"
+            "    ret\n",
+        )
+
+    @staticmethod
+    def _lib_text(loader, app):
+        result = loader.load(FlatMemory(), app, argv=[], env={})
+        (text,) = [
+            text for li, text in zip(result.image_map, result.texts)
+            if li.name == "/lib/hooked.so"
+        ]
+        return text
+
+    def test_library_relocated_once(self):
+        from repro.programs.libc import libc_image
+
+        memo = {}
+        libc = libc_image()
+        app = assemble("/bin/app", "main:\n    call exit\n    ret\n")
+        first = Loader([libc], relocated=memo).load(
+            FlatMemory(), app, argv=[], env={}
+        )
+        again = Loader([libc], relocated=memo).load(
+            FlatMemory(), app, argv=[], env={}
+        )
+        assert libc.text_relocations and len(memo) == 1
+        # image_map order: startup shim, app, libc.
+        assert again.texts[2] is first.texts[2]
+        assert again.texts[2] is not libc.text
+        # The app is patched per load, never memoized.
+        assert again.texts[1] is not first.texts[1]
+        assert again.texts[1] == first.texts[1]
+
+    def test_relocation_into_the_app_is_never_shared(self):
+        memo = {}
+        lib = assemble("/lib/hooked.so", self.HOOKED_LIB)
+        loader = Loader([lib], relocated=memo)
+        app_a, app_b = self._app(1), self._app(3)
+        text_a = self._lib_text(loader, app_a)
+        text_b = self._lib_text(loader, app_b)
+        assert text_a is not text_b
+        assert text_a[0].a.value == APP_BASE + app_a.symbols["app_hook"]
+        assert text_b[0].a.value == APP_BASE + app_b.symbols["app_hook"]
+        assert len(memo) == 2
+        # A fresh loader over the same memo reuses each app's own text.
+        reloader = Loader([lib], relocated=memo)
+        assert self._lib_text(reloader, app_b) is text_b
+        assert self._lib_text(reloader, self._app(1)) is text_a
+        assert len(memo) == 2
+
+    def test_same_targets_share_one_text(self):
+        memo = {}
+        lib = assemble("/lib/hooked.so", self.HOOKED_LIB)
+        loader = Loader([lib], relocated=memo)
+        # Two different apps whose app_hook lands on the same address
+        # patch the library identically: one text serves both.
+        text = self._lib_text(loader, self._app(2))
+        other = assemble(
+            "/bin/other",
+            "main:\n    nop\n    ret\n    nop\n    nop\napp_hook:\n"
+            "    mov eax, 1\n    ret\n",
+        )
+        assert other.symbols["app_hook"] == self._app(2).symbols["app_hook"]
+        assert self._lib_text(loader, other) is text
+        assert len(memo) == 1

@@ -363,6 +363,13 @@ class TestHttpFront:
         for gauge in ("blockjit_code_objects", "blockjit_compiles",
                       "blockjit_evictions", "blockjit_fused_blocks"):
             assert value(warm["text"], f'{gauge}{{worker="0"}}') >= 0
+        # ... and its library plan tables: libc and the startup shim.
+        assert value(
+            warm["text"], 'blockcache_library_entries{worker="0"}'
+        ) == 2
+        assert value(
+            warm["text"], 'blockcache_library_plans{worker="0"}'
+        ) >= 1
 
     def test_http_backpressure_maps_to_429(self, tmp_path):
         async def main():
