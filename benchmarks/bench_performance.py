@@ -31,14 +31,18 @@ configurations:
                       report replayed bit-identically
 
 Absolute times are meaningless across substrates; the assertions are the
-shapes: full > no-df >= native (dataflow dominates the overhead, section
-9) and cached execution is not slower than interpretation (the code
-cache pays for itself).  The summary benchmark also writes
+shapes, on medians of interleaved reps: full > no-df and full > native
+(section 9), and cached execution is not slower than interpretation (the
+code cache pays for itself).  Whether the four ablation configs come out
+in the expected order is labelled (``repro.telemetry.overhead``), not
+asserted.  The summary benchmark also writes
 ``benchmarks/results/BENCH_performance.json`` with the raw numbers.
 """
 
 import contextlib
 import json
+import os
+import platform
 
 import pytest
 
@@ -49,12 +53,13 @@ from repro.core.hth import HTH
 from repro.core.options import RunOptions
 from repro.harrier.config import HarrierConfig
 from repro.isa import assemble
-from repro.telemetry import (
-    STAGE_ANALYSIS,
-    STAGE_BBFREQ,
-    STAGE_DATAFLOW,
-    STAGE_NATIVE,
-    Telemetry,
+from repro.telemetry import Telemetry
+from repro.telemetry.overhead import (
+    REPS,
+    interleave,
+    measure_overhead,
+    order_label,
+    quartiles,
 )
 from tests.oracles import (
     closure_only,
@@ -126,6 +131,15 @@ _CONFIGS = {
     ),
 }
 
+#: The summary's configs that make up the section 9 ablation, by their
+#: ``repro.telemetry.overhead`` names.
+_ABLATION = {
+    "native": "native",
+    "no-dataflow": "harrier-no-dataflow",
+    "no-bbfreq": "harrier-no-bbfreq",
+    "full": "harrier-full",
+}
+
 
 def run_workload(config_name, telemetry=None):
     config, oracle = _CONFIGS[config_name]
@@ -157,28 +171,27 @@ def bench_monitor_overhead(benchmark, config_name):
 
 
 def bench_overhead_summary(benchmark):
-    """Single-shot timing comparison + the section 9 shape assertion."""
-    import time
+    """Interleaved timing comparison + the section 9 shape assertion."""
 
     def measure():
-        timings = {}
-        for name in _CONFIGS:
-            start = time.perf_counter()
-            for _ in range(3):
-                run_workload(name)
-            timings[name] = (time.perf_counter() - start) / 3
         # Warm verdict-cache hits: one Session, one populating miss,
         # then timed repeats answered without executing anything.
         session = Session(cache=VerdictCache())
         session.run(WORKLOAD_SOURCE, path="/bin/perf")
-        start = time.perf_counter()
-        for _ in range(3):
-            session.run(WORKLOAD_SOURCE, path="/bin/perf")
-        timings["warm-cache"] = (time.perf_counter() - start) / 3
-        assert session.cache.stats.hits == 3
-        return timings
+        runs = {name: (lambda name=name: run_workload(name))
+                for name in _CONFIGS}
+        runs["warm-cache"] = lambda: session.run(
+            WORKLOAD_SOURCE, path="/bin/perf"
+        )
+        seconds = interleave(runs)
+        assert session.cache.stats.hits == REPS + 1
+        return {name: quartiles(ts) for name, ts in seconds.items()}
 
-    timings = benchmark.pedantic(measure, rounds=1, iterations=1)
+    stats = benchmark.pedantic(measure, rounds=1, iterations=1)
+    timings = {name: s["median"] for name, s in stats.items()}
+    order = order_label(
+        {short: stats[name] for short, name in _ABLATION.items()}
+    )
     # Registry-sourced per-config work counts: a separate metrics-enabled
     # pass so the instrumented run never perturbs the timed one.
     instructions = {}
@@ -199,24 +212,30 @@ def bench_overhead_summary(benchmark):
     instructions["warm-cache"] = 0.0
     hit_rates["warm-cache"] = None
     native = timings["native"]
+    host = {"cpus": os.cpu_count(), "python": platform.python_version()}
     rows = [
         (
             name,
-            f"{seconds * 1000:.2f} ms",
-            f"{seconds / native:.2f}x",
+            f"{s['median'] * 1000:.2f} ms",
+            f"{s['q1'] * 1000:.2f}-{s['q3'] * 1000:.2f} ms",
+            f"{s['median'] / native:.2f}x",
             f"{instructions[name]:,.0f}",
             (
                 f"{hit_rates[name]:.1%}"
                 if hit_rates[name] is not None else "-"
             ),
         )
-        for name, seconds in timings.items()
+        for name, s in stats.items()
     ]
     text = render_table(
         "Section 9: monitor overhead relative to native execution",
-        ("configuration", "mean time", "slowdown vs native",
+        ("configuration", "median", "Q1-Q3", "slowdown vs native",
          "instructions (registry)", "block-cache hit rate"),
         rows,
+    ) + (
+        f"{REPS} interleaved reps per config; "
+        f"{host['cpus']} cpu(s), Python {host['python']}\n"
+        f"ablation order (native, no-dataflow, no-bbfreq, full): {order}\n"
     )
     write_result("performance_overhead.txt", text)
     write_result(
@@ -224,15 +243,20 @@ def bench_overhead_summary(benchmark):
         json.dumps(
             {
                 "workload": "/bin/perf (bench_performance.WORKLOAD_SOURCE)",
-                "reps": 3,
+                "reps": REPS,
+                "interleaved": True,
+                "host": host,
+                "ablation_order": order,
                 "configs": {
                     name: {
-                        "mean_ms": timings[name] * 1000,
-                        "slowdown_vs_native": timings[name] / native,
+                        "median_ms": s["median"] * 1000,
+                        "q1_ms": s["q1"] * 1000,
+                        "q3_ms": s["q3"] * 1000,
+                        "slowdown_vs_native": s["median"] / native,
                         "instructions": instructions[name],
                         "block_cache_hit_rate": hit_rates[name],
                     }
-                    for name in timings
+                    for name, s in stats.items()
                 },
             },
             indent=2,
@@ -262,30 +286,20 @@ def bench_overhead_summary(benchmark):
 
 
 def bench_profiler_breakdown(benchmark):
-    """Live §8/§9 stage attribution from the telemetry profiler."""
-
-    def run():
-        telemetry = Telemetry.enabled(profile=True)
-        run_workload("harrier-full", telemetry=telemetry)
-        return telemetry.profiler
-
-    profiler = benchmark.pedantic(run, rounds=1, iterations=1)
-    breakdown = profiler.breakdown()
-    print("\n" + profiler.render("Section 9 (live): stage attribution"))
-    write_result(
-        "performance_profile.txt",
-        profiler.render("Section 9 (live): stage attribution") + "\n",
+    """The section 9 ablation study, measured by running each config."""
+    study = benchmark.pedantic(
+        measure_overhead, args=("/bin/perf", WORKLOAD_SOURCE),
+        rounds=1, iterations=1,
     )
-    assert breakdown[STAGE_NATIVE] > 0
-    assert breakdown[STAGE_DATAFLOW] > 0
-    assert breakdown[STAGE_BBFREQ] > 0
-    assert breakdown[STAGE_ANALYSIS] >= 0
-    # the paper's bottleneck claim: dataflow dominates bbfreq counting
-    assert breakdown[STAGE_DATAFLOW] > breakdown[STAGE_BBFREQ]
-    slowdowns = profiler.slowdowns()
-    assert slowdowns[STAGE_ANALYSIS] >= slowdowns[STAGE_DATAFLOW] >= (
-        slowdowns[STAGE_BBFREQ]
-    ) >= 1.0
+    text = study.render("Section 9: ablation on one warm engine")
+    print("\n" + text)
+    write_result("performance_profile.txt", text + "\n")
+    stats = study.stats
+    # Robust shapes only: dataflow costs more than bbfreq counting, and
+    # the full monitor costs more than native.  The full order is the
+    # label in the report, never an assertion.
+    assert stats["no-bbfreq"]["median"] > stats["no-dataflow"]["median"]
+    assert stats["full"]["median"] > stats["native"]["median"]
 
 
 def bench_nullsink_overhead(benchmark):

@@ -28,7 +28,7 @@ Usage (also via ``python -m repro``)::
     # replay one fault schedule bit-for-bit from a RunReport seed
     python -m repro chaos --table 8 --workload pma --seed 42 --show-faults
 
-    # live overhead breakdown (the paper's section 8/9 study, one run)
+    # the paper's section 9 overhead study: native vs three monitor configs
     python -m repro profile trojan.s
 
     # Perfetto-loadable trace + metrics dump of any run
@@ -52,7 +52,7 @@ from repro.analysis.secure_binary import check_secure_binary
 from repro.api import Session
 from repro.cache import CacheEnv, DiskStore, VerdictCache
 from repro.core.hth import HTH
-from repro.core.options import RunOptions
+from repro.core.options import DEFAULT_MAX_TICKS, RunOptions
 from repro.core.report import RunReport
 from repro.fleet.refs import (
     REGISTRIES,
@@ -66,11 +66,14 @@ from repro.kernel.network import ConversationPeer, SinkPeer
 from repro.telemetry import Telemetry
 
 
-def _load_image(source_path: str, guest_path: Optional[str]):
+def _read_guest(source_path: str, guest_path: Optional[str]):
+    """The guest's name (``guest_path`` or ``/bin/<stem>``) and source."""
     path = pathlib.Path(source_path)
-    source = path.read_text()
-    name = guest_path or f"/bin/{path.stem}"
-    return assemble(name, source)
+    return guest_path or f"/bin/{path.stem}", path.read_text()
+
+
+def _load_image(source_path: str, guest_path: Optional[str]):
+    return assemble(*_read_guest(source_path, guest_path))
 
 
 def _parse_kv(option: str, value: str) -> tuple:
@@ -123,15 +126,13 @@ def _print_report(report: RunReport, show_events: bool) -> None:
             print(event)
 
 
-def _build_telemetry(
-    args: argparse.Namespace, profile: bool = False
-) -> Optional[Telemetry]:
+def _build_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
     """An enabled hub when the command asked for observability output."""
     trace = getattr(args, "trace", None)
     metrics = getattr(args, "metrics", False)
-    if not (trace or metrics or profile):
+    if not (trace or metrics):
         return None
-    return Telemetry.enabled(trace=bool(trace), profile=profile)
+    return Telemetry.enabled(trace=bool(trace))
 
 
 def _begin_track(
@@ -166,7 +167,7 @@ def _run_options(args: argparse.Namespace, **overrides) -> RunOptions:
     return RunOptions(
         provenance=not getattr(args, "no_provenance", False),
         cache=not getattr(args, "no_cache", False),
-        max_ticks=getattr(args, "max_ticks", None) or 5_000_000,
+        max_ticks=getattr(args, "max_ticks", DEFAULT_MAX_TICKS),
         **overrides,
     )
 
@@ -413,23 +414,29 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """The paper's §8/§9 overhead breakdown, live, from one run."""
-    image = _load_image(args.source, args.path)
-    telemetry = Telemetry.enabled(
-        trace=bool(getattr(args, "trace", None)), profile=True
-    )
-    session = Session(_run_options(args), telemetry=telemetry)
-    report = session.run(
-        image,
-        argv=[image.name] + list(args.arg or ()),
-        stdin=args.stdin,
-        setup=lambda hth: _apply_run_setup(hth, args),
+    """The paper's §9 overhead study: time the guest natively and under
+    three monitor configs, then count one full run's work."""
+    from repro.telemetry.overhead import measure_overhead
+
+    name, source = _read_guest(args.source, args.path)
+    options = _run_options(args)
+    argv = [name] + list(args.arg or ())
+
+    def setup(hth: HTH) -> None:
+        _apply_run_setup(hth, args)
+
+    # The counters come from one production run with a registry, the
+    # same run `repro run --metrics` makes.
+    telemetry = Telemetry.enabled(trace=bool(args.trace))
+    report = Session(options, telemetry=telemetry).run(
+        source, path=name, argv=argv, stdin=args.stdin, setup=setup,
     )
     print(report.summary_line())
     print()
-    print(telemetry.profiler.render(
-        title=f"Overhead profile: {image.name}"
-    ))
+    study = measure_overhead(
+        name, source, options, argv=argv, stdin=args.stdin, setup=setup,
+    )
+    print(study.render(f"Overhead profile: {name}"))
     registry = telemetry.metrics
     print()
     print(f"instructions retired : {registry.total('cpu_instructions_total'):,.0f}")
@@ -845,6 +852,19 @@ def _add_cache_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _tick_budget(text: str) -> int:
+    """``--max-ticks``: a virtual-time budget of at least one tick."""
+    try:
+        ticks = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if ticks < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {ticks}")
+    return ticks
+
+
 def _add_telemetry_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", metavar="FILE",
@@ -887,7 +907,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emulate the paper's incomplete prototype")
     run.add_argument("--no-provenance", action="store_true",
                      help="skip recording per-warning evidence trails")
-    run.add_argument("--max-ticks", type=int, default=5_000_000)
+    run.add_argument("--max-ticks", type=_tick_budget,
+                     default=DEFAULT_MAX_TICKS)
     run.add_argument("--json", metavar="FILE",
                      help="write the machine-readable RunReport as JSON "
                           "(feed it to `repro explain`)")
@@ -1132,7 +1153,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "connect")
     submit.add_argument("--tenant", default="default",
                         help="admission identity for rate/tick budgets")
-    submit.add_argument("--max-ticks", type=int, default=5_000_000)
+    submit.add_argument("--max-ticks", type=_tick_budget,
+                        default=DEFAULT_MAX_TICKS)
     submit.add_argument("--wall-timeout", type=float,
                         help="per-run wall deadline hint for the daemon")
     submit.add_argument("--timeout", type=float, default=120.0,
@@ -1154,7 +1176,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="live overhead breakdown (paper sections 8-9) for one run",
+        help="monitor overhead study (paper section 9): native vs "
+             "no-dataflow, no-bbfreq and the full monitor",
     )
     profile.add_argument("source", help="guest assembly file (.s)")
     profile.add_argument("--path", help="guest path identity")
@@ -1169,7 +1192,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="register a peer that pushes DATA on connect")
     profile.add_argument("--no-provenance", action="store_true",
                          help="skip recording per-warning evidence trails")
-    profile.add_argument("--max-ticks", type=int, default=5_000_000)
+    profile.add_argument("--max-ticks", type=_tick_budget,
+                         default=DEFAULT_MAX_TICKS)
     _add_telemetry_options(profile)
     profile.set_defaults(func=cmd_profile)
 

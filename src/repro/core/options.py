@@ -60,8 +60,6 @@ class RunOptions:
     metrics: bool = False
     #: Collect a span trace (implies a metrics registry).
     trace: bool = False
-    #: Collect the live §8/§9 stage profile (implies a registry).
-    profile: bool = False
     #: Deterministic chaos: a fault profile plus its schedule seed.  A
     #: fresh :class:`FaultInjector` is built per run, so retries and
     #: replays see the exact same schedule.
@@ -80,7 +78,7 @@ class RunOptions:
     # -- derived -----------------------------------------------------------
     @property
     def wants_telemetry(self) -> bool:
-        return bool(self.metrics or self.trace or self.profile)
+        return bool(self.metrics or self.trace)
 
     # -- factories (fresh state per run) -----------------------------------
     def make_telemetry(self) -> Optional["Telemetry"]:
@@ -89,7 +87,7 @@ class RunOptions:
             return None
         from repro.telemetry import Telemetry
 
-        return Telemetry.enabled(trace=self.trace, profile=self.profile)
+        return Telemetry.enabled(trace=self.trace)
 
     def make_fault_injector(self) -> Optional["FaultInjector"]:
         """A fresh seeded injector when a fault profile is configured."""

@@ -18,7 +18,9 @@ from repro.telemetry import TelemetrySnapshot
 #: dict layout and document the change in ``docs/observability.md``.
 #: v2: per-warning ``evidence`` trails + the top-level ``provenance``
 #: recorder summary (see :mod:`repro.telemetry.provenance`).
-REPORT_SCHEMA_VERSION = 2
+#: v3: the ``telemetry`` snapshot no longer carries a ``profile`` key
+#: (the §9 study is measured by :mod:`repro.telemetry.overhead`).
+REPORT_SCHEMA_VERSION = 3
 
 
 class Verdict(enum.Enum):
@@ -70,7 +72,7 @@ class RunReport:
     monitor_faults: List[object] = field(default_factory=list)
     #: Secpert rules quarantined after raising during this run.
     quarantined_rules: List[str] = field(default_factory=list)
-    #: Telemetry snapshot (metrics/profile/span count) when the run was
+    #: Telemetry snapshot (metrics/span count) when the run was
     #: made with an enabled hub; ``None`` for the zero-overhead default.
     telemetry: Optional[TelemetrySnapshot] = None
     #: Provenance recorder summary (token/source/waypoint counts) when

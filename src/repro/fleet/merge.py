@@ -6,7 +6,7 @@ them back together:
 
 * :func:`merged_telemetry` — one fleet-level snapshot: metric registries
   merge per :func:`repro.telemetry.merge_sample_lists` (counters/gauges
-  sum, histograms merge streams), stage profiles add, span counts add.
+  sum, histograms merge streams) and span counts add.
 * :func:`fleet_chrome_trace` — one Perfetto-loadable trace where every
   run is a Chrome "process" (pid = task index, named after the
   workload), preserving each run's internal span tree.

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.harrier.analyzer import (
@@ -38,12 +37,7 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.loader import LoadedImage
 from repro.kernel.process import Process
 from repro.taint.tags import DataSource, TagSet
-from repro.telemetry import (
-    CATEGORY_ANALYSIS,
-    STAGE_ANALYSIS,
-    STAGE_BBFREQ,
-    STAGE_DATAFLOW,
-)
+from repro.telemetry import CATEGORY_ANALYSIS
 from repro.telemetry.provenance import ProvenanceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -142,7 +136,6 @@ class Harrier(KernelHooks):
         # Telemetry wiring (attach_telemetry); None keeps hot paths free.
         self._metrics = None
         self._tracer = None
-        self._profiler = None
         self._c_emitted = None
         self._c_dropped = None
 
@@ -160,7 +153,6 @@ class Harrier(KernelHooks):
     def attach_telemetry(self, telemetry: "Telemetry") -> "Harrier":
         """Wire the observability hub (see :mod:`repro.telemetry`)."""
         self._tracer = telemetry.tracer
-        self._profiler = telemetry.profiler
         if telemetry.is_enabled:
             m = telemetry.metrics
             self._metrics = m
@@ -172,10 +164,8 @@ class Harrier(KernelHooks):
 
     @property
     def block_instrumentation(self):
-        """:meth:`on_block`'s work, inlined into fused blocks — except
-        while a stage profiler is attached: its per-stage timers live
-        in :meth:`on_block`, so a profiled run takes every record."""
-        return self._inline if self._profiler is None else None
+        """:meth:`on_block`'s work, inlined into fused blocks."""
+        return self._inline
 
     def block_context(self, proc: Process) -> blockjit.MonitorContext:
         """The process's context for inlined block work (built once)."""
@@ -256,9 +246,7 @@ class Harrier(KernelHooks):
         routine short-circuit sees the record only when its terminator
         was a CALL/RET (those always end a block), and BB frequency is
         observed once at the block's entry pc — interior pcs are never
-        leaders by construction of the translation cut.  With a stage
-        profiler attached, the same code runs with each component's
-        wall time attributed to its §8 stage.
+        leaders by construction of the translation cut.
         """
         executed = rec.executed
         if executed == 0:
@@ -268,11 +256,8 @@ class Harrier(KernelHooks):
         shadow = meta.get(_SHADOW_KEY)
         if shadow is None:
             shadow = meta[_SHADOW_KEY] = ProcessShadow()
-        prof = self._profiler
         plan = rec.plan
         if self._track_df:
-            if prof is not None:
-                t0 = perf_counter()
             if executed == plan.length:
                 self.fastpath_blocks += 1
                 apply = plan.taint_apply
@@ -289,17 +274,11 @@ class Harrier(KernelHooks):
                 rec.call_target is not None or rec.ret_target is not None
             ):
                 self.routines.on_step(proc, shadow, rec)
-            if prof is not None:
-                prof.add(STAGE_DATAFLOW, perf_counter() - t0)
         if self._track_bb:
-            if prof is not None:
-                t0 = perf_counter()
             pc = plan.start
             if pc in shadow.app_leaders:
                 shadow.bb_counts[pc] = shadow.bb_counts.get(pc, 0) + 1
                 shadow.last_app_bb = pc
-            if prof is not None:
-                prof.add(STAGE_BBFREQ, perf_counter() - t0)
 
     # -- syscall events (section 7.1) -----------------------------------------
     def on_syscall_pre(
@@ -341,7 +320,6 @@ class Harrier(KernelHooks):
         not take down the monitored run.
         """
         tracer = self._tracer
-        prof = self._profiler
         for event in events:
             self._log_event(event)
             span = None
@@ -356,18 +334,13 @@ class Harrier(KernelHooks):
                     ),
                     tid=getattr(event, "pid", 0),
                 )
-            t0 = perf_counter() if prof is not None else 0.0
             try:
                 warnings = self.analyzer.analyze(event)
             except Exception as exc:  # noqa: BLE001 - containment boundary
                 self._contain(event, exc, stage="analyze")
-                if prof is not None:
-                    prof.add(STAGE_ANALYSIS, perf_counter() - t0)
                 if span is not None:
                     tracer.end(span, self._now, fault=True)
                 continue
-            if prof is not None:
-                prof.add(STAGE_ANALYSIS, perf_counter() - t0)
             if span is not None:
                 tracer.end(span, self._now, warnings=len(warnings))
             for warning in warnings:

@@ -103,7 +103,6 @@ class Kernel:
             Telemetry.disabled()
         )
         self.tracer = self.telemetry.tracer
-        self.profiler = self.telemetry.profiler
         #: The syscall span currently being serviced (analysis spans from
         #: Harrier attach themselves under it).
         self.current_syscall_span: Optional["Span"] = None
@@ -454,30 +453,20 @@ class Kernel:
         the caller.  Checked once per scheduler pass, so the overshoot is
         at most one quantum per runnable process.
         """
-        if self.tracer is None and self.profiler is None:
+        tracer = self.tracer
+        if tracer is None:
             return self._run_loop(max_ticks, wall_timeout)
-        run_span = (
-            self.tracer.start("kernel.run", CATEGORY_RUN, self.now)
-            if self.tracer is not None else None
-        )
-        wall_start = _time.perf_counter()
+        run_span = tracer.start("kernel.run", CATEGORY_RUN, self.now)
         try:
-            result = self._run_loop(max_ticks, wall_timeout)
+            return self._run_loop(max_ticks, wall_timeout)
         finally:
-            if self.profiler is not None:
-                self.profiler.add_run(_time.perf_counter() - wall_start)
-            if self.tracer is not None:
-                # Close any process spans the run left open (max-ticks,
-                # deadlock) so they export; then the run span itself.
-                for proc in self.procs.values():
-                    span = proc.meta.pop(_PROC_SPAN_KEY, None)
-                    if span is not None:
-                        self.tracer.end(span, self.now, still_running=True)
-                if run_span is not None:
-                    self.tracer.end(
-                        run_span, self.now, instructions=self.instructions
-                    )
-        return result
+            # Close any process spans the run left open (max-ticks,
+            # deadlock) so they export; then the run span itself.
+            for proc in self.procs.values():
+                span = proc.meta.pop(_PROC_SPAN_KEY, None)
+                if span is not None:
+                    tracer.end(span, self.now, still_running=True)
+            tracer.end(run_span, self.now, instructions=self.instructions)
 
     def _run_loop(
         self,

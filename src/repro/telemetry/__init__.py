@@ -1,4 +1,4 @@
-"""repro.telemetry — metrics, span tracing, and the live overhead profiler.
+"""repro.telemetry — metrics, span tracing and the §9 overhead study.
 
 The observability layer for the whole HTH stack.  One :class:`Telemetry`
 hub travels from :class:`repro.core.hth.HTH` into the kernel, Harrier,
@@ -10,13 +10,16 @@ and Secpert; each layer feeds the hub's
   paper's Tables 1/8 and §9);
 * **span tracer** — a run → process → syscall → analysis span tree with
   virtual-tick *and* wall timestamps, exportable as JSONL or Chrome
-  trace-event JSON (Perfetto-loadable);
-* **stage profiler** — attributes wall time to native / bbfreq /
-  dataflow / analysis to reproduce the paper's §8/§9 overhead breakdown
-  from a single live run.
+  trace-event JSON (Perfetto-loadable).
 
 Disabled telemetry (the default) wires a :class:`NullSink` registry and
-``None`` tracer/profiler so the monitored hot paths pay nothing.
+a ``None`` tracer so the monitored hot paths pay nothing.  No setting
+here changes which code a run executes: an enabled hub observes the
+same inlined block path as a disabled one.
+
+The paper's §9 overhead study is not a hub feature: it is measured by
+running the guest under each monitor configuration
+(:mod:`repro.telemetry.overhead`).
 """
 
 from __future__ import annotations
@@ -34,14 +37,6 @@ from repro.telemetry.metrics import (
     render_openmetrics,
     render_samples,
     validate_openmetrics,
-)
-from repro.telemetry.profiler import (
-    STAGE_ANALYSIS,
-    STAGE_BBFREQ,
-    STAGE_DATAFLOW,
-    STAGE_NATIVE,
-    STAGES,
-    StageProfiler,
 )
 from repro.telemetry.provenance import (
     EVIDENCE_SCHEMA_VERSION,
@@ -64,14 +59,12 @@ class TelemetrySnapshot:
 
     enabled: bool
     metrics: List[Dict[str, object]] = field(default_factory=list)
-    profile: Optional[Dict[str, object]] = None
     span_count: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "enabled": self.enabled,
             "metrics": list(self.metrics),
-            "profile": self.profile,
             "span_count": self.span_count,
         }
 
@@ -98,7 +91,6 @@ class TelemetrySnapshot:
         return cls(
             enabled=bool(data["enabled"]),
             metrics=list(data["metrics"]),
-            profile=data["profile"],
             span_count=int(data["span_count"]),
         )
 
@@ -108,22 +100,19 @@ class TelemetrySnapshot:
     ) -> "TelemetrySnapshot":
         """Fold many per-run snapshots into one fleet-level snapshot.
 
-        Metric registries merge per :func:`merge_sample_lists`, stage
-        profiles via :meth:`StageProfiler.from_dicts`, and span counts
-        add.  The result is ``enabled`` iff any input was.
+        Metric registries merge per :func:`merge_sample_lists` and span
+        counts add.  The result is ``enabled`` iff any input was.
         """
         live = [s for s in snapshots if s is not None]
-        profiler = StageProfiler.from_dicts(s.profile for s in live)
         return cls(
             enabled=any(s.enabled for s in live),
             metrics=merge_sample_lists(s.metrics for s in live),
-            profile=profiler.to_dict() if profiler is not None else None,
             span_count=sum(s.span_count for s in live),
         )
 
 
 class Telemetry:
-    """The hub: one registry + optional tracer + optional profiler.
+    """The hub: one registry + optional tracer.
 
     Build with :meth:`enabled` to measure, :meth:`disabled` (the default
     everywhere) for the zero-overhead null wiring.
@@ -133,24 +122,19 @@ class Telemetry:
         self,
         metrics=None,
         tracer: Optional[SpanTracer] = None,
-        profiler: Optional[StageProfiler] = None,
     ) -> None:
         self.metrics = metrics if metrics is not None else NullSink()
         self.tracer = tracer
-        self.profiler = profiler
 
     @classmethod
     def disabled(cls) -> "Telemetry":
         return cls(metrics=NullSink())
 
     @classmethod
-    def enabled(
-        cls, trace: bool = False, profile: bool = False
-    ) -> "Telemetry":
+    def enabled(cls, trace: bool = False) -> "Telemetry":
         return cls(
             metrics=MetricsRegistry(),
             tracer=SpanTracer() if trace else None,
-            profiler=StageProfiler() if profile else None,
         )
 
     @property
@@ -161,9 +145,6 @@ class Telemetry:
         return TelemetrySnapshot(
             enabled=self.is_enabled,
             metrics=self.metrics.samples(),
-            profile=(
-                self.profiler.to_dict() if self.profiler is not None else None
-            ),
             span_count=len(self.tracer) if self.tracer is not None else 0,
         )
 
@@ -185,12 +166,6 @@ __all__ = [
     "Histogram",
     "SpanTracer",
     "Span",
-    "StageProfiler",
-    "STAGES",
-    "STAGE_NATIVE",
-    "STAGE_BBFREQ",
-    "STAGE_DATAFLOW",
-    "STAGE_ANALYSIS",
     "CATEGORY_RUN",
     "CATEGORY_PROCESS",
     "CATEGORY_SYSCALL",

@@ -141,7 +141,6 @@ class TestOptionsFingerprint:
             "provenance": False,
             "metrics": True,
             "trace": True,
-            "profile": True,
             "fault_seed": 7,
             "max_ticks": 4_999_999,
             "wall_timeout": 30.0,

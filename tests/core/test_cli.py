@@ -216,15 +216,69 @@ class TestProfileCommand:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        for stage in ("native", "bbfreq", "dataflow", "analysis"):
-            assert stage in out
-        assert "full monitor" in out
+        lines = out.splitlines()
+        for config in ("native", "no-dataflow", "no-bbfreq", "full"):
+            row = [line for line in lines if line.startswith(config + " ")]
+            assert len(row) == 1, config
+            assert row[0].count(" ms") == 3 and row[0].endswith("x")
+        assert any(
+            line.split()[:2] in (["order:", "monotone"],
+                                 ["order:", "unresolved"],
+                                 ["order:", "inverted"])
+            for line in lines
+        )
         assert "instructions retired" in out
         assert "secpert rule firings" in out
+
+    def test_full_run_report_matches_repro_run(
+        self, trojan_file, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli
+
+        reports = []
+        real_run = repro.cli.Session.run
+
+        def recording_run(self, *args, **kwargs):
+            reports.append(real_run(self, *args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(repro.cli.Session, "run", recording_run)
+        setup = [trojan_file, "--file", "/etc/shadow=root:hash"]
+        assert main(["profile", *setup]) == 0
+        out = tmp_path / "run.json"
+        assert main(["run", *setup, "--json", str(out)]) == 0
+        # The profile's counter run carries a metrics snapshot; the
+        # rest of its report is the one `repro run` writes.
+        profiled = json.loads(reports[0].to_json())
+        archived = json.loads(out.read_text())
+        assert profiled.pop("telemetry")["enabled"]
+        assert archived.pop("telemetry") is None
+        assert profiled == archived
 
     def test_benign_program_profiles_too(self, hello_file, capsys):
         assert main(["profile", hello_file]) == 0
         assert "verdict=benign" in capsys.readouterr().out
+
+
+class TestTickBudget:
+    @pytest.mark.parametrize("command", ("run", "profile", "submit"))
+    @pytest.mark.parametrize("ticks", ("0", "-5", "lots"))
+    def test_budget_below_one_is_a_usage_error(
+        self, command, ticks, trojan_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, trojan_file, "--max-ticks", ticks])
+        assert exc.value.code == 2
+        assert "--max-ticks" in capsys.readouterr().err
+
+    def test_budget_reaches_the_run(self, trojan_file, tmp_path):
+        out = tmp_path / "run.json"
+        assert main([
+            "run", trojan_file, "--max-ticks", "5", "--json", str(out),
+        ]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["reason"] == "max-ticks"
+        assert result["instructions"] <= 5
 
 
 class TestTraceAndMetricsFlags:

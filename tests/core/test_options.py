@@ -63,9 +63,9 @@ class TestRunOptions:
     def test_make_telemetry_flags(self):
         hub = RunOptions(metrics=True).make_telemetry()
         assert hub.is_enabled
-        assert hub.tracer is None and hub.profiler is None
-        hub = RunOptions(trace=True, profile=True).make_telemetry()
-        assert hub.tracer is not None and hub.profiler is not None
+        assert hub.tracer is None
+        hub = RunOptions(trace=True).make_telemetry()
+        assert hub.tracer is not None
 
     def test_make_fault_injector_fresh_per_call(self):
         from repro.faultinject import TRANSPARENT_PROFILE

@@ -226,7 +226,7 @@ class TestFleetDeterminism:
 
     def test_per_run_reports_carry_schema_version(self):
         fleet = run_fleet([ELM], workers=1)
-        assert fleet.runs[0].report["schema_version"] == 2
+        assert fleet.runs[0].report["schema_version"] == 3
         # fleet wire format v2: adds the partial-drain flag
         assert fleet.to_dict()["schema_version"] == 2
         assert fleet.to_dict()["partial"] is False

@@ -6,8 +6,8 @@ applier (``InstructionDataFlow.install_applier``) leaves the shadow
 state bit-identical to the replay oracle's transfer-by-transfer
 template replay (``tests.oracles.replay.apply_block``).  Plus the
 monitor-level wiring: the counters say how many full-block and prefix
-applications ran, and a profiled run takes the same path as an
-unprofiled one.
+applications ran, and the run ``repro profile`` counts from (metrics
+plus a trace) takes the same path as a metrics-only run.
 """
 
 from types import SimpleNamespace
@@ -531,10 +531,13 @@ class TestProfiledPath:
         "ref", workload_refs(["6"]), ids=lambda ref: ref.name
     )
     def test_profiling_leaves_monitor_gauges_unchanged(self, ref):
-        # The stage profiler only times on_block; the blocks take the
-        # same fast/slow path and feed the evidence recorder the same.
+        # `repro profile` counts from a run with metrics and a trace;
+        # its blocks take the same fast/slow path and feed the evidence
+        # recorder the same as a metrics-only run's.
         workload = ref.resolve()
         plain = _monitor_gauges(workload, RunOptions(metrics=True))
-        profiled = _monitor_gauges(workload, RunOptions(profile=True))
+        profiled = _monitor_gauges(
+            workload, RunOptions(metrics=True, trace=True)
+        )
         assert plain["harrier_fastpath_blocks"] > 0
         assert plain == profiled

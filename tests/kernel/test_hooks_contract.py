@@ -3,8 +3,7 @@
 A hook that declares no ``block_instrumentation`` — ``CompositeHooks``,
 any plain ``KernelHooks`` subclass — must keep getting one ``on_block``
 per executed block while hot blocks fuse; Harrier and ``NullHooks``
-opt in, and a run with a stage profiler attached stays on the record
-path (the profiler's per-stage timers live in ``on_block``).
+opt in, whatever telemetry the run collects.
 """
 
 from repro.baselines.stide import record_trace
@@ -79,13 +78,6 @@ class TestRecordPath:
         assert hth.run(assemble("/bin/hot", HOT_LOOP)).exit_code == 0
         _assert_one_record_per_block_entry(hth, counter)
 
-    def test_profiled_run_takes_every_record(self):
-        hth = HTH(options=RunOptions(profile=True))
-        assert hth.harrier.block_instrumentation is None
-        assert hth.run(assemble("/bin/hot", HOT_LOOP)).exit_code == 0
-        assert _fused(hth)
-        assert all(plan.fused_for is None for plan in _fused(hth))
-
     def test_stide_traces_unchanged(self):
         workloads = table4_workloads()[:4] + table6_workloads()[:4]
         inlined = [record_trace(w) for w in workloads]
@@ -111,3 +103,14 @@ class TestOptIn:
         assert _fused(native) and all(
             plan.fused_for == () for plan in _fused(native)
         )
+
+    def test_metrics_and_trace_keep_the_inlined_path(self):
+        # Telemetry observes the production path; no setting of it
+        # sends fused blocks back to on_block.
+        hth = HTH(options=RunOptions(metrics=True, trace=True))
+        assert hth.run(assemble("/bin/hot", HOT_LOOP)).exit_code == 0
+        inst = hth.harrier.block_instrumentation
+        assert inst is not None and _fused(hth)
+        assert all(plan.fused_for is inst for plan in _fused(hth))
+        assert hth.harrier.fastpath_blocks > 60
+        assert hth.telemetry.tracer.finished()

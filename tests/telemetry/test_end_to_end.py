@@ -1,5 +1,5 @@
 """Telemetry threaded through the whole stack: one monitored run feeds
-the registry, the span tree, the profiler, and the RunReport snapshot."""
+the registry, the span tree, and the RunReport snapshot."""
 
 import json
 
@@ -58,7 +58,7 @@ def run_monitored(telemetry):
 
 @pytest.fixture(scope="module")
 def traced():
-    telemetry = Telemetry.enabled(trace=True, profile=True)
+    telemetry = Telemetry.enabled(trace=True)
     report = run_monitored(telemetry)
     return telemetry, report
 
@@ -143,17 +143,6 @@ class TestSpanCoverage:
         json.dumps(trace)
 
 
-class TestProfilerFlow:
-    def test_stages_attributed(self, traced):
-        telemetry, _ = traced
-        breakdown = telemetry.profiler.breakdown()
-        assert telemetry.profiler.runs == 1
-        assert breakdown["native"] > 0
-        assert breakdown["dataflow"] > 0
-        assert breakdown["bbfreq"] > 0
-        assert breakdown["analysis"] > 0
-
-
 class TestReportSnapshot:
     def test_snapshot_attached_and_queryable(self, traced):
         _, report = traced
@@ -191,7 +180,6 @@ class TestDisabledPath:
         assert report.telemetry is None
         assert telemetry.metrics.samples() == []
         assert telemetry.tracer is None
-        assert telemetry.profiler is None
 
     def test_to_json_without_telemetry(self):
         report = run_monitored(None)
@@ -200,14 +188,13 @@ class TestDisabledPath:
 
 
 class TestMetricsOnlyHub:
-    def test_metrics_without_tracer_or_profiler(self):
+    def test_metrics_without_tracer(self):
         telemetry = Telemetry.enabled()
         report = run_monitored(telemetry)
         assert telemetry.tracer is None
-        assert telemetry.profiler is None
         assert telemetry.metrics.total("cpu_instructions_total") == (
             report.result.instructions
         )
         snap = report.telemetry
-        assert snap is not None and snap.profile is None
+        assert snap is not None
         assert snap.span_count == 0

@@ -1,11 +1,10 @@
-"""Fleet telemetry merging: sample lists, stage profiles, snapshots."""
+"""Fleet telemetry merging: sample lists and snapshots."""
 
 import json
 
 from repro.telemetry import (
     MetricsRegistry,
     SpanTracer,
-    StageProfiler,
     TelemetrySnapshot,
     merge_sample_lists,
     render_samples,
@@ -155,42 +154,12 @@ class TestSpanJsonlExport:
         assert [d["name"] for d in decoded] == ["done"]
 
 
-class TestProfilerFromDicts:
-    def test_profiles_add(self):
-        a = StageProfiler()
-        a.add("dataflow", 0.2)
-        a.add_run(1.0)
-        b = StageProfiler()
-        b.add("dataflow", 0.3)
-        b.add("bbfreq", 0.1)
-        b.add_run(2.0)
-        merged = StageProfiler.from_dicts([a.to_dict(), b.to_dict()])
-        assert merged.runs == 2
-        assert abs(merged.total_seconds - 3.0) < 1e-9
-        breakdown = merged.breakdown()
-        assert abs(breakdown["dataflow"] - 0.5) < 1e-9
-        assert abs(breakdown["bbfreq"] - 0.1) < 1e-9
-
-    def test_native_remainder_not_double_counted(self):
-        a = StageProfiler()
-        a.add("dataflow", 0.25)
-        a.add_run(1.0)
-        merged = StageProfiler.from_dicts([a.to_dict(), a.to_dict()])
-        # native = run wall - attributed stages, recomputed after merge
-        assert abs(merged.breakdown()["native"] - 1.5) < 1e-9
-
-    def test_no_profiles_gives_none(self):
-        assert StageProfiler.from_dicts([None, None]) is None
-        assert StageProfiler.from_dicts([]) is None
-
-
 class TestSnapshotMerged:
     def _snapshot(self, counter, spans=0):
         registry = _registry(counter=counter)
         return TelemetrySnapshot(
             enabled=True,
             metrics=registry.samples(),
-            profile=None,
             span_count=spans,
         )
 
@@ -210,4 +179,3 @@ class TestSnapshotMerged:
         merged = TelemetrySnapshot.merged([])
         assert not merged.enabled
         assert merged.metrics == []
-        assert merged.profile is None
