@@ -13,7 +13,8 @@ The workload is rule-heavy and event-heavy on purpose: 20 productions
 32 keyed state facts, and a deterministic event stream that *retains*
 its events, so working memory grows while the detector keeps firing.
 
-Three measurements:
+Three measurements, each repeated ``REPEATS`` times (the results keep
+the median and quartiles, the repeat count and the host):
 
 * ``per_event`` — probe cost (assert + run + retract, amortized over
   ``PROBE_EVENTS`` probes) at increasing retained-WM sizes, for both
@@ -39,6 +40,9 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
+import platform
+import statistics
 import time
 
 from benchmarks.harness import render_table, write_result
@@ -51,6 +55,7 @@ from repro.expert import (
     Test,
     V,
 )
+from repro.telemetry.overhead import quartiles
 from tests.oracles import naive_matcher
 
 KINDS = [f"kind{i}" for i in range(8)]
@@ -67,6 +72,10 @@ NAIVE_WM_SIZES = (100, 400)
 
 #: End-to-end stream length for the speedup measurement.
 STREAM_EVENTS = 150
+
+#: Times every measurement is repeated (the JSON keeps the median and
+#: quartiles of the repeats).
+REPEATS = 5
 
 
 def build_engine(rete: bool) -> InferenceEngine:
@@ -161,11 +170,8 @@ def observe(engine: InferenceEngine):
 
 
 def measure():
-    results = {
-        "per_event": {"rete": {}, "naive": {}},
-        "stream": {},
-        "equivalence": {},
-    }
+    """Every timing :data:`REPEATS` times; medians and quartiles kept."""
+    per_event = {"rete": {}, "naive": {}}
 
     # Flat-scaling curve: one rete engine grown through the sizes.
     engine = build_engine(rete=True)
@@ -173,61 +179,79 @@ def measure():
     for size in RETE_WM_SIZES:
         stream(engine, size - grown, start=grown)
         grown = size
-        results["per_event"]["rete"][str(size)] = probe_per_event(engine)
+        per_event["rete"][size] = [
+            probe_per_event(engine) for _ in range(REPEATS)
+        ]
 
     for size in NAIVE_WM_SIZES:
         engine = build_engine(rete=False)
         stream(engine, size)
-        results["per_event"]["naive"][str(size)] = probe_per_event(engine)
+        per_event["naive"][size] = [
+            probe_per_event(engine) for _ in range(REPEATS)
+        ]
 
-    # End-to-end retained stream, both engines, plus equivalence.
-    outcomes = {}
-    timings = {}
-    for label, rete in (("rete", True), ("naive", False)):
-        engine = build_engine(rete=rete)
-        start = time.perf_counter()
-        stream(engine, STREAM_EVENTS)
-        timings[label] = time.perf_counter() - start
-        outcomes[label] = observe(engine)
-    results["stream"] = {
-        "events": STREAM_EVENTS,
-        "rete_seconds": timings["rete"],
-        "naive_seconds": timings["naive"],
-        "speedup": timings["naive"] / timings["rete"],
-    }
-    results["equivalence"] = {
-        "hits": outcomes["rete"][0],
-        "identical": outcomes["rete"] == outcomes["naive"],
-    }
+    # End-to-end retained stream, both engines interleaved, plus
+    # equivalence on every repeat.
+    timings = {"rete": [], "naive": []}
+    identical = True
+    for _ in range(REPEATS):
+        outcomes = {}
+        for label, rete in (("rete", True), ("naive", False)):
+            engine = build_engine(rete=rete)
+            start = time.perf_counter()
+            stream(engine, STREAM_EVENTS)
+            timings[label].append(time.perf_counter() - start)
+            outcomes[label] = observe(engine)
+        identical = identical and outcomes["rete"] == outcomes["naive"]
 
-    rete_curve = results["per_event"]["rete"]
-    results["flat_ratio"] = (
-        rete_curve[str(RETE_WM_SIZES[-1])]
-        / rete_curve[str(RETE_WM_SIZES[0])]
-    )
-    return results
+    rete_curve = per_event["rete"]
+    return {
+        "repeats": REPEATS,
+        "host": {"cpus": os.cpu_count(), "python": platform.python_version()},
+        "per_event": {
+            name: {str(size): quartiles(samples)
+                   for size, samples in curve.items()}
+            for name, curve in per_event.items()
+        },
+        "stream": {
+            "events": STREAM_EVENTS,
+            "rete_seconds": quartiles(timings["rete"]),
+            "naive_seconds": quartiles(timings["naive"]),
+            "speedup": (statistics.median(timings["naive"])
+                        / statistics.median(timings["rete"])),
+        },
+        "equivalence": {"hits": outcomes["rete"][0], "identical": identical},
+        "flat_ratio": (
+            statistics.median(rete_curve[RETE_WM_SIZES[-1]])
+            / statistics.median(rete_curve[RETE_WM_SIZES[0]])
+        ),
+    }
 
 
 def report(results) -> str:
     rows = []
     for engine_name, curve in results["per_event"].items():
-        for size, seconds in curve.items():
+        for size, q in curve.items():
             rows.append((
-                engine_name, size, f"{seconds * 1e6:.1f}",
+                engine_name, size, f"{q['median'] * 1e6:.1f}",
+                f"{q['q1'] * 1e6:.1f}-{q['q3'] * 1e6:.1f}",
             ))
     text = render_table(
         "Per-event match cost vs retained working-memory size",
-        ("engine", "wm facts", "us/event"),
+        ("engine", "wm facts", "us/event (median)", "Q1-Q3"),
         rows,
     )
     stream_r = results["stream"]
+    host = results["host"]
     text += (
         f"\nstream: {stream_r['events']} retained events — "
-        f"rete {stream_r['rete_seconds']:.3f}s, "
-        f"naive {stream_r['naive_seconds']:.3f}s, "
+        f"rete {stream_r['rete_seconds']['median']:.3f}s, "
+        f"naive {stream_r['naive_seconds']['median']:.3f}s (medians), "
         f"speedup {stream_r['speedup']:.1f}x\n"
         f"rete flat ratio across {RETE_WM_SIZES[0]} -> "
         f"{RETE_WM_SIZES[-1]} facts: {results['flat_ratio']:.2f}\n"
+        f"{results['repeats']} repeats per timing; "
+        f"{host['cpus']} cpu(s), Python {host['python']}\n"
     )
     return text
 

@@ -293,5 +293,8 @@ class InferenceEngine:
                     ).observe(perf_counter() - action_start)
             fired += 1
         else:
-            raise EngineError(f"run() exceeded fire limit ({limit})")
+            # Exactly ``limit`` firings that leave the agenda empty are a
+            # normal quiescent run; only a pending activation exceeds it.
+            if self.agenda():
+                raise EngineError(f"run() exceeded fire limit ({limit})")
         return fired

@@ -13,14 +13,24 @@ This module is that network:
 * **alpha layer** — :class:`AlphaMemory` instances index facts by template
   and by the hashable constant-slot constraints of the patterns that use
   them; memories are shared between patterns with the same constants.
-* **beta layer** — one linear chain of nodes per production.
-  :class:`JoinNode` keeps a token memory for the partial matches of the
-  LHS prefix, hashed by the values of variables the pattern re-uses
-  (the join keys), plus a per-node index of the alpha memory's facts by
-  the same keys; a delta on either side only touches the matching bucket.
-  :class:`TestNode` evaluates CLIPS ``(test ...)`` on token extension.
-  :class:`NegNode` keeps a match *count* per token so ``Not`` flips
-  incrementally on assert/retract instead of rescanning working memory.
+* **beta layer** — a tree of shared nodes, as in CLIPS: a production
+  reuses an existing node when its parent node, the ``Test`` elements
+  since that parent, the node kind and the :class:`Pattern` *object* are
+  all the same, so rules built on one Pattern object match a fact once,
+  not once per rule.  :class:`JoinNode` keeps a token memory for the
+  partial matches of the LHS prefix, hashed by the values of variables
+  the pattern re-uses (the join keys), plus a per-node index of the
+  alpha memory's facts by the same keys; a delta on either side only
+  touches the matching bucket.  :class:`NegNode` keeps a match *count*
+  per token so ``Not`` flips incrementally on assert/retract instead of
+  rescanning working memory.
+* **edges** — each node passes its outputs down ``edges``, a list of
+  ``(tests, target)`` pairs.  CLIPS ``(test ...)`` elements live on the
+  edge: they run on the extended bindings before any token is made, so a
+  rejected match costs no token.  Leading tests run once on the dummy
+  token when the head node is created.  A production added under an
+  existing shared node replays that node's current outputs into its new
+  edge only.
 * **agenda** — a maintained priority structure (:class:`ReteNetwork`'s
   entry dict plus a lazy-deletion heap) updated by activation /
   deactivation deltas.  The order key ``(-salience, -recency,
@@ -36,13 +46,19 @@ accept or reject a pairing the naive matcher would not.
 
 Propagation ordering (the classic Rete pitfalls):
 
-* assert activates nodes deepest-first within a production, so a fact
-  feeding two nodes of one chain is never joined twice and a ``Not``
-  over the same template never double-counts it;
-* retract removes the fact from every alpha memory first, then deletes
-  dying tokens upstream-first (token creation order), and only then
-  re-evaluates negation counts — so no transient activation is built
-  from a half-retracted state.
+* assert and retract both visit the alpha-fed nodes a fact reaches
+  deepest-first across the whole network, ordered by ``(-position,
+  rule_index)``.  Once chains share nodes, a per-production order is not
+  enough: a fact feeding a shared head and a deeper join on the same
+  template must reach the deeper node before the head emits tokens that
+  would see it twice (with an unhashable join value both sides scan), and
+  a ``Not`` over the same template must never double-count it;
+* retract removes the fact from every alpha memory first and deletes
+  the tokens that consumed it upstream-first (token creation order).
+  Only then do the nodes drop it from their right indexes and
+  re-evaluate negation counts, deepest-first again: a ``Not`` that flips
+  back to zero must emit into downstream nodes that have already dropped
+  the fact, or a deeper join would pair the new token with it.
 """
 
 from __future__ import annotations
@@ -98,8 +114,8 @@ class Token:
 
     ``node`` is the node whose input memory holds the token (None once
     deleted); ``fact`` is the fact the creating join consumed (None for
-    dummy / test / negation outputs); ``children`` are the downstream
-    tokens derived from this one, deleted by cascade.
+    dummy / negation outputs); ``children`` are the downstream tokens
+    derived from this one, deleted by cascade.
     """
 
     __slots__ = ("node", "parent", "fact", "bindings", "facts", "children",
@@ -156,11 +172,15 @@ def _hashable_or_unindexed(key: Tuple[Any, ...]) -> Any:
     return key
 
 
+Edge = Tuple[Tuple[Test, ...], Any]
+
+
 class _AlphaFedNode:
     """Shared machinery for nodes with a left token memory and a right
-    (alpha) input: hashed indexes on both sides, scan-list fallbacks."""
+    (alpha) input: hashed indexes on both sides, scan-list fallbacks,
+    and the outgoing edges."""
 
-    __slots__ = ("network", "pattern", "alpha", "join_slots", "child",
+    __slots__ = ("network", "pattern", "alpha", "join_slots", "edges",
                  "rule_index", "position", "tokens", "left_index",
                  "left_scan", "right_index", "right_scan")
 
@@ -171,7 +191,11 @@ class _AlphaFedNode:
         self.pattern = pattern
         self.alpha = alpha
         self.join_slots = join_slots
-        self.child: Any = None
+        #: ``(tests, target)``: an output reaches ``target`` when every
+        #: test holds on its bindings.
+        self.edges: List[Edge] = []
+        #: Index of the production that created the node and the node's
+        #: LHS position there (the same in every production sharing it).
         self.rule_index = rule_index
         self.position = position
         self.tokens: Dict[Token, None] = {}
@@ -254,44 +278,58 @@ class _AlphaFedNode:
             return list(self.tokens)
         return chain(self.left_index.get(key, ()), self.left_scan)
 
+    # -- output ---------------------------------------------------------
+    def _emit(self, edges: Iterable[Edge], token: Token,
+              fact: Optional[Fact], bindings: Dict[str, Any]) -> None:
+        """Pass one output (``token`` extended by ``fact``, if any) down
+        each edge whose tests hold."""
+        make_token = self.network._make_token
+        for tests, target in edges:
+            for test in tests:
+                if not test.holds(bindings):
+                    break
+            else:
+                facts = token.facts if fact is None else token.facts + (fact,)
+                target.add_token(
+                    make_token(target, token, fact, bindings, facts)
+                )
+
 
 class JoinNode(_AlphaFedNode):
     """Extend each left token with every alpha fact the pattern accepts."""
 
-    kind = "join"
     __slots__ = ()
 
     def add_token(self, token: Token) -> None:
         self._store_token(token)
+        self._join(token, self.edges)
+
+    def _join(self, token: Token, edges: Iterable[Edge]) -> None:
         for fact in self._right_candidates(token):
             extended = self.pattern.match(fact, token.bindings)
             if extended is not None:
-                self._emit(token, fact, extended)
+                self._emit(edges, token, fact, extended)
+
+    def replay(self, edge: Edge) -> None:
+        for token in list(self.tokens):
+            self._join(token, (edge,))
 
     def right_assert(self, fact: Fact) -> None:
         key = self._index_right(fact)
         for token in list(self._left_candidates(key)):
             extended = self.pattern.match(fact, token.bindings)
             if extended is not None:
-                self._emit(token, fact, extended)
+                self._emit(self.edges, token, fact, extended)
 
     def right_retract(self, fact: Fact) -> None:
         # Dying tokens were already cascaded by the network sweep; only
         # the per-node index still references the fact.
         self._unindex_right(fact)
 
-    def _emit(self, token: Token, fact: Fact,
-              bindings: Dict[str, Any]) -> None:
-        child = self.network._make_token(
-            self.child, token, fact, bindings, token.facts + (fact,)
-        )
-        self.child.add_token(child)
-
 
 class NegNode(_AlphaFedNode):
     """CLIPS ``(not ...)``: pass a token while its match count is zero."""
 
-    kind = "neg"
     __slots__ = ()
 
     def add_token(self, token: Token) -> None:
@@ -302,7 +340,12 @@ class NegNode(_AlphaFedNode):
                 count += 1
         token.neg_count = count
         if count == 0:
-            self._emit(token)
+            self._emit(self.edges, token, None, token.bindings)
+
+    def replay(self, edge: Edge) -> None:
+        for token in list(self.tokens):
+            if token.neg_count == 0:
+                self._emit((edge,), token, None, token.bindings)
 
     def right_assert(self, fact: Fact) -> None:
         key = self._index_right(fact)
@@ -319,44 +362,12 @@ class NegNode(_AlphaFedNode):
             if self.pattern.match(fact, token.bindings) is not None:
                 token.neg_count -= 1
                 if token.neg_count == 0:
-                    self._emit(token)
-
-    def _emit(self, token: Token) -> None:
-        child = self.network._make_token(
-            self.child, token, None, token.bindings, token.facts
-        )
-        self.child.add_token(child)
-
-
-class TestNode:
-    """CLIPS ``(test ...)``: a predicate over the bindings so far."""
-
-    kind = "test"
-    __slots__ = ("network", "test", "child", "rule_index", "position")
-
-    def __init__(self, network: "ReteNetwork", test: Test,
-                 rule_index: int, position: int) -> None:
-        self.network = network
-        self.test = test
-        self.child: Any = None
-        self.rule_index = rule_index
-        self.position = position
-
-    def add_token(self, token: Token) -> None:
-        if self.test.holds(token.bindings):
-            child = self.network._make_token(
-                self.child, token, None, token.bindings, token.facts
-            )
-            self.child.add_token(child)
-
-    def detach_token(self, token: Token) -> None:
-        pass
+                    self._emit(self.edges, token, None, token.bindings)
 
 
 class ProductionNode:
-    """Chain terminal: tokens arriving here are (de)activations."""
+    """Tree leaf: tokens arriving here are (de)activations."""
 
-    kind = "production"
     __slots__ = ("network", "rule", "rule_index")
 
     def __init__(self, network: "ReteNetwork", rule: Rule,
@@ -391,6 +402,11 @@ def _join_slots(pattern: Pattern,
     )
 
 
+def _deepest_first(node: _AlphaFedNode) -> Tuple[int, int]:
+    """Propagation order across the whole network (see module doc)."""
+    return (-node.position, node.rule_index)
+
+
 class ReteNetwork:
     """The network plus the maintained agenda for one engine."""
 
@@ -398,6 +414,9 @@ class ReteNetwork:
         self.engine = engine
         self._alpha_by_template: Dict[str, List[AlphaMemory]] = {}
         self._alpha_by_key: Dict[Tuple, AlphaMemory] = {}
+        #: (parent, tests since parent, node class, Pattern object) ->
+        #: the shared node; the parent is None at the root.
+        self._nodes: Dict[Tuple, _AlphaFedNode] = {}
         #: fact_id -> tokens whose creating join consumed the fact, in
         #: creation order (ancestors before descendants).
         self._tokens_by_fact: Dict[int, List[Token]] = {}
@@ -408,38 +427,51 @@ class ReteNetwork:
     # -- construction ----------------------------------------------------
     def add_production(self, rule: Rule, rule_index: int) -> None:
         bound: Set[str] = set()
-        nodes: List[Any] = []
+        parent: Optional[_AlphaFedNode] = None
+        tests: List[Test] = []
         for position, element in enumerate(rule.lhs):
+            if isinstance(element, Test):
+                tests.append(element)
+                continue
             if isinstance(element, Pattern):
-                alpha = self._alpha_for(element)
-                node = JoinNode(self, element, alpha,
-                                _join_slots(element, bound),
-                                rule_index, position)
-                alpha.successors.append(node)
-                for constraint in element.constraints.values():
-                    if isinstance(constraint, V):
-                        bound.add(constraint.name)
-                if element.bind_as is not None:
-                    bound.add(element.bind_as)
-            elif isinstance(element, Test):
-                node = TestNode(self, element, rule_index, position)
+                kind, pattern = JoinNode, element
             elif isinstance(element, Not):
-                alpha = self._alpha_for(element.pattern)
-                node = NegNode(self, element.pattern, alpha,
-                               _join_slots(element.pattern, bound),
-                               rule_index, position)
-                alpha.successors.append(node)
+                kind, pattern = NegNode, element.pattern
             else:
                 raise TypeError(f"bad conditional element {element!r}")
-            nodes.append(node)
-        production = ProductionNode(self, rule, rule_index)
-        for node, child in zip(nodes, nodes[1:] + [production]):
-            node.child = child
-        head = nodes[0] if nodes else production
-        # Seed with the dummy token; for rules added after facts the
-        # backfilled alpha memories replay existing working memory.
-        dummy = self._make_token(head, None, None, {}, ())
-        head.add_token(dummy)
+            key = (parent, tuple(tests), kind, pattern)
+            node = self._nodes.get(key)
+            if node is None:
+                alpha = self._alpha_for(pattern)
+                node = kind(self, pattern, alpha, _join_slots(pattern, bound),
+                            rule_index, position)
+                alpha.successors.append(node)
+                self._nodes[key] = node
+                self._attach(parent, key[1], node)
+            if kind is JoinNode:
+                for constraint in pattern.constraints.values():
+                    if isinstance(constraint, V):
+                        bound.add(constraint.name)
+                if pattern.bind_as is not None:
+                    bound.add(pattern.bind_as)
+            parent, tests = node, []
+        self._attach(parent, tuple(tests),
+                     ProductionNode(self, rule, rule_index))
+
+    def _attach(self, parent: Optional[_AlphaFedNode],
+                tests: Tuple[Test, ...], target: Any) -> None:
+        """Connect ``target`` below ``parent`` (None: the network root)."""
+        if parent is None:
+            # Seed with the dummy token; for rules added after facts the
+            # backfilled alpha memories replay existing working memory.
+            if all(test.holds({}) for test in tests):
+                target.add_token(self._make_token(target, None, None, {}, ()))
+            return
+        edge = (tests, target)
+        parent.edges.append(edge)
+        # Only the new edge sees the replay: the parent's other edges
+        # already hold these outputs.
+        parent.replay(edge)
 
     def _alpha_for(self, pattern: Pattern) -> AlphaMemory:
         literals = []
@@ -474,10 +506,7 @@ class ReteNetwork:
                 hit.append(memory)
         self.engine.stats.alpha_activations += len(hit)
         nodes = [node for memory in hit for node in memory.successors]
-        # Deepest node first within each production: a fact feeding two
-        # nodes of one chain must reach the deeper one before the
-        # shallower join emits tokens that would see it twice.
-        nodes.sort(key=lambda n: (n.rule_index, -n.position))
+        nodes.sort(key=_deepest_first)
         for node in nodes:
             node.right_assert(fact)
 
@@ -493,7 +522,7 @@ class ReteNetwork:
             if token.node is not None:
                 self._delete_token(token)
         nodes = [node for memory in hit for node in memory.successors]
-        nodes.sort(key=lambda n: (n.rule_index, n.position))
+        nodes.sort(key=_deepest_first)
         for node in nodes:
             node.right_retract(fact)
 

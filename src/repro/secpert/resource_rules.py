@@ -118,18 +118,18 @@ def build_resource_rules(policy: PolicyConfig) -> List[Rule]:
 
         return action
 
+    # One Pattern object for both thresholds, so the two rules share one
+    # join node and a memory event is matched once.
+    memory_pattern = Pattern(
+        "memory_usage",
+        total_allocated=V("total"),
+        time=V("time"),
+        pid=V("pid"),
+    )
     memory_low_rule = Rule(
         name="check_memory_usage",
         doc="Heap growth past the low threshold (future work item 4)",
-        lhs=[
-            Pattern(
-                "memory_usage",
-                total_allocated=V("total"),
-                time=V("time"),
-                pid=V("pid"),
-            ),
-            Test(memory_low),
-        ],
+        lhs=[memory_pattern, Test(memory_low)],
         action=warn_memory(
             Severity.LOW, "This program is consuming a lot of memory"
         ),
@@ -138,15 +138,7 @@ def build_resource_rules(policy: PolicyConfig) -> List[Rule]:
         name="check_memory_abuse",
         doc="Heap growth past the abuse threshold (future work item 4)",
         salience=1,
-        lhs=[
-            Pattern(
-                "memory_usage",
-                total_allocated=V("total"),
-                time=V("time"),
-                pid=V("pid"),
-            ),
-            Test(memory_high),
-        ],
+        lhs=[memory_pattern, Test(memory_high)],
         action=warn_memory(
             Severity.MEDIUM,
             "This program may be draining OS memory to degrade performance",

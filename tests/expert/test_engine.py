@@ -189,6 +189,12 @@ class TestFiring:
         with pytest.raises(EngineError):
             engine.run(limit=25)
 
+    def test_fire_limit_reached_by_a_quiescent_run(self, engine):
+        engine.add_rule(Rule("once", [Pattern("item")], lambda ctx: None))
+        item(engine, "a")
+        assert engine.run(limit=1) == 1
+        assert engine.agenda() == []
+
     def test_fire_trace_records(self, engine):
         engine.add_rule(
             Rule("watch", [Pattern("item", kind=V("k"))], lambda ctx: None)

@@ -134,8 +134,9 @@ class TestIncrementalJoin:
         before = eng.stats.beta_tokens_created
         ev(eng, key="k3", val=1)
         # Only the matching bucket is joined: one ev token + one pair
-        # + one test output, not one per state fact.
-        assert eng.stats.beta_tokens_created - before == 3
+        # (the Test runs on the edge, so it makes no token of its own),
+        # not one per state fact.
+        assert eng.stats.beta_tokens_created - before == 2
 
     def test_unhashable_join_values_fall_back_to_scan(self):
         eng = build(True, [JOIN_RULE])
@@ -221,6 +222,97 @@ class TestIncrementalNegation:
             for n in m.successors if isinstance(n, NegNode)
         )
         assert all(t.neg_count >= 0 for t in node.tokens)
+
+    def test_not_flip_on_retract_never_joins_the_retracted_fact(self):
+        # Retracting the veto flips the Not back to zero; the token it
+        # emits must reach a join that has already dropped the veto
+        # from its index, or the rule activates on a retracted fact.
+        rules = [Rule("after-veto", [
+            Pattern("st", key=V("k")),
+            Not(Pattern("ev", key=V("k"), kind="veto")),
+            Pattern("ev", key=V("k")),
+        ], log_action)]
+        naive, rete = build(False, rules), build(True, rules)
+        for eng in (naive, rete):
+            state(eng, key="k")
+            eng.retract(ev(eng, kind="veto", key="k"))
+        assert rete.agenda() == naive.agenda() == []
+        # The dummy, the st token at the Not, its output at the last join.
+        assert rete.stats.beta_tokens_live == 3
+
+
+class TestNodeSharing:
+    def test_rules_on_one_pattern_share_a_join(self):
+        shared = Pattern("ev", key=V("k"), val=V("v"))
+        eng = build(True, [
+            Rule("big", [shared, Test(lambda b: b["v"] > 3)], log_action),
+            Rule("odd", [shared, Test(lambda b: b["v"] % 2)], log_action),
+            Rule("any", [shared], log_action),
+        ])
+        (node,) = eng._rete._nodes.values()
+        assert len(node.edges) == 3
+        before = eng.stats.beta_tokens_created
+        f = ev(eng, val=2)
+        # One match, three edges: only the Test-free edge makes a token.
+        assert eng.stats.beta_tokens_created - before == 1
+        assert [a.key() for a in eng.agenda()] == [("any", (f.fact_id,))]
+
+    def test_different_pattern_objects_are_not_shared(self):
+        eng = build(True, [
+            Rule("r1", [Pattern("ev", key=V("k"))], log_action),
+            Rule("r2", [Pattern("ev", key=V("k"))], log_action),
+        ])
+        assert len(eng._rete._nodes) == 2
+
+    def test_shared_head_and_deeper_same_template_join(self):
+        # The head is shared and the deeper join reads the same
+        # template.  With an unhashable join value both sides scan, so
+        # only network-wide deepest-first propagation keeps the (f, f)
+        # pair from being built twice.
+        head = Pattern("ev", key=V("k"))
+        rules = [
+            Rule("head", [head], log_action),
+            Rule("pair", [head, Pattern("ev", key=V("k"))], log_action),
+        ]
+        naive, rete = build(False, rules), build(True, rules)
+        for eng in (naive, rete):
+            ev(eng, key=["k"])
+        # dummy, head activation, pair-node input, pair activation.
+        assert rete.stats.beta_tokens_live == 4
+        assert (
+            [a.key() for a in rete.agenda()]
+            == [a.key() for a in naive.agenda()]
+        )
+
+    def test_rule_added_under_a_shared_node_replays_its_edge_only(self):
+        shared = Pattern("ev", key=V("k"), val=V("v"))
+        eng = build(True, [Rule("all", [shared], log_action)])
+        f1, f2 = ev(eng, val=1), ev(eng, val=5)
+        before = eng.stats.beta_tokens_created
+        eng.add_rule(
+            Rule("big", [shared, Test(lambda b: b["v"] > 3)], log_action)
+        )
+        # The existing edge keeps its tokens: only "big" gets a new one.
+        assert eng.stats.beta_tokens_created - before == 1
+        assert sorted(a.key() for a in eng.agenda()) == [
+            ("all", (f1.fact_id,)),
+            ("all", (f2.fact_id,)),
+            ("big", (f2.fact_id,)),
+        ]
+
+    def test_rule_added_under_a_shared_not_replays_passing_tokens(self):
+        st_k = Pattern("st", key=V("k"))
+        unmarked = Not(Pattern("mark", key=V("k")))
+        eng = build(True, [Rule("r1", [st_k, unmarked], log_action)])
+        state(eng, key="a")
+        s2 = state(eng, key="b")
+        eng.assert_fact(eng.templates["mark"].make(key="a"))
+        eng.add_rule(Rule("r2", [st_k, unmarked], log_action))
+        assert len(eng._rete._nodes) == 2
+        assert [a.key() for a in eng.agenda()] == [
+            ("r1", (s2.fact_id,)),
+            ("r2", (s2.fact_id,)),
+        ]
 
 
 class TestMaintainedAgenda:
@@ -353,6 +445,14 @@ class TestMatchStats:
 # -- lockstep equivalence ---------------------------------------------------
 
 def lockstep_rules():
+    """The lockstep rule set, and the rules ``add-rule`` ops add later.
+
+    Several rules reuse one Pattern object, so the Rete engine shares
+    their nodes: one head with different Tests, a two-pattern prefix, a
+    ``Not`` under that prefix, and a deeper join on the head's template;
+    ``quiet`` joins the template its ``Not`` reads.
+    The late rules attach under those shared nodes after facts exist.
+    """
     def consume(ctx):
         log_action(ctx)
         ctx.retract(ctx["f"])
@@ -363,15 +463,16 @@ def lockstep_rules():
             ctx.engine.templates["mark"].make(key=ctx["k"])
         )
 
-    return [
+    ev_kv = Pattern("ev", key=V("k"), val=V("v"))
+    st_kl = Pattern("st", key=V("k"), lvl=V("l"))
+    unmarked = Not(Pattern("mark", key=V("k")))
+    rules = [
         Rule("thresh", [
             Pattern("ev", kind="a", key=V("k"), val=V("v")),
             Test(lambda b: b["v"] > 2),
         ], log_action),
         Rule("join", [
-            Pattern("ev", key=V("k"), val=V("v")),
-            Pattern("st", key=V("k"), lvl=V("l")),
-            Test(lambda b: b["v"] >= b["l"]),
+            ev_kv, st_kl, Test(lambda b: b["v"] >= b["l"]),
         ], mark, salience=1),
         Rule("unmarked", [
             Pattern("st", key=V("k"), lvl=V("l")),
@@ -380,7 +481,27 @@ def lockstep_rules():
         ], log_action, salience=2),
         Rule("consume", [Pattern("ev", kind="c", bind_as="f")],
              consume, salience=3),
+        Rule("even", [ev_kv, Test(lambda b: b["v"] % 2 == 0)], log_action),
+        Rule("gap", [
+            ev_kv, st_kl, Test(lambda b: b["v"] - b["l"] >= 2),
+        ], log_action),
+        Rule("join-unmarked", [ev_kv, st_kl, unmarked], log_action),
+        Rule("pair", [ev_kv, Pattern("ev", key=V("k"), kind="b")],
+             log_action),
+        Rule("quiet", [
+            st_kl, Not(Pattern("ev", key=V("k"), kind="b")), ev_kv,
+        ], log_action),
     ]
+    late = [
+        Rule("late-join", [ev_kv, st_kl, Test(lambda b: b["l"] == 0)],
+             log_action),
+        Rule("late-unmarked", [
+            ev_kv, st_kl, unmarked, Test(lambda b: b["v"] > 1),
+        ], log_action),
+        Rule("late-even", [ev_kv, Test(lambda b: b["v"] % 2 == 0)],
+             log_action),
+    ]
+    return rules, late
 
 
 def normalized_bindings(bindings):
@@ -411,28 +532,30 @@ def observe(engine):
     }
 
 
+#: Keys include an unhashable value, so joins also take the scan paths.
+KEYS = st.sampled_from(["k1", "k2", ["k1"]])
+
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("assert-ev"),
                   st.sampled_from(["a", "b", "c"]),
-                  st.sampled_from(["k1", "k2"]),
+                  KEYS,
                   st.integers(0, 4)),
-        st.tuples(st.just("assert-st"),
-                  st.sampled_from(["k1", "k2"]),
-                  st.integers(0, 3)),
+        st.tuples(st.just("assert-st"), KEYS, st.integers(0, 3)),
         st.tuples(st.just("retract"), st.integers(0, 7)),
         st.tuples(st.just("run")),
+        st.tuples(st.just("add-rule")),
     ),
     min_size=1, max_size=24,
 )
 
 
 class TestLockstepEquivalence:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(OPS)
     def test_random_interleavings_match_naive(self, ops):
-        engines = [build(False, lockstep_rules()),
-                   build(True, lockstep_rules())]
+        setups = [lockstep_rules(), lockstep_rules()]
+        engines = [build(False, setups[0][0]), build(True, setups[1][0])]
         asserted = [[], []]
         for op in ops:
             for index, engine in enumerate(engines):
@@ -451,6 +574,10 @@ class TestLockstepEquivalence:
                             if f.fact_id in engine._facts]
                     if live:
                         engine.retract(live[op[1] % len(live)])
+                elif op[0] == "add-rule":
+                    late = setups[index][1]
+                    if late:
+                        engine.add_rule(late.pop(0))
                 else:
                     engine.run()
             naive, rete = observe(engines[0]), observe(engines[1])

@@ -114,6 +114,42 @@ class TestSecpertLifecycle:
         assert secpert.analyze(event) == ()
 
 
+class TestSharedMatching:
+    """Rules built on one Pattern object share one Rete join node."""
+
+    def _nodes(self, secpert, template):
+        return [node for node in secpert.engine._rete._nodes.values()
+                if node.pattern.template == template]
+
+    def test_info_flow_rules_feed_one_join(self):
+        secpert = Secpert()
+        (write,) = self._nodes(secpert, "data_transfer")
+        assert sorted(target.rule.name for _, target in write.edges) == [
+            "check_binary_flow",
+            "check_executable_download",
+            "check_hardware_flow",
+            "check_resource_flow",
+            "check_user_input_flow",
+        ]
+
+    def test_benign_write_creates_no_beta_token(self):
+        secpert = Secpert()
+        event = DataTransferEvent(
+            pid=1, time=5, frequency=1, address="0",
+            call_name="SYS_write", direction="write",
+            resource=ResourceId(ResourceKind.FILE, "/tmp/log"), length=3,
+        )
+        before = secpert.engine.stats.beta_tokens_created
+        assert secpert.analyze(event) == []
+        assert secpert.engine.stats.beta_tokens_created == before
+
+    def test_memory_rules_share_one_join(self):
+        (memory,) = self._nodes(Secpert(), "memory_usage")
+        assert sorted(target.rule.name for _, target in memory.edges) == [
+            "check_memory_abuse", "check_memory_usage",
+        ]
+
+
 class TestWarningSink:
     def warning(self, severity, rule="r"):
         return SecurityWarning(severity=severity, rule=rule, headline="h")
