@@ -21,6 +21,9 @@ configurations:
                       monitor not inlined into them: every block
                       returns a record to ``Harrier.on_block``
                       (``tests/oracles`` ``record_path``)
+* harrier-no-traces — the full monitor with no loop trace: every hot
+                      block entry is one kernel round trip
+                      (``tests/oracles`` ``no_traces``)
 * harrier-fastpath(-off) — the full monitor with the zero-taint dataflow
                       fast path on/off (fastpath == the default
                       harrier-full; -off runs the forced template-replay
@@ -63,6 +66,7 @@ from repro.telemetry.overhead import (
 )
 from tests.oracles import (
     closure_only,
+    no_traces,
     record_path,
     reference_interpreter,
     template_replay,
@@ -124,6 +128,7 @@ _CONFIGS = {
     "harrier-full-interp": (HarrierConfig(), reference_interpreter),
     "harrier-closures": (HarrierConfig(), closure_only),
     "harrier-record-path": (HarrierConfig(), record_path),
+    "harrier-no-traces": (HarrierConfig(), no_traces),
     "harrier-fastpath": (HarrierConfig(), _PRODUCTION),
     "harrier-fastpath-off": (HarrierConfig(), template_replay),
     "harrier-provenance-off": (

@@ -17,6 +17,10 @@ when either property breaks:
   blocks returning records to ``Harrier.on_block`` (``tests/oracles``
   ``record_path``), or an ablation (no-bbfreq, no-dataflow) is slower
   than the full monitor — both beyond the same noise margin;
+* loop traces (a hot cycle of fused blocks run as one generated
+  function) are slower than the same run with no trace
+  (``tests/oracles`` ``no_traces``) beyond the same noise margin, or
+  the two disagree on retired instructions or warnings;
 * the dataflow fast path is not at least :data:`FASTPATH_SPEEDUP`
   faster than forced per-transfer template replay — or the two disagree
   on retired instructions or emitted warnings (they must be
@@ -223,6 +227,35 @@ def check_inline_monitor() -> int:
         print("ok: the inlined monitor is not slower than the record path, "
               "and no ablation is slower than the full monitor")
     return failed
+
+
+def check_loop_traces() -> int:
+    traced = run_workload("harrier-full")
+    untraced = run_workload("harrier-no-traces")
+    if (traced.result.instructions != untraced.result.instructions
+            or traced.warnings != untraced.warnings):
+        print(
+            "FAIL: loop traces and untraced execution disagree on "
+            "retired instructions or warnings",
+            file=sys.stderr,
+        )
+        return 1
+    traced, untraced = measure("harrier-full", "harrier-no-traces")
+    speedup = untraced / traced if traced else float("inf")
+    print(
+        f"perf smoke: traced={traced * 1000:.2f} ms "
+        f"no-traces={untraced * 1000:.2f} ms "
+        f"speedup={speedup:.2f}x"
+    )
+    if traced > untraced * NOISE_MARGIN:
+        print(
+            "FAIL: loop traces are slower than untraced execution "
+            f"(margin {NOISE_MARGIN}x)",
+            file=sys.stderr,
+        )
+        return 1
+    print("ok: loop traces are not slower than untraced execution")
+    return 0
 
 
 def check_fastpath() -> int:
@@ -529,6 +562,7 @@ CHECKS = {
     "block_cache": check_block_cache,
     "block_jit": check_block_jit,
     "inline_monitor": check_inline_monitor,
+    "loop_traces": check_loop_traces,
     "fastpath": check_fastpath,
     "fleet": check_fleet,
     "provenance": check_provenance,

@@ -111,15 +111,25 @@ class BlockCache:
             self._c_misses.inc()
         if len(self.plans) >= self.max_blocks:
             self.flush()
-        self.plans[pc] = plan
         for start, end, shared in self.libraries:
             if start <= pc and plan.pcs[-1] < end:
-                shared.setdefault(pc, plan)
+                # Another layout may have translated it since this cache
+                # was seeded: every layout runs the one shared plan (a
+                # library loop trace's members are shared plans).
+                plan = shared.setdefault(pc, plan)
                 break
+        self.plans[pc] = plan
         self.translated_instructions += plan.length
         if self._c_translated is not None:
             self._c_translated.inc(plan.length)
         return plan
+
+    def count_hits(self, entries: int) -> None:
+        """Count ``entries`` block entries a loop trace made without a
+        lookup, so hits still count every block entry."""
+        self.hits += entries
+        if self._c_hits is not None:
+            self._c_hits.inc(entries)
 
     def flush(self) -> None:
         """Drop every translated block (refilled lazily on next lookup;

@@ -1,4 +1,5 @@
-"""Block JIT: one generated Python function per hot translated block.
+"""Block JIT: one generated Python function per hot translated block,
+and one per hot loop.
 
 The translator (:mod:`repro.isa.translate`) compiles every instruction
 into a closure, so a block execution is one Python call per instruction,
@@ -45,6 +46,24 @@ per-process :class:`MonitorContext` ``m`` (None for no monitor work).
 It takes the plan as an argument (the record and the taint applier need
 it) and does not close over it, so a dropped plan is freed by reference
 counting, without the cycle collector.
+
+PIN compiles *traces* — single-entry, multi-exit runs of blocks linked
+in its code cache — and so does this module, for loops.  Once a fused
+block has run :data:`TRACE_THRESHOLD` times and heads a static cycle of
+at most :data:`MAX_TRACE_BLOCKS` translated blocks of its own image,
+each ending in a jump, a fall-through or a conditional branch
+(:func:`form_trace`), the cycle gets one generated function,
+``trace(plan, cpu, m, limit)`` (:func:`trace_source`), kept on the head
+as a :class:`Trace`.  It runs whole iterations while one more fits in
+``limit``, with the registers in locals across blocks and iterations
+and each block's inlined taint work in order; a branch off the cycle is
+a side exit.  At any exit it writes back registers and flags, sets the
+pc, settles the entry counts (``fastpath_blocks``, bbfreq) and returns
+``(instructions, block entries)``.  The kernel enters a trace only
+where a whole iteration fits its budget and runs the rest block by
+block, so virtual time is unchanged.  Traces form only for an
+instrumentation (a hook on the record path sees every block), are
+keyed on it like fused functions, and share :data:`CODE_CACHE`.
 """
 
 from __future__ import annotations
@@ -69,8 +88,20 @@ from repro.isa.translate import (
 #: round translates 6,420 blocks of 326 distinct shapes (32 of them hot
 #: enough to fuse), so the bound only caps adversarial shape churn: a
 #: code object takes about 1.4 kB for a 2-instruction block and 7.7 kB
-#: for a 64-instruction one, so a full cache holds at most ~8 MB.
+#: for a 64-instruction one, so a full cache of blocks holds at most
+#: ~8 MB.  Loop traces share the bound; one over four 64-instruction
+#: blocks takes about four times a block's, so ~32 MB at worst.
 CODE_CACHE_MAX = 1024
+
+#: Full executions of a fused block (see ``BlockPlan.runs``) after which
+#: the kernel tries to make it the head of a loop trace.  The first
+#: JIT_THRESHOLD of them run on the closure path, so a loop head is
+#: tried after 16 plain exits of its fused function: by then every
+#: block of its cycle has run (and been translated) at least once.
+TRACE_THRESHOLD = 32
+
+#: Most blocks one loop trace holds.
+MAX_TRACE_BLOCKS = 4
 
 #: The generated functions' globals: they look nothing up, so they get
 #: no builtins either.
@@ -163,6 +194,12 @@ class _Emitter:
         self.uses_cget = False
         self.dead = False              # past an op that always faults
         self.executed = 0              # instructions emitted so far
+        #: The local holding the plan the block's monitor work reads,
+        #: the first address local of the block, and the line indent
+        #: (a trace holds several blocks inside its loop).
+        self.plan = "plan"
+        self.hole_base = 0
+        self.pad = "    "
 
     # -- names ---------------------------------------------------------
     def const(self) -> str:
@@ -176,8 +213,8 @@ class _Emitter:
         return name
 
     def holes(self) -> str:
-        """The address locals so far, comma-separated."""
-        return ", ".join(f"h{i}" for i in range(self.nholes))
+        """The block's address locals so far, comma-separated."""
+        return ", ".join(f"h{i}" for i in range(self.hole_base, self.nholes))
 
     @staticmethod
     def reg(name: str) -> str:
@@ -208,7 +245,20 @@ class _Emitter:
 
     def emit(self, line: str, indent: str = "") -> None:
         if not self.dead:
-            self.lines.append("    " + indent + line)
+            self.lines.append(self.pad + indent + line)
+
+    def prologue(self) -> List[str]:
+        """The function's first lines: the register file, memory and
+        register locals its body reads."""
+        lines = []
+        if self.entry or self.written:
+            lines.append("    regs = cpu.regs._values")
+        if self.uses_cells or self.uses_cget:
+            lines.append("    cells = cpu.memory.cells")
+        if self.uses_cget:
+            lines.append("    cget = cells.get")
+        lines.extend(f"    {name} = regs[{name!r}]" for name in self.entry)
+        return lines
 
     # -- exits ---------------------------------------------------------
     def state(self, indent: str = "") -> None:
@@ -224,8 +274,9 @@ class _Emitter:
         """Set the pc, build the record (with the address trace and
         ``fields``) and return it."""
         self.emit("rec = BlockRecord(plan)", indent)
-        if self.nholes:
-            self.emit(f"rec.holes = [{self.holes()}]", indent)
+        holes = self.holes()
+        if holes:
+            self.emit(f"rec.holes = [{holes}]", indent)
         self.emit(f"cpu.pc = rec.next_pc = {pc}", indent)
         for line in fields:
             self.emit(line, indent)
@@ -241,26 +292,38 @@ class _Emitter:
             self.record(pc)
             return
         self.emit(f"cpu.pc = {pc}")
-        applies = TAINT in parts and not self.noop
-        if applies or BBFREQ in parts:
+        if self.applies() or BBFREQ in parts:
             self.emit("sh = m.shadow")
         if TAINT in parts:
             self.emit("m.monitor.fastpath_blocks += 1")
-        if applies:
-            self.emit("ap = plan.taint_apply")
-            self.emit("if ap is None:")
-            self.emit(f"ap = m.install(plan, {self.executed})", "    ")
-            self.emit(f"ap(sh, ({self.holes()},))" if self.nholes
-                      else "ap(sh, ())")
-            if PROVENANCE in parts:
-                self.emit("if plan not in m.seen:")
-                self.emit("m.observe(plan)", "    ")
+        self.taint()
         if BBFREQ in parts:
             self.emit("if s in sh.app_leaders:")
             self.emit("c = sh.bb_counts", "    ")
             self.emit("c[s] = c.get(s, 0) + 1", "    ")
             self.emit("sh.last_app_bb = s", "    ")
         self.emit("return")
+
+    def applies(self) -> bool:
+        """Whether the block's monitor work calls a taint applier."""
+        parts = self.instrumentation
+        return parts is not None and TAINT in parts and not self.noop
+
+    def taint(self) -> None:
+        """Apply the block's taint summary to the shadow ``sh`` and note
+        the plan for provenance (nothing for a summary that moves no
+        tags)."""
+        if not self.applies():
+            return
+        plan = self.plan
+        self.emit(f"ap = {plan}.taint_apply")
+        self.emit("if ap is None:")
+        self.emit(f"ap = m.install({plan}, {self.executed})", "    ")
+        holes = self.holes()
+        self.emit(f"ap(sh, ({holes},))" if holes else "ap(sh, ())")
+        if PROVENANCE in self.instrumentation:
+            self.emit(f"if {plan} not in m.seen:")
+            self.emit(f"m.observe({plan})", "    ")
 
     def fault(self, halt: bool, indent: str = "") -> None:
         """The exit of a fault at the current instruction (not retired;
@@ -434,33 +497,171 @@ def block_source(shape: Tuple[tuple, ...],
         ["plan", "cpu", "m", "BlockRecord", "CpuFault", "s"]
         + [f"k{i}" for i in range(em.nconsts)]
     )
-    head = [f"def block({params}):"]
-    if em.entry or em.written:
-        head.append("    regs = cpu.regs._values")
-    if em.uses_cells or em.uses_cget:
-        head.append("    cells = cpu.memory.cells")
-    if em.uses_cget:
-        head.append("    cget = cells.get")
-    head.extend(f"    {name} = regs[{name!r}]" for name in em.entry)
+    return "\n".join([f"def block({params}):"] + em.prologue()
+                     + em.lines) + "\n"
+
+
+#: Ops that set ZF/SF.
+_SETS_FLAGS = frozenset(_ARITH) | frozenset(_SHIFTS) | {"div", "mod", "cmp"}
+
+
+def traceable(shapes: Tuple[Tuple[tuple, ...], ...]) -> bool:
+    """Whether a cycle of blocks with these shapes (head first) can run
+    as one loop trace: no op with a fault exit (a DIV/MOD by a register,
+    a decode-time fault), every block ending in a jump, a fall-through
+    or a conditional branch, and the flags set in the cycle before its
+    first branch reads them, so no branch reads a flag value carried
+    across the back edge."""
+    flags = False
+    for shape in shapes:
+        for item in shape[:-1]:
+            op = item[0]
+            if op == "fault" or (op in ("div", "mod")
+                                 and item[2] != SHAPE_IMM):
+                return False
+            flags = flags or op in _SETS_FLAGS
+        op = shape[-1][0]
+        if op in _JCC:
+            if not flags:
+                return False
+        elif op not in ("jmp", "fall"):
+            return False
+    return True
+
+
+def trace_source(shapes: Tuple[Tuple[tuple, ...], ...],
+                 branches: Tuple[Optional[bool], ...],
+                 instrumentation: Tuple[str, ...],
+                 noops: Tuple[bool, ...]) -> str:
+    """The Python source of the loop trace over blocks with ``shapes``
+    (head first, each followed by the next and the last by the head),
+    with ``instrumentation``'s monitor work inlined.
+
+    ``branches`` says, per block ending in a conditional branch, whether
+    the cycle continues at the branch target (True) or falls through
+    (False); the other direction is a side exit.  ``noops``: per block,
+    its taint summary moves no tags.  The per-op code is
+    :class:`_Emitter`'s; every register the cycle touches is loaded once
+    and stays in a local across blocks and iterations.  The function is
+    ``trace(plan, cpu, m, limit)`` with the head plan, and runs whole
+    iterations while they fit in ``limit`` (at least one must).  At a
+    side exit, or once no further iteration fits, it writes back the
+    registers and flags, sets the pc, settles the entry counts
+    (``monitor.fastpath_blocks``, bbfreq) and returns ``(instructions,
+    block entries)``.  Raises ValueError for a cycle that is not
+    :func:`traceable` and, like :func:`block_source`, for any name the
+    emitter does not know.
+    """
+    _check_parts(instrumentation)
+    if not traceable(shapes):
+        raise ValueError("not a traceable cycle")
+    count = len(shapes)
+    # Pass one finds every register the cycle reads or writes.
+    probe = _Emitter(instrumentation, False)
+    for shape in shapes:
+        for item in shape[:-1]:
+            probe.straight(item)
+    em = _Emitter(instrumentation, False)
+    em.entry = probe.entry + [
+        name for name in probe.written if name not in probe.entry
+    ]
+    em.live = set(em.entry)
+    em.written = list(probe.written)
+    em.pad = "        "
+    parts = instrumentation
+    lengths = [len(shape) - (shape[-1][0] == "fall") for shape in shapes]
+    cost = sum(lengths)
+
+    def leave(j: int, pc: str, indent: str) -> None:
+        """Exit after block ``j`` of iteration ``i`` to ``pc``."""
+        entries = f"i * {count} + {j + 1}"
+        em.state(indent)
+        em.emit(f"cpu.pc = {pc}", indent)
+        if TAINT in parts:
+            em.emit(f"m.monitor.fastpath_blocks += {entries}", indent)
+        if BBFREQ in parts:
+            # Blocks 0..j ran i + 1 times, the rest i times; the last
+            # app block to run is the last one set below.
+            em.emit("c = sh.bb_counts", indent)
+            later = range(j + 1, count)
+
+            def ran(p: int) -> str:
+                test = f"s{p} in sh.app_leaders"
+                return f"if i and {test}:" if p in later else f"if {test}:"
+
+            for p in range(count):
+                em.emit(ran(p), indent)
+                runs = "i" if p in later else "i + 1"
+                em.emit(f"c[s{p}] = c.get(s{p}, 0) + {runs}", indent + "    ")
+            for p in [*later, *range(j + 1)]:
+                em.emit(ran(p), indent)
+                em.emit(f"sh.last_app_bb = s{p}", indent + "    ")
+        em.emit(f"return i * {cost} + {sum(lengths[:j + 1])}, {entries}",
+                indent)
+
+    for j, (shape, taken, noop) in enumerate(zip(shapes, branches, noops)):
+        em.plan = f"p{j}" if j else "plan"
+        em.noop = noop
+        em.hole_base = em.nholes
+        em.executed = lengths[j]
+        for item in shape[:-1]:
+            em.straight(item)
+        em.taint()
+        op = shape[-1][0]
+        if op in _JCC:
+            target, fall = em.const(), em.const()
+            cond = _JCC[op][0].format(em.flag)
+            if taken:
+                em.emit(f"if not ({cond}):")
+                leave(j, fall, "    ")
+            else:
+                em.emit(f"if {cond}:")
+                leave(j, target, "    ")
+        else:
+            em.const()  # the jump target / fall-through: the next block
+    em.emit("if i == n:")
+    leave(count - 1, "s0", "    ")
+    em.emit("i += 1")
+    params = ", ".join(
+        ["plan", "cpu", "m", "limit"]
+        + [f"p{j}" for j in range(1, count)]
+        + [f"s{j}" for j in range(count)]
+        + [f"k{i}" for i in range(em.nconsts)]
+    )
+    head = [f"def trace({params}):"] + em.prologue()
+    if BBFREQ in parts or any(
+        TAINT in parts and not noop for noop in noops
+    ):
+        head.append("    sh = m.shadow")
+    head += [f"    n = limit // {cost} - 1", "    i = 0", "    while True:"]
     return "\n".join(head + em.lines) + "\n"
+
+
+def _function_code(source: str, filename: str) -> CodeType:
+    module = compile(source, filename, "exec", dont_inherit=True)
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def _compile_trace(*args) -> CodeType:
+    return _function_code(trace_source(*args), "<blockjit-trace>")
 
 
 def compile_shape(shape: Tuple[tuple, ...],
                   instrumentation: Optional[Tuple[str, ...]] = None,
                   noop: bool = False) -> CodeType:
     """Compile the block source; returns the function's code object."""
-    module = compile(block_source(shape, instrumentation, noop),
-                     "<blockjit>", "exec", dont_inherit=True)
-    return next(c for c in module.co_consts if isinstance(c, CodeType))
+    return _function_code(block_source(shape, instrumentation, noop),
+                          "<blockjit>")
 
 
 class CodeCache:
-    """Block shape -> compiled code object, bounded.
+    """Block shape (or loop-trace shapes) -> compiled code object,
+    bounded.
 
-    The least recently *fused* shape is evicted first once
-    ``max_entries`` is exceeded.  Eviction drops only the cache's
-    reference: functions already built from the code keep it.
-    Hits and misses happen once per fused block, never per execution.
+    The least recently *used* key is evicted first once ``max_entries``
+    is exceeded.  Eviction drops only the cache's reference: functions
+    already built from the code keep it.  Hits and misses happen once
+    per fused block or built trace, never per execution.
     """
 
     def __init__(self, max_entries: int = CODE_CACHE_MAX) -> None:
@@ -470,8 +671,10 @@ class CodeCache:
         #: ``compile()`` calls (cache misses).
         self.compiles = 0
         self.evictions = 0
-        #: Functions built (blocks fused), hits and misses together.
+        #: Functions built (blocks fused, loop traces built), hits and
+        #: misses together.
         self.fused = 0
+        self.traces = 0
 
     def code_for(self, shape: Tuple[tuple, ...],
                  instrumentation: Optional[Tuple[str, ...]] = None,
@@ -480,19 +683,36 @@ class CodeCache:
         noop = noop and instrumentation is not None and (
             TAINT in instrumentation
         )
-        key = (shape, instrumentation, noop)
         with self._lock:
-            codes = self._codes
-            code = codes.pop(key, None)
-            if code is None:
-                code = compile_shape(shape, instrumentation, noop)
-                self.compiles += 1
-            codes[key] = code  # (re)inserted as most recently used
-            while len(codes) > self.max_entries:
-                codes.popitem(last=False)
-                self.evictions += 1
             self.fused += 1
-            return code
+            return self._get((shape, instrumentation, noop), compile_shape,
+                             shape, instrumentation, noop)
+
+    def trace_code_for(self, shapes: Tuple[Tuple[tuple, ...], ...],
+                       branches: Tuple[Optional[bool], ...],
+                       instrumentation: Tuple[str, ...],
+                       noops: Tuple[bool, ...]) -> CodeType:
+        noops = tuple(noop and TAINT in instrumentation for noop in noops)
+        with self._lock:
+            self.traces += 1
+            return self._get(
+                ("trace", shapes, branches, instrumentation, noops),
+                _compile_trace, shapes, branches, instrumentation, noops,
+            )
+
+    def _get(self, key: tuple, make, *args) -> CodeType:
+        """The code for ``key``, ``make(*args)`` on a miss (the caller
+        holds the lock)."""
+        codes = self._codes
+        code = codes.pop(key, None)
+        if code is None:
+            code = make(*args)
+            self.compiles += 1
+        codes[key] = code  # (re)inserted as most recently used
+        while len(codes) > self.max_entries:
+            codes.popitem(last=False)
+            self.evictions += 1
+        return code
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -500,6 +720,7 @@ class CodeCache:
             "compiles": self.compiles,
             "evictions": self.evictions,
             "fused_blocks": self.fused,
+            "traces": self.traces,
         }
 
 
@@ -512,6 +733,7 @@ GAUGES = {
     "blockjit_compiles": "compiles",
     "blockjit_evictions": "evictions",
     "blockjit_fused_blocks": "fused_blocks",
+    "blockjit_traces": "traces",
 }
 
 
@@ -540,3 +762,118 @@ def fuse(plan: BlockPlan,
     plan.fused = fn
     plan.fused_for = instrumentation
     return fn
+
+
+# -- loop traces ----------------------------------------------------------------
+#: ``BlockPlan.trace_for`` of a block in another block's loop trace: it
+#: never heads one itself, and joins no other.
+JOINED = object()
+
+
+class Trace:
+    """A loop trace: the cycle of blocks after its head, and its
+    generated function ``run(head, cpu, m, limit)`` for the head's
+    ``trace_for`` instrumentation.
+
+    Held by the head plan only.  The members are bound into ``run`` as
+    default arguments, but the head is passed in, so a trace never
+    refers back to the plan holding it and a dropped head (with its
+    members) is freed by reference counting.
+    """
+
+    __slots__ = ("members", "branches", "cost", "run")
+
+    def __init__(self, members: Tuple[BlockPlan, ...],
+                 branches: Tuple[Optional[bool], ...], cost: int) -> None:
+        #: The blocks after the head, in cycle order.
+        self.members = members
+        #: Per block (head first): True/False when its conditional
+        #: branch continues the cycle taken/not taken, else None.
+        self.branches = branches
+        #: Instructions in one iteration: the kernel enters the trace
+        #: only when a whole one fits in the budget.
+        self.cost = cost
+        self.run = None
+
+
+def _successors(plan: BlockPlan):
+    """``(branch direction, pc)`` of each static successor of ``plan``
+    (a conditional branch's target and fall-through are its last two
+    constants, a jump's target or a fall-through its last one)."""
+    op = plan.shape[-1][0]
+    if op in _JCC:
+        target, fall = plan.consts[-2:]
+        return ((True, target), (False, fall))
+    if op in ("jmp", "fall"):
+        return ((None, plan.consts[-1]),)
+    return ()
+
+
+def _find_cycle(head: BlockPlan, plans: Dict[int, BlockPlan], lo: int,
+                hi: int):
+    """The shortest traceable static cycle from ``head`` back to it
+    through at most MAX_TRACE_BLOCKS blocks of ``plans`` that lie in
+    ``[lo, hi)``, are in no trace and head none: ``(members,
+    branches)``, or None."""
+    paths = [((), ())]
+    for _ in range(MAX_TRACE_BLOCKS):
+        longer = []
+        for members, branches in paths:
+            last = members[-1] if members else head
+            for taken, pc in _successors(last):
+                if pc == head.start:
+                    cycle = (head,) + members
+                    if traceable(tuple(p.shape for p in cycle)):
+                        return members, branches + (taken,)
+                    continue
+                plan = plans.get(pc)
+                if (plan is None or plan in members
+                        or plan.trace is not None
+                        or plan.trace_for is JOINED
+                        or not lo <= pc or plan.pcs[-1] >= hi):
+                    continue
+                longer.append((members + (plan,), branches + (taken,)))
+        paths = longer
+    return None
+
+
+def form_trace(head: BlockPlan, plans: Dict[int, BlockPlan], lo: int,
+               hi: int, instrumentation: Tuple[str, ...]) -> Optional[Trace]:
+    """Make the hot fused block ``head`` the head of a loop trace run
+    for ``instrumentation``, and return it (None when no traceable
+    cycle exists).
+
+    The cycle is looked up in ``plans`` only (the head's plan table,
+    nothing is translated) and stays inside ``[lo, hi)``, the text of
+    the head's image: library plan tables are shared across layouts
+    whose app code differs.  A head keeps its cycle: for another
+    instrumentation only the function is rebuilt.  Either way
+    ``head.trace_for`` becomes ``instrumentation``, so the kernel tries
+    a block once per instrumentation.
+    """
+    head.trace_for = instrumentation
+    trace = head.trace
+    if trace is None:
+        if (plans.get(head.start) is not head or head.start < lo
+                or head.pcs[-1] >= hi):
+            return None
+        cycle = _find_cycle(head, plans, lo, hi)
+        if cycle is None:
+            return None
+        members, branches = cycle
+        for plan in members:
+            plan.trace_for = JOINED
+        trace = head.trace = Trace(members, branches, sum(
+            p.length for p in (head,) + members))
+    cycle = (head,) + trace.members
+    trace.run = FunctionType(
+        CODE_CACHE.trace_code_for(
+            tuple(p.shape for p in cycle), trace.branches, instrumentation,
+            tuple(p.taint_summary.is_noop for p in cycle),
+        ),
+        _GLOBALS,
+        "trace",
+        trace.members + tuple(p.start for p in cycle)
+        + tuple(k for p in cycle for k in p.consts),
+    )
+    return trace

@@ -21,7 +21,10 @@ run :data:`JIT_THRESHOLD` times in full is fused by the block JIT
 (:mod:`repro.isa.blockjit`) into one generated function built from the
 block's shape alone, with the constants bound as default arguments;
 the closures keep serving cold blocks and every partial execution.
-Both executors are held to the same records and machine state.
+Both executors are held to the same records and machine state.  A hot
+fused block that heads a short static cycle of blocks becomes the head
+of a loop trace (``BlockPlan.trace``), which the kernel runs for whole
+iterations at a time instead of block by block.
 
 A :class:`BlockPlan` executes with explicit exit conditions: it returns a
 :class:`BlockRecord` whose ``kind`` says *why* the block stopped —
@@ -303,6 +306,8 @@ class BlockPlan:
         "runs",
         "fused",
         "fused_for",
+        "trace",
+        "trace_for",
         "taint_summary",
         "taint_apply",
         "prefix_apply",
@@ -333,7 +338,9 @@ class BlockPlan:
         #: Every other value the fused function needs, in emitter order;
         #: bound as default arguments, never written into source text.
         self.consts = consts
-        #: Full executions on the closure path so far.
+        #: Full executions so far: on the closure path, then (counted
+        #: by the kernel) the fused function's plain exits until the
+        #: block is tried as a loop-trace head.
         self.runs = 0
         #: The generated function ``fused(plan, cpu, m)`` for full
         #: executions, once ``runs`` reaches JIT_THRESHOLD, and the
@@ -341,6 +348,12 @@ class BlockPlan:
         #: :mod:`repro.isa.blockjit`).
         self.fused = None
         self.fused_for = None
+        #: The loop trace this block heads (a ``blockjit.Trace``) or
+        #: None, and the instrumentation it was last tried or built for
+        #: (``blockjit.JOINED`` once the block is a member of another
+        #: block's trace).
+        self.trace = None
+        self.trace_for = None
         #: Block-level liveness/fold summary the taint applier compiles.
         self.taint_summary = summarize_taint(taint)
         #: The compiled summary applier for full executions, installed

@@ -9,6 +9,14 @@ Virtual time: the clock advances one tick per executed instruction, and
 jumps forward when every live process is sleeping or waiting on a scheduled
 network event (so ``sleep``-heavy workloads like the "Infrequent execve"
 micro-benchmark finish instantly in real time).
+
+Execution: a quantum runs the process's translated blocks
+(``repro.isa.translate``), one cache lookup per block entry.  A block
+that heads a loop trace (``repro.isa.blockjit``) and whose whole
+iteration fits the remaining budget runs the loop instead, whole
+iterations at a time, and the trace's block entries are counted as
+cache hits; what is left of the budget runs block by block, so the
+budget is never overshot and tick interleaving is the same.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
+from repro.isa import blockjit
 from repro.isa.cpu import CPU
 from repro.isa.image import Image
 from repro.isa.memory import FlatMemory, MemoryFault
@@ -55,6 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Process.meta key holding the process's open telemetry span.
 _PROC_SPAN_KEY = "telemetry.span"
+
+#: ``blockjit.TRACE_THRESHOLD`` when no loop trace may form.
+_NEVER = float("inf")
 
 #: Exit codes for abnormal termination.
 EXIT_KILLED_BY_MONITOR = 137   # 128 + SIGKILL
@@ -560,9 +572,11 @@ class Kernel:
         budget = quantum
         hooks = self.hooks
         # A fused block instrumented for the hooks does their per-block
-        # work itself and returns no record on a plain exit.
+        # work itself and returns no record on a plain exit; so does a
+        # loop trace, which only ever forms for an instrumentation.
         inst = hooks.block_instrumentation
         monitor = hooks.block_context(proc) if inst is not None else None
+        tracing = blockjit.TRACE_THRESHOLD != _NEVER
         while budget > 0:
             if proc.state is not ProcessState.RUNNABLE or self.now >= deadline:
                 return
@@ -584,12 +598,25 @@ class Kernel:
             limit = deadline - self.now
             if budget < limit:
                 limit = budget
+            trace = plan.trace
+            if (trace is not None and trace.cost <= limit
+                    and plan.trace_for is inst):
+                # Whole iterations of the loop this block heads; the
+                # rest of the budget goes block by block, below.
+                executed, entries = trace.run(plan, cpu, monitor, limit)
+                self.now += executed
+                self.instructions += executed
+                budget -= executed
+                cache.count_hits(entries - 1)
+                continue
             rec = plan.execute(cpu, limit, inst, monitor)
             if rec is None:
                 executed = plan.length
                 self.now += executed
                 self.instructions += executed
                 budget -= executed
+                if tracing and plan.trace_for is not inst:
+                    self._note_hot(proc, plan, inst)
                 continue
             executed = rec.executed
             self.now += executed
@@ -615,6 +642,28 @@ class Kernel:
                     self._c_cpu_faults.inc()
                 self.exit_process(proc, EXIT_FAULT)
                 return
+
+    @staticmethod
+    def _note_hot(proc: Process, plan, inst) -> None:
+        """Count a plain exit of ``plan``'s fused function; at
+        ``blockjit.TRACE_THRESHOLD`` full executions, try once (per
+        instrumentation) to make it the head of a loop trace."""
+        if plan.trace_for is blockjit.JOINED:
+            return
+        plan.runs += 1
+        if plan.runs < blockjit.TRACE_THRESHOLD:
+            return
+        pc = plan.start
+        cache = proc.block_cache
+        plans = cache.plans
+        for start, end, shared in cache.libraries:
+            if start <= pc < end:
+                plans = shared  # a cycle of shared plans only
+        lo = hi = pc
+        for loaded in proc.image_map:
+            if loaded.text_start <= pc < loaded.text_end:
+                lo, hi = loaded.text_start, loaded.text_end
+        blockjit.form_trace(plan, plans, lo, hi, inst)
 
     # -- syscall plumbing ---------------------------------------------------------
     def _service_syscall(self, proc: Process) -> None:

@@ -23,9 +23,11 @@ from repro.harrier.config import HarrierConfig
 from tests.oracles import (
     closure_only,
     fuse_every_block,
+    no_traces,
     record_path,
     reference_interpreter,
     template_replay,
+    trace_every_loop,
 )
 
 _REGISTRIES = (
@@ -206,6 +208,42 @@ def test_inlined_monitor_is_indistinguishable(workload, ablation):
         workload, record_path, ablation=ablation),
         f"{workload.name}/{ablation}: between the inlined monitor and the "
         "record path (hot blocks only)")
+
+
+@contextlib.contextmanager
+def _trace_everything():
+    """Every block fused at its first execution and tried as a loop
+    trace head at its first fused exit."""
+    with fuse_every_block(), trace_every_loop():
+        yield
+
+
+@pytest.mark.parametrize("workload,ablation", _ablation_cases())
+def test_loop_traces_are_indistinguishable(workload, ablation):
+    """Every traceable cycle run as a loop trace from its first fused
+    exit matches the reference interpreter, and runs with no trace at
+    all (fused or hot blocks only), monitor counters included."""
+    traced = _run_fingerprint(workload, _trace_everything,
+                              ablation=ablation)
+    interp = _run_fingerprint(workload, reference_interpreter,
+                              ablation=ablation)
+    _assert_same(traced, interp, f"{workload.name}/{ablation}: between "
+                 "traced and interpreter execution", skip=("counters",))
+
+    @contextlib.contextmanager
+    def fused_untraced():
+        with fuse_every_block(), no_traces():
+            yield
+
+    _assert_same(traced, _run_fingerprint(
+        workload, fused_untraced, ablation=ablation),
+        f"{workload.name}/{ablation}: between traced and untraced fused "
+        "execution")
+    _assert_same(_run_fingerprint(workload, trace_every_loop,
+                                  ablation=ablation),
+                 _run_fingerprint(workload, no_traces, ablation=ablation),
+                 f"{workload.name}/{ablation}: between traced and untraced "
+                 "execution (hot blocks only)")
 
 
 @pytest.mark.parametrize("workload", _all_workloads())

@@ -138,6 +138,19 @@ class TestBlockCacheLibraries:
         assert second.lookup(memory, 2) is plan
         assert (second.hits, second.misses) == (1, 0)
 
+    def test_a_block_shared_since_seeding_replaces_the_translation(self):
+        """Two layouts seeded before either ran the block: the second to
+        translate it still runs the first one's plan, so every layout
+        holds one plan per library block (a loop trace's members)."""
+        shared = {}
+        first = BlockCache(libraries=[(2, 4, shared)])
+        second = BlockCache(libraries=[(2, 4, shared)])
+        memory = self._memory()
+        plan = first.lookup(memory, 2)
+        assert second.lookup(memory, 2) is plan
+        assert second.plans[2] is plan and shared == {2: plan}
+        assert (second.misses, second.translated_instructions) == (1, 2)
+
     def test_block_running_past_the_range_is_not_shared(self):
         shared = {}
         cache = BlockCache(libraries=[(0, 1, shared)])

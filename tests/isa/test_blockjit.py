@@ -8,10 +8,13 @@ body under any terminator, faults included.  Plus what the JIT adds:
 the threshold, the bounded shape-keyed code cache and its gauges, no
 plan <-> applier reference cycles, exact DIV/MOD at any operand size,
 monitor work inlined into fused blocks that leaves everything as
-``Harrier.on_block`` does with the record, and generated source that
+``Harrier.on_block`` does with the record, loop traces that leave
+everything as the reference interpreter does (side exits, budgets,
+flags, counts) and form only where they may, and generated source that
 no guest value ever reaches.
 """
 
+import contextlib
 import gc
 import io
 import itertools
@@ -21,6 +24,7 @@ import threading
 import tokenize
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +48,14 @@ from repro.isa import (
     blockjit,
     translate,
 )
-from repro.isa.blockjit import CodeCache, block_source, compile_shape, fuse
+from repro.harrier.blockcache import BlockCache
+from repro.isa.blockjit import (
+    CodeCache,
+    block_source,
+    compile_shape,
+    fuse,
+    trace_source,
+)
 from repro.isa.registers import GP_REGISTERS
 from repro.isa.translate import (
     EXIT_BUDGET,
@@ -54,10 +65,19 @@ from repro.isa.translate import (
     _trunc_div,
     translate_block,
 )
+from repro.kernel.hooks import CompositeHooks
 from repro.kernel.kernel import EXIT_FAULT as PROCESS_EXIT_FAULT
+from repro.kernel.kernel import Kernel
 from repro.taint.tags import DataSource, TagSet
 from repro.telemetry.metrics import MetricsRegistry
-from tests.oracles import closure_only, fuse_every_block, reference_interpreter
+from tests.oracles import (
+    closure_only,
+    fuse_every_block,
+    no_traces,
+    record_path,
+    reference_interpreter,
+    trace_every_loop,
+)
 from tests.oracles.interpreter import step as interpret
 
 _RECORD_FIELDS = (
@@ -448,24 +468,29 @@ class TestCodeCache:
 
     def test_gauges_in_the_run_registry(self):
         hth = HTH(options=RunOptions(metrics=True))
-        with fuse_every_block():
-            hth.run(assemble("/bin/t", "main:\n    mov eax, 0\n    ret\n"))
+        with fuse_every_block(), trace_every_loop():
+            hth.run(assemble("/bin/t", TOP_TESTED))
         samples = {
             s["name"]: s["value"] for s in hth.telemetry.metrics.samples()
             if s["name"].startswith("blockjit_")
         }
         assert set(samples) == set(blockjit.GAUGES)
         stats = blockjit.CODE_CACHE.stats()
-        assert samples["blockjit_code_objects"] == stats["code_objects"]
-        assert samples["blockjit_compiles"] == stats["compiles"] >= 1
+        assert set(stats) == set(blockjit.GAUGES.values())
+        for gauge, key in blockjit.GAUGES.items():
+            assert samples[gauge] == stats[key], gauge
+        assert samples["blockjit_compiles"] >= 1
+        assert samples["blockjit_traces"] >= 1
 
     def test_sample_gauges_from_foreign_stats(self):
         registry = MetricsRegistry()
         blockjit.sample_gauges(
-            registry, {"code_objects": 7, "compiles": 9}, worker="1"
+            registry, {"code_objects": 7, "compiles": 9, "traces": 3},
+            worker="1",
         )
         assert registry.value("blockjit_code_objects", worker="1") == 7
         assert registry.value("blockjit_compiles", worker="1") == 9
+        assert registry.value("blockjit_traces", worker="1") == 3
         assert registry.value("blockjit_evictions", worker="1") == 0
 
 
@@ -494,6 +519,443 @@ class TestNoReferenceCycles:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# -- loop traces ----------------------------------------------------------------
+
+#: Tested at the top: the head's ``jge`` falls through into the body, so
+#: the loop's exit is the taken side exit.  The body reads and writes
+#: memory (two taint holes) and ends in a jump back.
+TOP_TESTED = """
+main:
+    mov ecx, 0
+    mov ebx, buf
+loop:
+    cmp ecx, 60
+    jge done
+    mov eax, ebx
+    add eax, ecx
+    load edx, [eax]
+    add edx, ecx
+    store [eax], edx
+    add ecx, 1
+    jmp loop
+done:
+    mov eax, 0
+    ret
+.data
+buf: .space 64
+"""
+
+#: Tested at the bottom: a one-block cycle continuing at its ``jl``
+#: target, so the loop's exit is the fall-through side exit.
+BOTTOM_TESTED = """
+main:
+    mov ecx, 0
+    mov ebx, buf
+    mov eax, 7
+loop:
+    load edx, [ebx]
+    add edx, eax
+    add ebx, 1
+    add ecx, 1
+    cmp ecx, 60
+    jl loop
+    mov eax, 0
+    ret
+.data
+buf: .space 64
+"""
+
+#: The loop leaves through the head's side exit with ZF set by its CMP;
+#: the block after the loop branches on the flags the trace wrote back.
+FLAGS_AFTER = """
+main:
+    mov ecx, 0
+loop:
+    cmp ecx, 50
+    jge done
+    add ecx, 1
+    jmp loop
+done:
+    jz equal
+    mov eax, 1
+    ret
+equal:
+    mov eax, 2
+    ret
+"""
+
+#: Counts down with SUB setting the flags the bottom ``jnz`` reads; the
+#: ``jz`` after the loop reads them again.
+ALU_FLAGS_AFTER = """
+main:
+    mov ecx, 50
+    mov eax, 3
+loop:
+    add eax, ecx
+    sub ecx, 1
+    jnz loop
+    jz zero
+    mov eax, 1
+    ret
+zero:
+    mov eax, 0
+    ret
+"""
+
+#: DIV by a register in the body: its divisor reaches zero at the 55th
+#: iteration, a fault mid-loop.
+DIV_BY_REGISTER = """
+main:
+    mov ecx, 0
+    mov ebx, 55
+loop:
+    cmp ecx, 60
+    jge done
+    mov eax, 1000
+    div eax, ebx
+    sub ebx, 1
+    add ecx, 1
+    jmp loop
+done:
+    mov eax, 0
+    ret
+"""
+
+#: The same loop dividing by an immediate: no fault exit, so it traces.
+DIV_BY_IMMEDIATE = DIV_BY_REGISTER.replace("div eax, ebx", "div eax, 7")
+
+
+def _traces(hth):
+    return [
+        plan
+        for _, cache in hth.kernel._block_caches.values()
+        for plan in cache.plans.values()
+        if plan.trace is not None
+    ]
+
+
+@contextlib.contextmanager
+def _trace_calls():
+    """Record ``(limit, (instructions, entries))`` for every call of a
+    loop trace formed inside the block."""
+    calls = []
+    form = blockjit.form_trace
+
+    def spy(*args):
+        trace = form(*args)
+        if trace is not None:
+            run = trace.run
+
+            def counted(plan, cpu, m, limit):
+                result = run(plan, cpu, m, limit)
+                calls.append((limit, result))
+                return result
+
+            trace.run = counted
+        return trace
+
+    with mock.patch.object(blockjit, "form_trace", spy):
+        yield calls
+
+
+def _loop_run(source, oracle, quantum=200, max_ticks=None, config=None):
+    """Run ``source`` under ``oracle`` with a full monitor: the machine
+    and everything observable about the run and the monitor's state."""
+    with oracle():
+        hth = HTH(harrier_config=config)
+        hth.kernel.quantum = quantum
+        report = hth.run(assemble("/bin/loop", source), max_ticks=max_ticks)
+    proc = hth.kernel.procs[1]
+    shadow = hth.harrier.shadow(proc)
+    prov = hth.harrier.provenance
+    stats = hth.kernel.block_cache_stats()
+    return hth, {
+        "reason": report.result.reason,
+        "ticks": report.result.ticks,
+        "instructions": report.result.instructions,
+        "exit_code": report.exit_code,
+        "faults": report.faults,
+        "events": [str(e) for e in report.events],
+        "regs": dict(proc.cpu.regs._values),
+        "flags": (proc.cpu.zf, proc.cpu.sf),
+        "pc": proc.cpu.pc,
+        "cells": dict(proc.memory.cells),
+        "bb_counts": dict(shadow.bb_counts),
+        "last_app_bb": shadow.last_app_bb,
+        "reg_tags": shadow.regs.snapshot(),
+        "cell_tags": dict(shadow.memory.cell_tags),
+    }, {
+        "fastpath": hth.harrier.fastpath_blocks,
+        "slowpath": hth.harrier.slowpath_blocks,
+        "provenance": (prov.blocks_observed, prov.block_tokens),
+        "lookups": stats["hits"] + stats["misses"],
+    }
+
+
+def _assert_traced_matches(source, **run):
+    """Traced == the reference interpreter, and == untraced fused
+    execution with the monitor's counters and the block entries too;
+    returns the traced machine."""
+    hth, traced, counters = _loop_run(source, trace_every_loop, **run)
+    _, interp, _ = _loop_run(source, reference_interpreter, **run)
+    assert traced == interp
+    _, untraced, untraced_counters = _loop_run(source, no_traces, **run)
+    assert (traced, counters) == (untraced, untraced_counters)
+    return hth
+
+
+#: Four straight ops and a jump back: one iteration of the unit loop
+#: below is its 2-instruction head plus this 3-instruction body.
+_UNIT_LOOP = [
+    Instruction(Opcode.CMP, Reg("ecx"), Imm(5)),    # 0: head
+    Instruction(Opcode.JGE, Imm(5)),
+    Instruction(Opcode.ADD, Reg("eax"), Reg("ecx")),  # 2: body
+    Instruction(Opcode.ADD, Reg("ecx"), Imm(1)),
+    Instruction(Opcode.JMP, Imm(0)),
+    Instruction(Opcode.HLT),                          # 5: after the loop
+]
+_UNIT_LEADERS = frozenset({0, 2, 5})
+
+
+def _unit_trace(cpu, instrumentation=blockjit.instrumentation()):
+    plans = {
+        pc: translate_block(cpu.memory, pc, _UNIT_LEADERS) for pc in (0, 2)
+    }
+    head = plans[0]
+    return head, blockjit.form_trace(head, plans, 0, len(_UNIT_LOOP),
+                                     instrumentation)
+
+
+class TestLoopTraces:
+    def test_runs_whole_iterations_then_side_exits(self):
+        cpu = _machine(_UNIT_LOOP)
+        twin = _machine(_UNIT_LOOP)
+        head, trace = _unit_trace(cpu)
+        assert trace.cost == 5 and trace.branches == (False, None)
+        # 12 fits two iterations: the third would overshoot.
+        assert trace.run(head, cpu, None, 12) == (10, 4)
+        for _ in range(10):
+            interpret(twin)
+        assert (cpu.pc, cpu.regs._values) == (0, twin.regs._values)
+        # ecx 2..4 run in full, then the head leaves at ecx == 5 with
+        # the CMP's flags written back.
+        assert trace.run(head, cpu, None, 100) == (17, 7)
+        for _ in range(17):
+            interpret(twin)
+        assert (cpu.pc, cpu.zf, cpu.sf) == (twin.pc, True, False) == (
+            5, twin.zf, twin.sf)
+        assert cpu.regs._values == twin.regs._values
+
+    def test_settles_entry_counts_at_exit(self):
+        """Full-block applications and bbfreq counts per block entry,
+        and the last app block to run, as block-by-block execution
+        leaves them."""
+        inst = blockjit.instrumentation(blockjit.TAINT, blockjit.BBFREQ)
+        cpu = _machine(_UNIT_LOOP)
+        head, trace = _unit_trace(cpu, inst)
+        monitor = SimpleNamespace(fastpath_blocks=0)
+        shadow = ProcessShadow()
+        shadow.app_leaders.update({0: True, 2: True})
+        context = blockjit.MonitorContext(
+            monitor, shadow, InstructionDataFlow().install_applier, None,
+            None)
+        # Budget exit after two whole iterations: the body ran last.
+        assert trace.run(head, cpu, context, 12) == (10, 4)
+        assert (shadow.bb_counts, shadow.last_app_bb) == ({0: 2, 2: 2}, 2)
+        # Side exit at the head in the fourth iteration: the head ran
+        # once more than the body, and last.
+        assert trace.run(head, cpu, context, 100) == (17, 7)
+        assert (shadow.bb_counts, shadow.last_app_bb) == ({0: 6, 2: 5}, 0)
+        assert monitor.fastpath_blocks == 11
+        # Only app leaders are counted.
+        del shadow.app_leaders[0]
+        cpu.regs.set("ecx", 0)
+        cpu.pc = 0
+        assert trace.run(head, cpu, context, 100) == (27, 11)
+        assert (shadow.bb_counts, shadow.last_app_bb) == ({0: 6, 2: 10}, 2)
+
+    @pytest.mark.parametrize("source,branches", (
+        (TOP_TESTED, (False, None)),
+        (BOTTOM_TESTED, (True,)),
+    ), ids=("taken-exit", "fall-through-exit"))
+    def test_side_exit_in_each_branch_direction(self, source, branches):
+        with _trace_calls() as calls:
+            hth = _assert_traced_matches(source)
+        (plan,) = _traces(hth)
+        assert plan.trace.branches == branches
+        # The last call left through the side exit, mid-budget.
+        limit, (executed, _) = calls[-1]
+        assert executed < (limit // plan.trace.cost) * plan.trace.cost
+
+    @pytest.mark.parametrize("quantum", (2, 8, 3 * 9 + 4, 200))
+    def test_budget_is_never_overshot(self, quantum):
+        """A quantum below one iteration never enters the trace; any
+        other runs whole iterations and leaves the rest of the budget
+        to the block path, with the interpreter's ticks."""
+        with _trace_calls() as calls:
+            hth = _assert_traced_matches(TOP_TESTED, quantum=quantum)
+        (plan,) = _traces(hth)
+        cost = plan.trace.cost
+        assert cost == 9
+        if quantum < cost:
+            assert calls == []
+            return
+        assert calls
+        for limit, (executed, entries) in calls:
+            assert executed <= limit and entries >= 1
+        if quantum % cost:
+            assert any(limit % cost for limit, _ in calls)
+
+    @pytest.mark.parametrize("max_ticks", (60, 200, 311))
+    def test_deadline_mid_loop(self, max_ticks):
+        with _trace_calls() as calls:
+            _assert_traced_matches(TOP_TESTED, max_ticks=max_ticks)
+        assert all(executed <= limit for limit, (executed, _) in calls)
+
+    @pytest.mark.parametrize("source,code", (
+        (FLAGS_AFTER, 2), (ALU_FLAGS_AFTER, 0),
+    ), ids=("cmp", "alu"))
+    def test_flags_written_back_for_a_branch_after_the_loop(self, source,
+                                                            code):
+        with _trace_calls() as calls:
+            hth = _assert_traced_matches(source)
+        assert _traces(hth) and calls
+        assert hth.kernel.procs[1].exit_code == code
+
+    def test_div_by_a_register_forms_no_trace(self):
+        hth = _assert_traced_matches(DIV_BY_REGISTER)
+        assert not _traces(hth)
+        assert [msg for _, msg in hth.kernel.faults()] == [
+            "division by zero at 0x1005"
+        ]
+        hth = _assert_traced_matches(DIV_BY_IMMEDIATE)
+        assert _traces(hth)
+
+    def test_warm_plans_run_each_instrumentation_its_own_trace(self):
+        """Plans a warm engine shares across monitor configurations:
+        each configuration runs a trace built for its instrumentation,
+        or none, and matches a cold run of its own."""
+        from repro.core.engine import EngineCache
+
+        engine = EngineCache()
+        configs = (
+            (HarrierConfig(), contextlib.nullcontext),
+            (HarrierConfig(), record_path),
+            (HarrierConfig(track_bb_frequency=False),
+             contextlib.nullcontext),
+            (HarrierConfig(track_dataflow=False), contextlib.nullcontext),
+            (HarrierConfig(), contextlib.nullcontext),
+        )
+
+        def run(config, oracle, engine):
+            with oracle():
+                hth = HTH(harrier_config=config, engine=engine)
+                image = (engine.image("/bin/loop", TOP_TESTED)
+                         if engine is not None
+                         else assemble("/bin/loop", TOP_TESTED))
+                assert hth.run(image).exit_code == 0
+            proc = hth.kernel.procs[1]
+            shadow = hth.harrier.shadow(proc)
+            return hth, (
+                dict(proc.memory.cells), dict(shadow.bb_counts),
+                shadow.last_app_bb, dict(shadow.memory.cell_tags),
+                hth.harrier.fastpath_blocks, hth.harrier.slowpath_blocks,
+            )
+
+        for config, oracle in configs:
+            hth, warm = run(config, oracle, engine)
+            assert warm == run(config, oracle, None)[1]
+            (plan,) = _traces(hth)
+        assert plan.trace_for is hth.harrier.block_instrumentation
+
+    def test_no_trace_on_the_record_path(self):
+        with record_path(), trace_every_loop():
+            hth = HTH()
+            assert hth.run(assemble("/bin/loop", TOP_TESTED)).exit_code == 0
+        assert not _traces(hth)
+
+    def test_no_trace_for_composite_hooks(self):
+        with trace_every_loop():
+            hth = HTH()
+            hth.kernel.hooks = CompositeHooks([hth.harrier])
+            assert hth.run(assemble("/bin/loop", TOP_TESTED)).exit_code == 0
+        assert not _traces(hth)
+
+    def test_no_trace_across_an_image_boundary(self):
+        """A shared library block whose cycle runs through app code, and
+        that app block, head no trace; the same cycle in one image
+        does."""
+        code = [
+            Instruction(Opcode.ADD, Reg("ebx"), Imm(1)),   # 0: app
+            Instruction(Opcode.JMP, Imm(4)),
+            Instruction(Opcode.HLT),
+            Instruction(Opcode.HLT),
+            Instruction(Opcode.ADD, Reg("eax"), Imm(1)),   # 4: library
+            Instruction(Opcode.CMP, Reg("eax"), Imm(50)),
+            Instruction(Opcode.JL, Imm(0)),
+            Instruction(Opcode.HLT),
+        ]
+        memory = FlatMemory()
+        memory.map_code(0, code)
+        inst = blockjit.instrumentation()
+        images = (SimpleNamespace(text_start=0, text_end=4),
+                  SimpleNamespace(text_start=4, text_end=8))
+        with trace_every_loop():
+            for libraries, image_map, traced in (
+                ([(4, 8, {})], images, False),
+                ([], images, False),
+                ([], images[:1] + (
+                    SimpleNamespace(text_start=0, text_end=8),), True),
+            ):
+                cache = BlockCache(leaders=frozenset({0, 4}),
+                                   libraries=libraries)
+                app = cache.lookup(memory, 0)
+                lib = cache.lookup(memory, 4)
+                proc = SimpleNamespace(block_cache=cache,
+                                       image_map=image_map)
+                Kernel._note_hot(proc, lib, inst)
+                Kernel._note_hot(proc, app, inst)
+                assert lib.trace_for is inst
+                assert (lib.trace is not None) is traced
+                assert app.trace is None
+                assert app.trace_for is (blockjit.JOINED if traced else inst)
+
+    def test_dropped_head_and_member_need_no_cycle_collector(self):
+        inst = blockjit.instrumentation(blockjit.TAINT, blockjit.BBFREQ)
+        flow = InstructionDataFlow()
+        gc.collect()
+        gc.disable()
+        try:
+            cpu = _machine(_UNIT_LOOP)
+            head, trace = _unit_trace(cpu, inst)
+            fuse(head, inst)
+            context = blockjit.MonitorContext(
+                SimpleNamespace(fastpath_blocks=0), ProcessShadow(),
+                flow.install_applier, None, None)
+            assert trace.run(head, cpu, context, 100) == (27, 11)
+            (member,) = trace.members
+            assert member.taint_apply is not None
+            assert member.trace_for is blockjit.JOINED
+            del head, member, trace, context
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_generated_source_rejects_untraceable_cycles(self):
+        inst = blockjit.instrumentation()
+        for shapes in (
+            ((("div", "eax", "ebx"), ("cmp", "eax", "#"), ("jz",)),),
+            ((("fault",),),),
+            ((("nop",), ("ret",)),),
+            # The branch would read a flag from the previous iteration.
+            ((("nop",), ("jz",)), (("cmp", "eax", "#"), ("jmp",))),
+        ):
+            assert not blockjit.traceable(shapes)
+            with pytest.raises(ValueError):
+                trace_source(shapes, (None,) * len(shapes), inst,
+                             (False,) * len(shapes))
 
 
 # -- exact division -----------------------------------------------------------
@@ -636,6 +1098,59 @@ SOURCE_NAMES_ALLOWED = CO_NAMES_ALLOWED | set(GP_REGISTERS) | {
     "or", "not", "is", "in", "return", "True", "None",
 }
 
+#: A loop whose guest values look like Python too, traced with its
+#: immediates, offsets and branch targets bound as default arguments.
+HOSTILE_LOOP = """
+main:
+    mov ecx, 0
+    mov esi, quote
+__import__:
+    cmp ecx, 40
+    jge exec_
+    load edx, [esi+0x5f5f5f5f]
+    xor edx, 0x41414141
+    store [esi-0x41414141], edx
+    add ecx, 1
+    jmp __import__
+exec_:
+    mov eax, 0
+    ret
+.data
+quote: .asciz "'); __import__('os').system('id') #"
+"""
+
+#: What trace source may contain beyond a block's: its own locals, and
+#: the member plans and block starts (``p1``.., ``s0``..).
+TRACE_NAMES_ALLOWED = {"trace", "limit", "n", "i", "while"}
+
+#: Needles no generated source may contain.
+NEEDLES = ("__import__", "0x41414141", str(0x41414141), "'os'", "exec(",
+           "lambda_", "system", "0x5f5f5f5f", str(0x5F5F5F5F),
+           str(0x22272729))
+
+
+def _check_generated(code, source, small, names=frozenset(),
+                     locals_pattern=r"[kh]\d+"):
+    """Only register names and shape-derived small literals (``small``)
+    reach the code object and the source; every identifier is allowed."""
+    co_consts_allowed = set(GP_REGISTERS) | small | {None, True, ()}
+    numbers_allowed = {str(n) for n in small}
+    strings_allowed = {repr(reg) for reg in GP_REGISTERS}
+    assert set(code.co_names) <= CO_NAMES_ALLOWED, source
+    assert set(code.co_consts) <= co_consts_allowed, source
+    assert not any(needle in source for needle in NEEDLES), source
+    for kind, text in _tokens(source):
+        if kind == tokenize.NUMBER:
+            assert text in numbers_allowed, source
+        elif kind == tokenize.STRING:
+            assert text in strings_allowed, source
+        elif kind == tokenize.NAME:
+            assert (
+                text in SOURCE_NAMES_ALLOWED or text in names
+                or re.fullmatch(locals_pattern, text)
+            ), source
+
+
 #: Every instrumentation a block can be fused for: None (a record at
 #: every exit) and each combination of the monitor parts, each with a
 #: taint summary that moves tags and one that does not.
@@ -674,35 +1189,44 @@ class TestGuestValuesNeverReachSource:
         # shift mask, record kinds, executed counts (<= the longest
         # block), the bbfreq increment and an empty address trace.
         small = set(range(MAX_BLOCK_LEN + 1))
-        co_consts_allowed = set(GP_REGISTERS) | small | {None, True, ()}
-        numbers_allowed = {str(n) for n in small}
-        strings_allowed = {repr(reg) for reg in GP_REGISTERS}
-        needles = ("__import__", "0x41414141", str(0x41414141), "'os'",
-                   "exec(", "lambda_", "system", "0x5f5f5f5f",
-                   str(0x5F5F5F5F), str(0x22272729))
-
-        def check(code, source):
-            assert set(code.co_names) <= CO_NAMES_ALLOWED, source
-            assert set(code.co_consts) <= co_consts_allowed, source
-            assert not any(needle in source for needle in needles), source
-            for kind, text in _tokens(source):
-                if kind == tokenize.NUMBER:
-                    assert text in numbers_allowed, source
-                elif kind == tokenize.STRING:
-                    assert text in strings_allowed, source
-                elif kind == tokenize.NAME:
-                    assert (
-                        text in SOURCE_NAMES_ALLOWED
-                        or re.fullmatch(r"[kh]\d+", text)
-                    ), source
-
         for plan in fused:
-            check(plan.fused.__code__, block_source(
-                plan.shape, plan.fused_for, plan.taint_summary.is_noop))
+            _check_generated(plan.fused.__code__, block_source(
+                plan.shape, plan.fused_for, plan.taint_summary.is_noop),
+                small)
             for instrumentation, noop in VARIANTS:
-                check(
+                _check_generated(
                     compile_shape(plan.shape, instrumentation, noop),
                     block_source(plan.shape, instrumentation, noop),
+                    small,
+                )
+
+    def test_hostile_loop_trace(self):
+        hth = HTH()
+        with fuse_every_block(), trace_every_loop():
+            report = hth.run(assemble("/bin/hostile", HOSTILE_LOOP))
+        assert report.exit_code == 0
+        (head,) = _traces(hth)
+        trace = head.trace
+        cycle = (head,) + trace.members
+        shapes = tuple(plan.shape for plan in cycle)
+        noops = tuple(plan.taint_summary.is_noop for plan in cycle)
+        # Iteration costs and entry counts: at most every block of a
+        # trace at its longest.
+        small = set(range(blockjit.MAX_TRACE_BLOCKS * MAX_BLOCK_LEN + 1))
+        _check_generated(
+            trace.run.__code__,
+            trace_source(shapes, trace.branches, head.trace_for, noops),
+            small, TRACE_NAMES_ALLOWED, r"[khps]\d+",
+        )
+        for instrumentation, _ in VARIANTS[1:]:
+            for noops in itertools.product((False, True),
+                                           repeat=len(cycle)):
+                source = trace_source(shapes, trace.branches,
+                                      instrumentation, noops)
+                _check_generated(
+                    blockjit._compile_trace(shapes, trace.branches,
+                                            instrumentation, noops),
+                    source, small, TRACE_NAMES_ALLOWED, r"[khps]\d+",
                 )
 
     def test_emitter_rejects_unknown_names(self):
@@ -715,6 +1239,22 @@ class TestGuestValuesNeverReachSource:
             ):
                 with pytest.raises(ValueError):
                     block_source(shape, instrumentation, noop)
+
+    def test_trace_emitter_rejects_unknown_names(self):
+        for instrumentation, _ in VARIANTS[1:]:
+            for shapes in (
+                ((("mov", "__import__", "eax"), ("cmp", "eax", "#"),
+                  ("jz",)),),
+                ((("cmp", "eax", "#"), ("exec('1')",)),),
+                ((("cmp", "eax", "#"), ("jz",)),
+                 (("os.system", "eax"), ("jmp",))),
+            ):
+                with pytest.raises(ValueError):
+                    trace_source(shapes, (True,) * len(shapes),
+                                 instrumentation, (False,) * len(shapes))
+        with pytest.raises(ValueError):
+            trace_source(((("cmp", "eax", "#"), ("jz",)),), (True,),
+                         ("exec('1')",), (False,))
 
     def test_unknown_instrumentation_is_rejected(self):
         with pytest.raises(ValueError):

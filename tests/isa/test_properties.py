@@ -1,7 +1,8 @@
 """Property-based tests over the assembler + CPU: randomized straight-line
 programs must compute the same results as a Python model — on the
-reference interpreter and on translated blocks — and taint must stay
-conservative."""
+reference interpreter and on translated blocks — randomized counted
+loops must run in production (hot blocks fused, hot loops traced) as on
+the reference interpreter, and taint must stay conservative."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from repro.core.hth import HTH
 from repro.isa import CPU, FlatMemory, assemble
 from repro.isa.translate import translate_block
 from repro.taint import DataSource
+from tests.oracles import reference_interpreter
 from tests.oracles.interpreter import step as interpret
 
 _OPS = {
@@ -81,6 +83,99 @@ class TestComputationalEquivalence:
         image = assemble("/bin/t", f"main: ret\n.data\ntbl: .word {words}")
         base = image.symbols["tbl"]
         assert [image.data[base + i] for i in range(len(values))] == values
+
+
+_LOOP_OPS = ("add", "sub", "mul", "xor", "and", "or", "shl", "shr")
+
+
+@st.composite
+def counted_loop(draw):
+    """A counted loop over a small table: a load, ALU ops on the value,
+    a branch on it around a store back into the table, tested at the
+    top or the bottom; and a random scheduling quantum."""
+    count = draw(st.integers(1, 120))
+    table = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=6))
+    ops = draw(st.lists(
+        st.tuples(st.sampled_from(_LOOP_OPS), st.integers(-9, 9)),
+        max_size=4,
+    ))
+    threshold = draw(st.integers(-60, 60))
+    top_tested = draw(st.booleans())
+    lines = [
+        "main:",
+        "    mov ecx, 0",
+        "    mov esi, table",
+        f"    mov eax, {draw(st.integers(-9, 9))}",
+        "loop:",
+    ]
+    if top_tested:
+        lines += [f"    cmp ecx, {count}", "    jge done"]
+    lines += [
+        "    mov ebx, ecx",
+        f"    mod ebx, {len(table)}",
+        "    add ebx, esi",
+        "    load edx, [ebx]",
+    ]
+    lines += [f"    {op} edx, {value}" for op, value in ops]
+    lines += [
+        "    add eax, edx",
+        f"    cmp edx, {threshold}",
+        "    jl skip",
+        "    store [ebx], eax",
+        "skip:",
+        "    add ecx, 1",
+    ]
+    if top_tested:
+        lines += ["    jmp loop", "done:"]
+    else:
+        lines += [f"    cmp ecx, {count}", "    jl loop"]
+    lines += [
+        "    mov edi, out",
+        "    store [edi], eax",
+        "    mov eax, 0",
+        "    ret",
+        ".data",
+        "table: .word " + ", ".join(str(v) for v in table),
+        "out: .space 1",
+    ]
+    return "\n".join(lines) + "\n", draw(st.integers(1, 64))
+
+
+def _loop_fingerprint(source, quantum):
+    hth = HTH()
+    hth.kernel.quantum = quantum
+    report = hth.run(assemble("/bin/loop", source))
+    proc = hth.kernel.procs[1]
+    shadow = hth.harrier.shadow(proc)
+    return {
+        "verdict": report.verdict,
+        "warnings": [repr(w) for w in report.warnings],
+        "events": [str(e) for e in report.events],
+        "console": report.console_output,
+        "exit_code": report.exit_code,
+        "reason": report.result.reason,
+        "ticks": report.result.ticks,
+        "instructions": report.result.instructions,
+        "faults": report.faults,
+        "regs": dict(proc.cpu.regs._values),
+        "flags": (proc.cpu.zf, proc.cpu.sf),
+        "cells": dict(proc.memory.cells),
+        "bb_counts": dict(shadow.bb_counts),
+        "last_app_bb": shadow.last_app_bb,
+        "reg_tags": shadow.regs.snapshot(),
+        "cell_tags": dict(shadow.memory.cell_tags),
+    }
+
+
+class TestLoopEquivalence:
+    @given(counted_loop())
+    @settings(max_examples=100, deadline=None)
+    def test_counted_loops_match_the_reference_interpreter(self, loop):
+        source, quantum = loop
+        production = _loop_fingerprint(source, quantum)
+        with reference_interpreter():
+            reference = _loop_fingerprint(source, quantum)
+        assert production == reference
 
 
 class TestTaintConservativeness:

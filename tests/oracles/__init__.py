@@ -13,8 +13,9 @@ switches that pin the block JIT to one executor:
   transfer by transfer (the compiled summaries never run);
 * :mod:`tests.oracles.matcher` — the naive full-rejoin rule matcher;
 * :mod:`tests.oracles.jit` — block-JIT switches: fuse every block from
-  its first execution, run the per-instruction closures only, or keep
-  fused blocks on the record path (the monitor in ``on_block``).
+  its first execution, run the per-instruction closures only, keep
+  fused blocks on the record path (the monitor in ``on_block``), trace
+  every loop from its first fused exit, or never trace one.
 
 Each is installed with a context manager that patches the one production
 path it stands in for, so no product constructor, option or CLI flag
@@ -23,7 +24,13 @@ fleet and serve workers.
 """
 
 from tests.oracles.interpreter import reference_interpreter
-from tests.oracles.jit import closure_only, fuse_every_block, record_path
+from tests.oracles.jit import (
+    closure_only,
+    fuse_every_block,
+    no_traces,
+    record_path,
+    trace_every_loop,
+)
 from tests.oracles.matcher import naive_matcher
 from tests.oracles.replay import template_replay
 
@@ -31,7 +38,9 @@ __all__ = [
     "closure_only",
     "fuse_every_block",
     "naive_matcher",
+    "no_traces",
     "record_path",
     "reference_interpreter",
     "template_replay",
+    "trace_every_loop",
 ]

@@ -1,8 +1,11 @@
-"""Block-JIT switches: fuse every block, or never fuse one.
+"""Block-JIT switches: fuse every block, or never fuse one; trace
+every loop, or never trace one.
 
 ``BlockPlan.execute`` fuses a block into one generated function once
-the block has run ``repro.isa.translate.JIT_THRESHOLD`` times in full.
-These context managers patch that module constant, the way
+the block has run ``repro.isa.translate.JIT_THRESHOLD`` times in full,
+and the kernel makes a fused block the head of a loop trace once it
+has run ``repro.isa.blockjit.TRACE_THRESHOLD`` times.  These context
+managers patch those module constants, the way
 :func:`tests.oracles.template_replay` patches ``install_applier``:
 
 * :func:`fuse_every_block` — threshold 1: every full execution, from a
@@ -14,11 +17,16 @@ These context managers patch that module constant, the way
 * :func:`record_path` — hot blocks still fuse, but no hook declares a
   block instrumentation, so every execution returns a record and the
   monitor runs in ``on_block`` (the baseline of the inlined monitor's
-  perf gate).
+  perf gate);
+* :func:`trace_every_loop` — threshold 0: a fused block is tried as a
+  loop-trace head at its first plain exit (the differential suites use
+  it to run every traceable cycle as a trace, not only the hot ones);
+* :func:`no_traces` — no loop trace ever forms: fused blocks run one
+  kernel round trip each, the baseline of the loop traces' perf gate.
 
-Plans fused inside a block stay fused after it (fused and closure
-execution are interchangeable by contract), so run :func:`closure_only`
-on fresh machines.
+Plans fused or traced inside a block stay so after it (fused, closure
+and traced execution are interchangeable by contract), so run
+:func:`closure_only` and :func:`no_traces` on fresh machines.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 from repro.harrier.monitor import Harrier
-from repro.isa import translate
+from repro.isa import blockjit, translate
 from repro.kernel.hooks import NullHooks
 
 
@@ -45,6 +53,17 @@ def fuse_every_block():
 def closure_only():
     """Never fuse a block: every execution runs the closures."""
     return _threshold(float("inf"))
+
+
+def trace_every_loop():
+    """Try every fused block as a loop-trace head at its first plain
+    exit."""
+    return mock.patch.object(blockjit, "TRACE_THRESHOLD", 0)
+
+
+def no_traces():
+    """Never form a loop trace."""
+    return mock.patch.object(blockjit, "TRACE_THRESHOLD", float("inf"))
 
 
 @contextmanager

@@ -13,9 +13,11 @@ from tests.oracles import (
     closure_only,
     fuse_every_block,
     naive_matcher,
+    no_traces,
     record_path,
     reference_interpreter,
     template_replay,
+    trace_every_loop,
 )
 from tests.oracles.matcher import NaiveNetwork
 
@@ -50,6 +52,11 @@ done:
     mov eax, 0
     ret
 """
+
+
+#: HOT_LOOP for 20 iterations: its head fuses, but runs too few times
+#: after that to be tried as a loop-trace head in production.
+WARM_LOOP = HOT_LOOP.replace("mov ecx, 40", "mov ecx, 20")
 
 
 def _run(source=LOOP):
@@ -115,6 +122,10 @@ def _plans(hth):
     ]
 
 
+def _traced(hth):
+    return [plan for plan in _plans(hth) if plan.trace is not None]
+
+
 class TestJitThresholds:
     def test_fuse_every_block_fuses_on_first_execution(self):
         with fuse_every_block():
@@ -135,6 +146,16 @@ class TestJitThresholds:
         fused = [plan for plan in _plans(hth) if plan.fused is not None]
         assert fused and all(plan.fused_for is None for plan in fused)
 
+    def test_trace_every_loop_traces_at_the_first_fused_exit(self):
+        with trace_every_loop():
+            hth = _run(WARM_LOOP)
+        assert _traced(hth)
+
+    def test_no_traces_never_traces(self):
+        with no_traces():
+            hth = _run(HOT_LOOP)
+        assert not _traced(hth)
+
     def test_restored_on_exit(self):
         with fuse_every_block():
             pass
@@ -142,6 +163,14 @@ class TestJitThresholds:
             pass
         with record_path():
             pass
+        with trace_every_loop():
+            pass
+        with no_traces():
+            pass
+        # Production: a loop head that has run too few times is not
+        # tried as a trace head; a hot one is.
+        assert not _traced(_run(WARM_LOOP))
+        assert _traced(_run(HOT_LOOP))
         # Production: a block run fewer times than the threshold is
         # never fused, and a hot one inlines the monitor.
         assert all(plan.fused is None for plan in _plans(_run()))

@@ -40,12 +40,13 @@ BENIGN = Submission(
     source="main:\n    mov eax, 0\n    ret\n", name="benign"
 )
 
-#: ~0.6s of guest time — long enough to be reliably mid-run when the
-#: test intervenes (kill, backpressure probe, drain), short enough to
-#: keep the suite quick.
+#: ~0.45s of guest time on a 2-vCPU host (the spin runs as a loop
+#: trace) — long enough to be reliably mid-run when the test intervenes
+#: (kill, backpressure probe, drain), short enough to keep the suite
+#: quick, and 4.5M ticks, inside the default 5M-tick budget.
 _SLOW_SRC = """
 main:
-    mov ecx, 300000
+    mov ecx, 1500000
 spin:
     sub ecx, 1
     cmp ecx, 0

@@ -24,12 +24,13 @@ from repro.telemetry.metrics import MetricsRegistry
 
 BENIGN = Submission(source="main:\n    mov eax, 0\n    ret\n").to_wire()
 
-#: ~1.2s of guest wall time at the measured ~1.5M ticks/s interpreter
-#: rate — long enough to reliably observe/kill mid-run, short enough
-#: for the retry attempt to finish fast.
+#: ~0.45s of guest wall time on a 2-vCPU host (the spin runs as a loop
+#: trace) — long enough to reliably observe/kill mid-run, short enough
+#: for the retry attempt to finish fast, and inside the default
+#: 5M-tick budget.
 _SLOW_SRC = """
 main:
-    mov ecx, 600000
+    mov ecx, 1500000
 spin:
     sub ecx, 1
     cmp ecx, 0
@@ -40,7 +41,7 @@ SLOW = Submission(source=_SLOW_SRC).to_wire()
 
 #: A spin that cannot finish inside any test deadline (the machine is
 #: "stuck" from the supervisor's point of view).
-_WEDGED_SRC = _SLOW_SRC.replace("600000", "60000000")
+_WEDGED_SRC = _SLOW_SRC.replace("1500000", "60000000")
 WEDGED = Submission(
     source=_WEDGED_SRC, options=RunOptions(max_ticks=500_000_000)
 ).to_wire()
