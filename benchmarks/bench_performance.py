@@ -24,6 +24,10 @@ configurations:
 * harrier-no-traces — the full monitor with no loop trace: every hot
                       block entry is one kernel round trip
                       (``tests/oracles`` ``no_traces``)
+* harrier-applier-calls — the full monitor with generated code calling
+                      every memory-touching block's taint applier
+                      instead of checking its steady state inline
+                      (``tests/oracles`` ``applier_calls``)
 * harrier-fastpath(-off) — the full monitor with the zero-taint dataflow
                       fast path on/off (fastpath == the default
                       harrier-full; -off runs the forced template-replay
@@ -65,6 +69,7 @@ from repro.telemetry.overhead import (
     quartiles,
 )
 from tests.oracles import (
+    applier_calls,
     closure_only,
     no_traces,
     record_path,
@@ -129,6 +134,7 @@ _CONFIGS = {
     "harrier-closures": (HarrierConfig(), closure_only),
     "harrier-record-path": (HarrierConfig(), record_path),
     "harrier-no-traces": (HarrierConfig(), no_traces),
+    "harrier-applier-calls": (HarrierConfig(), applier_calls),
     "harrier-fastpath": (HarrierConfig(), _PRODUCTION),
     "harrier-fastpath-off": (HarrierConfig(), template_replay),
     "harrier-provenance-off": (

@@ -65,6 +65,11 @@ _IMAGE_DIGEST_MEMO: "OrderedDict[int, Tuple[tuple, str, tuple, str]]" = (
 )
 _IMAGE_MEMO_CAPACITY = 256
 
+#: ``(argv, sorted env items, stdin, CacheEnv)`` -> digest — see
+#: :func:`environment_digest`.
+_ENV_DIGEST_MEMO: "OrderedDict[tuple, str]" = OrderedDict()
+_ENV_MEMO_CAPACITY = 256
+
 
 def _mutable_guard(image: Image) -> tuple:
     """Cheap fingerprint of an Image's *mutable* containers.
@@ -264,20 +269,59 @@ class CacheEnv:
         )
 
 
+_NO_ENV = CacheEnv()
+
+
+def _all_str(values) -> bool:
+    return all(type(value) is str for value in values)
+
+
 def environment_digest(
     argv: Optional[Sequence[str]],
     env: Optional[Mapping[str, str]],
     stdin: Optional[Union[str, bytes]],
     cache_env: Optional[CacheEnv],
 ) -> str:
-    """Digest of everything the guest observes besides its own image."""
-    return content_digest(
+    """Digest of everything the guest observes besides its own image.
+
+    A warm hit computes it on every request, so it is memoized by value
+    like :func:`image_digest`, in a memo bounded the same way.  Only
+    plain ``str`` arguments (and ``str``/``bytes`` stdin) are memoized:
+    values of other types can compare equal and still encode apart
+    (``1 == True``), so those are digested every time.
+    """
+    argv_key = tuple(argv) if argv is not None else None
+    if cache_env is None:
+        cache_env = _NO_ENV
+    key = None
+    if (
+        (argv_key is None or _all_str(argv_key))
+        and (env is None or _all_str(env) and _all_str(env.values()))
+        and (stdin is None or type(stdin) in (str, bytes))
+        and all(_all_str(pair) for pair in cache_env.files)
+        and all(_all_str(pair) for pair in cache_env.peers)
+    ):
+        key = (
+            argv_key,
+            tuple(sorted(env.items())) if env is not None else None,
+            stdin,
+            cache_env,
+        )
+        digest = _ENV_DIGEST_MEMO.get(key)
+        if digest is not None:
+            return digest
+    digest = content_digest(
         "environment",
-        tuple(argv) if argv is not None else None,
+        argv_key,
         dict(env) if env is not None else None,
         stdin,
-        cache_env if cache_env is not None else CacheEnv(),
+        cache_env,
     )
+    if key is not None:
+        _ENV_DIGEST_MEMO[key] = digest
+        while len(_ENV_DIGEST_MEMO) > _ENV_MEMO_CAPACITY:
+            _ENV_DIGEST_MEMO.popitem(last=False)
+    return digest
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,16 @@ which
   count, provenance note, see :data:`PARTS`) and no record at all —
   the function returns None.  Faults, syscalls, HLT and (with
   :data:`RECORD_CALLS`) CALL/RET still return a :class:`BlockRecord`,
-  and with no instrumentation (``None``) every exit does.
+  and with no instrumentation (``None``) every exit does;
+* a memory-touching block's taint applier is not even called in its
+  steady state: the generated code checks the state the applier
+  published on the plan (``plan.taint_steady``) — the shadow register
+  file's generation and identity, then one page probe per loaded
+  address, compared by identity with the applier's front-cache key —
+  and then only stores the tags that changed.  Anything else calls the
+  applier, which stays the one implementation of the block's taint
+  (:meth:`_Emitter.steady`).  What this reads of the block's summary
+  (:func:`taint_layout`) follows from its shape.
 
 The source is generated from the block's *shape* only — per instruction,
 the opcode and its GP register names (:attr:`BlockPlan.shape`).  Every
@@ -56,12 +65,14 @@ each ending in a jump, a fall-through or a conditional branch
 ``trace(plan, cpu, m, limit)`` (:func:`trace_source`), kept on the head
 as a :class:`Trace`.  It runs whole iterations while one more fits in
 ``limit``, with the registers in locals across blocks and iterations
-and each block's inlined taint work in order; a branch off the cycle is
-a side exit.  At any exit it writes back registers and flags, sets the
-pc, settles the entry counts (``fastpath_blocks``, bbfreq) and returns
-``(instructions, block entries)``.  The kernel enters a trace only
-where a whole iteration fits its budget and runs the rest block by
-block, so virtual time is unchanged.  Traces form only for an
+and each block's inlined taint work in order (in long-guest's hot loop,
+the steady state above takes its applier from 98,304 calls per run to
+411); a branch off the cycle is a side exit.  At any exit it writes
+back registers and flags, sets the pc, settles the entry counts
+(``fastpath_blocks``, bbfreq) and returns ``(instructions, block
+entries)``.  The kernel enters a trace only where a whole iteration
+fits its budget and runs the rest block by block, so virtual time is
+unchanged.  Traces form only for an
 instrumentation (a hook on the record path sees every block), are
 keyed on it like fused functions, and share :data:`CODE_CACHE`.
 """
@@ -82,7 +93,10 @@ from repro.isa.translate import (
     SHAPE_IMM,
     BlockPlan,
     BlockRecord,
+    TaintSummary,
 )
+from repro.taint.shadow import PAGE_SHIFT
+from repro.taint.tags import EMPTY
 
 #: Code objects kept in :data:`CODE_CACHE`.  One 210-variant sweep
 #: round translates 6,420 blocks of 326 distinct shapes (32 of them hot
@@ -145,6 +159,11 @@ PARTS = (TAINT, PROVENANCE, BBFREQ, RECORD_CALLS)
 
 _KEYS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
+#: What a memory-touching block's inlined taint steady state reads of
+#: its summary: ``(live-in count, read hole indices, store hole
+#: indices)`` (see :func:`taint_layout`).
+Layout = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+
 
 def _check_parts(parts) -> None:
     unknown = set(parts) - set(PARTS)
@@ -174,13 +193,28 @@ class MonitorContext:
         self.observe = observe
 
 
+def taint_layout(summary: TaintSummary) -> Optional[Layout]:
+    """The :data:`Layout` of a block's taint summary, or None when the
+    summary touches no memory (its applier, if any, is always called).
+
+    It is a function of the block's shape, so code generated for one
+    block serves every block of that shape; :meth:`CodeCache.code_for`
+    checks that, rather than keying on it.
+    """
+    if not (summary.read_holes or summary.mem_writes):
+        return None
+    return (len(summary.live_in), summary.read_holes,
+            tuple(idx for idx, _ in summary.mem_writes))
+
+
 class _Emitter:
     """Writes the body of one block function from its shape."""
 
     def __init__(self, instrumentation: Optional[Tuple[str, ...]],
-                 noop: bool) -> None:
+                 noop: bool, layout: Optional[Layout] = None) -> None:
         self.instrumentation = instrumentation
         self.noop = noop
+        self.layout = layout
         self.nconsts = 0
         self.nholes = 0
         self.entry: List[str] = []     # registers loaded at entry
@@ -200,6 +234,9 @@ class _Emitter:
         self.plan = "plan"
         self.hole_base = 0
         self.pad = "    "
+        #: The shadow's register file ``rg`` and page-table probe ``pt``
+        #: are bound once, before a trace's loop, not per block.
+        self.bound = False
 
     # -- names ---------------------------------------------------------
     def const(self) -> str:
@@ -312,18 +349,71 @@ class _Emitter:
     def taint(self) -> None:
         """Apply the block's taint summary to the shadow ``sh`` and note
         the plan for provenance (nothing for a summary that moves no
-        tags)."""
+        tags).  With a :data:`Layout`, the applier's steady state is
+        inlined (:meth:`steady`) and the applier called only when it
+        does not hold."""
         if not self.applies():
             return
         plan = self.plan
-        self.emit(f"ap = {plan}.taint_apply")
-        self.emit("if ap is None:")
-        self.emit(f"ap = m.install({plan}, {self.executed})", "    ")
         holes = self.holes()
-        self.emit(f"ap(sh, ({holes},))" if holes else "ap(sh, ())")
+        call = [
+            f"ap = {plan}.taint_apply",
+            "if ap is None:",
+            f"    ap = m.install({plan}, {self.executed})",
+            f"ap(sh, ({holes},))" if holes else "ap(sh, ())",
+        ]
+        if self.layout is None:
+            for line in call:
+                self.emit(line)
+        else:
+            self.steady(call)
         if PROVENANCE in self.instrumentation:
             self.emit(f"if {plan} not in m.seen:")
             self.emit(f"m.observe({plan})", "    ")
+
+    def steady(self, call: List[str]) -> None:
+        """The hit on the applier's published steady state
+        (``plan.taint_steady``, a ``repro.harrier.dataflow.SteadyState``):
+        the register file is the one it brought up to date, and every
+        read hole's cell is, by identity, the one in its key; then only
+        the stores whose cell holds other tags (absent == EMPTY) are
+        made.  Anything else runs ``call``, the applier call."""
+        nlive, reads, stores = self.layout
+        count = self.nholes - self.hole_base
+        if any(not 0 <= idx < count for idx in reads + stores):
+            raise ValueError("taint layout does not fit the block")
+        base = self.hole_base
+        self.emit(f"st = {self.plan}.taint_steady")
+        if not self.bound:
+            self.emit("rg = sh.regs")
+        self.emit("ok = st is not None and st.gen == rg.gen "
+                  "and st.regs is rg._tags")
+        probes = [] if self.bound else ["pt = sh.memory._pages.get"]
+        if reads:
+            probes.append("ky = st.key")
+            probes.append("ok = " + " and ".join(
+                f"(None if (pg := pt(h{base + idx} >> {PAGE_SHIFT})) "
+                f"is None else pg.get(h{base + idx})) is ky[{nlive + j}]"
+                for j, idx in enumerate(reads)
+            ))
+        if probes:
+            self.emit("if ok:")
+            for line in probes:
+                self.emit(line, "    ")
+        if stores:
+            self.emit("if ok:")
+            self.emit("ts = st.stores", "    ")
+            for j, idx in enumerate(stores):
+                addr = f"h{base + idx}"
+                self.emit(f"if (E if (pg := pt({addr} >> {PAGE_SHIFT})) "
+                          f"is None else pg.get({addr}, E)) is not ts[{j}]:",
+                          "    ")
+                self.emit(f"sh.memory.set({addr}, ts[{j}])", "        ")
+            self.emit("else:")
+        else:
+            self.emit("if not ok:")
+        for line in call:
+            self.emit(line, "    ")
 
     def fault(self, halt: bool, indent: str = "") -> None:
         """The exit of a fault at the current instruction (not retired;
@@ -477,24 +567,27 @@ class _Emitter:
 
 def block_source(shape: Tuple[tuple, ...],
                  instrumentation: Optional[Tuple[str, ...]] = None,
-                 noop: bool = False) -> str:
+                 noop: bool = False,
+                 layout: Optional[Layout] = None) -> str:
     """The Python source of the fused function for ``shape``, with the
     monitor work ``instrumentation`` names inlined at its plain exits
-    (``noop``: the block's taint summary moves no tags).
+    (``noop``: the block's taint summary moves no tags; ``layout``: its
+    :func:`taint_layout`, whose applier steady state is inlined too).
 
     Raises ValueError for an item, register name or instrumentation
-    part the emitter does not know, so nothing but opcode names, GP
-    register names and the emitter's own identifiers is ever written.
+    part the emitter does not know, or a layout that does not fit the
+    block, so nothing but opcode names, GP register names, small
+    numbers and the emitter's own identifiers is ever written.
     """
     if instrumentation is not None:
         _check_parts(instrumentation)
-    em = _Emitter(instrumentation, noop)
+    em = _Emitter(instrumentation, noop, layout)
     for item in shape[:-1]:
         em.straight(item)
         em.executed += 1
     em.exit(shape[-1])
     params = ", ".join(
-        ["plan", "cpu", "m", "BlockRecord", "CpuFault", "s"]
+        ["plan", "cpu", "m", "BlockRecord", "CpuFault", "E", "s"]
         + [f"k{i}" for i in range(em.nconsts)]
     )
     return "\n".join([f"def block({params}):"] + em.prologue()
@@ -532,7 +625,9 @@ def traceable(shapes: Tuple[Tuple[tuple, ...], ...]) -> bool:
 def trace_source(shapes: Tuple[Tuple[tuple, ...], ...],
                  branches: Tuple[Optional[bool], ...],
                  instrumentation: Tuple[str, ...],
-                 noops: Tuple[bool, ...]) -> str:
+                 noops: Tuple[bool, ...],
+                 layouts: Optional[Tuple[Optional[Layout], ...]] = None
+                 ) -> str:
     """The Python source of the loop trace over blocks with ``shapes``
     (head first, each followed by the next and the last by the head),
     with ``instrumentation``'s monitor work inlined.
@@ -540,7 +635,8 @@ def trace_source(shapes: Tuple[Tuple[tuple, ...], ...],
     ``branches`` says, per block ending in a conditional branch, whether
     the cycle continues at the branch target (True) or falls through
     (False); the other direction is a side exit.  ``noops``: per block,
-    its taint summary moves no tags.  The per-op code is
+    its taint summary moves no tags; ``layouts``: per block, its
+    :func:`taint_layout` (None: none).  The per-op code is
     :class:`_Emitter`'s; every register the cycle touches is loaded once
     and stays in a local across blocks and iterations.  The function is
     ``trace(plan, cpu, m, limit)`` with the head plan, and runs whole
@@ -568,6 +664,7 @@ def trace_source(shapes: Tuple[Tuple[tuple, ...], ...],
     em.live = set(em.entry)
     em.written = list(probe.written)
     em.pad = "        "
+    em.bound = True
     parts = instrumentation
     lengths = [len(shape) - (shape[-1][0] == "fall") for shape in shapes]
     cost = sum(lengths)
@@ -599,9 +696,13 @@ def trace_source(shapes: Tuple[Tuple[tuple, ...], ...],
         em.emit(f"return i * {cost} + {sum(lengths[:j + 1])}, {entries}",
                 indent)
 
-    for j, (shape, taken, noop) in enumerate(zip(shapes, branches, noops)):
+    if layouts is None:
+        layouts = (None,) * count
+    for j, (shape, taken, noop, layout) in enumerate(
+            zip(shapes, branches, noops, layouts)):
         em.plan = f"p{j}" if j else "plan"
         em.noop = noop
+        em.layout = layout
         em.hole_base = em.nholes
         em.executed = lengths[j]
         for item in shape[:-1]:
@@ -623,16 +724,18 @@ def trace_source(shapes: Tuple[Tuple[tuple, ...], ...],
     leave(count - 1, "s0", "    ")
     em.emit("i += 1")
     params = ", ".join(
-        ["plan", "cpu", "m", "limit"]
+        ["plan", "cpu", "m", "limit", "E"]
         + [f"p{j}" for j in range(1, count)]
         + [f"s{j}" for j in range(count)]
         + [f"k{i}" for i in range(em.nconsts)]
     )
     head = [f"def trace({params}):"] + em.prologue()
-    if BBFREQ in parts or any(
-        TAINT in parts and not noop for noop in noops
-    ):
+    taint = [TAINT in parts and not noop for noop in noops]
+    if BBFREQ in parts or any(taint):
         head.append("    sh = m.shadow")
+    if any(layout is not None and applies
+           for layout, applies in zip(layouts, taint)):
+        head += ["    rg = sh.regs", "    pt = sh.memory._pages.get"]
     head += [f"    n = limit // {cost} - 1", "    i = 0", "    while True:"]
     return "\n".join(head + em.lines) + "\n"
 
@@ -648,10 +751,11 @@ def _compile_trace(*args) -> CodeType:
 
 def compile_shape(shape: Tuple[tuple, ...],
                   instrumentation: Optional[Tuple[str, ...]] = None,
-                  noop: bool = False) -> CodeType:
+                  noop: bool = False,
+                  layout: Optional[Layout] = None) -> CodeType:
     """Compile the block source; returns the function's code object."""
-    return _function_code(block_source(shape, instrumentation, noop),
-                          "<blockjit>")
+    return _function_code(block_source(shape, instrumentation, noop,
+                                       layout), "<blockjit>")
 
 
 class CodeCache:
@@ -662,11 +766,17 @@ class CodeCache:
     is exceeded.  Eviction drops only the cache's reference: functions
     already built from the code keep it.  Hits and misses happen once
     per fused block or built trace, never per execution.
+
+    The taint layouts a code object inlines are not part of its key:
+    they follow from the shapes.  Each entry keeps them, and a hit for
+    other layouts raises AssertionError instead of handing out code
+    that would apply another block's taint.
     """
 
     def __init__(self, max_entries: int = CODE_CACHE_MAX) -> None:
         self.max_entries = max_entries
-        self._codes: "OrderedDict[tuple, CodeType]" = OrderedDict()
+        #: key -> (code, the taint layouts it inlines)
+        self._codes: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._lock = threading.Lock()
         #: ``compile()`` calls (cache misses).
         self.compiles = 0
@@ -678,41 +788,54 @@ class CodeCache:
 
     def code_for(self, shape: Tuple[tuple, ...],
                  instrumentation: Optional[Tuple[str, ...]] = None,
-                 noop: bool = False) -> CodeType:
-        # Only the inlined taint statements depend on ``noop``.
-        noop = noop and instrumentation is not None and (
-            TAINT in instrumentation
-        )
+                 noop: bool = False,
+                 layout: Optional[Layout] = None) -> CodeType:
+        # Only the inlined taint statements depend on ``noop`` and
+        # ``layout``.
+        taint = instrumentation is not None and TAINT in instrumentation
+        noop = noop and taint
+        if noop or not taint:
+            layout = None
         with self._lock:
             self.fused += 1
-            return self._get((shape, instrumentation, noop), compile_shape,
-                             shape, instrumentation, noop)
+            return self._get((shape, instrumentation, noop), layout,
+                             compile_shape, shape, instrumentation, noop,
+                             layout)
 
     def trace_code_for(self, shapes: Tuple[Tuple[tuple, ...], ...],
                        branches: Tuple[Optional[bool], ...],
                        instrumentation: Tuple[str, ...],
-                       noops: Tuple[bool, ...]) -> CodeType:
+                       noops: Tuple[bool, ...],
+                       layouts: Tuple[Optional[Layout], ...]) -> CodeType:
         noops = tuple(noop and TAINT in instrumentation for noop in noops)
+        layouts = tuple(None if noop or TAINT not in instrumentation
+                        else layout for noop, layout in zip(noops, layouts))
         with self._lock:
             self.traces += 1
             return self._get(
                 ("trace", shapes, branches, instrumentation, noops),
-                _compile_trace, shapes, branches, instrumentation, noops,
+                layouts, _compile_trace, shapes, branches, instrumentation,
+                noops, layouts,
             )
 
-    def _get(self, key: tuple, make, *args) -> CodeType:
+    def _get(self, key: tuple, layout, make, *args) -> CodeType:
         """The code for ``key``, ``make(*args)`` on a miss (the caller
-        holds the lock)."""
+        holds the lock); ``layout``: the taint layouts it inlines."""
         codes = self._codes
-        code = codes.pop(key, None)
-        if code is None:
-            code = make(*args)
+        entry = codes.get(key)
+        if entry is None:
+            entry = codes[key] = (make(*args), layout)
             self.compiles += 1
-        codes[key] = code  # (re)inserted as most recently used
-        while len(codes) > self.max_entries:
-            codes.popitem(last=False)
-            self.evictions += 1
-        return code
+            while len(codes) > self.max_entries:
+                codes.popitem(last=False)
+                self.evictions += 1
+        elif entry[1] != layout:
+            raise AssertionError(
+                f"taint layout {layout!r} differs from {entry[1]!r}, "
+                "inlined by the code for the same shape")
+        else:
+            codes.move_to_end(key)  # most recently used
+        return entry[0]
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -752,12 +875,13 @@ def fuse(plan: BlockPlan,
     """Give ``plan`` its generated function for ``instrumentation`` (an
     :func:`instrumentation` key, or None for a function that returns a
     record at every exit) and return it."""
+    summary = plan.taint_summary
     fn = FunctionType(
-        CODE_CACHE.code_for(plan.shape, instrumentation,
-                            plan.taint_summary.is_noop),
+        CODE_CACHE.code_for(plan.shape, instrumentation, summary.is_noop,
+                            taint_layout(summary)),
         _GLOBALS,
         "block",
-        (BlockRecord, CpuFault, plan.start) + plan.consts,
+        (BlockRecord, CpuFault, EMPTY, plan.start) + plan.consts,
     )
     plan.fused = fn
     plan.fused_for = instrumentation
@@ -870,10 +994,11 @@ def form_trace(head: BlockPlan, plans: Dict[int, BlockPlan], lo: int,
         CODE_CACHE.trace_code_for(
             tuple(p.shape for p in cycle), trace.branches, instrumentation,
             tuple(p.taint_summary.is_noop for p in cycle),
+            tuple(taint_layout(p.taint_summary) for p in cycle),
         ),
         _GLOBALS,
         "trace",
-        trace.members + tuple(p.start for p in cycle)
+        (EMPTY,) + trace.members + tuple(p.start for p in cycle)
         + tuple(k for p in cycle for k in p.consts),
     )
     return trace

@@ -310,6 +310,7 @@ class BlockPlan:
         "trace_for",
         "taint_summary",
         "taint_apply",
+        "taint_steady",
         "prefix_apply",
         "length",
     )
@@ -362,6 +363,11 @@ class BlockPlan:
         #: this block's summary, with its own entry-values memo, just as
         #: ``body_ops`` are closures shaped to the instructions.
         self.taint_apply = None
+        #: The steady state a memory-touching ``taint_apply`` publishes
+        #: (``repro.harrier.dataflow.SteadyState``), which fused blocks
+        #: and loop traces check inline before they call the applier;
+        #: None until it is installed, and for any other applier.
+        self.taint_steady = None
         #: Executed count -> compiled applier of that prefix's summary,
         #: for partial executions (budget expiry or a fault mid-block);
         #: None until the first one (most plans never run partially).

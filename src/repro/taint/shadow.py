@@ -48,7 +48,8 @@ class ShadowRegisters:
         self._tags: Dict[str, TagSet] = {}
         #: Mutation generation, bumped on every *value-changing* write
         #: (idempotent re-writes keep it stable).  The compiled summary
-        #: appliers pair it with the ``_tags`` dict's identity to prove
+        #: appliers, and the block JIT's inlined copy of their steady
+        #: state, pair it with the ``_tags`` dict's identity to prove
         #: "the register file cannot have changed since my last
         #: application" without re-reading any register.  Every mutation
         #: path — :meth:`set`, :meth:`clear`, and the appliers' raw-dict
@@ -197,10 +198,13 @@ class ShadowMemory:
     def set(self, addr: int, tags: TagSet) -> None:
         pno = addr >> PAGE_SHIFT
         if tags.is_empty():
-            page = self._writable(pno)
-            if page is None:
+            page = self._pages.get(pno)
+            if page is None or addr not in page:
+                # Nothing to clear: a shared page stays shared.
                 return
-            if page.pop(addr, None) is not None and not page:
+            page = self._writable(pno)
+            del page[addr]
+            if not page:
                 self._drop(pno)
             return
         page = self._pages.get(pno)

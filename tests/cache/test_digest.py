@@ -274,3 +274,41 @@ class TestEnvironmentDigest:
         b = CacheEnv.from_mappings(dict([("/b", "2"), ("/a", "1")]), {})
         assert environment_digest(None, None, None, a) == \
             environment_digest(None, None, None, b)
+
+    def test_memoized_digest_is_the_computed_one(self):
+        from repro.cache import digest
+
+        cases = [
+            (["/bin/p", "-x"], {"B": "2", "A": "1"}, "in\n",
+             CacheEnv.from_mappings({"/f": "data"}, {"h:1": ""})),
+            (None, None, None, None),
+            (["/bin/p"], None, b"raw", None),
+        ]
+        digest._ENV_DIGEST_MEMO.clear()
+        cold = [environment_digest(*case) for case in cases]
+        assert len(digest._ENV_DIGEST_MEMO) == len(cases)
+        assert [environment_digest(*case) for case in cases] == cold
+        assert cold[1] == content_digest(
+            "environment", None, None, None, CacheEnv())
+        # Env order does not matter; any ingredient moves the digest.
+        assert environment_digest(
+            ["/bin/p", "-x"], {"A": "1", "B": "2"}, "in\n", cases[0][3]
+        ) == cold[0]
+        assert environment_digest(["/bin/p"], None, "raw", None) != cold[2]
+
+    def test_equal_values_of_other_types_are_not_memoized(self):
+        from repro.cache import digest
+
+        digest._ENV_DIGEST_MEMO.clear()
+        one = environment_digest([1], None, None, None)
+        true = environment_digest([True], None, None, None)
+        assert one != true
+        assert not digest._ENV_DIGEST_MEMO
+
+    def test_memo_is_bounded(self):
+        from repro.cache import digest
+
+        digest._ENV_DIGEST_MEMO.clear()
+        for i in range(digest._ENV_MEMO_CAPACITY + 10):
+            environment_digest([str(i)], None, None, None)
+        assert len(digest._ENV_DIGEST_MEMO) == digest._ENV_MEMO_CAPACITY

@@ -21,6 +21,7 @@ import pytest
 
 from repro.harrier.config import HarrierConfig
 from tests.oracles import (
+    applier_calls,
     closure_only,
     fuse_every_block,
     no_traces,
@@ -244,6 +245,31 @@ def test_loop_traces_are_indistinguishable(workload, ablation):
                  _run_fingerprint(workload, no_traces, ablation=ablation),
                  f"{workload.name}/{ablation}: between traced and untraced "
                  "execution (hot blocks only)")
+
+
+@pytest.mark.parametrize("workload,ablation", _ablation_cases())
+def test_inlined_applier_is_indistinguishable(workload, ablation):
+    """Every block fused and every traceable cycle traced from the
+    start, three ways: the taint applier's steady state inlined into
+    the generated code, the applier called at every application
+    instead, and the reference interpreter — shadow tags alike, and the
+    block counters alike between the first two."""
+    inlined = _run_fingerprint(workload, _trace_everything,
+                               ablation=ablation)
+
+    @contextlib.contextmanager
+    def traced_calls():
+        with _trace_everything(), applier_calls():
+            yield
+
+    _assert_same(inlined, _run_fingerprint(
+        workload, traced_calls, ablation=ablation),
+        f"{workload.name}/{ablation}: between the inlined applier steady "
+        "state and applier calls")
+    _assert_same(inlined, _run_fingerprint(
+        workload, reference_interpreter, ablation=ablation),
+        f"{workload.name}/{ablation}: between the inlined applier steady "
+        "state and the interpreter", skip=("counters",))
 
 
 @pytest.mark.parametrize("workload", _all_workloads())

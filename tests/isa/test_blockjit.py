@@ -8,10 +8,11 @@ body under any terminator, faults included.  Plus what the JIT adds:
 the threshold, the bounded shape-keyed code cache and its gauges, no
 plan <-> applier reference cycles, exact DIV/MOD at any operand size,
 monitor work inlined into fused blocks that leaves everything as
-``Harrier.on_block`` does with the record, loop traces that leave
-everything as the reference interpreter does (side exits, budgets,
-flags, counts) and form only where they may, and generated source that
-no guest value ever reaches.
+``Harrier.on_block`` does with the record, the taint applier's steady
+state inlined so that it calls no applier yet leaves the shadow as the
+call does, loop traces that leave everything as the reference
+interpreter does (side exits, budgets, flags, counts) and form only
+where they may, and generated source that no guest value ever reaches.
 """
 
 import contextlib
@@ -54,6 +55,7 @@ from repro.isa.blockjit import (
     block_source,
     compile_shape,
     fuse,
+    taint_layout,
     trace_source,
 )
 from repro.isa.registers import GP_REGISTERS
@@ -71,6 +73,7 @@ from repro.kernel.kernel import Kernel
 from repro.taint.tags import DataSource, TagSet
 from repro.telemetry.metrics import MetricsRegistry
 from tests.oracles import (
+    applier_calls,
     closure_only,
     fuse_every_block,
     no_traces,
@@ -308,6 +311,192 @@ class TestInlinedMonitorMatchesOnBlock:
             )
         )
         assert seen[True][0][0] == plain
+
+
+#: A memory-touching block: two loads (holes 0 and 1) mixed into
+#: ``eax`` (the one live-in register), stored through ``esi`` (hole 2).
+_STEADY_CODE = [
+    Instruction(Opcode.LOAD, Reg("edx"), Mem("ebx", 0)),
+    Instruction(Opcode.LOAD, Reg("ecx"), Mem("ebx", 1)),
+    Instruction(Opcode.ADD, Reg("eax"), Reg("edx")),
+    Instruction(Opcode.ADD, Reg("eax"), Reg("ecx")),
+    Instruction(Opcode.STORE, Mem("esi", 0), Reg("eax")),
+    Instruction(Opcode.JMP, Imm(0)),
+]
+_SOURCE = TagSet.of(DataSource.SOCKET, "peer")
+
+
+class _SteadyMachine:
+    """``_STEADY_CODE`` fused for the full monitor, run for processes
+    that share the cpu but each have their own shadow."""
+
+    def __init__(self) -> None:
+        self.cpu = _machine(_STEADY_CODE, [("ebx", 0x100), ("esi", 0x140)])
+        self.plan = translate_block(self.cpu.memory, 0, frozenset())
+        self.harrier = Harrier()
+        self.fn = fuse(self.plan, self.harrier.block_instrumentation)
+        self.procs = []
+        shadow = self.process()
+        shadow.regs.set("eax", _USER)
+        shadow.memory.set(0x100, _FILE)
+
+    def process(self, shadow=None):
+        proc = SimpleNamespace(meta={}, cpu=self.cpu, memory=self.cpu.memory)
+        if shadow is not None:
+            proc.meta["harrier.shadow"] = shadow
+        self.procs.append(proc)
+        return self.harrier.shadow(proc)
+
+    def shadow(self, n=0):
+        return self.harrier.shadow(self.procs[n])
+
+    def run(self, n=0, times=1):
+        for _ in range(times):
+            self.cpu.pc = 0
+            assert self.fn(self.plan, self.cpu,
+                           self.harrier.block_context(self.procs[n])) is None
+
+    def fingerprint(self):
+        return [
+            (self.shadow(n).regs.snapshot(),
+             dict(self.shadow(n).memory.cell_tags))
+            for n in range(len(self.procs))
+        ], self.harrier.fastpath_blocks
+
+
+def _steady(script):
+    """Run ``script(machine, calls)`` on a fresh machine inlining the
+    steady state and on one that calls the applier every time; assert
+    both leave the same shadows and counters, and return the first
+    run's applier calls (``calls`` collects them once ``script`` calls
+    it, after warming up)."""
+    seen = []
+    for oracle in (contextlib.nullcontext, applier_calls):
+        with oracle():
+            machine = _SteadyMachine()
+            calls = []
+
+            def count():
+                applier = machine.plan.taint_apply
+
+                def counted(shadow, holes):
+                    calls.append(tuple(holes))
+                    applier(shadow, holes)
+
+                machine.plan.taint_apply = counted
+
+            script(machine, count)
+            seen.append((machine.fingerprint(), calls))
+    (inlined, calls), (called, reference_calls) = seen
+    assert inlined == called
+    assert reference_calls  # the reference really called the applier
+    return calls
+
+
+class TestInlinedApplierSteadyState:
+    """Generated code checks the applier's published steady state
+    inline and calls the applier only when it does not hold; either
+    way the shadow ends as the call alone leaves it."""
+
+    def test_layout_follows_the_summary(self):
+        plan = _SteadyMachine().plan
+        assert taint_layout(plan.taint_summary) == (1, (0, 1), (2,))
+        noop = translate_block(
+            _machine([Instruction(Opcode.JMP, Imm(0))]).memory, 0,
+            frozenset())
+        assert taint_layout(noop.taint_summary) is None
+
+    def test_steady_state_calls_no_applier(self):
+        def script(machine, count):
+            machine.run(times=3)
+            count()
+            machine.run(times=5)
+
+        assert _steady(script) == []
+
+    def test_a_register_change_calls_the_applier(self):
+        def script(machine, count):
+            machine.run(times=3)
+            count()
+            machine.shadow().regs.set("eax", _SOURCE)
+            machine.run()
+
+        assert _steady(script) == [(0x100, 0x101, 0x140)]
+
+    def test_another_register_file_at_the_same_generation(self):
+        def script(machine, count):
+            machine.run(times=3)
+            count()
+            first = machine.shadow()
+            other = machine.process()
+            other.memory = first.memory.copy()
+            other.regs.set("eax", _SOURCE)
+            other.regs.gen = first.regs.gen
+            machine.run(1)
+
+        assert len(_steady(script)) == 1
+
+    @pytest.mark.parametrize("addr", [0x100, 0x101])
+    def test_a_changed_read_cell_calls_the_applier(self, addr):
+        def script(machine, count):
+            machine.run(times=3)
+            count()
+            machine.shadow().memory.set(addr, _SOURCE)
+            machine.run(times=4)
+
+        # The first call adds the new source to ``eax``; the second
+        # meets that register file and publishes it; then none.
+        assert len(_steady(script)) == 2
+
+    def test_stores_to_new_cells_without_a_call(self):
+        def script(machine, count):
+            machine.run(times=3)
+            count()
+            for esi in (0x141, 0x180, 0x142):
+                machine.cpu.regs.set("esi", esi)
+                machine.run()
+            # Clean entry state: the stores clear tagged cells.
+            machine.shadow().memory.set(0x100, TagSet.empty())
+            machine.shadow().regs.clear()
+            machine.run()
+            for esi in (0x141, 0x143):
+                machine.cpu.regs.set("esi", esi)
+                machine.run()
+
+        assert _steady(script) == [(0x100, 0x101, 0x142)]
+
+    def test_unchanged_store_leaves_a_forked_page_shared(self):
+        def script(machine, count):
+            machine.run(times=3)
+            count()
+            parent = machine.shadow()
+            child = machine.process(parent.copy_for_fork())
+            # A call for the child's own register file, then its
+            # steady state inline: neither stores the unchanged tags.
+            machine.run(1, times=3)
+            assert child.memory._pages[0x140 >> 6] is (
+                parent.memory._pages[0x140 >> 6])
+
+        assert _steady(script) == [(0x100, 0x101, 0x140)]
+
+    def test_code_for_a_shape_asserts_its_layout(self):
+        cache = CodeCache()
+        plan = _SteadyMachine().plan
+        inst = blockjit.instrumentation(blockjit.TAINT)
+        layout = taint_layout(plan.taint_summary)
+        code = cache.code_for(plan.shape, inst, False, layout)
+        assert cache.code_for(plan.shape, inst, False, layout) is code
+        with pytest.raises(AssertionError):
+            cache.code_for(plan.shape, inst, False, (0, (0, 1), (2,)))
+        # Without TAINT nothing is inlined: the layout does not matter.
+        assert cache.code_for(plan.shape, None, False, layout) is (
+            cache.code_for(plan.shape, None, False, None))
+
+    def test_a_layout_that_does_not_fit_the_block(self):
+        plan = _SteadyMachine().plan
+        with pytest.raises(ValueError):
+            block_source(plan.shape, blockjit.instrumentation(
+                blockjit.TAINT), False, (1, (0, 3), (2,)))
 
 
 _JCCS = (Opcode.JZ, Opcode.JNZ, Opcode.JL, Opcode.JLE, Opcode.JG,
@@ -1081,13 +1270,16 @@ evil: .asciz "\\"\\"\\"; exec('1') ; \\"\\"\\""
 
 #: Every name generated code may look up: attributes of the cpu, its
 #: register file and memory, the record, ``cells.get``, and what the
-#: inlined monitor work reads of the plan and its context.
+#: inlined monitor work reads of the plan and its context (with the
+#: applier's steady state: the published state and the shadow's raw
+#: register file, page table and ``set``).
 CO_NAMES_ALLOWED = frozenset({
     "regs", "_values", "memory", "cells", "get", "zf", "sf", "pc",
     "halted", "holes", "next_pc", "executed", "kind", "fault",
     "call_target", "call_return_addr", "ret_target",
     "monitor", "fastpath_blocks", "taint_apply", "install", "shadow",
     "seen", "observe", "app_leaders", "bb_counts", "last_app_bb",
+    "taint_steady", "gen", "_tags", "_pages", "key", "stores", "set",
 })
 
 
@@ -1096,6 +1288,7 @@ SOURCE_NAMES_ALLOWED = CO_NAMES_ALLOWED | set(GP_REGISTERS) | {
     "def", "block", "plan", "cpu", "m", "BlockRecord", "CpuFault", "s",
     "rec", "cget", "f", "q", "t", "ap", "sh", "c", "if", "else", "and",
     "or", "not", "is", "in", "return", "True", "None",
+    "E", "st", "rg", "ok", "pt", "ky", "pg", "ts",
 }
 
 #: A loop whose guest values look like Python too, traced with its
@@ -1189,14 +1382,17 @@ class TestGuestValuesNeverReachSource:
         # shift mask, record kinds, executed counts (<= the longest
         # block), the bbfreq increment and an empty address trace.
         small = set(range(MAX_BLOCK_LEN + 1))
-        for plan in fused:
+        layouts = [taint_layout(plan.taint_summary) for plan in fused]
+        # Loads and stores: some blocks inline the applier's steady state.
+        assert any(layouts)
+        for plan, layout in zip(fused, layouts):
             _check_generated(plan.fused.__code__, block_source(
-                plan.shape, plan.fused_for, plan.taint_summary.is_noop),
-                small)
+                plan.shape, plan.fused_for, plan.taint_summary.is_noop,
+                layout), small)
             for instrumentation, noop in VARIANTS:
                 _check_generated(
-                    compile_shape(plan.shape, instrumentation, noop),
-                    block_source(plan.shape, instrumentation, noop),
+                    compile_shape(plan.shape, instrumentation, noop, layout),
+                    block_source(plan.shape, instrumentation, noop, layout),
                     small,
                 )
 
@@ -1210,22 +1406,26 @@ class TestGuestValuesNeverReachSource:
         cycle = (head,) + trace.members
         shapes = tuple(plan.shape for plan in cycle)
         noops = tuple(plan.taint_summary.is_noop for plan in cycle)
+        layouts = tuple(taint_layout(plan.taint_summary) for plan in cycle)
+        assert any(layouts)
         # Iteration costs and entry counts: at most every block of a
         # trace at its longest.
         small = set(range(blockjit.MAX_TRACE_BLOCKS * MAX_BLOCK_LEN + 1))
         _check_generated(
             trace.run.__code__,
-            trace_source(shapes, trace.branches, head.trace_for, noops),
+            trace_source(shapes, trace.branches, head.trace_for, noops,
+                         layouts),
             small, TRACE_NAMES_ALLOWED, r"[khps]\d+",
         )
         for instrumentation, _ in VARIANTS[1:]:
             for noops in itertools.product((False, True),
                                            repeat=len(cycle)):
                 source = trace_source(shapes, trace.branches,
-                                      instrumentation, noops)
+                                      instrumentation, noops, layouts)
                 _check_generated(
                     blockjit._compile_trace(shapes, trace.branches,
-                                            instrumentation, noops),
+                                            instrumentation, noops,
+                                            layouts),
                     source, small, TRACE_NAMES_ALLOWED, r"[khps]\d+",
                 )
 

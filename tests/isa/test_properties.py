@@ -2,7 +2,12 @@
 programs must compute the same results as a Python model — on the
 reference interpreter and on translated blocks — randomized counted
 loops must run in production (hot blocks fused, hot loops traced) as on
-the reference interpreter, and taint must stay conservative."""
+the reference interpreter, loops over tainted input in a forked pair of
+processes must leave the same shadow state whether generated code
+inlines the taint applier's steady state or calls the applier, and
+taint must stay conservative."""
+
+import contextlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +16,12 @@ from repro.core.hth import HTH
 from repro.isa import CPU, FlatMemory, assemble
 from repro.isa.translate import translate_block
 from repro.taint import DataSource
-from tests.oracles import reference_interpreter
+from tests.oracles import (
+    applier_calls,
+    fuse_every_block,
+    reference_interpreter,
+    trace_every_loop,
+)
 from tests.oracles.interpreter import step as interpret
 
 _OPS = {
@@ -176,6 +186,109 @@ class TestLoopEquivalence:
         with reference_interpreter():
             reference = _loop_fingerprint(source, quantum)
         assert production == reference
+
+
+@st.composite
+def forked_taint_loop(draw):
+    """Tainted stdin read into a table, then a fork; parent and child
+    both run a counted loop that loads from the table, mixes the value
+    into ``eax`` and stores either it or a clean zero back at an offset
+    (an empty store over untagged cells, and over cells whose page the
+    fork shares); and a random scheduling quantum."""
+    size = draw(st.integers(1, 6))
+    stdin = draw(st.text("abc", max_size=size))
+    count = draw(st.integers(1, 80))
+    ops = draw(st.lists(
+        st.tuples(st.sampled_from(_LOOP_OPS), st.integers(-9, 9)),
+        max_size=3,
+    ))
+    offset = draw(st.integers(0, size))
+    clean = draw(st.booleans())
+    lines = [
+        "main:",
+        "    mov ebx, 0",
+        "    mov ecx, table",
+        f"    mov edx, {size}",
+        "    call read",
+        "    call fork",
+        "    mov ecx, 0",
+        "    mov esi, table",
+        "loop:",
+        "    mov ebx, ecx",
+        f"    mod ebx, {size}",
+        "    add ebx, esi",
+        "    load edx, [ebx]",
+    ]
+    lines += [f"    {op} edx, {value}" for op, value in ops]
+    lines += ["    add eax, edx"]
+    if clean:
+        lines += ["    xor edi, edi", f"    store [ebx+{offset}], edi"]
+    else:
+        lines += [f"    store [ebx+{offset}], eax"]
+    lines += [
+        "    add ecx, 1",
+        f"    cmp ecx, {count}",
+        "    jl loop",
+        "    mov eax, 0",
+        "    ret",
+        ".data",
+        f"table: .space {2 * size + 1}",
+    ]
+    return "\n".join(lines) + "\n", stdin, draw(st.integers(1, 64))
+
+
+def _forked_fingerprint(source, stdin, quantum):
+    hth = HTH()
+    hth.kernel.quantum = quantum
+    report = hth.run(assemble("/bin/forked", source), stdin=stdin)
+    procs = []
+    for pid in sorted(hth.kernel.procs):
+        proc = hth.kernel.procs[pid]
+        shadow = hth.harrier.shadow(proc)
+        procs.append((
+            pid,
+            dict(proc.cpu.regs._values),
+            dict(proc.memory.cells),
+            dict(shadow.bb_counts),
+            shadow.regs.snapshot(),
+            dict(shadow.memory.cell_tags),
+        ))
+    return {
+        "verdict": report.verdict,
+        "events": [str(e) for e in report.events],
+        "exit_codes": report.result.exit_codes,
+        "instructions": report.result.instructions,
+        "procs": procs,
+        "counters": (hth.harrier.fastpath_blocks,
+                     hth.harrier.slowpath_blocks),
+    }
+
+
+@contextlib.contextmanager
+def _traced(*oracles):
+    with fuse_every_block(), trace_every_loop(), \
+            contextlib.ExitStack() as stack:
+        for oracle in oracles:
+            stack.enter_context(oracle())
+        yield
+
+
+class TestInlinedApplierAcrossFork:
+    @given(forked_taint_loop())
+    @settings(max_examples=60, deadline=None)
+    def test_inlined_steady_state_matches_applier_calls(self, loop):
+        source, stdin, quantum = loop
+        with _traced():
+            inlined = _forked_fingerprint(source, stdin, quantum)
+        with _traced(applier_calls):
+            called = _forked_fingerprint(source, stdin, quantum)
+        assert inlined == called
+        with reference_interpreter():
+            reference = _forked_fingerprint(source, stdin, quantum)
+        inlined.pop("counters")
+        reference.pop("counters")
+        assert inlined == reference
+        assert len(inlined["procs"]) == 2
 
 
 class TestTaintConservativeness:

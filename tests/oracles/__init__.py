@@ -15,7 +15,9 @@ switches that pin the block JIT to one executor:
 * :mod:`tests.oracles.jit` — block-JIT switches: fuse every block from
   its first execution, run the per-instruction closures only, keep
   fused blocks on the record path (the monitor in ``on_block``), trace
-  every loop from its first fused exit, or never trace one.
+  every loop from its first fused exit, or never trace one, or have
+  generated code call every taint applier instead of inlining its
+  steady state.
 
 Each is installed with a context manager that patches the one production
 path it stands in for, so no product constructor, option or CLI flag
@@ -25,6 +27,7 @@ fleet and serve workers.
 
 from tests.oracles.interpreter import reference_interpreter
 from tests.oracles.jit import (
+    applier_calls,
     closure_only,
     fuse_every_block,
     no_traces,
@@ -35,6 +38,7 @@ from tests.oracles.matcher import naive_matcher
 from tests.oracles.replay import template_replay
 
 __all__ = [
+    "applier_calls",
     "closure_only",
     "fuse_every_block",
     "naive_matcher",

@@ -1,5 +1,6 @@
 """Block-JIT switches: fuse every block, or never fuse one; trace
-every loop, or never trace one.
+every loop, or never trace one; inline the taint applier's steady
+state, or always call the applier.
 
 ``BlockPlan.execute`` fuses a block into one generated function once
 the block has run ``repro.isa.translate.JIT_THRESHOLD`` times in full,
@@ -22,7 +23,11 @@ managers patch those module constants, the way
   loop-trace head at its first plain exit (the differential suites use
   it to run every traceable cycle as a trace, not only the hot ones);
 * :func:`no_traces` — no loop trace ever forms: fused blocks run one
-  kernel round trip each, the baseline of the loop traces' perf gate.
+  kernel round trip each, the baseline of the loop traces' perf gate;
+* :func:`applier_calls` — fused blocks and loop traces call every
+  block's taint applier instead of checking its published steady state
+  inline (``BlockPlan.taint_steady`` stays None), the reference the
+  inlined hit path must match.
 
 Plans fused or traced inside a block stay so after it (fused, closure
 and traced execution are interchangeable by contract), so run
@@ -34,6 +39,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from unittest import mock
 
+from repro.harrier.dataflow import InstructionDataFlow
 from repro.harrier.monitor import Harrier
 from repro.isa import blockjit, translate
 from repro.kernel.hooks import NullHooks
@@ -73,3 +79,44 @@ def record_path():
     with mock.patch.object(Harrier, "block_instrumentation", None), \
             mock.patch.object(NullHooks, "block_instrumentation", None):
         yield
+
+
+@contextmanager
+def applier_calls(calls=None):
+    """Generated code always calls the taint applier: the appliers
+    installed inside the block publish no steady state to their plans.
+
+    ``calls``, when given, is a list that gets one ``(plan, executed)``
+    entry per applier call.  Plans that get an applier inside the block
+    have their applier slots cleared on exit, so they install (and
+    publish) afresh on next use.
+    """
+    install = InstructionDataFlow.install_applier
+    installed = []
+
+    def install_applier(self, plan, executed):
+        applier = install(self, plan, executed)
+        plan.taint_steady = None
+        installed.append(plan)
+        if calls is None:
+            return applier
+
+        def counted(shadow, holes):
+            calls.append((plan, executed))
+            applier(shadow, holes)
+
+        if executed == plan.length:
+            plan.taint_apply = counted
+        else:
+            plan.prefix_apply[executed] = counted
+        return counted
+
+    try:
+        with mock.patch.object(InstructionDataFlow, "install_applier",
+                               install_applier):
+            yield
+    finally:
+        for plan in installed:
+            plan.taint_apply = None
+            plan.taint_steady = None
+            plan.prefix_apply = None

@@ -10,6 +10,7 @@ from repro.expert import InferenceEngine, Pattern, Rule, Template, V
 from repro.expert.rete import ReteNetwork
 from repro.isa import assemble, translate
 from tests.oracles import (
+    applier_calls,
     closure_only,
     fuse_every_block,
     naive_matcher,
@@ -57,6 +58,26 @@ done:
 #: HOT_LOOP for 20 iterations: its head fuses, but runs too few times
 #: after that to be tried as a loop-trace head in production.
 WARM_LOOP = HOT_LOOP.replace("mov ecx, 40", "mov ecx, 20")
+
+
+#: A hot loop of memory-touching blocks: a load and a store each
+#: iteration, over cells whose tags stay the same.
+MEMORY_LOOP = """
+main:
+    mov ecx, 60
+    mov esi, cell
+loop:
+    load eax, [esi]
+    add eax, ecx
+    store [esi+1], eax
+    sub ecx, 1
+    cmp ecx, 0
+    jnz loop
+    mov eax, 0
+    ret
+.data
+cell: .space 2
+"""
 
 
 def _run(source=LOOP):
@@ -112,6 +133,30 @@ class TestTemplateReplay:
         replayed = len(calls)
         assert _run().harrier.fastpath_blocks > 0
         assert len(calls) == replayed
+
+
+class TestApplierCalls:
+    def test_every_application_calls_the_applier(self):
+        calls = []
+        with applier_calls(calls):
+            hth = _run(MEMORY_LOOP)
+            assert all(plan.taint_steady is None for plan in _plans(hth))
+        assert _traced(hth)
+        applied = hth.harrier.fastpath_blocks + hth.harrier.slowpath_blocks
+        assert applied > 60
+        assert len(calls) == applied
+
+    def test_restored_on_exit(self):
+        calls = []
+        with applier_calls(calls):
+            _run(MEMORY_LOOP)
+        called = len(calls)
+        hth = _run(MEMORY_LOOP)
+        assert len(calls) == called
+        # Production: the loop's memory-touching block publishes its
+        # steady state for the generated code to check inline.
+        assert any(plan.taint_steady is not None and plan.trace_for
+                   for plan in _plans(hth))
 
 
 def _plans(hth):

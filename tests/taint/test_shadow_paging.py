@@ -171,6 +171,16 @@ class TestCopyOnWrite:
         assert b.get(0) == FILE_A and b.get(1) == SOCK
         assert c.get(0) == SOCK and c.get(1) is EMPTY
 
+    def test_fork_empty_store_over_an_untagged_cell_keeps_sharing(self):
+        parent = ShadowMemory()
+        parent.set(10, FILE_A)
+        child = parent.copy()
+        child.set(11, EMPTY)    # nothing to clear
+        assert child._pages[0] is parent._pages[0]
+        child.set(10, EMPTY)    # clears: the child's page is its own
+        assert child._pages.get(0) is None
+        assert parent.get(10) == FILE_A
+
     def test_fork_then_new_page_is_owned(self):
         parent = ShadowMemory()
         child = parent.copy()
