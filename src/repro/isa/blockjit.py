@@ -34,7 +34,7 @@ which
   and then only stores the tags that changed.  Anything else calls the
   applier, which stays the one implementation of the block's taint
   (:meth:`_Emitter.steady`).  What this reads of the block's summary
-  (:func:`taint_layout`) follows from its shape.
+  (:func:`taint_layout`) is part of the code's cache key.
 
 The source is generated from the block's *shape* only — per instruction,
 the opcode and its GP register names (:attr:`BlockPlan.shape`).  Every
@@ -44,7 +44,7 @@ argument bound from :attr:`BlockPlan.consts` and :attr:`BlockPlan.start`,
 so no guest-controlled text reaches
 ``compile()``, and a register name that is not in ``GP_REGISTERS``
 stops the emitter.  The compiled code objects are cached process-wide by
-shape and instrumentation in :data:`CODE_CACHE` (bounded, least
+shape, instrumentation and taint layout in :data:`CODE_CACHE` (bounded, least
 recently used first out): a new block of a known shape costs one
 ``types.FunctionType`` call instead of a ``compile()``, and so does
 re-fusing a plan for another instrumentation (plans are shared across
@@ -197,9 +197,9 @@ def taint_layout(summary: TaintSummary) -> Optional[Layout]:
     """The :data:`Layout` of a block's taint summary, or None when the
     summary touches no memory (its applier, if any, is always called).
 
-    It is a function of the block's shape, so code generated for one
-    block serves every block of that shape; :meth:`CodeCache.code_for`
-    checks that, rather than keying on it.
+    It is not a function of the block's shape (an always-faulting
+    ``div r, 0`` drops ``r`` from the shape but not from the summary),
+    so :data:`CODE_CACHE` keys on it.
     """
     if not (summary.read_holes or summary.mem_writes):
         return None
@@ -211,7 +211,7 @@ class _Emitter:
     """Writes the body of one block function from its shape."""
 
     def __init__(self, instrumentation: Optional[Tuple[str, ...]],
-                 noop: bool, layout: Optional[Layout] = None) -> None:
+                 noop: bool, layout: Optional[Layout]) -> None:
         self.instrumentation = instrumentation
         self.noop = noop
         self.layout = layout
@@ -566,9 +566,9 @@ class _Emitter:
 
 
 def block_source(shape: Tuple[tuple, ...],
-                 instrumentation: Optional[Tuple[str, ...]] = None,
-                 noop: bool = False,
-                 layout: Optional[Layout] = None) -> str:
+                 instrumentation: Optional[Tuple[str, ...]],
+                 noop: bool,
+                 layout: Optional[Layout]) -> str:
     """The Python source of the fused function for ``shape``, with the
     monitor work ``instrumentation`` names inlined at its plain exits
     (``noop``: the block's taint summary moves no tags; ``layout``: its
@@ -626,8 +626,7 @@ def trace_source(shapes: Tuple[Tuple[tuple, ...], ...],
                  branches: Tuple[Optional[bool], ...],
                  instrumentation: Tuple[str, ...],
                  noops: Tuple[bool, ...],
-                 layouts: Optional[Tuple[Optional[Layout], ...]] = None
-                 ) -> str:
+                 layouts: Tuple[Optional[Layout], ...]) -> str:
     """The Python source of the loop trace over blocks with ``shapes``
     (head first, each followed by the next and the last by the head),
     with ``instrumentation``'s monitor work inlined.
@@ -653,11 +652,11 @@ def trace_source(shapes: Tuple[Tuple[tuple, ...], ...],
         raise ValueError("not a traceable cycle")
     count = len(shapes)
     # Pass one finds every register the cycle reads or writes.
-    probe = _Emitter(instrumentation, False)
+    probe = _Emitter(instrumentation, False, None)
     for shape in shapes:
         for item in shape[:-1]:
             probe.straight(item)
-    em = _Emitter(instrumentation, False)
+    em = _Emitter(instrumentation, False, None)
     em.entry = probe.entry + [
         name for name in probe.written if name not in probe.entry
     ]
@@ -696,8 +695,6 @@ def trace_source(shapes: Tuple[Tuple[tuple, ...], ...],
         em.emit(f"return i * {cost} + {sum(lengths[:j + 1])}, {entries}",
                 indent)
 
-    if layouts is None:
-        layouts = (None,) * count
     for j, (shape, taken, noop, layout) in enumerate(
             zip(shapes, branches, noops, layouts)):
         em.plan = f"p{j}" if j else "plan"
@@ -750,33 +747,27 @@ def _compile_trace(*args) -> CodeType:
 
 
 def compile_shape(shape: Tuple[tuple, ...],
-                  instrumentation: Optional[Tuple[str, ...]] = None,
-                  noop: bool = False,
-                  layout: Optional[Layout] = None) -> CodeType:
+                  instrumentation: Optional[Tuple[str, ...]],
+                  noop: bool,
+                  layout: Optional[Layout]) -> CodeType:
     """Compile the block source; returns the function's code object."""
     return _function_code(block_source(shape, instrumentation, noop,
                                        layout), "<blockjit>")
 
 
 class CodeCache:
-    """Block shape (or loop-trace shapes) -> compiled code object,
-    bounded.
+    """Block shape (or loop-trace shapes), instrumentation and taint
+    layout -> compiled code object, bounded.
 
     The least recently *used* key is evicted first once ``max_entries``
     is exceeded.  Eviction drops only the cache's reference: functions
     already built from the code keep it.  Hits and misses happen once
     per fused block or built trace, never per execution.
-
-    The taint layouts a code object inlines are not part of its key:
-    they follow from the shapes.  Each entry keeps them, and a hit for
-    other layouts raises AssertionError instead of handing out code
-    that would apply another block's taint.
     """
 
     def __init__(self, max_entries: int = CODE_CACHE_MAX) -> None:
         self.max_entries = max_entries
-        #: key -> (code, the taint layouts it inlines)
-        self._codes: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._codes: "OrderedDict[tuple, CodeType]" = OrderedDict()
         self._lock = threading.Lock()
         #: ``compile()`` calls (cache misses).
         self.compiles = 0
@@ -787,9 +778,9 @@ class CodeCache:
         self.traces = 0
 
     def code_for(self, shape: Tuple[tuple, ...],
-                 instrumentation: Optional[Tuple[str, ...]] = None,
-                 noop: bool = False,
-                 layout: Optional[Layout] = None) -> CodeType:
+                 instrumentation: Optional[Tuple[str, ...]],
+                 noop: bool,
+                 layout: Optional[Layout]) -> CodeType:
         # Only the inlined taint statements depend on ``noop`` and
         # ``layout``.
         taint = instrumentation is not None and TAINT in instrumentation
@@ -798,7 +789,7 @@ class CodeCache:
             layout = None
         with self._lock:
             self.fused += 1
-            return self._get((shape, instrumentation, noop), layout,
+            return self._get((shape, instrumentation, noop, layout),
                              compile_shape, shape, instrumentation, noop,
                              layout)
 
@@ -813,29 +804,24 @@ class CodeCache:
         with self._lock:
             self.traces += 1
             return self._get(
-                ("trace", shapes, branches, instrumentation, noops),
-                layouts, _compile_trace, shapes, branches, instrumentation,
-                noops, layouts,
+                ("trace", shapes, branches, instrumentation, noops, layouts),
+                _compile_trace, shapes, branches, instrumentation, noops,
+                layouts,
             )
 
-    def _get(self, key: tuple, layout, make, *args) -> CodeType:
+    def _get(self, key: tuple, make, *args) -> CodeType:
         """The code for ``key``, ``make(*args)`` on a miss (the caller
-        holds the lock); ``layout``: the taint layouts it inlines."""
+        holds the lock)."""
         codes = self._codes
-        entry = codes.get(key)
-        if entry is None:
-            entry = codes[key] = (make(*args), layout)
+        code = codes.pop(key, None)
+        if code is None:
+            code = make(*args)
             self.compiles += 1
-            while len(codes) > self.max_entries:
-                codes.popitem(last=False)
-                self.evictions += 1
-        elif entry[1] != layout:
-            raise AssertionError(
-                f"taint layout {layout!r} differs from {entry[1]!r}, "
-                "inlined by the code for the same shape")
-        else:
-            codes.move_to_end(key)  # most recently used
-        return entry[0]
+        codes[key] = code  # (re)inserted as most recently used
+        while len(codes) > self.max_entries:
+            codes.popitem(last=False)
+            self.evictions += 1
+        return code
 
     def stats(self) -> Dict[str, int]:
         return {

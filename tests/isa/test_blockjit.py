@@ -479,18 +479,29 @@ class TestInlinedApplierSteadyState:
 
         assert _steady(script) == [(0x100, 0x101, 0x140)]
 
-    def test_code_for_a_shape_asserts_its_layout(self):
-        cache = CodeCache()
-        plan = _SteadyMachine().plan
+    def test_same_shape_other_layout_gets_its_own_code(self):
+        # An always-faulting DIV by 0 drops its register from the shape
+        # but not from the summary: ecx, chained from the load, is live
+        # in in one block and not in the other.
         inst = blockjit.instrumentation(blockjit.TAINT)
-        layout = taint_layout(plan.taint_summary)
-        code = cache.code_for(plan.shape, inst, False, layout)
-        assert cache.code_for(plan.shape, inst, False, layout) is code
-        with pytest.raises(AssertionError):
-            cache.code_for(plan.shape, inst, False, (0, (0, 1), (2,)))
-        # Without TAINT nothing is inlined: the layout does not matter.
-        assert cache.code_for(plan.shape, None, False, layout) is (
-            cache.code_for(plan.shape, None, False, None))
+        plans = [
+            translate_block(_machine([
+                Instruction(Opcode.LOAD, Reg("ecx"), Mem("edx", 0)),
+                Instruction(Opcode.DIV, Reg(reg), Imm(0)),
+                Instruction(Opcode.JMP, Imm(0)),
+            ]).memory, 0, frozenset())
+            for reg in ("eax", "ecx")
+        ]
+        first, second = plans
+        assert first.shape == second.shape
+        layouts = [taint_layout(plan.taint_summary) for plan in plans]
+        assert layouts[0] != layouts[1]
+        codes = [fuse(plan, inst).__code__ for plan in plans * 2]
+        assert codes[0] is not codes[1]
+        assert codes[0] is codes[2] and codes[1] is codes[3]
+        for plan, layout in zip(plans, layouts):
+            assert plan.fused.__code__ is blockjit.CODE_CACHE.code_for(
+                plan.shape, inst, plan.taint_summary.is_noop, layout)
 
     def test_a_layout_that_does_not_fit_the_block(self):
         plan = _SteadyMachine().plan
@@ -592,6 +603,11 @@ class TestCodeCache:
         mem.map_code(0, code)
         return translate_block(mem, 0).shape
 
+    @staticmethod
+    def _code(cache, shape):
+        """The record-path code (no instrumentation) for ``shape``."""
+        return cache.code_for(shape, None, False, None)
+
     def test_same_shape_compiles_once(self):
         cache = CodeCache(max_entries=8)
         code_a = [Instruction(Opcode.ADD, Reg("eax"), Imm(5)),
@@ -605,8 +621,8 @@ class TestCodeCache:
             plans.append(translate_block(mem, 0))
         assert plans[0].shape == plans[1].shape
         assert plans[0].consts != plans[1].consts
-        assert cache.code_for(plans[0].shape) is cache.code_for(
-            plans[1].shape)
+        assert self._code(cache, plans[0].shape) is self._code(
+            cache, plans[1].shape)
         assert cache.stats()["compiles"] == 1
         assert cache.stats()["fused_blocks"] == 2
 
@@ -614,16 +630,16 @@ class TestCodeCache:
         cache = CodeCache(max_entries=3)
         shapes = [self._shape(n) for n in range(5)]
         for shape in shapes[:3]:
-            cache.code_for(shape)
-        cache.code_for(shapes[0])          # most recently used again
-        cache.code_for(shapes[3])          # evicts shapes[1]
-        cache.code_for(shapes[4])          # evicts shapes[2]
+            self._code(cache, shape)
+        self._code(cache, shapes[0])            # most recently used again
+        self._code(cache, shapes[3])            # evicts shapes[1]
+        self._code(cache, shapes[4])            # evicts shapes[2]
         stats = cache.stats()
         assert stats["code_objects"] == 3
         assert stats["evictions"] == 2 and stats["compiles"] == 5
-        cache.code_for(shapes[0])          # still cached
+        self._code(cache, shapes[0])            # still cached
         assert cache.stats()["compiles"] == 5
-        cache.code_for(shapes[1])          # evicted: compiled again
+        self._code(cache, shapes[1])            # evicted: compiled again
         assert cache.stats()["compiles"] == 6
 
     def test_concurrent_fusing_keeps_the_counts(self):
@@ -634,7 +650,7 @@ class TestCodeCache:
 
         def fuse_many(offset):
             for i in range(calls):
-                cache.code_for(shapes[(i + offset) % len(shapes)])
+                self._code(cache, shapes[(i + offset) % len(shapes)])
 
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1144,7 +1160,7 @@ class TestLoopTraces:
             assert not blockjit.traceable(shapes)
             with pytest.raises(ValueError):
                 trace_source(shapes, (None,) * len(shapes), inst,
-                             (False,) * len(shapes))
+                             (False,) * len(shapes), (None,) * len(shapes))
 
 
 # -- exact division -----------------------------------------------------------
@@ -1438,7 +1454,7 @@ class TestGuestValuesNeverReachSource:
                 (("nop",), ("jmp",), ("exec('1')",)),
             ):
                 with pytest.raises(ValueError):
-                    block_source(shape, instrumentation, noop)
+                    block_source(shape, instrumentation, noop, None)
 
     def test_trace_emitter_rejects_unknown_names(self):
         for instrumentation, _ in VARIANTS[1:]:
@@ -1451,13 +1467,14 @@ class TestGuestValuesNeverReachSource:
             ):
                 with pytest.raises(ValueError):
                     trace_source(shapes, (True,) * len(shapes),
-                                 instrumentation, (False,) * len(shapes))
+                                 instrumentation, (False,) * len(shapes),
+                                 (None,) * len(shapes))
         with pytest.raises(ValueError):
             trace_source(((("cmp", "eax", "#"), ("jz",)),), (True,),
-                         ("exec('1')",), (False,))
+                         ("exec('1')",), (False,), (None,))
 
     def test_unknown_instrumentation_is_rejected(self):
         with pytest.raises(ValueError):
             blockjit.instrumentation("taint", "__import__")
         with pytest.raises(ValueError):
-            block_source((("nop",), ("jmp",)), ("exec('1')",))
+            block_source((("nop",), ("jmp",)), ("exec('1')",), False, None)
