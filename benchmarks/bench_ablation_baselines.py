@@ -24,7 +24,7 @@ from repro.harrier.config import HarrierConfig
 from repro.programs.micro.execflow import table4_workloads
 from repro.programs.micro.infoflow import table6_workloads
 from repro.programs.micro.resource import table5_workloads
-from repro.programs.trusted.registry import table7_workloads
+from repro.programs.trusted import table7_workloads
 
 
 def bench_ablation_single_bit(benchmark):

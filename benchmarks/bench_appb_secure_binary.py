@@ -5,7 +5,7 @@ the user-driven benign programs pass.
 
 from benchmarks.harness import once, render_table, write_result
 from repro.analysis.secure_binary import check_secure_binary
-from repro.programs.exploits.registry import table8_workloads
+from repro.programs.exploits import table8_workloads
 from repro.programs.micro.execflow import table4_workloads
 
 

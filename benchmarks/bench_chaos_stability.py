@@ -15,7 +15,7 @@ from repro.faultinject import (
     TRANSPARENT_PROFILE,
     run_chaos_suite,
 )
-from repro.programs.exploits.registry import table8_workloads
+from repro.programs.exploits import table8_workloads
 
 TRIALS = 10
 BASE_SEED = 1337

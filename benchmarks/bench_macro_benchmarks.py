@@ -7,7 +7,7 @@ from benchmarks.harness import (
     once,
     run_workloads,
 )
-from repro.programs.macro.registry import macro_workloads
+from repro.programs.macro import macro_workloads
 
 
 def bench_macro_benchmarks(benchmark):

@@ -12,7 +12,7 @@ from benchmarks.harness import (
     run_workloads,
 )
 from repro.core.report import Verdict
-from repro.programs.trusted.registry import table7_workloads
+from repro.programs.trusted import table7_workloads
 
 
 def bench_table7_trusted_programs(benchmark):

@@ -92,7 +92,7 @@ PROVENANCE_OVERHEAD = 1.5
 
 #: A warm verdict-cache hit (p50 over many lookups) must beat fresh
 #: execution of the Section 9 workload by at least this factor — a hit
-#: is one digest + one memory-LRU unpickle, execution is millions of
+#: is one digest + one memory-LRU probe, execution is millions of
 #: monitored guest ticks.
 VERDICT_CACHE_SPEEDUP = 50.0
 #: Hit-latency sample count for the p50 (cheap: no execution).

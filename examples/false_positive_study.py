@@ -11,7 +11,7 @@ Run:  python examples/false_positive_study.py
 """
 
 from repro.harrier.config import HarrierConfig
-from repro.programs.trusted.registry import table7_workloads
+from repro.programs.trusted import table7_workloads
 
 
 def main() -> None:

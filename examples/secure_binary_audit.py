@@ -12,9 +12,9 @@ Run:  python examples/secure_binary_audit.py
 """
 
 from repro.analysis.secure_binary import check_secure_binary
-from repro.programs.exploits.registry import table8_workloads
+from repro.programs.exploits import table8_workloads
 from repro.programs.micro.execflow import table4_workloads
-from repro.programs.trusted.registry import table7_workloads
+from repro.programs.trusted import table7_workloads
 
 
 def audit(title, workloads) -> None:

@@ -66,8 +66,10 @@ class Session:
         self.engine = EngineCache()
         #: Optional verdict cache (``repro.cache``).  When attached,
         #: cacheable runs are answered from it without executing and
-        #: clean fresh reports populate it.  ``None`` (the default)
-        #: keeps the historical always-execute behaviour.
+        #: clean fresh reports populate it.  A memory-tier hit is the
+        #: very (frozen) report the run that stored it returned.
+        #: ``None`` (the default) keeps the historical always-execute
+        #: behaviour.
         self.cache = cache
         self.runs = 0
 

@@ -1,31 +1,26 @@
 """The verdict cache store: in-memory LRU tier + optional disk tier.
 
-Values are serialized once at store time and deserialized on every hit,
-so a hit always hands back a *fresh* object graph — callers may mutate a
-cached :class:`RunReport` without poisoning later hits, and the bytes in
-the memory tier are exactly the bytes on disk.
+The memory tier holds the values themselves, so a memory hit decodes
+nothing and hands every caller the same object: values must be
+immutable — a frozen :class:`RunReport` (tuple sequence fields) in the
+Session/fleet ``"session"`` namespace, a wire dict the daemon only ever
+reads in the ``"serve"`` one.
 
-Two codecs exist, chosen per cache:
-
-* ``"json"`` — for caches whose values are plain wire dicts (the serve
-  daemon).  JSON is data-only: reading an entry can never execute code,
-  so a writable shared ``cache_dir`` is at worst a cache-poisoning
-  surface, never remote code execution.  Prefer it whenever the values
-  allow.
-* ``"pickle"`` — for caches that hold real object graphs
-  (:class:`RunReport` in the Session/fleet ``"session"`` namespace),
-  which have no lossless data-only encoding today.  ``pickle.loads`` on
-  attacker-controlled bytes is arbitrary code execution, so a pickle
-  ``cache_dir`` **must be private to the trusted processes sharing
-  it** — the store creates fresh roots mode ``0o700`` to that end, and
-  never relaxes the mode of a pre-existing directory.
+The disk tier is data-only JSON (:func:`dumps`, :func:`loads`).  It is
+lossless: plain JSON stays plain, and every other value is an object
+whose ``$``-tag names its type from a fixed whitelist — the report, its
+result, warnings, events, resource ids, tags and tag sets, three enums,
+tuples and non-string-keyed dicts.  Reading builds only those, so bytes
+planted in a shared ``cache_dir`` can poison the cache but never
+execute code.  An entry that does not decode (a pickle from an older
+store, a truncated write, a foreign tag) reads as a miss and is
+overwritten by the next store.
 
 The disk tier is safe for concurrent fleet workers without locking:
 entries are content-addressed (identical keys always carry identical
 payloads, so a racing double-write is harmless), writes go through a
 unique temp file + :func:`os.replace` (atomic on POSIX), and a corrupt
-or truncated entry — including one in the other codec — reads as a
-miss, never as an error.
+or truncated entry reads as a miss, never as an error.
 
 Cache *policy* lives here too: :func:`bypass_reason` names every
 situation in which a run must not be answered (or populated) from
@@ -40,11 +35,23 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Iterator, NamedTuple, Optional, Tuple
+
+from repro.core.report import RunReport
+from repro.harrier.events import (
+    DataTransferEvent,
+    MemoryEvent,
+    ProcessEvent,
+    ResourceAccessEvent,
+    ResourceId,
+)
+from repro.kernel.kernel import RunResult
+from repro.kernel.process import ResourceKind
+from repro.secpert.warnings import SecurityWarning, Severity
+from repro.taint.tags import DataSource, Tag, TagSet
 
 # -- bypass reasons (values appear as the cache_bypass_total{reason=} label)
 BYPASS_DISABLED = "disabled"
@@ -61,30 +68,66 @@ _BYPASS_REASONS = (
     BYPASS_OPAQUE_SETUP,
 )
 
-#: pickle protocol 4 is stable across the supported interpreters.
-_PICKLE_PROTOCOL = 4
+# -- the disk format ----------------------------------------------------------
+_SCALARS = (str, int, float, bool, type(None))
+#: The only types a disk entry may build, by ``$``-tag: tuples, dicts
+#: that a JSON object cannot hold, tag sets and three enums (built from
+#: their JSON body) and the report's dataclasses (from their fields).
+_MAKERS = {f"${cls.__name__}": cls for cls in (
+    tuple, dict, TagSet, Severity, DataSource, ResourceKind,
+)}
+_RECORDS = {f"${cls.__name__}": cls for cls in (
+    RunReport, RunResult, SecurityWarning, ResourceId, Tag,
+    ResourceAccessEvent, DataTransferEvent, ProcessEvent, MemoryEvent,
+)}
 
 
-def _pickle_dumps(envelope: Dict[str, Any]) -> bytes:
-    return pickle.dumps(envelope, protocol=_PICKLE_PROTOCOL)
+def _encode(value: Any) -> Any:
+    """``value`` as JSON data.  Scalars, lists and dicts with string keys
+    (none starting with ``$``) stay as they are; anything else becomes a
+    one-key object whose ``$``-tag names its type.  Raises TypeError for
+    a type outside the whitelist."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is list:
+        return [_encode(v) for v in value]
+    if kind is dict and all(type(k) is str and k[:1] != "$" for k in value):
+        return {k: _encode(v) for k, v in value.items()}
+    tag = f"${kind.__name__}"
+    if kind is dict:
+        return {tag: [[_encode(k), _encode(v)] for k, v in value.items()]}
+    if kind is tuple or kind is TagSet:
+        return {tag: [_encode(v) for v in value]}
+    if _MAKERS.get(tag) is kind:
+        return {tag: value.value}
+    if _RECORDS.get(tag) is kind:
+        return {tag: {f.name: _encode(getattr(value, f.name))
+                      for f in fields(kind)}}
+    raise TypeError(f"not cacheable data: {kind.__qualname__}")
 
 
-def _json_dumps(envelope: Dict[str, Any]) -> bytes:
-    # No sort_keys: insertion order survives the round trip, so a hit
-    # replays byte-for-byte the wire dict that was stored.
-    return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+def _build(obj: Dict[str, Any]) -> Any:
+    """The ``json.loads`` object hook inverting :func:`_encode`: a
+    ``$``-tagged object becomes its whitelisted type, an unknown tag or
+    malformed body raises, and any other object stays a dict."""
+    tag = next(iter(obj), "")
+    if tag[:1] != "$":
+        return obj
+    (tag, body), = obj.items()
+    if tag in _RECORDS:
+        return _RECORDS[tag](**body)
+    return _MAKERS[tag](body)
 
 
-def _json_loads(payload: bytes) -> Dict[str, Any]:
-    return json.loads(payload.decode("utf-8"))
+def dumps(value: Any) -> bytes:
+    """``value`` as data-only JSON; TypeError outside the whitelist."""
+    return json.dumps(_encode(value), separators=(",", ":")).encode("utf-8")
 
 
-#: codec name -> (dumps, loads) over the ``{"key","meta","value"}``
-#: envelope.  See the module docstring for when each is appropriate.
-CODECS = {
-    "pickle": (_pickle_dumps, pickle.loads),
-    "json": (_json_dumps, _json_loads),
-}
+def loads(payload: bytes) -> Any:
+    """Invert :func:`dumps`, building nothing but whitelisted types."""
+    return json.loads(payload, object_hook=_build)
 
 
 def bypass_reason(
@@ -129,21 +172,22 @@ def cacheable_report_dict(report: Dict[str, Any]) -> bool:
 
 
 class MemoryLRU:
-    """A byte-valued LRU map; the hot tier of the verdict cache."""
+    """A bounded LRU map of (immutable) values; the hot tier of the
+    verdict cache."""
 
     def __init__(self, capacity: int = 512) -> None:
         self.capacity = max(1, int(capacity))
-        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self.evictions = 0
 
-    def get(self, key: str) -> Optional[bytes]:
-        payload = self._entries.get(key)
-        if payload is not None:
+    def get(self, key: str) -> Optional[Any]:
+        value = self._entries.get(key)
+        if value is not None:
             self._entries.move_to_end(key)
-        return payload
+        return value
 
-    def put(self, key: str, payload: bytes) -> None:
-        self._entries[key] = payload
+    def put(self, key: str, value: Any) -> None:
+        self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -156,16 +200,22 @@ class MemoryLRU:
         self._entries.clear()
 
 
+class Entry(NamedTuple):
+    """One readable disk entry."""
+
+    meta: Dict[str, Any]
+    value: Any
+    size: int
+
+
 class DiskStore:
     """Content-addressed entries on disk, shareable between processes.
 
     Layout: ``<root>/<key[:2]>/<key>.rvc`` — the two-hex-char shard keeps
-    directories small on big sweeps.  Each entry is a codec-encoded
-    envelope ``{"key", "meta", "value"}``; the embedded key is checked on
-    read so a renamed or mangled file can never answer for the wrong
-    digest, and a file in the wrong codec parses as corrupt (a miss).
-    A ``"json"``-codec store never unpickles anything: bytes planted in
-    its directory cannot execute code on read.
+    directories small on big sweeps.  Each entry is the :func:`dumps`
+    envelope ``{"key", "meta", "value"}``; the embedded key is checked
+    on read so a renamed or mangled file can never answer for the wrong
+    digest.
 
     A root this store creates is made mode ``0o700``; a pre-existing
     root's permissions are the operator's business and left alone.
@@ -173,10 +223,8 @@ class DiskStore:
 
     SUFFIX = ".rvc"
 
-    def __init__(self, root: str, codec: str = "pickle") -> None:
+    def __init__(self, root: str) -> None:
         self.root = root
-        self.codec = codec
-        self._dumps, self._loads = CODECS[codec]
         self.corrupt = 0
         self._seq = 0
         existed = os.path.isdir(root)
@@ -190,22 +238,30 @@ class DiskStore:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + self.SUFFIX)
 
-    def read(self, key: str) -> Optional[bytes]:
+    def read(self, key: str) -> Optional[Entry]:
+        """The entry under ``key``, or None when it is missing or does
+        not decode (counted in ``corrupt``)."""
         try:
             with open(self._path(key), "rb") as fh:
                 payload = fh.read()
         except OSError:
             return None
         try:
-            envelope = self._loads(payload)
-            if envelope.get("key") != key:
-                raise ValueError("key mismatch")
+            envelope = loads(payload)
+            if envelope["key"] != key or type(envelope["meta"]) is not dict:
+                raise ValueError("not an entry for this key")
+            return Entry(envelope["meta"], envelope["value"], len(payload))
         except Exception:
             self.corrupt += 1
             return None
-        return payload
 
-    def write(self, key: str, payload: bytes) -> None:
+    def write(self, key: str, value: Any, meta: Dict[str, Any]) -> bool:
+        """Store ``value`` under ``key``; False (nothing written) when it
+        is not :func:`dumps` data."""
+        try:
+            payload = dumps({"key": key, "meta": meta, "value": value})
+        except TypeError:
+            return False
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         self._seq += 1
@@ -221,36 +277,31 @@ class DiskStore:
                 os.unlink(tmp)
             except OSError:
                 pass
+        return True
+
+    def _keys(self) -> Iterator[str]:
+        for shard in sorted(os.listdir(self.root)):
+            shard_dir = os.path.join(self.root, shard)
+            if os.path.isdir(shard_dir):
+                for name in sorted(os.listdir(shard_dir)):
+                    if name.endswith(self.SUFFIX):
+                        yield name[: -len(self.SUFFIX)]
 
     def entries(self) -> Iterator[Tuple[str, Dict[str, Any], int]]:
         """Yield ``(key, meta, size_bytes)`` for every readable entry."""
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if not name.endswith(self.SUFFIX):
-                    continue
-                key = name[: -len(self.SUFFIX)]
-                payload = self.read(key)
-                if payload is None:
-                    continue
-                envelope = self._loads(payload)
-                yield key, envelope.get("meta") or {}, len(payload)
+        for key in self._keys():
+            entry = self.read(key)
+            if entry is not None:
+                yield key, entry.meta, entry.size
 
     def clear(self) -> int:
         removed = 0
-        for shard in list(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in list(os.listdir(shard_dir)):
-                if name.endswith(self.SUFFIX):
-                    try:
-                        os.unlink(os.path.join(shard_dir, name))
-                        removed += 1
-                    except OSError:
-                        pass
+        for key in list(self._keys()):
+            try:
+                os.unlink(self._path(key))
+                removed += 1
+            except OSError:
+                pass
         return removed
 
 
@@ -262,7 +313,7 @@ class CacheStats:
     mem_hits: int = 0
     disk_hits: int = 0
     store_skips: int = 0
-    unpicklable: int = 0
+    unencodable: int = 0
     bypass: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -275,12 +326,10 @@ class VerdictCache:
     """Two-tier content-addressed verdict cache.
 
     ``namespace`` keeps differently-shaped values from colliding in a
-    shared store: the Session caches pickled :class:`RunReport` objects
-    (``"session"``) while the serve daemon caches JSON wire dicts
-    (``"serve"``) — both may point at the same ``disk_dir``.  ``codec``
-    picks the envelope encoding (module docstring): ``"json"`` wherever
-    the values are plain data, ``"pickle"`` only for caches private to
-    trusted processes.
+    shared store: the Session caches frozen :class:`RunReport` objects
+    (``"session"``) while the serve daemon caches wire dicts
+    (``"serve"``) — both may point at the same ``disk_dir``.  A hit is
+    the stored value itself (module docstring), never a copy.
 
     With a ``metrics`` registry attached, every operation lands in the
     ``cache_*`` OpenMetrics families (pre-touched to zero at
@@ -293,13 +342,10 @@ class VerdictCache:
         disk_dir: Optional[str] = None,
         metrics=None,
         namespace: str = "session",
-        codec: str = "pickle",
     ) -> None:
         self.namespace = namespace
-        self.codec = codec
-        self._dumps, self._loads = CODECS[codec]
         self.memory = MemoryLRU(capacity)
-        self.disk = DiskStore(disk_dir, codec=codec) if disk_dir else None
+        self.disk = DiskStore(disk_dir) if disk_dir else None
         self.stats = CacheStats()
         self.metrics = metrics
         if metrics is not None:
@@ -319,23 +365,24 @@ class VerdictCache:
 
     # -- the cache protocol -------------------------------------------------
     def lookup(self, key: str) -> Optional[Any]:
-        """Return a fresh copy of the cached value, or None on miss."""
+        """Return the cached value (the stored object), or None on miss."""
         started = time.perf_counter()
         full = self._full_key(key)
         tier = None
-        payload = self.memory.get(full)
-        if payload is not None:
+        value = self.memory.get(full)
+        if value is not None:
             tier = "memory"
         elif self.disk is not None:
-            payload = self.disk.read(full)
-            if payload is not None:
+            entry = self.disk.read(full)
+            if entry is not None:
                 tier = "disk"
-                self.memory.put(full, payload)
+                value = entry.value
+                self.memory.put(full, value)
         if self.metrics is not None:
             self.metrics.histogram("cache_lookup_seconds").observe(
                 time.perf_counter() - started
             )
-        if payload is None:
+        if tier is None:
             self.stats.misses += 1
             if self.metrics is not None:
                 self.metrics.counter("cache_misses_total").inc()
@@ -347,27 +394,21 @@ class VerdictCache:
             self.stats.disk_hits += 1
         if self.metrics is not None:
             self.metrics.counter("cache_hits_total", tier=tier).inc()
-        return self._loads(payload)["value"]
+        return value
 
     def store(
         self, key: str, value: Any, meta: Optional[Dict[str, Any]] = None
     ) -> bool:
+        """Remember an immutable ``value``.  With a disk tier, a value the
+        disk format cannot hold (:func:`dumps`) is not stored in
+        any tier."""
         full = self._full_key(key)
-        envelope = {
-            "key": full,
-            "meta": {"namespace": self.namespace, **(meta or {})},
-            "value": value,
-        }
-        try:
-            payload = self._dumps(envelope)
-        except Exception:
-            # Unencodable in this codec (a closure under pickle, a
-            # non-JSON-able object under json): degrade to no store.
-            self.stats.unpicklable += 1
+        if self.disk is not None and not self.disk.write(
+            full, value, {"namespace": self.namespace, **(meta or {})}
+        ):
+            self.stats.unencodable += 1
             return False
-        self.memory.put(full, payload)
-        if self.disk is not None:
-            self.disk.write(full, payload)
+        self.memory.put(full, value)
         self.stats.stores += 1
         if self.metrics is not None:
             self.metrics.counter("cache_stores_total").inc()
@@ -400,13 +441,12 @@ class VerdictCache:
     def snapshot(self) -> Dict[str, Any]:
         snap = {
             "namespace": self.namespace,
-            "codec": self.codec,
             "hits": self.stats.hits,
             "misses": self.stats.misses,
             "hit_rate": round(self.stats.hit_rate, 4),
             "stores": self.stats.stores,
             "store_skips": self.stats.store_skips,
-            "unpicklable": self.stats.unpicklable,
+            "unencodable": self.stats.unencodable,
             "memory_hits": self.stats.mem_hits,
             "disk_hits": self.stats.disk_hits,
             "memory_entries": len(self.memory),

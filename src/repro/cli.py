@@ -189,8 +189,8 @@ def _print_cache_line(cache: Optional[VerdictCache]) -> None:
     if cache is None:
         return
     snap = cache.snapshot()
-    print(f"cache   : {snap['hits']} hit(s), {snap['misses']} miss(es), "
-          f"{snap['stores']} stored")
+    print(f"cache   : {snap['hits']} hit(s) ({snap['disk_hits']} from "
+          f"disk), {snap['misses']} miss(es), {snap['stores']} stored")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -798,21 +798,19 @@ def cmd_submit(args: argparse.Namespace) -> int:
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or clear an on-disk verdict cache (``repro cache``)."""
     root = pathlib.Path(args.dir)
+    if not root.is_dir():
+        # Opening a store creates its root: a typo must not read as an
+        # empty store.
+        print(f"error: no cache directory at {root}", file=sys.stderr)
+        return 2
+    store = DiskStore(str(root))
     if args.action == "clear":
-        removed = DiskStore(str(root)).clear()
+        removed = store.clear()
         print(f"removed {removed} entr{'y' if removed == 1 else 'ies'} "
               f"from {root}")
         return 0
 
-    # A shared dir can hold session (pickle) and serve (json) entries;
-    # each codec's store yields only the entries it can parse.
-    merged: dict = {}
-    for codec in ("pickle", "json"):
-        for key, meta, size in DiskStore(str(root), codec=codec).entries():
-            merged.setdefault(key, (meta, size))
-    entries = sorted(
-        (key, meta, size) for key, (meta, size) in merged.items()
-    )
+    entries = list(store.entries())
     if args.action == "stats":
         total = sum(size for _, _, size in entries)
         namespaces: dict = {}

@@ -215,22 +215,22 @@ class HTH:
         injector = self.kernel.fault_injector
         return RunReport(
             program=proc.command,
-            argv=list(proc.argv),
+            argv=tuple(proc.argv),
             result=result,
-            warnings=list(getattr(self.analyzer, "warnings", [])),
-            events=list(self.harrier.events),
+            warnings=tuple(getattr(self.analyzer, "warnings", ())),
+            events=tuple(self.harrier.events),
             console_output=self.kernel.console.output_text(),
             exit_code=proc.exit_code,
             killed_by_monitor=proc.killed_by_monitor,
-            faults=self.kernel.faults(),
+            faults=tuple(self.kernel.faults()),
             fault_seed=injector.seed if injector is not None else None,
             injected_faults=(
-                list(injector.injected) if injector is not None else []
+                tuple(injector.injected) if injector is not None else ()
             ),
             events_dropped=self.harrier.events_dropped,
-            monitor_faults=list(self.harrier.monitor_faults),
-            quarantined_rules=list(
-                getattr(self.analyzer, "quarantined_rules", [])
+            monitor_faults=tuple(self.harrier.monitor_faults),
+            quarantined_rules=tuple(
+                getattr(self.analyzer, "quarantined_rules", ())
             ),
             telemetry=(
                 self.telemetry.snapshot()

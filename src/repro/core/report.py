@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.harrier.events import SecurityEvent
@@ -46,32 +46,36 @@ class Verdict(enum.Enum):
         return self is not Verdict.BENIGN
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunReport:
-    """Everything HTH observed about one program run."""
+    """Everything HTH observed about one program run.
+
+    Immutable, with tuple sequence fields, so the verdict cache can hand
+    the same object to every hit (:mod:`repro.cache.store`).
+    """
 
     program: str
-    argv: List[str]
+    argv: Tuple[str, ...]
     result: RunResult
-    warnings: List[SecurityWarning]
-    events: List[SecurityEvent]
+    warnings: Tuple[SecurityWarning, ...]
+    events: Tuple[SecurityEvent, ...]
     console_output: str
     exit_code: Optional[int]
     killed_by_monitor: bool = False
-    faults: List[Tuple[int, str]] = field(default_factory=list)
+    faults: Tuple[Tuple[int, str], ...] = ()
     #: Seed of the fault injector, when the run was chaos-perturbed.
     #: ``repro chaos --seed <this>`` replays the exact fault schedule.
     fault_seed: Optional[int] = None
     #: Faults the injector delivered (InjectedFault records, in order).
-    injected_faults: List[object] = field(default_factory=list)
+    injected_faults: Tuple[object, ...] = ()
     #: Events discarded because the bounded Harrier log overflowed.
     events_dropped: int = 0
     #: Contained monitor-side failures (harrier.monitor.MonitorFault).
     #: Deliberately *not* part of ``warnings``: a monitor fault reports
     #: on the monitor, not the guest, so it must not move the verdict.
-    monitor_faults: List[object] = field(default_factory=list)
+    monitor_faults: Tuple[object, ...] = ()
     #: Secpert rules quarantined after raising during this run.
-    quarantined_rules: List[str] = field(default_factory=list)
+    quarantined_rules: Tuple[str, ...] = ()
     #: Telemetry snapshot (metrics/span count) when the run was
     #: made with an enabled hub; ``None`` for the zero-overhead default.
     telemetry: Optional[TelemetrySnapshot] = None

@@ -642,8 +642,9 @@ def trace_source(shapes: Tuple[Tuple[tuple, ...], ...],
     iterations while they fit in ``limit`` (at least one must).  At a
     side exit, or once no further iteration fits, it writes back the
     registers and flags, sets the pc, settles the entry counts
-    (``monitor.fastpath_blocks``, bbfreq) and returns ``(instructions,
-    block entries)``.  Raises ValueError for a cycle that is not
+    (``monitor.fastpath_blocks``, bbfreq), notes the taint-carrying
+    blocks that ran for provenance, and returns ``(instructions, block
+    entries)``.  Raises ValueError for a cycle that is not
     :func:`traceable` and, like :func:`block_source`, for any name the
     emitter does not know.
     """
@@ -656,7 +657,9 @@ def trace_source(shapes: Tuple[Tuple[tuple, ...], ...],
     for shape in shapes:
         for item in shape[:-1]:
             probe.straight(item)
-    em = _Emitter(instrumentation, False, None)
+    # Provenance is noted at the exits, not per iteration.
+    em = _Emitter(tuple(p for p in instrumentation if p != PROVENANCE),
+                  False, None)
     em.entry = probe.entry + [
         name for name in probe.written if name not in probe.entry
     ]
@@ -667,6 +670,8 @@ def trace_source(shapes: Tuple[Tuple[tuple, ...], ...],
     parts = instrumentation
     lengths = [len(shape) - (shape[-1][0] == "fall") for shape in shapes]
     cost = sum(lengths)
+    taint = [TAINT in parts and not noop for noop in noops]
+    plans = ["plan"] + [f"p{j}" for j in range(1, count)]
 
     def leave(j: int, pc: str, indent: str) -> None:
         """Exit after block ``j`` of iteration ``i`` to ``pc``."""
@@ -675,29 +680,33 @@ def trace_source(shapes: Tuple[Tuple[tuple, ...], ...],
         em.emit(f"cpu.pc = {pc}", indent)
         if TAINT in parts:
             em.emit(f"m.monitor.fastpath_blocks += {entries}", indent)
-        if BBFREQ in parts:
-            # Blocks 0..j ran i + 1 times, the rest i times; the last
-            # app block to run is the last one set below.
-            em.emit("c = sh.bb_counts", indent)
-            later = range(j + 1, count)
+        # Blocks 0..j ran i + 1 times, the rest i times.
+        later = range(j + 1, count)
 
-            def ran(p: int) -> str:
-                test = f"s{p} in sh.app_leaders"
-                return f"if i and {test}:" if p in later else f"if {test}:"
+        def ran(p: int, test: str) -> str:
+            return f"if i and {test}:" if p in later else f"if {test}:"
 
+        if PROVENANCE in parts:
             for p in range(count):
-                em.emit(ran(p), indent)
+                if taint[p]:
+                    em.emit(ran(p, f"{plans[p]} not in m.seen"), indent)
+                    em.emit(f"m.observe({plans[p]})", indent + "    ")
+        if BBFREQ in parts:
+            # The last app block to run is the last one set below.
+            em.emit("c = sh.bb_counts", indent)
+            for p in range(count):
+                em.emit(ran(p, f"s{p} in sh.app_leaders"), indent)
                 runs = "i" if p in later else "i + 1"
                 em.emit(f"c[s{p}] = c.get(s{p}, 0) + {runs}", indent + "    ")
             for p in [*later, *range(j + 1)]:
-                em.emit(ran(p), indent)
+                em.emit(ran(p, f"s{p} in sh.app_leaders"), indent)
                 em.emit(f"sh.last_app_bb = s{p}", indent + "    ")
         em.emit(f"return i * {cost} + {sum(lengths[:j + 1])}, {entries}",
                 indent)
 
     for j, (shape, taken, noop, layout) in enumerate(
             zip(shapes, branches, noops, layouts)):
-        em.plan = f"p{j}" if j else "plan"
+        em.plan = plans[j]
         em.noop = noop
         em.layout = layout
         em.hole_base = em.nholes
@@ -727,7 +736,6 @@ def trace_source(shapes: Tuple[Tuple[tuple, ...], ...],
         + [f"k{i}" for i in range(em.nconsts)]
     )
     head = [f"def trace({params}):"] + em.prologue()
-    taint = [TAINT in parts and not noop for noop in noops]
     if BBFREQ in parts or any(taint):
         head.append("    sh = m.shadow")
     if any(layout is not None and applies

@@ -73,7 +73,7 @@ EXIT_KILLED_BY_MONITOR = 137   # 128 + SIGKILL
 EXIT_FAULT = 139               # 128 + SIGSEGV
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
     """Outcome of one :meth:`Kernel.run` call.
 

@@ -1,10 +1,8 @@
 """The unified workload registry: one lookup API over every table.
 
-Historically three parallel ``registry.py`` modules (exploits, macro,
-trusted) plus the micro/extension/scenario factories each exposed their
-own entry point, and callers (CLI ``repro table``, fleet refs, tests,
-benchmarks) hard-coded which module held which rows.  This module is the
-single source of truth:
+Each table's rows come from one factory in its own package (the
+micro/trusted/exploit/macro/extension/scenario modules); this module is
+the single source of truth for which factory serves which table:
 
 * :data:`REGISTRIES` maps every registry key to its ``(module, factory)``
   pair — the picklable coordinates fleet :class:`~repro.fleet.refs.
@@ -16,9 +14,8 @@ single source of truth:
   the expectation (``trojan`` / ``benign`` + the verdict name), and
   ``xfail`` for filed-but-unfixed evasions.
 
-The old import paths (``repro.programs.exploits.registry`` and friends)
-keep working as thin aliases of their factories, but new code — the
-adversarial mutator included — should resolve workloads through here.
+New code — the adversarial mutator included — should resolve workloads
+through here.
 """
 
 from __future__ import annotations
@@ -38,9 +35,9 @@ REGISTRIES: Dict[str, Tuple[str, str]] = {
     "4": ("repro.programs.micro.execflow", "table4_workloads"),
     "5": ("repro.programs.micro.resource", "table5_workloads"),
     "6": ("repro.programs.micro.infoflow", "table6_workloads"),
-    "7": ("repro.programs.trusted.registry", "table7_workloads"),
-    "8": ("repro.programs.exploits.registry", "table8_workloads"),
-    "macro": ("repro.programs.macro.registry", "macro_workloads"),
+    "7": ("repro.programs.trusted", "table7_workloads"),
+    "8": ("repro.programs.exploits", "table8_workloads"),
+    "macro": ("repro.programs.macro", "macro_workloads"),
     "ext": ("repro.programs.extensions", "extension_workloads"),
     "scenarios": ("repro.programs.scenarios", "scenario_workloads"),
     "adversarial": ("repro.programs.adversarial", "adversarial_workloads"),

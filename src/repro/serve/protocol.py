@@ -36,8 +36,7 @@ bump it on any breaking layout change.
 v2 (verdict cache): submissions may carry ``options.cache`` and a
 ``triage`` flag; ``accepted``/``report`` events carry ``cached: bool``
 and a ``triage`` event (non-terminal) streams the static profile when
-requested.  v1 submissions are still accepted — the new fields default
-off, and v1 clients ignore event keys they do not know.
+requested.  A submission labelled with any other version is rejected.
 """
 
 from __future__ import annotations
@@ -49,12 +48,9 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.options import DEFAULT_MAX_TICKS, RunOptions
 
-#: Version of the serve wire format (submissions and events).
+#: Version of the serve wire format (submissions and events), the only
+#: one this daemon accepts.
 SERVE_SCHEMA_VERSION = 2
-
-#: Versions this daemon accepts: additions in v2 are optional, so v1
-#: submissions decode unchanged.
-SUPPORTED_SCHEMA_VERSIONS = frozenset({1, SERVE_SCHEMA_VERSION})
 
 #: Terminal event kinds — after one of these the stream is complete.
 TERMINAL_KINDS = frozenset({"rejected", "report", "error"})
@@ -70,18 +66,6 @@ _FAULT_SCALARS = (
 
 class ProtocolError(ValueError):
     """A submission or event that does not follow the wire contract."""
-
-
-#: Option keys older clients send on every submission.  Each once chose
-#: between the production path and a reference implementation that now
-#: lives only with the differential tests: ``true`` (the production
-#: path) is accepted and ignored, anything else asked for the removed
-#: oracle and is rejected.
-_REMOVED_SWITCHES = {
-    "block_cache": "the per-instruction interpreter",
-    "taint_fastpath": "all-replay taint",
-    "rete": "the naive rule matcher",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +104,6 @@ def options_from_wire(data: Optional[Mapping[str, object]]) -> RunOptions:
         return RunOptions()
     data = dict(data)
     fault = data.pop("fault", None)
-    for key, oracle in _REMOVED_SWITCHES.items():
-        if key in data and data.pop(key) is not True:
-            raise ProtocolError(
-                f"options field {key!r}: {oracle} was removed from the "
-                f"runtime; only true is accepted"
-            )
     allowed = {
         "provenance", "metrics", "max_ticks", "wall_timeout", "cache",
     }
@@ -241,11 +219,10 @@ class Submission:
         if not isinstance(data, Mapping):
             raise ProtocolError("submission must be a JSON object")
         version = data.get("schema_version", SERVE_SCHEMA_VERSION)
-        if version not in SUPPORTED_SCHEMA_VERSIONS:
+        if version != SERVE_SCHEMA_VERSION:
             raise ProtocolError(
                 f"unsupported schema_version {version!r} "
-                f"(this daemon speaks "
-                f"{sorted(SUPPORTED_SCHEMA_VERSIONS)})"
+                f"(this daemon speaks {SERVE_SCHEMA_VERSION})"
             )
         workload = data.get("workload")
         if workload is not None:

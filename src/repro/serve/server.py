@@ -162,17 +162,15 @@ class ServeDaemon:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Daemon-side verdict cache: hits are answered in ``_admit``
         #: after the rate precheck but without a queue slot.  Stores
-        #: wire-form reports plus the streamed warning events (plain
-        #: data, hence the ``json`` codec — the daemon never unpickles
-        #: cache bytes), keyed by submission content
-        #: (``repro.cache.digest.submission_key``).
+        #: wire-form reports plus the streamed warning events, keyed by
+        #: submission content (``repro.cache.digest.submission_key``).
+        #: A hit is the stored dict itself: it is only ever read.
         self.cache = (
             VerdictCache(
                 capacity=cache_entries,
                 disk_dir=cache_dir,
                 metrics=self.metrics,
                 namespace="serve",
-                codec="json",
             ) if cache else None
         )
         #: Warm assemble memo for key computation and triage profiling.

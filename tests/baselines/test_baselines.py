@@ -13,7 +13,7 @@ from repro.baselines import (
 from repro.core.report import Verdict
 from repro.programs.micro.execflow import table4_workloads
 from repro.programs.micro.infoflow import table6_workloads
-from repro.programs.trusted.registry import table7_workloads
+from repro.programs.trusted import table7_workloads
 from repro.taint import DataSource, TagSet
 
 

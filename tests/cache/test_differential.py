@@ -36,7 +36,7 @@ class TestSerialDifferential:
             assert _dump(hit) == _dump(fresh_report), \
                 f"{module}/{name}: cached reply differs from execution"
             # Evidence trails render identically too (provenance rides
-            # inside the report and must survive the pickle round trip).
+            # inside the report).
             assert hit.render_warnings() == fresh_report.render_warnings()
             assert [str(e) for e in hit.events] == \
                 [str(e) for e in fresh_report.events]

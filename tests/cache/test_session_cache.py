@@ -7,7 +7,10 @@ state (faults, telemetry, custom analyzers, opaque setup closures)
 bypasses the cache entirely.
 """
 
+import dataclasses
 import json
+
+import pytest
 
 from repro.api import CacheEnv, Session, VerdictCache
 from repro.cache.digest import workload_key
@@ -46,11 +49,28 @@ class TestRunHits:
         fresh = session.run(SOURCE, stdin="hello")
         hit = session.run(SOURCE, stdin="hello")
         assert session.cache.stats.hits == 1
-        assert hit is not fresh  # a fresh object graph, not the original
+        assert hit is fresh  # the stored value itself: nothing decoded
         assert _dump(hit) == _dump(fresh)
         assert [str(e) for e in hit.events] == \
             [str(e) for e in fresh.events]
         assert hit.render_warnings() == fresh.render_warnings()
+
+    def test_a_hit_cannot_be_mutated(self):
+        session = _session()
+        session.run(SOURCE, stdin="hello")
+        hit = session.run(SOURCE, stdin="hello")
+        assert session.cache.stats.hits == 1
+        for obj, name in ((hit, "warnings"), (hit, "program"),
+                          (hit.result, "reason"),
+                          (hit.result, "exit_codes")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+        for f in dataclasses.fields(hit):
+            if f.name in ("argv", "warnings", "events", "faults",
+                          "injected_faults", "monitor_faults",
+                          "quarantined_rules"):
+                assert type(getattr(hit, f.name)) is tuple, f.name
+        assert hit.events and hit.argv
 
     def test_single_byte_stdin_perturbation_misses(self):
         session = _session()

@@ -1,10 +1,10 @@
 """The two-tier verdict cache store: LRU, disk, policy, and metrics.
 
-Safety properties: a hit always returns a *fresh* object graph (mutating
-a hit cannot poison later hits), a corrupt or mis-keyed disk entry is a
-miss never an error, concurrent writers racing on a content-addressed
-key are harmless, and transient outcomes (watchdog, degraded) are never
-remembered.
+Safety properties: a hit is the stored (immutable) value itself, a
+corrupt, mis-keyed or foreign disk entry is a miss never an error, a
+planted disk entry builds nothing outside the whitelisted data types,
+concurrent writers racing on a content-addressed key are harmless, and
+transient outcomes (watchdog, degraded) are never remembered.
 """
 
 import json
@@ -27,6 +27,7 @@ from repro.cache.store import (
     bypass_reason,
     cacheable_report,
     cacheable_report_dict,
+    loads,
     merge_cache_stats,
 )
 from repro.core.options import RunOptions
@@ -62,29 +63,32 @@ class TestMemoryLRU:
         assert len(lru) == 1
 
 
+def _rvc_files(root):
+    return [os.path.join(dirpath, name)
+            for dirpath, _, names in os.walk(root)
+            for name in names if name.endswith(".rvc")]
+
+
 class TestDiskStore:
     def test_round_trip_across_instances(self, tmp_path):
-        payload = pickle.dumps({"key": "k1", "meta": {}, "value": 42})
-        DiskStore(str(tmp_path)).write("k1", payload)
-        assert DiskStore(str(tmp_path)).read("k1") == payload
+        DiskStore(str(tmp_path)).write("k1", 42, {"m": 1})
+        entry = DiskStore(str(tmp_path)).read("k1")
+        assert (entry.meta, entry.value) == ({"m": 1}, 42)
+        assert entry.size == os.path.getsize(_rvc_files(tmp_path)[0])
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         store = DiskStore(str(tmp_path))
-        store.write("k1", pickle.dumps({"key": "k1", "meta": {},
-                                        "value": 1}))
+        store.write("k1", 1, {})
         path = store._path("k1")
         with open(path, "wb") as fh:
-            fh.write(b"\x80garbage not pickle")
+            fh.write(b"\x80garbage not json")
         assert store.read("k1") is None
         assert store.corrupt == 1
 
     def test_renamed_entry_cannot_answer_for_another_key(self, tmp_path):
         # The envelope's embedded key is checked on read.
         store = DiskStore(str(tmp_path))
-        store.write("aaothera", pickle.dumps(
-            {"key": "aaothera", "meta": {}, "value": 1}
-        ))
-        import os
+        store.write("aaothera", 1, {})
         os.rename(store._path("aaothera"), store._path("aamangled"))
         assert store.read("aamangled") is None
         assert store.corrupt == 1
@@ -92,23 +96,27 @@ class TestDiskStore:
     def test_entries_and_clear(self, tmp_path):
         store = DiskStore(str(tmp_path))
         for key in ("aa1", "ab2", "aa3"):
-            store.write(key, pickle.dumps(
-                {"key": key, "meta": {"m": key}, "value": key}
-            ))
+            store.write(key, key, {"m": key})
         listed = list(store.entries())
         assert sorted(k for k, _, _ in listed) == ["aa1", "aa3", "ab2"]
         assert all(meta["m"] == key for key, meta, _ in listed)
         assert store.clear() == 3
         assert list(store.entries()) == []
 
+    def test_unencodable_value_writes_nothing(self, tmp_path):
+        store = DiskStore(str(tmp_path))
+        assert not store.write("k1", object(), {})
+        assert _rvc_files(tmp_path) == []
+
 
 class TestVerdictCache:
-    def test_hit_returns_a_fresh_object_graph(self):
-        cache = VerdictCache()
-        cache.store("k", {"nested": [1, 2]})
-        first = cache.lookup("k")
-        first["nested"].append(3)
-        assert cache.lookup("k") == {"nested": [1, 2]}
+    def test_hit_is_the_stored_value(self, tmp_path):
+        value = {"report": {"verdict": "high"}, "warnings": ()}
+        cache = VerdictCache(disk_dir=str(tmp_path))
+        cache.store("k", value)
+        assert cache.lookup("k") is value
+        assert cache.lookup("k") is value
+        assert cache.stats.mem_hits == 2
 
     def test_disk_tier_survives_a_new_process_view(self, tmp_path):
         a = VerdictCache(disk_dir=str(tmp_path))
@@ -139,11 +147,12 @@ class TestVerdictCache:
         assert cache.lookup("k3") is not None
         assert cache.stats.store_skips == 2
 
-    def test_unpicklable_value_degrades_to_no_store(self):
-        cache = VerdictCache()
+    def test_unencodable_value_is_stored_in_no_tier(self, tmp_path):
+        cache = VerdictCache(disk_dir=str(tmp_path))
         assert not cache.store("k", lambda: None)
-        assert cache.stats.unpicklable == 1
+        assert cache.stats.unencodable == 1
         assert cache.lookup("k") is None
+        assert _rvc_files(tmp_path) == []
 
     def test_snapshot_shape(self, tmp_path):
         cache = VerdictCache(disk_dir=str(tmp_path))
@@ -181,8 +190,8 @@ class TestVerdictCache:
 
 class _UnpickleSentinel:
     """Records every unpickling: loading one anywhere appends to
-    ``loads``.  Proves a json-codec store never runs ``pickle.loads``
-    on planted bytes (which would be arbitrary code execution)."""
+    ``loads``.  Proves no store runs ``pickle.loads`` on planted bytes
+    (which would be arbitrary code execution)."""
 
     loads: list = []
 
@@ -195,61 +204,104 @@ class _UnpickleSentinel:
         return _UnpickleSentinel()
 
 
-class TestJsonCodec:
-    """The serve tier stores plain wire dicts, so its disk/memory
-    envelopes are JSON: data-only, nothing executable on read."""
+class _BuildSentinel:
+    """Records every construction: a decoder that built a type named in
+    a planted entry would append to ``built``."""
+
+    built: list = []
+
+    def __init__(self, **fields):
+        _BuildSentinel.built.append(fields)
+
+
+NAMESPACES = ("session", "serve")
+
+
+class TestDiskFormat:
+    """Every disk entry is data-only JSON: reading one builds only the
+    whitelisted report types and never executes anything."""
 
     def _value(self):
         return {"report": {"verdict": "trojan", "warnings": []},
-                "ok": True, "warnings": [{"rule": "R1"}]}
+                "ok": True, "warnings": [{"rule": "R1"}],
+                "exit_codes": {1: 0}, "faults": ((3, "segv"),)}
 
     def test_round_trip_across_instances(self, tmp_path):
-        a = VerdictCache(disk_dir=str(tmp_path), namespace="serve",
-                         codec="json")
+        a = VerdictCache(disk_dir=str(tmp_path), namespace="serve")
         a.store("k", self._value())
-        b = VerdictCache(disk_dir=str(tmp_path), namespace="serve",
-                         codec="json")
+        b = VerdictCache(disk_dir=str(tmp_path), namespace="serve")
         assert b.lookup("k") == self._value()
         assert b.stats.disk_hits == 1
-        assert b.snapshot()["codec"] == "json"
+        assert "codec" not in b.snapshot()
 
-    def test_disk_entries_are_plain_json(self, tmp_path):
-        cache = VerdictCache(disk_dir=str(tmp_path), namespace="serve",
-                             codec="json")
+    def test_disk_entries_are_json(self, tmp_path):
+        cache = VerdictCache(disk_dir=str(tmp_path), namespace="serve")
         cache.store("k", self._value(), meta={"program": "/bin/x"})
-        files = [os.path.join(dirpath, name)
-                 for dirpath, _, names in os.walk(tmp_path)
-                 for name in names if name.endswith(".rvc")]
+        files = _rvc_files(tmp_path)
         assert len(files) == 1
         with open(files[0], "rb") as fh:
-            envelope = json.loads(fh.read())
+            payload = fh.read()
+        envelope = json.loads(payload)
         assert envelope["key"] == "serve-k"
-        assert envelope["value"] == self._value()
+        assert envelope["meta"] == {"namespace": "serve",
+                                    "program": "/bin/x"}
+        # Plain JSON stays plain; the rest is tagged with its type.
+        assert envelope["value"]["report"] == self._value()["report"]
+        assert envelope["value"]["exit_codes"] == {"$dict": [[1, 0]]}
+        assert loads(payload)["value"] == self._value()
 
-    def test_planted_pickle_bytes_are_never_unpickled(self, tmp_path):
-        """A writable cache_dir must not grant code execution in a
-        json-codec reader: a valid *pickle* envelope planted under the
-        right key reads as corrupt (a miss), without unpickling."""
-        cache = VerdictCache(disk_dir=str(tmp_path), namespace="serve",
-                             codec="json")
-        planted = pickle.dumps({
-            "key": "serve-kk", "meta": {},
-            "value": _UnpickleSentinel(),
-        })
-        cache.disk.write("serve-kk", planted)
+    @pytest.mark.parametrize("namespace", NAMESPACES)
+    def test_planted_pickle_bytes_are_never_unpickled(self, tmp_path,
+                                                      namespace):
+        """A writable cache_dir must not grant code execution: a valid
+        *pickle* envelope planted under the right key reads as corrupt
+        (a miss), without unpickling, in every namespace."""
+        cache = VerdictCache(disk_dir=str(tmp_path), namespace=namespace)
+        key = f"{namespace}-kk"
+        os.makedirs(os.path.dirname(cache.disk._path(key)), exist_ok=True)
+        with open(cache.disk._path(key), "wb") as fh:
+            fh.write(pickle.dumps({
+                "key": key, "meta": {}, "value": _UnpickleSentinel(),
+            }))
         assert cache.lookup("kk") is None
         assert _UnpickleSentinel.loads == []
         assert cache.disk.corrupt == 1
 
-    def test_unencodable_value_degrades_to_no_store(self):
-        cache = VerdictCache(codec="json")
-        assert not cache.store("k", object())
-        assert cache.stats.unpicklable == 1
-        assert cache.lookup("k") is None
+    @pytest.mark.parametrize("namespace", NAMESPACES)
+    @pytest.mark.parametrize("planted", [
+        {"$_BuildSentinel": {}},
+        {"$tuple": [{"$RunResult": {"reason": "x", "ticks": 0,
+                                    "instructions": 0,
+                                    "exit_codes": {"$_BuildSentinel": {}}}}]},
+        {"$dict": [["k", {"$Popen": {"args": ["true"]}}]]},
+        {"$tuple": [], "$Popen": {"args": ["true"]}},
+    ], ids=["top-level", "nested", "stdlib", "second-key"])
+    def test_planted_foreign_type_builds_nothing(self, tmp_path,
+                                                 namespace, planted):
+        cache = VerdictCache(disk_dir=str(tmp_path), namespace=namespace)
+        key = f"{namespace}-kk"
+        os.makedirs(os.path.dirname(cache.disk._path(key)), exist_ok=True)
+        with open(cache.disk._path(key), "w") as fh:
+            json.dump({"key": key, "meta": {}, "value": planted}, fh)
+        assert cache.lookup("kk") is None
+        assert _BuildSentinel.built == []
+        assert cache.disk.corrupt == 1
 
-    def test_unknown_codec_is_rejected(self):
-        with pytest.raises(KeyError):
-            VerdictCache(codec="msgpack")
+    def test_old_pickle_entry_misses_then_is_overwritten(self, tmp_path):
+        cache = VerdictCache(disk_dir=str(tmp_path))
+        path = cache.disk._path("session-k")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(pickle.dumps(
+                {"key": "session-k", "meta": {}, "value": "old"},
+                protocol=4,
+            ))
+        assert cache.lookup("k") is None
+        assert cache.stats.misses == 1
+        assert cache.store("k", "new")
+        fresh = VerdictCache(disk_dir=str(tmp_path))
+        assert fresh.lookup("k") == "new"
+        assert fresh.stats.disk_hits == 1
 
 
 class TestCacheDirPermissions:
@@ -310,9 +362,8 @@ class TestBypassPolicy:
 
 def _writer(root, key, n):
     store = DiskStore(root)
-    payload = pickle.dumps({"key": key, "meta": {}, "value": "same"})
     for _ in range(n):
-        store.write(key, payload)
+        store.write(key, "same", {})
 
 
 class TestConcurrentWriters:
@@ -330,9 +381,9 @@ class TestConcurrentWriters:
             p.join(timeout=60)
             assert p.exitcode == 0
         store = DiskStore(root)
-        payload = store.read("kk")
-        assert payload is not None
-        assert pickle.loads(payload)["value"] == "same"
+        entry = store.read("kk")
+        assert entry is not None
+        assert entry.value == "same"
         assert store.corrupt == 0
 
 

@@ -92,8 +92,8 @@ buf: .space 16
     def test_unmonitored_mode_produces_no_events(self):
         hth = HTH(monitored=False)
         report = hth.run(assemble("/bin/evil", EVIL))
-        assert report.events == []
-        assert report.warnings == []
+        assert report.events == ()
+        assert report.warnings == ()
 
 
 class TestRunMonitored:

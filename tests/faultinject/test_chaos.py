@@ -12,7 +12,7 @@ from repro.faultinject import (
     run_chaos,
     run_one,
 )
-from repro.programs.exploits.registry import table8_workloads
+from repro.programs.exploits import table8_workloads
 
 
 @pytest.fixture(scope="module")

@@ -219,14 +219,14 @@ class TestReportSurfacing:
         injector = FaultInjector(profile=TRANSPARENT_PROFILE, seed=42)
         report = run_echo(injector)
         assert report.fault_seed == 42
-        assert report.injected_faults == injector.injected
+        assert report.injected_faults == tuple(injector.injected)
         if report.injected_faults:
             assert "chaos seed=42" in report.summary_line()
 
     def test_fault_fields_absent_without_injector(self):
         report = run_echo()
         assert report.fault_seed is None
-        assert report.injected_faults == []
+        assert report.injected_faults == ()
         assert "chaos" not in report.summary_line()
 
     def test_render_log(self):

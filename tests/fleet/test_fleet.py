@@ -192,7 +192,7 @@ class TestRetry:
         task = FleetTask(
             index=0,
             ref=WorkloadRef(
-                module="repro.programs.exploits.registry",
+                module="repro.programs.exploits",
                 factory="table8_workloads",
                 name="no-such-row",
             ),

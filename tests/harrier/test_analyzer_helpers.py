@@ -35,7 +35,7 @@ path: .asciz "/missing"
 """
         report = hth.run(assemble("/bin/t", source))
         assert analyzer.events  # saw the open
-        assert report.warnings == []  # collector raises nothing
+        assert report.warnings == ()  # collector raises nothing
 
     def test_base_analyzer_is_silent(self):
         analyzer = EventAnalyzer()

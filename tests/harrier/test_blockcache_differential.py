@@ -35,9 +35,9 @@ _REGISTRIES = (
     ("table4", "repro.programs.micro.execflow", "table4_workloads"),
     ("table5", "repro.programs.micro.resource", "table5_workloads"),
     ("table6", "repro.programs.micro.infoflow", "table6_workloads"),
-    ("table7", "repro.programs.trusted.registry", "table7_workloads"),
-    ("table8", "repro.programs.exploits.registry", "table8_workloads"),
-    ("macro", "repro.programs.macro.registry", "macro_workloads"),
+    ("table7", "repro.programs.trusted", "table7_workloads"),
+    ("table8", "repro.programs.exploits", "table8_workloads"),
+    ("macro", "repro.programs.macro", "macro_workloads"),
     ("ext", "repro.programs.extensions", "extension_workloads"),
     ("scenarios", "repro.programs.scenarios", "scenario_workloads"),
 )

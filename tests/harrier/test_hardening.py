@@ -214,5 +214,5 @@ class TestRuleQuarantine:
         hth = HTH()
         hth.secpert.engine.quarantined["Broken"] = "ValueError: x"
         report = hth.run(assemble("/bin/hello", HELLO))
-        assert report.quarantined_rules == ["Broken"]
+        assert report.quarantined_rules == ("Broken",)
         assert report.degraded

@@ -1148,6 +1148,23 @@ class TestLoopTraces:
         finally:
             gc.enable()
 
+    def test_provenance_notes_the_members_that_ran_at_the_exit(self):
+        """A trace notes a taint-carrying member once, at its exit, and
+        only when the member ran: the body of a loop left at the head's
+        first branch is not noted."""
+        inst = blockjit.instrumentation(blockjit.TAINT, blockjit.PROVENANCE)
+        flow = InstructionDataFlow()
+        for start, ran in ((5, False), (3, True)):
+            cpu = _machine(_UNIT_LOOP, values=[("ecx", start)])
+            head, trace = _unit_trace(cpu, inst)
+            (body,) = trace.members
+            noted = []
+            context = blockjit.MonitorContext(
+                SimpleNamespace(fastpath_blocks=0), ProcessShadow(),
+                flow.install_applier, set(noted), noted.append)
+            trace.run(head, cpu, context, 100)
+            assert noted == ([body] if ran else [])
+
     def test_generated_source_rejects_untraceable_cycles(self):
         inst = blockjit.instrumentation()
         for shapes in (

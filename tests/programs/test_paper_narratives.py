@@ -4,9 +4,9 @@ individual workloads (beyond the table-level verdicts)."""
 from repro.core.report import Verdict
 from repro.harrier.config import HarrierConfig
 from repro.harrier.events import ResourceAccessEvent
-from repro.programs.exploits.registry import table8_workloads
-from repro.programs.macro.registry import macro_workloads
-from repro.programs.trusted.registry import table7_workloads
+from repro.programs.exploits import table8_workloads
+from repro.programs.macro import macro_workloads
+from repro.programs.trusted import table7_workloads
 from repro.secpert.warnings import Severity
 from repro.taint import DataSource
 

@@ -1,5 +1,7 @@
 """The unified workload registry: name/tag lookup over every table,
-and the deprecated aliases staying equivalent."""
+and every import path of a table agreeing with it."""
+
+import importlib
 
 import pytest
 
@@ -77,8 +79,8 @@ class TestTags:
         assert find({"trojan", "benign"}) == []
 
 
-class TestDeprecatedAliases:
-    """The old import paths must stay equivalent to the unified map."""
+class TestImportPaths:
+    """Every import path of a table's rows agrees with the unified map."""
 
     def test_fleet_refs_reexports_the_same_objects(self):
         from repro.fleet import refs
@@ -87,17 +89,24 @@ class TestDeprecatedAliases:
         assert refs.REGISTRY_ORDER is REGISTRY_ORDER
         assert refs.registry_workloads is registry_workloads
 
-    def test_old_registry_modules_back_the_unified_keys(self):
-        from repro.programs.exploits.registry import table8_workloads
-        from repro.programs.macro.registry import macro_workloads
-        from repro.programs.trusted.registry import table7_workloads
+    def test_package_factories_back_the_unified_keys(self):
+        from repro.programs.exploits import table8_workloads
+        from repro.programs.macro import macro_workloads
+        from repro.programs.trusted import table7_workloads
 
+        assert REGISTRIES["8"] == ("repro.programs.exploits",
+                                   "table8_workloads")
         assert [w.name for w in table8_workloads()] == \
             [w.name for w in registry_workloads("8")]
         assert [w.name for w in table7_workloads()] == \
             [w.name for w in registry_workloads("7")]
         assert [w.name for w in macro_workloads()] == \
             [w.name for w in registry_workloads("macro")]
+
+    @pytest.mark.parametrize("package", ["exploits", "macro", "trusted"])
+    def test_deprecated_registry_modules_are_gone(self, package):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.programs.{package}.registry")
 
     def test_workloads_helper_matches_entries(self):
         assert [w.name for w in workloads(("4",))] == names(("4",))

@@ -3,12 +3,12 @@ Tables 4-8 and section 8.4) — each row must land on the paper's verdict."""
 
 import pytest
 
-from repro.programs.exploits.registry import table8_workloads
-from repro.programs.macro.registry import macro_workloads
+from repro.programs.exploits import table8_workloads
+from repro.programs.macro import macro_workloads
 from repro.programs.micro.execflow import table4_workloads
 from repro.programs.micro.infoflow import table6_workloads
 from repro.programs.micro.resource import table5_workloads
-from repro.programs.trusted.registry import table7_workloads
+from repro.programs.trusted import table7_workloads
 
 
 def _id(workload):

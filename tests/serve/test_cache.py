@@ -4,8 +4,8 @@ Serve-specific cache promises: a repeat submission is answered from the
 daemon-level cache without a queue slot or tick spend (its tenant rate
 token is still charged, so replay storms stay bounded), the reply
 (report *and* streamed warnings) is bit-identical to the fresh stream,
-``accepted``/``report`` events carry ``cached``, v1 clients still work,
-fault/chaos submissions always execute, and no per-submission compute
+``accepted``/``report`` events carry ``cached``, v1 submissions are
+rejected, fault/chaos submissions always execute, and no per-submission compute
 (assembly, key digests, triage) happens for rate-limited clients.
 """
 
@@ -13,11 +13,13 @@ import asyncio
 import contextlib
 import json
 
+import pytest
+
 from repro.serve import ServeDaemon, Submission, submit_async
 from repro.serve.admission import REASON_TICK_BUDGET
 from repro.serve.protocol import (
     SERVE_SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
+    ProtocolError,
     encode_event,
     options_from_wire,
     options_to_wire,
@@ -289,10 +291,10 @@ class TestTriageEvent:
         assert dumps(profile) == dumps(hit_profile)
 
 
-class TestWireCompat:
-    """Satellite 2: the v1→v2 schema bump stays backward compatible."""
+class TestWireVersion:
+    """The daemon speaks only the current wire schema."""
 
-    def test_v1_submission_over_the_wire_is_accepted(self, tmp_path):
+    def test_v1_submission_over_the_wire_is_rejected(self, tmp_path):
         async def main():
             async with daemon(tmp_path) as d:
                 v1 = {
@@ -318,13 +320,15 @@ class TestWireCompat:
                 return events
 
         events = run(main())
-        assert events[0]["kind"] == "accepted"
-        assert events[0]["schema_version"] == SERVE_SCHEMA_VERSION
-        assert events[-1]["kind"] == "report"
+        assert [e["kind"] for e in events] == ["rejected"]
+        assert "schema_version 1" in events[0]["detail"]
 
-    def test_supported_versions(self):
-        assert SUPPORTED_SCHEMA_VERSIONS == {1, 2}
+    def test_only_the_current_version_decodes(self):
         assert SERVE_SCHEMA_VERSION == 2
+        wire = Submission(source="main:\n ret\n").to_wire()
+        assert Submission.from_wire(wire).source == "main:\n ret\n"
+        with pytest.raises(ProtocolError, match="schema_version"):
+            Submission.from_wire(dict(wire, schema_version=1))
 
     def test_options_wire_round_trip_carries_cache(self):
         options = RunOptions(cache=False, max_ticks=123)
@@ -333,6 +337,6 @@ class TestWireCompat:
         back = options_from_wire(wire)
         assert back.cache is False and back.max_ticks == 123
 
-    def test_v1_options_dict_defaults_cache_on(self):
+    def test_missing_cache_option_defaults_on(self):
         back = options_from_wire({"max_ticks": 99})
         assert back.cache is True

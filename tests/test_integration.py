@@ -153,12 +153,12 @@ buf: .space 32
 
     def test_full_corpus_no_guest_faults(self):
         """No workload in the entire evaluation corpus crashes the VM."""
-        from repro.programs.exploits.registry import table8_workloads
+        from repro.programs.exploits import table8_workloads
         from repro.programs.extensions import extension_workloads
-        from repro.programs.macro.registry import macro_workloads
+        from repro.programs.macro import macro_workloads
         from repro.programs.micro.execflow import table4_workloads
         from repro.programs.micro.resource import table5_workloads
-        from repro.programs.trusted.registry import table7_workloads
+        from repro.programs.trusted import table7_workloads
 
         corpus = (
             table4_workloads() + table5_workloads() + table7_workloads()
