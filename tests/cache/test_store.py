@@ -224,7 +224,9 @@ class TestDiskFormat:
     def _value(self):
         return {"report": {"verdict": "trojan", "warnings": []},
                 "ok": True, "warnings": [{"rule": "R1"}],
-                "exit_codes": {1: 0}, "faults": ((3, "segv"),)}
+                "exit_codes": {1: 0}, "faults": ((3, "segv"),),
+                # A string key that looks like a type tag stays data.
+                "files": {"$tuple": [1], "/etc/passwd": "root"}}
 
     def test_round_trip_across_instances(self, tmp_path):
         a = VerdictCache(disk_dir=str(tmp_path), namespace="serve")
