@@ -322,6 +322,19 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
+#: What a disk hit must be, per namespace.  A shared cache dir can hold
+#: any decodable value under a key; a wrong-shaped one is corrupt, not
+#: an answer (its caller would fail on it, and a promoted one would keep
+#: failing for the life of the memory tier).
+_HIT_SHAPES = {
+    "session": lambda value: type(value) is RunReport,
+    "serve": lambda value: (
+        type(value) is dict and type(value.get("report")) is dict
+    ),
+}
+_ANY_SHAPE = lambda value: True  # noqa: E731 - other namespaces
+
+
 class VerdictCache:
     """Two-tier content-addressed verdict cache.
 
@@ -374,7 +387,10 @@ class VerdictCache:
             tier = "memory"
         elif self.disk is not None:
             entry = self.disk.read(full)
-            if entry is not None:
+            fits = _HIT_SHAPES.get(self.namespace, _ANY_SHAPE)
+            if entry is not None and not fits(entry.value):
+                self.disk.corrupt += 1
+            elif entry is not None:
                 tier = "disk"
                 value = entry.value
                 self.memory.put(full, value)

@@ -20,6 +20,7 @@ from typing import Dict, Optional, Sequence, TYPE_CHECKING, Union
 
 from repro.core.options import RunOptions
 from repro.core.report import RunReport
+from repro.expert import matchgen
 from repro.harrier.analyzer import DecisionPolicy, always_continue
 from repro.harrier.config import HarrierConfig
 from repro.harrier.monitor import Harrier
@@ -212,6 +213,7 @@ class HTH:
         if self.telemetry.is_enabled:
             self.harrier.sample_state_gauges()
             blockjit.sample_gauges(self.telemetry.metrics)
+            matchgen.sample_gauges(self.telemetry.metrics)
         injector = self.kernel.fault_injector
         return RunReport(
             program=proc.command,

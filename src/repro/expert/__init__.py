@@ -14,7 +14,7 @@ from repro.expert.clips_format import (
     render_fire_trace,
     render_firing,
 )
-from repro.expert.conditions import Not, P, Pattern, Test, V, match_lhs
+from repro.expert.conditions import Not, P, Pattern, Test, V
 from repro.expert.engine import (
     Activation,
     EngineError,
@@ -36,7 +36,6 @@ __all__ = [
     "Not",
     "V",
     "P",
-    "match_lhs",
     "InferenceEngine",
     "Rule",
     "RuleContext",

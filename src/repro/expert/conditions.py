@@ -9,15 +9,16 @@ A rule's LHS is an ordered list of conditional elements:
 * :class:`Not` — no fact matches the given pattern under the current
   bindings (CLIPS ``(not ...)``).
 
-Matching is naive join (facts are few per Secpert event), with variable
-bindings threaded left to right.
+The Rete network (:mod:`repro.expert.rete`) joins them, with variable
+bindings threaded left to right; the naive full-rejoin reference
+matcher lives in ``tests/oracles``.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.expert.template import Fact
 
@@ -83,6 +84,10 @@ class Pattern:
 
     ``bind_as`` binds the whole fact to a name (CLIPS ``?f <- (...)``),
     so actions can retract it.
+
+    A pattern is data; matching runs code generated for its shape
+    (:mod:`repro.expert.matchgen`).  A Rete node builds its matcher once,
+    for the names bound above it.
     """
 
     def __init__(
@@ -97,39 +102,9 @@ class Pattern:
 
     def match(self, fact: Fact, bindings: Bindings) -> Optional[Bindings]:
         """Return extended bindings when ``fact`` matches, else None."""
-        if fact.name != self.template:
-            return None
-        new_bindings: Optional[Bindings] = None
+        from repro.expert.matchgen import build_matcher
 
-        def ensure() -> Bindings:
-            nonlocal new_bindings
-            if new_bindings is None:
-                new_bindings = dict(bindings)
-            return new_bindings
-
-        for slot, constraint in self.constraints.items():
-            if slot not in fact.template.slots:
-                return None
-            value = fact.values[slot]
-            if isinstance(constraint, V):
-                scope = new_bindings if new_bindings is not None else bindings
-                if constraint.name in scope:
-                    if scope[constraint.name] != value:
-                        return None
-                else:
-                    ensure()[constraint.name] = value
-            elif isinstance(constraint, P):
-                scope = new_bindings if new_bindings is not None else bindings
-                if not constraint.check(value, scope):
-                    return None
-            else:  # literal
-                if value != constraint:
-                    return None
-        result = new_bindings if new_bindings is not None else dict(bindings)
-        if self.bind_as is not None:
-            result = dict(result)
-            result[self.bind_as] = fact
-        return result
+        return build_matcher(self, bindings.keys())(fact, bindings)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Pattern({self.template!r}, {self.constraints})"
@@ -154,46 +129,5 @@ class Not:
 
     pattern: Pattern
 
-    def holds(self, facts: Iterable[Fact], bindings: Bindings) -> bool:
-        for fact in facts:
-            if self.pattern.match(fact, bindings) is not None:
-                return False
-        return True
-
 
 ConditionalElement = Any  # Pattern | Test | Not
-
-
-def match_lhs(
-    lhs: List[ConditionalElement], facts: List[Fact]
-) -> List[Dict[str, Any]]:
-    """All (bindings, matched-fact) combinations satisfying ``lhs``.
-
-    Returns a list of dicts with keys ``bindings`` and ``facts`` (the
-    Pattern-matched facts, in LHS order).
-    """
-    results: List[Dict[str, Any]] = []
-
-    def extend(index: int, bindings: Bindings, matched: List[Fact]) -> None:
-        if index == len(lhs):
-            results.append({"bindings": bindings, "facts": list(matched)})
-            return
-        element = lhs[index]
-        if isinstance(element, Pattern):
-            for fact in facts:
-                extended = element.match(fact, bindings)
-                if extended is not None:
-                    matched.append(fact)
-                    extend(index + 1, extended, matched)
-                    matched.pop()
-        elif isinstance(element, Test):
-            if element.holds(bindings):
-                extend(index + 1, bindings, matched)
-        elif isinstance(element, Not):
-            if element.holds(facts, bindings):
-                extend(index + 1, bindings, matched)
-        else:
-            raise TypeError(f"bad conditional element {element!r}")
-
-    extend(0, {}, [])
-    return results

@@ -178,6 +178,25 @@ class InferenceEngine:
 
     # -- working memory ----------------------------------------------------------
     def assert_fact(self, fact: Fact) -> Fact:
+        self._stamp(fact)
+        self._facts[fact.fact_id] = fact
+        self._propagate(self._rete.assert_fact, fact)
+        return fact
+
+    def accepts(self, fact: Fact) -> bool:
+        """Whether asserting ``fact`` then running could fire anything
+        (the matcher decides: see ``ReteNetwork.accepts``)."""
+        return self._rete.accepts(fact)
+
+    def skip_fact(self, fact: Fact) -> Fact:
+        """Assert and retract ``fact`` at once, for a fact :meth:`accepts`
+        turned down: it takes its fact id and recency and counts as
+        asserted, as :meth:`assert_fact` would, but never enters working
+        memory or the network."""
+        self._stamp(fact)
+        return fact
+
+    def _stamp(self, fact: Fact) -> None:
         if fact.name not in self.templates:
             raise EngineError(f"assert of unknown template {fact.name!r}")
         if fact.fact_id is not None:
@@ -186,12 +205,9 @@ class InferenceEngine:
         self._next_fact_id += 1
         self._recency += 1
         fact.recency = self._recency
-        self._facts[fact.fact_id] = fact
         self.stats.facts_asserted += 1
-        self._propagate(self._rete.assert_fact, fact)
         if self._metrics is not None:
             self._metrics.counter("secpert_facts_asserted_total").inc()
-        return fact
 
     def retract(self, fact: Fact) -> None:
         if fact.fact_id is None or fact.fact_id not in self._facts:

@@ -39,10 +39,14 @@ This module is that network:
   and fact tuples in ascending fact-id order, so for equal (salience,
   recency) the naive order *is* (rule_index, fact_ids).
 
-``Pattern.match`` remains the single arbiter of match semantics — the
-alpha constants and join-key hashing only prune candidates, and values
-that are unhashable fall back to scan lists, so the network can never
-accept or reject a pairing the naive matcher would not.
+Each alpha-fed node matches with its pattern's generated matcher
+(:mod:`repro.expert.matchgen`), built once for the names bound above the
+node; it is the single arbiter of match semantics — the alpha constants
+and join-key hashing only prune candidates, and values that are
+unhashable fall back to scan lists, so the network can never accept or
+reject a pairing the naive matcher would not.  A fact no alpha memory
+takes can change nothing while the agenda is empty
+(:meth:`ReteNetwork.accepts`), so the engine's caller may skip it.
 
 Propagation ordering (the classic Rete pitfalls):
 
@@ -66,10 +70,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.expert.conditions import Not, P, Pattern, Test, V
 from repro.expert.engine import Activation, Rule
+from repro.expert.matchgen import build_matcher
 from repro.expert.template import Fact
 
 #: Sentinel for join keys containing unhashable values: those tokens and
@@ -180,17 +185,19 @@ class _AlphaFedNode:
     (alpha) input: hashed indexes on both sides, scan-list fallbacks,
     and the outgoing edges."""
 
-    __slots__ = ("network", "pattern", "alpha", "join_slots", "edges",
-                 "rule_index", "position", "tokens", "left_index",
+    __slots__ = ("network", "pattern", "match", "alpha", "join_slots",
+                 "edges", "rule_index", "position", "tokens", "left_index",
                  "left_scan", "right_index", "right_scan")
 
     def __init__(self, network: "ReteNetwork", pattern: Pattern,
-                 alpha: AlphaMemory, join_slots: Tuple[Tuple[str, str], ...],
+                 alpha: AlphaMemory, bound: FrozenSet[str],
                  rule_index: int, position: int) -> None:
         self.network = network
         self.pattern = pattern
+        #: The generated matcher: every token here binds ``bound``.
+        self.match = build_matcher(pattern, bound)
         self.alpha = alpha
-        self.join_slots = join_slots
+        self.join_slots = _join_slots(pattern, bound)
         #: ``(tests, target)``: an output reaches ``target`` when every
         #: test holds on its bindings.
         self.edges: List[Edge] = []
@@ -306,7 +313,7 @@ class JoinNode(_AlphaFedNode):
 
     def _join(self, token: Token, edges: Iterable[Edge]) -> None:
         for fact in self._right_candidates(token):
-            extended = self.pattern.match(fact, token.bindings)
+            extended = self.match(fact, token.bindings)
             if extended is not None:
                 self._emit(edges, token, fact, extended)
 
@@ -317,7 +324,7 @@ class JoinNode(_AlphaFedNode):
     def right_assert(self, fact: Fact) -> None:
         key = self._index_right(fact)
         for token in list(self._left_candidates(key)):
-            extended = self.pattern.match(fact, token.bindings)
+            extended = self.match(fact, token.bindings)
             if extended is not None:
                 self._emit(self.edges, token, fact, extended)
 
@@ -336,7 +343,7 @@ class NegNode(_AlphaFedNode):
         self._store_token(token)
         count = 0
         for fact in self._right_candidates(token):
-            if self.pattern.match(fact, token.bindings) is not None:
+            if self.match(fact, token.bindings) is not None:
                 count += 1
         token.neg_count = count
         if count == 0:
@@ -350,7 +357,7 @@ class NegNode(_AlphaFedNode):
     def right_assert(self, fact: Fact) -> None:
         key = self._index_right(fact)
         for token in list(self._left_candidates(key)):
-            if self.pattern.match(fact, token.bindings) is not None:
+            if self.match(fact, token.bindings) is not None:
                 token.neg_count += 1
                 if token.neg_count == 1:
                     for child in list(token.children):
@@ -359,7 +366,7 @@ class NegNode(_AlphaFedNode):
     def right_retract(self, fact: Fact) -> None:
         self._unindex_right(fact)
         for token in list(self._left_candidates(self._right_key(fact))):
-            if self.pattern.match(fact, token.bindings) is not None:
+            if self.match(fact, token.bindings) is not None:
                 token.neg_count -= 1
                 if token.neg_count == 0:
                     self._emit(self.edges, token, None, token.bindings)
@@ -393,7 +400,7 @@ class _AgendaEntry:
 
 
 def _join_slots(pattern: Pattern,
-                bound: Set[str]) -> Tuple[Tuple[str, str], ...]:
+                bound: FrozenSet[str]) -> Tuple[Tuple[str, str], ...]:
     """Slots whose variable is already bound upstream: the join keys."""
     return tuple(
         (slot, constraint.name)
@@ -443,7 +450,7 @@ class ReteNetwork:
             node = self._nodes.get(key)
             if node is None:
                 alpha = self._alpha_for(pattern)
-                node = kind(self, pattern, alpha, _join_slots(pattern, bound),
+                node = kind(self, pattern, alpha, frozenset(bound),
                             rule_index, position)
                 alpha.successors.append(node)
                 self._nodes[key] = node
@@ -498,6 +505,15 @@ class ReteNetwork:
         return memory
 
     # -- deltas ----------------------------------------------------------
+    def accepts(self, fact: Fact) -> bool:
+        """False when asserting ``fact`` and running to quiescence could
+        change nothing: no activation is pending and no alpha memory
+        takes the fact, so it would reach no node."""
+        if self._entries:
+            return True
+        return any(memory.matches(fact)
+                   for memory in self._alpha_by_template.get(fact.name, ()))
+
     def assert_fact(self, fact: Fact) -> None:
         hit: List[AlphaMemory] = []
         for memory in self._alpha_by_template.get(fact.name, ()):

@@ -40,6 +40,10 @@ class Template:
         self.slots: Dict[str, SlotSpec] = {s.name: s for s in slots}
         if len(self.slots) != len(slots):
             raise TemplateError(f"duplicate slot in template {name!r}")
+        # make(): every slot's default in slot order, then the multislots
+        # whose values need normalizing.
+        self._defaults = {s.name: s.default for s in slots}
+        self._multi = tuple(s for s in slots if s.multi)
 
     @classmethod
     def define(cls, name: str, *slot_names: str, multi: Tuple[str, ...] = ()
@@ -50,15 +54,14 @@ class Template:
         return cls(name, tuple(specs))
 
     def make(self, **values: Any) -> "Fact":
-        unknown = set(values) - set(self.slots)
-        if unknown:
+        if not values.keys() <= self._defaults.keys():
+            unknown = set(values) - set(self.slots)
             raise TemplateError(
                 f"template {self.name!r} has no slot(s) {sorted(unknown)}"
             )
-        normalized = {}
-        for slot in self.slots.values():
-            raw = values.get(slot.name, slot.default)
-            normalized[slot.name] = slot.normalize(raw)
+        normalized = {**self._defaults, **values}
+        for slot in self._multi:
+            normalized[slot.name] = slot.normalize(normalized[slot.name])
         return Fact(self, normalized)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -21,6 +21,9 @@ CONTENT_EMPTY = "empty"
 
 _EXECUTABLE_MAGICS = (b"\x7fEXE", b"\x7fELF", b"MZ")
 
+#: Bytes a text sample may hold: printable ASCII, tab, LF and CR.
+_PRINTABLE = bytes(range(32, 127)) + b"\t\n\r"
+
 
 def sniff_content(data: bytes) -> str:
     """Classify transferred bytes by leading magic."""
@@ -31,8 +34,7 @@ def sniff_content(data: bytes) -> str:
             return CONTENT_EXECUTABLE
     if data.startswith(b"#!"):
         return CONTENT_SCRIPT
-    sample = data[:64]
-    printable = sum(1 for b in sample if 32 <= b < 127 or b in (9, 10, 13))
-    if printable == len(sample):
+    # Text when deleting every printable byte leaves nothing.
+    if not data[:64].translate(None, _PRINTABLE):
         return CONTENT_TEXT
     return CONTENT_BINARY

@@ -31,6 +31,7 @@ calls it.  In long-guest's loop trace that took the hot applier from
 
 from __future__ import annotations
 
+from itertools import repeat, takewhile
 from typing import Dict
 
 from repro.harrier.state import ProcessShadow
@@ -382,14 +383,16 @@ class InstructionDataFlow:
             tuple(tags for _, tags in mem_out),
         )
 
-    # -- helpers used by the event generator --------------------------------
+    # -- helper for the routine hooks (gethostbyname) -----------------------
     @staticmethod
     def string_tags(proc, shadow: ProcessShadow, addr: int,
                     max_len: int = MAX_CSTRING) -> TagSet:
         """Union of shadow tags over the NUL-terminated string at ``addr``.
 
         This is "the data source of the resource ID" (paper section 5.1):
-        e.g. the provenance of a file-name string passed to open().
+        e.g. the provenance of the host name passed to gethostbyname.
+        (A syscall's path is decoded by the kernel, so the event
+        generator takes its tags over ``len(path)`` cells instead.)
 
         The scan window matches :meth:`FlatMemory.read_cstring` (same
         ``MAX_CSTRING`` default, NUL cell excluded); where read_cstring
@@ -397,19 +400,7 @@ class InstructionDataFlow:
         the full window — the monitor must stay conservative, never
         raise, for strings only the guest mis-terminated.
         """
-        tags = EMPTY
-        cells = proc.memory.cells.get
-        shadow_cells = shadow.memory.probe
-        for i in range(max_len):
-            a = addr + i
-            if cells(a, 0) == 0:
-                break
-            cell = shadow_cells(a)
-            if cell is not None:
-                tags = tags.union(cell)
-        return tags
-
-    @staticmethod
-    def range_tags(shadow: ProcessShadow, start: int, length: int) -> TagSet:
-        """Union of shadow tags over [start, start+length)."""
-        return shadow.memory.union_of_range(start, length)
+        length = len(list(takewhile(bool, map(
+            proc.memory.cells.get, range(addr, addr + max_len), repeat(0)
+        ))))
+        return shadow.memory.union_of_range(addr, length)

@@ -96,14 +96,18 @@ class SyscallEventGenerator:
             "call_name": call_name,
         }
 
-    def _string_origin(
-        self, proc: Process, shadow: ProcessShadow, addr: Optional[int]
-    ) -> TagSet:
+    def _path_origin(self, shadow: ProcessShadow,
+                     info: Dict[str, object]) -> TagSet:
+        """Tags of the path string ``describe`` decoded: one cell per
+        character, so the cells before its NUL are ``len(path)``."""
         if not self.config.track_dataflow:
             return _UNKNOWN
-        if addr is None:
+        ptr = info.get("path_ptr")
+        if ptr is None:
             return EMPTY
-        return self.dataflow.string_tags(proc, shadow, addr)
+        return shadow.memory.union_of_range(
+            ptr, len(info["path"])  # type: ignore[arg-type]
+        )
 
     def _buffer_tags(
         self, shadow: ProcessShadow, buf: int, count: int
@@ -181,7 +185,7 @@ class SyscallEventGenerator:
         path = info.get("path")
         if path is None:
             return []
-        origin = self._string_origin(proc, shadow, info.get("path_ptr"))
+        origin = self._path_origin(shadow, info)
         info["_origin_tags"] = origin  # reused by post_effects
         event = ResourceAccessEvent(
             **self._base(proc, shadow, now, syscall_name(sysno)),
@@ -223,10 +227,9 @@ class SyscallEventGenerator:
         count = int(info.get("count", 0))
         server = open_file.meta.get("server")
         data_tags = self._buffer_tags(shadow, buf, count)
-        # Sniff from guest memory: the kernel only attaches the bytes to
-        # the info dict after the call executes, but this event fires
-        # before (the analysis can veto the write).
-        content = sniff_content(proc.memory.read_bytes(buf, min(count, 64)))
+        # The bytes the kernel decoded for this call: the handler writes
+        # the same ones after the analysis lets the call through.
+        content = sniff_content(info.get("data", b""))  # type: ignore[arg-type]
         event = DataTransferEvent(
             **self._base(proc, shadow, now, call_name),
             direction="write",

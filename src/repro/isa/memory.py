@@ -12,7 +12,8 @@ guest-program builders all need them.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from itertools import repeat, takewhile
+from typing import Dict, Iterable, List
 
 from repro.isa.instructions import Instruction
 
@@ -30,6 +31,18 @@ HEAP_BASE = 0x40_0000
 APP_BASE = 0x1000
 LIBRARY_BASE = 0x10_0000
 LIBRARY_STRIDE = 0x2_0000
+
+
+_BYTE = 0xFF
+
+
+def _char(value: int) -> str:
+    """One string cell as a character: masked into the Unicode range,
+    a surrogate replaced by U+FFFD."""
+    code = value & 0x10FFFF
+    if 0xD800 <= code <= 0xDFFF:
+        code = 0xFFFD
+    return chr(code)
 
 
 class FlatMemory:
@@ -66,20 +79,22 @@ class FlatMemory:
         points (U+D800-U+DFFF, which ``chr`` accepts but no string may
         carry through encoding) become U+FFFD instead of letting a guest
         crash the kernel's string decoding with a ValueError.
+
+        The cells are read in one pass; a string of byte-sized codes
+        (every path and host name a guest builds) decodes without a
+        per-character step.
         """
-        chars: List[str] = []
-        cells = self.cells
-        for i in range(max_len):
-            value = cells.get(addr + i, 0)
-            if value == 0:
-                return "".join(chars)
-            code = value & 0x10FFFF
-            if 0xD800 <= code <= 0xDFFF:
-                code = 0xFFFD
-            chars.append(chr(code))
-        raise MemoryFault(
-            f"unterminated string at {addr:#x} (>{max_len} cells)"
-        )
+        codes = list(takewhile(bool, map(
+            self.cells.get, range(addr, addr + max_len), repeat(0)
+        )))
+        if len(codes) >= max_len:
+            raise MemoryFault(
+                f"unterminated string at {addr:#x} (>{max_len} cells)"
+            )
+        try:
+            return bytes(codes).decode("latin-1")
+        except ValueError:
+            return "".join(map(_char, codes))
 
     def write_cstring(self, addr: int, text: str) -> int:
         """Write ``text`` NUL-terminated; returns cells written."""
@@ -89,7 +104,10 @@ class FlatMemory:
         return len(text) + 1
 
     def read_bytes(self, addr: int, length: int) -> bytes:
-        return bytes(self.read(addr + i) & 0xFF for i in range(length))
+        """``length`` cells from ``addr``, each masked to its low byte."""
+        return bytes(map(_BYTE.__and__, map(
+            self.cells.get, range(addr, addr + length), repeat(0)
+        )))
 
     def write_bytes(self, addr: int, data: bytes) -> int:
         for i, byte in enumerate(data):

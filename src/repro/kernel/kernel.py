@@ -731,7 +731,9 @@ class Kernel:
                 if self._metrics is not None:
                     self._c_injected.inc()
             else:
-                result, extra = self.syscalls.dispatch(proc, sysno, args)
+                result, extra = self.syscalls.dispatch(
+                    proc, sysno, args, info
+                )
         except WouldBlock as block:
             proc.state = ProcessState.BLOCKED
             proc.pending = PendingSyscall(sysno, args)

@@ -8,9 +8,12 @@ the *queried name* — exactly the semantic gap of paper section 7.2 that
 Harrier's routine-level short circuit exists to bridge.
 
 Each handler returns ``(result, info)``; ``info`` is merged into the
-event-description dict handed to the monitor hooks.  Handlers raise
-:class:`WouldBlock` when they must wait (socket reads, accept, FIFO reads)
-and are idempotent until they complete.
+event-description dict handed to the monitor hooks.  Guest memory is
+decoded once per call: :meth:`SyscallTable.describe` reads the path,
+host name or written bytes, the monitor's pre-event uses them, and
+:meth:`SyscallTable.dispatch` hands the same dict to the handler.
+Handlers raise :class:`WouldBlock` when they must wait (socket reads,
+accept, FIFO reads) and are idempotent until they complete.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from repro.kernel.process import (
     Process,
     ProcessState,
     ResourceKind,
-    ResourceRef,
     SocketState,
 )
 
@@ -163,6 +165,8 @@ class SyscallTable:
                 if open_file is not None:
                     info["resource"] = open_file.resource()
                     info["open_file"] = open_file
+                    if sysno == SYS_WRITE:
+                        info["data"] = mem.read_bytes(args[1], max(args[2], 0))
             if sysno == SYS_RESOLVE:
                 info["name_ptr"] = args[0]
                 info["hostname"] = mem.read_cstring(args[0])
@@ -200,6 +204,8 @@ class SyscallTable:
             if open_file is not None:
                 info["resource"] = open_file.resource()
                 info["open_file"] = open_file
+                if call == SC_SEND:
+                    info["data"] = mem.read_bytes(buf, max(count, 0))
         elif call in (SC_LISTEN, SC_ACCEPT):
             info["fd"] = sub_args[0]
             open_file = proc.get_fd(sub_args[0])
@@ -221,27 +227,31 @@ class SyscallTable:
 
     # -- dispatch -----------------------------------------------------------
     def dispatch(
-        self, proc: Process, sysno: int, args: Args
+        self, proc: Process, sysno: int, args: Args,
+        info: Dict[str, object],
     ) -> Tuple[Optional[int], Dict[str, object]]:
+        """Execute one call.  ``info`` is what :meth:`describe` decoded
+        for it, and handlers take the call's path, host name or written
+        bytes from there: guest memory is unchanged in between, because
+        the process does not run until its call completes.  A string
+        ``describe`` could not read is EFAULT."""
         handler = self._handlers.get(sysno)
         if handler is None:
             return -errors.ENOSYS, {}
-        return handler(proc, args)
+        return handler(proc, args, info)
 
     # -- process lifecycle -----------------------------------------------------
-    def _sys_exit(self, proc: Process, args: Args):
+    def _sys_exit(self, proc: Process, args: Args, info):
         self.kernel.exit_process(proc, args[0])
         return NO_RESULT, {"status": args[0]}
 
-    def _sys_fork(self, proc: Process, args: Args):
+    def _sys_fork(self, proc: Process, args: Args, info):
         child = self.kernel.fork_process(proc)
         return child.pid, {"child_pid": child.pid}
 
-    def _sys_execve(self, proc: Process, args: Args):
-        mem = proc.memory
-        try:
-            path = mem.read_cstring(args[0])
-        except Exception:
+    def _sys_execve(self, proc: Process, args: Args, info):
+        path = info.get("path")
+        if path is None:
             return -errors.EFAULT, {}
         argv = self._read_ptr_array_strings(proc, args[1])
         env_entries = self._read_ptr_array_strings(proc, args[2])
@@ -256,34 +266,34 @@ class SyscallTable:
             return NO_RESULT, {"path": path, "exec_argv": argv, "success": True}
         return result, {"path": path, "exec_argv": argv, "success": False}
 
-    def _sys_getpid(self, proc: Process, args: Args):
+    def _sys_getpid(self, proc: Process, args: Args, info):
         return proc.pid, {}
 
-    def _sys_time(self, proc: Process, args: Args):
+    def _sys_time(self, proc: Process, args: Args, info):
         return self.kernel.now, {}
 
-    def _sys_nanosleep(self, proc: Process, args: Args):
+    def _sys_nanosleep(self, proc: Process, args: Args, info):
         ticks = max(args[0], 0)
         proc.state = ProcessState.SLEEPING
         proc.wake_time = self.kernel.now + ticks
         return 0, {"ticks": ticks}
 
-    def _sys_brk(self, proc: Process, args: Args):
+    def _sys_brk(self, proc: Process, args: Args, info):
         if args[0] != 0:
             proc.brk = args[0]
         return proc.brk, {}
 
     # -- filesystem ---------------------------------------------------------
-    def _sys_open(self, proc: Process, args: Args):
-        return self._do_open(proc, args[0], args[1])
+    def _sys_open(self, proc: Process, args: Args, info):
+        return self._do_open(proc, args[0], args[1], info)
 
-    def _sys_creat(self, proc: Process, args: Args):
-        return self._do_open(proc, args[0], O_WRONLY | O_CREAT | O_TRUNC)
+    def _sys_creat(self, proc: Process, args: Args, info):
+        return self._do_open(proc, args[0], O_WRONLY | O_CREAT | O_TRUNC,
+                             info)
 
-    def _do_open(self, proc: Process, path_ptr: int, flags: int):
-        try:
-            path = proc.memory.read_cstring(path_ptr)
-        except Exception:
+    def _do_open(self, proc: Process, path_ptr: int, flags: int, info):
+        path = info.get("path")
+        if path is None:
             return -errors.EFAULT, {}
         environ = self._proc_environ_for(path)
         node, err = self.kernel.fs.resolve_open(path, flags, environ)
@@ -333,14 +343,14 @@ class SyscallTable:
             return None
         return target.environ_text()
 
-    def _sys_close(self, proc: Process, args: Args):
+    def _sys_close(self, proc: Process, args: Args, info):
         open_file = proc.remove_fd(args[0])
         if open_file is None:
             return -errors.EBADF, {}
         self.kernel.release_open_file(open_file)
         return 0, {"fd": args[0], "resource": open_file.resource()}
 
-    def _sys_lseek(self, proc: Process, args: Args):
+    def _sys_lseek(self, proc: Process, args: Args, info):
         fd, offset, whence = args[0], args[1], args[2]
         open_file = proc.get_fd(fd)
         if open_file is None:
@@ -361,17 +371,15 @@ class SyscallTable:
         open_file.pos = new_pos
         return new_pos, {"fd": fd, "pos": new_pos}
 
-    def _sys_unlink(self, proc: Process, args: Args):
-        try:
-            path = proc.memory.read_cstring(args[0])
-        except Exception:
+    def _sys_unlink(self, proc: Process, args: Args, info):
+        path = info.get("path")
+        if path is None:
             return -errors.EFAULT, {}
         return self.kernel.fs.unlink(path), {"path": path, "path_ptr": args[0]}
 
-    def _sys_mknod(self, proc: Process, args: Args):
-        try:
-            path = proc.memory.read_cstring(args[0])
-        except Exception:
+    def _sys_mknod(self, proc: Process, args: Args, info):
+        path = info.get("path")
+        if path is None:
             return -errors.EFAULT, {}
         mode = args[1]
         if mode & S_IFIFO:
@@ -381,10 +389,9 @@ class SyscallTable:
             result = 0
         return result, {"path": path, "path_ptr": args[0], "mode": mode}
 
-    def _sys_chmod(self, proc: Process, args: Args):
-        try:
-            path = proc.memory.read_cstring(args[0])
-        except Exception:
+    def _sys_chmod(self, proc: Process, args: Args, info):
+        path = info.get("path")
+        if path is None:
             return -errors.EFAULT, {}
         return self.kernel.fs.chmod(path, args[1]), {
             "path": path,
@@ -392,7 +399,7 @@ class SyscallTable:
             "mode": args[1],
         }
 
-    def _sys_dup(self, proc: Process, args: Args):
+    def _sys_dup(self, proc: Process, args: Args, info):
         new_fd = proc.dup_fd(args[0])
         if new_fd is None:
             return -errors.EBADF, {}
@@ -400,11 +407,12 @@ class SyscallTable:
                         "resource": proc.fds[new_fd].resource()}
 
     # -- I/O ------------------------------------------------------------------
-    def _sys_read(self, proc: Process, args: Args):
+    def _sys_read(self, proc: Process, args: Args, info):
         return self._do_read(proc, args[0], args[1], args[2])
 
-    def _sys_write(self, proc: Process, args: Args):
-        return self._do_write(proc, args[0], args[1], args[2])
+    def _sys_write(self, proc: Process, args: Args, info):
+        return self._do_write(proc, args[0], args[1], args[2],
+                              info.get("data"))
 
     def _do_read(self, proc: Process, fd: int, buf: int, count: int):
         open_file = proc.get_fd(fd)
@@ -453,14 +461,16 @@ class SyscallTable:
             "open_file": open_file,
         }
 
-    def _do_write(self, proc: Process, fd: int, buf: int, count: int):
+    def _do_write(self, proc: Process, fd: int, buf: int, count: int,
+                  data: bytes):
+        """``data`` is the ``count`` bytes at ``buf``, as ``describe``
+        read them for an open fd."""
         open_file = proc.get_fd(fd)
         if open_file is None:
             return -errors.EBADF, {}
         if not open_file.writable():
             return -errors.EBADF, {}
         count = max(count, 0)
-        data = proc.memory.read_bytes(buf, count)
         kind = open_file.kind
         info: Dict[str, object] = {
             "fd": fd,
@@ -498,7 +508,7 @@ class SyscallTable:
         return len(data), info
 
     # -- sockets ----------------------------------------------------------------
-    def _sys_socketcall(self, proc: Process, args: Args):
+    def _sys_socketcall(self, proc: Process, args: Args, decoded):
         call, argp = args[0], args[1]
         mem = proc.memory
         sub = [mem.read(argp + i) for i in range(4)]
@@ -515,7 +525,8 @@ class SyscallTable:
         elif call == SC_ACCEPT:
             result, info = self._sc_accept(proc, sub)
         elif call == SC_SEND:
-            result, info = self._do_write(proc, sub[0], sub[1], sub[2])
+            result, info = self._do_write(proc, sub[0], sub[1], sub[2],
+                                          decoded.get("data"))
         elif call == SC_RECV:
             result, info = self._do_read(proc, sub[0], sub[1], sub[2])
         else:
@@ -629,10 +640,9 @@ class SyscallTable:
         }
 
     # -- name resolution ------------------------------------------------------
-    def _sys_resolve(self, proc: Process, args: Args):
-        try:
-            hostname = proc.memory.read_cstring(args[0])
-        except Exception:
+    def _sys_resolve(self, proc: Process, args: Args, info):
+        hostname = info.get("hostname")
+        if hostname is None:
             return -errors.EFAULT, {}
         ip = self.kernel.network.resolve(hostname)
         if ip is None:

@@ -10,7 +10,7 @@ our implementation does support this.").  This module is the equivalent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import FrozenSet, Tuple
+from typing import Any, Dict, FrozenSet, Tuple
 
 from repro.taint.tags import DataSource, TagSet
 
@@ -87,3 +87,50 @@ class PolicyConfig:
     def is_rare(self, frequency: int, time: int) -> bool:
         """Rarely-executed code far into the run (section 4.1 rule 3)."""
         return frequency < self.rare_frequency and time > self.long_time
+
+
+#: Origins remembered per filter before :class:`PolicyFilters` starts
+#: over (a run sees a few distinct origin sets; this caps a hostile one).
+MAX_MEMO = 4096
+
+
+class PolicyFilters:
+    """A :class:`PolicyConfig` whose trust filters remember answers.
+
+    Every write fact runs five rule tests over the same few origin sets,
+    and each test filters them again; a filter's answer depends only on
+    the set and the (frozen) policy, so one dict probe replaces the
+    name sort.  One instance per Secpert engine: nothing is shared
+    between engines or processes.  Everything else reads through to
+    ``config``.
+    """
+
+    def __init__(self, config: PolicyConfig) -> None:
+        self.config = config
+        self._binary: Dict[TagSet, Tuple[str, ...]] = {}
+        self._socket: Dict[TagSet, Tuple[str, ...]] = {}
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.config, name)
+
+    @staticmethod
+    def _memo(memo: Dict[TagSet, Tuple[str, ...]], origin: TagSet,
+              compute) -> Tuple[str, ...]:
+        names = memo.get(origin)
+        if names is None:
+            if len(memo) >= MAX_MEMO:
+                memo.clear()
+            names = memo[origin] = compute(origin)
+        return names
+
+    def filter_binary(self, origin: TagSet) -> Tuple[str, ...]:
+        return self._memo(self._binary, origin, self.config.filter_binary)
+
+    def filter_socket(self, origin: TagSet) -> Tuple[str, ...]:
+        return self._memo(self._socket, origin, self.config.filter_socket)
+
+    def is_hardcoded(self, origin: TagSet) -> bool:
+        return bool(self.filter_binary(origin))
+
+    def from_socket(self, origin: TagSet) -> bool:
+        return bool(self.filter_socket(origin))

@@ -17,7 +17,7 @@ from repro.harrier.events import SecurityEvent
 from repro.secpert.exec_flow_rules import build_exec_flow_rules
 from repro.secpert.facts import ALL_TEMPLATES, event_to_fact
 from repro.secpert.info_flow_rules import build_info_flow_rules
-from repro.secpert.policy import PolicyConfig
+from repro.secpert.policy import PolicyConfig, PolicyFilters
 from repro.secpert.resource_rules import build_resource_rules
 from repro.secpert.warnings import SecurityWarning, WarningSink
 
@@ -37,10 +37,12 @@ class Secpert(EventAnalyzer):
         engine = InferenceEngine()
         for template in ALL_TEMPLATES:
             engine.define_template(template)
+        # The rules' trust filters, memoised for this engine only.
+        filters = PolicyFilters(self.policy)
         for rule in (
-            build_exec_flow_rules(self.policy)
-            + build_resource_rules(self.policy)
-            + build_info_flow_rules(self.policy)
+            build_exec_flow_rules(filters)
+            + build_resource_rules(filters)
+            + build_info_flow_rules(filters)
         ):
             engine.add_rule(rule)
         engine.context["warn"] = self.sink
@@ -79,13 +81,19 @@ class Secpert(EventAnalyzer):
         fact = event_to_fact(event)
         if fact is None:
             return ()
+        engine = self.engine
+        if not engine.accepts(fact):
+            # No production can take it: asserting, running and
+            # retracting would change nothing but the fact's id.
+            engine.skip_fact(fact)
+            return []
         before = len(self.sink)
-        trace_before = len(self.engine.fire_trace)
-        self.engine.assert_fact(fact)
-        self.engine.run()
-        self.engine.retract(fact)
+        trace_before = len(engine.fire_trace)
+        engine.assert_fact(fact)
+        engine.run()
+        engine.retract(fact)
         new = self.sink.warnings[before:]
-        fired = self.engine.fire_trace[trace_before:]
+        fired = engine.fire_trace[trace_before:]
         # Stamp the triggering event (and, when a provenance recorder is
         # attached, the evidence trail) onto the warnings.
         recorder = self.provenance

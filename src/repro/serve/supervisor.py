@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.procs import mp_context, retry_delay
+from repro.expert import matchgen
 from repro.isa import blockjit
 from repro.serve.worker import serve_worker_main
 
@@ -433,14 +434,17 @@ class Supervisor:
     def _absorb_code_caches(self, msg: Dict[str, object],
                             wid: object) -> None:
         """Mirror a worker's block-JIT code cache (size, compiles,
-        evictions, fused blocks) and library plan tables (entries,
-        plans) into per-worker ``blockjit_*`` and
-        ``blockcache_library_*`` gauges."""
+        evictions, fused blocks), rule-matcher code cache and library
+        plan tables (entries, plans) into per-worker ``blockjit_*``,
+        ``secpert_matcher_*`` and ``blockcache_library_*`` gauges."""
         if self._metrics is None:
             return
         jit, library = msg.get("jit"), msg.get("library")
         if isinstance(jit, dict):
             blockjit.sample_gauges(self._metrics, jit, worker=str(wid))
+        matcher = msg.get("matcher")
+        if isinstance(matcher, dict):
+            matchgen.sample_gauges(self._metrics, matcher, worker=str(wid))
         if isinstance(library, dict):
             for key, value in library.items():
                 self._metrics.gauge(

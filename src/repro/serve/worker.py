@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.api import Session
 from repro.core.report import RunReport
+from repro.expert import matchgen
 from repro.isa import blockjit
 from repro.secpert.policy import PolicyConfig
 from repro.secpert.secpert import Secpert
@@ -156,9 +157,10 @@ def serve_worker_main(worker_id: int, job_queue, result_queue) -> None:
                 "ok": ok,
                 "elapsed": time.perf_counter() - started,
                 "engine": engine,
-                # This worker's block-JIT code cache and library plan
-                # tables (both outlive runs).
+                # This worker's block-JIT code cache, rule-matcher code
+                # cache and library plan tables (all outlive runs).
                 "jit": blockjit.CODE_CACHE.stats(),
+                "matcher": matchgen.MATCHER_CACHE.stats(),
                 "library": session.engine.block_caches.library_stats(),
             })
         except Exception:

@@ -27,7 +27,7 @@ absence always means "clean".
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.taint.tags import EMPTY, TagSet
 
@@ -37,6 +37,16 @@ from repro.taint.tags import EMPTY, TagSet
 PAGE_SHIFT = 6
 PAGE_SIZE = 1 << PAGE_SHIFT
 _PAGE_MASK = PAGE_SIZE - 1
+
+
+def _distinct(sets: List[Optional[TagSet]]) -> Iterable[Optional[TagSet]]:
+    """``sets`` with each object once.  Cells tagged together share one
+    TagSet object, so a run of one object is the usual case;
+    ``list.count`` compares by identity first, so that run costs no
+    ``__eq__`` call."""
+    if not sets or sets.count(sets[0]) == len(sets):
+        return sets[:1]
+    return dict(zip(map(id, sets), sets)).values()
 
 
 class ShadowRegisters:
@@ -282,7 +292,9 @@ class ShadowMemory:
         """Union of the tags over a region (the tag of the region's data).
 
         Early-exits when the store is empty or no resident page
-        intersects the range; otherwise walks live cells, not addresses.
+        intersects the range; otherwise unions each distinct TagSet
+        object of each intersecting page once, read from live cells or
+        addresses, whichever is fewer.
         """
         if length <= 0 or not self._pages:
             return EMPTY
@@ -291,22 +303,17 @@ class ShadowMemory:
         for pno in self._page_range(start, length):
             page = self._pages[pno]
             page_lo = pno << PAGE_SHIFT
-            if start <= page_lo and page_lo + PAGE_SIZE <= end:
-                for ts in page.values():
-                    result = result.union(ts)
-                continue
             lo = max(start, page_lo)
             hi = min(end, page_lo + PAGE_SIZE)
-            if len(page) <= hi - lo:
-                for addr, ts in page.items():
-                    if lo <= addr < hi:
-                        result = result.union(ts)
+            if hi - lo == PAGE_SIZE:
+                sets = list(page.values())
+            elif len(page) <= hi - lo:
+                sets = [ts for addr, ts in page.items() if lo <= addr < hi]
             else:
-                get = page.get
-                for addr in range(lo, hi):
-                    ts = get(addr)
-                    if ts is not None:
-                        result = result.union(ts)
+                sets = list(map(page.get, range(lo, hi)))
+            for ts in _distinct(sets):
+                if ts is not None:
+                    result = result.union(ts)
         return result
 
     def clear(self) -> None:

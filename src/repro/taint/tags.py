@@ -69,7 +69,7 @@ class TagSet:
     of both operand tag sets (section 7.3.1).
     """
 
-    __slots__ = ("_tags", "_hash")
+    __slots__ = ("_tags", "_hash", "_sorted")
 
     _EMPTY: "TagSet" = None  # type: ignore[assignment]
 
@@ -80,6 +80,10 @@ class TagSet:
                 raise TypeError(f"TagSet elements must be Tags, got {tag!r}")
         object.__setattr__(self, "_tags", frozen)
         object.__setattr__(self, "_hash", None)
+        #: The tags in :meth:`Tag.sort_key` order, built on first
+        #: iteration (provenance and the disk format iterate the same
+        #: sets again and again).
+        object.__setattr__(self, "_sorted", None)
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -101,6 +105,19 @@ class TagSet:
 
     def union(self, *others: "TagSet") -> "TagSet":
         """Union of this set with any number of others."""
+        if len(others) == 1:
+            # The common case (a string or buffer whose cells share one
+            # set): an operand that adds nothing builds nothing.
+            other = others[0]
+            if other is self:
+                return self
+            if not isinstance(other, TagSet):
+                raise TypeError(f"can only union TagSets, got {other!r}")
+            if other._tags <= self._tags:
+                return self
+            if self._tags <= other._tags:
+                return other
+            return TagSet(self._tags | other._tags)
         merged = set(self._tags)
         changed = False
         for other in others:
@@ -155,7 +172,11 @@ class TagSet:
 
     # -- dunder -----------------------------------------------------------
     def __iter__(self) -> Iterator[Tag]:
-        return iter(sorted(self._tags, key=Tag.sort_key))
+        ordered = self._sorted
+        if ordered is None:
+            ordered = tuple(sorted(self._tags, key=Tag.sort_key))
+            object.__setattr__(self, "_sorted", ordered)
+        return iter(ordered)
 
     def __len__(self) -> int:
         return len(self._tags)
@@ -183,7 +204,7 @@ class TagSet:
         return self.union(other)
 
     def __repr__(self) -> str:
-        inner = ", ".join(str(t) for t in sorted(self._tags, key=Tag.sort_key))
+        inner = ", ".join(str(t) for t in self)
         return f"TagSet({{{inner}}})"
 
 

@@ -148,14 +148,7 @@ class ProvenanceRecorder:
             self._trail(origin, event, direction="identifier")
 
     def _trail(self, tags, event, *, direction: str) -> None:
-        waypoint = {
-            "tick": event.time,
-            "pid": event.pid,
-            "call": event.call_name,
-            "direction": direction,
-            "resource": _resource_name(getattr(event, "resource", None)),
-            "address": event.address,
-        }
+        waypoint = None
         trails = self.trails
         limit = self.max_trail
         for tag in tags:
@@ -165,11 +158,24 @@ class ProvenanceRecorder:
                 if len(trails) >= self.max_tokens:
                     self.trail_drops += 1
                     continue
-                trails[token] = [waypoint]
-            elif len(trail) < limit:
-                trail.append(waypoint)
-            else:
+                trail = trails[token] = []
+            elif len(trail) >= limit:
                 self.trail_drops += 1
+                continue
+            if waypoint is None:
+                # Built only once some trail takes it: a hot guest's
+                # tokens fill their trails early, then only count drops.
+                waypoint = {
+                    "tick": event.time,
+                    "pid": event.pid,
+                    "call": event.call_name,
+                    "direction": direction,
+                    "resource": _resource_name(
+                        getattr(event, "resource", None)
+                    ),
+                    "address": event.address,
+                }
+            trail.append(waypoint)
 
     def observe_block(self, plan) -> None:
         """Count taint-carrying translated blocks (fastpath diagnostic).

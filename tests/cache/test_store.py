@@ -119,13 +119,14 @@ class TestVerdictCache:
         assert cache.stats.mem_hits == 2
 
     def test_disk_tier_survives_a_new_process_view(self, tmp_path):
-        a = VerdictCache(disk_dir=str(tmp_path))
-        a.store("k", "value")
-        b = VerdictCache(disk_dir=str(tmp_path))
-        assert b.lookup("k") == "value"
+        value = {"report": {"verdict": "high"}}
+        a = VerdictCache(disk_dir=str(tmp_path), namespace="serve")
+        a.store("k", value)
+        b = VerdictCache(disk_dir=str(tmp_path), namespace="serve")
+        assert b.lookup("k") == value
         assert b.stats.disk_hits == 1
         # Promoted to memory: the second lookup is a memory hit.
-        assert b.lookup("k") == "value"
+        assert b.lookup("k") == value
         assert b.stats.mem_hits == 1
 
     def test_namespaces_do_not_collide(self, tmp_path):
@@ -290,20 +291,91 @@ class TestDiskFormat:
         assert cache.disk.corrupt == 1
 
     def test_old_pickle_entry_misses_then_is_overwritten(self, tmp_path):
-        cache = VerdictCache(disk_dir=str(tmp_path))
-        path = cache.disk._path("session-k")
+        cache = VerdictCache(disk_dir=str(tmp_path), namespace="serve")
+        path = cache.disk._path("serve-k")
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as fh:
             fh.write(pickle.dumps(
-                {"key": "session-k", "meta": {}, "value": "old"},
+                {"key": "serve-k", "meta": {}, "value": {"report": {}}},
                 protocol=4,
             ))
         assert cache.lookup("k") is None
         assert cache.stats.misses == 1
-        assert cache.store("k", "new")
-        fresh = VerdictCache(disk_dir=str(tmp_path))
-        assert fresh.lookup("k") == "new"
+        assert cache.store("k", {"report": {"verdict": "new"}})
+        fresh = VerdictCache(disk_dir=str(tmp_path), namespace="serve")
+        assert fresh.lookup("k") == {"report": {"verdict": "new"}}
         assert fresh.stats.disk_hits == 1
+
+
+def _plant(cache, key, value):
+    """Overwrite the disk entry under ``key`` with a decodable ``value``."""
+    full = f"{cache.namespace}-{key}"
+    path = cache.disk._path(full)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump({"key": full, "meta": {}, "value": value}, fh)
+
+
+class TestHitShape:
+    """A decodable disk entry of the wrong shape for its namespace is
+    corrupt: a miss, counted, and never promoted to the memory tier."""
+
+    @pytest.mark.parametrize("namespace,planted", [
+        ("session", {"report": {"verdict": "benign"}}),
+        ("session", "report-object"),
+        ("serve", [1, 2]),
+        ("serve", {"ok": True}),
+        ("serve", {"report": [1]}),
+    ], ids=["session-dict", "session-str", "serve-list", "serve-no-report",
+            "serve-report-list"])
+    def test_wrong_shape_is_a_corrupt_miss(self, tmp_path, namespace,
+                                           planted):
+        registry = MetricsRegistry()
+        cache = VerdictCache(disk_dir=str(tmp_path), namespace=namespace,
+                             metrics=registry)
+        _plant(cache, "k", planted)
+        assert cache.lookup("k") is None
+        assert cache.lookup("k") is None  # not promoted: read again
+        assert cache.stats.misses == 2 and cache.stats.hits == 0
+        assert cache.disk.corrupt == 2
+        assert len(cache.memory) == 0
+        assert cache.snapshot()["disk_corrupt"] == 2
+        assert registry.value("cache_corrupt_total") == 2
+
+    def test_serve_shape_is_a_hit(self, tmp_path):
+        cache = VerdictCache(disk_dir=str(tmp_path), namespace="serve")
+        value = {"report": {"verdict": "high"}, "ok": True}
+        _plant(cache, "k", value)
+        assert cache.lookup("k") == value
+        assert cache.stats.disk_hits == 1
+
+    def test_planted_dict_for_a_session_is_rerun(self, tmp_path):
+        from repro.api import Session
+        from repro.core.report import RunReport
+
+        source = (
+            ".data\nmsg: .asciz \"/etc/passwd\"\n.text\nmain:\n"
+            "    mov eax, 5\n    mov ebx, msg\n    int 0x80\n"
+            "    mov eax, 1\n    mov ebx, 0\n    int 0x80\n"
+        )
+        first = Session(cache=VerdictCache(disk_dir=str(tmp_path)))
+        fresh = first.run(source)
+        (path,) = _rvc_files(tmp_path)
+        with open(path) as fh:
+            envelope = json.load(fh)
+        envelope["value"] = fresh.to_dict()  # a plain dict, not a report
+        with open(path, "w") as fh:
+            json.dump(envelope, fh)
+        session = Session(cache=VerdictCache(disk_dir=str(tmp_path)))
+        report = session.run(source)
+        assert type(report) is RunReport
+        assert report.to_dict() == fresh.to_dict()
+        assert session.cache.stats.hits == 0
+        assert session.cache.disk.corrupt == 1
+        # The re-run stored a real report over the planted entry.
+        again = Session(cache=VerdictCache(disk_dir=str(tmp_path)))
+        assert type(again.run(source)) is RunReport
+        assert again.cache.stats.disk_hits == 1
 
 
 class TestCacheDirPermissions:

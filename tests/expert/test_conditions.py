@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.expert import Not, P, Pattern, Template, Test, V, match_lhs
+from repro.expert import Not, P, Pattern, Template, Test, V
+from tests.oracles.matcher import match_lhs
 
 
 @pytest.fixture

@@ -1,6 +1,9 @@
 """Event-generation detail tests: content sniffing on transfers, memory
 events, origin registries, dataflow-off origin semantics."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.hth import HTH
 from repro.harrier.config import HarrierConfig
 from repro.harrier.events import (
@@ -9,7 +12,7 @@ from repro.harrier.events import (
     ResourceAccessEvent,
 )
 from repro.isa import assemble
-from repro.kernel.network import ConversationPeer, SinkPeer
+from repro.kernel.network import SinkPeer
 from repro.taint import DataSource
 
 
@@ -206,3 +209,108 @@ buf: .space 32
         flows = [w for w in report.warnings
                  if w.rule == "check_resource_flow"]
         assert flows and all(w.severity is Severity.LOW for w in flows)
+
+
+class TestGuestMemoryDecodedOnce:
+    """``describe`` decodes a call's path and written bytes; the monitor's
+    pre-event and the handler both use that decoding."""
+
+    SOURCE = r"""
+main:
+    mov ebx, path
+    mov ecx, 0x241
+    call open
+    mov esi, eax
+    mov ebx, esi
+    mov ecx, payload
+    call fputs
+    mov eax, 0
+    ret
+.data
+path: .asciz "/tmp/decoded-once"
+payload: .asciz "#!fake script"
+"""
+
+    def test_one_read_per_path_and_per_write(self, monkeypatch):
+        from repro.isa.memory import FlatMemory
+
+        reads = []
+        for name in ("read_cstring", "read_bytes"):
+            original = getattr(FlatMemory, name)
+
+            def counted(self, addr, *rest, _name=name, _fn=original):
+                result = _fn(self, addr, *rest)
+                reads.append((_name, result))
+                return result
+
+            monkeypatch.setattr(FlatMemory, name, counted)
+        report, hth = run(self.SOURCE)
+        assert [r for r in reads if r == ("read_cstring",
+                                          "/tmp/decoded-once")] \
+            == [("read_cstring", "/tmp/decoded-once")]
+        assert [r for r in reads if r == ("read_bytes", b"#!fake script")] \
+            == [("read_bytes", b"#!fake script")]
+        assert hth.fs.lookup("/tmp/decoded-once").data == b"#!fake script"
+        (write,) = [e for e in report.events
+                    if isinstance(e, DataTransferEvent)]
+        assert write.content_type == "script"
+        (opened,) = [e for e in report.events
+                     if isinstance(e, ResourceAccessEvent)
+                     and e.resource.name == "/tmp/decoded-once"]
+        assert opened.origin.has_source(DataSource.BINARY)
+
+
+    def test_one_read_per_socketcall_send(self, monkeypatch):
+        from repro.isa.memory import FlatMemory
+
+        source = r"""
+main:
+    mov ebx, host
+    call gethostbyname
+    mov ecx, eax
+    mov edx, 7000
+    call socket
+    mov ebx, eax
+    call connect_addr
+    mov edi, args
+    store [edi], ebx
+    store [edi+1], payload
+    store [edi+2], 6
+    mov ebx, 9
+    mov ecx, edi
+    mov eax, 102
+    int 0x80
+    mov eax, 0
+    ret
+.data
+host: .asciz "dest.example"
+payload: .asciz "secret"
+args: .space 4
+"""
+        reads = []
+        original = FlatMemory.read_bytes
+
+        def counted(self, addr, length):
+            reads.append(original(self, addr, length))
+            return reads[-1]
+
+        monkeypatch.setattr(FlatMemory, "read_bytes", counted)
+        report, _ = run(source, setup=lambda hth: hth.network.add_peer(
+            "dest.example", 7000, lambda: SinkPeer("dest")))
+        assert reads.count(b"secret") == 1
+        (sent,) = [e for e in report.events
+                   if isinstance(e, DataTransferEvent)]
+        assert sent.call_name == "SYS_socketcall:send"
+        assert sent.content_type == "text" and sent.length == 6
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.binary(max_size=100))
+def test_text_sniffing_equals_the_per_byte_rule(data):
+    from repro.harrier.content import sniff_content
+
+    sample = data[:64]
+    printable = sum(1 for b in sample if 32 <= b < 127 or b in (9, 10, 13))
+    if data and sniff_content(data) in ("text", "binary"):
+        expected = "text" if printable == len(sample) else "binary"
+        assert sniff_content(data) == expected

@@ -11,7 +11,11 @@ switches that pin the block JIT to one executor:
   with Harrier's per-instruction taint replay;
 * :mod:`tests.oracles.replay` — template replay of every block's taint,
   transfer by transfer (the compiled summaries never run);
-* :mod:`tests.oracles.matcher` — the naive full-rejoin rule matcher;
+* :mod:`tests.oracles.matcher` — the naive full-rejoin rule matcher
+  and the interpreted reading of a pattern the generated matchers
+  replace;
+* :mod:`tests.oracles.readers` — per-cell guest-memory and shadow-tag
+  readers (strings, buffers, a range's tags, a string's NUL scan);
 * :mod:`tests.oracles.jit` — block-JIT switches: fuse every block from
   its first execution, run the per-instruction closures only, keep
   fused blocks on the record path (the monitor in ``on_block``), trace
@@ -19,10 +23,11 @@ switches that pin the block JIT to one executor:
   generated code call every taint applier instead of inlining its
   steady state.
 
-Each is installed with a context manager that patches the one production
-path it stands in for, so no product constructor, option or CLI flag
-selects it.  A patch made before a fork is inherited by fork-started
-fleet and serve workers.
+Each path oracle is installed with a context manager that patches the
+one production path it stands in for, so no product constructor, option
+or CLI flag selects it; the readers are plain functions the tests call
+beside the production ones.  A patch made before a fork is inherited
+by fork-started fleet and serve workers.
 """
 
 from tests.oracles.interpreter import reference_interpreter

@@ -197,6 +197,45 @@ class TestAdmissionOrdering:
             assert "report" in envelope["value"]
 
 
+class TestSharedCacheDir:
+    def test_planted_list_entry_is_rerun_not_a_closed_stream(self,
+                                                             tmp_path):
+        """A valid-JSON entry of the wrong shape in a shared cache dir is
+        a corrupt miss: the submission runs and ends in a report."""
+        import os
+
+        cache_dir = tmp_path / "cache"
+        sub = Submission(workload=TROJAN)
+
+        async def first():
+            async with daemon(tmp_path, cache_dir=str(cache_dir)) as d:
+                return await submit_async(d.unix_path, sub)
+
+        async def second():
+            async with daemon(tmp_path, cache_dir=str(cache_dir)) as d:
+                rerun = await submit_async(d.unix_path, sub)
+                hit = await submit_async(d.unix_path, sub)
+                return rerun, hit, d.cache.snapshot()
+
+        fresh = run(first())
+        (path,) = [os.path.join(dirpath, name)
+                   for dirpath, _, names in os.walk(cache_dir)
+                   for name in names if name.endswith(".rvc")]
+        with open(path) as fh:
+            envelope = json.load(fh)
+        envelope["value"] = [1, 2, 3]
+        with open(path, "w") as fh:
+            json.dump(envelope, fh)
+        rerun, hit, snap = run(second())
+        assert kinds(rerun) == kinds(fresh)
+        assert rerun[-1]["cached"] is False
+        assert rerun[-1]["report"] == fresh[-1]["report"]
+        assert snap["disk_corrupt"] == 1
+        # The re-run's result replaced the planted one.
+        assert hit[-1]["kind"] == "report" and hit[-1]["cached"] is True
+        assert hit[-1]["report"] == fresh[-1]["report"]
+
+
 class TestCacheMetricsExposition:
     def test_cache_families_land_in_openmetrics(self, tmp_path):
         from repro.telemetry.metrics import render_openmetrics

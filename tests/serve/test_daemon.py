@@ -364,6 +364,14 @@ class TestHttpFront:
         for gauge in ("blockjit_code_objects", "blockjit_compiles",
                       "blockjit_evictions", "blockjit_fused_blocks"):
             assert value(warm["text"], f'{gauge}{{worker="0"}}') >= 0
+        # ... and its rule-matcher code cache: Secpert's shapes, built
+        # at least once per run.
+        for gauge in ("secpert_matcher_shapes", "secpert_matcher_compiles",
+                      "secpert_matcher_evictions", "secpert_matcher_builds"):
+            assert value(warm["text"], f'{gauge}{{worker="0"}}') >= 0
+        assert value(
+            warm["text"], 'secpert_matcher_shapes{worker="0"}'
+        ) >= 1
         # ... and its library plan tables: libc and the startup shim.
         assert value(
             warm["text"], 'blockcache_library_entries{worker="0"}'
