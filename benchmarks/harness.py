@@ -9,7 +9,7 @@ to ``benchmarks/results/``, and asserts the measured shape matches.
 from __future__ import annotations
 
 import pathlib
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.report import RunReport
 from repro.programs.base import Workload

@@ -2,10 +2,10 @@
 
 This module drives :mod:`repro.programs.mutate` at scale: every Trojan
 of Tables 4-8 becomes the parent of N seed-deterministic variants per
-mutation class, the whole set fans out through the fleet engine
-(round-robin ``shard_by="interleave"``: the parent process only plans
-refs, and every worker mutates, assembles and runs its own variants),
-and the verdicts come back as a detection-rate matrix — variant class
+mutation class, the whole set fans out through the fleet engine (the
+parent process only plans refs and hands each idle worker its next
+one; every worker mutates, assembles and runs its own variants), and
+the verdicts come back as a detection-rate matrix — variant class
 x policy rule x verdict.
 
 The point of the exercise is the *evasions*: any variant whose verdict
@@ -309,7 +309,6 @@ def run_sweep(
     seed: int = 0,
     options: Optional[RunOptions] = None,
     workers: int = 4,
-    shard_by: str = "interleave",
     max_retries: int = 1,
     cache_dir: Optional[str] = None,
 ) -> SweepResult:
@@ -317,14 +316,11 @@ def run_sweep(
 
     Defaults sweep every mutation class over every Trojan of Tables
     4-8; ``per_class`` scales the grid (30 parents x 7 classes means
-    ``per_class=5`` already exceeds a thousand variants).  The fleet
-    shards round-robin by default, so the parent never touches a
-    variant: workers resolve, mutate and assemble their own.  Each
-    worker's warm engine still translates and relocates libc once for
-    all its variants (see :class:`repro.harrier.blockcache
-    .BlockCacheStore`).  ``shard_by="cluster"`` is opt-in: it assembles
-    every variant in the parent first to order them by similarity,
-    which costs more than the warmer caches save on a sweep.
+    ``per_class=5`` already exceeds a thousand variants).  The parent
+    never touches a variant: the fleet hands refs to idle workers,
+    which resolve, mutate and assemble their own.  Each worker's warm
+    engine still translates and relocates libc once for all its
+    variants (see :class:`repro.harrier.blockcache.BlockCacheStore`).
     """
     plan = plan_sweep(parents, classes, per_class, seed)
     if options is None:
@@ -336,7 +332,6 @@ def run_sweep(
         [planned.ref for planned in plan],
         options=options,
         workers=workers,
-        shard_by=shard_by,
         max_retries=max_retries,
         cache_dir=cache_dir,
     )

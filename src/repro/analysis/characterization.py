@@ -10,7 +10,7 @@ implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.taint.tags import DataSource
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.image import Image
-from repro.isa.instructions import Imm, Instruction, Opcode
+from repro.isa.instructions import Instruction, Opcode
 
 #: Routines whose use of a hardcoded operand violates the Secure Binary
 #: rules: (symbol, what the operand names).

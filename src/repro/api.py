@@ -15,7 +15,7 @@ that to::
 A :class:`Session` is a *warm* execution context: it owns an
 :class:`~repro.core.engine.EngineCache` (translated-block store +
 tag-set interner + assemble memo) that every run it makes reuses.  One
-fleet worker builds one Session per shard; sweeps and benchmarks get
+fleet worker builds one Session for all its tasks; sweeps and benchmarks get
 the same reuse for free.  Machines are still fresh per run — a Session
 never shares kernel, filesystem, monitor, or analyzer state between
 runs, so reports remain bit-identical to cold, one-shot execution

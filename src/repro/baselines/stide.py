@@ -13,7 +13,7 @@ the same workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.kernel.hooks import CompositeHooks, KernelHooks
 from repro.kernel.syscalls import syscall_name

@@ -12,9 +12,7 @@ cannot answer cheaply:
 * *what is it near?* — a 64-bit simhash over opcode n-grams, a
   locality-sensitive digest under which near-duplicate variants (one
   patched constant, a renamed symbol) land a small Hamming distance
-  apart.  Fleet sweeps use it to order shards so variants of one family
-  share a worker (and its warm block cache); operators use it to spot
-  clusters in submitted traffic.
+  apart.  Operators use it to spot clusters in submitted traffic.
 
 Everything here is deterministic and hash()-free for the same reason the
 cache keys are: two processes must profile the same image identically.
@@ -242,8 +240,7 @@ def cluster_order(pairs: Sequence[Tuple[object, int]]) -> List[object]:
 
     ``pairs`` is ``(item, simhash)``.  Greedy nearest-neighbour chaining
     from the smallest simhash: deterministic, O(n²) on n≤ hundreds of
-    workloads, and good enough that contiguous chunk sharding puts a
-    variant family on one worker.
+    workloads, and good enough to keep a variant family together.
     """
     remaining = [
         _Clustered(index=i, simhash=s, item=item)

@@ -16,7 +16,7 @@ Usage (also via ``python -m repro``)::
     # reproduce a paper table
     python -m repro table 6
 
-    # the full 62-workload sweep, sharded over 4 worker processes
+    # the full 62-workload sweep on 4 worker processes
     python -m repro fleet --workers 4
 
     # adversarial variant sweep: 1000+ mutated Trojans, evasion report
@@ -356,7 +356,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     assert_verdicts = args.profile == "transparent"
 
     if args.workers > 1 and args.seed is None:
-        # Shard the (workload × seed) grid over a fleet.  Telemetry
+        # Run the (workload × seed) grid on a fleet.  Telemetry
         # output stays a serial-mode feature: per-run hubs cannot feed
         # the one shared tracer the flags expect.
         if telemetry is not None:
@@ -504,7 +504,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    """Shard a workload sweep across worker processes (``repro fleet``)."""
+    """Run a workload sweep on worker processes (``repro fleet``)."""
     from repro.fleet import run_fleet, write_fleet_trace
     from repro.telemetry import render_samples
 
@@ -526,7 +526,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         refs,
         options=options,
         workers=args.workers,
-        shard_by=args.shard_by,
         max_retries=args.max_retries,
         cache_dir=cache_dir,
     )
@@ -598,7 +597,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         options=_run_options(args),
         workers=args.workers,
-        shard_by=args.shard_by,
         max_retries=args.max_retries,
         cache_dir=None if args.no_cache else args.cache_dir,
     )
@@ -987,14 +985,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--show-faults", action="store_true",
                        help="dump every injected fault per trial")
     chaos.add_argument("--workers", type=int, default=1,
-                       help="shard the (workload x seed) grid over this "
+                       help="run the (workload x seed) grid on this "
                             "many worker processes (default: 1, serial)")
     _add_telemetry_options(chaos)
     chaos.set_defaults(func=cmd_chaos)
 
     fleet = sub.add_parser(
         "fleet",
-        help="shard a workload sweep across worker processes",
+        help="run a workload sweep on worker processes",
     )
     fleet.add_argument("--table", action="append",
                        choices=sorted(_TABLE_BENCHES), metavar="KEY",
@@ -1005,13 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--workers", type=int, default=4,
                        help="worker processes (default: 4; clamped to "
                             "the task count)")
-    fleet.add_argument("--shard-by",
-                       choices=("interleave", "chunk", "name", "cluster"),
-                       default="interleave",
-                       help="shard strategy (default: interleave; "
-                            "cluster groups near-duplicate workloads by "
-                            "triage simhash so shards share cache "
-                            "locality)")
     fleet.add_argument("--max-retries", type=int, default=1,
                        help="retries per run on watchdog/monitor-fault "
                             "outcomes (default: 1)")
@@ -1048,14 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "matrix (default: 0)")
     sweep.add_argument("--workers", type=int, default=4,
                        help="fleet worker processes (default: 4)")
-    sweep.add_argument("--shard-by",
-                       choices=("interleave", "chunk", "name", "cluster"),
-                       default="interleave",
-                       help="shard strategy (default: interleave — the "
-                            "parent only plans, workers build their own "
-                            "variants; cluster is opt-in and slower: it "
-                            "assembles every variant in the parent to "
-                            "group near-duplicates)")
     sweep.add_argument("--max-retries", type=int, default=1,
                        help="retries per run on watchdog/monitor-fault "
                             "outcomes (default: 1)")

@@ -4,7 +4,7 @@ One :class:`~repro.core.hth.HTH` instance models one machine and lives
 for one run, so by construction every run used to retranslate every
 basic block and re-intern every tag set from scratch.  Sweeps (the §9
 table, the 62-workload differential suite, chaos seed trials, fleet
-shards) run the *same images* over and over — an ideal reuse target,
+workers) run the *same images* over and over — an ideal reuse target,
 because the block translation cache and the tag-set interner are pure
 performance substrates whose contents never leak into observable run
 output (proven by ``tests/harrier/test_blockcache_differential.py``).
@@ -25,7 +25,7 @@ An :class:`EngineCache` owns that reusable state:
   layout keys of the block-cache store stable across runs.
 
 Sharing an EngineCache is what "each fleet worker owns a warm
-BlockCache/TagSetInterner reused across its shard" means concretely:
+BlockCache/TagSetInterner reused across its tasks" means concretely:
 :class:`repro.api.Session` creates one and threads it into every HTH it
 builds.  An EngineCache must only ever be used from one process/thread
 at a time (fleet workers each build their own).

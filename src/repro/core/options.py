@@ -45,7 +45,7 @@ class RunOptions:
     """Everything that configures one monitored run.
 
     Frozen and picklable: fleet workers receive the coordinator's
-    options verbatim, so a sharded run is configured bit-for-bit like
+    options verbatim, so a fleet run is configured bit-for-bit like
     its serial twin.
     """
 

@@ -167,12 +167,11 @@ def run_chaos_suite(
     profile: FaultProfile = TRANSPARENT_PROFILE,
     wall_timeout: Optional[float] = DEFAULT_WALL_TIMEOUT,
     workers: int = 1,
-    shard_by: str = "name",
 ) -> List[ChaosResult]:
     """The chaos stability suite: every workload under ``trials`` distinct
     fault schedules derived from ``base_seed``.
 
-    ``workers > 1`` shards the (workload × seed) grid across a fleet of
+    ``workers > 1`` runs the (workload × seed) grid on a fleet of
     processes.  Items may then be :class:`repro.fleet.WorkloadRef` or
     registry :class:`Workload` rows (resolved to refs by name).  Results
     are identical either way: ``(workload, profile, seed)`` determines a
@@ -183,7 +182,7 @@ def run_chaos_suite(
     seeds = chaos_seeds(base_seed, trials)
     if workers > 1:
         return _run_chaos_fleet(
-            workloads, seeds, profile, wall_timeout, workers, shard_by
+            workloads, seeds, profile, wall_timeout, workers
         )
     resolved = [
         w if isinstance(w, Workload) else w.resolve() for w in workloads
@@ -199,7 +198,6 @@ def _run_chaos_fleet(
     profile: FaultProfile,
     wall_timeout: Optional[float],
     workers: int,
-    shard_by: str,
 ) -> List[ChaosResult]:
     """Fan the (workload × seed) grid out over a fleet and regroup."""
     from repro.core.options import RunOptions
@@ -227,9 +225,7 @@ def _run_chaos_fleet(
         for i, ref in enumerate(refs)
         for j, seed in enumerate(seeds)
     ]
-    fleet = run_fleet(
-        tasks, workers=workers, shard_by=shard_by, max_retries=0
-    )
+    fleet = run_fleet(tasks, workers=workers, max_retries=0)
     results: List[ChaosResult] = []
     per = len(seeds)
     for i, ref in enumerate(refs):

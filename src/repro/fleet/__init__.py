@@ -1,18 +1,18 @@
-"""repro.fleet — sharded multi-process execution of workload sets.
+"""repro.fleet — multi-process execution of workload sets.
 
 The paper's evaluation is dozens of independent monitored runs (the §9
 table sweep is 62 workloads; a chaos sweep is workloads × seeds).  Each
 run is a fresh machine, so they parallelize perfectly — this package
-shards them across worker processes while keeping the merged output
+feeds them to worker processes while keeping the merged output
 bit-identical to a serial sweep:
 
 * :mod:`refs` — picklable :class:`WorkloadRef`/:class:`FleetTask` units
   and the canonical :data:`REGISTRIES` map;
 * :mod:`worker` — the process entrypoint: one warm
-  :class:`~repro.api.Session` per shard, watchdog/monitor-fault retries
+  :class:`~repro.api.Session` per worker, watchdog/monitor-fault retries
   with backoff, streamed wire records;
-* :mod:`engine` — :func:`run_fleet`: shard, spawn, collect, order by
-  task index;
+* :mod:`engine` — :func:`run_fleet`: spawn, hand each worker its next
+  task as it finishes one, collect, order by task index;
 * :mod:`merge` / :mod:`report` — fleet-level telemetry merging, Chrome
   traces, and the :class:`FleetReport` roll-up.
 
@@ -24,7 +24,7 @@ Entry points: ``repro fleet`` on the command line, or::
     assert not fleet.failures
 """
 
-from repro.fleet.engine import SHARD_STRATEGIES, run_fleet, shard
+from repro.fleet.engine import run_fleet
 from repro.fleet.merge import (
     fleet_chrome_trace,
     merged_telemetry,
@@ -53,8 +53,6 @@ from repro.fleet.worker import (
 
 __all__ = [
     "run_fleet",
-    "shard",
-    "SHARD_STRATEGIES",
     "REGISTRIES",
     "REGISTRY_ORDER",
     "WorkloadRef",

@@ -1,8 +1,11 @@
-"""The fleet coordinator: shard, spawn, stream, merge.
+"""The fleet coordinator: spawn, feed, stream, merge.
 
-:func:`run_fleet` takes an ordered task list, splits it across N worker
-processes (:func:`shard`), streams per-run records off a result queue as
-they finish, and merges them — ordered by task index — into a
+:func:`run_fleet` takes an ordered task list and starts N worker
+processes.  Each worker has its own inbox and holds at most
+:data:`WORKER_DEPTH` tasks — the one it runs and the next — and gets
+its next task as it reports one finished, so no worker idles while
+another still has a backlog.  Per-run records stream back on one shared
+result queue and are merged — ordered by task index — into a
 :class:`FleetReport` whose per-run report dicts are bit-identical to
 running the same tasks serially with the same options.
 
@@ -12,33 +15,35 @@ Determinism contract
   per-process warm engine cache whose reuse is semantics-free (the
   differential suites hold that line).
 * Records carry their task index; the coordinator sorts by it, so the
-  merged report does not depend on worker count, shard strategy, or
-  scheduling.  ``workers=1`` runs the identical code path in-process and
-  is the serial baseline the determinism tests compare against.
+  merged report does not depend on worker count, on which worker ran
+  which task, or on scheduling.  ``workers=1`` runs the identical code
+  path in-process and is the serial baseline the determinism tests
+  compare against.
 * Wall-clock facts (``elapsed``, ``wall_seconds``) and scheduling facts
   (``worker``, ``attempts``) live outside the per-run report dicts.
 
 Failure containment: a worker that dies without delivering its sentinel
-(segfault, OOM kill) costs only its unfinished tasks — the coordinator
-synthesizes error records for them and the fleet completes.
+(segfault, OOM kill) costs only the task it died on — the coordinator
+synthesizes an error record for it, hands the task queued behind it to
+a surviving worker, and the fleet completes.  Only when every worker
+has died do the tasks left get error records.
 
 Graceful shutdown: SIGTERM/SIGINT during :func:`run_fleet` requests a
 *drain* instead of dying mid-merge — workers finish the task they are
-on and skip the rest, the coordinator synthesizes ``cancelled`` records
-for skipped tasks, and the caller still gets a complete, schema-
-versioned :class:`FleetReport` with ``partial=True``.  A second signal
-falls through to the default handler (hard kill) — the escape hatch
-when a drain itself wedges.
+on and start no other, the coordinator synthesizes ``cancelled``
+records for every task not started, and the caller still gets a
+complete, schema-versioned :class:`FleetReport` with ``partial=True``.
+A second signal falls through to the default handler (hard kill) — the
+escape hatch when a drain itself wedges.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import collections
 import queue as queue_mod
 import signal
 import threading
 import time
-import zlib
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.api import Session
@@ -49,69 +54,36 @@ from repro.core.procs import mp_context
 from repro.fleet.merge import merged_telemetry
 from repro.fleet.refs import FleetTask, WorkloadRef, make_tasks
 from repro.fleet.report import CANCELLED_PREFIX, FleetReport, FleetRunRecord
-from repro.fleet.worker import (
-    DEFAULT_BACKOFF,
-    DEFAULT_MAX_RETRY_WALL,
-    run_task_with_retry,
-    worker_main,
-)
+from repro.fleet.worker import run_task_with_retry, worker_main
 
-SHARD_STRATEGIES = ("interleave", "chunk", "name", "cluster")
+#: Tasks a worker holds at once: the one it runs and the next.  With
+#: one, every task waits a coordinator round trip before it starts;
+#: with two, the next task is already in the worker's inbox when the
+#: current one ends.  More would only let a worker sit on tasks an
+#: idle worker could run while it finishes a slow one.
+WORKER_DEPTH = 2
 
 #: How long the coordinator waits on the result queue before checking
-#: worker liveness, seconds.
+#: worker liveness and the stop event, seconds.
 _POLL_INTERVAL = 0.1
 
-
-def shard(
-    tasks: Sequence[FleetTask], workers: int, shard_by: str = "interleave"
-) -> List[List[FleetTask]]:
-    """Split tasks into per-worker shards (some may be empty).
-
-    * ``interleave`` — round-robin by task index: balances mixed-cost
-      sweeps (the default).
-    * ``chunk`` — contiguous slices: preserves registry locality, so a
-      worker's warm engine sees related workloads back to back.
-    * ``name`` — stable hash of the workload name: the same workload
-      always lands on the same worker regardless of task order (useful
-      for seed sweeps repeating each workload many times).
-    * ``cluster`` — static-triage similarity order (simhash over opcode
-      n-grams, see :mod:`repro.cache.triage`), then contiguous chunks:
-      near-duplicate variants share a worker and its warm caches.
-      Purely a scheduling choice — the merged report is still ordered
-      by task index, so results are unchanged.
-    """
-    if shard_by not in SHARD_STRATEGIES:
-        raise ValueError(
-            f"unknown shard strategy {shard_by!r}; "
-            f"expected one of {SHARD_STRATEGIES}"
-        )
-    shards: List[List[FleetTask]] = [[] for _ in range(workers)]
-    if shard_by in ("chunk", "cluster"):
-        ordered = cluster_tasks(tasks) if shard_by == "cluster" else tasks
-        per, extra = divmod(len(ordered), workers)
-        start = 0
-        for i in range(workers):
-            size = per + (1 if i < extra else 0)
-            shards[i] = list(ordered[start:start + size])
-            start += size
-    elif shard_by == "name":
-        for task in tasks:
-            wid = zlib.crc32(task.ref.name.encode()) % workers
-            shards[wid].append(task)
-    else:
-        for i, task in enumerate(tasks):
-            shards[i % workers].append(task)
-    return shards
+#: ``FleetRunRecord.worker`` of a task that was never handed to a worker.
+NO_WORKER = -1
 
 
+# Uncalled: tasks go to whichever worker is idle, so nothing orders
+# them by similarity any more.  It stays (with ``cluster_order`` and
+# ``hamming64``) only because ``perfbench/tracer.py`` wraps
+# ``repro.fleet.engine.cluster_tasks`` by name and fails to install
+# without it; all three go once that tracer row does.
 def cluster_tasks(tasks: Sequence[FleetTask]) -> List[FleetTask]:
     """Tasks reordered so statically-similar workloads are adjacent.
 
     Each task's workload is resolved and assembled (deterministic, no
     execution) and its triage simhash drives a nearest-neighbour chain.
-    A task whose workload will not resolve keeps simhash 0 — it still
-    lands in a shard, and the failure surfaces as a normal run record.
+    A task whose workload will not resolve keeps simhash 0 — it keeps
+    a place in the order, and the failure surfaces as a normal run
+    record.
     """
     pairs = []
     for task in tasks:
@@ -180,40 +152,32 @@ class _DrainGuard:
                 pass
 
 
-def _cancelled_record(task: FleetTask, worker_id: int) -> FleetRunRecord:
+_CANCELLED = (
+    f"{CANCELLED_PREFIX}: shutdown requested before this task started "
+    "(fleet drained in-flight work)"
+)
+
+
+def _synthesized(task: FleetTask, worker_id: int, error: str):
+    """The record of a task that produced none of its own."""
     return FleetRunRecord(
-        index=task.index,
-        name=task.ref.name,
-        worker=worker_id,
-        attempts=0,
-        error=(
-            f"{CANCELLED_PREFIX}: shutdown requested before this task "
-            "started (fleet drained in-flight work)"
-        ),
+        index=task.index, name=task.ref.name, worker=worker_id,
+        attempts=0, error=error,
     )
 
 
-def _run_serial(
-    tasks: List[FleetTask],
-    max_retries: int,
-    backoff: float,
-    stop_event=None,
-    max_retry_wall: float = DEFAULT_MAX_RETRY_WALL,
-    cache_dir: Optional[str] = None,
-) -> tuple:
+def _run_serial(tasks, max_retries, stop_event, cache_dir) -> tuple:
     """The workers=1 path: same retry loop, same warm session, in-process."""
     session = Session(
         cache=VerdictCache(disk_dir=cache_dir) if cache_dir else None
     )
     records = []
     for task in sorted(tasks, key=lambda t: t.index):
-        if stop_event is not None and stop_event.is_set():
-            records.append(_cancelled_record(task, worker_id=0))
+        if stop_event.is_set():
+            records.append(_synthesized(task, 0, _CANCELLED))
             continue
         wire = run_task_with_retry(
-            session, task, worker_id=0,
-            max_retries=max_retries, backoff=backoff,
-            max_retry_wall=max_retry_wall,
+            session, task, worker_id=0, max_retries=max_retries
         )
         records.append(FleetRunRecord.from_wire(wire))
     cache_parts = (
@@ -222,69 +186,154 @@ def _run_serial(
     return records, cache_parts
 
 
-def _collect(
-    procs: Dict[int, "multiprocessing.process.BaseProcess"],
-    assigned: Dict[int, List[FleetTask]],
-    result_queue,
-    stop_event=None,
-) -> tuple:
-    """Drain the result queue until every worker finished or died."""
-    records: Dict[int, FleetRunRecord] = {}
-    cache_parts: Dict[int, dict] = {}
-    clean_exit: set = set()
-    done: set = set()
-    while len(done) < len(procs):
-        try:
-            msg = result_queue.get(timeout=_POLL_INTERVAL)
-        except queue_mod.Empty:
-            for wid, proc in procs.items():
-                if wid not in done and not proc.is_alive():
-                    done.add(wid)  # died without a sentinel
-            continue
+class _Dispatch:
+    """Feed a started worker pool until every worker has exited or died.
+
+    ``procs`` and ``inboxes`` map worker id to its process and its task
+    queue; every worker streams onto ``result_queue``.  :meth:`run`
+    returns the records in task order and the workers' cache snapshots
+    in worker order.
+    """
+
+    def __init__(self, procs, inboxes, tasks, result_queue, stop_event):
+        self.procs = procs
+        self.inboxes = inboxes
+        self.result_queue = result_queue
+        self.stop_event = stop_event
+        #: Tasks not handed out, in index order.
+        self.pending = collections.deque(
+            sorted(tasks, key=lambda t: t.index)
+        )
+        #: Worker id -> tasks handed to it and not reported, oldest first.
+        self.held: Dict[int, List[FleetTask]] = {wid: [] for wid in procs}
+        #: Workers that have neither sent their sentinel nor died.
+        self.live = set(procs)
+        #: Whether the live workers have been sent the ``None`` that
+        #: ends their loop.
+        self.closed = False
+        self.records: Dict[int, FleetRunRecord] = {}
+        self.cache_parts: Dict[int, dict] = {}
+
+    def run(self) -> tuple:
+        self._feed()
+        while self.live:
+            try:
+                self._receive(self.result_queue.get(timeout=_POLL_INTERVAL))
+            except queue_mod.Empty:
+                pass
+            for wid in sorted(self.live):
+                if self.procs[wid].exitcode is not None:
+                    self._bury(wid)
+            self._feed()
+        draining = self.stop_event.is_set()
+        for wid, held in self.held.items():  # stopped by a drain
+            for task in held:
+                self.records[task.index] = _synthesized(task, wid, _CANCELLED)
+        for task in self.pending:
+            self.records[task.index] = _synthesized(
+                task, NO_WORKER, _CANCELLED if draining
+                else "every worker died before this task started",
+            )
+        records = [self.records[i] for i in sorted(self.records)]
+        # Deterministic merge: worker order, not arrival order.
+        parts = [self.cache_parts[w] for w in sorted(self.cache_parts)]
+        return records, parts
+
+    def _feed(self) -> None:
+        """Top every live worker up to WORKER_DEPTH tasks, round robin;
+        close them all on a drain or once no task is left anywhere."""
+        if self.closed:
+            return
+        if not self.stop_event.is_set():
+            while self.pending:
+                hungry = [
+                    wid for wid in sorted(self.live)
+                    if len(self.held[wid]) < WORKER_DEPTH
+                ]
+                if not hungry:
+                    break
+                for wid in hungry[:len(self.pending)]:
+                    task = self.pending.popleft()
+                    self.held[wid].append(task)
+                    self.inboxes[wid].put(task)
+            # A task held by a live worker may yet come back to the pool
+            # (if that worker dies), so nobody is closed before then.
+            if self.pending or any(self.held[wid] for wid in self.live):
+                return
+        for wid in sorted(self.live):
+            self.inboxes[wid].put(None)
+        self.closed = True
+
+    def _receive(self, msg: dict) -> None:
+        wid, index = msg["worker"], msg.get("index")
         if msg.get("kind") == "worker-done":
-            done.add(msg["worker"])
-            clean_exit.add(msg["worker"])
+            self.live.discard(wid)
             if msg.get("cache"):
-                cache_parts[msg["worker"]] = msg["cache"]
-        else:
-            records[msg["index"]] = FleetRunRecord.from_wire(msg)
-    # Synthesize records for tasks that never reported: cancelled when
-    # their worker drained cleanly after a stop request, error when it
-    # died under them.
-    draining = stop_event is not None and stop_event.is_set()
-    for wid, tasks in assigned.items():
-        for task in tasks:
-            if task.index in records:
-                continue
-            if draining and wid in clean_exit:
-                records[task.index] = _cancelled_record(task, worker_id=wid)
-            else:
-                exit_code = procs[wid].exitcode
-                records[task.index] = FleetRunRecord(
-                    index=task.index,
-                    name=task.ref.name,
-                    worker=wid,
-                    attempts=0,
-                    error=(
-                        f"worker {wid} died before finishing this task "
-                        f"(exit code {exit_code})"
-                    ),
-                )
-    ordered_records = [records[i] for i in sorted(records)]
-    # Deterministic merge: worker order, not arrival order.
-    ordered_parts = [cache_parts[wid] for wid in sorted(cache_parts)]
-    return ordered_records, ordered_parts
+                self.cache_parts[wid] = msg["cache"]
+            return
+        self.records[index] = FleetRunRecord.from_wire(msg)
+        self.held[wid] = [t for t in self.held[wid] if t.index != index]
+
+    def _bury(self, wid: int) -> None:
+        """Account for a worker whose process has exited."""
+        # Read what it streamed before exiting — its sentinel, too, if
+        # it exited cleanly.
+        while True:
+            try:
+                self._receive(self.result_queue.get_nowait())
+            except queue_mod.Empty:
+                break
+        if wid not in self.live:
+            return
+        self.live.discard(wid)
+        held, self.held[wid] = self.held[wid], []
+        if held:
+            self.records[held[0].index] = _synthesized(
+                held[0], wid,
+                f"worker {wid} died before finishing this task "
+                f"(exit code {self.procs[wid].exitcode})",
+            )
+            # Never started: a surviving worker runs them instead.
+            self.pending.extendleft(reversed(held[1:]))
+
+
+def _run_pool(ctx, tasks, workers, max_retries, stop_event, cache_dir):
+    """Start ``workers`` processes, feed them, and wait them out."""
+    result_queue = ctx.Queue()
+    procs: Dict[int, object] = {}
+    inboxes: Dict[int, object] = {}
+    for wid in range(workers):
+        # One inbox per worker, not one shared task queue: a worker
+        # killed inside ``get`` keeps that queue's read lock, and every
+        # other worker would hang on it.
+        inboxes[wid] = ctx.SimpleQueue()
+        procs[wid] = ctx.Process(
+            target=worker_main,
+            args=(wid, inboxes[wid], result_queue, max_retries,
+                  stop_event, cache_dir),
+            daemon=True,
+        )
+        procs[wid].start()
+    try:
+        return _Dispatch(
+            procs, inboxes, tasks, result_queue, stop_event
+        ).run()
+    finally:
+        for proc in procs.values():
+            proc.join(timeout=5.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5.0)
+        result_queue.close()
+        for inbox in inboxes.values():
+            inbox.close()
 
 
 def run_fleet(
     work: Sequence[Union[FleetTask, WorkloadRef]],
     options: Optional[RunOptions] = None,
     workers: int = 4,
-    shard_by: str = "interleave",
     max_retries: int = 1,
-    backoff: float = DEFAULT_BACKOFF,
-    max_retry_wall: float = DEFAULT_MAX_RETRY_WALL,
-    mp_start_method: Optional[str] = None,
     stop_event=None,
     cache_dir: Optional[str] = None,
 ) -> FleetReport:
@@ -301,63 +350,33 @@ def run_fleet(
     arrival order).  Records stay bit-identical with or without it.
 
     SIGTERM/SIGINT (or an externally provided ``stop_event``) drains:
-    in-flight tasks finish, skipped ones become ``cancelled`` records,
-    and the merged report comes back with ``partial=True``.  Pass a
-    pre-built event (``multiprocessing.Event()`` — or the matching
-    context's event for a custom ``mp_start_method``) to drive drains
+    in-flight tasks finish, the rest become ``cancelled`` records, and
+    the merged report comes back with ``partial=True``.  Pass a
+    pre-built ``multiprocessing`` event to drive drains
     programmatically; signal handlers are installed either way when on
     the main thread.
     """
     started = time.perf_counter()
     tasks = _normalize_tasks(work, options)
     workers = max(1, min(int(workers), len(tasks) or 1))
-    ctx = mp_context(mp_start_method)
+    ctx = mp_context()
     if stop_event is None:
         stop_event = ctx.Event() if workers > 1 else threading.Event()
     guard = _DrainGuard(stop_event).install()
-
     try:
         if workers == 1:
             records, cache_parts = _run_serial(
-                tasks, max_retries, backoff,
-                stop_event=stop_event, max_retry_wall=max_retry_wall,
-                cache_dir=cache_dir,
+                tasks, max_retries, stop_event, cache_dir
             )
         else:
-            shards = shard(tasks, workers, shard_by)
-            result_queue = ctx.Queue()
-            procs: Dict[int, object] = {}
-            assigned: Dict[int, List[FleetTask]] = {}
-            for wid, worker_tasks in enumerate(shards):
-                if not worker_tasks:
-                    continue
-                proc = ctx.Process(
-                    target=worker_main,
-                    args=(wid, worker_tasks, result_queue,
-                          max_retries, backoff, stop_event,
-                          max_retry_wall, cache_dir),
-                    daemon=True,
-                )
-                proc.start()
-                procs[wid] = proc
-                assigned[wid] = worker_tasks
-            try:
-                records, cache_parts = _collect(
-                    procs, assigned, result_queue, stop_event
-                )
-            finally:
-                for proc in procs.values():
-                    proc.join(timeout=5.0)
-                    if proc.is_alive():
-                        proc.terminate()
-                        proc.join(timeout=5.0)
-                result_queue.close()
+            records, cache_parts = _run_pool(
+                ctx, tasks, workers, max_retries, stop_event, cache_dir
+            )
     finally:
         guard.restore()
 
     return FleetReport(
         workers=workers,
-        shard_by=shard_by,
         max_retries=max_retries,
         runs=records,
         wall_seconds=time.perf_counter() - started,

@@ -23,7 +23,9 @@ from repro.telemetry import TelemetrySnapshot
 #: v2: added the top-level ``partial`` flag (graceful-shutdown drains
 #: emit a report for the work that finished; cancelled tasks appear as
 #: error records) and ``summary.cancelled``.
-FLEET_SCHEMA_VERSION = 2
+#: v3: dropped the shard-strategy key — tasks go to whichever worker
+#: is idle, so placement is no longer a choice to record.
+FLEET_SCHEMA_VERSION = 3
 
 #: Error-text prefix of records synthesized for tasks a drain skipped.
 CANCELLED_PREFIX = "cancelled"
@@ -35,6 +37,8 @@ class FleetRunRecord:
 
     index: int
     name: str
+    #: The worker that ran (or was running) the task; ``-1`` when no
+    #: worker was ever handed it.
     worker: int
     attempts: int = 1
     #: Why each non-final attempt was retried ("watchdog",
@@ -101,7 +105,6 @@ class FleetReport:
     """All task outcomes of one fleet run, in task-index order."""
 
     workers: int
-    shard_by: str
     max_retries: int
     runs: List[FleetRunRecord] = field(default_factory=list)
     #: Coordinator wall seconds, submit to last result.
@@ -113,7 +116,7 @@ class FleetReport:
     partial: bool = False
     #: Merged verdict-cache counters across workers, when the fleet ran
     #: with a shared cache (``cache_dir=``); None otherwise.  Optional
-    #: addition within wire schema v2 — absent keys read as no cache.
+    #: addition to the wire schema — absent keys read as no cache.
     cache_stats: Optional[Dict[str, object]] = None
 
     @property
@@ -138,7 +141,6 @@ class FleetReport:
         return {
             "schema_version": FLEET_SCHEMA_VERSION,
             "workers": self.workers,
-            "shard_by": self.shard_by,
             "max_retries": self.max_retries,
             "wall_seconds": self.wall_seconds,
             "partial": self.partial,
@@ -167,7 +169,7 @@ class FleetReport:
         )
         return (
             f"fleet: {len(self.runs)} runs on {self.workers} worker(s) "
-            f"[{self.shard_by}] in {self.wall_seconds:.2f}s — "
+            f"in {self.wall_seconds:.2f}s — "
             f"{len(self.failures)} failure(s), "
             f"{len(self.retried)} retried{partial}"
         )

@@ -1,11 +1,12 @@
-"""Fleet worker: one process, one warm Session, one shard of tasks.
+"""Fleet worker: one process, one warm Session, tasks off its inbox.
 
 The worker entrypoint (:func:`worker_main`) is a top-level function so
 it survives both ``fork`` and ``spawn`` start methods.  Each worker
-builds a single :class:`repro.api.Session` and runs its whole shard
-through it, so the translated-block store, tag-set interner, and
-assemble memo stay warm across the shard — the same reuse a serial
-sweep gets, without sharing any mutable machine state between runs.
+builds a single :class:`repro.api.Session` and runs every task the
+coordinator sends it through that session, so the translated-block
+store, tag-set interner, and assemble memo stay warm across the sweep —
+the same reuse a serial sweep gets, without sharing any mutable machine
+state between runs.
 
 Retry policy (:func:`run_task_with_retry`): a run whose result reason is
 ``watchdog`` (wall-clock stall) or that recorded contained
@@ -18,7 +19,7 @@ as a failed record with its retry history intact.
 Retry *timing* is deterministic too (:func:`retry_delay`): the delay is
 an exponential base with jitter derived from the task's fault seed,
 index, and attempt number — not from ``random`` — so a chaos sweep
-replays with a bit-identical schedule.  ``max_retry_wall`` caps the
+replays with a bit-identical schedule.  :data:`MAX_RETRY_WALL` caps the
 *planned* total of those delays per task; because the plan is
 deterministic, where a sweep gives up is reproducible as well.
 """
@@ -38,7 +39,7 @@ from repro.fleet.refs import FleetTask
 #: Exponential backoff base between retry attempts, seconds.
 DEFAULT_BACKOFF = 0.05
 #: Cap on the summed planned retry delays per task, seconds.
-DEFAULT_MAX_RETRY_WALL = 30.0
+MAX_RETRY_WALL = 30.0
 
 RETRY_WATCHDOG = "watchdog"
 RETRY_MONITOR_FAULT = "monitor-fault"
@@ -64,7 +65,6 @@ def run_task_with_retry(
     worker_id: int = 0,
     max_retries: int = 1,
     backoff: float = DEFAULT_BACKOFF,
-    max_retry_wall: float = DEFAULT_MAX_RETRY_WALL,
     sleep: Callable[[float], None] = time.sleep,
     runner: Optional[Callable[..., RunReport]] = None,
 ) -> dict:
@@ -73,7 +73,7 @@ def run_task_with_retry(
     ``runner(workload, options, telemetry)`` is injectable so the retry
     path is unit-testable without multiprocessing or a real stall; the
     default runs through the session's warm engine.  Retries stop early
-    once the *planned* backoff total would exceed ``max_retry_wall``
+    once the *planned* backoff total would exceed :data:`MAX_RETRY_WALL`
     (a deterministic budget — see :func:`retry_delay`).
     """
     started = time.perf_counter()
@@ -116,7 +116,7 @@ def run_task_with_retry(
             delay = retry_delay(
                 backoff, attempt, f"{task.options.fault_seed}:{task.index}"
             )
-            if planned_wall + delay > max_retry_wall:
+            if planned_wall + delay > MAX_RETRY_WALL:
                 break  # retry budget spent; the last outcome stands
             planned_wall += delay
             retries.append(reason)
@@ -145,19 +145,20 @@ def run_task_with_retry(
 
 def worker_main(
     worker_id: int,
-    tasks: List[FleetTask],
+    inbox,
     queue,
     max_retries: int = 1,
-    backoff: float = DEFAULT_BACKOFF,
     stop_event=None,
-    max_retry_wall: float = DEFAULT_MAX_RETRY_WALL,
     cache_dir: Optional[str] = None,
 ) -> None:
-    """Process entrypoint: drain a shard, stream records, then a sentinel.
+    """Process entrypoint: run what the inbox delivers, stream records,
+    then a sentinel.
 
-    Records stream as each task finishes (the coordinator shows progress
-    and merges incrementally); the final ``worker-done`` message carries
-    the worker's warm-engine statistics for the fleet summary.
+    The coordinator keeps at most two tasks in ``inbox`` and ends the
+    loop with ``None``.  Records stream as each task finishes (the
+    coordinator hands out the next task and merges incrementally); the
+    final ``worker-done`` message carries the worker's warm-engine
+    statistics for the fleet summary.
 
     With ``cache_dir`` the worker's Session runs against the shared
     on-disk verdict cache.  Sharing is merge-free by construction: keys
@@ -166,26 +167,21 @@ def worker_main(
     whichever worker's write lands.
 
     ``stop_event`` is the coordinator's drain request (SIGTERM/SIGINT):
-    when set, the worker finishes the task it is on, skips the rest of
-    its shard, and sends its sentinel — the coordinator synthesizes
-    ``cancelled`` records for the skipped tasks and marks the fleet
-    report partial.
+    when set, the worker finishes the task it is on, starts no other,
+    and sends its sentinel — the coordinator synthesizes ``cancelled``
+    records for the tasks it never started and marks the fleet report
+    partial.
     """
     session = Session(
         cache=VerdictCache(disk_dir=cache_dir) if cache_dir else None
     )
-    for task in tasks:
-        if stop_event is not None and stop_event.is_set():
+    while True:
+        task = inbox.get()
+        if task is None or (stop_event is not None and stop_event.is_set()):
             break
-        record = run_task_with_retry(
-            session,
-            task,
-            worker_id=worker_id,
-            max_retries=max_retries,
-            backoff=backoff,
-            max_retry_wall=max_retry_wall,
-        )
-        queue.put(record)
+        queue.put(run_task_with_retry(
+            session, task, worker_id=worker_id, max_retries=max_retries
+        ))
     queue.put({
         "kind": "worker-done",
         "worker": worker_id,

@@ -26,8 +26,8 @@ character code per cell, NUL-terminated.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.isa.image import DataRelocation, Image, TextRelocation
 from repro.isa.instructions import (

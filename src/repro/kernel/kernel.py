@@ -32,7 +32,6 @@ from repro.isa.memory import FlatMemory, MemoryFault
 from repro.isa.translate import (
     EXIT_BUDGET as BLOCK_BUDGET,
     EXIT_CONTINUE as BLOCK_CONTINUE,
-    EXIT_FAULT as BLOCK_FAULT,
     EXIT_HALT as BLOCK_HALT,
     EXIT_SYSCALL as BLOCK_SYSCALL,
 )
@@ -636,7 +635,7 @@ class Kernel:
                 self._fault_log.append((proc.pid, "HLT executed"))
                 self.exit_process(proc, EXIT_FAULT)
                 return
-            else:  # BLOCK_FAULT
+            else:  # a fault (translate.EXIT_FAULT)
                 self._fault_log.append((proc.pid, str(rec.fault)))
                 if self._metrics is not None:
                     self._c_cpu_faults.inc()

@@ -20,7 +20,6 @@ from repro.harrier.events import (
     SecurityEvent,
 )
 from repro.kernel.process import ResourceKind
-from repro.taint.tags import TagSet
 
 #: Resource kinds folded into the policy's FILE type (a FIFO or a
 #: directory listing is file-like for information-flow purposes).

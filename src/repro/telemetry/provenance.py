@@ -22,7 +22,7 @@ Determinism contract: evidence is built *only* from the Harrier event
 stream and the engine fire trace — both of which are bit-identical
 across the block cache / fastpath execution modes (proven by the
 62-workload differential suite) — so trails are identical no matter how
-the guest was executed, serially or sharded.  The block-level
+the guest was executed, serially or on a fleet.  The block-level
 ``TaintSummary`` observations (:meth:`ProvenanceRecorder.observe_block`)
 are an execution-mode *diagnostic* and surface exclusively through
 ``provenance_*`` metrics, never inside evidence.

@@ -1,8 +1,6 @@
 """Baseline tests: stide detector mechanics and the single-taint-bit
 ablation (the paper's section 5.1 argument)."""
 
-import pytest
-
 from repro.baselines import (
     StideDetector,
     evaluate_single_bit,
@@ -10,7 +8,6 @@ from repro.baselines import (
     is_tainted,
     record_trace,
 )
-from repro.core.report import Verdict
 from repro.programs.micro.execflow import table4_workloads
 from repro.programs.micro.infoflow import table6_workloads
 from repro.programs.trusted import table7_workloads

@@ -60,22 +60,23 @@ class TestFleetDifferential:
     def test_shared_store_warm_sweep_is_bit_identical(self, tmp_path):
         refs = workload_refs(["4", "8"])
         store = str(tmp_path / "cache")
+        serial = run_fleet(refs, workers=1)
         cold = run_fleet(refs, workers=2, cache_dir=store)
-        warm = run_fleet(refs, workers=3, shard_by="cluster",
-                         cache_dir=store)
-        plain = run_fleet(refs, workers=2)
+        warm = [run_fleet(refs, workers=n, cache_dir=store) for n in (3, 4)]
 
+        assert serial.cache_stats is None
         assert cold.cache_stats["misses"] == len(refs)
         assert cold.cache_stats["stores"] == len(refs)
-        assert warm.cache_stats["hits"] == len(refs)
-        assert warm.cache_stats["misses"] == 0
-        assert plain.cache_stats is None
+        for fleet in warm:
+            assert fleet.cache_stats["hits"] == len(refs)
+            assert fleet.cache_stats["misses"] == 0
 
         by_name = lambda fleet: {  # noqa: E731
             r.name: json.dumps(r.report, sort_keys=True, default=str)
             for r in fleet.runs
         }
-        assert by_name(cold) == by_name(warm) == by_name(plain)
+        for fleet in [cold, *warm]:
+            assert by_name(fleet) == by_name(serial), fleet.workers
 
     def test_fleet_report_wire_shape_carries_cache(self, tmp_path):
         refs = workload_refs(["4"])

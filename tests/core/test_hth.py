@@ -1,7 +1,5 @@
 """HTH facade and report tests."""
 
-import pytest
-
 from repro.core import HTH, RunReport, Verdict, run_monitored, stub_binary
 from repro.core.hth import STANDARD_BINARIES
 from repro.isa import assemble

@@ -4,7 +4,6 @@ naive matcher (the ``tests/oracles`` reference)."""
 
 import contextlib
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.expert import Fact, SlotSpec, Template, TemplateError
+from repro.expert import SlotSpec, Template, TemplateError
 
 
 @pytest.fixture

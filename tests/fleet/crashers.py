@@ -40,22 +40,22 @@ def _nap(hth) -> None:
 
 
 def crasher_workloads():
-    """Rows 'ok-before' / 'worker-killer' / 'ok-after': the middle one
-    takes its whole worker process down mid-task."""
-    return [
+    """Rows 'worker-killer' / 'worker-killer-2' take their whole worker
+    process down mid-task; 'ok-1' … 'ok-4' are plain benign rows."""
+    killers = [
         Workload(
-            name="ok-before", program_path="/bin/ok1", source=_BENIGN_SRC,
-            description="plain benign row sharded before the crash",
-        ),
-        Workload(
-            name="worker-killer", program_path="/bin/crash",
+            name=name, program_path=f"/bin/{name}",
             source=_BENIGN_SRC, setup=_die,
             description="os._exit mid-task: no sentinel, no record",
-        ),
+        )
+        for name in ("worker-killer", "worker-killer-2")
+    ]
+    return killers + [
         Workload(
-            name="ok-after", program_path="/bin/ok2", source=_BENIGN_SRC,
-            description="plain benign row sharded after the crash",
-        ),
+            name=f"ok-{i}", program_path=f"/bin/ok{i}", source=_BENIGN_SRC,
+            description="plain benign row beside the crash",
+        )
+        for i in range(1, 5)
     ]
 
 

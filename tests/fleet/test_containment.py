@@ -1,31 +1,35 @@
 """Dead-worker containment and graceful fleet shutdown, end to end.
 
 Containment: a worker that ``os._exit``s mid-task (a real process
-death — no Python unwinding, no sentinel) must cost only its unfinished
-tasks: the coordinator synthesizes error records for them, keeps every
-other record, preserves task-index order, and returns without hanging.
+death — no Python unwinding, no sentinel) must cost only the task it
+died on: the coordinator synthesizes an error record for it, hands the
+task queued behind it to a surviving worker, keeps every other record,
+preserves task-index order, and returns without hanging.
 
 Graceful shutdown: a drain request (signal or programmatic stop event)
 mid-sweep must still produce a complete, ordered, schema-versioned
-FleetReport — in-flight tasks finish, skipped tasks surface as
+FleetReport — in-flight tasks finish, tasks not started surface as
 ``cancelled`` records, and ``partial=True``.
 """
 
 import os
 import signal
 import threading
-import time
 
 import pytest
 
-from repro.core.options import RunOptions
-from repro.fleet import WorkloadRef, make_tasks, run_fleet
+from repro.fleet import WorkloadRef, run_fleet
 from tests.fleet.crashers import CRASH_EXIT_CODE, SLEEP_SECONDS
 
-CRASHERS = [
-    WorkloadRef("tests.fleet.crashers", "crasher_workloads", name)
-    for name in ("ok-before", "worker-killer", "ok-after")
-]
+
+def _crashers(*names):
+    return [
+        WorkloadRef("tests.fleet.crashers", "crasher_workloads", name)
+        for name in names
+    ]
+
+
+OK_ROWS = ("ok-1", "ok-2", "ok-3", "ok-4")
 
 
 def _sleepy_refs(count=6):
@@ -38,47 +42,51 @@ def _sleepy_refs(count=6):
 class TestDeadWorkerContainment:
     @pytest.fixture(scope="class")
     def fleet(self):
-        # One worker owns the whole shard: the crash also strands
-        # 'ok-after', exercising multi-task record synthesis.
-        return run_fleet(CRASHERS, workers=2, shard_by="chunk")
+        # Two workers, each handed two tasks up front: the killer's
+        # worker also holds ok-2, queued behind the crash.
+        return run_fleet(_crashers("worker-killer", *OK_ROWS), workers=2)
 
     def test_no_hang_and_no_lost_tasks(self, fleet):
-        assert [r.index for r in fleet.runs] == [0, 1, 2]
-        assert [r.name for r in fleet.runs] == [
-            "ok-before", "worker-killer", "ok-after"
-        ]
+        assert [r.index for r in fleet.runs] == [0, 1, 2, 3, 4]
+        assert [r.name for r in fleet.runs] == ["worker-killer", *OK_ROWS]
 
-    def test_crash_synthesizes_error_records(self, fleet):
-        killer = fleet.runs[1]
+    def test_crash_synthesizes_an_error_record(self, fleet):
+        killer = fleet.runs[0]
         assert killer.failed
         assert f"exit code {CRASH_EXIT_CODE}" in killer.error
         assert killer.report is None
 
-    def test_stranded_shardmate_also_contained(self, fleet):
-        # chunk sharding puts ok-before+worker-killer on worker 0; the
-        # crash happens before ok-after's worker is affected — ok-after
-        # lives on worker 1 and must be fine, while any task stranded
-        # behind the crash on worker 0 gets a synthesized record.
-        ok_before, killer, ok_after = fleet.runs
-        assert killer.worker == ok_before.worker  # chunk: [0,1] | [2]
-        assert not ok_before.failed
-        assert ok_before.report["verdict"] == "benign"
-        assert not ok_after.failed
+    def test_only_the_killer_fails(self, fleet):
+        assert [r.name for r in fleet.failures] == ["worker-killer"]
+        for record in fleet.runs[1:]:
+            assert not record.failed, record.error
+            assert record.report["verdict"] == "benign"
 
-    def test_fleet_completes_with_verdicts_for_survivors(self, fleet):
+    def test_task_queued_behind_the_crash_runs_on_a_survivor(self, fleet):
+        killer, ok_2 = fleet.runs[0], fleet.runs[2]
+        assert ok_2.name == "ok-2"
+        assert ok_2.worker != killer.worker
+        assert ok_2.attempts == 1
+
+    def test_fleet_is_not_partial(self, fleet):
         assert not fleet.partial
-        survivors = [r for r in fleet.runs if not r.failed]
-        assert {r.report["verdict"] for r in survivors} == {"benign"}
+        assert fleet.cancelled == []
 
-    def test_interleave_isolates_the_crash(self):
-        # interleave over 2 workers: worker 0 gets [ok-before, ok-after],
-        # worker 1 gets [worker-killer] alone — only the killer's record
-        # is synthesized, nothing else is collateral damage.
-        fleet = run_fleet(CRASHERS, workers=2, shard_by="interleave")
-        by_name = {r.name: r for r in fleet.runs}
-        assert by_name["worker-killer"].failed
-        assert not by_name["ok-before"].failed
-        assert not by_name["ok-after"].failed
+    def test_every_worker_dying_errors_the_tasks_left(self):
+        fleet = run_fleet(
+            _crashers("worker-killer", "worker-killer-2", "ok-1", "ok-2"),
+            workers=2,
+        )
+        assert [r.index for r in fleet.runs] == [0, 1, 2, 3]
+        killers, left = fleet.runs[:2], fleet.runs[2:]
+        assert {r.worker for r in killers} == {0, 1}
+        for record in killers:
+            assert f"exit code {CRASH_EXIT_CODE}" in record.error
+        for record in left:
+            assert record.failed
+            assert not record.cancelled
+            assert "every worker died" in record.error
+        assert not fleet.partial
 
 
 class TestGracefulShutdown:
@@ -95,7 +103,7 @@ class TestGracefulShutdown:
         assert [r.index for r in fleet.runs] == [0, 1, 2, 3]
         assert all(r.cancelled for r in fleet.runs)
         data = fleet.to_dict()
-        assert data["schema_version"] == 2
+        assert data["schema_version"] == 3
         assert data["partial"] is True
         assert data["summary"]["cancelled"] == 4
 
@@ -110,7 +118,7 @@ class TestGracefulShutdown:
         )
         timer.start()
         try:
-            fleet = run_fleet(refs, workers=2, shard_by="chunk")
+            fleet = run_fleet(refs, workers=2)
         finally:
             timer.cancel()
         assert fleet.partial

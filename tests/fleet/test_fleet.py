@@ -1,11 +1,11 @@
-"""Fleet engine: sharding, retries, and serial/sharded determinism.
+"""Fleet engine: dispatch, retries, and serial/fleet determinism.
 
 The load-bearing property: a fleet's merged per-run report dicts are
 bit-identical to running the same tasks serially — independent of worker
-count and shard strategy.  Plus the retry policy (watchdog and
-monitor-fault outcomes retry with backoff, deterministic outcomes never
-do) both as a unit (injected runner) and end to end (a real watchdog
-kill via ``wall_timeout=0``).
+count and of which worker ran which task.  Plus the retry policy
+(watchdog and monitor-fault outcomes retry with backoff, deterministic
+outcomes never do) both as a unit (injected runner) and end to end (a
+real watchdog kill via ``wall_timeout=0``).
 """
 
 import json
@@ -23,7 +23,6 @@ from repro.fleet import (
     retry_reason,
     run_fleet,
     run_task_with_retry,
-    shard,
     workload_refs,
 )
 from repro.fleet.report import FleetRunRecord
@@ -35,52 +34,6 @@ ELM = WorkloadRef.from_registry("8", "ElmExploit")
 
 def _reports_json(fleet):
     return json.dumps(fleet.reports, sort_keys=True, default=str)
-
-
-# ---------------------------------------------------------------------------
-# sharding
-
-
-class TestShard:
-    def _tasks(self, n=10):
-        return [
-            FleetTask(index=i, ref=ELM, options=RunOptions())
-            for i in range(n)
-        ]
-
-    @pytest.mark.parametrize("strategy", ("interleave", "chunk", "name"))
-    def test_every_task_assigned_exactly_once(self, strategy):
-        tasks = self._tasks()
-        shards = shard(tasks, 3, strategy)
-        assert len(shards) == 3
-        flat = sorted(t.index for s in shards for t in s)
-        assert flat == list(range(10))
-
-    def test_interleave_round_robins(self):
-        shards = shard(self._tasks(5), 2, "interleave")
-        assert [t.index for t in shards[0]] == [0, 2, 4]
-        assert [t.index for t in shards[1]] == [1, 3]
-
-    def test_chunk_is_contiguous(self):
-        shards = shard(self._tasks(5), 2, "chunk")
-        assert [t.index for t in shards[0]] == [0, 1, 2]
-        assert [t.index for t in shards[1]] == [3, 4]
-
-    def test_name_is_sticky(self):
-        tasks = make_tasks(workload_refs(["8"]))
-        first = shard(tasks, 4, "name")
-        again = shard(list(reversed(tasks)), 4, "name")
-        by_name = {
-            t.ref.name: wid
-            for wid, s in enumerate(first) for t in s
-        }
-        for wid, s in enumerate(again):
-            for task in s:
-                assert by_name[task.ref.name] == wid
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown shard strategy"):
-            shard(self._tasks(2), 2, "roulette")
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +170,21 @@ class TestFleetDeterminism:
         assert [r.name for r in fleet.runs] == [r.name for r in serial.runs]
         assert _reports_json(fleet) == _reports_json(serial)
 
-    @pytest.mark.parametrize("strategy", ("chunk", "name"))
-    def test_shard_strategy_does_not_change_output(self, strategy):
+    @pytest.mark.parametrize("workers", (2, 3, 4))
+    def test_worker_count_does_not_change_output(self, workers):
         refs = workload_refs(["8"])
-        base = run_fleet(refs, workers=2, shard_by="interleave")
-        other = run_fleet(refs, workers=2, shard_by=strategy)
-        assert _reports_json(base) == _reports_json(other)
+        serial = run_fleet(refs, workers=1)
+        fleet = run_fleet(refs, workers=workers)
+        assert fleet.workers == workers
+        assert _reports_json(fleet) == _reports_json(serial)
 
     def test_per_run_reports_carry_schema_version(self):
         fleet = run_fleet([ELM], workers=1)
         assert fleet.runs[0].report["schema_version"] == 3
-        # fleet wire format v2: adds the partial-drain flag
-        assert fleet.to_dict()["schema_version"] == 2
+        # fleet wire format v3: no shard-strategy key
+        assert fleet.to_dict()["schema_version"] == 3
         assert fleet.to_dict()["partial"] is False
+        assert "shard_by" not in fleet.to_dict()
 
     def test_workers_clamped_to_task_count(self):
         fleet = run_fleet([ELM], workers=8)
@@ -294,32 +249,40 @@ class TestFleetRetriesEndToEnd:
 
 class TestWorkerDeath:
     def test_dead_worker_yields_error_records(self):
-        # Simulate a worker that dies before its sentinel: the record
-        # synthesis path must fill in every unfinished task.
-        from repro.fleet.engine import _collect
+        # Simulate a worker that dies before its sentinel: the task it
+        # died on gets its exit code; the one queued behind it goes back
+        # to the pool, and with no worker left it gets an error too.
+        import queue as queue_mod
+        import threading
+
+        from repro.fleet.engine import _Dispatch
 
         class DeadProc:
             exitcode = -9
 
-            @staticmethod
-            def is_alive():
-                return False
-
         class EmptyQueue:
-            @staticmethod
-            def get(timeout):
-                import queue as queue_mod
+            def get(self, timeout=None):
                 raise queue_mod.Empty
 
+            get_nowait = get
+
+        class Inbox(list):
+            put = list.append
+
+        inbox = Inbox()
         tasks = make_tasks([ELM, ELM])
-        records, cache_parts = _collect(
-            {0: DeadProc()}, {0: tasks}, EmptyQueue()
-        )
+        records, cache_parts = _Dispatch(
+            {0: DeadProc()}, {0: inbox}, tasks, EmptyQueue(),
+            threading.Event(),
+        ).run()
+        assert inbox == tasks  # handed both: the running one and the next
         assert cache_parts == []
         assert [r.index for r in records] == [0, 1]
-        for record in records:
-            assert record.failed
-            assert "exit code -9" in record.error
+        assert all(record.failed for record in records)
+        assert "exit code -9" in records[0].error
+        assert records[0].worker == 0
+        assert "every worker died" in records[1].error
+        assert records[1].worker == -1
 
     def test_wire_roundtrip(self):
         record = FleetRunRecord(

@@ -2,7 +2,6 @@
 small guest programs so real block records exercise the module)."""
 
 from repro.core.hth import HTH
-from repro.harrier.state import ProcessShadow
 from repro.isa import assemble
 from repro.taint import DataSource, Tag
 

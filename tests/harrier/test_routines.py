@@ -1,8 +1,6 @@
 """Routine short-circuit tests (paper section 7.2): gethostbyname's result
 carries the *name's* taint, not the hosts database's."""
 
-import pytest
-
 from repro.core.hth import HTH
 from repro.harrier.config import HarrierConfig
 from repro.harrier.events import ResourceAccessEvent

@@ -9,7 +9,6 @@ from repro.kernel import (
     EXIT_KILLED_BY_MONITOR,
     Kernel,
     KernelHooks,
-    ProcessState,
 )
 from repro.kernel.syscalls import SYS_EXECVE
 from repro.programs.libc import libc_image

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.isa import CPU, FlatMemory
-from repro.kernel.filesystem import Node, NodeKind, O_RDONLY, O_RDWR, O_WRONLY
+from repro.kernel.filesystem import O_RDONLY, O_RDWR, O_WRONLY
 from repro.kernel.process import (
     OpenFile,
     Process,

@@ -1,8 +1,7 @@
 """Syscall behaviour tests via small guest programs (file I/O, process
 management, sockets, FIFOs, errors)."""
 
-from repro.core.report import Verdict
-from repro.kernel.network import ConversationPeer, SinkPeer
+from repro.kernel.network import ConversationPeer
 
 
 class TestFileIO:

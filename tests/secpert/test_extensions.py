@@ -2,8 +2,6 @@
 executable-download detection, cross-session monitoring, and
 simultaneous-session (multi-program) correlation."""
 
-import pytest
-
 from repro.core.report import Verdict
 from repro.isa import assemble
 from repro.programs.extensions import extension_workloads

@@ -13,7 +13,6 @@ from repro.secpert import (
     DATA_TRANSFER,
     PROCESS_CREATED,
     SYSTEM_CALL_ACCESS,
-    PolicyConfig,
     Secpert,
     SecurityWarning,
     Severity,
