@@ -3,10 +3,10 @@
 This module drives :mod:`repro.programs.mutate` at scale: every Trojan
 of Tables 4-8 becomes the parent of N seed-deterministic variants per
 mutation class, the whole set fans out through the fleet engine (the
-parent process only plans refs and hands each idle worker its next
-one; every worker mutates, assembles and runs its own variants), and
-the verdicts come back as a detection-rate matrix — variant class
-x policy rule x verdict.
+parent process only plans refs and hands each worker its next one as
+it finishes one; every worker mutates, assembles and runs its own
+variants), and the verdicts come back as a detection-rate matrix —
+variant class x policy rule x verdict.
 
 The point of the exercise is the *evasions*: any variant whose verdict
 lands **below** its parent's expected severity is a detector blind
@@ -317,7 +317,7 @@ def run_sweep(
     Defaults sweep every mutation class over every Trojan of Tables
     4-8; ``per_class`` scales the grid (30 parents x 7 classes means
     ``per_class=5`` already exceeds a thousand variants).  The parent
-    never touches a variant: the fleet hands refs to idle workers,
+    never touches a variant: the fleet hands refs to the workers,
     which resolve, mutate and assemble their own.  Each worker's warm
     engine still translates and relocates libc once for all its
     variants (see :class:`repro.harrier.blockcache.BlockCacheStore`).

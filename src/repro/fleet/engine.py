@@ -1,13 +1,13 @@
 """The fleet coordinator: spawn, feed, stream, merge.
 
 :func:`run_fleet` takes an ordered task list and starts N worker
-processes.  Each worker has its own inbox and holds at most
-:data:`WORKER_DEPTH` tasks — the one it runs and the next — and gets
-its next task as it reports one finished, so no worker idles while
-another still has a backlog.  Per-run records stream back on one shared
-result queue and are merged — ordered by task index — into a
-:class:`FleetReport` whose per-run report dicts are bit-identical to
-running the same tasks serially with the same options.
+processes.  Task *k* (in index order) belongs to worker ``k % N``.  Each
+worker has its own inbox and holds at most :data:`WORKER_DEPTH` tasks —
+the one it runs and the next — and gets its next task as it reports one
+finished.  Per-run records stream back, each worker on its own pipe,
+and are merged — ordered by task index — into a :class:`FleetReport`
+whose per-run report dicts are bit-identical to running the same tasks
+serially with the same options.
 
 Determinism contract
 --------------------
@@ -16,16 +16,17 @@ Determinism contract
   differential suites hold that line).
 * Records carry their task index; the coordinator sorts by it, so the
   merged report does not depend on worker count, on which worker ran
-  which task, or on scheduling.  ``workers=1`` runs the identical code
-  path in-process and is the serial baseline the determinism tests
-  compare against.
+  which task, or on scheduling.  Placement is fixed too, so per-worker
+  work counts (blocks translated in each warm cache) repeat run to run.
+  ``workers=1`` runs the identical code path in-process and is the
+  serial baseline the determinism tests compare against.
 * Wall-clock facts (``elapsed``, ``wall_seconds``) and scheduling facts
   (``worker``, ``attempts``) live outside the per-run report dicts.
 
 Failure containment: a worker that dies without delivering its sentinel
 (segfault, OOM kill) costs only the task it died on — the coordinator
-synthesizes an error record for it, hands the task queued behind it to
-a surviving worker, and the fleet completes.  Only when every worker
+synthesizes an error record for it, deals the tasks it never started to
+the surviving workers, and the fleet completes.  Only when every worker
 has died do the tasks left get error records.
 
 Graceful shutdown: SIGTERM/SIGINT during :func:`run_fleet` requests a
@@ -40,7 +41,7 @@ escape hatch when a drain itself wedges.
 from __future__ import annotations
 
 import collections
-import queue as queue_mod
+import multiprocessing.connection as mp_connection
 import signal
 import threading
 import time
@@ -59,19 +60,20 @@ from repro.fleet.worker import run_task_with_retry, worker_main
 #: Tasks a worker holds at once: the one it runs and the next.  With
 #: one, every task waits a coordinator round trip before it starts;
 #: with two, the next task is already in the worker's inbox when the
-#: current one ends.  More would only let a worker sit on tasks an
-#: idle worker could run while it finishes a slow one.
+#: current one ends.  More gains nothing, and a bounded inbox keeps its
+#: pipe from filling, so the coordinator's ``put`` never blocks while
+#: records wait to be read.
 WORKER_DEPTH = 2
 
-#: How long the coordinator waits on the result queue before checking
-#: worker liveness and the stop event, seconds.
+#: How long the coordinator waits for a record or a worker exit before
+#: it checks the stop event again, seconds.
 _POLL_INTERVAL = 0.1
 
 #: ``FleetRunRecord.worker`` of a task that was never handed to a worker.
 NO_WORKER = -1
 
 
-# Uncalled: tasks go to whichever worker is idle, so nothing orders
+# Uncalled: tasks go to workers in index order, so nothing orders
 # them by similarity any more.  It stays (with ``cluster_order`` and
 # ``hamming64``) only because ``perfbench/tracer.py`` wraps
 # ``repro.fleet.engine.cluster_tasks`` by name and fails to install
@@ -187,102 +189,60 @@ def _run_serial(tasks, max_retries, stop_event, cache_dir) -> tuple:
 
 
 class _Dispatch:
-    """Feed a started worker pool until every worker has exited or died.
+    """The scheduling rule, with no processes or pipes in it: task *k*
+    in index order belongs to worker ``k % workers``, which holds at
+    most :data:`WORKER_DEPTH` tasks, and the tasks a dead worker never
+    started go to the survivors."""
 
-    ``procs`` and ``inboxes`` map worker id to its process and its task
-    queue; every worker streams onto ``result_queue``.  :meth:`run`
-    returns the records in task order and the workers' cache snapshots
-    in worker order.
-    """
-
-    def __init__(self, procs, inboxes, tasks, result_queue, stop_event):
-        self.procs = procs
-        self.inboxes = inboxes
-        self.result_queue = result_queue
-        self.stop_event = stop_event
-        #: Tasks not handed out, in index order.
-        self.pending = collections.deque(
-            sorted(tasks, key=lambda t: t.index)
-        )
+    def __init__(self, tasks: Sequence[FleetTask], workers: int):
+        ordered = sorted(tasks, key=lambda t: t.index)
+        #: Worker id -> its tasks not handed out yet, in index order.
+        self.queued = {
+            wid: collections.deque(ordered[wid::workers])
+            for wid in range(workers)
+        }
         #: Worker id -> tasks handed to it and not reported, oldest first.
-        self.held: Dict[int, List[FleetTask]] = {wid: [] for wid in procs}
+        self.held: Dict[int, List[FleetTask]] = {w: [] for w in self.queued}
         #: Workers that have neither sent their sentinel nor died.
-        self.live = set(procs)
-        #: Whether the live workers have been sent the ``None`` that
-        #: ends their loop.
+        self.live = set(range(workers))
+        #: Whether the live workers were sent the ``None`` ending their loop.
         self.closed = False
         self.records: Dict[int, FleetRunRecord] = {}
         self.cache_parts: Dict[int, dict] = {}
 
-    def run(self) -> tuple:
-        self._feed()
-        while self.live:
-            try:
-                self._receive(self.result_queue.get(timeout=_POLL_INTERVAL))
-            except queue_mod.Empty:
-                pass
-            for wid in sorted(self.live):
-                if self.procs[wid].exitcode is not None:
-                    self._bury(wid)
-            self._feed()
-        draining = self.stop_event.is_set()
-        for wid, held in self.held.items():  # stopped by a drain
-            for task in held:
-                self.records[task.index] = _synthesized(task, wid, _CANCELLED)
-        for task in self.pending:
-            self.records[task.index] = _synthesized(
-                task, NO_WORKER, _CANCELLED if draining
-                else "every worker died before this task started",
-            )
-        records = [self.records[i] for i in sorted(self.records)]
-        # Deterministic merge: worker order, not arrival order.
-        parts = [self.cache_parts[w] for w in sorted(self.cache_parts)]
-        return records, parts
-
-    def _feed(self) -> None:
-        """Top every live worker up to WORKER_DEPTH tasks, round robin;
-        close them all on a drain or once no task is left anywhere."""
+    def hand_out(self, draining: bool) -> List[tuple]:
+        """``(worker, task or None)`` pairs to put in the inboxes now:
+        each live worker topped up to WORKER_DEPTH, and one ``None``
+        each on a drain or once no task is left anywhere (until then a
+        task a live worker holds may come back, if that worker dies)."""
         if self.closed:
-            return
-        if not self.stop_event.is_set():
-            while self.pending:
-                hungry = [
-                    wid for wid in sorted(self.live)
-                    if len(self.held[wid]) < WORKER_DEPTH
-                ]
-                if not hungry:
-                    break
-                for wid in hungry[:len(self.pending)]:
-                    task = self.pending.popleft()
-                    self.held[wid].append(task)
-                    self.inboxes[wid].put(task)
-            # A task held by a live worker may yet come back to the pool
-            # (if that worker dies), so nobody is closed before then.
-            if self.pending or any(self.held[wid] for wid in self.live):
-                return
-        for wid in sorted(self.live):
-            self.inboxes[wid].put(None)
+            return []
+        out = []
+        if not draining:
+            for wid in sorted(self.live):
+                queued, held = self.queued[wid], self.held[wid]
+                while queued and len(held) < WORKER_DEPTH:
+                    held.append(queued.popleft())
+                    out.append((wid, held[-1]))
+            if any(self.held[wid] or self.queued[wid] for wid in self.live):
+                return out
+        out.extend((wid, None) for wid in sorted(self.live))
         self.closed = True
+        return out
 
-    def _receive(self, msg: dict) -> None:
-        wid, index = msg["worker"], msg.get("index")
+    def receive(self, wid: int, msg: dict) -> None:
+        """One message from worker ``wid``: a record or its sentinel."""
         if msg.get("kind") == "worker-done":
             self.live.discard(wid)
             if msg.get("cache"):
                 self.cache_parts[wid] = msg["cache"]
             return
-        self.records[index] = FleetRunRecord.from_wire(msg)
-        self.held[wid] = [t for t in self.held[wid] if t.index != index]
+        # A worker reports its tasks in the order it was handed them.
+        self.held[wid].pop(0)
+        self.records[msg["index"]] = FleetRunRecord.from_wire(msg)
 
-    def _bury(self, wid: int) -> None:
-        """Account for a worker whose process has exited."""
-        # Read what it streamed before exiting — its sentinel, too, if
-        # it exited cleanly.
-        while True:
-            try:
-                self._receive(self.result_queue.get_nowait())
-            except queue_mod.Empty:
-                break
+    def bury(self, wid: int, exitcode: int) -> None:
+        """Account for worker ``wid``, which exited without a sentinel."""
         if wid not in self.live:
             return
         self.live.discard(wid)
@@ -291,40 +251,93 @@ class _Dispatch:
             self.records[held[0].index] = _synthesized(
                 held[0], wid,
                 f"worker {wid} died before finishing this task "
-                f"(exit code {self.procs[wid].exitcode})",
+                f"(exit code {exitcode})",
             )
-            # Never started: a surviving worker runs them instead.
-            self.pending.extendleft(reversed(held[1:]))
+        # Never started: dealt to the survivors in turn.  With none
+        # left they stay queued here, and finish() errors them.
+        orphans = held[1:] + list(self.queued[wid])
+        survivors = sorted(self.live) or [wid]
+        self.queued[wid].clear()
+        for k, task in enumerate(orphans):
+            self.queued[survivors[k % len(survivors)]].append(task)
+
+    def finish(self, draining: bool) -> tuple:
+        """Records in task order and cache snapshots in worker order,
+        once no worker is live."""
+        for wid, held in self.held.items():  # stopped by a drain
+            for task in held:
+                self.records[task.index] = _synthesized(task, wid, _CANCELLED)
+        for queued in self.queued.values():
+            for task in queued:
+                self.records[task.index] = _synthesized(
+                    task, NO_WORKER, _CANCELLED if draining
+                    else "every worker died before this task started",
+                )
+        records = [self.records[i] for i in sorted(self.records)]
+        # Deterministic merge: worker order, not arrival order.
+        parts = [self.cache_parts[w] for w in sorted(self.cache_parts)]
+        return records, parts
+
+
+def _collect(dispatch: _Dispatch, procs, results) -> None:
+    """Take in what each live worker sent; bury the ones that exited."""
+    for wid in sorted(dispatch.live):
+        # Exit first, then read: what a worker wrote before it exited
+        # is all in the pipe by then.
+        exitcode = procs[wid].exitcode
+        try:
+            while results[wid].poll():
+                dispatch.receive(wid, results[wid].recv())
+        except (EOFError, OSError):  # or a record cut off by the death
+            pass
+        if exitcode is not None:
+            dispatch.bury(wid, exitcode)
 
 
 def _run_pool(ctx, tasks, workers, max_retries, stop_event, cache_dir):
     """Start ``workers`` processes, feed them, and wait them out."""
-    result_queue = ctx.Queue()
-    procs: Dict[int, object] = {}
-    inboxes: Dict[int, object] = {}
+    # Each worker has its own inbox and result pipe: a worker killed
+    # inside ``get`` or ``put`` keeps a shared queue's lock and hangs the
+    # others.  A pipe ``send`` is written before the next task starts,
+    # so a worker dying mid-task cannot lose the record before (an
+    # ``mp.Queue`` feeder thread could).
+    dispatch = _Dispatch(tasks, workers)
+    inboxes = {wid: ctx.SimpleQueue() for wid in range(workers)}
+    procs, results = {}, {}
+
+    def feed() -> None:
+        for wid, item in dispatch.hand_out(stop_event.is_set()):
+            inboxes[wid].put(item)
+
+    feed()  # a worker's first tasks are waiting when it starts
     for wid in range(workers):
-        # One inbox per worker, not one shared task queue: a worker
-        # killed inside ``get`` keeps that queue's read lock, and every
-        # other worker would hang on it.
-        inboxes[wid] = ctx.SimpleQueue()
+        results[wid], writer = ctx.Pipe(duplex=False)
         procs[wid] = ctx.Process(
             target=worker_main,
-            args=(wid, inboxes[wid], result_queue, max_retries,
+            args=(wid, inboxes[wid], writer, max_retries,
                   stop_event, cache_dir),
             daemon=True,
         )
         procs[wid].start()
+        writer.close()  # the worker now holds the only write end
     try:
-        return _Dispatch(
-            procs, inboxes, tasks, result_queue, stop_event
-        ).run()
+        while dispatch.live:
+            live = sorted(dispatch.live)
+            mp_connection.wait(
+                [results[w] for w in live] + [procs[w].sentinel for w in live],
+                timeout=_POLL_INTERVAL,
+            )
+            _collect(dispatch, procs, results)
+            feed()
+        return dispatch.finish(stop_event.is_set())
     finally:
         for proc in procs.values():
             proc.join(timeout=5.0)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
-        result_queue.close()
+        for wid in procs:
+            results[wid].close()
         for inbox in inboxes.values():
             inbox.close()
 

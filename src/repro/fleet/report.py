@@ -23,8 +23,8 @@ from repro.telemetry import TelemetrySnapshot
 #: v2: added the top-level ``partial`` flag (graceful-shutdown drains
 #: emit a report for the work that finished; cancelled tasks appear as
 #: error records) and ``summary.cancelled``.
-#: v3: dropped the shard-strategy key — tasks go to whichever worker
-#: is idle, so placement is no longer a choice to record.
+#: v3: dropped the shard-strategy key — placement is one fixed rule,
+#: no longer a choice to record.
 FLEET_SCHEMA_VERSION = 3
 
 #: Error-text prefix of records synthesized for tasks a drain skipped.

@@ -146,7 +146,7 @@ def run_task_with_retry(
 def worker_main(
     worker_id: int,
     inbox,
-    queue,
+    results,
     max_retries: int = 1,
     stop_event=None,
     cache_dir: Optional[str] = None,
@@ -155,9 +155,10 @@ def worker_main(
     then a sentinel.
 
     The coordinator keeps at most two tasks in ``inbox`` and ends the
-    loop with ``None``.  Records stream as each task finishes (the
-    coordinator hands out the next task and merges incrementally); the
-    final ``worker-done`` message carries the worker's warm-engine
+    loop with ``None``.  Each record is sent on ``results`` (this
+    worker's own pipe) as its task finishes, before the next one starts
+    (the coordinator hands out the next task and merges incrementally);
+    the final ``worker-done`` message carries the worker's warm-engine
     statistics for the fleet summary.
 
     With ``cache_dir`` the worker's Session runs against the shared
@@ -179,10 +180,10 @@ def worker_main(
         task = inbox.get()
         if task is None or (stop_event is not None and stop_event.is_set()):
             break
-        queue.put(run_task_with_retry(
+        results.send(run_task_with_retry(
             session, task, worker_id=worker_id, max_retries=max_retries
         ))
-    queue.put({
+    results.send({
         "kind": "worker-done",
         "worker": worker_id,
         "runs": session.runs,

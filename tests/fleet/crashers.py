@@ -28,10 +28,8 @@ SLEEP_SECONDS = 0.3
 
 
 def _die(hth) -> None:
-    # Give the mp.Queue feeder thread a beat to flush records already
-    # streamed for earlier tasks — the test asserts the crash costs
-    # exactly one task, which needs those puts actually on the wire.
-    time.sleep(0.25)
+    # At once: a record the worker sent for its previous task must
+    # already be in the coordinator's pipe, with no grace period.
     os._exit(CRASH_EXIT_CODE)
 
 

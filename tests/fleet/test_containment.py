@@ -2,9 +2,10 @@
 
 Containment: a worker that ``os._exit``s mid-task (a real process
 death — no Python unwinding, no sentinel) must cost only the task it
-died on: the coordinator synthesizes an error record for it, hands the
-task queued behind it to a surviving worker, keeps every other record,
-preserves task-index order, and returns without hanging.
+died on: the coordinator synthesizes an error record for it, deals the
+tasks it never started to a surviving worker, keeps every other record
+(the one it sent just before dying too), preserves task-index order,
+and returns without hanging.
 
 Graceful shutdown: a drain request (signal or programmatic stop event)
 mid-sweep must still produce a complete, ordered, schema-versioned
@@ -42,8 +43,8 @@ def _sleepy_refs(count=6):
 class TestDeadWorkerContainment:
     @pytest.fixture(scope="class")
     def fleet(self):
-        # Two workers, each handed two tasks up front: the killer's
-        # worker also holds ok-2, queued behind the crash.
+        # Two workers; worker 0's tasks are worker-killer, ok-2 and
+        # ok-4, and it holds ok-2, queued behind the crash.
         return run_fleet(_crashers("worker-killer", *OK_ROWS), workers=2)
 
     def test_no_hang_and_no_lost_tasks(self, fleet):
@@ -68,9 +69,31 @@ class TestDeadWorkerContainment:
         assert ok_2.worker != killer.worker
         assert ok_2.attempts == 1
 
+    def test_tasks_the_dead_worker_never_started_run_on_a_survivor(
+        self, fleet
+    ):
+        killer, ok_4 = fleet.runs[0], fleet.runs[4]
+        assert ok_4.name == "ok-4"
+        assert ok_4.worker != killer.worker
+
     def test_fleet_is_not_partial(self, fleet):
         assert not fleet.partial
         assert fleet.cancelled == []
+
+    def test_record_sent_just_before_a_death_is_kept(self):
+        # Worker 0 runs ok-1, sends its record, and dies the moment it
+        # starts worker-killer: ok-1 keeps its report and only the
+        # killer is blamed.
+        fleet = run_fleet(
+            _crashers("ok-1", "ok-2", "worker-killer", "ok-3", "ok-4"),
+            workers=2,
+        )
+        assert [r.name for r in fleet.failures] == ["worker-killer"]
+        ok_1, killer, ok_4 = fleet.runs[0], fleet.runs[2], fleet.runs[4]
+        assert ok_1.worker == killer.worker == 0
+        assert ok_1.report["verdict"] == "benign"
+        assert f"exit code {CRASH_EXIT_CODE}" in killer.error
+        assert ok_4.worker == 1 and not ok_4.failed
 
     def test_every_worker_dying_errors_the_tasks_left(self):
         fleet = run_fleet(

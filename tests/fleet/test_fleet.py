@@ -249,33 +249,18 @@ class TestFleetRetriesEndToEnd:
 
 class TestWorkerDeath:
     def test_dead_worker_yields_error_records(self):
-        # Simulate a worker that dies before its sentinel: the task it
-        # died on gets its exit code; the one queued behind it goes back
-        # to the pool, and with no worker left it gets an error too.
-        import queue as queue_mod
-        import threading
-
+        # A worker that dies before its sentinel: the task it died on
+        # gets its exit code; the one queued behind it has no worker
+        # left to go to, so it gets an error too.
         from repro.fleet.engine import _Dispatch
 
-        class DeadProc:
-            exitcode = -9
-
-        class EmptyQueue:
-            def get(self, timeout=None):
-                raise queue_mod.Empty
-
-            get_nowait = get
-
-        class Inbox(list):
-            put = list.append
-
-        inbox = Inbox()
         tasks = make_tasks([ELM, ELM])
-        records, cache_parts = _Dispatch(
-            {0: DeadProc()}, {0: inbox}, tasks, EmptyQueue(),
-            threading.Event(),
-        ).run()
-        assert inbox == tasks  # handed both: the running one and the next
+        dispatch = _Dispatch(tasks, 1)
+        # Handed both: the running one and the next.
+        assert dispatch.hand_out(False) == [(0, tasks[0]), (0, tasks[1])]
+        dispatch.bury(0, -9)
+        assert not dispatch.live
+        records, cache_parts = dispatch.finish(False)
         assert cache_parts == []
         assert [r.index for r in records] == [0, 1]
         assert all(record.failed for record in records)
