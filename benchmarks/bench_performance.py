@@ -346,15 +346,16 @@ def bench_nullsink_overhead(benchmark):
 
 
 def bench_fleet_sweep(benchmark):
-    """The 62-workload sweep, serial vs sharded across 4 workers.
+    """The 62-workload sweep, serial vs a 4-worker fleet.
 
-    The load-bearing assertion is determinism: the sharded fleet's
-    per-run report dicts must be bit-identical to the serial sweep's.
-    Scaling is reported (and written to the results file) but only
-    *gated* in ``benchmarks.perf_smoke``, where it is conditioned on the
-    host actually having cores to scale on.
+    The load-bearing assertion is determinism: the fleet's per-run
+    report dicts must be bit-identical to the serial sweep's.  Scaling
+    is reported (and written to the results file) but only *gated* in
+    ``benchmarks.perf_smoke``, where it is conditioned on the host
+    actually having cores to scale on.
     """
     import os
+    import platform
 
     from repro.fleet import run_fleet, workload_refs
 
@@ -362,23 +363,23 @@ def bench_fleet_sweep(benchmark):
 
     def measure():
         serial = run_fleet(refs, workers=1)
-        sharded = run_fleet(refs, workers=4)
-        return serial, sharded
+        fleet = run_fleet(refs, workers=4)
+        return serial, fleet
 
-    serial, sharded = benchmark.pedantic(measure, rounds=1, iterations=1)
+    serial, fleet = benchmark.pedantic(measure, rounds=1, iterations=1)
     assert not serial.failures, [r.name for r in serial.failures]
-    assert not sharded.failures, [r.name for r in sharded.failures]
+    assert not fleet.failures, [r.name for r in fleet.failures]
     assert json.dumps(serial.reports, sort_keys=True, default=str) == (
-        json.dumps(sharded.reports, sort_keys=True, default=str)
-    ), "sharded fleet reports diverged from the serial sweep"
+        json.dumps(fleet.reports, sort_keys=True, default=str)
+    ), "fleet reports diverged from the serial sweep"
     speedup = (
-        serial.wall_seconds / sharded.wall_seconds
-        if sharded.wall_seconds else float("inf")
+        serial.wall_seconds / fleet.wall_seconds
+        if fleet.wall_seconds else float("inf")
     )
     text = (
         f"fleet sweep: {len(refs)} workloads, serial "
         f"{serial.wall_seconds * 1000:.0f} ms vs 4 workers "
-        f"{sharded.wall_seconds * 1000:.0f} ms "
+        f"{fleet.wall_seconds * 1000:.0f} ms "
         f"({speedup:.2f}x on {os.cpu_count()} cpu(s))"
     )
     print("\n" + text)
@@ -386,10 +387,11 @@ def bench_fleet_sweep(benchmark):
         {
             "workloads": len(refs),
             "serial_seconds": serial.wall_seconds,
-            "sharded_seconds": sharded.wall_seconds,
+            "fleet_seconds": fleet.wall_seconds,
             "workers": 4,
             "speedup": speedup,
             "cpus": os.cpu_count(),
+            "python": platform.python_version(),
         },
         indent=2,
     ) + "\n")

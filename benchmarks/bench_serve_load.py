@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import platform
 import tempfile
 import time
 from collections import Counter
@@ -215,7 +216,14 @@ def run_serve_load() -> dict:
             _chaos_phase(os.path.join(tmp, "chaos.sock"))
         )
 
-    results = {"load": load, "chaos": chaos}
+    results = {
+        "load": load,
+        "chaos": chaos,
+        "host": {
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+        },
+    }
     write_result(
         "BENCH_serve_load.json", json.dumps(results, indent=2) + "\n"
     )

@@ -41,7 +41,7 @@ escape hatch when a drain itself wedges.
 from __future__ import annotations
 
 import collections
-import multiprocessing.connection as mp_connection
+import functools
 import signal
 import threading
 import time
@@ -51,7 +51,7 @@ from repro.api import Session
 from repro.cache.store import VerdictCache, merge_cache_stats
 from repro.cache.triage import cluster_order, simhash64
 from repro.core.options import RunOptions
-from repro.core.procs import mp_context
+from repro.core.procs import WorkerProcess, mp_context, wait
 from repro.fleet.merge import merged_telemetry
 from repro.fleet.refs import FleetTask, WorkloadRef, make_tasks
 from repro.fleet.report import CANCELLED_PREFIX, FleetReport, FleetRunRecord
@@ -60,9 +60,7 @@ from repro.fleet.worker import run_task_with_retry, worker_main
 #: Tasks a worker holds at once: the one it runs and the next.  With
 #: one, every task waits a coordinator round trip before it starts;
 #: with two, the next task is already in the worker's inbox when the
-#: current one ends.  More gains nothing, and a bounded inbox keeps its
-#: pipe from filling, so the coordinator's ``put`` never blocks while
-#: records wait to be read.
+#: current one ends.  More gains nothing.
 WORKER_DEPTH = 2
 
 #: How long the coordinator waits for a record or a worker exit before
@@ -279,67 +277,37 @@ class _Dispatch:
         return records, parts
 
 
-def _collect(dispatch: _Dispatch, procs, results) -> None:
+def _collect(dispatch: _Dispatch, workers) -> None:
     """Take in what each live worker sent; bury the ones that exited."""
     for wid in sorted(dispatch.live):
-        # Exit first, then read: what a worker wrote before it exited
-        # is all in the pipe by then.
-        exitcode = procs[wid].exitcode
-        try:
-            while results[wid].poll():
-                dispatch.receive(wid, results[wid].recv())
-        except (EOFError, OSError):  # or a record cut off by the death
-            pass
+        exitcode = workers[wid].drain(functools.partial(dispatch.receive, wid))
         if exitcode is not None:
             dispatch.bury(wid, exitcode)
 
 
 def _run_pool(ctx, tasks, workers, max_retries, stop_event, cache_dir):
     """Start ``workers`` processes, feed them, and wait them out."""
-    # Each worker has its own inbox and result pipe: a worker killed
-    # inside ``get`` or ``put`` keeps a shared queue's lock and hangs the
-    # others.  A pipe ``send`` is written before the next task starts,
-    # so a worker dying mid-task cannot lose the record before (an
-    # ``mp.Queue`` feeder thread could).
     dispatch = _Dispatch(tasks, workers)
-    inboxes = {wid: ctx.SimpleQueue() for wid in range(workers)}
-    procs, results = {}, {}
+    procs = {}
 
     def feed() -> None:
         for wid, item in dispatch.hand_out(stop_event.is_set()):
-            inboxes[wid].put(item)
+            procs[wid].put(item)
 
-    feed()  # a worker's first tasks are waiting when it starts
-    for wid in range(workers):
-        results[wid], writer = ctx.Pipe(duplex=False)
-        procs[wid] = ctx.Process(
-            target=worker_main,
-            args=(wid, inboxes[wid], writer, max_retries,
-                  stop_event, cache_dir),
-            daemon=True,
-        )
-        procs[wid].start()
-        writer.close()  # the worker now holds the only write end
     try:
-        while dispatch.live:
-            live = sorted(dispatch.live)
-            mp_connection.wait(
-                [results[w] for w in live] + [procs[w].sentinel for w in live],
-                timeout=_POLL_INTERVAL,
+        for wid in range(workers):
+            procs[wid] = WorkerProcess(
+                ctx, worker_main, wid, max_retries, stop_event, cache_dir
             )
-            _collect(dispatch, procs, results)
+        feed()
+        while dispatch.live:
+            wait([procs[w] for w in dispatch.live], _POLL_INTERVAL)
+            _collect(dispatch, procs)
             feed()
         return dispatch.finish(stop_event.is_set())
     finally:
         for proc in procs.values():
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-        for wid in procs:
-            results[wid].close()
-        for inbox in inboxes.values():
-            inbox.close()
+            proc.close()
 
 
 def run_fleet(

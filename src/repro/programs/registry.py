@@ -105,15 +105,31 @@ def names(keys: Optional[Sequence[str]] = None) -> List[str]:
     return [w.name for _, w in entries(keys)]
 
 
+#: Row name -> the key of the registry holding it (names are unique
+#: across registries); built on first lookup, once per process.
+_KEY_OF: Optional[Dict[str, str]] = None
+
+
+def _key_of(name: str) -> Optional[str]:
+    global _KEY_OF
+    if _KEY_OF is None:
+        _KEY_OF = {
+            w.name: key
+            for key, w in entries(REGISTRY_ORDER + ("adversarial",))
+        }
+    return _KEY_OF.get(name)
+
+
 def get(name: str, keys: Optional[Sequence[str]] = None) -> Workload:
     """The unique registry row called ``name`` (searches the adversarial
-    registry too when ``keys`` is not narrowed)."""
+    registry too when ``keys`` is not narrowed), freshly built; only its
+    own registry is built."""
     search = tuple(keys) if keys is not None else (
         REGISTRY_ORDER + ("adversarial",)
     )
-    for _, workload in entries(search):
-        if workload.name == name:
-            return workload
+    key = _key_of(name)
+    if key in search:
+        return next(w for w in registry_workloads(key) if w.name == name)
     raise LookupError(
         f"no workload named {name!r} in registries {', '.join(search)}"
     )
@@ -121,10 +137,10 @@ def get(name: str, keys: Optional[Sequence[str]] = None) -> Workload:
 
 def registry_of(name: str) -> str:
     """The registry key holding the row called ``name``."""
-    for key, workload in entries(REGISTRY_ORDER + ("adversarial",)):
-        if workload.name == name:
-            return key
-    raise LookupError(f"no workload named {name!r}")
+    key = _key_of(name)
+    if key is None:
+        raise LookupError(f"no workload named {name!r}")
+    return key
 
 
 def find(

@@ -38,7 +38,7 @@ Robustness invariants the tests hold:
   (``rejected:shutting-down``), then drains in-flight work, then stops
   the pool.
 
-The supervisor's callbacks fire on its pump/monitor threads; the bridge
+The supervisor's callbacks fire on its one supervisor thread; the bridge
 into asyncio is ``loop.call_soon_threadsafe`` onto per-connection
 queues — the only thread/loop touchpoint in the daemon.
 """
@@ -149,7 +149,6 @@ class ServeDaemon:
         job_timeout: float = DEFAULT_JOB_TIMEOUT,
         max_retries: int = 1,
         metrics: Optional[MetricsRegistry] = None,
-        mp_start_method: Optional[str] = None,
         cache: bool = True,
         cache_dir: Optional[str] = None,
         cache_entries: int = 512,
@@ -196,7 +195,6 @@ class ServeDaemon:
             job_timeout=job_timeout,
             max_retries=max_retries,
             metrics=self.metrics,
-            mp_start_method=mp_start_method,
             on_idle=self._on_worker_idle,
         )
         self._pending: Deque[_PendingJob] = deque()

@@ -10,42 +10,44 @@ process-level failure into protocol-level answers:
 * **dispatch** — one job per worker at a time; new work is only accepted
   when a worker is idle (the *bounded* admission queue upstream holds
   everything else).
-* **health checks** — a monitor thread watches process liveness and
-  per-job deadlines; a worker that blows its submission's deadline is
-  killed outright (the guest's virtual-time budget normally ends runs
-  long before this — a blown wall deadline means the machine, not the
-  guest, is stuck).
+* **health checks** — the supervisor thread sees every worker exit and
+  watches per-job deadlines; a worker that blows its submission's
+  deadline is killed outright (the guest's virtual-time budget normally
+  ends runs long before this — a blown wall deadline means the machine,
+  not the guest, is stuck).
 * **containment** — a crashed or killed worker's in-flight job is either
   retried on another attempt (crashes are transient machine faults, the
   same reasoning as the fleet's watchdog retries) or answered with a
   synthesized terminal ``error`` event.  Never silently dropped.
 * **self-healing** — dead workers are respawned with exponential
-  backoff (``restart_backoff`` doubling up to ``restart_backoff_max``);
-  a worker that keeps dying parks progressively longer, shrinking pool
-  capacity gracefully instead of crash-looping.  A successful job
-  resets the backoff.
+  backoff (:data:`RESTART_BACKOFF` doubling up to
+  :data:`RESTART_BACKOFF_MAX`); a worker that keeps dying parks
+  progressively longer, shrinking pool capacity gracefully instead of
+  crash-looping.  A successful job resets the backoff.
 
 Retry backoff is deterministic: the delay is derived from the job id
 and attempt number (crc32 jitter over an exponential base), so a chaos
 run replays with the same schedule.
 
-Threading model: a *pump* thread drains the shared result queue and a
-*monitor* thread enforces deadlines/liveness/restarts; both serialize
-on one lock.  Event callbacks (``on_event``, ``on_idle``) fire from
-these threads — the asyncio server bridges them with
-``call_soon_threadsafe``.
+Threading model: each worker is a :class:`repro.core.procs.WorkerProcess`
+(own inbox, own result pipe, as in the fleet), and one supervisor thread
+waits on all their pipes and exits, hands each message to
+:meth:`Supervisor._handle_message`, buries the workers that exited
+(after reading all they sent), and runs the deadline/retry/restart tick
+every :data:`TICK` seconds; it and ``try_submit`` serialize on one lock.
+Event callbacks (``on_event``, ``on_idle``) fire from that thread — the
+asyncio server bridges them with ``call_soon_threadsafe``.
 """
 
 from __future__ import annotations
 
 import itertools
-import queue as queue_mod
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.core.procs import mp_context, retry_delay
+from repro.core.procs import WorkerProcess, mp_context, retry_delay, wait
 from repro.expert import matchgen
 from repro.isa import blockjit
 from repro.serve.worker import serve_worker_main
@@ -53,10 +55,13 @@ from repro.serve.worker import serve_worker_main
 #: Default per-submission wall deadline, seconds.
 DEFAULT_JOB_TIMEOUT = 60.0
 #: Base/ceiling of the exponential worker-restart backoff, seconds.
-DEFAULT_RESTART_BACKOFF = 0.1
-DEFAULT_RESTART_BACKOFF_MAX = 5.0
+RESTART_BACKOFF = 0.1
+RESTART_BACKOFF_MAX = 5.0
 #: Base of the deterministic job-retry backoff, seconds.
-DEFAULT_RETRY_BACKOFF = 0.05
+RETRY_BACKOFF = 0.05
+#: Period of the deadline/retry/restart tick, and the longest the
+#: supervisor thread waits for a message, seconds.
+TICK = 0.02
 
 STATE_STARTING = "starting"
 STATE_IDLE = "idle"
@@ -77,7 +82,6 @@ class _Job:
     on_event: Callable[[Dict[str, object]], None]
     timeout: float
     max_retries: int
-    stream: bool = True
     attempt: int = 0
     submitted_at: float = 0.0
     dispatched_at: float = 0.0
@@ -88,11 +92,11 @@ class _Job:
 @dataclass
 class _Worker:
     wid: int
-    proc: Optional[object] = None
-    job_queue: Optional[object] = None
+    proc: Optional[WorkerProcess] = None
     state: str = STATE_STARTING
     job: Optional[_Job] = None
-    busy_since: float = 0.0
+    #: What this process's death is blamed on.
+    fail_kind: str = FAIL_CRASH
     consecutive_failures: int = 0
     restart_at: float = 0.0
     jobs_done: int = 0
@@ -107,26 +111,16 @@ class Supervisor:
         workers: int = 2,
         job_timeout: float = DEFAULT_JOB_TIMEOUT,
         max_retries: int = 1,
-        retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-        restart_backoff: float = DEFAULT_RESTART_BACKOFF,
-        restart_backoff_max: float = DEFAULT_RESTART_BACKOFF_MAX,
         metrics=None,
-        mp_start_method: Optional[str] = None,
-        poll_interval: float = 0.02,
         on_idle: Optional[Callable[[], None]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.job_timeout = job_timeout
         self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.restart_backoff = restart_backoff
-        self.restart_backoff_max = restart_backoff_max
-        self.poll_interval = poll_interval
         self.on_idle = on_idle
         self._metrics = metrics
-        self._ctx = mp_context(mp_start_method)
-        self._result_queue = self._ctx.Queue()
+        self._ctx = mp_context()
         self._lock = threading.RLock()
         self._workers: Dict[int, _Worker] = {
             wid: _Worker(wid=wid) for wid in range(workers)
@@ -135,8 +129,7 @@ class Supervisor:
         self._retries: List[_Job] = []
         self._job_ids = itertools.count()
         self._stopping = threading.Event()
-        self._pump_thread: Optional[threading.Thread] = None
-        self._monitor_thread: Optional[threading.Thread] = None
+        self._thread: Optional[threading.Thread] = None
         self.started = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -147,33 +140,26 @@ class Supervisor:
             self.started = True
             for worker in self._workers.values():
                 self._spawn(worker)
-        self._pump_thread = threading.Thread(
-            target=self._pump, name="serve-pump", daemon=True
+        self._thread = threading.Thread(
+            target=self._run, name="serve-supervisor", daemon=True
         )
-        self._monitor_thread = threading.Thread(
-            target=self._monitor, name="serve-monitor", daemon=True
-        )
-        self._pump_thread.start()
-        self._monitor_thread.start()
+        self._thread.start()
 
     def stop(self, join_timeout: float = 5.0) -> None:
         """Stop the pool.  In-flight jobs are answered with a terminal
         ``shutting-down`` error (drain first for a graceful exit)."""
         self._stopping.set()
+        if self._thread is not None:
+            self._thread.join(timeout=join_timeout)
         terminal: List[_Job] = []
         with self._lock:
             for worker in self._workers.values():
                 if worker.job is not None and not worker.job.done:
                     terminal.append(worker.job)
                     worker.job = None
-                if worker.job_queue is not None:
-                    try:
-                        worker.job_queue.put_nowait(None)
-                    except Exception:
-                        pass
-            for job in self._retries:
-                if not job.done:
-                    terminal.append(job)
+                if worker.proc is not None:
+                    worker.proc.put(None)
+            terminal += [job for job in self._retries if not job.done]
             self._retries.clear()
         for job in terminal:
             self._finish(job, {
@@ -183,18 +169,9 @@ class Supervisor:
             })
         deadline = time.monotonic() + join_timeout
         for worker in self._workers.values():
-            proc = worker.proc
-            if proc is None:
-                continue
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-            worker.state = STATE_STOPPED
-        for thread in (self._pump_thread, self._monitor_thread):
-            if thread is not None:
-                thread.join(timeout=join_timeout)
-        self._result_queue.close()
+            if worker.proc is not None:
+                worker.proc.close(max(0.0, deadline - time.monotonic()))
+                worker.state = STATE_STOPPED
         self._sample_workers()
 
     # -- submission --------------------------------------------------------
@@ -208,7 +185,6 @@ class Supervisor:
         timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
         job_id: Optional[str] = None,
-        stream: bool = True,
     ) -> Optional[str]:
         """Dispatch one job if a worker is idle; return its id or None.
 
@@ -235,7 +211,6 @@ class Supervisor:
                     max_retries if max_retries is not None
                     else self.max_retries
                 ),
-                stream=stream,
                 submitted_at=now,
             )
             self._jobs[job.id] = job
@@ -262,14 +237,13 @@ class Supervisor:
     def kill_worker(self, wid: int) -> bool:
         """Hard-kill one worker process (the chaos monkey's lever).
 
-        Containment and restart then run through the exact same monitor
+        Containment and restart then run through the exact same burial
         path as an organic crash.
         """
         with self._lock:
             worker = self._workers.get(wid)
-            if worker is None or worker.proc is None:
-                return False
-            if not worker.proc.is_alive():
+            if (worker is None or worker.proc is None
+                    or not worker.proc.is_alive()):
                 return False
             worker.proc.kill()
             return True
@@ -312,15 +286,10 @@ class Supervisor:
         return None
 
     def _spawn(self, worker: _Worker) -> None:
-        worker.job_queue = self._ctx.Queue()
-        worker.proc = self._ctx.Process(
-            target=serve_worker_main,
-            args=(worker.wid, worker.job_queue, self._result_queue),
-            daemon=True,
-        )
+        worker.proc = WorkerProcess(self._ctx, serve_worker_main, worker.wid)
         worker.state = STATE_STARTING
         worker.job = None
-        worker.proc.start()
+        worker.fail_kind = FAIL_CRASH
         self._sample_workers()
 
     def _dispatch(self, worker: _Worker, job: _Job) -> None:
@@ -328,12 +297,10 @@ class Supervisor:
         job.dispatched_at = time.monotonic()
         worker.job = job
         worker.state = STATE_BUSY
-        worker.busy_since = job.dispatched_at
-        worker.job_queue.put({
+        worker.proc.put({
             "id": job.id,
             "attempt": job.attempt,
             "spec": job.spec,
-            "stream": job.stream,
         })
         self._sample_workers()
 
@@ -352,15 +319,12 @@ class Supervisor:
         exec_seconds = max(0.0, now - job.dispatched_at)
         total = max(0.0, now - job.submitted_at)
         if self._metrics is not None:
-            self._metrics.histogram(
-                "serve_latency_seconds", stage="queue"
-            ).observe(queue_wait)
-            self._metrics.histogram(
-                "serve_latency_seconds", stage="exec"
-            ).observe(exec_seconds)
-            self._metrics.histogram(
-                "serve_latency_seconds", stage="total"
-            ).observe(total)
+            for stage, seconds in (
+                ("queue", queue_wait), ("exec", exec_seconds), ("total", total)
+            ):
+                self._metrics.histogram(
+                    "serve_latency_seconds", stage=stage
+                ).observe(seconds)
         return {
             "queue_wait": queue_wait,
             "exec": exec_seconds,
@@ -383,10 +347,7 @@ class Supervisor:
             self._metrics.counter(
                 "serve_jobs_completed_total", kind=str(event["kind"])
             ).inc()
-        try:
-            job.on_event(event)
-        except Exception:
-            pass
+        self._forward(job, event)
 
     def _absorb_report(self, report: object) -> None:
         """Fold one finished run's report counters into the daemon
@@ -457,16 +418,28 @@ class Supervisor:
         except Exception:
             pass
 
-    # -- pump thread -------------------------------------------------------
-    def _pump(self) -> None:
-        while not (self._stopping.is_set() and self._result_queue.empty()):
+    def _signal_idle(self) -> None:
+        if self.on_idle is not None:
             try:
-                msg = self._result_queue.get(timeout=self.poll_interval)
-            except (queue_mod.Empty, OSError, ValueError):
-                if self._stopping.is_set():
-                    return
-                continue
-            self._handle_message(msg)
+                self.on_idle()
+            except Exception:
+                pass
+
+    # -- supervisor thread -------------------------------------------------
+    def _run(self) -> None:
+        next_tick = 0.0
+        while not self._stopping.is_set():
+            # Only this thread spawns and buries, so no lock is needed.
+            live = [w for w in self._workers.values() if w.proc]
+            wait([w.proc for w in live], TICK)
+            for worker in live:
+                exitcode = worker.proc.drain(self._handle_message)
+                if exitcode is not None:
+                    self._bury(worker, exitcode)
+            now = time.monotonic()
+            if now >= next_tick:
+                self._tick()
+                next_tick = now + TICK
 
     def _handle_message(self, msg: Dict[str, object]) -> None:
         kind = msg.get("kind")
@@ -477,15 +450,11 @@ class Supervisor:
             if worker is None:
                 return
             if kind == "ready":
-                if worker.state != STATE_STOPPED:
-                    worker.state = STATE_IDLE
-                    worker.job = None
-                    became_idle = True
+                worker.state = STATE_IDLE
+                worker.job = None
+                became_idle = True
                 self._sample_workers()
-            elif kind == "bye":
-                worker.state = STATE_STOPPED
-                self._sample_workers()
-            elif kind in ("warning", "start", "result", "error"):
+            elif kind in ("warning", "result", "error"):
                 job = self._jobs.get(msg.get("job"))
                 if job is None or job.done:
                     return
@@ -498,8 +467,6 @@ class Supervisor:
                         "seq": msg["seq"],
                         "warning": msg["warning"],
                     })
-                    return
-                if kind == "start":
                     return
                 # result / error: terminal
                 if worker.job is job:
@@ -524,48 +491,41 @@ class Supervisor:
                 "error": msg["error"],
                 "worker": wid,
             })
-        if became_idle and self.on_idle is not None:
-            try:
-                self.on_idle()
-            except Exception:
-                pass
+        if became_idle:
+            self._signal_idle()
 
-    # -- monitor thread ----------------------------------------------------
-    def _monitor(self) -> None:
-        while not self._stopping.is_set():
-            self._tick()
-            time.sleep(self.poll_interval)
+    def _bury(self, worker: _Worker, exitcode: int) -> None:
+        """Account for a worker process that exited: everything it sent
+        has been handled, so the job it still holds died with it."""
+        with self._lock:
+            worker.proc.close()
+            worker.proc = None
+            if self._stopping.is_set():
+                worker.state = STATE_STOPPED  # stop() answers its job
+                return
+            self._schedule_restart(worker, time.monotonic())
+        self._contain_failure(worker, worker.fail_kind, exitcode)
 
     def _tick(self) -> None:
         now = time.monotonic()
-        failed: List[tuple] = []
         idle_signal = False
         with self._lock:
             for worker in self._workers.values():
-                if worker.state in (STATE_STOPPED, STATE_RESTARTING):
-                    if (
-                        worker.state == STATE_RESTARTING
+                if (worker.state == STATE_RESTARTING
                         and now >= worker.restart_at
-                        and not self._stopping.is_set()
-                    ):
-                        self._spawn(worker)
-                    continue
-                proc = worker.proc
-                if proc is not None and not proc.is_alive():
-                    failed.append((worker, FAIL_CRASH, proc.exitcode))
-                    self._schedule_restart(worker, now)
-                    continue
-                if (
+                        and not self._stopping.is_set()):
+                    self._spawn(worker)
+                elif (
                     worker.state == STATE_BUSY
                     and worker.job is not None
-                    and now - worker.busy_since > worker.job.timeout
+                    and worker.fail_kind != FAIL_TIMEOUT
+                    and now - worker.job.dispatched_at > worker.job.timeout
                 ):
                     # Deadline blown: the machine is stuck, not the
-                    # guest (virtual budgets end guest runs).  Kill and
-                    # recycle the worker; the job is handled below.
-                    proc.kill()
-                    failed.append((worker, FAIL_TIMEOUT, None))
-                    self._schedule_restart(worker, now)
+                    # guest (virtual budgets end guest runs).  Kill the
+                    # worker; its burial answers or retries the job.
+                    worker.fail_kind = FAIL_TIMEOUT
+                    worker.proc.kill()
             # Re-dispatch ready retries onto idle workers.
             for job in list(self._retries):
                 if job.retry_at > now or job.done:
@@ -577,22 +537,15 @@ class Supervisor:
                 self._dispatch(worker, job)
             if not self._retries and self._idle_worker() is not None:
                 idle_signal = True
-
-        for worker, fail_kind, exitcode in failed:
-            self._contain_failure(worker, fail_kind, exitcode)
-        if idle_signal and self.on_idle is not None:
-            try:
-                self.on_idle()
-            except Exception:
-                pass
+        if idle_signal:
+            self._signal_idle()
 
     def _schedule_restart(self, worker: _Worker, now: float) -> None:
         worker.consecutive_failures += 1
         worker.restarts += 1
         delay = min(
-            self.restart_backoff
-            * (2.0 ** (worker.consecutive_failures - 1)),
-            self.restart_backoff_max,
+            RESTART_BACKOFF * (2.0 ** (worker.consecutive_failures - 1)),
+            RESTART_BACKOFF_MAX,
         )
         worker.restart_at = now + delay
         worker.state = STATE_RESTARTING
@@ -611,7 +564,7 @@ class Supervisor:
                 return
             if job.attempt <= job.max_retries:
                 job.retry_at = time.monotonic() + retry_delay(
-                    self.retry_backoff, job.attempt, job.id
+                    RETRY_BACKOFF, job.attempt, job.id
                 )
                 self._retries.append(job)
                 if self._metrics is not None:

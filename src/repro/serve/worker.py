@@ -4,11 +4,11 @@ Like a fleet worker, a serve worker owns one :class:`repro.api.Session`
 for its whole life, so the translated-block store, tag-set interner and
 assemble memo stay warm across unrelated submissions — the "warm pool"
 that makes an always-on daemon faster than batch.  Unlike a fleet
-worker, its input is open-ended: jobs arrive one at a time on a
-dedicated queue, results (and *live warnings*, via
-:class:`~repro.serve.streaming.TapAnalyzer`) stream back on the shared
-result queue, and the worker announces readiness after every job so the
-supervisor can health-check and dispatch.
+worker, its input is open-ended: jobs arrive one at a time on its own
+inbox, results (and *live warnings*, via
+:class:`~repro.serve.streaming.TapAnalyzer`) stream back on its own
+result pipe, and the worker announces readiness after every job so the
+supervisor can dispatch.
 
 Containment: any exception inside a run is answered as an ``error``
 message with the traceback — a worker only dies on a genuine crash
@@ -100,40 +100,38 @@ def execute_submission(
     return report, None, engine_stats()
 
 
-def serve_worker_main(worker_id: int, job_queue, result_queue) -> None:
-    """Process entrypoint: announce readiness, loop jobs until poisoned.
+def serve_worker_main(worker_id: int, inbox, results) -> None:
+    """Process entrypoint: announce readiness, run jobs until ``None``.
 
-    Wire messages out (all carry ``worker``; job-scoped ones echo
-    ``job``/``attempt`` so the supervisor can drop stale messages after
-    a crash-retry)::
+    Wire messages sent on ``results`` (all carry ``worker``; job-scoped
+    ones echo ``job``/``attempt`` so the supervisor can drop stale
+    messages after a crash-retry)::
 
-        {"kind": "ready"}                       idle, health heartbeat
+        {"kind": "ready"}                       idle, ready for a job
         {"kind": "start", job, attempt}         picked a job up
         {"kind": "warning", job, attempt, seq, warning}
         {"kind": "result", job, attempt, report, ok, elapsed, engine, jit,
          library}
         {"kind": "error",  job, attempt, error, elapsed}
-        {"kind": "bye"}                         clean poison-pill exit
     """
     import time
 
     session = Session()
-    result_queue.put({"kind": "ready", "worker": worker_id})
+    results.send({"kind": "ready", "worker": worker_id})
     while True:
-        job = job_queue.get()
+        job = inbox.get()
         if job is None:
-            result_queue.put({"kind": "bye", "worker": worker_id})
             return
         job_id = job["id"]
         attempt = job["attempt"]
         started = time.perf_counter()
-        result_queue.put({
+        results.send({
             "kind": "start", "worker": worker_id,
             "job": job_id, "attempt": attempt,
         })
 
         def on_warning(seq: int, warning) -> None:
-            result_queue.put({
+            results.send({
                 "kind": "warning",
                 "worker": worker_id,
                 "job": job_id,
@@ -145,10 +143,9 @@ def serve_worker_main(worker_id: int, job_queue, result_queue) -> None:
         try:
             submission = Submission.from_wire(job["spec"])
             report, ok, engine = execute_submission(
-                session, submission,
-                on_warning=on_warning if job.get("stream", True) else None,
+                session, submission, on_warning=on_warning
             )
-            result_queue.put({
+            results.send({
                 "kind": "result",
                 "worker": worker_id,
                 "job": job_id,
@@ -164,7 +161,7 @@ def serve_worker_main(worker_id: int, job_queue, result_queue) -> None:
                 "library": session.engine.block_caches.library_stats(),
             })
         except Exception:
-            result_queue.put({
+            results.send({
                 "kind": "error",
                 "worker": worker_id,
                 "job": job_id,
@@ -172,4 +169,4 @@ def serve_worker_main(worker_id: int, job_queue, result_queue) -> None:
                 "error": traceback.format_exc(),
                 "elapsed": time.perf_counter() - started,
             })
-        result_queue.put({"kind": "ready", "worker": worker_id})
+        results.send({"kind": "ready", "worker": worker_id})

@@ -1,4 +1,4 @@
-"""The fleet's scheduling rule, unit by unit, without worker processes.
+"""The fleet's scheduling rule, unit by unit, with fake workers.
 
 :class:`repro.fleet.engine._Dispatch` holds the rule and does no I/O, so
 it is driven here by scripted fake workers: each step lets one worker
@@ -6,8 +6,9 @@ take the next item from its inbox and report it.  That makes the rule
 checkable step by step — placement does not depend on which worker
 finishes first, a worker never holds more than :data:`WORKER_DEPTH`
 tasks, the tasks a dead worker never started go to a survivor, and a
-drain cancels what was never started.  :func:`_collect` and
-:func:`worker_main` are run in-process against real pipes.
+drain cancels what was never started.  :func:`_collect` reads real
+worker processes, and :func:`worker_main` runs in-process against a
+real pipe.
 """
 
 import multiprocessing
@@ -19,6 +20,7 @@ import threading
 
 import pytest
 
+from repro.core.procs import WorkerProcess, mp_context
 from repro.fleet import WorkloadRef, make_tasks
 from repro.fleet.engine import NO_WORKER, WORKER_DEPTH, _collect, _Dispatch
 from repro.fleet.report import FleetRunRecord
@@ -163,38 +165,51 @@ def pipe():
     writer.close()
 
 
-class _Dead:
-    exitcode = -9
+def _send_then_die(wid, inbox, results, record):
+    results.send(record)
+    os._exit(9)
+
+
+def _die_mid_record(wid, inbox, results):
+    # A length header promising 1000 bytes, then the process is gone.
+    os.write(results.fileno(), struct.pack("!i", 1000) + b"cut")
+    os._exit(9)
+
+
+def _exited(target, *args):
+    worker = WorkerProcess(mp_context(), target, 0, *args)
+    worker.proc.join(30.0)
+    return worker
 
 
 class TestCollect:
-    def test_reads_what_a_dead_worker_sent_before_blaming_it(self, pipe):
-        reader, writer = pipe
+    """:func:`_collect` over real :class:`WorkerProcess` workers (the
+    pipe itself is covered in ``tests/core/test_procs.py``)."""
+
+    def test_reads_what_a_dead_worker_sent_before_blaming_it(self):
         tasks = _tasks(3)
         dispatch = _Dispatch(tasks, 1)
         dispatch.hand_out(False)  # worker 0 holds tasks 0 and 1
         # Task 0's record was sent; the worker then died on task 1.
-        writer.send(FleetRunRecord(
+        worker = _exited(_send_then_die, FleetRunRecord(
             index=0, name="ok-1", worker=0, report={"verdict": "benign"},
         ).to_dict())
-        writer.close()
-        _collect(dispatch, {0: _Dead()}, {0: reader})
+        _collect(dispatch, {0: worker})
+        worker.close()
         assert not dispatch.live
         records, _ = dispatch.finish(False)
         assert records[0].report == {"verdict": "benign"}
-        assert "exit code -9" in records[1].error
+        assert "exit code 9" in records[1].error
         assert "every worker died" in records[2].error
 
-    def test_a_record_cut_off_by_the_death_counts_as_unsent(self, pipe):
-        reader, writer = pipe
+    def test_a_record_cut_off_by_the_death_counts_as_unsent(self):
         dispatch = _Dispatch(_tasks(1), 1)
         dispatch.hand_out(False)
-        # A length header promising 1000 bytes, then end of file.
-        os.write(writer.fileno(), struct.pack("!i", 1000) + b"cut")
-        writer.close()
-        _collect(dispatch, {0: _Dead()}, {0: reader})
+        worker = _exited(_die_mid_record)
+        _collect(dispatch, {0: worker})
+        worker.close()
         records, _ = dispatch.finish(False)
-        assert "exit code -9" in records[0].error
+        assert "exit code 9" in records[0].error
 
 
 class TestWorkerMain:

@@ -42,6 +42,17 @@ class TestRoundTrip:
         with pytest.raises(LookupError, match="no workload named"):
             get("definitely not a row")
 
+    def test_get_builds_a_fresh_row_each_call(self):
+        # Rows are mutable dataclasses: a lookup must not hand out one
+        # another caller could have changed.
+        first = get("superforker")
+        first.source = "changed"
+        assert get("superforker") is not first
+        assert get("superforker").source == next(
+            w for w in registry_workloads(registry_of("superforker"))
+            if w.name == "superforker"
+        ).source
+
     def test_get_narrowed_to_keys(self):
         assert get("pma", keys=("8",)).name == "pma"
         with pytest.raises(LookupError):

@@ -2,10 +2,11 @@
 
 Two layers: white-box unit tests drive the containment state machine
 directly (no processes, fully deterministic), and a small set of
-real-process tests prove the monitor actually kills, restarts, and
+real-process tests prove the supervisor actually kills, restarts, and
 re-answers against live workers.
 """
 
+import os
 import threading
 import time
 
@@ -13,6 +14,7 @@ import pytest
 
 from repro.core.options import RunOptions
 from repro.core.procs import retry_delay
+from repro.serve import supervisor
 from repro.serve.protocol import Submission
 from repro.serve.supervisor import (
     FAIL_CRASH,
@@ -44,6 +46,12 @@ SLOW = Submission(source=_SLOW_SRC).to_wire()
 _WEDGED_SRC = _SLOW_SRC.replace("1500000", "60000000")
 WEDGED = Submission(
     source=_WEDGED_SRC, options=RunOptions(max_ticks=500_000_000)
+).to_wire()
+
+#: A benign run whose report (it carries argv) is far larger than a
+#: pipe buffer, so its worker is still writing it when nobody reads.
+BIG_REPORT = Submission(
+    source=BENIGN["source"], argv=["/bin/big", "A" * 300_000]
 ).to_wire()
 
 
@@ -198,10 +206,10 @@ class TestContainmentUnit:
         sup._handle_message(fresh)
         assert collector.kinds == ["report"]
 
-    def test_restart_backoff_doubles_and_caps(self):
-        sup = self._supervisor(
-            restart_backoff=0.1, restart_backoff_max=0.3
-        )
+    def test_restart_backoff_doubles_and_caps(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "RESTART_BACKOFF", 0.1)
+        monkeypatch.setattr(supervisor, "RESTART_BACKOFF_MAX", 0.3)
+        sup = self._supervisor()
         worker = sup._workers[0]
         now = 1000.0
         delays = []
@@ -218,15 +226,17 @@ class TestContainmentUnit:
 
 @pytest.fixture(scope="class")
 def pool():
-    sup = Supervisor(
-        workers=1, job_timeout=30.0, max_retries=1,
-        retry_backoff=0.01, restart_backoff=0.05,
-        metrics=MetricsRegistry(),
-    )
-    sup.start()
-    assert wait_for(lambda: sup.idle_workers() == 1)
-    yield sup
-    sup.stop()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(supervisor, "RETRY_BACKOFF", 0.01)
+        monkeypatch.setattr(supervisor, "RESTART_BACKOFF", 0.05)
+        sup = Supervisor(
+            workers=1, job_timeout=30.0, max_retries=1,
+            metrics=MetricsRegistry(),
+        )
+        sup.start()
+        assert wait_for(lambda: sup.idle_workers() == 1)
+        yield sup
+        sup.stop()
 
 
 class TestLivePool:
@@ -316,3 +326,85 @@ class TestStop:
         assert wait_for(lambda: sup.idle_workers() == 1)
         sup.stop()
         assert sup.try_submit(BENIGN, Collector()) is None
+
+
+# ---------------------------------------------------------------------------
+# workers that die while talking (real worker processes)
+
+
+def _terminals(collector):
+    return [k for k in collector.kinds if k in ("report", "error")]
+
+
+class TestDeathMidMessage:
+    def test_kill_mid_write_neither_wedges_nor_delays_another_worker(self):
+        sup = Supervisor(workers=2, job_timeout=30.0, max_retries=1)
+        sup.start()
+        try:
+            assert wait_for(lambda: sup.idle_workers() == 2)
+            big, small = Collector(), Collector()
+            # Holding the lock keeps the supervisor from taking in
+            # messages, so worker 0's report backs up mid-write.
+            with sup._lock:
+                assert sup.try_submit(BIG_REPORT, big) is not None
+                time.sleep(1.5)  # the run ends, the write blocks
+                assert sup.kill_worker(0)
+                assert sup.try_submit(BENIGN, small) is not None
+            assert small.done.wait(10.0), "another worker's answer stalled"
+            assert small.kinds == ["report"]
+            assert big.done.wait(30.0), "the killed job was never answered"
+            time.sleep(0.2)  # a second terminal would land by now
+            assert _terminals(big) == ["report"]
+            assert big.terminal["timing"]["attempts"] == 2
+            assert len(big.terminal["report"]["argv"][1]) == 300_000
+            assert wait_for(lambda: sup.idle_workers() == 2)
+        finally:
+            sup.stop()
+
+
+CRASH_EXIT_CODE = 23
+
+
+def _answer_then_die(worker_id, inbox, results):
+    """A serve worker that dies right after answering a ``die`` job."""
+    results.send({"kind": "ready", "worker": worker_id})
+    while True:
+        job = inbox.get()
+        if job is None:
+            return
+        reply = {"worker": worker_id, "job": job["id"],
+                 "attempt": job["attempt"]}
+        if job["spec"].get("die"):
+            time.sleep(0.3)
+        else:
+            results.send(dict(reply, kind="start"))
+        results.send(dict(
+            reply, kind="result", report={"verdict": "benign"}, ok=None,
+        ))
+        if job["spec"].get("die"):
+            os._exit(CRASH_EXIT_CODE)
+        results.send({"kind": "ready", "worker": worker_id})
+
+
+class TestResultBeforeDeath:
+    def test_result_sent_just_before_a_death_is_kept(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "serve_worker_main", _answer_then_die)
+        sup = Supervisor(workers=2, job_timeout=30.0, max_retries=1)
+        sup.start()
+        try:
+            assert wait_for(lambda: sup.idle_workers() == 2)
+            dying, other = Collector(), Collector()
+            # Worker 1's "start" holds the supervisor thread at the lock
+            # while worker 0 answers and dies, so the supervisor sees
+            # that death before it reads the answer.
+            with sup._lock:
+                assert sup.try_submit({"die": True}, dying) is not None
+                assert sup.try_submit({}, other) is not None
+                time.sleep(1.0)
+            assert dying.done.wait(10.0) and other.done.wait(10.0)
+            assert wait_for(lambda: sup.stats()["workers"][0]["restarts"])
+            assert dying.kinds == ["report"]
+            assert dying.terminal["timing"]["attempts"] == 1
+            assert other.kinds == ["report"]
+        finally:
+            sup.stop()
