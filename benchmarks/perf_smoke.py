@@ -21,6 +21,10 @@ when either property breaks:
   function) are slower than the same run with no trace
   (``tests/oracles`` ``no_traces``) beyond the same noise margin, or
   the two disagree on retired instructions or warnings;
+* a lone process's hot loop, run in slices of ``SLICE_QUANTA`` quanta,
+  is slower than one quantum per scheduler pass (``tests/oracles``
+  ``one_quantum_per_pass``) beyond the same noise margin, or the two
+  disagree on retired instructions, virtual time or warnings;
 * the dataflow fast path is not at least :data:`FASTPATH_SPEEDUP`
   faster than forced per-transfer template replay — or the two disagree
   on retired instructions or emitted warnings (they must be
@@ -64,7 +68,9 @@ import sys
 import time
 
 from benchmarks.bench_performance import run_workload
+from repro.api import run as api_run
 from repro.fleet import run_fleet, workload_refs
+from tests.oracles import one_quantum_per_pass
 
 #: Paired runs per engine (interleaved to cancel thermal/load drift).
 REPS = 5
@@ -113,8 +119,31 @@ RULE_ENGINE_FLAT_RATIO = 3.0
 RULE_ENGINE_REPS = 3
 
 
-def measure(name_a: str, name_b: str) -> tuple:
-    """Interleaved best-of-REPS wall time for two configurations.
+#: A lone process's taint-carrying hot loop with no syscall before its
+#: exit: nothing else can run, so the kernel runs it in slices.
+LONE_LOOP_SOURCE = """
+main:
+    mov ecx, 0
+    mov esi, table
+loop:
+    mov ebx, ecx
+    and ebx, 7
+    add ebx, esi
+    load edx, [ebx]
+    add edx, ecx
+    store [ebx], edx
+    add ecx, 1
+    cmp ecx, 20000
+    jl loop
+    mov eax, 0
+    ret
+.data
+table: .space 8
+"""
+
+
+def interleaved(run_a, run_b) -> tuple:
+    """Interleaved best-of-REPS wall time of two calls.
 
     Best-of (not mean-of) so one scheduler hiccup on a shared runner
     cannot fail the gate.
@@ -122,16 +151,22 @@ def measure(name_a: str, name_b: str) -> tuple:
     best_a = float("inf")
     best_b = float("inf")
     # warm-up: first run pays import + assemble + translation costs
-    run_workload(name_a)
-    run_workload(name_b)
+    run_a()
+    run_b()
     for _ in range(REPS):
         start = time.perf_counter()
-        run_workload(name_a)
+        run_a()
         best_a = min(best_a, time.perf_counter() - start)
         start = time.perf_counter()
-        run_workload(name_b)
+        run_b()
         best_b = min(best_b, time.perf_counter() - start)
     return best_a, best_b
+
+
+def measure(name_a: str, name_b: str) -> tuple:
+    """:func:`interleaved` for two ``bench_performance`` configurations."""
+    return interleaved(lambda: run_workload(name_a),
+                       lambda: run_workload(name_b))
 
 
 def check_block_cache() -> int:
@@ -255,6 +290,48 @@ def check_loop_traces() -> int:
         )
         return 1
     print("ok: loop traces are not slower than untraced execution")
+    return 0
+
+
+def _run_lone_loop():
+    report = api_run(LONE_LOOP_SOURCE, path="/bin/lone")
+    assert report.exit_code == 0
+    return report
+
+
+def _run_lone_loop_per_quantum():
+    with one_quantum_per_pass():
+        return _run_lone_loop()
+
+
+def check_slices() -> int:
+    sliced = _run_lone_loop()
+    per_quantum = _run_lone_loop_per_quantum()
+    if (sliced.result != per_quantum.result
+            or sliced.warnings != per_quantum.warnings):
+        print(
+            "FAIL: slices and one quantum per pass disagree on retired "
+            "instructions, virtual time or warnings",
+            file=sys.stderr,
+        )
+        return 1
+    sliced, per_quantum = interleaved(_run_lone_loop,
+                                      _run_lone_loop_per_quantum)
+    speedup = per_quantum / sliced if sliced else float("inf")
+    print(
+        f"perf smoke: slices={sliced * 1000:.2f} ms "
+        f"per-quantum={per_quantum * 1000:.2f} ms "
+        f"speedup={speedup:.2f}x"
+    )
+    if sliced > per_quantum * NOISE_MARGIN:
+        print(
+            "FAIL: a lone process's slices are slower than one quantum "
+            f"per pass (margin {NOISE_MARGIN}x)",
+            file=sys.stderr,
+        )
+        return 1
+    print("ok: a lone process's slices are not slower than one quantum "
+          "per pass")
     return 0
 
 
@@ -563,6 +640,7 @@ CHECKS = {
     "block_jit": check_block_jit,
     "inline_monitor": check_inline_monitor,
     "loop_traces": check_loop_traces,
+    "slices": check_slices,
     "fastpath": check_fastpath,
     "fleet": check_fleet,
     "provenance": check_provenance,

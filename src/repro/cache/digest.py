@@ -44,7 +44,7 @@ import enum
 import hashlib
 import struct
 from collections import OrderedDict
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.options import RunOptions
 from repro.isa.image import Image
@@ -414,11 +414,3 @@ def submission_key(submission, engine=None) -> str:
             ),
         ),
     )
-
-
-def iter_digest_parts(values: Iterable[object]) -> Dict[str, str]:
-    """Debug aid: per-part digests for key-mismatch forensics."""
-    return {
-        f"part_{i}": content_digest(value)
-        for i, value in enumerate(values)
-    }

@@ -21,7 +21,7 @@ chaos harness may assert:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
 from repro.kernel import errors
@@ -111,16 +111,3 @@ class InjectedFault:
     def __str__(self) -> str:  # pragma: no cover - debug/CLI rendering
         return (f"t={self.time} pid={self.pid} {self.kind.value} "
                 f"{self.call_name} {self.detail}".rstrip())
-
-
-@dataclass
-class FaultPlan:
-    """A profile bound to a seed: everything needed to replay a run."""
-
-    seed: int
-    profile: FaultProfile = field(default_factory=FaultProfile)
-
-    def build(self) -> "FaultInjector":  # noqa: F821 - runtime import
-        from repro.faultinject.injector import FaultInjector
-
-        return FaultInjector(profile=self.profile, seed=self.seed)

@@ -168,9 +168,6 @@ class Instruction:
             out.append(self.b)
         return tuple(out)
 
-    def is_control_transfer(self) -> bool:
-        return self.opcode in CONTROL_TRANSFER_OPCODES
-
     def __str__(self) -> str:
         parts = [self.opcode.value]
         ops = ", ".join(str(op) for op in self.operands())

@@ -10,7 +10,18 @@ jumps forward when every live process is sleeping or waiting on a scheduled
 network event (so ``sleep``-heavy workloads like the "Infrequent execve"
 micro-benchmark finish instantly in real time).
 
-Execution: a quantum runs the process's translated blocks
+Scheduling: round robin, one quantum per runnable process per pass.  A
+process that nothing else could preempt — every other process has
+exited, the network has nothing scheduled and no fault injector draws
+per-quantum jitter — runs a slice of :data:`SLICE_QUANTA` quanta
+instead.  Those extra pass boundaries would have done nothing but pick
+the same process again, so the instruction stream and virtual time are
+the same; only fewer blocks are cut at a quantum end.  A serviced
+syscall (which may fork, sleep, block or exit) cuts the slice back to
+the next boundary of the one-quantum schedule, from which the
+scheduler decides as it would have per quantum.
+
+Execution: a slice runs the process's translated blocks
 (``repro.isa.translate``), one cache lookup per block entry.  A block
 that heads a loop trace (``repro.isa.blockjit``) and whose whole
 iteration fits the remaining budget runs the loop instead, whole
@@ -66,6 +77,11 @@ _PROC_SPAN_KEY = "telemetry.span"
 
 #: ``blockjit.TRACE_THRESHOLD`` when no loop trace may form.
 _NEVER = float("inf")
+
+#: Quanta in the slice of a process nothing else could preempt.  On the
+#: section 9 long-guest run 8 already gives most of the gain of 64 (see
+#: docs/performance.md) and keeps the watchdog's overshoot small.
+SLICE_QUANTA = 8
 
 #: Exit codes for abnormal termination.
 EXIT_KILLED_BY_MONITOR = 137   # 128 + SIGKILL
@@ -462,7 +478,8 @@ class Kernel:
         ``wall_timeout`` (seconds of real time) arms a watchdog: a guest
         that outlives it yields a ``'watchdog'`` result instead of hanging
         the caller.  Checked once per scheduler pass, so the overshoot is
-        at most one quantum per runnable process.
+        at most one quantum per runnable process, or one slice of
+        :data:`SLICE_QUANTA` quanta when a process runs alone.
         """
         tracer = self.tracer
         if tracer is None:
@@ -564,11 +581,23 @@ class Kernel:
                 self._c_instructions.inc(executed)
                 self._h_quantum.observe(executed)
 
+    def _slice_quanta(self, proc: Process) -> int:
+        """Quanta ``proc`` may run before the next scheduler pass:
+        :data:`SLICE_QUANTA` when no pass boundary could do anything
+        but pick it again, else one."""
+        if (self.fault_injector is not None
+                or self.network.next_event_time() is not None):
+            return 1
+        for other in self.procs.values():
+            if other is not proc and other.state is not ProcessState.EXITED:
+                return 1
+        return SLICE_QUANTA
+
     def _exec_quantum(self, proc: Process, deadline: int) -> None:
         quantum = self.quantum
         if self.fault_injector is not None:
             quantum = self.fault_injector.quantum(quantum)
-        budget = quantum
+        budget = quantum * self._slice_quanta(proc)
         hooks = self.hooks
         # A fused block instrumented for the hooks does their per-block
         # work itself and returns no record on a plain exit; so does a
@@ -627,6 +656,9 @@ class Kernel:
                 continue
             if kind == BLOCK_SYSCALL:
                 self._service_syscall(proc)
+                # End the slice where the quantum holding the call ends:
+                # from there on the scheduler decides as per quantum.
+                budget %= quantum
                 if inst is not None:
                     # The call (an execve, say) may have changed what
                     # the hooks keep for this process.

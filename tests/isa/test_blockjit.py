@@ -69,7 +69,7 @@ from repro.isa.translate import (
 )
 from repro.kernel.hooks import CompositeHooks
 from repro.kernel.kernel import EXIT_FAULT as PROCESS_EXIT_FAULT
-from repro.kernel.kernel import Kernel
+from repro.kernel.kernel import SLICE_QUANTA, Kernel
 from repro.taint.tags import DataSource, TagSet
 from repro.telemetry.metrics import MetricsRegistry
 from tests.oracles import (
@@ -77,6 +77,7 @@ from tests.oracles import (
     closure_only,
     fuse_every_block,
     no_traces,
+    one_quantum_per_pass,
     record_path,
     reference_interpreter,
     trace_every_loop,
@@ -996,22 +997,37 @@ class TestLoopTraces:
 
     @pytest.mark.parametrize("quantum", (2, 8, 3 * 9 + 4, 200))
     def test_budget_is_never_overshot(self, quantum):
-        """A quantum below one iteration never enters the trace; any
-        other runs whole iterations and leaves the rest of the budget
-        to the block path, with the interpreter's ticks."""
-        with _trace_calls() as calls:
+        """One quantum per pass (as beside a live sibling process), a
+        quantum below one iteration never enters the trace, and the
+        blocks it cuts short take the prefix path; any other quantum
+        runs whole iterations and leaves the rest of the budget to the
+        block path, with the interpreter's ticks."""
+        with one_quantum_per_pass(), _trace_calls() as calls:
             hth = _assert_traced_matches(TOP_TESTED, quantum=quantum)
         (plan,) = _traces(hth)
         cost = plan.trace.cost
         assert cost == 9
         if quantum < cost:
             assert calls == []
+            assert hth.harrier.slowpath_blocks > 0
             return
         assert calls
         for limit, (executed, entries) in calls:
             assert executed <= limit and entries >= 1
         if quantum % cost:
             assert any(limit % cost for limit, _ in calls)
+
+    @pytest.mark.parametrize("quantum", (2, 8))
+    def test_a_lone_slice_is_never_overshot(self, quantum):
+        """A lone process's slice of SLICE_QUANTA quanta holds whole
+        iterations even where one quantum would not, and its budget
+        is never overshot either."""
+        with _trace_calls() as calls:
+            _assert_traced_matches(TOP_TESTED, quantum=quantum)
+        assert calls
+        for limit, (executed, entries) in calls:
+            assert executed <= limit <= SLICE_QUANTA * quantum
+            assert entries >= 1
 
     @pytest.mark.parametrize("max_ticks", (60, 200, 311))
     def test_deadline_mid_loop(self, max_ticks):

@@ -1,8 +1,9 @@
 """Property-based tests over the assembler + CPU: randomized straight-line
 programs must compute the same results as a Python model — on the
 reference interpreter and on translated blocks — randomized counted
-loops must run in production (hot blocks fused, hot loops traced) as on
-the reference interpreter, loops over tainted input in a forked pair of
+loops must run in production (hot blocks fused, hot loops traced, a lone
+process in slices or one quantum per pass) as on the reference
+interpreter, loops over tainted input in a forked pair of
 processes must leave the same shadow state whether generated code
 inlines the taint applier's steady state or calls the applier, and
 taint must stay conservative."""
@@ -19,6 +20,7 @@ from repro.taint import DataSource
 from tests.oracles import (
     applier_calls,
     fuse_every_block,
+    one_quantum_per_pass,
     reference_interpreter,
     trace_every_loop,
 )
@@ -151,10 +153,15 @@ def counted_loop(draw):
     return "\n".join(lines) + "\n", draw(st.integers(1, 64))
 
 
-def _loop_fingerprint(source, quantum):
+def _loop_run(source, quantum):
     hth = HTH()
     hth.kernel.quantum = quantum
     report = hth.run(assemble("/bin/loop", source))
+    return hth, report
+
+
+def _loop_fingerprint(source, quantum):
+    hth, report = _loop_run(source, quantum)
     proc = hth.kernel.procs[1]
     shadow = hth.harrier.shadow(proc)
     return {
@@ -177,15 +184,58 @@ def _loop_fingerprint(source, quantum):
     }
 
 
+#: One ``counted_loop`` draw: 40 bottom-tested iterations.
+_COUNTED_LOOP = """
+main:
+    mov ecx, 0
+    mov esi, table
+    mov eax, 3
+loop:
+    mov ebx, ecx
+    mod ebx, 3
+    add ebx, esi
+    load edx, [ebx]
+    xor edx, 5
+    add eax, edx
+    cmp edx, 4
+    jl skip
+    store [ebx], eax
+skip:
+    add ecx, 1
+    cmp ecx, 40
+    jl loop
+    mov edi, out
+    store [edi], eax
+    mov eax, 0
+    ret
+.data
+table: .word 7, -2, 9
+out: .space 1
+"""
+
+
 class TestLoopEquivalence:
     @given(counted_loop())
     @settings(max_examples=100, deadline=None)
     def test_counted_loops_match_the_reference_interpreter(self, loop):
+        """In slices (the loop's process runs alone), and one quantum
+        per pass, where the random quantum cuts blocks short."""
         source, quantum = loop
-        production = _loop_fingerprint(source, quantum)
         with reference_interpreter():
             reference = _loop_fingerprint(source, quantum)
-        assert production == reference
+        assert _loop_fingerprint(source, quantum) == reference
+        with one_quantum_per_pass():
+            assert _loop_fingerprint(source, quantum) == reference
+
+    def test_one_quantum_per_pass_reaches_the_prefix_path(self):
+        """The property above still runs blocks cut short by a quantum
+        end, which a lone process's slices mostly avoid."""
+        source = _COUNTED_LOOP
+        with one_quantum_per_pass():
+            hth, _ = _loop_run(source, 7)
+        assert hth.harrier.slowpath_blocks > 0
+        sliced, _ = _loop_run(source, 7)
+        assert sliced.harrier.slowpath_blocks < hth.harrier.slowpath_blocks
 
 
 @st.composite

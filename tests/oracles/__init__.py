@@ -21,7 +21,9 @@ switches that pin the block JIT to one executor:
   fused blocks on the record path (the monitor in ``on_block``), trace
   every loop from its first fused exit, or never trace one, or have
   generated code call every taint applier instead of inlining its
-  steady state.
+  steady state;
+* :mod:`tests.oracles.schedule` — one quantum per process per
+  scheduler pass, with no multi-quantum slice for a lone process.
 
 Each path oracle is installed with a context manager that patches the
 one production path it stands in for, so no product constructor, option
@@ -41,6 +43,7 @@ from tests.oracles.jit import (
 )
 from tests.oracles.matcher import naive_matcher
 from tests.oracles.replay import template_replay
+from tests.oracles.schedule import one_quantum_per_pass
 
 __all__ = [
     "applier_calls",
@@ -48,6 +51,7 @@ __all__ = [
     "fuse_every_block",
     "naive_matcher",
     "no_traces",
+    "one_quantum_per_pass",
     "record_path",
     "reference_interpreter",
     "template_replay",
