@@ -28,11 +28,10 @@ configurations:
                       every memory-touching block's taint applier
                       instead of checking its steady state inline
                       (``tests/oracles`` ``applier_calls``)
-* harrier-fastpath(-off) — the full monitor with the zero-taint dataflow
-                      fast path on/off (fastpath == the default
-                      harrier-full; -off runs the forced template-replay
-                      oracle, replaying every taint template per
-                      transfer)
+* harrier-fastpath-off — the full monitor without the zero-taint
+                      dataflow fast path: the forced template-replay
+                      oracle replays every taint template per transfer
+                      (harrier-full is the fast path on)
 * warm-cache        — repeat traffic answered by the content-addressed
                       verdict cache: no execution at all, the stored
                       report replayed bit-identically
@@ -135,7 +134,6 @@ _CONFIGS = {
     "harrier-record-path": (HarrierConfig(), record_path),
     "harrier-no-traces": (HarrierConfig(), no_traces),
     "harrier-applier-calls": (HarrierConfig(), applier_calls),
-    "harrier-fastpath": (HarrierConfig(), _PRODUCTION),
     "harrier-fastpath-off": (HarrierConfig(), template_replay),
     "harrier-provenance-off": (
         HarrierConfig(provenance=False), _PRODUCTION
@@ -291,7 +289,7 @@ def bench_overhead_summary(benchmark):
     assert hit_rates["harrier-full-interp"] is None
     # the zero-taint fast path pays for itself (generous noise margin;
     # the real speedup gate lives in benchmarks.perf_smoke)
-    assert timings["harrier-fastpath"] < (
+    assert timings["harrier-full"] < (
         timings["harrier-fastpath-off"] * 1.10
     ), timings
 

@@ -337,7 +337,7 @@ def check_slices() -> int:
 
 def check_fastpath() -> int:
     # Equivalence first: same retired instructions, same warnings.
-    fast_report = run_workload("harrier-fastpath")
+    fast_report = run_workload("harrier-full")
     slow_report = run_workload("harrier-fastpath-off")
     if fast_report.result.instructions != slow_report.result.instructions:
         print(
@@ -356,7 +356,7 @@ def check_fastpath() -> int:
             file=sys.stderr,
         )
         return 1
-    fast, slow = measure("harrier-fastpath", "harrier-fastpath-off")
+    fast, slow = measure("harrier-full", "harrier-fastpath-off")
     speedup = slow / fast if fast else float("inf")
     print(
         f"perf smoke: fastpath={fast * 1000:.2f} ms "

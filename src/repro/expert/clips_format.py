@@ -52,8 +52,7 @@ def render_fact(fact: Fact, indent: int = 4) -> str:
     """One fact as a CLIPS ``assert`` form (Appendix A.1 style)."""
     pad = " " * indent
     lines = [f"(assert ({fact.name}"]
-    for slot in fact.template.slots:
-        value = fact.values[slot]
+    for slot, value in fact.items():
         lines.append(f"{pad}({slot} {_render_value(value)})")
     lines.append(")")
     lines.append(")")

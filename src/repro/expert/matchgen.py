@@ -3,7 +3,9 @@
 Matching a :class:`~repro.expert.conditions.Pattern` against a fact
 means, constraint by constraint in declaration order:
 
-* the fact's template must have the slot, else no match;
+* the fact's template must have the slot, else no match; its value is
+  the one the template's reader for the slot takes from the fact's
+  record;
 * a variable ``V(name)`` already bound must equal the slot value
   (``bound != value``), and an unbound one binds it;
 * a predicate ``P(fn)`` must hold for the value and the bindings so
@@ -85,10 +87,11 @@ def _source(shape: Shape) -> str:
     steps, bind_as, upstream = shape
     params = ["_t"]
     body = [
-        "    if fact.template.name != _t:",
+        "    template = fact.template",
+        "    if template.name != _t:",
         "        return None",
-        "    slots = fact.template.slots",
-        "    values = fact.values",
+        "    readers = template.readers",
+        "    record = fact.record",
     ]
     new: List[str] = []  # "key: local" items of the bindings built so far
 
@@ -100,8 +103,8 @@ def _source(shape: Shape) -> str:
 
     for i, step in enumerate(steps):
         params.append(f"_s{i}")
-        body += [f"    if _s{i} not in slots:", "        return None"]
-        value = f"values[_s{i}]"
+        body += [f"    if _s{i} not in readers:", "        return None"]
+        value = f"readers[_s{i}](record)"
         kind = step[0]
         if kind == "new":
             params.append(f"_n{i}")

@@ -160,11 +160,14 @@ class AlphaMemory:
         self.successors: List[Any] = []
 
     def matches(self, fact: Fact) -> bool:
-        if fact.name != self.template:
+        template = fact.template
+        if template.name != self.template:
             return False
-        values = fact.values
+        readers = template.readers
+        record = fact.record
         for slot, expected in self.literals:
-            if slot not in values or values[slot] != expected:
+            read = readers.get(slot)
+            if read is None or read(record) != expected:
                 return False
         return True
 
@@ -226,9 +229,10 @@ class _AlphaFedNode:
         )
 
     def _right_key(self, fact: Fact) -> Any:
-        values = fact.values
+        readers = fact.template.readers
+        record = fact.record
         try:
-            key = tuple(values[slot] for slot, _ in self.join_slots)
+            key = tuple(readers[slot](record) for slot, _ in self.join_slots)
         except KeyError:
             # Pattern constrains a slot this template lacks; the fact can
             # never match, but keep it reachable so match() says so.
@@ -430,6 +434,9 @@ class ReteNetwork:
         self._entries: Dict[Tuple[str, Tuple[int, ...]], _AgendaEntry] = {}
         self._heap: List[Tuple[Tuple, int, _AgendaEntry]] = []
         self._seq = 0
+        #: The fact :meth:`accepts` last tested and the alpha memories
+        #: that take it, which the assert of that fact reuses.
+        self._tested: Optional[Tuple[Fact, List[AlphaMemory]]] = None
 
     # -- construction ----------------------------------------------------
     def add_production(self, rule: Rule, rule_index: int) -> None:
@@ -494,6 +501,7 @@ class ReteNetwork:
         key = (pattern.template, tuple(literals))
         memory = self._alpha_by_key.get(key)
         if memory is None:
+            self._tested = None  # a tested fact has not met this memory
             memory = AlphaMemory(pattern.template, tuple(literals))
             self._alpha_by_key[key] = memory
             self._alpha_by_template.setdefault(
@@ -505,21 +513,29 @@ class ReteNetwork:
         return memory
 
     # -- deltas ----------------------------------------------------------
+    def _memories_taking(self, fact: Fact) -> List[AlphaMemory]:
+        return [memory
+                for memory in self._alpha_by_template.get(fact.name, ())
+                if memory.matches(fact)]
+
     def accepts(self, fact: Fact) -> bool:
         """False when asserting ``fact`` and running to quiescence could
         change nothing: no activation is pending and no alpha memory
-        takes the fact, so it would reach no node."""
-        if self._entries:
-            return True
-        return any(memory.matches(fact)
-                   for memory in self._alpha_by_template.get(fact.name, ()))
+        takes the fact, so it would reach no node.  The memories found
+        are kept for the :meth:`assert_fact` of the same fact, so an
+        accepted fact is tested against each memory once."""
+        hit = self._memories_taking(fact)
+        self._tested = (fact, hit)
+        return bool(hit or self._entries)
 
     def assert_fact(self, fact: Fact) -> None:
-        hit: List[AlphaMemory] = []
-        for memory in self._alpha_by_template.get(fact.name, ()):
-            if memory.matches(fact):
-                memory.facts[fact.fact_id] = fact
-                hit.append(memory)
+        tested, self._tested = self._tested, None
+        if tested is not None and tested[0] is fact:
+            hit = tested[1]
+        else:
+            hit = self._memories_taking(fact)
+        for memory in hit:
+            memory.facts[fact.fact_id] = fact
         self.engine.stats.alpha_activations += len(hit)
         nodes = [node for memory in hit for node in memory.successors]
         nodes.sort(key=_deepest_first)

@@ -1,15 +1,23 @@
 """Fact templates and facts (the CLIPS ``deftemplate``/``assert`` model).
 
-Facts are immutable bags of named slot values.  A slot may be declared
-*multi* (CLIPS multislot), in which case its value is always a tuple —
-Secpert uses multislots for resource-origin names/types because a value
-can derive from several data sources at once (paper appendix A.1).
+A fact is a template plus a *record*, and the template names, for each
+slot, the reader that takes the slot's value from the record.  Every
+consumer — alpha tests, join keys, generated matchers, rendering — reads
+a slot as ``template.readers[slot](record)``, whatever the record is.
+
+* A generic template's record is the dict :meth:`Template.make` builds,
+  read slot by slot with ``itemgetter``.  A slot may be declared *multi*
+  (CLIPS multislot), in which case ``make`` stores a tuple.
+* A template whose slots name their own readers reads some other record
+  in place: Secpert's templates read a Harrier event directly, so the
+  event *is* the fact's record (paper section 6.1, appendix A.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class TemplateError(Exception):
@@ -21,6 +29,9 @@ class SlotSpec:
     name: str
     multi: bool = False
     default: Any = None
+    #: Takes the slot's value from a fact's record; None reads the
+    #: dict :meth:`Template.make` builds.
+    read: Optional[Callable[[Any], Any]] = None
 
     def normalize(self, value: Any) -> Any:
         if self.multi:
@@ -40,6 +51,11 @@ class Template:
         self.slots: Dict[str, SlotSpec] = {s.name: s for s in slots}
         if len(self.slots) != len(slots):
             raise TemplateError(f"duplicate slot in template {name!r}")
+        #: Slot name -> reader of that slot's value from a record, in
+        #: slot order.
+        self.readers: Dict[str, Callable[[Any], Any]] = {
+            s.name: s.read or itemgetter(s.name) for s in slots
+        }
         # make(): every slot's default in slot order, then the multislots
         # whose values need normalizing.
         self._defaults = {s.name: s.default for s in slots}
@@ -54,31 +70,35 @@ class Template:
         return cls(name, tuple(specs))
 
     def make(self, **values: Any) -> "Fact":
+        """A fact whose record is a dict of these slot values (for a
+        template whose slots read a dict)."""
         if not values.keys() <= self._defaults.keys():
             unknown = set(values) - set(self.slots)
             raise TemplateError(
                 f"template {self.name!r} has no slot(s) {sorted(unknown)}"
             )
-        normalized = {**self._defaults, **values}
+        record = {**self._defaults, **values}
         for slot in self._multi:
-            normalized[slot.name] = slot.normalize(normalized[slot.name])
-        return Fact(self, normalized)
+            record[slot.name] = slot.normalize(record[slot.name])
+        return Fact(self, record)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Template({self.name!r}, slots={list(self.slots)})"
 
 
 class Fact:
-    """One working-memory element.
+    """One working-memory element: a template and the record it reads.
 
-    ``fact_id`` and ``recency`` are stamped by the engine at assert time.
+    ``fact_id`` and ``recency`` are stamped by the engine at assert time;
+    they live here, not on the record, because one record may be
+    asserted into more than one engine.
     """
 
-    __slots__ = ("template", "values", "fact_id", "recency")
+    __slots__ = ("template", "record", "fact_id", "recency")
 
-    def __init__(self, template: Template, values: Mapping[str, Any]) -> None:
+    def __init__(self, template: Template, record: Any) -> None:
         self.template = template
-        self.values: Dict[str, Any] = dict(values)
+        self.record = record
         self.fact_id: Optional[int] = None
         self.recency: int = 0
 
@@ -87,19 +107,23 @@ class Fact:
         return self.template.name
 
     def get(self, slot: str) -> Any:
-        if slot not in self.template.slots:
+        read = self.template.readers.get(slot)
+        if read is None:
             raise TemplateError(
                 f"template {self.name!r} has no slot {slot!r}"
             )
-        return self.values[slot]
+        return read(self.record)
 
     def __getitem__(self, slot: str) -> Any:
         return self.get(slot)
 
-    def items(self):
-        return self.values.items()
+    def items(self) -> List[Tuple[str, Any]]:
+        """``(slot, value)`` for every slot, in slot order."""
+        record = self.record
+        return [(slot, read(record))
+                for slot, read in self.template.readers.items()]
 
     def __repr__(self) -> str:
-        inner = " ".join(f"({k} {v!r})" for k, v in sorted(self.values.items()))
+        inner = " ".join(f"({k} {v!r})" for k, v in sorted(self.items()))
         tag = f"f-{self.fact_id}" if self.fact_id is not None else "f-?"
         return f"<{tag} ({self.name} {inner})>"

@@ -14,6 +14,10 @@ Two shapes, exactly as the paper describes:
 Tag sets rather than single origins: the paper's events use multifield
 CLIPS slots for origin name/type because a value can derive from several
 sources at once.
+
+An event is also the record of the CLIPS fact Secpert asserts for it:
+the templates in :mod:`repro.secpert.facts` read each slot from the
+event in place, so an event is built once and never copied.
 """
 
 from __future__ import annotations

@@ -437,6 +437,3 @@ class Harrier(KernelHooks):
     def on_exec(self, proc: Process, path: str) -> None:
         self.shadow(proc).reset_for_exec()
 
-    # -- inspection ---------------------------------------------------------------
-    def events_named(self, call_name: str) -> List[SecurityEvent]:
-        return [e for e in self.events if e.call_name == call_name]

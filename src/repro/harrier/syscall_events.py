@@ -82,19 +82,12 @@ class SyscallEventGenerator:
     _FREQUENCY_UNKNOWN = 1 << 30
 
     # -- shared helpers ------------------------------------------------------
-    def _base(self, proc: Process, shadow: ProcessShadow, now: int,
-              call_name: str) -> Dict[str, object]:
+    def _code_context(self, shadow: ProcessShadow) -> Tuple[int, str]:
+        """An event's ``frequency`` and ``address``: those of the last
+        application block (section 7.4)."""
         if self.config.track_bb_frequency:
-            frequency, address = self.bbfreq.event_context(shadow)
-        else:
-            frequency, address = self._FREQUENCY_UNKNOWN, "0"
-        return {
-            "pid": proc.pid,
-            "time": now - proc.start_time,
-            "frequency": frequency,
-            "address": address,
-            "call_name": call_name,
-        }
+            return self.bbfreq.event_context(shadow)
+        return self._FREQUENCY_UNKNOWN, "0"
 
     def _path_origin(self, shadow: ProcessShadow,
                      info: Dict[str, object]) -> TagSet:
@@ -141,17 +134,16 @@ class SyscallEventGenerator:
         shadow.resource_origins[(source, name)] = origin
 
     @staticmethod
-    def _source_server(shadow: ProcessShadow, data_tags: TagSet) -> Dict[str, object]:
-        """Server-connection context when the data came via our listener."""
+    def _source_server(shadow: ProcessShadow,
+                       data_tags: TagSet) -> Tuple[Optional[str], TagSet]:
+        """Server socket address and its origin when the data came via
+        our listener, else ``(None, EMPTY)``."""
         for tag in data_tags:
             if tag.source is DataSource.SOCKET and tag.name:
                 entry = shadow.server_sockets.get(tag.name)
                 if entry is not None:
-                    return {
-                        "source_server_socket": entry[0],
-                        "source_server_origin": entry[1],
-                    }
-        return {}
+                    return entry
+        return None, EMPTY
 
     # -- pre-execution events ---------------------------------------------------
     def pre_events(
@@ -188,7 +180,8 @@ class SyscallEventGenerator:
         origin = self._path_origin(shadow, info)
         info["_origin_tags"] = origin  # reused by post_effects
         event = ResourceAccessEvent(
-            **self._base(proc, shadow, now, syscall_name(sysno)),
+            proc.pid, now - proc.start_time, *self._code_context(shadow),
+            syscall_name(sysno),
             resource=ResourceId(ResourceKind.FILE, str(path)),
             origin=origin,
         )
@@ -201,7 +194,8 @@ class SyscallEventGenerator:
         window = self.config.process_rate_window
         recent = sum(1 for t in shadow.clone_times if now - t <= window)
         event = ProcessEvent(
-            **self._base(proc, shadow, now, "SYS_clone"),
+            proc.pid, now - proc.start_time, *self._code_context(shadow),
+            "SYS_clone",
             total_created=len(shadow.clone_times),
             recent_created=recent,
             window=window,
@@ -230,8 +224,12 @@ class SyscallEventGenerator:
         # The bytes the kernel decoded for this call: the handler writes
         # the same ones after the analysis lets the call through.
         content = sniff_content(info.get("data", b""))  # type: ignore[arg-type]
+        source_server, source_server_origin = self._source_server(
+            shadow, data_tags
+        )
         event = DataTransferEvent(
-            **self._base(proc, shadow, now, call_name),
+            proc.pid, now - proc.start_time, *self._code_context(shadow),
+            call_name,
             direction="write",
             resource=ResourceId(open_file.kind, open_file.name),
             data_tags=data_tags,
@@ -242,8 +240,9 @@ class SyscallEventGenerator:
                 "server_origin", EMPTY
             ),  # type: ignore[arg-type]
             source_origins=self._source_origins(shadow, data_tags),
+            source_server_socket=source_server,
+            source_server_origin=source_server_origin,
             content_type=content,
-            **self._source_server(shadow, data_tags),
         )
         return [event]
 
@@ -267,7 +266,8 @@ class SyscallEventGenerator:
             origin = self._sockaddr_origin(shadow, int(sockaddr_ptr))
             info["_origin_tags"] = origin
             event = ResourceAccessEvent(
-                **self._base(proc, shadow, now, f"SYS_socketcall:{sub}"),
+                proc.pid, now - proc.start_time, *self._code_context(shadow),
+                f"SYS_socketcall:{sub}",
                 resource=ResourceId(
                     ResourceKind.SOCKET, str(info.get("addr_str", "?"))
                 ),
@@ -279,7 +279,8 @@ class SyscallEventGenerator:
             if open_file is None:
                 return []
             event = ResourceAccessEvent(
-                **self._base(proc, shadow, now, "SYS_socketcall:listen"),
+                proc.pid, now - proc.start_time, *self._code_context(shadow),
+                "SYS_socketcall:listen",
                 resource=ResourceId(ResourceKind.SOCKET, open_file.name),
                 origin=self._fd_origin(open_file),
             )
@@ -350,7 +351,8 @@ class SyscallEventGenerator:
         if delta <= 0:
             return []
         event = MemoryEvent(
-            **self._base(proc, shadow, now, "SYS_brk"),
+            proc.pid, now - proc.start_time, *self._code_context(shadow),
+            "SYS_brk",
             total_allocated=max(new_brk - HEAP_BASE, 0),
             delta=delta,
         )
@@ -378,8 +380,12 @@ class SyscallEventGenerator:
                     resource=open_file.name, via=call_name,
                 )
         effective = data_tags if self.config.track_dataflow else _UNKNOWN
+        source_server, source_server_origin = self._source_server(
+            shadow, effective
+        )
         event = DataTransferEvent(
-            **self._base(proc, shadow, now, call_name),
+            proc.pid, now - proc.start_time, *self._code_context(shadow),
+            call_name,
             direction="read",
             resource=ResourceId(open_file.kind, open_file.name),
             data_tags=effective,
@@ -388,8 +394,9 @@ class SyscallEventGenerator:
             server_socket=open_file.meta.get("server"),  # type: ignore
             server_socket_origin=open_file.meta.get("server_origin", EMPTY),  # type: ignore
             source_origins=self._source_origins(shadow, effective),
+            source_server_socket=source_server,
+            source_server_origin=source_server_origin,
             content_type=sniff_content(info.get("data", b"") or b""),
-            **self._source_server(shadow, effective),
         )
         return [event]
 

@@ -253,30 +253,6 @@ class Kernel:
         self._block_caches[id(image)] = (image, cache)
         return cache
 
-    def block_cache_stats(self) -> Dict[str, object]:
-        """Aggregate hit/miss/translation counts across every live cache."""
-        totals = {
-            "blocks": 0,
-            "hits": 0,
-            "misses": 0,
-            "translated_instructions": 0,
-            "flushes": self.block_cache_flushes,
-        }
-        for _image, cache in self._block_caches.values():
-            stats = cache.stats()
-            totals["blocks"] += stats["blocks"]
-            totals["hits"] += stats["hits"]
-            totals["misses"] += stats["misses"]
-            totals["translated_instructions"] += (
-                stats["translated_instructions"]
-            )
-            totals["flushes"] += stats["flushes"]
-        lookups = totals["hits"] + totals["misses"]
-        totals["hit_rate"] = (
-            totals["hits"] / lookups if lookups else None
-        )
-        return totals
-
     # -- process lifecycle ---------------------------------------------------
     def spawn(
         self,

@@ -115,16 +115,6 @@ class ImageMap:
                 return addr
         return None
 
-    def addr_to_symbol(self, addr: int) -> Optional[str]:
-        """Best-effort reverse lookup: symbol defined exactly at addr."""
-        for li in self._loaded:
-            off = addr - li.base
-            if 0 <= off < li.image.size:
-                for name, sym_off in li.image.symbols.items():
-                    if sym_off == off:
-                        return name
-        return None
-
 
 #: Synthetic startup shim: calls main, passes its return value to exit(2).
 _SHIM_BASE = 0x100

@@ -226,9 +226,6 @@ class Network:
             self._listeners[(ip, port)] = listener
         return listener
 
-    def listener_at(self, ip: int, port: int) -> Optional[Listener]:
-        return self._listeners.get((ip, port))
-
     # -- scheduled inbound traffic ----------------------------------------------
     def schedule_connect(
         self, time: int, host: str, port: int, peer: ScriptedPeer

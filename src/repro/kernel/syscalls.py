@@ -10,8 +10,9 @@ Harrier's routine-level short circuit exists to bridge.
 Each handler returns ``(result, info)``; ``info`` is merged into the
 event-description dict handed to the monitor hooks.  Guest memory is
 decoded once per call: :meth:`SyscallTable.describe` reads the path,
-host name or written bytes, the monitor's pre-event uses them, and
-:meth:`SyscallTable.dispatch` hands the same dict to the handler.
+execve argv, host name or written bytes, the monitor's pre-event uses
+them, and :meth:`SyscallTable.dispatch` hands the same dict to the
+handler.
 Handlers raise :class:`WouldBlock` when they must wait (socket reads,
 accept, FIFO reads) and are idempotent until they complete.
 """
@@ -231,10 +232,11 @@ class SyscallTable:
         info: Dict[str, object],
     ) -> Tuple[Optional[int], Dict[str, object]]:
         """Execute one call.  ``info`` is what :meth:`describe` decoded
-        for it, and handlers take the call's path, host name or written
-        bytes from there: guest memory is unchanged in between, because
-        the process does not run until its call completes.  A string
-        ``describe`` could not read is EFAULT."""
+        for it, and handlers take the call's path, execve argv, host
+        name or written bytes from there: guest memory is unchanged in
+        between, because the process does not run until its call
+        completes.  A string or argv ``describe`` could not read is
+        EFAULT."""
         handler = self._handlers.get(sysno)
         if handler is None:
             return -errors.ENOSYS, {}
@@ -251,9 +253,9 @@ class SyscallTable:
 
     def _sys_execve(self, proc: Process, args: Args, info):
         path = info.get("path")
-        if path is None:
+        argv = info.get("argv")
+        if path is None or argv is None:
             return -errors.EFAULT, {}
-        argv = self._read_ptr_array_strings(proc, args[1])
         env_entries = self._read_ptr_array_strings(proc, args[2])
         env: Dict[str, str] = {}
         for entry in env_entries:

@@ -15,7 +15,7 @@ from repro.secpert.facts import (
     DATA_TRANSFER,
     PROCESS_CREATED,
     SYSTEM_CALL_ACCESS,
-    event_to_fact,
+    fact_of,
     policy_resource_type,
 )
 from repro.secpert.info_flow_rules import build_info_flow_rules
@@ -37,7 +37,7 @@ __all__ = [
     "Severity",
     "SecurityWarning",
     "WarningSink",
-    "event_to_fact",
+    "fact_of",
     "policy_resource_type",
     "ALL_TEMPLATES",
     "SYSTEM_CALL_ACCESS",

@@ -1,6 +1,7 @@
 """Secpert — the security expert (paper section 6).
 
-Receives Harrier's events, asserts them as CLIPS facts, runs the inference
+Receives Harrier's events, asserts them as CLIPS facts (each event is the
+record its fact reads, :mod:`repro.secpert.facts`), runs the inference
 engine, and collects the warnings the policy rules produce.  Facts are
 ephemeral (asserted per event, retracted after the engine quiesces), which
 matches the prototype's resolution protocol; the fire trace persists so
@@ -15,7 +16,7 @@ from repro.expert.engine import FiredRule, InferenceEngine
 from repro.harrier.analyzer import EventAnalyzer
 from repro.harrier.events import SecurityEvent
 from repro.secpert.exec_flow_rules import build_exec_flow_rules
-from repro.secpert.facts import ALL_TEMPLATES, event_to_fact
+from repro.secpert.facts import ALL_TEMPLATES, fact_of
 from repro.secpert.info_flow_rules import build_info_flow_rules
 from repro.secpert.policy import PolicyConfig, PolicyFilters
 from repro.secpert.resource_rules import build_resource_rules
@@ -78,7 +79,7 @@ class Secpert(EventAnalyzer):
 
     # -- EventAnalyzer ---------------------------------------------------------
     def analyze(self, event: SecurityEvent) -> Sequence[SecurityWarning]:
-        fact = event_to_fact(event)
+        fact = fact_of(event)
         if fact is None:
             return ()
         engine = self.engine
@@ -139,11 +140,10 @@ class Secpert(EventAnalyzer):
         and the advice — "an expert system can give the user all of the
         information that was used to reach its conclusion" (§6.2.1)."""
         from repro.expert.clips_format import render_assert
-        from repro.secpert.facts import event_to_fact
 
         lines = []
         if warning.event is not None:
-            fact = event_to_fact(warning.event)
+            fact = fact_of(warning.event)
             if fact is not None:
                 lines.append(render_assert(fact))
                 lines.append("")

@@ -326,20 +326,6 @@ class ShadowMemory:
         self._owned = set()
         return dup
 
-    def copy_within(self, src: int, dst: int, length: int) -> None:
-        """Copy tags for a memory-to-memory move (memcpy semantics)."""
-        if length <= 0:
-            return
-        # Nothing to move and nothing to clear: both ranges clean.
-        if not any(True for _ in self._page_range(src, length)) and not any(
-            True for _ in self._page_range(dst, length)
-        ):
-            return
-        # Read first so overlapping regions behave like memmove.
-        tags = self.get_range(src, length)
-        for i, ts in enumerate(tags):
-            self.set(dst + i, ts)
-
     # -- stats --------------------------------------------------------------
     def page_stats(self) -> Dict[str, int]:
         """Resident-page footprint (telemetry's page gauges)."""

@@ -130,18 +130,6 @@ class TagSet:
             return self
         return TagSet(merged)
 
-    def with_tag(self, tag: Tag) -> "TagSet":
-        if tag in self._tags:
-            return self
-        return TagSet(self._tags | {tag})
-
-    def without_source(self, source: DataSource) -> "TagSet":
-        """Drop every tag of the given source type."""
-        kept = [t for t in self._tags if t.source is not source]
-        if len(kept) == len(self._tags):
-            return self
-        return TagSet(kept)
-
     def restrict(self, *sources: DataSource) -> "TagSet":
         """Keep only tags whose source type is in ``sources``."""
         wanted = set(sources)
@@ -165,10 +153,6 @@ class TagSet:
 
     def is_empty(self) -> bool:
         return not self._tags
-
-    def is_only(self, source: DataSource) -> bool:
-        """True when the set is non-empty and every tag has this source."""
-        return bool(self._tags) and all(t.source is source for t in self._tags)
 
     # -- dunder -----------------------------------------------------------
     def __iter__(self) -> Iterator[Tag]:

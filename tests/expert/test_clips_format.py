@@ -13,7 +13,7 @@ from repro.expert import (
 from repro.expert.engine import FiredRule
 from repro.harrier.events import ResourceAccessEvent, ResourceId
 from repro.kernel.process import ResourceKind
-from repro.secpert.facts import event_to_fact
+from repro.secpert.facts import fact_of
 from repro.taint import DataSource, TagSet
 
 
@@ -26,7 +26,7 @@ class TestFactRendering:
             resource=ResourceId(ResourceKind.FILE, "/bin/ls"),
             origin=TagSet.of(DataSource.BINARY, "/bench/execve.exe"),
         )
-        text = render_fact(event_to_fact(event))
+        text = render_fact(fact_of(event))
         assert text.startswith("(assert (system_call_access")
         assert "(system_call_name SYS_execve)" in text
         assert '(resource_name "/bin/ls")' in text

@@ -522,7 +522,7 @@ def observe(engine):
             for f in engine.fire_trace
         ],
         "wm": sorted(
-            (f.fact_id, f.name, repr(sorted(f.values.items())))
+            (f.fact_id, f.name, repr(sorted(f.items())))
             for f in engine.facts()
         ),
         "fired": engine._fired,

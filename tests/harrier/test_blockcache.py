@@ -15,6 +15,7 @@ from repro.kernel import Kernel
 from repro.programs.libc import libc_image
 from repro.telemetry import Telemetry
 from tests.oracles import reference_interpreter
+from tests.oracles.cachestats import block_cache_stats
 
 import pytest
 
@@ -119,7 +120,7 @@ class TestKernelLifecycle:
             result = k.run()
         assert result.completed
         assert proc.exit_code == 0
-        stats = k.block_cache_stats()
+        stats = block_cache_stats(k)
         assert stats["hits"] == stats["misses"] == 0
 
     def test_fork_shares_parent_cache(self):
@@ -158,7 +159,7 @@ class TestKernelLifecycle:
         k = make_kernel()
         proc = k.spawn(assemble("/bin/p", "main:\n  mov eax, 0\n  ret"))
         k.run()
-        stats = k.block_cache_stats()
+        stats = block_cache_stats(k)
         assert stats["misses"] > 0
         assert stats["translated_instructions"] > 0
         assert proc.exit_code == 0

@@ -129,7 +129,7 @@ prog: .asciz "/bin/ls"
         execs = [e for e in report.events
                  if isinstance(e, ResourceAccessEvent)
                  and e.call_name == "SYS_execve"]
-        assert execs[0].origin.is_only(DataSource.UNKNOWN)
+        assert execs[0].origin.sources() == {DataSource.UNKNOWN}
 
 
 class TestOriginRegistry:

@@ -82,6 +82,7 @@ from tests.oracles import (
     reference_interpreter,
     trace_every_loop,
 )
+from tests.oracles.cachestats import block_cache_stats
 from tests.oracles.interpreter import step as interpret
 
 _RECORD_FIELDS = (
@@ -876,7 +877,7 @@ def _loop_run(source, oracle, quantum=200, max_ticks=None, config=None):
     proc = hth.kernel.procs[1]
     shadow = hth.harrier.shadow(proc)
     prov = hth.harrier.provenance
-    stats = hth.kernel.block_cache_stats()
+    stats = block_cache_stats(hth.kernel)
     return hth, {
         "reason": report.result.reason,
         "ticks": report.result.ticks,

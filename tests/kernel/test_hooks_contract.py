@@ -14,6 +14,7 @@ from repro.kernel.hooks import CompositeHooks, KernelHooks, NullHooks
 from repro.programs.micro.execflow import table4_workloads
 from repro.programs.micro.infoflow import table6_workloads
 from tests.oracles import closure_only
+from tests.oracles.cachestats import block_cache_stats
 
 #: Runs its loop body 60 times: well past ``JIT_THRESHOLD``.
 HOT_LOOP = """
@@ -52,7 +53,7 @@ def _fused(hth):
 
 
 def _assert_one_record_per_block_entry(hth, counter):
-    stats = hth.kernel.block_cache_stats()
+    stats = block_cache_stats(hth.kernel)
     assert len(counter.records) == stats["hits"] + stats["misses"]
     assert sum(n for _, n in counter.records) == hth.kernel.instructions
     assert any(plan.runs >= translate.JIT_THRESHOLD for plan in _fused(hth))

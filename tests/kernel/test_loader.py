@@ -118,11 +118,6 @@ class TestImageMap:
         assert imap.symbol_addr("helper") == LIBRARY_BASE
         assert imap.symbol_addr("nope") is None
 
-    def test_addr_to_symbol(self, loaded):
-        memory, result, app, lib = loaded
-        imap = result.image_map
-        assert imap.addr_to_symbol(LIBRARY_BASE) == "helper"
-
     def test_app_property_requires_app(self):
         with pytest.raises(LoaderError):
             ImageMap([]).app

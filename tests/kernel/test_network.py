@@ -106,7 +106,6 @@ class TestListeners:
         a = net.listen(LOCALHOST_IP, 99)
         b = net.listen(LOCALHOST_IP, 99)
         assert a is b
-        assert net.listener_at(LOCALHOST_IP, 99) is a
 
 
 class TestScheduledConnects:

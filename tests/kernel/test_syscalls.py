@@ -1,6 +1,8 @@
 """Syscall behaviour tests via small guest programs (file I/O, process
 management, sockets, FIFOs, errors)."""
 
+import pytest
+
 from repro.kernel.network import ConversationPeer
 
 
@@ -301,6 +303,85 @@ tgt: .asciz "/tmp/plain"
             setup=setup,
         )
         assert report.console_output == "-13"  # -EACCES
+
+    # A NULL argv and one pointing at unmapped memory (which reads as
+    # zeros: an empty array) both run the target as argv = [path].
+    @pytest.mark.parametrize("argv_ptr", [0, 0x7ABCDEF0],
+                             ids=["null", "unmapped"])
+    def test_execve_without_argv_passes_the_path(self, guest, argv_ptr):
+        target = r"""
+main:
+    load ebx, [esp+1]
+    call print_num
+    load ebx, [esp+2]
+    load ebx, [ebx]
+    call print
+    mov eax, 0
+    ret
+"""
+        from repro.isa import assemble
+
+        def setup(hth):
+            hth.register_binary(assemble("/bin/target", target))
+
+        source = rf"""
+main:
+    mov ebx, tgt
+    mov ecx, {argv_ptr:#x}
+    mov edx, 0
+    call execve
+    mov ebx, eax
+    call print_num
+    mov eax, 1
+    ret
+.data
+tgt: .asciz "/bin/target"
+"""
+        report = guest.run(source, setup=setup)
+        assert report.console_output == "1/bin/target"
+        assert report.exit_code == 0
+        execs = [(e.call_name, e.resource.name) for e in report.events
+                 if e.call_name == "SYS_execve"]
+        assert execs == [("SYS_execve", "/bin/target")]
+        # The same call to a missing file returns -ENOENT.
+        missing = guest.run(source.replace("/bin/target", "/bin/nothing"))
+        assert missing.console_output == "-2"
+        assert missing.exit_code == 1
+        assert [(e.call_name, e.resource.name) for e in missing.events] == [
+            ("SYS_execve", "/bin/nothing")]
+
+    def test_execve_with_unreadable_argv_is_efault(self, guest):
+        """An argv string with no NUL within the cstring limit: the
+        call fails with -EFAULT and the caller runs on."""
+        report = guest.run(
+            r"""
+main:
+    mov edi, long
+    mov ecx, 5000
+fill:
+    mov eax, 65
+    store [edi], eax
+    add edi, 1
+    sub ecx, 1
+    cmp ecx, 0
+    jnz fill
+    mov ebx, tgt
+    mov ecx, argv
+    mov edx, 0
+    call execve
+    mov ebx, eax
+    call print_num
+    mov eax, 0
+    ret
+.data
+tgt: .asciz "/bin/nothing"
+argv: .word long
+      .word 0
+long: .space 8
+"""
+        )
+        assert report.console_output == "-14"  # -EFAULT
+        assert report.exit_code == 0
 
     def test_time_advances(self, guest):
         report = guest.run(

@@ -16,6 +16,11 @@ switches that pin the block JIT to one executor:
   replace;
 * :mod:`tests.oracles.readers` — per-cell guest-memory and shadow-tag
   readers (strings, buffers, a range's tags, a string's NUL scan);
+* :mod:`tests.oracles.facts` — the slot-by-slot copy of a Harrier event
+  into a CLIPS fact that Secpert's templates, which read the event in
+  place, replace;
+* :mod:`tests.oracles.cachestats` — block-cache hit, miss and
+  translation counts summed over a kernel's caches;
 * :mod:`tests.oracles.jit` — block-JIT switches: fuse every block from
   its first execution, run the per-instruction closures only, keep
   fused blocks on the record path (the monitor in ``on_block``), trace
@@ -27,9 +32,10 @@ switches that pin the block JIT to one executor:
 
 Each path oracle is installed with a context manager that patches the
 one production path it stands in for, so no product constructor, option
-or CLI flag selects it; the readers are plain functions the tests call
-beside the production ones.  A patch made before a fork is inherited
-by fork-started fleet and serve workers.
+or CLI flag selects it; the readers, the event copy and the cache
+counts are plain functions the tests call beside the production ones.
+A patch made before a fork is inherited by fork-started fleet and serve
+workers.
 """
 
 from tests.oracles.interpreter import reference_interpreter

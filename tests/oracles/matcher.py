@@ -47,7 +47,7 @@ def interpreted_match(pattern: Pattern, fact: Fact,
     for slot, constraint in pattern.constraints.items():
         if slot not in fact.template.slots:
             return None
-        value = fact.values[slot]
+        value = fact.get(slot)
         if isinstance(constraint, V):
             scope = new_bindings if new_bindings is not None else bindings
             if constraint.name in scope:

@@ -20,6 +20,7 @@ from tests.oracles import (
     template_replay,
     trace_every_loop,
 )
+from tests.oracles.cachestats import block_cache_stats
 from tests.oracles.matcher import NaiveNetwork
 
 LOOP = """
@@ -91,7 +92,7 @@ class TestReferenceInterpreter:
     def test_runs_without_the_block_cache(self):
         with reference_interpreter():
             hth = _run()
-        stats = hth.kernel.block_cache_stats()
+        stats = block_cache_stats(hth.kernel)
         assert stats["hits"] == stats["misses"] == 0
         assert hth.kernel.instructions > 0
         # Harrier saw every instruction through the oracle, not on_block.
@@ -103,7 +104,7 @@ class TestReferenceInterpreter:
         with reference_interpreter():
             pass
         hth = _run()
-        assert hth.kernel.block_cache_stats()["misses"] > 0
+        assert block_cache_stats(hth.kernel)["misses"] > 0
 
 
 class TestTemplateReplay:

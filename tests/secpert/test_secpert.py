@@ -17,7 +17,7 @@ from repro.secpert import (
     SecurityWarning,
     Severity,
     WarningSink,
-    event_to_fact,
+    fact_of,
     policy_resource_type,
 )
 from repro.taint import DataSource, TagSet
@@ -36,8 +36,10 @@ def access_event():
 
 class TestFactConversion:
     def test_access_event_fact(self):
-        fact = event_to_fact(access_event())
+        event = access_event()
+        fact = fact_of(event)
         assert fact.template is SYSTEM_CALL_ACCESS
+        assert fact.record is event  # read in place, never copied
         assert fact["system_call_name"] == "SYS_execve"
         assert fact["resource_name"] == "/bin/ls"
         assert fact["resource_origin"] == BIN
@@ -49,7 +51,7 @@ class TestFactConversion:
             resource=ResourceId(ResourceKind.FIFO, "pipe"),
             data_tags=BIN, resource_origin=BIN, length=3,
         )
-        fact = event_to_fact(event)
+        fact = fact_of(event)
         assert fact.template is DATA_TRANSFER
         assert fact["resource_type"] == "FILE"  # FIFO folds into FILE
 
@@ -59,14 +61,14 @@ class TestFactConversion:
             call_name="SYS_clone", total_created=4, recent_created=2,
             window=100,
         )
-        fact = event_to_fact(event)
+        fact = fact_of(event)
         assert fact.template is PROCESS_CREATED
         assert fact["total"] == 4
 
     def test_unknown_event_gives_none(self):
         event = SecurityEvent(pid=1, time=0, frequency=1, address="0",
                               call_name="x")
-        assert event_to_fact(event) is None
+        assert fact_of(event) is None
 
     def test_policy_resource_type(self):
         assert policy_resource_type(ResourceKind.FILE) == "FILE"

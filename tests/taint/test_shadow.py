@@ -73,21 +73,6 @@ class TestShadowMemory:
         mem.set(1, FILE_A)
         assert mem.get_range(0, 3) == (EMPTY, FILE_A, EMPTY)
 
-    def test_copy_within_non_overlapping(self):
-        mem = ShadowMemory()
-        mem.set_range(0, 3, FILE_A)
-        mem.copy_within(0, 10, 3)
-        assert mem.get(10) == FILE_A
-        assert mem.get(12) == FILE_A
-
-    def test_copy_within_overlapping_behaves_like_memmove(self):
-        mem = ShadowMemory()
-        mem.set(0, FILE_A)
-        mem.set(1, SOCK)
-        mem.copy_within(0, 1, 2)
-        assert mem.get(1) == FILE_A
-        assert mem.get(2) == SOCK
-
     def test_live_cells_sorted(self):
         mem = ShadowMemory()
         mem.set(5, FILE_A)

@@ -71,19 +71,6 @@ class TestPageBoundaries:
         assert mem.get(2 * PAGE_SIZE) is EMPTY
         assert mem.get(2 * PAGE_SIZE + 1) == FILE_A
 
-    def test_copy_within_overlapping_across_pages(self):
-        mem = ShadowMemory()
-        tags = [TagSet.of(DataSource.FILE, f"/f{i}") for i in range(4)]
-        for i, ts in enumerate(tags):
-            mem.set(EDGE + i, ts)
-        # Overlapping forward move crossing the page boundary: memmove
-        # semantics require reading the source before writing.
-        mem.copy_within(EDGE, EDGE + 2, 4)
-        assert mem.get_range(EDGE + 2, 4) == tuple(tags)
-        # The non-overwritten prefix is untouched.
-        assert mem.get(EDGE) == tags[0]
-        assert mem.get(EDGE + 1) == tags[1]
-
 
 class TestSparsity:
     def test_empty_store_has_no_pages(self):
@@ -200,7 +187,6 @@ def _reference_ops():
             st.tuples(st.just("set"), addr, tags),
             st.tuples(st.just("set_range"), addr, length, tags),
             st.tuples(st.just("copy"), st.just(None)),
-            st.tuples(st.just("copy_within"), addr, addr, length),
         ),
         max_size=12,
     )
@@ -226,18 +212,9 @@ def test_matches_flat_dict_model(ops, q_start, q_length):
                     model.pop(a, None)
                 else:
                     model[a] = ts
-        elif op[0] == "copy":
+        else:
             mem = mem.copy()  # keep exercising post-fork mutation
             model = dict(model)
-        else:
-            _, src, dst, length = op
-            mem.copy_within(src, dst, length)
-            window = [model.get(src + i, EMPTY) for i in range(length)]
-            for i, ts in enumerate(window):
-                if ts.is_empty():
-                    model.pop(dst + i, None)
-                else:
-                    model[dst + i] = ts
     assert dict(mem.cell_tags) == model
     expected = EMPTY
     for a in range(q_start, q_start + q_length):

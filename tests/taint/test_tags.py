@@ -63,20 +63,6 @@ def test_tagset_rejects_non_tags():
         TagSet(["FILE"])  # type: ignore[list-item]
 
 
-def test_with_tag_and_contains():
-    ts = EMPTY.with_tag(Tag(DataSource.USER_INPUT))
-    assert Tag(DataSource.USER_INPUT) in ts
-    assert ts.with_tag(Tag(DataSource.USER_INPUT)) is ts
-
-
-def test_without_source():
-    ts = TagSet.of(DataSource.FILE, "/a").union(TagSet.of(DataSource.BINARY, "/b"))
-    dropped = ts.without_source(DataSource.FILE)
-    assert not dropped.has_source(DataSource.FILE)
-    assert dropped.has_source(DataSource.BINARY)
-    assert ts.without_source(DataSource.SOCKET) is ts
-
-
 def test_restrict():
     ts = union_all(
         [
@@ -98,15 +84,6 @@ def test_names_for_sorted():
         ]
     )
     assert ts.names_for(DataSource.FILE) == ("/a", "/z")
-
-
-def test_is_only():
-    assert TagSet.of(DataSource.BINARY, "/b").is_only(DataSource.BINARY)
-    assert not EMPTY.is_only(DataSource.BINARY)
-    mixed = TagSet.of(DataSource.BINARY, "/b").union(
-        TagSet.of(DataSource.FILE, "/f")
-    )
-    assert not mixed.is_only(DataSource.BINARY)
 
 
 def test_iteration_is_sorted_and_deterministic():
