@@ -117,26 +117,27 @@ buf:  .space 64
 
 _PRODUCTION = contextlib.nullcontext
 
-#: name -> (harrier config or None for unmonitored, the oracle to run
+def _monitor(**config) -> RunOptions:
+    return RunOptions(harrier_config=HarrierConfig(**config))
+
+
+#: name -> (run options, or None for unmonitored; the oracle to run
 #: under — production itself for the non-reference rows)
 _CONFIGS = {
     "native": (None, _PRODUCTION),
     "native-interp": (None, reference_interpreter),
-    "harrier-no-dataflow": (
-        HarrierConfig(track_dataflow=False), _PRODUCTION
-    ),
-    "harrier-no-bbfreq": (
-        HarrierConfig(track_bb_frequency=False), _PRODUCTION
-    ),
-    "harrier-full": (HarrierConfig(), _PRODUCTION),
-    "harrier-full-interp": (HarrierConfig(), reference_interpreter),
-    "harrier-closures": (HarrierConfig(), closure_only),
-    "harrier-record-path": (HarrierConfig(), record_path),
-    "harrier-no-traces": (HarrierConfig(), no_traces),
-    "harrier-applier-calls": (HarrierConfig(), applier_calls),
-    "harrier-fastpath-off": (HarrierConfig(), template_replay),
+    "harrier-no-dataflow": (_monitor(track_dataflow=False), _PRODUCTION),
+    "harrier-no-bbfreq": (_monitor(track_bb_frequency=False), _PRODUCTION),
+    "harrier-full": (_monitor(), _PRODUCTION),
+    "harrier-full-interp": (_monitor(), reference_interpreter),
+    "harrier-closures": (_monitor(), closure_only),
+    "harrier-record-path": (_monitor(), record_path),
+    "harrier-no-traces": (_monitor(), no_traces),
+    "harrier-applier-calls": (_monitor(), applier_calls),
+    "harrier-fastpath-off": (_monitor(), template_replay),
     "harrier-provenance-off": (
-        HarrierConfig(provenance=False), _PRODUCTION
+        RunOptions(harrier_config=HarrierConfig(), provenance=False),
+        _PRODUCTION,
     ),
 }
 
@@ -151,13 +152,12 @@ _ABLATION = {
 
 
 def run_workload(config_name, telemetry=None):
-    config, oracle = _CONFIGS[config_name]
-    options = RunOptions(harrier_config=config)
+    options, oracle = _CONFIGS[config_name]
     with oracle():
-        if config is None:
+        if options is None:
             # Unmonitored native baseline: repro.api always monitors, so
             # the raw HTH constructor stays the entry point here.
-            hth = HTH(monitored=False, telemetry=telemetry, options=options)
+            hth = HTH(monitored=False, telemetry=telemetry)
             report = hth.run(assemble("/bin/perf", WORKLOAD_SOURCE))
         else:
             # One-shot through the facade: a throwaway Session per call,

@@ -24,7 +24,6 @@ from repro.core import (
     RunOptions,
     RunReport,
     Verdict,
-    run_monitored,
 )
 from repro.harrier import Harrier, HarrierConfig
 from repro.secpert import PolicyConfig, Secpert, SecurityWarning, Severity
@@ -33,7 +32,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "HTH",
-    "run_monitored",
     "RunOptions",
     "EngineCache",
     "RunReport",

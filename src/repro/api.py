@@ -12,6 +12,11 @@ that to::
     report = session.run(program_image)           # or a source string
     report = session.run_workload(workload)       # a registry row
 
+Everything that configures a run travels in one :class:`RunOptions`
+(the session's default, or a per-call override); the other arguments
+are collaborators (a shared telemetry hub, a streaming analyzer, a
+verdict cache) or describe the guest itself.
+
 A :class:`Session` is a *warm* execution context: it owns an
 :class:`~repro.core.engine.EngineCache` (translated-block store +
 tag-set interner + assemble memo) that every run it makes reuses.  One
@@ -75,15 +80,13 @@ class Session:
 
     # -- verdict cache ----------------------------------------------------
     def _cache_key_for(self, options: RunOptions, telemetry, analyzer,
-                       fault_injector=None, opaque_setup: bool = False,
-                       key_fn=None):
+                       opaque_setup: bool = False, key_fn=None):
         """The cache key for a run, or None (with the bypass counted)."""
         if self.cache is None:
             return None
         reason = bypass_reason(
             options,
             telemetry=telemetry if telemetry is not None else self.telemetry,
-            fault_injector=fault_injector,
             analyzer=analyzer,
             opaque_setup=opaque_setup,
         )
@@ -97,7 +100,6 @@ class Session:
         self,
         options: Optional[RunOptions] = None,
         telemetry: Optional[Telemetry] = None,
-        fault_injector=None,
         setup: Optional[SetupFn] = None,
         analyzer=None,
     ) -> HTH:
@@ -110,7 +112,6 @@ class Session:
         options = options if options is not None else self.options
         hth = HTH(
             telemetry=telemetry if telemetry is not None else self.telemetry,
-            fault_injector=fault_injector,
             options=options,
             engine=self.engine,
             analyzer=analyzer,
@@ -177,19 +178,18 @@ class Session:
         workload: Workload,
         options: Optional[RunOptions] = None,
         telemetry: Optional[Telemetry] = None,
-        fault_injector=None,
         analyzer=None,
     ) -> RunReport:
-        """Run one registry :class:`Workload` (its setup/argv/stdin/budgets
+        """Run one registry :class:`Workload` (its setup/argv/stdin
         included) on this session's warm engine.
 
-        Budgets travel inside ``options`` (``wall_timeout``) and the
-        workload itself (``max_ticks``) — the cache key hashes both.
+        The budgets are ``options.max_ticks`` and ``options.wall_timeout``
+        (the cache key hashes both); the row's ``harrier_config`` applies
+        when ``options`` carry none.
         """
         options = options if options is not None else self.options
         key = self._cache_key_for(
             options, telemetry, analyzer,
-            fault_injector=fault_injector,
             key_fn=lambda: workload_key(
                 workload, options, engine=self.engine
             ),
@@ -202,7 +202,6 @@ class Session:
         self.runs += 1
         report = workload.run(
             telemetry=telemetry if telemetry is not None else self.telemetry,
-            fault_injector=fault_injector,
             options=options,
             engine=self.engine,
             analyzer=analyzer,

@@ -49,7 +49,6 @@ def record_trace(workload: Workload) -> List[str]:
         argv=workload.argv or [workload.program_path],
         env=workload.env,
         stdin=workload.stdin,
-        max_ticks=workload.max_ticks,
     )
     return recorder.merged_trace()
 
@@ -59,7 +58,6 @@ class StideDetector:
     """Sequence time-delay embedding over syscall names."""
 
     window: int = 6
-    threshold: float = 0.05
     _database: Set[Tuple[str, ...]] = field(default_factory=set)
 
     def _windows(self, trace: Sequence[str]) -> Iterable[Tuple[str, ...]]:
@@ -77,10 +75,6 @@ class StideDetector:
         for trace in traces:
             self.train(trace)
 
-    @property
-    def database_size(self) -> int:
-        return len(self._database)
-
     def score(self, trace: Sequence[str]) -> float:
         """Fraction of windows never seen during training (0 = normal)."""
         windows = list(self._windows(trace))
@@ -88,9 +82,6 @@ class StideDetector:
             return 0.0
         unseen = sum(1 for w in windows if w not in self._database)
         return unseen / len(windows)
-
-    def is_anomalous(self, trace: Sequence[str]) -> bool:
-        return self.score(trace) > self.threshold
 
 
 @dataclass
@@ -114,7 +105,7 @@ def evaluate_stide(
     threshold: float = 0.05,
 ) -> List[StideEvaluation]:
     """Train on normal runs, test on (workload, is_malicious) pairs."""
-    detector = StideDetector(window=window, threshold=threshold)
+    detector = StideDetector(window=window)
     detector.train_all(record_trace(w) for w in train_workloads)
     results = []
     for workload, should_flag in test_workloads:

@@ -372,7 +372,6 @@ def workload_key(workload, options: RunOptions, engine=None) -> str:
         tuple(workload.argv) if workload.argv is not None else None,
         dict(workload.env),
         workload.stdin,
-        workload.max_ticks,
         workload.harrier_config,
         _setup_identity(workload),
         options_fingerprint(options),

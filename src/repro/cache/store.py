@@ -133,7 +133,6 @@ def loads(payload: bytes) -> Any:
 def bypass_reason(
     options,
     telemetry=None,
-    fault_injector=None,
     analyzer=None,
     opaque_setup: bool = False,
 ) -> Optional[str]:
@@ -144,7 +143,7 @@ def bypass_reason(
     """
     if not getattr(options, "cache", True):
         return BYPASS_DISABLED
-    if fault_injector is not None or options.fault_profile is not None:
+    if options.fault_profile is not None:
         return BYPASS_FAULTS
     if telemetry is not None or options.wants_telemetry:
         return BYPASS_TELEMETRY

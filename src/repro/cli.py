@@ -279,11 +279,6 @@ def cmd_instrument(args: argparse.Namespace) -> int:
     return 0
 
 
-# The registry map moved to repro.fleet.refs (the fleet engine and the
-# benchmark harnesses need it too); kept here as the historical alias.
-_TABLE_BENCHES = REGISTRIES
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     workloads = registry_workloads(args.number)
     telemetry = _build_telemetry(args)
@@ -941,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser(
         "table", help="reproduce one of the paper's evaluation tables"
     )
-    table.add_argument("number", choices=sorted(_TABLE_BENCHES))
+    table.add_argument("number", choices=sorted(REGISTRIES))
     table.add_argument("--no-provenance", action="store_true",
                        help="skip recording per-warning evidence trails")
     _add_cache_options(table)
@@ -952,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="replay paper scenarios under deterministic fault schedules",
     )
-    chaos.add_argument("--table", choices=sorted(_TABLE_BENCHES),
+    chaos.add_argument("--table", choices=sorted(REGISTRIES),
                        default="8",
                        help="workload table to perturb (default: 8)")
     chaos.add_argument("--workload", action="append", metavar="NAME",
@@ -995,7 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a workload sweep on worker processes",
     )
     fleet.add_argument("--table", action="append",
-                       choices=sorted(_TABLE_BENCHES), metavar="KEY",
+                       choices=sorted(REGISTRIES), metavar="KEY",
                        help="registry to include (repeat; default: every "
                             "table, 62 workloads)")
     fleet.add_argument("--workload", action="append", metavar="NAME",
@@ -1023,7 +1018,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parent workload(s) to mutate (repeat; "
                             "default: every Trojan of tables 4/5/6/8)")
     sweep.add_argument("--table", action="append",
-                       choices=sorted(_TABLE_BENCHES), metavar="KEY",
+                       choices=sorted(REGISTRIES), metavar="KEY",
                        help="draw parents from these registries' Trojan "
                             "rows (repeat; ignored with --parent)")
     sweep.add_argument("--class", action="append", dest="klass",
@@ -1116,7 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--socket", default="repro-serve.sock",
                         help="daemon unix socket (default: "
                              "./repro-serve.sock)")
-    submit.add_argument("--table", choices=sorted(_TABLE_BENCHES),
+    submit.add_argument("--table", choices=sorted(REGISTRIES),
                         help="submit a registry workload instead of a "
                              "source file")
     submit.add_argument("--workload", metavar="NAME",

@@ -38,7 +38,6 @@ from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import EngineCache
-    from repro.faultinject.injector import FaultInjector
 
 #: Paths commonly exec'd by the paper's workloads; HTH pre-registers tiny
 #: stub binaries for them so execve targets exist (detection happens at
@@ -84,24 +83,30 @@ def stub_binary(path: str) -> Image:
 
 
 class HTH:
+    """One monitored machine: kernel, Harrier and the analyzer.
+
+    ``options`` (:class:`RunOptions`) is the one place a run's policy,
+    monitor config, fault schedule, provenance switch and budgets are
+    set.  The other arguments are not configuration: ``decision`` plays
+    the paper's interactive user, and ``libraries``, ``analyzer``,
+    ``engine`` and a shared ``telemetry`` hub are stateful
+    collaborators.  ``monitored=False`` runs the guest natively (the §9
+    baseline).
+    """
+
     def __init__(
         self,
-        policy: Optional[PolicyConfig] = None,
-        harrier_config: Optional[HarrierConfig] = None,
         decision: DecisionPolicy = always_continue,
         libraries: Optional[Sequence[Image]] = None,
         monitored: bool = True,
-        install_stubs: bool = True,
         analyzer=None,
-        fault_injector: Optional["FaultInjector"] = None,
         telemetry: Optional[Telemetry] = None,
         options: Optional[RunOptions] = None,
         engine: Optional["EngineCache"] = None,
     ) -> None:
-        # ``options`` is the one configuration object (see RunOptions).
         options = options if options is not None else RunOptions()
         self.options = options
-        self.policy = policy or options.policy or PolicyConfig()
+        self.policy = options.policy or PolicyConfig()
         if telemetry is None:
             telemetry = options.make_telemetry()
         self.telemetry = telemetry if telemetry is not None else (
@@ -116,26 +121,19 @@ class HTH:
         self.secpert = self.analyzer if isinstance(
             self.analyzer, Secpert
         ) else getattr(self.analyzer, "secpert", None)
-        config = harrier_config or options.harrier_config or HarrierConfig()
-        if not options.provenance and config.provenance:
-            # The switch only ever *disables* the evidence recorder; an
-            # explicit HarrierConfig(provenance=False) always wins.
-            config = replace(config, provenance=False)
         self.harrier = Harrier(
             analyzer=self.analyzer,
-            config=config,
+            config=options.harrier_config or HarrierConfig(),
             decision=decision,
             interner=engine.interner if engine is not None else None,
+            provenance=options.provenance,
         )
         libs = list(libraries) if libraries is not None else [libc_image()]
         hooks = self.harrier if monitored else None
-        if fault_injector is None:
-            fault_injector = options.make_fault_injector()
-        self.fault_injector = fault_injector
         self.kernel = Kernel(
             hooks=hooks,
             libraries=libs,
-            fault_injector=fault_injector,
+            fault_injector=options.make_fault_injector(),
             telemetry=self.telemetry,
             block_cache_store=(
                 engine.block_caches if engine is not None else None
@@ -150,9 +148,8 @@ class HTH:
             attach_prov = getattr(self.analyzer, "attach_provenance", None)
             if attach_prov is not None:
                 attach_prov(self.harrier.provenance)
-        if install_stubs:
-            for path in STANDARD_BINARIES:
-                self.kernel.register_binary(stub_binary(path))
+        for path in STANDARD_BINARIES:
+            self.kernel.register_binary(stub_binary(path))
 
     # -- convenient access to the simulated machine -----------------------
     @property
@@ -181,17 +178,16 @@ class HTH:
         env: Optional[Dict[str, str]] = None,
         stdin: Optional[Union[str, bytes]] = None,
         max_ticks: Optional[int] = None,
-        wall_timeout: Optional[float] = None,
     ) -> RunReport:
         """Spawn ``program``, run to completion, and report.
 
-        ``max_ticks``/``wall_timeout`` default to the budgets carried by
-        this machine's :class:`RunOptions`.
+        The budgets are this machine's ``RunOptions.max_ticks`` and
+        ``wall_timeout``.  ``max_ticks``, when given, replaces the tick
+        budget for this one run (the §9 native baseline drives a row's
+        image on an unmonitored machine this way).
         """
         if max_ticks is None:
             max_ticks = self.options.max_ticks
-        if wall_timeout is None:
-            wall_timeout = self.options.wall_timeout
         # Never extend name-based trust to the monitored program itself:
         # a Trojan installed *as* a trusted shared object (say
         # ``/lib/libc.so``) would otherwise have its own hardcoded
@@ -208,7 +204,7 @@ class HTH:
         self.kernel.write_hosts_file()
         proc = self.kernel.spawn(program, argv=argv, env=env)
         result = self.kernel.run(
-            max_ticks=max_ticks, wall_timeout=wall_timeout
+            max_ticks=max_ticks, wall_timeout=self.options.wall_timeout
         )
         if self.telemetry.is_enabled:
             self.harrier.sample_state_gauges()
@@ -245,44 +241,3 @@ class HTH:
                 else None
             ),
         )
-
-
-def run_monitored(
-    program: Union[str, Image],
-    argv: Optional[Sequence[str]] = None,
-    env: Optional[Dict[str, str]] = None,
-    stdin: Optional[Union[str, bytes]] = None,
-    setup=None,
-    policy: Optional[PolicyConfig] = None,
-    harrier_config: Optional[HarrierConfig] = None,
-    decision: DecisionPolicy = always_continue,
-    max_ticks: Optional[int] = None,
-    fault_injector: Optional["FaultInjector"] = None,
-    wall_timeout: Optional[float] = None,
-    telemetry: Optional[Telemetry] = None,
-    options: Optional[RunOptions] = None,
-    engine: Optional["EngineCache"] = None,
-) -> RunReport:
-    """One-shot convenience: build an HTH machine, run, report.
-
-    ``setup(hth)`` runs before the program (seed files, register peers...).
-    """
-    hth = HTH(
-        policy=policy,
-        harrier_config=harrier_config,
-        decision=decision,
-        fault_injector=fault_injector,
-        telemetry=telemetry,
-        options=options,
-        engine=engine,
-    )
-    if setup is not None:
-        setup(hth)
-    return hth.run(
-        program,
-        argv=argv,
-        env=env,
-        stdin=stdin,
-        max_ticks=max_ticks,
-        wall_timeout=wall_timeout,
-    )

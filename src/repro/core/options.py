@@ -1,15 +1,14 @@
 """RunOptions: the single run-configuration object for the whole stack.
 
-Every layer that executes a guest — :class:`repro.core.hth.HTH`, a
-:class:`repro.programs.base.Workload`, the CLI, and the fleet engine —
-historically grew its own ad-hoc keyword arguments (telemetry hubs,
-fault injectors, tick budgets).
-:class:`RunOptions` replaces that sprawl with one frozen, picklable
-value object:
+A run's policy, monitor config, fault schedule, provenance switch and
+budgets are set here and nowhere else: the CLI, :class:`repro.api.
+Session`, the fleet, the serve daemon and the chaos harness all hand
+:class:`repro.core.hth.HTH` one frozen, picklable value object, and no
+layer takes a second keyword for any of its fields.
 
 * it travels unchanged from a CLI invocation through
   :class:`repro.api.Session` into ``HTH`` — and, because it pickles,
-  across process boundaries into fleet workers;
+  across process boundaries into fleet and serve workers;
 * it is *configuration only*: stateful collaborators (an already-built
   :class:`~repro.telemetry.Telemetry` hub, a shared
   :class:`~repro.core.engine.EngineCache`) stay separate arguments, and
@@ -35,8 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faultinject.plan import FaultProfile
     from repro.telemetry import Telemetry
 
-#: Default virtual-time budget for one run (matches the historical
-#: ``HTH.run(max_ticks=...)`` default).
+#: Default virtual-time budget for one run.
 DEFAULT_MAX_TICKS = 5_000_000
 
 
@@ -51,10 +49,12 @@ class RunOptions:
 
     #: Security policy; ``None`` means the default :class:`PolicyConfig`.
     policy: Optional[PolicyConfig] = None
-    #: Monitor configuration; ``None`` means the default
-    #: :class:`HarrierConfig` (or the workload's own override).
+    #: Monitor configuration; ``None`` means the workload's own default
+    #: (``Workload.harrier_config``), else the default
+    #: :class:`HarrierConfig`.
     harrier_config: Optional[HarrierConfig] = None
-    #: Record per-warning taint-provenance evidence trails.
+    #: Record per-warning taint-provenance evidence trails (the only
+    #: provenance switch).
     provenance: bool = True
     #: Collect a metrics registry for the run.
     metrics: bool = False
@@ -66,6 +66,8 @@ class RunOptions:
     fault_profile: Optional["FaultProfile"] = None
     fault_seed: int = 0
     #: Budgets: virtual-time tick limit and the wall-clock watchdog.
+    #: Registry rows run under these too; serve admission charges
+    #: ``max_ticks``.
     max_ticks: int = DEFAULT_MAX_TICKS
     wall_timeout: Optional[float] = None
     #: Allow the verdict cache to answer (and remember) this run.  This

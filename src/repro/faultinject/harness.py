@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.report import RunReport, Verdict
-from repro.faultinject.injector import FaultInjector
 from repro.faultinject.plan import (
     FaultProfile,
     InjectedFault,
@@ -95,11 +94,11 @@ def run_one(
     """One chaos-perturbed run of ``workload`` (fresh machine+injector)."""
     from repro.core.options import RunOptions
 
-    injector = FaultInjector(profile=profile, seed=seed)
     return workload.run(
-        fault_injector=injector,
         telemetry=telemetry,
-        options=RunOptions(wall_timeout=wall_timeout),
+        options=RunOptions(wall_timeout=wall_timeout).with_faults(
+            profile, seed
+        ),
     )
 
 

@@ -123,10 +123,3 @@ class FaultInjector:
         if rate <= 0:
             return False
         return self._rng.random() < rate
-
-    # -- reporting ----------------------------------------------------------
-    def render_log(self) -> str:
-        """Human-readable replay log (``repro chaos --show-faults``)."""
-        if not self.injected:
-            return "(no faults injected)"
-        return "\n".join(str(f) for f in self.injected)

@@ -42,11 +42,6 @@ class HarrierConfig:
     #: When False, emulate the paper's incomplete prototype (console input
     #: tagged as coming from the binary, as in the pico/grabem anecdotes).
     complete_dataflow: bool = True
-    #: Record taint-provenance evidence trails (sources, waypoints, sink,
-    #: rule derivation) for every Secpert warning — the bounded
-    #: :class:`repro.telemetry.provenance.ProvenanceRecorder`.  The
-    #: ``RunOptions.provenance`` escape hatch only ever *disables* this.
-    provenance: bool = True
     #: Keep every emitted event in an in-memory log (tests/benchmarks).
     keep_event_log: bool = True
     #: Upper bound on that log.  None (the default, used by the paper

@@ -78,6 +78,7 @@ class Harrier(KernelHooks):
         config: Optional[HarrierConfig] = None,
         decision: DecisionPolicy = always_continue,
         interner=None,
+        provenance: bool = True,
     ) -> None:
         self.analyzer = analyzer or EventAnalyzer()
         self.config = config or HarrierConfig()
@@ -92,10 +93,9 @@ class Harrier(KernelHooks):
         self.bbfreq = CodeExecutionPatterns()
         self.routines = RoutineShortCircuit(self.dataflow)
         #: The per-run evidence recorder (None when disabled — hot paths
-        #: pay one cached None check, NullSink-style).
-        self.provenance = (
-            ProvenanceRecorder() if self.config.provenance else None
-        )
+        #: pay one cached None check, NullSink-style).  HTH passes
+        #: ``RunOptions.provenance`` here.
+        self.provenance = ProvenanceRecorder() if provenance else None
         self._prov = self.provenance
         self.event_gen = SyscallEventGenerator(
             self.config, self.dataflow, self.bbfreq,

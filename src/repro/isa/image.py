@@ -13,7 +13,7 @@ instructions, ``[text_size, size)`` addresses the data cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,8 @@ class Image:
     def size(self) -> int:
         return self.text_size + self.data_size
 
-    @property
-    def entry_offset(self) -> Optional[int]:
-        """Offset of ``main`` when defined (the conventional entry point)."""
-        return self.symbols.get("main")
-
     def defines(self, symbol: str) -> bool:
         return symbol in self.symbols
-
-    def exported_symbols(self) -> Dict[str, int]:
-        """All symbols are exported (the mini-ISA has no visibility rules)."""
-        return dict(self.symbols)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -13,7 +13,7 @@ guest-program builders all need them.
 from __future__ import annotations
 
 from itertools import repeat, takewhile
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 from repro.isa.instructions import Instruction
 
@@ -60,16 +60,6 @@ class FlatMemory:
 
     def write(self, addr: int, value: int) -> None:
         self.cells[addr] = int(value)
-
-    def read_block(self, addr: int, length: int) -> List[int]:
-        return [self.read(addr + i) for i in range(length)]
-
-    def write_block(self, addr: int, values: Iterable[int]) -> int:
-        count = 0
-        for i, value in enumerate(values):
-            self.write(addr + i, value)
-            count += 1
-        return count
 
     # -- strings ----------------------------------------------------------
     def read_cstring(self, addr: int, max_len: int = MAX_CSTRING) -> str:
@@ -130,9 +120,6 @@ class FlatMemory:
         if instr is None:
             raise MemoryFault(f"execute of unmapped address {addr:#x}")
         return instr
-
-    def has_code(self, addr: int) -> bool:
-        return addr in self.code
 
     # -- lifecycle ----------------------------------------------------------
     def copy(self) -> "FlatMemory":

@@ -23,9 +23,6 @@ class Console:
             data = data.encode()
         self._input.extend(data)
 
-    def pending_input(self) -> int:
-        return len(self._input)
-
     def read(self, count: int) -> bytes:
         """Consume up to ``count`` input bytes (empty result == EOF)."""
         take = self._input[:count]

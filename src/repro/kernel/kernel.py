@@ -676,7 +676,7 @@ class Kernel:
     def _service_syscall(self, proc: Process) -> None:
         regs = proc.cpu.regs
         sysno = regs.get("eax")
-        args = tuple(regs.get(r) for r in SYSCALL_ARG_REGISTERS)
+        args = tuple(map(regs.get, SYSCALL_ARG_REGISTERS))
         info = self.syscalls.describe(proc, sysno, args)
         name = str(info.get("name", sysno))
         if self._metrics is not None:

@@ -64,9 +64,6 @@ class LoadedImage:
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.end
 
-    def contains_code(self, addr: int) -> bool:
-        return self.base <= addr < self.text_end
-
     def symbol_addr(self, name: str) -> Optional[int]:
         off = self.image.symbols.get(name)
         if off is None:
@@ -99,12 +96,6 @@ class ImageMap:
     def find(self, addr: int) -> Optional[LoadedImage]:
         for li in self._loaded:
             if li.contains(addr):
-                return li
-        return None
-
-    def find_code(self, addr: int) -> Optional[LoadedImage]:
-        for li in self._loaded:
-            if li.contains_code(addr):
                 return li
         return None
 

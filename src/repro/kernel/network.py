@@ -109,10 +109,6 @@ class Connection:
     #: Set when this connection was accepted by a guest server socket.
     accepted_via: Optional[str] = None
 
-    def deliver(self, data: bytes) -> None:
-        """Queue data for the guest to read."""
-        self.incoming.extend(data)
-
     def send(self, data: bytes) -> int:
         """Guest -> peer transmission."""
         self.sent.extend(data)
@@ -269,6 +265,3 @@ class Network:
             delivered += 1
         self._scheduled = remaining
         return delivered
-
-    def has_pending_events(self) -> bool:
-        return bool(self._scheduled)

@@ -158,6 +158,7 @@ class SyscallTable:
                 info["path"] = mem.read_cstring(args[0])
             if sysno == SYS_EXECVE:
                 info["argv"] = self._read_ptr_array_strings(proc, args[1])
+                info["envp"] = self._read_ptr_array_strings(proc, args[2])
             if sysno in (SYS_READ, SYS_WRITE):
                 info["fd"] = args[0]
                 info["buf"] = args[1]
@@ -235,8 +236,8 @@ class SyscallTable:
         for it, and handlers take the call's path, execve argv, host
         name or written bytes from there: guest memory is unchanged in
         between, because the process does not run until its call
-        completes.  A string or argv ``describe`` could not read is
-        EFAULT."""
+        completes.  A string, argv or envp ``describe`` could not read
+        is EFAULT."""
         handler = self._handlers.get(sysno)
         if handler is None:
             return -errors.ENOSYS, {}
@@ -254,9 +255,9 @@ class SyscallTable:
     def _sys_execve(self, proc: Process, args: Args, info):
         path = info.get("path")
         argv = info.get("argv")
-        if path is None or argv is None:
+        env_entries = info.get("envp")
+        if path is None or argv is None or env_entries is None:
             return -errors.EFAULT, {}
-        env_entries = self._read_ptr_array_strings(proc, args[2])
         env: Dict[str, str] = {}
         for entry in env_entries:
             key, _, value = entry.partition("=")

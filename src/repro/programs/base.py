@@ -4,19 +4,22 @@ classification the paper's evaluation expects.
 Every experiment row (Tables 4-8, section 8.4) is a :class:`Workload`:
 an assembled guest image, machine setup (files, peers, stdin), and the
 expected outcome — so tests and benchmark harnesses share one registry.
+A row configures nothing about *how* it runs except a default monitor
+config (``harrier_config``, e.g. dataflow off for the perl interpreter,
+section 8.4.2); the run's :class:`RunOptions` carry its policy, faults,
+provenance switch and budgets, and beat the row's default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.options import RunOptions
+from repro.core.options import DEFAULT_MAX_TICKS, RunOptions
 from repro.core.report import RunReport, Verdict
 from repro.harrier.config import HarrierConfig
 from repro.isa.assembler import assemble
 from repro.isa.image import Image
-from repro.secpert.policy import PolicyConfig
 
 SetupFn = Callable[["HTH"], None]  # noqa: F821 - resolved lazily
 
@@ -38,8 +41,11 @@ class Workload:
     expected_verdict: Verdict = Verdict.BENIGN
     #: Rules expected to fire at least once (subset check).
     expected_rules: Tuple[str, ...] = ()
-    max_ticks: int = 5_000_000
-    #: Per-workload monitor overrides (e.g. dataflow off for mw2.2.1).
+    #: Every row runs under its options' budget; this reads the default
+    #: for callers that drive a row's image on a machine of their own.
+    max_ticks: ClassVar[int] = DEFAULT_MAX_TICKS
+    #: The row's default monitor config (e.g. dataflow off for
+    #: mw2.2.1), used when the run's options carry none.
     harrier_config: Optional[HarrierConfig] = None
     #: Extra shared objects to load, as (path, assembly source) pairs
     #: (e.g. the untrusted libX11.so the xeyes analogue links against).
@@ -59,17 +65,22 @@ class Workload:
 
     def build_machine(
         self,
-        policy: Optional[PolicyConfig] = None,
-        harrier_config: Optional[HarrierConfig] = None,
-        fault_injector=None,
         telemetry=None,
         options: Optional[RunOptions] = None,
         engine=None,
         analyzer=None,
     ) -> "HTH":  # noqa: F821
+        """A fresh machine for this row, set up and ready to run.
+
+        The one precedence rule: the caller's ``options`` beat the row's
+        defaults, so the row's ``harrier_config`` applies only when
+        ``options`` carry none.
+        """
         from repro.core.hth import HTH
 
         options = options if options is not None else RunOptions()
+        if options.harrier_config is None and self.harrier_config is not None:
+            options = options.replaced(harrier_config=self.harrier_config)
         libraries = None
         if self.extra_libraries:
             from repro.programs.libc import libc_image
@@ -86,10 +97,7 @@ class Workload:
                 ]
             libraries = [libc_image()] + extra
         hth = HTH(
-            policy=policy,
-            harrier_config=harrier_config or self.harrier_config,
             libraries=libraries,
-            fault_injector=fault_injector,
             telemetry=telemetry,
             options=options,
             engine=engine,
@@ -101,21 +109,19 @@ class Workload:
 
     def run(
         self,
-        policy: Optional[PolicyConfig] = None,
         harrier_config: Optional[HarrierConfig] = None,
-        fault_injector=None,
         telemetry=None,
         options: Optional[RunOptions] = None,
         engine=None,
         analyzer=None,
     ) -> RunReport:
-        # The wall-clock watchdog travels inside ``options``
-        # (``RunOptions.wall_timeout``); ``HTH.run`` defaults to it.
+        """Run this row; its budgets are ``options.max_ticks`` and
+        ``options.wall_timeout``.  ``harrier_config`` is shorthand for
+        ``options.replaced(harrier_config=...)``."""
         options = options if options is not None else RunOptions()
+        if harrier_config is not None:
+            options = options.replaced(harrier_config=harrier_config)
         hth = self.build_machine(
-            policy,
-            harrier_config,
-            fault_injector,
             telemetry=telemetry,
             options=options,
             engine=engine,
@@ -126,7 +132,6 @@ class Workload:
             argv=self.argv or [self.program_path],
             env=self.env,
             stdin=self.stdin,
-            max_ticks=self.max_ticks,
         )
 
     def classified_correctly(self, report: RunReport) -> bool:
@@ -140,7 +145,6 @@ class Workload:
 def run_all(
     workloads: Sequence[Workload],
     options: Optional[RunOptions] = None,
-    policy: Optional[PolicyConfig] = None,
     session=None,
 ) -> List[Tuple[Workload, RunReport]]:
     """Run rows through one warm :class:`repro.api.Session`.
@@ -148,14 +152,10 @@ def run_all(
     Every row shares the session's engine cache (translated blocks,
     interner, assemble memo) and, when the session carries a verdict
     cache, repeat rows are answered from it.  Pass ``session`` to reuse
-    an existing one; ``policy`` is a convenience that folds into
-    ``options``.
+    an existing one.
     """
     from repro.api import Session  # local: api imports this module
 
-    if policy is not None:
-        options = (options if options is not None else RunOptions()
-                   ).replaced(policy=policy)
     if session is None:
         session = Session(options)
     return [

@@ -135,14 +135,6 @@ def get(name: str, keys: Optional[Sequence[str]] = None) -> Workload:
     )
 
 
-def registry_of(name: str) -> str:
-    """The registry key holding the row called ``name``."""
-    key = _key_of(name)
-    if key is None:
-        raise LookupError(f"no workload named {name!r}")
-    return key
-
-
 def find(
     tags: Iterable[str],
     keys: Optional[Sequence[str]] = None,

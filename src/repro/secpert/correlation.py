@@ -121,11 +121,11 @@ class MultiProgramMonitor:
     fork-aware bookkeeping).
     """
 
-    def __init__(self, policy: Optional[PolicyConfig] = None, **hth_kwargs):
+    def __init__(self):
         from repro.core.hth import HTH
 
-        self.analyzer = InteractionAnalyzer(policy)
-        self.hth = HTH(analyzer=self.analyzer, **hth_kwargs)
+        self.analyzer = InteractionAnalyzer()
+        self.hth = HTH(analyzer=self.analyzer)
         # Track fork lineage so children stay in the parent's group.
         original_fork = self.hth.kernel.fork_process
 
@@ -144,9 +144,10 @@ class MultiProgramMonitor:
         self.analyzer.register_process(proc.pid, name)
         return proc
 
-    def run(self, max_ticks: int = 5_000_000):
+    def run(self):
+        """Run every spawned program under the default tick budget."""
         self.hth.kernel.write_hosts_file()
-        return self.hth.kernel.run(max_ticks=max_ticks)
+        return self.hth.kernel.run(max_ticks=self.hth.options.max_ticks)
 
     @property
     def warnings(self) -> List[SecurityWarning]:

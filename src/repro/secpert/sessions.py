@@ -223,12 +223,12 @@ class CrossSessionMonitor:
     """Runs a program repeatedly on one persistent machine, applying the
     cross-session policy."""
 
-    def __init__(self, policy: Optional[PolicyConfig] = None, **hth_kwargs):
+    def __init__(self):
         from repro.core.hth import HTH  # local: avoids a circular import
 
         self.store = SessionStore()
-        self.analyzer = CrossSessionAnalyzer(self.store, policy)
-        self.hth = HTH(analyzer=self.analyzer, **hth_kwargs)
+        self.analyzer = CrossSessionAnalyzer(self.store)
+        self.hth = HTH(analyzer=self.analyzer)
         self.sessions: List[SessionReport] = []
 
     def run_session(
@@ -237,14 +237,11 @@ class CrossSessionMonitor:
         argv=None,
         env=None,
         stdin=None,
-        max_ticks: int = 5_000_000,
     ) -> SessionReport:
         name = program if isinstance(program, str) else program.name
         session = self.analyzer.begin_session(name)
         before = len(self.analyzer.warnings)
-        report = self.hth.run(
-            program, argv=argv, env=env, stdin=stdin, max_ticks=max_ticks
-        )
+        report = self.hth.run(program, argv=argv, env=env, stdin=stdin)
         session_report = SessionReport(
             session=session,
             report=report,

@@ -67,12 +67,6 @@ class WarningSink:
     def __iter__(self):
         return iter(self.warnings)
 
-    def by_severity(self, severity: Severity) -> List[SecurityWarning]:
-        return [w for w in self.warnings if w.severity is severity]
-
-    def by_rule(self, rule: str) -> List[SecurityWarning]:
-        return [w for w in self.warnings if w.rule == rule]
-
     def max_severity(self) -> Optional[Severity]:
         if not self.warnings:
             return None

@@ -60,7 +60,7 @@ from repro.cache.store import (
 )
 from repro.cache.triage import triage_image
 from repro.core.engine import EngineCache
-from repro.harrier.config import HarrierConfig
+from repro.core.options import RunOptions
 from repro.serve import admission as adm
 from repro.serve.admission import AdmissionController
 from repro.serve.protocol import (
@@ -204,7 +204,7 @@ class ServeDaemon:
         self._started_at = time.monotonic()
         #: Whether worker runs record evidence trails by default (a
         #: submission can still opt out via ``options.provenance``).
-        self.provenance_enabled = HarrierConfig().provenance
+        self.provenance_enabled = RunOptions().provenance
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:

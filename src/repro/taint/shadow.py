@@ -183,18 +183,6 @@ class ShadowMemory:
         True whenever the containing page is resident."""
         return (addr >> PAGE_SHIFT) in self._pages
 
-    @property
-    def cell_tags(self) -> Dict[int, TagSet]:
-        """A flat addr -> TagSet snapshot of every live cell.
-
-        Built on demand from the pages — bulk-scan/diffing use only
-        (tests, fingerprints).  Hot paths bind :meth:`probe` instead.
-        """
-        flat: Dict[int, TagSet] = {}
-        for page in self._pages.values():
-            flat.update(page)
-        return flat
-
     def set(self, addr: int, tags: TagSet) -> None:
         pno = addr >> PAGE_SHIFT
         if tags.is_empty():

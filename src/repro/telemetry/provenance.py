@@ -62,8 +62,8 @@ class ProvenanceRecorder:
     """Bounded, deterministic per-run evidence recorder.
 
     One recorder lives on each :class:`~repro.harrier.monitor.Harrier`
-    (when :class:`~repro.harrier.config.HarrierConfig` ``.provenance``
-    is on).  Harrier feeds it taint introductions and the event log;
+    (when :class:`~repro.core.options.RunOptions` ``.provenance`` is
+    on).  Harrier feeds it taint introductions and the event log;
     Secpert calls :meth:`evidence_for` while stamping warnings.
     """
 

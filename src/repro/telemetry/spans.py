@@ -125,9 +125,6 @@ class SpanTracer:
     def finished(self) -> List[Span]:
         return [s for s in self.spans if s.finished]
 
-    def by_category(self, category: str) -> List[Span]:
-        return [s for s in self.spans if s.category == category]
-
     def __len__(self) -> int:
         return len(self.spans)
 

@@ -20,14 +20,12 @@ class TestStideDetector:
         trace = ["open", "read", "write", "close"]
         detector.train(trace)
         assert detector.score(trace) == 0.0
-        assert not detector.is_anomalous(trace)
 
     def test_novel_trace_scores_high(self):
         detector = StideDetector(window=3)
         detector.train(["open", "read", "close"])
         score = detector.score(["fork", "fork", "fork", "execve"])
         assert score == 1.0
-        assert detector.is_anomalous(["fork", "fork", "fork", "execve"])
 
     def test_partial_overlap_partial_score(self):
         detector = StideDetector(window=2)
@@ -43,11 +41,6 @@ class TestStideDetector:
 
     def test_empty_trace_scores_zero(self):
         assert StideDetector().score([]) == 0.0
-
-    def test_database_size_grows(self):
-        detector = StideDetector(window=2)
-        detector.train(["a", "b", "c"])
-        assert detector.database_size == 2
 
 
 class TestTraceRecorder:

@@ -394,15 +394,16 @@ class TestCacheDirPermissions:
 
 class TestBypassPolicy:
     def test_disabled_wins_over_everything(self):
-        options = RunOptions(cache=False, metrics=True)
-        assert bypass_reason(options, telemetry=object(),
-                             fault_injector=object()) == BYPASS_DISABLED
+        from repro.faultinject import TRANSPARENT_PROFILE
+
+        options = RunOptions(cache=False, metrics=True,
+                             fault_profile=TRANSPARENT_PROFILE)
+        assert bypass_reason(options,
+                             telemetry=object()) == BYPASS_DISABLED
 
     def test_fault_injection_bypasses(self):
         from repro.faultinject import TRANSPARENT_PROFILE
 
-        assert bypass_reason(RunOptions(),
-                             fault_injector=object()) == BYPASS_FAULTS
         assert bypass_reason(
             RunOptions(fault_profile=TRANSPARENT_PROFILE)
         ) == BYPASS_FAULTS

@@ -1,6 +1,7 @@
 """HTH facade and report tests."""
 
-from repro.core import HTH, RunReport, Verdict, run_monitored, stub_binary
+from repro import api
+from repro.core import HTH, RunReport, Verdict, stub_binary
 from repro.core.hth import STANDARD_BINARIES
 from repro.isa import assemble
 from repro.secpert.warnings import Severity
@@ -42,10 +43,6 @@ class TestFacade:
         hth = HTH()
         for path in STANDARD_BINARIES:
             assert path in hth.kernel.binaries
-
-    def test_install_stubs_disabled(self):
-        hth = HTH(install_stubs=False)
-        assert "/bin/sh" not in hth.kernel.binaries
 
     def test_stub_binary_instances_are_isolated(self):
         # Assembly is cached, but each call gets its own mutable
@@ -94,14 +91,14 @@ buf: .space 16
         assert report.warnings == ()
 
 
-class TestRunMonitored:
+class TestOneShotRun:
     def test_one_shot_helper(self):
-        report = run_monitored(assemble("/bin/evil", EVIL))
+        report = api.run(assemble("/bin/evil", EVIL))
         assert report.verdict is Verdict.LOW
 
     def test_setup_callback(self):
         seen = []
-        run_monitored(
+        api.run(
             assemble("/bin/hello", HELLO),
             setup=lambda hth: seen.append(hth),
         )

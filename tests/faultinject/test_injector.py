@@ -4,7 +4,7 @@ watchdog, and RunReport surfacing."""
 
 from dataclasses import replace
 
-from repro.core import HTH
+from repro.core import HTH, RunOptions
 from repro.faultinject import (
     FaultInjector,
     FaultKind,
@@ -73,16 +73,24 @@ refusedmsg: .asciz "refused"
 SPIN = "main:\nspin:\n  jmp spin"
 
 
-def run_echo(fault_injector=None, typed="typed in\n"):
-    hth = HTH(fault_injector=fault_injector)
+def _faults(profile, seed):
+    return RunOptions(fault_profile=profile, fault_seed=seed)
+
+
+def echo_machine(options=None, typed="typed in\n"):
+    hth = HTH(options=options)
     hth.provide_input(typed)
-    return hth.run(assemble("/bin/echo", ECHO))
+    return hth
 
 
-def run_connect(fault_injector=None):
+def run_echo(options=None, typed="typed in\n"):
+    return echo_machine(options, typed).run(assemble("/bin/echo", ECHO))
+
+
+def run_connect(options=None):
     from repro.kernel.network import ConversationPeer
 
-    hth = HTH(fault_injector=fault_injector)
+    hth = HTH(options=options)
     hth.network.add_peer(
         "srv", 80, lambda: ConversationPeer("p", opening=b"hi")
     )
@@ -92,7 +100,7 @@ def run_connect(fault_injector=None):
 class TestDeterminism:
     def test_same_seed_same_run(self):
         reports = [
-            run_echo(FaultInjector(profile=TRANSPARENT_PROFILE, seed=42))
+            run_echo(_faults(TRANSPARENT_PROFILE, 42))
             for _ in range(2)
         ]
         a, b = reports
@@ -116,10 +124,12 @@ class TestStallTransparency:
         baseline = run_echo()
         profile = replace(TRANSPARENT_PROFILE, stall_rate=1.0,
                           quantum_jitter=0.0)
-        injector = FaultInjector(profile=profile, seed=3)
-        chaotic = run_echo(injector)
+        hth = echo_machine(_faults(profile, 3))
+        chaotic = hth.run(assemble("/bin/echo", ECHO))
+        injector = hth.kernel.fault_injector
         assert injector.fault_count > 0
         assert all(f.kind is FaultKind.STALL for f in injector.injected)
+        assert chaotic.injected_faults == tuple(injector.injected)
         assert chaotic.console_output == baseline.console_output
         assert chaotic.exit_code == baseline.exit_code
         assert chaotic.verdict is baseline.verdict
@@ -138,35 +148,28 @@ class TestSemanticFaults:
             errno_codes=(errors.EIO,),
             errno_syscalls=frozenset({SYS_READ, SYS_WRITE, SYS_OPEN}),
         )
-        injector = FaultInjector(profile=profile, seed=5)
-        report = run_echo(injector)
+        report = run_echo(_faults(profile, 5))
         assert report.result.completed
         # Every read/write failed with -EIO, so nothing reached stdout.
         assert report.console_output == ""
         assert any(
             f.kind is FaultKind.ERRNO and f.detail == "EIO"
-            for f in injector.injected
+            for f in report.injected_faults
         )
 
     def test_connect_reset(self):
         assert run_connect().console_output == "connected"
-        injector = FaultInjector(
-            profile=FaultProfile(connect_reset_rate=1.0), seed=1
-        )
-        report = run_connect(injector)
+        report = run_connect(_faults(FaultProfile(connect_reset_rate=1.0), 1))
         assert report.console_output == "refused"
         assert any(
-            f.kind is FaultKind.CONNECT_RESET for f in injector.injected
+            f.kind is FaultKind.CONNECT_RESET for f in report.injected_faults
         )
 
     def test_resolve_failure(self):
-        injector = FaultInjector(
-            profile=FaultProfile(resolve_fail_rate=1.0), seed=1
-        )
-        report = run_connect(injector)
+        report = run_connect(_faults(FaultProfile(resolve_fail_rate=1.0), 1))
         assert report.console_output == "nohost"
         assert any(
-            f.kind is FaultKind.RESOLVE_FAIL for f in injector.injected
+            f.kind is FaultKind.RESOLVE_FAIL for f in report.injected_faults
         )
 
 
@@ -196,30 +199,29 @@ class TestFaultBudget:
         profile = replace(
             TRANSPARENT_PROFILE, stall_rate=1.0, max_faults=2
         )
-        injector = FaultInjector(profile=profile, seed=11)
-        report = run_echo(injector)
+        hth = echo_machine(_faults(profile, 11))
+        report = hth.run(assemble("/bin/echo", ECHO))
         assert report.result.completed
-        assert injector.fault_count == 2
+        assert hth.kernel.fault_injector.fault_count == 2
+        assert len(report.injected_faults) == 2
 
 
 class TestWatchdog:
     def test_wedged_guest_returns_watchdog_reason(self):
-        hth = HTH()
-        report = hth.run(
-            assemble("/bin/spin", SPIN),
-            max_ticks=10**9,
-            wall_timeout=0.1,
-        )
+        hth = HTH(options=RunOptions(max_ticks=10**9, wall_timeout=0.1))
+        report = hth.run(assemble("/bin/spin", SPIN))
         assert report.result.reason == "watchdog"
         assert not report.result.completed
 
 
 class TestReportSurfacing:
     def test_fault_fields_present(self):
-        injector = FaultInjector(profile=TRANSPARENT_PROFILE, seed=42)
-        report = run_echo(injector)
+        hth = echo_machine(_faults(TRANSPARENT_PROFILE, 42))
+        report = hth.run(assemble("/bin/echo", ECHO))
         assert report.fault_seed == 42
-        assert report.injected_faults == tuple(injector.injected)
+        assert report.injected_faults == tuple(
+            hth.kernel.fault_injector.injected
+        )
         if report.injected_faults:
             assert "chaos seed=42" in report.summary_line()
 
@@ -228,10 +230,3 @@ class TestReportSurfacing:
         assert report.fault_seed is None
         assert report.injected_faults == ()
         assert "chaos" not in report.summary_line()
-
-    def test_render_log(self):
-        injector = FaultInjector(profile=TRANSPARENT_PROFILE, seed=42)
-        assert injector.render_log() == "(no faults injected)"
-        run_echo(injector)
-        if injector.injected:
-            assert "stall" in injector.render_log()

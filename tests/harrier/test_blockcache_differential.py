@@ -30,6 +30,7 @@ from tests.oracles import (
     template_replay,
     trace_every_loop,
 )
+from tests.oracles.readers import cell_tags
 
 _REGISTRIES = (
     ("table4", "repro.programs.micro.execflow", "table4_workloads"),
@@ -60,6 +61,8 @@ def _all_workloads():
 
 #: The section 9 monitor ablations, each of which inlines different
 #: work into fused blocks (None: the workload's own configuration).
+#: ``provenance`` is the ``RunOptions`` switch, the rest are
+#: ``HarrierConfig`` fields.
 _ABLATIONS = {
     "full": None,
     "no-dataflow": {"track_dataflow": False},
@@ -97,7 +100,7 @@ def _shadow_fingerprint(hth):
             dict(shadow.bb_counts),
             shadow.last_app_bb,
             shadow.regs.snapshot(),
-            dict(shadow.memory.cell_tags),
+            cell_tags(shadow.memory),
         ))
     return rows
 
@@ -124,21 +127,21 @@ def _run_fingerprint(workload, oracle=contextlib.nullcontext,
 
     from repro.core.options import RunOptions
 
+    changes = dict(_ABLATIONS[ablation] or {})
+    provenance = changes.pop("provenance", provenance)
     config = None
-    if _ABLATIONS[ablation] is not None:
+    if changes:
         config = replace(workload.harrier_config or HarrierConfig(),
-                         **_ABLATIONS[ablation])
+                         **changes)
     with oracle():
         hth = workload.build_machine(
-            harrier_config=config,
-            options=RunOptions(provenance=provenance),
+            options=RunOptions(harrier_config=config, provenance=provenance),
         )
         report = hth.run(
             workload.image(),
             argv=workload.argv or [workload.program_path],
             env=workload.env,
             stdin=workload.stdin,
-            max_ticks=workload.max_ticks,
         )
     return {
         "verdict": report.verdict,

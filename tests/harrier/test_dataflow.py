@@ -2,6 +2,7 @@
 small guest programs so real block records exercise the module)."""
 
 from repro.core.hth import HTH
+from repro.core.options import RunOptions
 from repro.isa import assemble
 from repro.taint import DataSource, Tag
 
@@ -207,7 +208,8 @@ main:
 .data
 buf: .space 8
 """
-        hth = HTH(harrier_config=HarrierConfig(complete_dataflow=False))
+        hth = HTH(options=RunOptions(
+            harrier_config=HarrierConfig(complete_dataflow=False)))
         proc = None
         original_spawn = hth.kernel.spawn
 

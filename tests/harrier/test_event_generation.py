@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hth import HTH
+from repro.core.options import RunOptions
 from repro.harrier.config import HarrierConfig
 from repro.harrier.events import (
     DataTransferEvent,
@@ -17,7 +18,7 @@ from repro.taint import DataSource
 
 
 def run(source, path="/bin/t", setup=None, config=None, argv=None):
-    hth = HTH(harrier_config=config)
+    hth = HTH(options=RunOptions(harrier_config=config))
     if setup:
         setup(hth)
     report = hth.run(assemble(path, source), argv=argv)

@@ -35,6 +35,7 @@ from repro.isa.translate import TOK_HW, TOK_IMM, translate_block
 from repro.taint import DataSource, TagSet
 from tests.oracles import template_replay
 from tests.oracles.replay import apply_block
+from tests.oracles.readers import cell_tags
 
 FILE_A = TagSet.of(DataSource.FILE, "/a")
 SOCK = TagSet.of(DataSource.SOCKET, "h:1")
@@ -82,7 +83,7 @@ def both_paths(instructions, taint_setup=None, cpu_setup=None):
 
 def assert_identical(slow, fast):
     assert slow.regs.snapshot() == fast.regs.snapshot()
-    assert dict(slow.memory.cell_tags) == dict(fast.memory.cell_tags)
+    assert cell_tags(slow.memory) == cell_tags(fast.memory)
 
 
 class TestSummaryShape:
@@ -516,7 +517,6 @@ def _monitor_gauges(workload, options):
         argv=workload.argv or [workload.program_path],
         env=workload.env,
         stdin=workload.stdin,
-        max_ticks=workload.max_ticks,
     )
     return {
         sample["name"]: sample["value"]

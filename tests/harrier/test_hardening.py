@@ -2,7 +2,7 @@
 bounded event log, first-kill veto semantics, and rule quarantine in the
 inference engine."""
 
-from repro.core import HTH, Verdict
+from repro.core import HTH, RunOptions, Verdict
 from repro.expert import InferenceEngine, Pattern, Rule, Template
 from repro.harrier import Harrier, HarrierConfig
 from repro.harrier.analyzer import EventAnalyzer
@@ -155,7 +155,8 @@ main:
 hosts: .asciz "/etc/hosts"
 prog: .asciz "/bin/ls"
 """
-        hth = HTH(harrier_config=HarrierConfig(max_event_log=1))
+        hth = HTH(options=RunOptions(
+            harrier_config=HarrierConfig(max_event_log=1)))
         report = hth.run(assemble("/bin/evil", src))
         assert len(report.events) <= 1
         assert report.events_dropped > 0

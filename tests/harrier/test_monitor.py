@@ -2,6 +2,7 @@
 kill decisions, dataflow-off mode, resource-origin registry."""
 
 from repro.core.hth import HTH
+from repro.core.options import RunOptions
 from repro.core.report import Verdict
 from repro.harrier.config import HarrierConfig
 from repro.harrier.events import DataTransferEvent, ProcessEvent
@@ -167,7 +168,8 @@ main:
 path: .asciz "/tmp/x"
 payload: .asciz "data"
 """
-        hth = HTH(harrier_config=HarrierConfig(track_dataflow=False))
+        hth = HTH(options=RunOptions(
+            harrier_config=HarrierConfig(track_dataflow=False)))
         report = hth.run(assemble("/bin/t", source))
         writes = [
             e for e in report.events if isinstance(e, DataTransferEvent)
@@ -181,7 +183,8 @@ payload: .asciz "data"
 
     def test_clone_rules_survive_dataflow_off(self):
         source = "main:\n" + "    call fork\n" * 4 + "    mov eax, 0\n    ret"
-        hth = HTH(harrier_config=HarrierConfig(track_dataflow=False))
+        hth = HTH(options=RunOptions(
+            harrier_config=HarrierConfig(track_dataflow=False)))
         report = hth.run(assemble("/bin/t", source))
         assert any(e for e in report.events if isinstance(e, ProcessEvent))
 
@@ -215,6 +218,7 @@ main:
 .data
 path: .asciz "/ghost"
 """
-        hth = HTH(harrier_config=HarrierConfig(keep_event_log=False))
+        hth = HTH(options=RunOptions(
+            harrier_config=HarrierConfig(keep_event_log=False)))
         report = hth.run(assemble("/bin/t", source))
         assert hth.harrier.events == []

@@ -2,6 +2,7 @@
 carries the *name's* taint, not the hosts database's."""
 
 from repro.core.hth import HTH
+from repro.core.options import RunOptions
 from repro.harrier.config import HarrierConfig
 from repro.harrier.events import ResourceAccessEvent
 from repro.isa import assemble
@@ -54,7 +55,7 @@ def connect_event(report):
 
 
 def run(source, config=None, argv=None):
-    hth = HTH(harrier_config=config)
+    hth = HTH(options=RunOptions(harrier_config=config))
     hth.network.add_peer("srv.example", 80, lambda: SinkPeer("srv"))
     return hth.run(assemble("/bin/t", source), argv=argv)
 

@@ -30,7 +30,6 @@ def test_simple_program_layout():
     assert img.symbols["msg"] == 2
     assert img.data[2] == ord("h")
     assert img.data[4] == 0
-    assert img.entry_offset == 0
 
 
 def test_operand_kinds():
@@ -226,4 +225,3 @@ def test_image_size_and_repr():
     assert img.size == 5
     assert img.defines("main")
     assert not img.defines("ghost")
-    assert img.exported_symbols() == {"main": 0, "b": 1}

@@ -84,6 +84,7 @@ from tests.oracles import (
 )
 from tests.oracles.cachestats import block_cache_stats
 from tests.oracles.interpreter import step as interpret
+from tests.oracles.readers import cell_tags
 
 _RECORD_FIELDS = (
     "executed", "kind", "holes", "next_pc", "call_target",
@@ -224,13 +225,15 @@ class TestFusedMatchesClosures:
                 break
 
 
-#: Monitor configurations whose inlined work must match ``on_block``.
+#: Monitor settings (``Harrier`` arguments) whose inlined work must
+#: match ``on_block``.
 _MONITOR_CONFIGS = {
-    "full": HarrierConfig(),
-    "no-dataflow": HarrierConfig(track_dataflow=False),
-    "no-bbfreq": HarrierConfig(track_bb_frequency=False),
-    "no-provenance": HarrierConfig(provenance=False),
-    "no-short-circuit": HarrierConfig(short_circuit_routines=False),
+    "full": {},
+    "no-dataflow": {"config": HarrierConfig(track_dataflow=False)},
+    "no-bbfreq": {"config": HarrierConfig(track_bb_frequency=False)},
+    "no-provenance": {"provenance": False},
+    "no-short-circuit": {
+        "config": HarrierConfig(short_circuit_routines=False)},
 }
 _USER = TagSet.of(DataSource.USER_INPUT)
 _FILE = TagSet.of(DataSource.FILE, "/f")
@@ -277,7 +280,7 @@ class TestInlinedMonitorMatchesOnBlock:
         for inline in (False, True):
             cpu = _machine(code, values, zf, sf, cells)
             plan = translate_block(cpu.memory, 0, leaders)
-            harrier = Harrier(config=_MONITOR_CONFIGS[config])
+            harrier = Harrier(**_MONITOR_CONFIGS[config])
             proc = SimpleNamespace(meta={}, cpu=cpu, memory=cpu.memory)
             shadow = harrier.shadow(proc)
             for reg in ("eax", "ebx", "esp"):
@@ -293,7 +296,7 @@ class TestInlinedMonitorMatchesOnBlock:
             prov = harrier.provenance
             seen[inline] = skipped, (
                 dict(cpu.regs._values), dict(cpu.memory.cells), cpu.pc,
-                shadow.regs.snapshot(), dict(shadow.memory.cell_tags),
+                shadow.regs.snapshot(), cell_tags(shadow.memory),
                 dict(shadow.bb_counts), shadow.last_app_bb,
                 harrier.fastpath_blocks, harrier.slowpath_blocks,
                 None if prov is None else (
@@ -361,7 +364,7 @@ class _SteadyMachine:
     def fingerprint(self):
         return [
             (self.shadow(n).regs.snapshot(),
-             dict(self.shadow(n).memory.cell_tags))
+             cell_tags(self.shadow(n).memory))
             for n in range(len(self.procs))
         ], self.harrier.fastpath_blocks
 
@@ -871,7 +874,7 @@ def _loop_run(source, oracle, quantum=200, max_ticks=None, config=None):
     """Run ``source`` under ``oracle`` with a full monitor: the machine
     and everything observable about the run and the monitor's state."""
     with oracle():
-        hth = HTH(harrier_config=config)
+        hth = HTH(options=RunOptions(harrier_config=config))
         hth.kernel.quantum = quantum
         report = hth.run(assemble("/bin/loop", source), max_ticks=max_ticks)
     proc = hth.kernel.procs[1]
@@ -892,7 +895,7 @@ def _loop_run(source, oracle, quantum=200, max_ticks=None, config=None):
         "bb_counts": dict(shadow.bb_counts),
         "last_app_bb": shadow.last_app_bb,
         "reg_tags": shadow.regs.snapshot(),
-        "cell_tags": dict(shadow.memory.cell_tags),
+        "cell_tags": cell_tags(shadow.memory),
     }, {
         "fastpath": hth.harrier.fastpath_blocks,
         "slowpath": hth.harrier.slowpath_blocks,
@@ -1073,7 +1076,8 @@ class TestLoopTraces:
 
         def run(config, oracle, engine):
             with oracle():
-                hth = HTH(harrier_config=config, engine=engine)
+                hth = HTH(options=RunOptions(harrier_config=config),
+                          engine=engine)
                 image = (engine.image("/bin/loop", TOP_TESTED)
                          if engine is not None
                          else assemble("/bin/loop", TOP_TESTED))
@@ -1082,7 +1086,7 @@ class TestLoopTraces:
             shadow = hth.harrier.shadow(proc)
             return hth, (
                 dict(proc.memory.cells), dict(shadow.bb_counts),
-                shadow.last_app_bb, dict(shadow.memory.cell_tags),
+                shadow.last_app_bb, cell_tags(shadow.memory),
                 hth.harrier.fastpath_blocks, hth.harrier.slowpath_blocks,
             )
 

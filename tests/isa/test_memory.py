@@ -17,12 +17,6 @@ class TestCells:
         mem.write(5, 42)
         assert mem.read(5) == 42
 
-    def test_block_roundtrip(self):
-        mem = FlatMemory()
-        mem.write_block(10, [1, 2, 3])
-        assert mem.read_block(10, 3) == [1, 2, 3]
-        assert mem.read_block(9, 5) == [0, 1, 2, 3, 0]
-
     def test_bytes_roundtrip(self):
         mem = FlatMemory()
         mem.write_bytes(0, b"abc")
@@ -88,8 +82,6 @@ class TestCode:
         nop = Instruction(Opcode.NOP)
         assert mem.map_code(0x100, [nop, nop]) == 2
         assert mem.fetch(0x101) is nop
-        assert mem.has_code(0x100)
-        assert not mem.has_code(0x102)
 
     def test_fetch_unmapped_faults(self):
         with pytest.raises(MemoryFault):

@@ -25,6 +25,7 @@ from tests.oracles import (
     trace_every_loop,
 )
 from tests.oracles.interpreter import step as interpret
+from tests.oracles.readers import cell_tags
 
 _OPS = {
     "add": lambda a, b: a + b,
@@ -180,7 +181,7 @@ def _loop_fingerprint(source, quantum):
         "bb_counts": dict(shadow.bb_counts),
         "last_app_bb": shadow.last_app_bb,
         "reg_tags": shadow.regs.snapshot(),
-        "cell_tags": dict(shadow.memory.cell_tags),
+        "cell_tags": cell_tags(shadow.memory),
     }
 
 
@@ -301,7 +302,7 @@ def _forked_fingerprint(source, stdin, quantum):
             dict(proc.memory.cells),
             dict(shadow.bb_counts),
             shadow.regs.snapshot(),
-            dict(shadow.memory.cell_tags),
+            cell_tags(shadow.memory),
         ))
     return {
         "verdict": report.verdict,

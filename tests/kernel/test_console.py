@@ -16,12 +16,6 @@ class TestInput:
         console.provide_input(b"\x01\x02")
         assert console.read(10) == b"\x01\x02"
 
-    def test_pending_input(self):
-        console = Console()
-        assert console.pending_input() == 0
-        console.provide_input("xy")
-        assert console.pending_input() == 2
-
     def test_read_line_stops_at_newline(self):
         console = Console()
         console.provide_input("one\ntwo\n")

@@ -48,7 +48,7 @@ class TestPlacement:
 
     def test_entry_is_shim(self, loaded):
         memory, result, app, lib = loaded
-        shim = result.image_map.find_code(result.entry)
+        shim = result.image_map.find(result.entry)
         assert shim.name == "[startup]"
 
     def test_shim_calls_main(self, loaded):

@@ -112,11 +112,11 @@ class TestScheduledConnects:
     def test_deliver_due_requires_listener(self, net):
         net.schedule_connect(10, "LocalHost", 99, ScriptedPeer("a"))
         assert net.deliver_due(20) == 0  # no listener yet
-        assert net.has_pending_events()
+        assert net.next_event_time() == 10
         listener = net.listen(LOCALHOST_IP, 99)
         assert net.deliver_due(20) == 1
         assert len(listener.backlog) == 1
-        assert not net.has_pending_events()
+        assert net.next_event_time() is None
 
     def test_not_due_yet(self, net):
         net.listen(LOCALHOST_IP, 99)
@@ -140,10 +140,8 @@ class TestScheduledConnects:
 
 
 class TestConnection:
-    def test_deliver_and_close(self):
+    def test_close(self):
         conn = Connection(local_label="l", peer_label="p")
-        conn.deliver(b"abc")
-        assert bytes(conn.incoming) == b"abc"
         conn.close()
         assert not conn.open
 

@@ -16,7 +16,8 @@ from unittest import mock
 import pytest
 
 from repro.core.hth import HTH
-from repro.faultinject import TRANSPARENT_PROFILE, FaultInjector
+from repro.core.options import RunOptions
+from repro.faultinject import TRANSPARENT_PROFILE
 from repro.isa import assemble
 from repro.kernel.kernel import SLICE_QUANTA, Kernel
 from repro.kernel.network import ConversationPeer
@@ -27,6 +28,7 @@ from tests.harrier.test_blockcache_differential import (
     _run_fingerprint,
 )
 from tests.oracles import one_quantum_per_pass, reference_interpreter
+from tests.oracles.readers import cell_tags
 
 
 @pytest.mark.parametrize("workload", _all_workloads())
@@ -204,7 +206,7 @@ def _run(source, quantum, oracle=contextlib.nullcontext, setup=None,
             dict(proc.memory.cells),
             dict(shadow.bb_counts),
             shadow.regs.snapshot(),
-            dict(shadow.memory.cell_tags),
+            cell_tags(shadow.memory),
         ))
     return hth, {
         "syscalls": log,
@@ -268,7 +270,8 @@ def test_a_sibling_or_a_pending_connect_withholds_slices():
 def test_a_fault_injector_keeps_one_quantum_per_pass():
     """Its jitter draws once per quantum: chaos seeds keep their
     schedule."""
-    hth = HTH(fault_injector=FaultInjector(TRANSPARENT_PROFILE, seed=3))
+    hth = HTH(options=RunOptions(fault_profile=TRANSPARENT_PROFILE,
+                                 fault_seed=3))
     proc = hth.kernel.spawn(assemble("/bin/slices", SLEEPS))
     assert hth.kernel._slice_quanta(proc) == 1
 
@@ -281,10 +284,9 @@ loop:
 
 
 def test_the_watchdog_stops_a_lone_spinning_guest_promptly():
-    hth = HTH()
+    hth = HTH(options=RunOptions(max_ticks=10**12, wall_timeout=0.2))
     start = time.monotonic()
-    report = hth.run(assemble("/bin/spin", SPIN), max_ticks=10**12,
-                     wall_timeout=0.2)
+    report = hth.run(assemble("/bin/spin", SPIN))
     assert report.result.reason == "watchdog"
     assert time.monotonic() - start < 2.0
 

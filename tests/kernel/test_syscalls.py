@@ -383,6 +383,40 @@ long: .space 8
         assert report.console_output == "-14"  # -EFAULT
         assert report.exit_code == 0
 
+    def test_execve_with_unreadable_envp_is_efault(self, guest):
+        """An env string with no NUL within the cstring limit is decoded
+        with argv, so the call fails with -EFAULT instead of raising a
+        MemoryFault out of the run."""
+        report = guest.run(
+            r"""
+main:
+    mov edi, long
+    mov ecx, 5000
+fill:
+    mov eax, 65
+    store [edi], eax
+    add edi, 1
+    sub ecx, 1
+    cmp ecx, 0
+    jnz fill
+    mov ebx, tgt
+    mov ecx, 0
+    mov edx, envp
+    call execve
+    mov ebx, eax
+    call print_num
+    mov eax, 0
+    ret
+.data
+tgt: .asciz "/bin/sh"
+envp: .word long
+      .word 0
+long: .space 8
+"""
+        )
+        assert report.console_output == "-14"  # -EFAULT
+        assert report.exit_code == 0
+
     def test_time_advances(self, guest):
         report = guest.run(
             r"""

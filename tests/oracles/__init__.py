@@ -15,7 +15,8 @@ switches that pin the block JIT to one executor:
   and the interpreted reading of a pattern the generated matchers
   replace;
 * :mod:`tests.oracles.readers` — per-cell guest-memory and shadow-tag
-  readers (strings, buffers, a range's tags, a string's NUL scan);
+  readers (strings, buffers, a range's tags, a string's NUL scan, every
+  live cell's tags);
 * :mod:`tests.oracles.facts` — the slot-by-slot copy of a Harrier event
   into a CLIPS fact that Secpert's templates, which read the event in
   place, replace;

@@ -6,12 +6,13 @@ their tags in one pass: :meth:`FlatMemory.read_cstring` and
 :meth:`ShadowMemory.union_of_range` unions each distinct tag-set object
 of a page once, and a syscall path's origin is the union over
 ``len(path)`` cells.  These are the cell-by-cell definitions they must
-equal, kept only as differential oracles.
+equal, kept only as differential oracles; :func:`cell_tags` flattens a
+shadow memory for tests that compare two of them whole.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from repro.isa.memory import MAX_CSTRING, FlatMemory, MemoryFault
 from repro.taint.shadow import ShadowMemory
@@ -59,3 +60,11 @@ def string_tags(memory: FlatMemory, shadow: ShadowMemory, addr: int,
             break
         tags = tags.union(shadow.get(addr + i))
     return tags
+
+
+def cell_tags(shadow: ShadowMemory) -> Dict[int, TagSet]:
+    """Every live cell's tags as one flat ``addr -> TagSet`` dict."""
+    flat: Dict[int, TagSet] = {}
+    for page in shadow._pages.values():
+        flat.update(page)
+    return flat

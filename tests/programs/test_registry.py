@@ -13,7 +13,6 @@ from repro.programs.registry import (
     find,
     get,
     names,
-    registry_of,
     registry_workloads,
     workload_tags,
     workloads,
@@ -28,7 +27,7 @@ class TestRoundTrip:
             fetched = get(workload.name)
             assert fetched.name == workload.name
             assert fetched.source == workload.source
-            assert registry_of(workload.name) == key
+            assert get(workload.name, keys=(key,)).name == workload.name
 
     def test_no_name_collisions_across_registries(self):
         all_names = names(REGISTRY_ORDER + ("adversarial",))
@@ -49,7 +48,7 @@ class TestRoundTrip:
         first.source = "changed"
         assert get("superforker") is not first
         assert get("superforker").source == next(
-            w for w in registry_workloads(registry_of("superforker"))
+            w for w in registry_workloads("8")
             if w.name == "superforker"
         ).source
 

@@ -40,13 +40,14 @@ class TestMemoryAbuse:
         assert totals[-1] >= 60 * 4096
 
     def test_thresholds_configurable(self):
+        from repro.core.options import RunOptions
         from repro.secpert.policy import PolicyConfig
 
         lax = PolicyConfig(
             memory_low_threshold=10_000_000,
             memory_high_threshold=20_000_000,
         )
-        report = by_name("vundo").run(policy=lax)
+        report = by_name("vundo").run(options=RunOptions(policy=lax))
         assert report.verdict is Verdict.BENIGN
 
 

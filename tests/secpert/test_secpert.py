@@ -169,13 +169,6 @@ class TestWarningSink:
         assert sink.max_severity() is None
         assert list(sink) == []
 
-    def test_filters(self):
-        sink = WarningSink()
-        sink.add(self.warning(Severity.LOW, rule="a"))
-        sink.add(self.warning(Severity.HIGH, rule="b"))
-        assert len(sink.by_severity(Severity.LOW)) == 1
-        assert len(sink.by_rule("b")) == 1
-
     def test_render_all(self):
         sink = WarningSink()
         sink.add(self.warning(Severity.MEDIUM))

@@ -17,6 +17,7 @@ from repro.taint import (
     ShadowMemory,
     TagSet,
 )
+from tests.oracles.readers import cell_tags
 
 FILE_A = TagSet.of(DataSource.FILE, "/a")
 SOCK = TagSet.of(DataSource.SOCKET, "h:1")
@@ -215,7 +216,7 @@ def test_matches_flat_dict_model(ops, q_start, q_length):
         else:
             mem = mem.copy()  # keep exercising post-fork mutation
             model = dict(model)
-    assert dict(mem.cell_tags) == model
+    assert cell_tags(mem) == model
     expected = EMPTY
     for a in range(q_start, q_start + q_length):
         expected = expected.union(model.get(a, EMPTY))

@@ -49,7 +49,11 @@ buf: .space 64
 """
 
 
-def run_monitored(telemetry):
+def spans_of(tracer, category):
+    return [s for s in tracer.spans if s.category == category]
+
+
+def run_exfil(telemetry):
     hth = HTH(telemetry=telemetry)
     hth.fs.write_text("/etc/shadow", "root:hash")
     report = hth.run(assemble("/bin/exfil", EXFIL_SOURCE))
@@ -59,7 +63,7 @@ def run_monitored(telemetry):
 @pytest.fixture(scope="module")
 def traced():
     telemetry = Telemetry.enabled(trace=True)
-    report = run_monitored(telemetry)
+    report = run_exfil(telemetry)
     return telemetry, report
 
 
@@ -113,23 +117,23 @@ class TestSpanCoverage:
     def test_span_tree_shape(self, traced):
         telemetry, _ = traced
         tracer = telemetry.tracer
-        assert len(tracer.by_category(CATEGORY_RUN)) == 1
-        assert len(tracer.by_category(CATEGORY_PROCESS)) == 1
+        assert len(spans_of(tracer, CATEGORY_RUN)) == 1
+        assert len(spans_of(tracer, CATEGORY_PROCESS)) == 1
         assert all(s.finished for s in tracer.spans)
 
     def test_every_syscall_has_a_span(self, traced):
         telemetry, _ = traced
         serviced = telemetry.metrics.total("kernel_syscalls_total")
-        spans = telemetry.tracer.by_category(CATEGORY_SYSCALL)
+        spans = spans_of(telemetry.tracer, CATEGORY_SYSCALL)
         assert len(spans) == serviced > 0
 
     def test_analysis_spans_parent_on_syscall_spans(self, traced):
         telemetry, report = traced
         tracer = telemetry.tracer
         syscall_ids = {
-            s.span_id for s in tracer.by_category(CATEGORY_SYSCALL)
+            s.span_id for s in spans_of(tracer, CATEGORY_SYSCALL)
         }
-        analysis = tracer.by_category(CATEGORY_ANALYSIS)
+        analysis = spans_of(tracer, CATEGORY_ANALYSIS)
         assert len(analysis) == len(report.events)
         assert all(s.parent_id in syscall_ids for s in analysis)
 
@@ -170,19 +174,19 @@ class TestReportSnapshot:
 
 class TestDisabledPath:
     def test_default_run_has_no_snapshot(self):
-        report = run_monitored(None)
+        report = run_exfil(None)
         assert report.telemetry is None
         assert report.verdict.flagged  # detection unaffected
 
     def test_disabled_hub_collects_nothing(self):
         telemetry = Telemetry.disabled()
-        report = run_monitored(telemetry)
+        report = run_exfil(telemetry)
         assert report.telemetry is None
         assert telemetry.metrics.samples() == []
         assert telemetry.tracer is None
 
     def test_to_json_without_telemetry(self):
-        report = run_monitored(None)
+        report = run_exfil(None)
         data = json.loads(report.to_json())
         assert data["telemetry"] is None
 
@@ -190,7 +194,7 @@ class TestDisabledPath:
 class TestMetricsOnlyHub:
     def test_metrics_without_tracer(self):
         telemetry = Telemetry.enabled()
-        report = run_monitored(telemetry)
+        report = run_exfil(telemetry)
         assert telemetry.tracer is None
         assert telemetry.metrics.total("cpu_instructions_total") == (
             report.result.instructions
