@@ -100,7 +100,6 @@ class Session:
         self,
         options: Optional[RunOptions] = None,
         telemetry: Optional[Telemetry] = None,
-        setup: Optional[SetupFn] = None,
         analyzer=None,
     ) -> HTH:
         """A fresh monitored machine wired to this session's warm engine.
@@ -110,15 +109,12 @@ class Session:
         so warnings stream out as they fire.
         """
         options = options if options is not None else self.options
-        hth = HTH(
+        return HTH(
             telemetry=telemetry if telemetry is not None else self.telemetry,
             options=options,
             engine=self.engine,
             analyzer=analyzer,
         )
-        if setup is not None:
-            setup(hth)
-        return hth
 
     # -- running -----------------------------------------------------------
     def run(
@@ -138,13 +134,12 @@ class Session:
 
         ``program`` is an assembled :class:`Image` or assembly source
         text (assembled through the warm memo as ``path``, default
-        ``/bin/guest``).  ``setup(hth)`` runs before the guest — seed
-        files, register peers, provide input.
-
-        A run with a ``setup`` closure is opaque to the verdict cache
-        unless ``cache_env`` declares the environment the closure builds
-        (seeded files + peers); the CLI and the serve worker both derive
-        their setup from exactly that declarative data.
+        ``/bin/guest``).  ``cache_env`` (seeded files + peers) is
+        installed into the machine and hashed into the cache key; the
+        CLI and the serve worker describe a guest's environment this
+        way.  ``setup(hth)`` runs after it, before the guest.  A run
+        with a ``setup`` closure is opaque to the verdict cache unless
+        ``cache_env`` is given too, which then vouches for it.
         """
         if isinstance(program, str):
             program = self.engine.image(path or "/bin/guest", program)
@@ -164,9 +159,12 @@ class Session:
                 self.runs += 1
                 return hit
         hth = self.machine(
-            options=options, telemetry=telemetry, setup=setup,
-            analyzer=analyzer,
+            options=options, telemetry=telemetry, analyzer=analyzer,
         )
+        if cache_env is not None:
+            cache_env.install(hth)
+        if setup is not None:
+            setup(hth)
         self.runs += 1
         report = hth.run(program, argv=argv, env=env, stdin=stdin)
         if key is not None:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import struct
 from collections import OrderedDict
@@ -48,6 +49,7 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.options import RunOptions
 from repro.isa.image import Image
+from repro.kernel.network import ConversationPeer, SinkPeer
 
 #: Bump when the canonical encoding or any key recipe changes: old
 #: on-disk entries then simply miss instead of decoding wrongly.
@@ -241,14 +243,14 @@ def options_fingerprint(options: RunOptions) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class CacheEnv:
-    """A declarative machine environment the cache can hash.
+    """A declarative machine environment: seeded files and network peers.
 
-    ``Session.run`` setup callbacks are opaque closures; a run made with
-    one is uncacheable *unless* the caller also describes the
-    environment the closure builds — seeded files and network peers, the
-    exact data the CLI flags and serve submissions carry.  The CLI and
-    the serve worker both build their setup from these mappings, so for
-    them the description is authoritative by construction.
+    It is both halves of a run's environment at once: ``Session.run``
+    builds the machine from it (:meth:`install`) and hashes it into the
+    cache key, so the key and the machine cannot disagree.  The CLI's
+    ``--file``/``--peer``/``--serve`` flags and serve submissions carry
+    exactly this data.  An opaque ``setup`` closure, by contrast, makes
+    a run uncacheable.
     """
 
     #: ``(path, content)`` pairs seeded into the simulated fs.
@@ -267,6 +269,22 @@ class CacheEnv:
             files=tuple(sorted((files or {}).items())),
             peers=tuple(sorted((peers or {}).items())),
         )
+
+    def install(self, hth) -> None:
+        """Seed the files into ``hth``'s filesystem and register the
+        peers: a sink for payload ``""``, else a peer that pushes the
+        payload on connect."""
+        for path, content in self.files:
+            hth.fs.write_text(path, content)
+        for addr, payload in self.peers:
+            host, _, port = addr.partition(":")
+            if payload:
+                factory = functools.partial(
+                    ConversationPeer, host, opening=payload.encode()
+                )
+            else:
+                factory = functools.partial(SinkPeer, host)
+            hth.network.add_peer(host, int(port), factory)
 
 
 _NO_ENV = CacheEnv()

@@ -42,28 +42,32 @@ Usage (also via ``python -m repro``)::
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import pathlib
 import sys
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.instrumentation import render_listing
 from repro.analysis.secure_binary import check_secure_binary
 from repro.api import Session
 from repro.cache import CacheEnv, DiskStore, VerdictCache
-from repro.core.hth import HTH
 from repro.core.options import DEFAULT_MAX_TICKS, RunOptions
 from repro.core.report import RunReport
-from repro.fleet.refs import (
+from repro.fleet import (
     REGISTRIES,
+    REGISTRY_ORDER,
+    FleetRunRecord,
     WorkloadRef,
-    registry_workloads,
+    merged_telemetry,
+    run_fleet,
     workload_refs,
+    write_fleet_trace,
 )
 from repro.harrier.config import HarrierConfig
 from repro.isa.assembler import AssemblyError, assemble
-from repro.kernel.network import ConversationPeer, SinkPeer
-from repro.telemetry import Telemetry
+from repro.programs.registry import entries
+from repro.telemetry import Telemetry, render_samples
 
 
 def _read_guest(source_path: str, guest_path: Optional[str]):
@@ -83,28 +87,20 @@ def _parse_kv(option: str, value: str) -> tuple:
     return key, rest
 
 
-def _apply_run_setup(hth: HTH, args: argparse.Namespace) -> None:
-    for entry in args.file or ():
-        name, content = _parse_kv("file", entry)
-        hth.fs.write_text(name, content)
+def _guest_env(args: argparse.Namespace) -> CacheEnv:
+    """The guest's files and peers from ``--file``/``--peer``/``--serve``
+    (a ``--peer`` is a ``--serve`` with payload ``""``: a data sink)."""
+    files = dict(_parse_kv("file", entry) for entry in args.file or ())
+    peers = {}
     for entry in args.peer or ():
-        host, _, port = entry.partition(":")
-        if not port:
-            raise SystemExit(f"--peer expects HOST:PORT, got {entry!r}")
-        hth.network.add_peer(host, int(port), lambda: SinkPeer(host))
+        peers[entry] = ""
     for entry in args.serve or ():
-        # HOST:PORT=payload - a peer that pushes payload on connect
         addr, payload = _parse_kv("serve", entry)
-        host, _, port = addr.partition(":")
-        if not port:
-            raise SystemExit(f"--serve expects HOST:PORT=DATA, got {entry!r}")
-        hth.network.add_peer(
-            host,
-            int(port),
-            lambda payload=payload: ConversationPeer(
-                host, opening=payload.encode()
-            ),
-        )
+        peers[addr] = payload
+    for addr in peers:
+        if not addr.partition(":")[2].isdigit():
+            raise SystemExit(f"a peer needs HOST:PORT, got {addr!r}")
+    return CacheEnv.from_mappings(files, peers)
 
 
 def _print_report(report: RunReport, show_events: bool) -> None:
@@ -135,15 +131,6 @@ def _build_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
     return Telemetry.enabled(trace=bool(trace))
 
 
-def _begin_track(
-    telemetry: Optional[Telemetry], label: str
-) -> Optional[Telemetry]:
-    """Open a new trace track for one machine, pass the hub through."""
-    if telemetry is not None and telemetry.tracer is not None:
-        telemetry.tracer.begin_track(label)
-    return telemetry
-
-
 def _emit_telemetry(
     telemetry: Optional[Telemetry], args: argparse.Namespace
 ) -> None:
@@ -172,25 +159,107 @@ def _run_options(args: argparse.Namespace, **overrides) -> RunOptions:
     )
 
 
-def _build_cache(args: argparse.Namespace) -> Optional[VerdictCache]:
-    """A verdict cache when the command asked for one on disk.
+def _cache_dir(args: argparse.Namespace) -> Optional[str]:
+    """The on-disk verdict cache the command asked for, if any.
 
     A purely in-memory cache is pointless for a one-shot CLI process,
     so the CLI only attaches a cache when ``--cache-dir`` names a store
-    that outlives the invocation.
+    that outlives the invocation (and ``--no-cache`` is not given).
     """
-    cache_dir = getattr(args, "cache_dir", None)
-    if not cache_dir or getattr(args, "no_cache", False):
+    if getattr(args, "no_cache", False):
         return None
-    return VerdictCache(disk_dir=cache_dir)
+    return getattr(args, "cache_dir", None)
 
 
-def _print_cache_line(cache: Optional[VerdictCache]) -> None:
-    if cache is None:
+def _print_cache_line(stats: Optional[dict]) -> None:
+    """One line of verdict-cache counters (a cache or fleet snapshot)."""
+    if stats is None:
         return
-    snap = cache.snapshot()
-    print(f"cache   : {snap['hits']} hit(s) ({snap['disk_hits']} from "
-          f"disk), {snap['misses']} miss(es), {snap['stores']} stored")
+    print(f"cache   : {stats['hits']} hit(s) ({stats['disk_hits']} from "
+          f"disk), {stats['misses']} miss(es), {stats['stores']} stored")
+
+
+def _select_refs(
+    keys: Optional[Sequence[str]], names: Optional[Sequence[str]]
+) -> List[WorkloadRef]:
+    """Refs to the rows of registries ``keys`` (every table when None),
+    narrowed to ``names`` when given (``--table``/``--workload``)."""
+    refs = workload_refs(keys)
+    if names:
+        wanted = set(names)
+        refs = [r for r in refs if r.name in wanted]
+        missing = wanted - {r.name for r in refs}
+        if missing:
+            raise SystemExit(f"unknown workload(s) {sorted(missing)}")
+    if not refs:
+        raise SystemExit("no workloads selected")
+    return refs
+
+
+def _run_rows(args: argparse.Namespace, keys: Sequence[str]):
+    """Run every row of registries ``keys`` in order, in process on one
+    warm session with no retries: ``(key, row, record)`` per row, and
+    the fleet report of the runs."""
+    rows = list(entries(keys))
+    fleet = run_fleet(
+        [WorkloadRef.from_registry(key, w.name) for key, w in rows],
+        options=_batch_options(args),
+        workers=1,
+        max_retries=0,
+        cache_dir=_cache_dir(args),
+    )
+    return [
+        (key, w, record) for (key, w), record in zip(rows, fleet.runs)
+    ], fleet
+
+
+def _batch_options(args: argparse.Namespace, **overrides) -> RunOptions:
+    """:func:`_run_options` with per-run telemetry when ``--metrics`` or
+    ``--trace`` asked for it; the batch merges it afterwards."""
+    return _run_options(
+        args,
+        metrics=bool(getattr(args, "metrics", False)),
+        trace=bool(getattr(args, "trace", None)),
+        **overrides,
+    )
+
+
+def _emit_batch_telemetry(
+    records: Sequence[FleetRunRecord], args: argparse.Namespace
+) -> None:
+    """Print the runs' merged metrics and write their trace (one track
+    per run), as ``--metrics``/``--trace`` requested."""
+    if getattr(args, "metrics", False):
+        telemetry = merged_telemetry(records)
+        print("\n--- telemetry metrics ---")
+        print(render_samples(telemetry.metrics if telemetry else ()))
+    trace = getattr(args, "trace", None)
+    if trace:
+        write_fleet_trace(trace, records)
+        spans = sum(len(r.spans or ()) for r in records)
+        print(f"wrote {trace} ({spans} spans)")
+
+
+def _partial_exit() -> int:
+    """The exit status of a batch that a SIGTERM/SIGINT drained: the
+    rows printed are complete, the runs never started among them read
+    as errors."""
+    print("drained after shutdown signal; report is partial",
+          file=sys.stderr)
+    return 130
+
+
+def _rules(record: FleetRunRecord) -> List[str]:
+    """The rules that fired in a record's run, sorted."""
+    report = record.report or {}
+    return sorted({w["rule"] for w in report.get("warnings", ())})
+
+
+def _mark(record: FleetRunRecord) -> str:
+    """A row's outcome column: ``ok``, ``MISMATCH`` or ``ERROR``."""
+    if record.failed:
+        return "ERROR"
+    return "ok " if record.ok else "MISMATCH"
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -201,30 +270,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         complete_dataflow=not args.incomplete_dataflow,
     )
     telemetry = _build_telemetry(args)
-    cache = _build_cache(args)
+    cache_dir = _cache_dir(args)
+    cache = VerdictCache(disk_dir=cache_dir) if cache_dir else None
     session = Session(
         _run_options(args, harrier_config=config), telemetry=telemetry,
         cache=cache,
     )
-    # The CLI's --file/--peer/--serve setup is declarative, so it can
-    # travel into the cache key as a CacheEnv — without it the setup
-    # closure would be opaque and every run a forced miss.
-    files = dict(_parse_kv("file", entry) for entry in (args.file or ()))
-    peers = {}
-    for entry in args.peer or ():
-        peers[entry] = ""
-    for entry in args.serve or ():
-        addr, payload = _parse_kv("serve", entry)
-        peers[addr] = payload
     report = session.run(
         image,
         argv=[image.name] + list(args.arg or ()),
         stdin=args.stdin,
-        setup=lambda hth: _apply_run_setup(hth, args),
-        cache_env=CacheEnv.from_mappings(files, peers),
+        cache_env=_guest_env(args),
     )
     _print_report(report, args.events)
-    _print_cache_line(cache)
+    _print_cache_line(cache.snapshot() if cache is not None else None)
     _emit_telemetry(telemetry, args)
     if args.json:
         out = pathlib.Path(args.json)
@@ -280,26 +339,17 @@ def cmd_instrument(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    workloads = registry_workloads(args.number)
-    telemetry = _build_telemetry(args)
-    cache = _build_cache(args)
-    session = Session(_run_options(args), telemetry=telemetry, cache=cache)
-    width = max(len(w.name) for w in workloads)
-    failures = 0
-    for workload in workloads:
-        if telemetry is not None and telemetry.tracer is not None:
-            telemetry.tracer.begin_track(workload.name)
-        report = session.run_workload(workload)
-        ok = workload.classified_correctly(report)
-        failures += not ok
-        rules = ",".join(sorted({w.rule for w in report.warnings})) or "-"
-        mark = "ok " if ok else "MISMATCH"
-        print(f"{workload.name:{width}s}  {report.verdict.value:7s} "
+    rows, fleet = _run_rows(args, [args.number])
+    width = max(len(w.name) for _, w, _ in rows)
+    for _, workload, record in rows:
+        print(f"{workload.name:{width}s}  {record.verdict or '-':7s} "
               f"(expected {workload.expected_verdict.value:7s})  "
-              f"{mark}  {rules}")
-    _print_cache_line(cache)
-    _emit_telemetry(telemetry, args)
-    return 1 if failures else 0
+              f"{_mark(record)}  {','.join(_rules(record)) or '-'}")
+    _print_cache_line(fleet.cache_stats)
+    _emit_batch_telemetry(fleet.runs, args)
+    if fleet.partial:
+        return _partial_exit()
+    return 1 if fleet.failures else 0
 
 
 def _chaos_profile(args: argparse.Namespace):
@@ -320,68 +370,29 @@ def _chaos_profile(args: argparse.Namespace):
     return _dc_replace(profile, **overrides) if overrides else profile
 
 
-def _chaos_workloads(args: argparse.Namespace):
-    workloads = registry_workloads(args.table)
-    if args.workload:
-        wanted = set(args.workload)
-        workloads = [w for w in workloads if w.name in wanted]
-        missing = wanted - {w.name for w in workloads}
-        if missing:
-            raise SystemExit(
-                f"unknown workload(s) {sorted(missing)} in table "
-                f"{args.table}"
-            )
-    return workloads
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Replay paper scenarios under deterministic fault schedules."""
-    from repro.faultinject import chaos_seeds, run_chaos, run_chaos_suite
+    from repro.faultinject import run_chaos_suite
 
     profile = _chaos_profile(args)
-    workloads = _chaos_workloads(args)
-    telemetry = _build_telemetry(args)
-    if args.seed is not None:
-        seeds = [args.seed]
-    else:
-        seeds = chaos_seeds(args.base_seed, args.trials)
+    # --seed S replays one schedule: chaos_seeds(S, 1) == [S].
+    replay = args.seed is not None
+    results = run_chaos_suite(
+        _select_refs([args.table], args.workload),
+        base_seed=args.seed if replay else args.base_seed,
+        trials=1 if replay else args.trials,
+        profile=profile,
+        options=_batch_options(args, wall_timeout=args.wall_timeout),
+        workers=args.workers,
+    )
     # With guest-visible (semantic) faults the verdict may legitimately
     # move; the assertable property is graceful termination, not
     # classification.
     assert_verdicts = args.profile == "transparent"
 
-    if args.workers > 1 and args.seed is None:
-        # Run the (workload × seed) grid on a fleet.  Telemetry
-        # output stays a serial-mode feature: per-run hubs cannot feed
-        # the one shared tracer the flags expect.
-        if telemetry is not None:
-            print("note: --trace/--metrics are ignored with --workers > 1",
-                  file=sys.stderr)
-            telemetry = None
-        results = run_chaos_suite(
-            [WorkloadRef(*REGISTRIES[args.table], name=w.name)
-             for w in workloads],
-            base_seed=args.base_seed,
-            trials=args.trials,
-            profile=profile,
-            wall_timeout=args.wall_timeout,
-            workers=args.workers,
-        )
-    else:
-        results = [
-            run_chaos(
-                workload,
-                seeds,
-                profile,
-                wall_timeout=args.wall_timeout,
-                telemetry=_begin_track(telemetry, workload.name),
-            )
-            for workload in workloads
-        ]
-
-    width = max(len(w.name) for w in workloads)
+    width = max(len(r.workload) for r in results)
     failures = 0
-    for workload, result in zip(workloads, results):
+    for result in results:
         verdicts = ",".join(sorted({v.value for v in result.verdicts}))
         if assert_verdicts:
             ok = result.stable
@@ -390,12 +401,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             ok = all(t.reason != "watchdog" for t in result.trials)
             status = "graceful" if ok else "WEDGED"
         failures += not ok
-        print(f"{workload.name:{width}s}  expected={result.expected.value:7s}"
+        print(f"{result.workload:{width}s}  "
+              f"expected={result.expected.value:7s}"
               f" seen={verdicts:7s} faults={result.total_faults:4d}"
               f"  {status}")
         if not ok and assert_verdicts:
             print(f"{'':{width}s}  replay: repro chaos --table "
-                  f"{args.table} --workload {workload.name} "
+                  f"{args.table} --workload {result.workload} "
                   f"--seed {result.failing_seeds()[0]} --show-faults")
         if args.show_faults:
             for trial in result.trials:
@@ -404,7 +416,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                       f"rules={','.join(trial.rules) or '-'}")
                 for fault in trial.faults:
                     print(f"    {fault}")
-    _emit_telemetry(telemetry, args)
+    records = [t.record for r in results for t in r.trials]
+    _emit_batch_telemetry(records, args)
+    if any(record.cancelled for record in records):
+        return _partial_exit()
     return 1 if failures else 0
 
 
@@ -416,20 +431,19 @@ def cmd_profile(args: argparse.Namespace) -> int:
     name, source = _read_guest(args.source, args.path)
     options = _run_options(args)
     argv = [name] + list(args.arg or ())
-
-    def setup(hth: HTH) -> None:
-        _apply_run_setup(hth, args)
+    env = _guest_env(args)
 
     # The counters come from one production run with a registry, the
     # same run `repro run --metrics` makes.
     telemetry = Telemetry.enabled(trace=bool(args.trace))
     report = Session(options, telemetry=telemetry).run(
-        source, path=name, argv=argv, stdin=args.stdin, setup=setup,
+        source, path=name, argv=argv, stdin=args.stdin, cache_env=env,
     )
     print(report.summary_line())
     print()
     study = measure_overhead(
-        name, source, options, argv=argv, stdin=args.stdin, setup=setup,
+        name, source, options, argv=argv, stdin=args.stdin,
+        setup=env.install,
     )
     print(study.render(f"Overhead profile: {name}"))
     registry = telemetry.metrics
@@ -452,36 +466,34 @@ def cmd_report(args: argparse.Namespace) -> int:
         "",
     ]
     rows = []
-    failures = 0
-    session = Session()
-    for key in ("4", "5", "6", "7", "8", "macro", "ext", "scenarios"):
-        workloads = registry_workloads(key)
+    results, fleet = _run_rows(args, REGISTRY_ORDER)
+    for key, group in itertools.groupby(results, key=lambda row: row[0]):
         title = f"Table {key}" if key.isdigit() else key
         lines.append(f"## {title}")
         lines.append("")
         lines.append("| benchmark | expected | measured | rules | match |")
         lines.append("|---|---|---|---|---|")
-        for workload in workloads:
-            report = session.run_workload(workload)
-            ok = workload.classified_correctly(report)
-            failures += not ok
-            fired = sorted({w.rule for w in report.warnings})
+        for _, workload, record in group:
+            ok = bool(record.ok)
+            fired = _rules(record)
             rules = ", ".join(fired) or "—"
+            measured = record.verdict or "error"
             lines.append(
                 f"| {workload.name} | {workload.expected_verdict.value} "
-                f"| {report.verdict.value} | {rules} "
+                f"| {measured} | {rules} "
                 f"| {'yes' if ok else 'NO'} |"
             )
             rows.append({
                 "table": key,
                 "benchmark": workload.name,
                 "expected": workload.expected_verdict.value,
-                "measured": report.verdict.value,
+                "measured": measured,
                 "rules": fired,
                 "match": ok,
-                "degraded": report.degraded,
+                "degraded": (record.report or {}).get("degraded", True),
             })
         lines.append("")
+    failures = len(fleet.failures)
     text = "\n".join(lines) + "\n"
     out_path = pathlib.Path(args.output)
     out_path.write_text(text)
@@ -495,72 +507,39 @@ def cmd_report(args: argparse.Namespace) -> int:
         indent=2,
     ) + "\n")
     print(f"wrote {out_path} and {json_path} ({failures} mismatches)")
+    if fleet.partial:
+        return _partial_exit()
     return 1 if failures else 0
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Run a workload sweep on worker processes (``repro fleet``)."""
-    from repro.fleet import run_fleet, write_fleet_trace
-    from repro.telemetry import render_samples
-
-    refs = workload_refs(args.table or None)
-    if args.workload:
-        wanted = set(args.workload)
-        refs = [r for r in refs if r.name in wanted]
-        missing = wanted - {r.name for r in refs}
-        if missing:
-            raise SystemExit(f"unknown workload(s) {sorted(missing)}")
-    if not refs:
-        raise SystemExit("no workloads selected")
-    options = _run_options(args).replaced(
-        metrics=bool(args.metrics),
-        trace=bool(args.trace),
-    )
-    cache_dir = None if args.no_cache else args.cache_dir
     fleet = run_fleet(
-        refs,
-        options=options,
+        _select_refs(args.table or None, args.workload),
+        options=_batch_options(args),
         workers=args.workers,
         max_retries=args.max_retries,
-        cache_dir=cache_dir,
+        cache_dir=_cache_dir(args),
     )
     width = max(len(r.name) for r in fleet.runs)
     for record in fleet.runs:
-        verdict = record.verdict or "-"
-        if record.failed:
-            mark = "ERROR"
-        elif record.ok:
-            mark = "ok "
-        else:
-            mark = "MISMATCH"
         extras = f" retried={','.join(record.retries)}" if record.retries \
             else ""
-        print(f"{record.name:{width}s}  {verdict:7s} "
-              f"worker={record.worker}  {mark}{extras}")
+        print(f"{record.name:{width}s}  {record.verdict or '-':7s} "
+              f"worker={record.worker}  {_mark(record)}{extras}")
     print(fleet.summary_line())
     if fleet.cache_stats is not None:
         stats = fleet.cache_stats
         print(f"cache   : {stats['hits']} hit(s), {stats['misses']} "
               f"miss(es), {stats['stores']} stored "
               f"(hit rate {stats['hit_rate']:.2f})")
-    if args.metrics and fleet.telemetry is not None:
-        print("\n--- fleet telemetry metrics (merged) ---")
-        print(render_samples(fleet.telemetry.metrics))
-    if args.trace:
-        write_fleet_trace(args.trace, fleet.runs)
-        span_total = sum(len(r.spans or ()) for r in fleet.runs)
-        print(f"wrote {args.trace} ({span_total} spans)")
+    _emit_batch_telemetry(fleet.runs, args)
     if args.json:
         out = pathlib.Path(args.json)
         out.write_text(fleet.to_json() + "\n")
         print(f"wrote {out}")
     if fleet.partial:
-        # Drained after SIGTERM/SIGINT: the report above is complete
-        # (cancelled tasks included) but the sweep did not run to the
-        # end — exit with the conventional interrupted status.
-        print("fleet drained after shutdown signal; report is partial",
-              file=sys.stderr)
-        return 130
+        return _partial_exit()
     return 1 if fleet.failures else 0
 
 
@@ -593,7 +572,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         options=_run_options(args),
         workers=args.workers,
         max_retries=args.max_retries,
-        cache_dir=None if args.no_cache else args.cache_dir,
+        cache_dir=_cache_dir(args),
     )
     text = result.render_report()
     print(text, end="")
@@ -685,27 +664,15 @@ def _submission_from_args(args: argparse.Namespace):
     if not args.source:
         raise SystemExit("need a guest source file or --table/--workload")
     path = pathlib.Path(args.source)
-    files = dict(
-        _parse_kv("file", entry) for entry in (args.file or ())
-    )
-    peers = {}
-    for entry in args.peer or ():
-        if ":" not in entry:
-            raise SystemExit(f"--peer expects HOST:PORT, got {entry!r}")
-        peers[entry] = ""
-    for entry in args.serve or ():
-        addr, payload = _parse_kv("serve", entry)
-        if ":" not in addr:
-            raise SystemExit(f"--serve expects HOST:PORT=DATA, got {entry!r}")
-        peers[addr] = payload
+    env = _guest_env(args)
     guest_path = args.path or f"/bin/{path.stem}"
     return Submission(
         source=path.read_text(),
         path=guest_path,
         argv=tuple([guest_path] + list(args.arg or ())),
         stdin=args.stdin,
-        files=files,
-        peers=peers,
+        files=dict(env.files),
+        peers=dict(env.peers),
         options=options,
         tenant=args.tenant,
         name=path.name,

@@ -22,9 +22,7 @@ from repro.faultinject.harness import (
     ChaosResult,
     ChaosTrial,
     chaos_seeds,
-    run_chaos,
     run_chaos_suite,
-    run_one,
 )
 from repro.faultinject.daemon import (
     ChaosMonkey,
@@ -49,7 +47,5 @@ __all__ = [
     "ChaosResult",
     "ChaosTrial",
     "chaos_seeds",
-    "run_chaos",
     "run_chaos_suite",
-    "run_one",
 ]

@@ -3,7 +3,10 @@
 Turns "detection survives a flaky machine" into a regression-tested
 property: a workload is run once per seed with a fresh
 :class:`FaultInjector`, and the harness checks the verdict (and expected
-rules) against the paper's classification for every seed.
+rules) against the paper's classification for every seed.  The
+(workload × seed) grid runs through :func:`repro.fleet.run_fleet`, in
+process with one warm session at ``workers=1`` and on a process pool
+above that; the trials are the same either way.
 
 Determinism contract: ``(workload, profile, seed)`` fully determines the
 run — the injector's RNG is the only randomness in the stack, so the same
@@ -15,15 +18,16 @@ from one base seed for the same reason.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.report import RunReport, Verdict
-from repro.faultinject.plan import (
-    FaultProfile,
-    InjectedFault,
-    TRANSPARENT_PROFILE,
-)
+from repro.core.options import RunOptions
+from repro.core.report import Verdict
+from repro.faultinject.plan import FaultProfile, TRANSPARENT_PROFILE
+from repro.fleet.engine import run_fleet
+from repro.fleet.refs import FleetTask, WorkloadRef
+from repro.fleet.report import FleetRunRecord
 from repro.programs.base import Workload
+from repro.programs.registry import key_of
 
 #: Safety net for chaos runs: convert a wedged guest into a 'watchdog'
 #: result rather than hanging the suite (generous; virtual-time budgets
@@ -46,11 +50,12 @@ class ChaosTrial:
     verdict: Verdict
     rules: Tuple[str, ...]
     reason: str                      # RunResult.reason
-    #: InjectedFault records in delivery order — their string forms when
-    #: the trial was rebuilt from a fleet wire record.
-    faults: List[InjectedFault]
+    #: The string forms of the injected faults, in delivery order.
+    faults: List[str]
     classified_correctly: bool
     degraded: bool
+    #: The run's fleet record: its report dict, spans and telemetry.
+    record: FleetRunRecord
 
     @property
     def fault_count(self) -> int:
@@ -84,26 +89,8 @@ class ChaosResult:
         return [t.seed for t in self.trials if not t.classified_correctly]
 
 
-def run_one(
-    workload: Workload,
-    seed: int,
-    profile: FaultProfile = TRANSPARENT_PROFILE,
-    wall_timeout: Optional[float] = DEFAULT_WALL_TIMEOUT,
-    telemetry=None,
-) -> RunReport:
-    """One chaos-perturbed run of ``workload`` (fresh machine+injector)."""
-    from repro.core.options import RunOptions
-
-    return workload.run(
-        telemetry=telemetry,
-        options=RunOptions(wall_timeout=wall_timeout).with_faults(
-            profile, seed
-        ),
-    )
-
-
-def _trial_from_record(record, seed: int) -> ChaosTrial:
-    """Rebuild one :class:`ChaosTrial` from a fleet wire record."""
+def _trial_from_record(record: FleetRunRecord, seed: int) -> ChaosTrial:
+    """One :class:`ChaosTrial` from the fleet record of its run."""
     report = record.report
     if report is None:
         # Worker died or the run raised: surface as a wedged trial so
@@ -116,6 +103,7 @@ def _trial_from_record(record, seed: int) -> ChaosTrial:
             faults=[],
             classified_correctly=False,
             degraded=True,
+            record=record,
         )
     return ChaosTrial(
         seed=seed,
@@ -125,101 +113,52 @@ def _trial_from_record(record, seed: int) -> ChaosTrial:
         faults=list(report["injected_faults"]),
         classified_correctly=bool(record.ok),
         degraded=bool(report["degraded"]),
+        record=record,
     )
 
 
-def run_chaos(
-    workload: Workload,
-    seeds: Sequence[int],
-    profile: FaultProfile = TRANSPARENT_PROFILE,
-    wall_timeout: Optional[float] = DEFAULT_WALL_TIMEOUT,
-    telemetry=None,
-) -> ChaosResult:
-    """Run ``workload`` once per seed; collect stability evidence."""
-    result = ChaosResult(
-        workload=workload.name,
-        expected=workload.expected_verdict,
-        profile=profile,
-    )
-    for seed in seeds:
-        report = run_one(
-            workload, seed, profile, wall_timeout, telemetry=telemetry
+def _as_ref(item: Union[Workload, WorkloadRef]) -> WorkloadRef:
+    if isinstance(item, WorkloadRef):
+        return item
+    key = key_of(item.name)
+    if key is None:
+        raise LookupError(
+            f"workload {item.name!r} is not a registry row; pass a "
+            f"repro.fleet.WorkloadRef to run it under chaos"
         )
-        result.trials.append(
-            ChaosTrial(
-                seed=seed,
-                verdict=report.verdict,
-                rules=tuple(sorted({w.rule for w in report.warnings})),
-                reason=report.result.reason,
-                faults=list(report.injected_faults),
-                classified_correctly=workload.classified_correctly(report),
-                degraded=report.degraded,
-            )
-        )
-    return result
+    return WorkloadRef.from_registry(key, item.name)
 
 
 def run_chaos_suite(
-    workloads: Sequence[Workload],
+    workloads: Sequence[Union[Workload, WorkloadRef]],
     base_seed: int = 1337,
     trials: int = 10,
     profile: FaultProfile = TRANSPARENT_PROFILE,
-    wall_timeout: Optional[float] = DEFAULT_WALL_TIMEOUT,
+    options: Optional[RunOptions] = None,
     workers: int = 1,
 ) -> List[ChaosResult]:
     """The chaos stability suite: every workload under ``trials`` distinct
     fault schedules derived from ``base_seed``.
 
-    ``workers > 1`` runs the (workload × seed) grid on a fleet of
-    processes.  Items may then be :class:`repro.fleet.WorkloadRef` or
-    registry :class:`Workload` rows (resolved to refs by name).  Results
-    are identical either way: ``(workload, profile, seed)`` determines a
-    trial bit-for-bit, the fleet merges in task order, and chaos runs are
+    Items are :class:`repro.fleet.WorkloadRef` or registry
+    :class:`Workload` rows (resolved to refs by name).  Each trial runs
+    with ``options`` (default: a :data:`DEFAULT_WALL_TIMEOUT` watchdog)
+    plus its fault schedule.  The (workload × seed) grid is one
+    :func:`repro.fleet.run_fleet` call; results do not depend on
+    ``workers``: ``(workload, profile, seed)`` determines a trial
+    bit-for-bit, the fleet merges in task order, and chaos runs are
     never retried — a watchdog kill under faults is a *finding*, not
     scheduling noise.
     """
     seeds = chaos_seeds(base_seed, trials)
-    if workers > 1:
-        return _run_chaos_fleet(
-            workloads, seeds, profile, wall_timeout, workers
-        )
-    resolved = [
-        w if isinstance(w, Workload) else w.resolve() for w in workloads
-    ]
-    return [
-        run_chaos(w, seeds, profile, wall_timeout) for w in resolved
-    ]
-
-
-def _run_chaos_fleet(
-    workloads,
-    seeds: Sequence[int],
-    profile: FaultProfile,
-    wall_timeout: Optional[float],
-    workers: int,
-) -> List[ChaosResult]:
-    """Fan the (workload × seed) grid out over a fleet and regroup."""
-    from repro.core.options import RunOptions
-    from repro.fleet import FleetTask, run_fleet, workload_refs
-
-    def as_ref(item):
-        if isinstance(item, Workload):
-            for ref in workload_refs():
-                if ref.name == item.name:
-                    return ref
-            raise LookupError(
-                f"workload {item.name!r} is not a registry row; pass a "
-                f"repro.fleet.WorkloadRef to run it in a chaos fleet"
-            )
-        return item
-
-    refs = [as_ref(item) for item in workloads]
-    base = RunOptions(wall_timeout=wall_timeout)
+    refs = [_as_ref(item) for item in workloads]
+    if options is None:
+        options = RunOptions(wall_timeout=DEFAULT_WALL_TIMEOUT)
     tasks = [
         FleetTask(
             index=i * len(seeds) + j,
             ref=ref,
-            options=base.with_faults(profile, seed),
+            options=options.with_faults(profile, seed),
         )
         for i, ref in enumerate(refs)
         for j, seed in enumerate(seeds)

@@ -11,6 +11,9 @@ them back together:
   run is a Chrome "process" (pid = task index, named after the
   workload), preserving each run's internal span tree.
 
+``repro table``, ``repro chaos`` and ``repro fleet`` all write their
+``--metrics`` and ``--trace`` output from these.
+
 Merged order is deterministic: records are consumed in task-index order,
 and the metric merge sorts its output, so the same fleet produces the
 same artifacts regardless of worker count or scheduling.
@@ -19,10 +22,11 @@ same artifacts regardless of worker count or scheduling.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.fleet.report import FleetRunRecord
 from repro.telemetry import TelemetrySnapshot
+from repro.telemetry.spans import chrome_trace
 
 
 def merged_telemetry(
@@ -43,50 +47,15 @@ def merged_telemetry(
 def fleet_chrome_trace(
     records: Sequence[FleetRunRecord],
 ) -> Dict[str, object]:
-    """Chrome trace-event JSON spanning the whole fleet.
-
-    Each run becomes its own track: ``pid`` is the task index (labelled
-    with the workload name and worker), ``tid`` is the span's guest pid
-    within the run — the same layout
-    :meth:`repro.telemetry.SpanTracer.to_chrome_trace` uses for one
-    machine, replicated per run.
-    """
-    events: List[Dict[str, object]] = []
-    for record in records:
-        if not record.spans:
-            continue
-        events.append({
-            "name": "process_name",
-            "ph": "M",
-            "pid": record.index,
-            "tid": 0,
-            "args": {
-                "name": f"{record.name} (worker {record.worker})"
-            },
-        })
-        for span in record.spans:
-            args: Dict[str, object] = {
-                "start_tick": span["start_tick"],
-                "end_tick": span["end_tick"],
-                "span_id": span["span_id"],
-            }
-            if span.get("parent_id") is not None:
-                args["parent_id"] = span["parent_id"]
-            for key, value in (span.get("attrs") or {}).items():
-                args[key] = value if isinstance(
-                    value, (int, float, bool)
-                ) else str(value)
-            events.append({
-                "name": span["name"],
-                "cat": span["category"],
-                "ph": "X",
-                "ts": float(span["start_wall"]) * 1e6,
-                "dur": float(span["duration_wall"]) * 1e6,
-                "pid": record.index,
-                "tid": span["tid"],
-                "args": args,
-            })
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    """Chrome trace-event JSON spanning the whole fleet: each traced run
+    is its own track (``pid`` = task index, labelled with the workload
+    name), laid out as :meth:`repro.telemetry.SpanTracer.to_chrome_trace`
+    lays out one machine."""
+    return chrome_trace(
+        (record.index, record.name, record.spans)
+        for record in records
+        if record.spans
+    )
 
 
 def write_fleet_trace(path: str, records: Sequence[FleetRunRecord]) -> None:

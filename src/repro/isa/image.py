@@ -65,9 +65,6 @@ class Image:
     def size(self) -> int:
         return self.text_size + self.data_size
 
-    def defines(self, symbol: str) -> bool:
-        return symbol in self.symbols
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Image({self.name!r}, text={self.text_size}, "

@@ -115,12 +115,6 @@ class FlatMemory:
             count += 1
         return count
 
-    def fetch(self, addr: int) -> Instruction:
-        instr = self.code.get(addr)
-        if instr is None:
-            raise MemoryFault(f"execute of unmapped address {addr:#x}")
-        return instr
-
     # -- lifecycle ----------------------------------------------------------
     def copy(self) -> "FlatMemory":
         """Fork-time duplicate (instructions are immutable and shared)."""

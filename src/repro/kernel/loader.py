@@ -86,13 +86,6 @@ class ImageMap:
     def __len__(self) -> int:
         return len(self._loaded)
 
-    @property
-    def app(self) -> LoadedImage:
-        for li in self._loaded:
-            if li.is_app:
-                return li
-        raise LoaderError("no app image in map")
-
     def find(self, addr: int) -> Optional[LoadedImage]:
         for li in self._loaded:
             if li.contains(addr):

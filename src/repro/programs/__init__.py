@@ -2,7 +2,7 @@
 mini-ISA (micro-benchmarks, trusted programs, real exploits, macro
 benchmarks) plus the guest libc they link against."""
 
-from repro.programs.base import Workload, run_all
+from repro.programs.base import Workload
 from repro.programs.extensions import extension_workloads
 from repro.programs.libc import LIBC_PATH, LIBC_SOURCE, libc_image
 from repro.programs.scenarios import (
@@ -13,7 +13,6 @@ from repro.programs.scenarios import (
 
 __all__ = [
     "Workload",
-    "run_all",
     "libc_image",
     "LIBC_PATH",
     "LIBC_SOURCE",

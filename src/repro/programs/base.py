@@ -13,7 +13,7 @@ provenance switch and budgets, and beat the row's default.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro.core.options import DEFAULT_MAX_TICKS, RunOptions
 from repro.core.report import RunReport, Verdict
@@ -141,23 +141,3 @@ class Workload:
         fired = {w.rule for w in report.warnings}
         return all(rule in fired for rule in self.expected_rules)
 
-
-def run_all(
-    workloads: Sequence[Workload],
-    options: Optional[RunOptions] = None,
-    session=None,
-) -> List[Tuple[Workload, RunReport]]:
-    """Run rows through one warm :class:`repro.api.Session`.
-
-    Every row shares the session's engine cache (translated blocks,
-    interner, assemble memo) and, when the session carries a verdict
-    cache, repeat rows are answered from it.  Pass ``session`` to reuse
-    an existing one.
-    """
-    from repro.api import Session  # local: api imports this module
-
-    if session is None:
-        session = Session(options)
-    return [
-        (w, session.run_workload(w, options=options)) for w in workloads
-    ]

@@ -110,7 +110,8 @@ def names(keys: Optional[Sequence[str]] = None) -> List[str]:
 _KEY_OF: Optional[Dict[str, str]] = None
 
 
-def _key_of(name: str) -> Optional[str]:
+def key_of(name: str) -> Optional[str]:
+    """The key of the registry holding the row ``name``, or None."""
     global _KEY_OF
     if _KEY_OF is None:
         _KEY_OF = {
@@ -127,7 +128,7 @@ def get(name: str, keys: Optional[Sequence[str]] = None) -> Workload:
     search = tuple(keys) if keys is not None else (
         REGISTRY_ORDER + ("adversarial",)
     )
-    key = _key_of(name)
+    key = key_of(name)
     if key in search:
         return next(w for w in registry_workloads(key) if w.name == name)
     raise LookupError(

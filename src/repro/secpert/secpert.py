@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.expert.engine import FiredRule, InferenceEngine
+from repro.expert.engine import InferenceEngine
 from repro.harrier.analyzer import EventAnalyzer
 from repro.harrier.events import SecurityEvent
 from repro.secpert.exec_flow_rules import build_exec_flow_rules
@@ -129,10 +129,6 @@ class Secpert(EventAnalyzer):
     def quarantined_rules(self) -> List[str]:
         """Names of rules the engine disabled after they raised."""
         return sorted(self.engine.quarantined)
-
-    def explanations(self) -> List[FiredRule]:
-        """The engine's fire trace (which rule fired on which facts)."""
-        return list(self.engine.fire_trace)
 
     def explain(self, warning: SecurityWarning) -> str:
         """A CLIPS-style explanation of one warning (appendix A shapes):

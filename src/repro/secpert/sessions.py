@@ -7,8 +7,9 @@ instead of immediately producing an error."
 
 Mechanics:
 
-* a :class:`SessionStore` persists per-program history — which files
-  each program dropped, and in which session;
+* a :class:`SessionStore` keeps per-program history — which files
+  each program dropped, and in which session — for as long as the
+  monitor lives;
 * :class:`CrossSessionAnalyzer` wraps a regular :class:`Secpert` and
   rewrites its advice:
 
@@ -25,10 +26,8 @@ Mechanics:
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING, Union
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.harrier.events import ResourceAccessEvent, SecurityEvent
 from repro.secpert.policy import PolicyConfig
@@ -86,31 +85,6 @@ class SessionStore:
         if session is not None and session < history.sessions:
             return session
         return None
-
-    # -- persistence ("we will need to save all the information between
-    # two consecutive executions", paper section 10 item 6) ---------------
-    def save(self, path: Union[str, pathlib.Path]) -> None:
-        payload = {
-            program: {
-                "sessions": history.sessions,
-                "dropped_files": history.dropped_files,
-            }
-            for program, history in self._programs.items()
-        }
-        pathlib.Path(path).write_text(json.dumps(payload, indent=2))
-
-    @classmethod
-    def load(cls, path: Union[str, pathlib.Path]) -> "SessionStore":
-        store = cls()
-        payload = json.loads(pathlib.Path(path).read_text())
-        for program, entry in payload.items():
-            history = store.history(program)
-            history.sessions = int(entry["sessions"])
-            history.dropped_files = {
-                str(k): int(v)
-                for k, v in entry["dropped_files"].items()
-            }
-        return store
 
 
 class CrossSessionAnalyzer:

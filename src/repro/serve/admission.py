@@ -200,15 +200,6 @@ class AdmissionController:
         self._count(True, tenant)
         return None
 
-    def try_admit(self, tenant: str, max_ticks: int) -> Optional[str]:
-        """Claim a queue slot for ``tenant``; return ``None`` on success
-        or the rejection reason string.  Equivalent to :meth:`precheck`
-        followed by :meth:`claim_slot`."""
-        reason = self.precheck(tenant)
-        if reason is not None:
-            return reason
-        return self.claim_slot(tenant, max_ticks)
-
     def release(self) -> None:
         """Return one claimed slot (the submission was answered)."""
         if self.depth > 0:

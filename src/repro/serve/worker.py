@@ -23,6 +23,7 @@ import traceback
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.api import Session
+from repro.cache.digest import CacheEnv
 from repro.core.report import RunReport
 from repro.expert import matchgen
 from repro.isa import blockjit
@@ -66,25 +67,6 @@ def execute_submission(
         )
         return report, workload.classified_correctly(report), engine_stats()
 
-    def setup(hth) -> None:
-        from repro.kernel.network import ConversationPeer, SinkPeer
-
-        for path, content in sorted(submission.files.items()):
-            hth.fs.write_text(path, content)
-        for addr, payload in sorted(submission.peers.items()):
-            host, _, port = addr.partition(":")
-            if payload:
-                hth.network.add_peer(
-                    host, int(port),
-                    lambda host=host, payload=payload: ConversationPeer(
-                        host, opening=payload.encode()
-                    ),
-                )
-            else:
-                hth.network.add_peer(
-                    host, int(port), lambda host=host: SinkPeer(host)
-                )
-
     report = session.run(
         submission.source,
         argv=(
@@ -92,7 +74,7 @@ def execute_submission(
             else [submission.path]
         ),
         stdin=submission.stdin,
-        setup=setup,
+        cache_env=CacheEnv.from_mappings(submission.files, submission.peers),
         options=submission.options,
         path=submission.path,
         analyzer=tap,

@@ -10,7 +10,7 @@ into fixed-size pages (:data:`PAGE_SIZE` cells) and only pages holding at
 least one non-empty tag set exist at all.  That gives the dataflow stage
 three properties the flat dict could not:
 
-* range operations (``union_of_range``/``set_range``/``get_range``) skip
+* range operations (``union_of_range``/``set_range``) skip
   absent pages wholesale, so untainting or summarizing a large buffer
   costs O(live cells), not O(range length);
 * "can this block's loads touch tainted memory" is an O(#loads)
@@ -246,25 +246,6 @@ class ShadowMemory:
             for a in range(addr, hi):
                 page[a] = tags
             addr = hi
-
-    def get_range(self, start: int, length: int) -> Tuple[TagSet, ...]:
-        if length <= 0:
-            return ()
-        out: List[TagSet] = []
-        end = start + length
-        addr = start
-        pages = self._pages
-        while addr < end:
-            pno = addr >> PAGE_SHIFT
-            hi = min(end, (pno + 1) << PAGE_SHIFT)
-            page = pages.get(pno)
-            if page is None:
-                out.extend([EMPTY] * (hi - addr))
-            else:
-                get = page.get
-                out.extend(get(a, EMPTY) for a in range(addr, hi))
-            addr = hi
-        return tuple(out)
 
     def union_of_range(self, start: int, length: int) -> TagSet:
         """Union of the tags over a region (the tag of the region's data).

@@ -48,10 +48,6 @@ class Tag:
         if not isinstance(self.source, DataSource):
             raise TypeError(f"source must be a DataSource, got {self.source!r}")
 
-    def renamed(self, name: Optional[str]) -> "Tag":
-        """Return a copy of this tag pointing at a different resource name."""
-        return Tag(self.source, name)
-
     def sort_key(self) -> tuple:
         return (self.source.value, self.name or "")
 
@@ -129,14 +125,6 @@ class TagSet:
         if not changed:
             return self
         return TagSet(merged)
-
-    def restrict(self, *sources: DataSource) -> "TagSet":
-        """Keep only tags whose source type is in ``sources``."""
-        wanted = set(sources)
-        kept = [t for t in self._tags if t.source in wanted]
-        if len(kept) == len(self._tags):
-            return self
-        return TagSet(kept)
 
     # -- queries ----------------------------------------------------------
     def has_source(self, source: DataSource) -> bool:

@@ -6,9 +6,11 @@ host wall clock (what the overhead study measures).  Finished traces
 export as JSONL (one span per line) or as Chrome trace-event JSON, which
 loads directly in Perfetto / ``chrome://tracing``.
 
-Tracks: one trace file may hold several monitored machines (``repro
-table --trace``, chaos trials).  Each machine gets a *track*, rendered as
-a Chrome "process"; guest pids become Chrome "threads" within the track.
+One tracer records one monitored machine.  A trace of several runs
+(``repro table --trace``, ``repro fleet --trace``, chaos trials) is
+written from each run's span dicts by :func:`chrome_trace`: every run
+is a *track*, rendered as a Chrome "process" labelled with its workload
+name, and guest pids become Chrome "threads" within the track.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Span categories, outermost to innermost.
 CATEGORY_RUN = "run"
@@ -33,7 +35,6 @@ class Span:
     category: str
     start_tick: int
     start_wall: float
-    track: int = 0
     tid: int = 0
     end_tick: Optional[int] = None
     end_wall: Optional[float] = None
@@ -61,7 +62,6 @@ class Span:
             "parent_id": self.parent_id,
             "name": self.name,
             "category": self.category,
-            "track": self.track,
             "tid": self.tid,
             "start_tick": self.start_tick,
             "end_tick": self.end_tick,
@@ -80,15 +80,6 @@ class SpanTracer:
         self.spans: List[Span] = []
         self._next_id = 1
         self._epoch = time.perf_counter()
-        self.track = 0
-        self.track_labels: Dict[int, str] = {0: "run"}
-
-    # -- tracks ------------------------------------------------------------
-    def begin_track(self, label: str) -> int:
-        """Open a new track (one monitored machine) and make it current."""
-        self.track += 1
-        self.track_labels[self.track] = label
-        return self.track
 
     # -- spans -------------------------------------------------------------
     def start(
@@ -107,7 +98,6 @@ class SpanTracer:
             category=category,
             start_tick=tick,
             start_wall=time.perf_counter() - self._epoch,
-            track=self.track,
             tid=tid,
             attrs=dict(attrs),
         )
@@ -137,44 +127,10 @@ class SpanTracer:
         )
 
     def to_chrome_trace(self) -> Dict[str, object]:
-        """Chrome trace-event JSON (Perfetto-loadable).
-
-        Spans become ``ph: "X"`` complete events; timestamps are wall
-        microseconds relative to the tracer epoch; the virtual tick range
-        travels in ``args``.
-        """
-        events: List[Dict[str, object]] = []
-        for track, label in sorted(self.track_labels.items()):
-            events.append({
-                "name": "process_name",
-                "ph": "M",
-                "pid": track,
-                "tid": 0,
-                "args": {"name": label},
-            })
-        for span in self.finished():
-            args: Dict[str, object] = {
-                "start_tick": span.start_tick,
-                "end_tick": span.end_tick,
-                "span_id": span.span_id,
-            }
-            if span.parent_id is not None:
-                args["parent_id"] = span.parent_id
-            for key, value in span.attrs.items():
-                args[key] = value if isinstance(
-                    value, (int, float, bool)
-                ) else str(value)
-            events.append({
-                "name": span.name,
-                "cat": span.category,
-                "ph": "X",
-                "ts": span.start_wall * 1e6,
-                "dur": span.duration_wall * 1e6,
-                "pid": span.track,
-                "tid": span.tid,
-                "args": args,
-            })
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+        """Chrome trace-event JSON of this machine, one track."""
+        return chrome_trace(
+            [(0, "run", [span.to_dict() for span in self.finished()])]
+        )
 
     def write(self, path: str) -> None:
         """Write the trace: ``*.jsonl`` → JSONL, anything else → Chrome."""
@@ -184,3 +140,49 @@ class SpanTracer:
             text = json.dumps(self.to_chrome_trace(), indent=1)
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def chrome_trace(
+    tracks: Iterable[Tuple[int, str, Sequence[Dict[str, object]]]],
+) -> Dict[str, object]:
+    """Chrome trace-event JSON (Perfetto-loadable) of ``(pid, label,
+    span dicts)`` tracks.
+
+    Each track becomes a Chrome "process" named ``label``; its spans
+    (:meth:`Span.to_dict` shapes) become ``ph: "X"`` complete events on
+    thread ``tid`` (the guest pid).  Timestamps are wall microseconds
+    relative to the run's tracer epoch; the virtual tick range travels
+    in ``args``.
+    """
+    events: List[Dict[str, object]] = []
+    for pid, label, spans in tracks:
+        events.append({
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": label},
+        })
+        for span in spans:
+            args: Dict[str, object] = {
+                "start_tick": span["start_tick"],
+                "end_tick": span["end_tick"],
+                "span_id": span["span_id"],
+            }
+            if span.get("parent_id") is not None:
+                args["parent_id"] = span["parent_id"]
+            for key, value in (span.get("attrs") or {}).items():
+                args[key] = value if isinstance(
+                    value, (int, float, bool)
+                ) else str(value)
+            events.append({
+                "name": span["name"],
+                "cat": span["category"],
+                "ph": "X",
+                "ts": float(span["start_wall"]) * 1e6,
+                "dur": float(span["duration_wall"]) * 1e6,
+                "pid": pid,
+                "tid": span["tid"],
+                "args": args,
+            })
+    return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -16,6 +16,7 @@ from repro.api import CacheEnv, Session, VerdictCache
 from repro.cache.digest import workload_key
 from repro.core.options import RunOptions
 from repro.fleet.refs import WorkloadRef
+from repro.kernel.network import ConversationPeer, SinkPeer
 from repro.programs.base import Workload
 from repro.telemetry import Telemetry
 
@@ -149,6 +150,24 @@ class TestBypasses:
         hit = session.run(SOURCE, setup=seed, cache_env=env)
         assert session.cache.stats.hits == 1
         assert hit.program  # a real report came back
+
+    def test_cache_env_builds_the_machine(self):
+        """The environment the key hashes is the one the guest gets: a
+        payload of "" registers a sink, any other payload a peer that
+        pushes it on connect."""
+        env = CacheEnv.from_mappings(
+            {"/etc/flag": "x"},
+            {"sink.example:80": "", "talker.example:81": "hello"},
+        )
+        hth = Session().machine()
+        env.install(hth)
+        net = hth.network
+        assert hth.fs.read_text("/etc/flag") == "x"
+        sink = net.connect(net.resolve("sink.example"), 80, "guest")
+        talker = net.connect(net.resolve("talker.example"), 81, "guest")
+        assert isinstance(sink.peer, SinkPeer) and not sink.incoming
+        assert isinstance(talker.peer, ConversationPeer)
+        assert bytes(talker.incoming) == b"hello"
 
     def test_no_cache_attached_is_a_plain_run(self):
         session = Session()

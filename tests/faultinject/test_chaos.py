@@ -2,6 +2,8 @@
 paper scenario under fault schedules (a small slice of the full
 ``bench_chaos_stability`` suite, kept cheap for tier-1)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.report import Verdict
@@ -9,8 +11,7 @@ from repro.faultinject import (
     SEMANTIC_PROFILE,
     TRANSPARENT_PROFILE,
     chaos_seeds,
-    run_chaos,
-    run_one,
+    run_chaos_suite,
 )
 from repro.programs.exploits import table8_workloads
 
@@ -36,30 +37,37 @@ class TestChaosSeeds:
         assert all(s >= 0 for s in chaos_seeds(2**31 - 1, 10))
 
 
-class TestRunOne:
+def _suite(elm, seed, trials=1, profile=TRANSPARENT_PROFILE):
+    (result,) = run_chaos_suite(
+        [elm], base_seed=seed, trials=trials, profile=profile
+    )
+    return result
+
+
+class TestReplay:
     def test_bit_for_bit_replay(self, elm):
-        a = run_one(elm, seed=42)
-        b = run_one(elm, seed=42)
-        assert [str(f) for f in a.injected_faults] == [
-            str(f) for f in b.injected_faults
-        ]
-        assert a.console_output == b.console_output
+        (a,) = _suite(elm, 42).trials
+        (b,) = _suite(elm, 42).trials
+        assert a.seed == b.seed == 42
+        assert a.faults == b.faults
+        assert a.record.report["console_output"] == (
+            b.record.report["console_output"]
+        )
         assert a.verdict is b.verdict
-        assert sorted(w.rule for w in a.warnings) == sorted(
-            w.rule for w in b.warnings
+        assert a.rules == b.rules
+        assert sorted(w["rule"] for w in a.record.report["warnings"]) == (
+            sorted(w["rule"] for w in b.record.report["warnings"])
         )
 
     def test_semantic_profile_degrades_gracefully(self, elm):
-        report = run_one(elm, seed=7, profile=SEMANTIC_PROFILE)
-        assert report.result.reason != "watchdog"
-        assert isinstance(report.verdict, Verdict)
+        (trial,) = _suite(elm, 7, profile=SEMANTIC_PROFILE).trials
+        assert trial.reason != "watchdog"
+        assert isinstance(trial.verdict, Verdict)
 
 
-class TestRunChaos:
+class TestStability:
     def test_exploit_verdict_stable_under_transparent_faults(self, elm):
-        result = run_chaos(
-            elm, chaos_seeds(1337, 3), profile=TRANSPARENT_PROFILE
-        )
+        result = _suite(elm, 1337, trials=3)
         assert result.workload == "ElmExploit"
         assert result.expected is elm.expected_verdict
         assert result.stable
@@ -68,11 +76,17 @@ class TestRunChaos:
         assert all(v is elm.expected_verdict for v in result.verdicts)
 
     def test_trials_record_replay_evidence(self, elm):
-        result = run_chaos(elm, chaos_seeds(1337, 3))
+        result = _suite(elm, 1337, trials=3)
         for trial, seed in zip(result.trials, chaos_seeds(1337, 3)):
             assert trial.seed == seed
             assert trial.reason == "all-exited"
             assert trial.fault_count == len(trial.faults)
+            assert trial.faults == trial.record.report["injected_faults"]
         assert result.total_faults == sum(
             t.fault_count for t in result.trials
         )
+
+    def test_rows_outside_the_registry_are_rejected(self, elm):
+        stray = dataclasses.replace(elm, name="not-a-row")
+        with pytest.raises(LookupError):
+            run_chaos_suite([stray], trials=1)

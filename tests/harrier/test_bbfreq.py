@@ -4,6 +4,7 @@ last-app-BB attribution across shared-object calls."""
 from repro.core.hth import HTH
 from repro.harrier.events import ResourceAccessEvent
 from repro.isa import assemble
+from tests.oracles.readers import app_image
 
 
 def run_capture(source, path="/bin/t", argv=None):
@@ -34,14 +35,14 @@ loop:
     ret
 """
         report, shadow, proc, hth = run_capture(source)
-        app = proc.image_map.app
+        app = app_image(proc.image_map)
         loop_addr = app.symbol_addr("loop")
         assert shadow.bb_counts[loop_addr] == 5
 
     def test_entry_block_counted_once(self):
         source = "main:\n  mov eax, 0\n  ret"
         report, shadow, proc, hth = run_capture(source)
-        entry = proc.image_map.app.symbol_addr("main")
+        entry = app_image(proc.image_map).symbol_addr("main")
         assert shadow.bb_counts[entry] == 1
 
     def test_library_blocks_not_counted(self):

@@ -5,6 +5,7 @@ from repro.core.hth import HTH
 from repro.core.options import RunOptions
 from repro.isa import assemble
 from repro.taint import DataSource, Tag
+from tests.oracles.readers import app_image
 
 
 def run_and_get_shadow(source, path="/bin/t", setup=None, stdin=None):
@@ -35,7 +36,7 @@ main:
 secret: .asciz "xyz"
 """
         report, shadow, proc, hth = run_and_get_shadow(source)
-        addr = proc.image_map.app.symbol_addr("secret")
+        addr = app_image(proc.image_map).symbol_addr("secret")
         tags = shadow.memory.get(addr)
         assert Tag(DataSource.BINARY, "/bin/t") in tags
 
@@ -59,7 +60,7 @@ main:
 cell: .space 1
 """
         report, shadow, proc, hth = run_and_get_shadow(source)
-        addr = proc.image_map.app.symbol_addr("cell")
+        addr = app_image(proc.image_map).symbol_addr("cell")
         assert Tag(DataSource.BINARY, "/bin/t") in shadow.memory.get(addr)
 
 
@@ -82,7 +83,7 @@ main:
 cell: .space 1
 """
         report, shadow, proc, hth = run_and_get_shadow(source)
-        addr = proc.image_map.app.symbol_addr("cell")
+        addr = app_image(proc.image_map).symbol_addr("cell")
         tags = shadow.memory.get(addr)
         assert tags.has_source(DataSource.USER_INPUT)
         assert tags.has_source(DataSource.BINARY)
@@ -100,7 +101,7 @@ main:
 cell: .space 1
 """
         report, shadow, proc, hth = run_and_get_shadow(source)
-        addr = proc.image_map.app.symbol_addr("cell")
+        addr = app_image(proc.image_map).symbol_addr("cell")
         assert shadow.memory.get(addr).is_empty()
 
     def test_cpuid_tags_hardware(self):
@@ -115,7 +116,7 @@ main:
 cell: .space 1
 """
         report, shadow, proc, hth = run_and_get_shadow(source)
-        addr = proc.image_map.app.symbol_addr("cell")
+        addr = app_image(proc.image_map).symbol_addr("cell")
         assert shadow.memory.get(addr).has_source(DataSource.HARDWARE)
 
     def test_initial_stack_is_user_input(self):
@@ -131,7 +132,7 @@ main:
 cell: .space 1
 """
         report, shadow, proc, hth = run_and_get_shadow(source)
-        addr = proc.image_map.app.symbol_addr("cell")
+        addr = app_image(proc.image_map).symbol_addr("cell")
         assert shadow.memory.get(addr).has_source(DataSource.USER_INPUT)
 
     def test_file_read_tags_buffer(self):
@@ -156,7 +157,7 @@ buf: .space 8
             hth.fs.write_text("/tmp/data", "12345678")
 
         report, shadow, proc, hth = run_and_get_shadow(source, setup=setup)
-        addr = proc.image_map.app.symbol_addr("buf")
+        addr = app_image(proc.image_map).symbol_addr("buf")
         assert Tag(DataSource.FILE, "/tmp/data") in shadow.memory.get(addr)
 
     def test_stdin_read_tags_user_input(self):
@@ -174,7 +175,7 @@ buf: .space 8
         report, shadow, proc, hth = run_and_get_shadow(
             source, stdin="abcd\n"
         )
-        addr = proc.image_map.app.symbol_addr("buf")
+        addr = app_image(proc.image_map).symbol_addr("buf")
         assert shadow.memory.get(addr).has_source(DataSource.USER_INPUT)
 
     def test_syscall_result_untainted(self):
@@ -189,7 +190,7 @@ main:
 cell: .space 1
 """
         report, shadow, proc, hth = run_and_get_shadow(source)
-        addr = proc.image_map.app.symbol_addr("cell")
+        addr = app_image(proc.image_map).symbol_addr("cell")
         assert shadow.memory.get(addr).is_empty()
 
 
@@ -221,7 +222,7 @@ buf: .space 8
         hth.kernel.spawn = capture
         hth.run(assemble("/usr/bin/pico", source), stdin="typed\n")
         shadow = hth.harrier.shadow(proc)
-        addr = proc.image_map.app.symbol_addr("buf")
+        addr = app_image(proc.image_map).symbol_addr("buf")
         tags = shadow.memory.get(addr)
         assert Tag(DataSource.BINARY, "/usr/bin/pico") in tags
         assert not tags.has_source(DataSource.USER_INPUT)

@@ -223,5 +223,5 @@ def test_mnemonic_like_label_not_confused():
 def test_image_size_and_repr():
     img = assemble("t", "main: nop\n.data\nb: .space 4")
     assert img.size == 5
-    assert img.defines("main")
-    assert not img.defines("ghost")
+    assert "main" in img.symbols
+    assert "ghost" not in img.symbols

@@ -77,15 +77,11 @@ class TestStrings:
 
 
 class TestCode:
-    def test_map_and_fetch(self):
+    def test_map_code(self):
         mem = FlatMemory()
         nop = Instruction(Opcode.NOP)
         assert mem.map_code(0x100, [nop, nop]) == 2
-        assert mem.fetch(0x101) is nop
-
-    def test_fetch_unmapped_faults(self):
-        with pytest.raises(MemoryFault):
-            FlatMemory().fetch(0)
+        assert mem.code[0x101] is nop
 
     def test_overlapping_map_rejected(self):
         mem = FlatMemory()
@@ -101,4 +97,4 @@ class TestCode:
         dup = mem.copy()
         dup.write(5, 10)
         assert mem.read(5) == 9
-        assert dup.fetch(0) is nop
+        assert dup.code[0] is nop

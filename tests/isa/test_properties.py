@@ -25,7 +25,7 @@ from tests.oracles import (
     trace_every_loop,
 )
 from tests.oracles.interpreter import step as interpret
-from tests.oracles.readers import cell_tags
+from tests.oracles.readers import app_image, cell_tags
 
 _OPS = {
     "add": lambda a, b: a + b,
@@ -369,7 +369,7 @@ class TestTaintConservativeness:
         hth.run(asm("/bin/prop", source))
         proc = proc_holder["proc"]
         shadow = hth.harrier.shadow(proc)
-        addr = proc.image_map.app.symbol_addr("out")
+        addr = app_image(proc.image_map).symbol_addr("out")
         tags = shadow.memory.get(addr)
         assert tags.sources() <= {DataSource.BINARY}
         for name in tags.names_for(DataSource.BINARY):

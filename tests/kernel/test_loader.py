@@ -3,7 +3,9 @@
 import pytest
 
 from repro.isa import APP_BASE, FlatMemory, LIBRARY_BASE, assemble
-from repro.kernel.loader import ImageMap, Loader, LoaderError
+from repro.kernel.loader import Loader, LoaderError
+from tests.oracles.interpreter import fetch
+from tests.oracles.readers import app_image
 
 
 LIB_SOURCE = """
@@ -38,7 +40,7 @@ def loaded():
 class TestPlacement:
     def test_app_at_app_base(self, loaded):
         memory, result, app, lib = loaded
-        assert result.image_map.app.base == APP_BASE
+        assert app_image(result.image_map).base == APP_BASE
 
     def test_library_at_library_base(self, loaded):
         memory, result, app, lib = loaded
@@ -53,21 +55,21 @@ class TestPlacement:
 
     def test_shim_calls_main(self, loaded):
         memory, result, app, lib = loaded
-        call = memory.fetch(result.entry)
+        call = fetch(memory, result.entry)
         assert call.a.value == APP_BASE  # main is app offset 0
 
 
 class TestRelocation:
     def test_local_data_symbol(self, loaded):
         memory, result, app, lib = loaded
-        mov = memory.fetch(APP_BASE + 1)  # mov ebx, msg
+        mov = fetch(memory, APP_BASE + 1)  # mov ebx, msg
         assert mov.b.value == APP_BASE + app.symbols["msg"]
         # the string content was copied
         assert memory.read_cstring(mov.b.value) == "hi"
 
     def test_extern_call_resolved_into_library(self, loaded):
         memory, result, app, lib = loaded
-        call = memory.fetch(APP_BASE)  # call helper
+        call = fetch(memory, APP_BASE)  # call helper
         assert call.a.value == LIBRARY_BASE + lib.symbols["helper"]
 
     def test_data_relocation(self, loaded):
@@ -117,10 +119,6 @@ class TestImageMap:
         assert imap.find(0xDEAD_BEEF) is None
         assert imap.symbol_addr("helper") == LIBRARY_BASE
         assert imap.symbol_addr("nope") is None
-
-    def test_app_property_requires_app(self):
-        with pytest.raises(LoaderError):
-            ImageMap([]).app
 
 
 class TestRelocationMemo:

@@ -8,7 +8,7 @@ they replaced live here, as differential oracles only, beside the
 switches that pin the block JIT to one executor:
 
 * :mod:`tests.oracles.interpreter` — the per-instruction CPU interpreter
-  with Harrier's per-instruction taint replay;
+  (and its ``fetch``) with Harrier's per-instruction taint replay;
 * :mod:`tests.oracles.replay` — template replay of every block's taint,
   transfer by transfer (the compiled summaries never run);
 * :mod:`tests.oracles.matcher` — the naive full-rejoin rule matcher
@@ -16,7 +16,7 @@ switches that pin the block JIT to one executor:
   replace;
 * :mod:`tests.oracles.readers` — per-cell guest-memory and shadow-tag
   readers (strings, buffers, a range's tags, a string's NUL scan, every
-  live cell's tags);
+  live cell's tags, the application image);
 * :mod:`tests.oracles.facts` — the slot-by-slot copy of a Harrier event
   into a CLIPS fact that Secpert's templates, which read the event in
   place, replace;

@@ -57,6 +57,15 @@ from repro.taint.tags import EMPTY, DataSource, TagSet
 _HARDWARE = TagSet.of(DataSource.HARDWARE)
 
 
+def fetch(memory, addr: int) -> Instruction:
+    """The instruction at ``addr``; MemoryFault when none is mapped (the
+    message the translator raises for an unmapped block start)."""
+    instr = memory.code.get(addr)
+    if instr is None:
+        raise MemoryFault(f"execute of unmapped address {addr:#x}")
+    return instr
+
+
 class StepKind(enum.Enum):
     NORMAL = "normal"
     SYSCALL = "syscall"   # int 0x80 reached; kernel must service it
@@ -112,7 +121,7 @@ def step(cpu: CPU) -> StepResult:
         raise CpuFault("CPU is halted")
     pc = cpu.pc
     try:
-        instr = cpu.memory.fetch(pc)
+        instr = fetch(cpu.memory, pc)
     except MemoryFault as exc:
         cpu.halted = True
         raise CpuFault(str(exc)) from exc

@@ -7,7 +7,8 @@ their tags in one pass: :meth:`FlatMemory.read_cstring` and
 of a page once, and a syscall path's origin is the union over
 ``len(path)`` cells.  These are the cell-by-cell definitions they must
 equal, kept only as differential oracles; :func:`cell_tags` flattens a
-shadow memory for tests that compare two of them whole.
+shadow memory for tests that compare two of them whole, and
+:func:`app_image` picks the application out of a process's images.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.isa.memory import MAX_CSTRING, FlatMemory, MemoryFault
+from repro.kernel.loader import ImageMap, LoadedImage
 from repro.taint.shadow import ShadowMemory
 from repro.taint.tags import EMPTY, TagSet
 
@@ -68,3 +70,8 @@ def cell_tags(shadow: ShadowMemory) -> Dict[int, TagSet]:
     for page in shadow._pages.values():
         flat.update(page)
     return flat
+
+
+def app_image(image_map: ImageMap) -> LoadedImage:
+    """The application image among the images of one address space."""
+    return next(li for li in image_map if li.is_app)

@@ -4,7 +4,7 @@ the Table 6 program builder, and the guest libc routines."""
 import pytest
 
 from repro.core.report import Verdict
-from repro.programs.base import Workload, run_all
+from repro.programs.base import Workload
 from repro.programs.micro.infoflow import (
     Table6Row,
     _ProgramBuilder,
@@ -33,15 +33,6 @@ class TestWorkload:
         # verdict matches but the expected rule never fired
         assert report.verdict is Verdict.BENIGN
         assert not w.classified_correctly(report)
-
-    def test_run_all(self):
-        w = Workload(
-            name="t", program_path="/bin/t",
-            source="main:\n  mov eax, 0\n  ret",
-        )
-        results = run_all([w, w])
-        assert len(results) == 2
-        assert all(r.verdict is Verdict.BENIGN for _, r in results)
 
     def test_env_and_stdin_passed(self):
         w = Workload(

@@ -98,7 +98,7 @@ class TestSecpertLifecycle:
     def test_explanations_trace_rules(self):
         secpert = Secpert()
         secpert.analyze(access_event())
-        trace = secpert.explanations()
+        trace = secpert.engine.fire_trace
         assert [t.rule_name for t in trace] == ["check_execve"]
 
     def test_render_warnings_paper_format(self):

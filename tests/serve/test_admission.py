@@ -19,6 +19,14 @@ from repro.serve.admission import (
 from repro.telemetry.metrics import MetricsRegistry
 
 
+def admit(admission, tenant, max_ticks):
+    """The daemon's path for a submission that will execute: the rate
+    precheck, then a queue slot and the tick charge."""
+    return admission.precheck(tenant) or admission.claim_slot(
+        tenant, max_ticks
+    )
+
+
 class FakeClock:
     def __init__(self, start: float = 100.0) -> None:
         self.now = start
@@ -75,16 +83,16 @@ class TestTokenBucket:
 class TestQueueBound:
     def test_queue_limit_is_hard(self):
         admission = AdmissionController(queue_limit=2)
-        assert admission.try_admit("t", 1000) is None
-        assert admission.try_admit("t", 1000) is None
-        assert admission.try_admit("t", 1000) == REASON_QUEUE_FULL
+        assert admit(admission, "t", 1000) is None
+        assert admit(admission, "t", 1000) is None
+        assert admit(admission, "t", 1000) == REASON_QUEUE_FULL
 
     def test_release_frees_a_slot(self):
         admission = AdmissionController(queue_limit=1)
-        assert admission.try_admit("t", 1) is None
-        assert admission.try_admit("t", 1) == REASON_QUEUE_FULL
+        assert admit(admission, "t", 1) is None
+        assert admit(admission, "t", 1) == REASON_QUEUE_FULL
         admission.release()
-        assert admission.try_admit("t", 1) is None
+        assert admit(admission, "t", 1) is None
 
     def test_release_never_goes_negative(self):
         admission = AdmissionController(queue_limit=1)
@@ -107,43 +115,43 @@ class TestTenantMeters:
     def test_rate_none_runs_wide_open(self):
         admission, _ = self._admission()
         for _ in range(100):
-            assert admission.try_admit("hot", 10 ** 9) is None
+            assert admit(admission, "hot", 10 ** 9) is None
 
     def test_submission_rate_limit_per_tenant(self):
         admission, clock = self._admission(rate=1.0, burst=2.0)
-        assert admission.try_admit("a", 1) is None
-        assert admission.try_admit("a", 1) is None
-        assert admission.try_admit("a", 1) == REASON_RATE_LIMITED
+        assert admit(admission, "a", 1) is None
+        assert admit(admission, "a", 1) is None
+        assert admit(admission, "a", 1) == REASON_RATE_LIMITED
         # a hot tenant does not starve a quiet one
-        assert admission.try_admit("b", 1) is None
+        assert admit(admission, "b", 1) is None
         clock.advance(1.0)
-        assert admission.try_admit("a", 1) is None
+        assert admit(admission, "a", 1) is None
 
     def test_tick_budget_prices_compute_not_requests(self):
         admission, clock = self._admission(
             tick_rate=1000.0, tick_burst=5000.0
         )
         # one huge submission drains what five small ones would
-        assert admission.try_admit("a", 5000) is None
-        assert admission.try_admit("a", 100) == REASON_TICK_BUDGET
+        assert admit(admission, "a", 5000) is None
+        assert admit(admission, "a", 100) == REASON_TICK_BUDGET
         # small submissions from another tenant unaffected
-        assert admission.try_admit("b", 100) is None
+        assert admit(admission, "b", 100) is None
         clock.advance(1.0)  # +1000 ticks of allowance
-        assert admission.try_admit("a", 900) is None
+        assert admit(admission, "a", 900) is None
 
     def test_negative_ticks_cannot_refill_the_budget(self):
         admission, _ = self._admission(tick_rate=10.0, tick_burst=100.0)
-        assert admission.try_admit("a", 100) is None
+        assert admit(admission, "a", 100) is None
         with pytest.raises(ValueError):
-            admission.try_admit("a", -10 ** 12)
-        assert admission.try_admit("a", 1) == REASON_TICK_BUDGET
+            admit(admission, "a", -10 ** 12)
+        assert admit(admission, "a", 1) == REASON_TICK_BUDGET
 
     def test_rate_checked_before_tick_budget(self):
         admission, _ = self._admission(
             rate=1.0, burst=1.0, tick_rate=10.0, tick_burst=10.0
         )
-        assert admission.try_admit("a", 10 ** 6) == REASON_TICK_BUDGET
-        assert admission.try_admit("a", 1) == REASON_RATE_LIMITED
+        assert admit(admission, "a", 10 ** 6) == REASON_TICK_BUDGET
+        assert admit(admission, "a", 1) == REASON_RATE_LIMITED
 
 
 class TestTwoPhaseAdmission:
@@ -179,31 +187,31 @@ class TestTwoPhaseAdmission:
         assert admission.precheck("t") == REASON_SHUTTING_DOWN
         assert admission.claim_slot("t", 1) == REASON_SHUTTING_DOWN
 
-    def test_try_admit_is_the_composition(self):
+    def test_precheck_then_claim_slot_admits(self):
         admission = AdmissionController(
             queue_limit=5, rate=1.0, burst=1.0, clock=FakeClock()
         )
-        assert admission.try_admit("t", 1) is None
+        assert admit(admission, "t", 1) is None
         assert admission.depth == 1
-        assert admission.try_admit("t", 1) == REASON_RATE_LIMITED
+        assert admit(admission, "t", 1) == REASON_RATE_LIMITED
 
 
 class TestDrainAndMetrics:
     def test_drain_rejects_everything_after(self):
         admission = AdmissionController(queue_limit=10)
-        assert admission.try_admit("t", 1) is None
+        assert admit(admission, "t", 1) is None
         admission.drain()
-        assert admission.try_admit("t", 1) == REASON_SHUTTING_DOWN
+        assert admit(admission, "t", 1) == REASON_SHUTTING_DOWN
 
     def test_every_decision_is_counted(self):
         registry = MetricsRegistry()
         admission = AdmissionController(
             queue_limit=1, metrics=registry
         )
-        admission.try_admit("t", 1)
-        admission.try_admit("t", 1)   # queue-full
+        admit(admission, "t", 1)
+        admit(admission, "t", 1)   # queue-full
         admission.drain()
-        admission.try_admit("t", 1)   # shutting-down
+        admit(admission, "t", 1)   # shutting-down
         assert registry.value("serve_admitted_total", tenant="t") == 1
         assert registry.value(
             "serve_rejected_total", tenant="t", reason=REASON_QUEUE_FULL

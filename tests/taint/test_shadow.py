@@ -68,10 +68,10 @@ class TestShadowMemory:
         mem.set_range(0, 4, EMPTY)
         assert len(mem) == 0
 
-    def test_get_range(self):
+    def test_get_defaults_to_empty(self):
         mem = ShadowMemory()
         mem.set(1, FILE_A)
-        assert mem.get_range(0, 3) == (EMPTY, FILE_A, EMPTY)
+        assert [mem.get(a) for a in range(3)] == [EMPTY, FILE_A, EMPTY]
 
     def test_live_cells_sorted(self):
         mem = ShadowMemory()

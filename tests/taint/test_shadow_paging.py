@@ -46,11 +46,13 @@ class TestPageBoundaries:
         assert mem.union_of_range(EDGE, 2) == FILE_A
         assert mem.union_of_range(2 * PAGE_SIZE, 4) == SOCK
 
-    def test_get_range_straddles_pages(self):
+    def test_get_straddles_pages(self):
         mem = ShadowMemory()
         mem.set(EDGE + 1, FILE_A)
         mem.set(EDGE + 2, SOCK)
-        assert mem.get_range(EDGE, 4) == (EMPTY, FILE_A, SOCK, EMPTY)
+        assert [mem.get(a) for a in range(EDGE, EDGE + 4)] == [
+            EMPTY, FILE_A, SOCK, EMPTY
+        ]
 
     def test_clear_range_straddling_drops_only_covered_cells(self):
         mem = ShadowMemory()
@@ -221,6 +223,6 @@ def test_matches_flat_dict_model(ops, q_start, q_length):
     for a in range(q_start, q_start + q_length):
         expected = expected.union(model.get(a, EMPTY))
     assert mem.union_of_range(q_start, q_length) == expected
-    assert mem.get_range(q_start, q_length) == tuple(
+    assert [mem.get(a) for a in range(q_start, q_start + q_length)] == [
         model.get(a, EMPTY) for a in range(q_start, q_start + q_length)
-    )
+    ]

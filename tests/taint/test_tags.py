@@ -17,12 +17,6 @@ def test_tag_str_with_and_without_name():
     assert str(Tag(DataSource.HARDWARE)) == "HARDWARE"
 
 
-def test_tag_renamed():
-    tag = Tag(DataSource.FILE, "/a")
-    assert tag.renamed("/b") == Tag(DataSource.FILE, "/b")
-    assert tag.renamed(None).name is None
-
-
 def test_empty_singleton():
     assert TagSet.empty() is TagSet.empty()
     assert EMPTY.is_empty()
@@ -61,18 +55,6 @@ def test_union_rejects_non_tagset():
 def test_tagset_rejects_non_tags():
     with pytest.raises(TypeError):
         TagSet(["FILE"])  # type: ignore[list-item]
-
-
-def test_restrict():
-    ts = union_all(
-        [
-            TagSet.of(DataSource.FILE, "/a"),
-            TagSet.of(DataSource.BINARY, "/b"),
-            TagSet.of(DataSource.SOCKET, "s:1"),
-        ]
-    )
-    only = ts.restrict(DataSource.FILE, DataSource.SOCKET)
-    assert only.sources() == frozenset({DataSource.FILE, DataSource.SOCKET})
 
 
 def test_names_for_sorted():
@@ -143,9 +125,3 @@ def test_union_is_superset(a, b):
     merged = a.union(b)
     assert a.tags <= merged.tags
     assert b.tags <= merged.tags
-
-
-@given(_tagsets)
-def test_restrict_then_union_of_parts_is_whole(a):
-    parts = [a.restrict(src) for src in DataSource]
-    assert union_all(parts) == a

@@ -41,11 +41,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_inc(self):
         g = MetricsRegistry().gauge("live_cells")
         g.set(10)
         g.inc(5)
-        g.dec(2)
+        g.inc(-2)
         assert g.value == 13
 
     def test_gauge_and_counter_namespaces_are_separate(self):
@@ -125,7 +125,6 @@ class TestNullSink:
         sink = NullSink()
         sink.counter("a").inc(5)
         sink.gauge("b").set(3)
-        sink.gauge("b").dec()
         sink.histogram("c").observe(1.0)
         assert sink.samples() == []
         assert sink.total("a") == 0.0

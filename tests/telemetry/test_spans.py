@@ -8,6 +8,7 @@ from repro.telemetry import (
     CATEGORY_SYSCALL,
     SpanTracer,
 )
+from repro.telemetry.spans import chrome_trace
 
 
 def _small_trace():
@@ -54,14 +55,6 @@ class TestSpanTree:
         tracer.end(span, tick=1, blocked=False)
         assert span.attrs == {"sysno": 3, "blocked": False}
 
-    def test_tracks(self):
-        tracer = SpanTracer()
-        assert tracer.track == 0
-        t1 = tracer.begin_track("workload-a")
-        span = tracer.start("s", CATEGORY_RUN, tick=0)
-        assert span.track == t1
-        assert tracer.track_labels[t1] == "workload-a"
-
 
 class TestExport:
     def test_jsonl_one_finished_span_per_line(self):
@@ -91,6 +84,20 @@ class TestExport:
         assert syscall["args"]["sysno"] == 5
         assert syscall["args"]["parent_id"] is not None
         assert syscall["tid"] == 1
+
+    def test_chrome_trace_one_track_per_run(self):
+        spans = [s.to_dict() for s in _small_trace().finished()]
+        trace = chrome_trace([(3, "workload-a", spans),
+                              (7, "workload-b", spans[:1])])
+        meta = [e for e in trace["traceEvents"] if e["ph"] == "M"]
+        assert [(e["pid"], e["args"]["name"]) for e in meta] == [
+            (3, "workload-a"), (7, "workload-b")
+        ]
+        complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert [e["pid"] for e in complete] == [3, 3, 3, 7]
+        # one tracer's trace is the same layout, one track
+        single = _small_trace().to_chrome_trace()["traceEvents"]
+        assert [e["ph"] for e in single] == ["M", "X", "X", "X"]
 
     def test_chrome_trace_is_json_serializable(self):
         json.dumps(_small_trace().to_chrome_trace())

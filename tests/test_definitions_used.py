@@ -1,38 +1,38 @@
-"""Every function, class and method in ``src/repro`` is named somewhere
+"""Every function, class and method in ``src/repro`` is used by code
 besides its own definition.
 
 A definition only tests call is code the program does not run: a test
-that needs such a helper keeps it in ``tests/oracles``.  The scan is an
-AST walk over ``src/repro`` for definition names plus a count of whole
-words in the text: a name must occur at least twice in ``src/``
-(definition and one use, call or mention), or at least once in
-``benchmarks/``, ``perfbench/`` or ``examples/``.  Dunder names are
-exempt; the runtime calls them.
+that needs such a helper keeps it in ``tests/oracles``.  The scan walks
+the syntax trees of ``src/``, ``benchmarks/``, ``perfbench/`` and
+``examples/`` and counts a definition's name where code refers to it:
+a name, an attribute, an import, or a string constant that is exactly
+the name (``getattr`` targets, ``perfbench/tracer.py``'s ``TARGETS``
+rows).  Words in docstrings and comments do not count.  Dunder names
+are exempt; the runtime calls them.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
-import re
 from collections import Counter
 from typing import Dict, List
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-OTHER_USERS = ("benchmarks", "perfbench", "examples")
+USERS = ("src", "benchmarks", "perfbench", "examples")
 
 
-def _sources(directory: str) -> Dict[pathlib.Path, str]:
+def _trees(directory: str) -> Dict[pathlib.Path, ast.AST]:
     return {
-        path: path.read_text()
+        path: ast.parse(path.read_text())
         for path in sorted((ROOT / directory).rglob("*.py"))
     }
 
 
-def _definitions(sources: Dict[pathlib.Path, str]) -> Dict[str, List[str]]:
+def _definitions(trees: Dict[pathlib.Path, ast.AST]) -> Dict[str, List[str]]:
     found: Dict[str, List[str]] = {}
-    for path, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                 continue
@@ -44,25 +44,49 @@ def _definitions(sources: Dict[pathlib.Path, str]) -> Dict[str, List[str]]:
     return found
 
 
-def _words(sources: Dict[pathlib.Path, str]) -> Counter:
-    return Counter(
-        word for text in sources.values()
-        for word in re.findall(r"\w+", text)
+def _references(tree: ast.AST) -> Counter:
+    """Names ``tree``'s code refers to (a definition names nothing)."""
+    refs: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            refs[node.value] += 1
+    return refs
+
+
+def test_references_are_code_not_words():
+    tree = ast.parse(
+        'import a.b as c\n'
+        'def f():\n'
+        '    """g h"""\n'
+        '    # i\n'
+        '    return j.k, getattr(m, "n"), "o p"\n'
     )
+    refs = _references(tree)
+    assert set(refs) == {"b", "j", "k", "getattr", "m", "n"}
 
 
-def test_every_src_definition_is_named_outside_its_definition():
-    src = _sources("src")
-    in_src = _words(src)
-    elsewhere = Counter()
-    for directory in OTHER_USERS:
-        elsewhere += _words(_sources(directory))
+def test_every_src_definition_is_used_outside_its_definition():
+    trees: Dict[pathlib.Path, ast.AST] = {}
+    for directory in USERS:
+        trees.update(_trees(directory))
+    used: Counter = Counter()
+    for tree in trees.values():
+        used += _references(tree)
+    src = {path: tree for path, tree in trees.items()
+           if path.is_relative_to(ROOT / "src")}
     unused = [
         f"{name} ({', '.join(where)})"
         for name, where in sorted(_definitions(src).items())
-        if in_src[name] < 2 and not elsewhere[name]
+        if not used[name]
     ]
     assert not unused, (
-        "named only by its definition (delete it, or move it to "
+        "used by no code but its definition (delete it, or move it to "
         "tests/oracles if a test needs it): " + "; ".join(unused)
     )
