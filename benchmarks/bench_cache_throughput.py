@@ -13,8 +13,9 @@ measure the two ends of the spectrum the scaling docs reason about:
   ``1 - unique/runs``.
 
 Each mix is run through an uncached session and a cache-enabled
-session; the report is runs/sec for both, the speedup, and the
-measured hit rate.  The shape assertions are deliberately loose (this
+session, :data:`~repro.telemetry.overhead.REPS` interleaved times each;
+the report is the median and quartiles of runs/sec for both, the
+speedup of the medians, the measured hit rate, and the host.  The shape assertions are deliberately loose (this
 is a throughput *report* — the hard 50x latency gate lives in
 ``benchmarks.perf_smoke``): hits must make the cached sweep faster,
 and the hit rates must be exactly what the mix predicts, proving no
@@ -25,10 +26,12 @@ Results land in ``benchmarks/results/cache_throughput.txt`` and
 """
 
 import json
-import time
+import os
+import platform
 
 from benchmarks.harness import render_table, write_result
 from repro.api import Session, VerdictCache
+from repro.telemetry.overhead import REPS, interleave, quartiles
 from benchmarks.bench_performance import WORKLOAD_SOURCE
 
 #: Variant template: one patched data literal per variant — identical
@@ -84,29 +87,36 @@ def _variant_mix():
 
 def _sweep(mix, cache):
     session = Session(cache=cache)
-    start = time.perf_counter()
     for path, source in mix:
         report = session.run(source, path=path)
         assert report.exit_code == 0
-    elapsed = time.perf_counter() - start
-    return len(mix) / elapsed
+    return cache
 
 
 def _measure(mix):
-    uncached = _sweep(mix, cache=None)
-    cache = VerdictCache()
-    cached = _sweep(mix, cache=cache)
-    unique = len({(p, s) for p, s in mix})
+    seconds = interleave({
+        "uncached": lambda: _sweep(mix, None),
+        "cached": lambda: _sweep(mix, VerdictCache()),
+    })
+    rates = {
+        name: quartiles([len(mix) / s for s in samples])
+        for name, samples in seconds.items()
+    }
+    cache = _sweep(mix, VerdictCache())
     return {
         "runs": len(mix),
-        "unique_programs": unique,
-        "uncached_runs_per_sec": uncached,
-        "cached_runs_per_sec": cached,
-        "speedup": cached / uncached,
+        "unique_programs": len(set(mix)),
+        "uncached_runs_per_sec": rates["uncached"],
+        "cached_runs_per_sec": rates["cached"],
+        "speedup": rates["cached"]["median"] / rates["uncached"]["median"],
         "hit_rate": cache.stats.hits / len(mix),
         "hits": cache.stats.hits,
         "misses": cache.stats.misses,
     }
+
+
+def _rate(stats):
+    return f"{stats['median']:.0f} ({stats['q1']:.0f}-{stats['q3']:.0f})"
 
 
 def bench_cache_throughput(benchmark):
@@ -117,13 +127,14 @@ def bench_cache_throughput(benchmark):
         }
 
     mixes = benchmark.pedantic(measure, rounds=1, iterations=1)
+    host = {"cpus": os.cpu_count(), "python": platform.python_version()}
     rows = [
         (
             name,
             mix["runs"],
             mix["unique_programs"],
-            f"{mix['uncached_runs_per_sec']:.0f}",
-            f"{mix['cached_runs_per_sec']:.0f}",
+            _rate(mix["uncached_runs_per_sec"]),
+            _rate(mix["cached_runs_per_sec"]),
             f"{mix['speedup']:.1f}x",
             f"{mix['hit_rate']:.2f}",
         )
@@ -131,15 +142,22 @@ def bench_cache_throughput(benchmark):
     ]
     text = render_table(
         "Verdict-cache throughput by traffic mix",
-        ("mix", "runs", "unique", "uncached runs/s",
-         "cached runs/s", "speedup", "hit rate"),
+        ("mix", "runs", "unique", "uncached runs/s (Q1-Q3)",
+         "cached runs/s (Q1-Q3)", "speedup", "hit rate"),
         rows,
+    ) + (
+        f"{REPS} interleaved reps per session kind; "
+        f"{host['cpus']} cpu(s), Python {host['python']}\n"
     )
     print("\n" + text)
     write_result("cache_throughput.txt", text)
     write_result(
         "BENCH_cache_throughput.json",
-        json.dumps(mixes, indent=2) + "\n",
+        json.dumps(
+            {"reps": REPS, "interleaved": True, "host": host,
+             "mixes": mixes},
+            indent=2,
+        ) + "\n",
     )
 
     dup, var = mixes["duplicate_heavy"], mixes["variant_heavy"]

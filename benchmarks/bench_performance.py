@@ -344,11 +344,12 @@ def bench_nullsink_overhead(benchmark):
 
 
 def bench_fleet_sweep(benchmark):
-    """The 62-workload sweep, serial vs a 4-worker fleet.
+    """The 62-workload sweep, serial vs 2- and 4-worker fleets.
 
-    The load-bearing assertion is determinism: the fleet's per-run
+    The load-bearing assertion is determinism: every fleet's per-run
     report dicts must be bit-identical to the serial sweep's.  Scaling
-    is reported (and written to the results file) but only *gated* in
+    is reported as measured — :data:`REPS` interleaved sweeps per
+    worker count, median and quartiles — and only *gated* in
     ``benchmarks.perf_smoke``, where it is conditioned on the host
     actually having cores to scale on.
     """
@@ -358,38 +359,49 @@ def bench_fleet_sweep(benchmark):
     from repro.fleet import run_fleet, workload_refs
 
     refs = workload_refs()
+    counts = (1, 2, 4)
+    last = {}
 
-    def measure():
-        serial = run_fleet(refs, workers=1)
-        fleet = run_fleet(refs, workers=4)
-        return serial, fleet
+    def sweep(workers):
+        def run():
+            last[workers] = run_fleet(refs, workers=workers)
+        return run
 
-    serial, fleet = benchmark.pedantic(measure, rounds=1, iterations=1)
-    assert not serial.failures, [r.name for r in serial.failures]
-    assert not fleet.failures, [r.name for r in fleet.failures]
-    assert json.dumps(serial.reports, sort_keys=True, default=str) == (
-        json.dumps(fleet.reports, sort_keys=True, default=str)
-    ), "fleet reports diverged from the serial sweep"
-    speedup = (
-        serial.wall_seconds / fleet.wall_seconds
-        if fleet.wall_seconds else float("inf")
+    seconds = benchmark.pedantic(
+        interleave, args=({n: sweep(n) for n in counts},),
+        rounds=1, iterations=1,
     )
+    serial = json.dumps(last[1].reports, sort_keys=True, default=str)
+    for workers, fleet in last.items():
+        assert not fleet.failures, [r.name for r in fleet.failures]
+        assert json.dumps(fleet.reports, sort_keys=True, default=str) == (
+            serial
+        ), f"the {workers}-worker reports diverged from the serial sweep"
+    stats = {n: quartiles(seconds[n]) for n in counts}
+    speedup = {
+        n: stats[1]["median"] / stats[n]["median"] for n in counts[1:]
+    }
+    host = {"cpus": os.cpu_count(), "python": platform.python_version()}
     text = (
-        f"fleet sweep: {len(refs)} workloads, serial "
-        f"{serial.wall_seconds * 1000:.0f} ms vs 4 workers "
-        f"{fleet.wall_seconds * 1000:.0f} ms "
-        f"({speedup:.2f}x on {os.cpu_count()} cpu(s))"
+        f"fleet sweep: {len(refs)} workloads, {REPS} interleaved reps, "
+        f"{host['cpus']} cpu(s), Python {host['python']}\n" + "".join(
+            f"  {n} worker(s): median {stats[n]['median'] * 1000:.0f} ms "
+            f"(Q1-Q3 {stats[n]['q1'] * 1000:.0f}-"
+            f"{stats[n]['q3'] * 1000:.0f})"
+            + (f", {speedup[n]:.2f}x serial" if n in speedup else "")
+            + "\n"
+            for n in counts
+        )
     )
     print("\n" + text)
     write_result("BENCH_fleet.json", json.dumps(
         {
             "workloads": len(refs),
-            "serial_seconds": serial.wall_seconds,
-            "fleet_seconds": fleet.wall_seconds,
-            "workers": 4,
-            "speedup": speedup,
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
+            "reps": REPS,
+            "interleaved": True,
+            "host": host,
+            "seconds": {str(n): stats[n] for n in counts},
+            "speedup_vs_serial": {str(n): speedup[n] for n in speedup},
         },
         indent=2,
     ) + "\n")

@@ -60,37 +60,10 @@ class DigestError(TypeError):
     """A value with no canonical byte encoding (e.g. a closure)."""
 
 
-#: ``id(image.text)`` -> ``(text, name, guard, digest)`` — see
-#: :func:`image_digest`.
-_IMAGE_DIGEST_MEMO: "OrderedDict[int, Tuple[tuple, str, tuple, str]]" = (
-    OrderedDict()
-)
-_IMAGE_MEMO_CAPACITY = 256
-
 #: ``(argv, sorted env items, stdin, CacheEnv)`` -> digest — see
 #: :func:`environment_digest`.
 _ENV_DIGEST_MEMO: "OrderedDict[tuple, str]" = OrderedDict()
 _ENV_MEMO_CAPACITY = 256
-
-
-def _mutable_guard(image: Image) -> tuple:
-    """Cheap fingerprint of an Image's *mutable* containers.
-
-    ``Image`` is frozen, but ``data`` and ``symbols`` are plain dicts a
-    caller could mutate between runs; a digest memoized before such a
-    mutation must not answer after it.  This guard is O(cells) integer
-    arithmetic — far cheaper than re-running the canonical
-    serialization — and moves on any added/removed/re-valued cell or
-    symbol.  (A pair of exactly compensating mutations can slip past;
-    the memo is a latency optimization for engine-produced images,
-    which are fresh copies per run — see :func:`image_digest`.)
-    """
-    data = image.data
-    symbols = image.symbols
-    return (
-        len(data), sum(data.keys()), sum(data.values()),
-        len(symbols), sum(symbols.values()),
-    )
 
 
 def _chunk(tag: bytes, payload: bytes, out: list) -> None:
@@ -176,30 +149,13 @@ def image_digest(image: Image) -> str:
     externs.  A one-instruction (or one-byte-of-data) change moves it.
 
     A warm-hit lookup must not re-serialize thousands of instructions
-    per request, so the digest is memoized two ways: on the (frozen)
-    instance itself, and — because ``EngineCache.image`` hands out a
-    fresh ``replace()`` of its interned template per call — by the
-    identity of the shared text tuple, which *is* stable across a warm
-    session.  The memo entry keeps a strong reference to the tuple it
-    keyed on and checks ``is`` before answering, so a recycled ``id``
-    can never alias.  (The memo digests the image as assembled; loader
-    state is applied to per-machine copies after keys are computed.)
-
-    Both memo levels are validated against :func:`_mutable_guard`
-    before answering: ``data``/``symbols`` are mutable dicts, and a
-    caller-held Image mutated between runs must re-digest rather than
-    reuse the stale key (and with it, someone else's cached report).
+    per request, so the digest is memoized on the instance: an image is
+    immutable (:mod:`repro.isa.image`), and ``EngineCache.image`` hands
+    every request for one source the same instance.
     """
-    guard = _mutable_guard(image)
     cached = image.__dict__.get("_verdict_digest")
-    if cached is not None and cached[0] == guard:
-        return cached[1]
-    ident = id(image.text)
-    entry = _IMAGE_DIGEST_MEMO.get(ident)
-    if entry is not None and entry[0] is image.text and (
-        entry[1] == image.name
-    ) and entry[2] == guard:
-        return entry[3]
+    if cached is not None:
+        return cached
     digest = content_digest(
         "image",
         image.name,
@@ -212,10 +168,7 @@ def image_digest(image: Image) -> str:
         image.bb_leaders,
         image.externs,
     )
-    object.__setattr__(image, "_verdict_digest", (guard, digest))
-    _IMAGE_DIGEST_MEMO[ident] = (image.text, image.name, guard, digest)
-    while len(_IMAGE_DIGEST_MEMO) > _IMAGE_MEMO_CAPACITY:
-        _IMAGE_DIGEST_MEMO.popitem(last=False)
+    object.__setattr__(image, "_verdict_digest", digest)
     return digest
 
 
@@ -303,10 +256,10 @@ def environment_digest(
     """Digest of everything the guest observes besides its own image.
 
     A warm hit computes it on every request, so it is memoized by value
-    like :func:`image_digest`, in a memo bounded the same way.  Only
-    plain ``str`` arguments (and ``str``/``bytes`` stdin) are memoized:
-    values of other types can compare equal and still encode apart
-    (``1 == True``), so those are digested every time.
+    in a bounded memo.  Only plain ``str`` arguments (and ``str``/
+    ``bytes`` stdin) are memoized: values of other types can compare
+    equal and still encode apart (``1 == True``), so those are digested
+    every time.
     """
     argv_key = tuple(argv) if argv is not None else None
     if cache_env is None:
@@ -396,13 +349,13 @@ def workload_key(workload, options: RunOptions, engine=None) -> str:
     )
 
 
-def submission_key(submission, engine=None) -> str:
+def submission_key(submission, engine) -> str:
     """The verdict-cache key for one serve :class:`Submission`.
 
     Registry submissions resolve their workload daemon-side (the same
     deterministic resolution a worker performs); inline submissions
-    assemble through ``engine`` (or cold) and hash their declarative
-    files/peers environment.
+    assemble through ``engine`` (an ``EngineCache``) and hash their
+    declarative files/peers environment.
     """
     if submission.workload is not None:
         from repro.fleet.refs import WorkloadRef
@@ -413,12 +366,7 @@ def submission_key(submission, engine=None) -> str:
             "submission-workload",
             workload_key(workload, submission.options, engine=engine),
         )
-    if engine is not None:
-        image = engine.image(submission.path, submission.source)
-    else:
-        from repro.isa.assembler import assemble
-
-        image = assemble(submission.path, submission.source)
+    image = engine.image(submission.path, submission.source)
     return content_digest(
         "submission-source",
         run_key(

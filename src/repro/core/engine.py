@@ -12,17 +12,21 @@ output (proven by ``tests/harrier/test_blockcache_differential.py``).
 An :class:`EngineCache` owns that reusable state:
 
 * a :class:`~repro.harrier.blockcache.BlockCacheStore` keyed by exact
-  code-layout identity, so a second run of the same image starts with
-  every block already translated — and, through its per-library plan
-  tables and relocation memo, a run of a *new* image starts with libc
-  already relocated and translated;
+  code layout, so a second run of the same image starts with every
+  block already translated — and, through its per-library plan tables
+  and relocation memo, a run of a *new* image starts with libc already
+  relocated and translated;
 * a shared :class:`~repro.taint.tags.TagSetInterner`, so hash-consed
   tag sets and the union memo stay warm across the sweep;
-* an assemble memo handing out images that share their (immutable)
-  text tuple while copying the mutable ``data``/``symbols`` containers
-  — the same defensive-copy pattern as
-  :func:`repro.core.hth.stub_binary`, and the thing that makes the
-  layout keys of the block-cache store stable across runs.
+* an assemble memo handing out one image per ``(path, source)``.
+
+The identity rule: an :class:`~repro.isa.image.Image` is immutable
+(read-only ``data`` and ``symbols``) and hashes by identity, so the
+image object *is* the key of the program.  The store, the loader's
+relocation memo and the verdict-cache digest key on images, and the
+memo here hands every run the same instance, so they hit.  Every
+:class:`~repro.core.hth.HTH` runs on an EngineCache (a lone ``HTH()``
+builds a fresh one).
 
 Sharing an EngineCache is what "each fleet worker owns a warm
 BlockCache/TagSetInterner reused across its tasks" means concretely:
@@ -34,7 +38,6 @@ at a time (fleet workers each build their own).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from repro.harrier.blockcache import BlockCacheStore
@@ -52,39 +55,29 @@ class EngineCache:
         self.block_caches = BlockCacheStore()
         #: Shared hash-consing table + union memo for taint tag sets.
         self.interner = TagSetInterner()
-        #: (path, source) -> assembled template image.  ``max_images``
-        #: bounds the memo LRU-style; front-ends that assemble
-        #: *untrusted, ever-varying* sources without executing them (the
-        #: serve daemon's key/triage path) must set it, or a client can
-        #: grow daemon memory without bound by varying one byte per
+        #: (path, source) -> assembled image.  ``max_images`` bounds
+        #: the memo LRU-style; front-ends that assemble *untrusted,
+        #: ever-varying* sources without executing them (the serve
+        #: daemon's key/triage path) must set it, or a client can grow
+        #: daemon memory without bound by varying one byte per
         #: submission.  Execution sessions keep the default ``None``:
-        #: eviction would re-assemble and hand out a new text tuple,
+        #: eviction would re-assemble and hand out a new image,
         #: orphaning that layout's entry in ``block_caches``.
         self.max_images = max_images
         self._images: "OrderedDict[Tuple[str, str], Image]" = OrderedDict()
 
     def image(self, path: str, source: str) -> Image:
-        """Assemble ``source`` as ``path``, memoized per session.
-
-        Every call returns an image with its own mutable containers so
-        one machine's loader state can never leak into another; the
-        text tuple (frozen instructions) is shared, which both avoids
-        re-assembly and keeps ``id(image.text)`` — the block-cache
-        store's layout key — stable across the session's runs.
-        """
+        """Assemble ``source`` as ``path``, memoized per session: every
+        call returns the same (immutable) image."""
         key = (path, source)
-        template = self._images.get(key)
-        if template is None:
-            template = self._images[key] = assemble(path, source)
+        image = self._images.get(key)
+        if image is None:
+            image = self._images[key] = assemble(path, source)
         if self.max_images is not None:
             self._images.move_to_end(key)
             while len(self._images) > self.max_images:
                 self._images.popitem(last=False)
-        return replace(
-            template,
-            data=dict(template.data),
-            symbols=dict(template.symbols),
-        )
+        return image
 
     def stats(self) -> Dict[str, object]:
         """Aggregate warm-cache statistics (sweep diagnostics),

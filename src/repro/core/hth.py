@@ -14,10 +14,10 @@ per experiment run.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, TYPE_CHECKING, Union
+from typing import Dict, Optional, Sequence, Union
 
+from repro.core.engine import EngineCache
 from repro.core.options import RunOptions
 from repro.core.report import RunReport
 from repro.expert import matchgen
@@ -35,9 +35,6 @@ from repro.programs.libc import libc_image
 from repro.secpert.policy import PolicyConfig
 from repro.secpert.secpert import Secpert
 from repro.telemetry import Telemetry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import EngineCache
 
 #: Paths commonly exec'd by the paper's workloads; HTH pre-registers tiny
 #: stub binaries for them so execve targets exist (detection happens at
@@ -61,25 +58,11 @@ main:
 
 
 @lru_cache(maxsize=64)
-def _stub_template(path: str) -> Image:
-    return assemble(path, _STUB_SOURCE)
-
-
 def stub_binary(path: str) -> Image:
-    """A minimal executable that immediately exits successfully.
-
-    Assembly is cached per path, but every call returns an image with its
-    own mutable containers (``data``/``symbols`` dicts): the cache must
-    never let one HTH machine's loader state leak into another.  The text
-    tuple is shared — instructions are frozen dataclasses, and the loader
-    relocates into a copy, never in place.
-    """
-    template = _stub_template(path)
-    return replace(
-        template,
-        data=dict(template.data),
-        symbols=dict(template.symbols),
-    )
+    """A minimal executable that immediately exits successfully,
+    assembled once per path (an image is immutable, so every machine
+    shares it)."""
+    return assemble(path, _STUB_SOURCE)
 
 
 class HTH:
@@ -89,9 +72,9 @@ class HTH:
     monitor config, fault schedule, provenance switch and budgets are
     set.  The other arguments are not configuration: ``decision`` plays
     the paper's interactive user, and ``libraries``, ``analyzer``,
-    ``engine`` and a shared ``telemetry`` hub are stateful
-    collaborators.  ``monitored=False`` runs the guest natively (the §9
-    baseline).
+    ``engine`` (a fresh :class:`EngineCache` when not given) and a
+    shared ``telemetry`` hub are stateful collaborators.
+    ``monitored=False`` runs the guest natively (the §9 baseline).
     """
 
     def __init__(
@@ -102,9 +85,10 @@ class HTH:
         analyzer=None,
         telemetry: Optional[Telemetry] = None,
         options: Optional[RunOptions] = None,
-        engine: Optional["EngineCache"] = None,
+        engine: Optional[EngineCache] = None,
     ) -> None:
         options = options if options is not None else RunOptions()
+        self.engine = engine if engine is not None else EngineCache()
         self.options = options
         self.policy = options.policy or PolicyConfig()
         if telemetry is None:
@@ -125,7 +109,7 @@ class HTH:
             analyzer=self.analyzer,
             config=options.harrier_config or HarrierConfig(),
             decision=decision,
-            interner=engine.interner if engine is not None else None,
+            interner=self.engine.interner,
             provenance=options.provenance,
         )
         libs = list(libraries) if libraries is not None else [libc_image()]
@@ -135,9 +119,7 @@ class HTH:
             libraries=libs,
             fault_injector=options.make_fault_injector(),
             telemetry=self.telemetry,
-            block_cache_store=(
-                engine.block_caches if engine is not None else None
-            ),
+            block_cache_store=self.engine.block_caches,
         )
         self.harrier.bind(self.kernel)
         self.harrier.attach_telemetry(self.telemetry)

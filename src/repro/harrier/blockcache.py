@@ -180,61 +180,52 @@ class BlockCache:
 
 
 class BlockCacheStore:
-    """Cross-run warm store: code-layout key -> :class:`BlockCache`.
+    """Cross-run warm store: code layout -> :class:`BlockCache`.
 
     A translated plan is valid for exactly one code layout — the same
-    instructions relocated to the same addresses.  The kernel's layout
-    key captures that: the main image's name and the identity of its
-    (immutable, shared) text tuple, plus ``(name, base, text identity)``
-    of every loaded image.  Two runs produce equal keys only when the
-    loader placed identical code identically, which is precisely when
-    reusing the cache is sound.
+    instructions relocated to the same addresses.  The kernel's key is
+    the loader's ``layouts``: ``(image, base, resolved relocation
+    targets)`` for every mapped image.  Images are immutable and hash by
+    identity (:mod:`repro.isa.image`), so two loads produce equal keys
+    only when the loader placed the same code identically, which is
+    precisely when reusing the cache is sound.  The keys hold their
+    images, so none is collected (and no key reused) while the store
+    lives.
 
     A layout whose main image is new (every variant of a sweep) still
     maps the same shared objects, so the store also keeps one plan
-    table per library mapping, keyed ``(name, base, id(text))`` on the
-    *relocated* text the loader mapped.  The loader's relocation memo
-    (:attr:`relocated`) hands out one patched tuple per (source text,
-    base, resolved relocation targets), so equal keys mean the same
-    instructions at the same addresses — a library whose relocations
-    resolve into the app gets a separate table per distinct app target.
-    A plan only depends on the code it was cut from (block cutting
-    stops at that library's own leaders and text end), so library
-    blocks translate once per store instead of once per layout.
-
-    Keys embed ``id()`` values, so the store *pins* the keyed images and
-    texts: a strong reference per entry guarantees no id is ever
-    recycled while the store lives.  Stores are single-process state
-    (each fleet worker owns its own); they are never shared across
-    processes.
+    table per library layout.  The loader's relocation memo
+    (:attr:`relocated`) is keyed by the same layouts, so a library whose
+    relocations resolve into the app gets a separate table per distinct
+    app target.  A plan only depends on the code it was cut from (block
+    cutting stops at that library's own leaders and text end), so
+    library blocks translate once per store instead of once per layout.
+    Stores are single-process state (each fleet worker owns its own);
+    they are never shared across processes.
     """
 
     __slots__ = ("_entries", "_libraries", "relocated")
 
     def __init__(self) -> None:
-        self._entries: Dict[tuple, tuple] = {}
-        self._libraries: Dict[tuple, tuple] = {}
+        self._entries: Dict[tuple, "BlockCache"] = {}
+        self._libraries: Dict[tuple, Dict[int, BlockPlan]] = {}
         #: The loader's relocation memo (see :class:`repro.kernel.loader
-        #: .Loader`): ``(id(text), base, targets)`` -> ``(text, patched)``.
+        #: .Loader`): library layout -> patched text.
         self.relocated: Dict[tuple, tuple] = {}
 
     def get(self, key: tuple) -> Optional["BlockCache"]:
-        entry = self._entries.get(key)
-        return entry[0] if entry is not None else None
+        return self._entries.get(key)
 
-    def put(self, key: tuple, cache: "BlockCache", pins: tuple = ()) -> None:
-        self._entries[key] = (cache, pins)
+    def put(self, key: tuple, cache: "BlockCache") -> None:
+        self._entries[key] = cache
 
-    def library_plans(
-        self, name: str, base: int, text: tuple
-    ) -> Dict[int, BlockPlan]:
-        """The shared plan table for library ``name``'s relocated
-        ``text`` mapped at ``base``, created empty on first use."""
-        key = (name, base, id(text))
-        entry = self._libraries.get(key)
-        if entry is None:
-            entry = self._libraries[key] = ({}, text)
-        return entry[0]
+    def library_plans(self, layout: tuple) -> Dict[int, BlockPlan]:
+        """The shared plan table for one library layout, created empty
+        on first use."""
+        plans = self._libraries.get(layout)
+        if plans is None:
+            plans = self._libraries[layout] = {}
+        return plans
 
     def library_stats(self) -> Dict[str, int]:
         """Library plan tables held, and the plans across them (serve
@@ -242,7 +233,7 @@ class BlockCacheStore:
         return {
             "library_entries": len(self._libraries),
             "library_plans": sum(
-                len(plans) for plans, _text in self._libraries.values()
+                len(plans) for plans in self._libraries.values()
             ),
         }
 
@@ -255,7 +246,7 @@ class BlockCacheStore:
             "misses": 0,
             "translated_instructions": 0,
         }
-        for cache, _pins in self._entries.values():
+        for cache in self._entries.values():
             totals["blocks"] += len(cache)
             totals["hits"] += cache.hits
             totals["misses"] += cache.misses

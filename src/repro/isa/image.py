@@ -8,12 +8,19 @@ data source — that is how "hardcoded" values become detectable.
 
 Offsets use a single unified space: ``[0, text_size)`` addresses the
 instructions, ``[text_size, size)`` addresses the data cells.
+
+An image is immutable all the way down — its ``data`` and ``symbols``
+are read-only mappings — and it is its own identity: it hashes and
+compares by ``is``, so the object names the program.  Caches that key
+on "which program is this" (the loader's relocation memo, the warm
+block-cache store, the verdict-cache digest) key on the image itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Tuple
+from types import MappingProxyType
+from typing import FrozenSet, Mapping, Tuple
 
 
 @dataclass(frozen=True)
@@ -35,7 +42,7 @@ class DataRelocation:
     symbol: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Image:
     """One assembled unit (an executable or a shared object)."""
 
@@ -45,17 +52,25 @@ class Image:
     name: str
     text: Tuple["Instruction", ...]  # noqa: F821 - forward ref, see isa.instructions
     #: Initialized data cells, keyed by unified-space offset.
-    data: Dict[int, int] = field(default_factory=dict)
+    data: Mapping[int, int] = field(default_factory=dict)
     #: Total data extent (includes .space gaps beyond the initialized cells).
     data_size: int = 0
     #: Symbol table: name -> unified-space offset.
-    symbols: Dict[str, int] = field(default_factory=dict)
+    symbols: Mapping[str, int] = field(default_factory=dict)
     text_relocations: Tuple[TextRelocation, ...] = ()
     data_relocations: Tuple[DataRelocation, ...] = ()
     #: Basic-block leader offsets within text.
     bb_leaders: FrozenSet[int] = frozenset()
     #: Symbols referenced but not defined here (satisfied by shared objects).
     externs: FrozenSet[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        # Read-only views of private copies: no caller keeps a handle
+        # through which the image could change.
+        object.__setattr__(self, "data", MappingProxyType(dict(self.data)))
+        object.__setattr__(
+            self, "symbols", MappingProxyType(dict(self.symbols))
+        )
 
     @property
     def text_size(self) -> int:

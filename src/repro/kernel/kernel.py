@@ -70,6 +70,7 @@ from repro.telemetry import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faultinject.injector import FaultInjector
+    from repro.harrier.blockcache import BlockCache, BlockCacheStore
     from repro.telemetry.spans import Span
 
 #: Process.meta key holding the process's open telemetry span.
@@ -114,12 +115,12 @@ class Kernel:
 
     def __init__(
         self,
+        block_cache_store: "BlockCacheStore",
         hooks: Optional[KernelHooks] = None,
         libraries: Sequence[Image] = (),
         quantum: int = 200,
         fault_injector: Optional["FaultInjector"] = None,
         telemetry: Optional[Telemetry] = None,
-        block_cache_store=None,
     ) -> None:
         self.hooks = hooks or NullHooks()
         #: Optional deterministic chaos source (see repro.faultinject).
@@ -152,13 +153,7 @@ class Kernel:
         self.fs = FileSystem()
         self.network = Network()
         self.console = Console()
-        self.loader = Loader(
-            libraries,
-            relocated=(
-                block_cache_store.relocated
-                if block_cache_store is not None else None
-            ),
-        )
+        self.loader = Loader(libraries, block_cache_store.relocated)
         self.syscalls = SyscallTable(self)
         self.procs: Dict[int, Process] = {}
         self.binaries: Dict[str, Image] = {}
@@ -167,13 +162,10 @@ class Kernel:
         self.quantum = quantum
         self._next_pid = 1
         self._fault_log: List[Tuple[int, str]] = []
-        #: One BlockCache per main-executable image, keyed by identity and
-        #: shared by every process running that image (fork included).
-        self._block_caches: Dict[int, Tuple[Image, object]] = {}
-        #: Optional cross-run warm store (``repro.harrier.blockcache
-        #: .BlockCacheStore``, owned by an ``EngineCache``): caches for
-        #: identical code layouts are reused instead of retranslated.
-        self._block_cache_store = block_cache_store
+        #: Translated-block caches by code layout, shared by every
+        #: process mapping that layout (fork included) and, when the
+        #: store is an ``EngineCache``'s, by later runs.
+        self.block_cache_store = block_cache_store
         #: Times a process's cache was invalidated (execve swaps images).
         self.block_cache_flushes = 0
 
@@ -193,64 +185,43 @@ class Kernel:
         self.fs.write_text("/etc/hosts", self.network.hosts_file_text())
 
     # -- block translation cache ------------------------------------------------
-    def _block_cache_for(self, image: Image, load: LoadResult) -> object:
-        """The shared cache for ``image``, created on first use.
+    def _block_cache_for(self, load: LoadResult) -> "BlockCache":
+        """The shared cache for ``load``'s code layout, created on first
+        use.
 
         The loader's placement is deterministic per image (same base
-        addresses, same libraries), so every process running the same
-        image sees identical code at identical pcs and one cache serves
-        them all.  Block cutting stops at every image's BB leaders so a
-        later entry at a leader always lands on a cache key.  With a
-        warm store, a new layout shares its libraries' plan tables with
-        every other layout mapping the same relocated library text.
+        addresses, same libraries), so every load of equal layouts sees
+        identical code at identical pcs and one cache serves them all.
+        Block cutting stops at every image's BB leaders so a later entry
+        at a leader always lands on a cache key.  A new layout shares
+        its libraries' plan tables with every other layout mapping the
+        same relocated library code.
         """
-        image_map = load.image_map
-        entry = self._block_caches.get(id(image))
-        if entry is not None and entry[0] is image:
-            return entry[1]
+        store = self.block_cache_store
+        cache = store.get(load.layouts)
+        if cache is not None:
+            cache.bind_metrics(self._metrics)
+            return cache
         # Imported lazily: repro.harrier pulls in the monitor stack, which
         # imports this module.
         from repro.harrier.blockcache import BlockCache
 
-        store = self._block_cache_store
-        if store is not None:
-            # Exact layout identity: the loader is deterministic, so two
-            # runs whose images share text tuples and bases see the same
-            # code at the same pcs — the only condition under which a
-            # translated plan may be reused (see BlockCacheStore).
-            key = (
-                image.name,
-                id(image.text),
-                tuple(
-                    (li.image.name, li.base, id(li.image.text))
-                    for li in image_map
-                ),
-            )
-            cache = store.get(key)
-            if cache is not None:
-                cache.bind_metrics(self._metrics)
-                self._block_caches[id(image)] = (image, cache)
-                return cache
         leaders = set()
         libraries = []
-        for loaded, text in zip(image_map, load.texts):
+        for loaded, layout in zip(load.image_map, load.layouts):
             leaders.update(loaded.abs_bb_leaders())
-            if store is not None and not loaded.is_app:
+            if not loaded.is_app:
                 libraries.append((
                     loaded.text_start,
                     loaded.text_end,
-                    store.library_plans(loaded.name, loaded.base, text),
+                    store.library_plans(layout),
                 ))
         cache = BlockCache(
             leaders=frozenset(leaders),
             metrics=self._metrics,
             libraries=libraries,
         )
-        if store is not None:
-            store.put(
-                key, cache, pins=tuple(li.image for li in image_map)
-            )
-        self._block_caches[id(image)] = (image, cache)
+        store.put(load.layouts, cache)
         return cache
 
     # -- process lifecycle ---------------------------------------------------
@@ -290,7 +261,7 @@ class Kernel:
         self._next_pid += 1
         proc.image_map = load.image_map
         proc.brk = load.heap_base
-        proc.block_cache = self._block_cache_for(image, load)
+        proc.block_cache = self._block_cache_for(load)
         self._install_stdio(proc)
         self.procs[proc.pid] = proc
         self._announce_load(proc, load)
@@ -395,7 +366,7 @@ class Kernel:
         # space: swap to the new image's (shared) cache.  Counted as a
         # flush — this is the "Infrequent execve" cost of the paper's
         # Table 8 in code-cache terms.
-        proc.block_cache = self._block_cache_for(image, load)
+        proc.block_cache = self._block_cache_for(load)
         self.block_cache_flushes += 1
         if self._metrics is not None:
             self._c_bc_flushes.inc()

@@ -26,6 +26,11 @@ from repro.isa.memory import (
 )
 
 
+#: ``(image, base, resolved text-relocation targets)``: names the code
+#: an image maps at ``base``.
+Layout = Tuple[Image, int, Tuple[int, ...]]
+
+
 class LoaderError(Exception):
     """Unresolved symbols or overlapping placements."""
 
@@ -106,9 +111,8 @@ _SHIM_BASE = 0x100
 
 @lru_cache(maxsize=64)
 def _make_shim(main_addr: int) -> Image:
-    # Memoized (like ``libc_image``) so ``id(image.text)`` is stable across
-    # runs of the same program — the warm BlockCacheStore keys its layouts
-    # on text identity, and a fresh shim per run would defeat every hit.
+    # Memoized (like ``libc_image``): the warm BlockCacheStore keys its
+    # layouts on images, and a fresh shim per run would defeat every hit.
     text = (
         Instruction(Opcode.CALL, Imm(main_addr, symbol="main")),
         Instruction(Opcode.MOV, Reg("ebx"), Reg("eax")),
@@ -133,30 +137,27 @@ class LoadResult:
     #: [start, STACK_TOP) region holding argc/argv/envp — USER INPUT.
     initial_stack_range: Tuple[int, int]
     heap_base: int
-    #: The relocated text mapped for each image, in ``image_map`` order.
-    #: A library's tuple is shared by every load with equal relocation
-    #: targets (see :meth:`Loader._relocate`), so its identity names the
-    #: code a translated block was cut from.
-    texts: Tuple[Tuple[Instruction, ...], ...]
+    #: ``(image, base, resolved relocation targets)`` per image, in
+    #: ``image_map`` order: what decides the code mapped there, so equal
+    #: layouts map equal instructions at equal addresses.
+    layouts: Tuple[Layout, ...]
 
 
 class Loader:
     """Loads a main image plus shared libraries into a process memory.
 
-    ``relocated`` is an optional warm memo (a
+    ``relocated`` is the relocation memo (a
     :class:`repro.harrier.blockcache.BlockCacheStore`'s, which outlives
-    runs): ``(id(text), base, resolved targets)`` -> ``(text, patched
-    text)``.  With it each shared object is relocated once per process
-    instead of once per load, and every load with equal targets maps the
-    *same* patched tuple.  The entry pins the source text, so its id is
-    never recycled while the memo lives.  The main executable is never
-    memoized: it is the part of a layout that keeps changing.
+    runs): shared-object layout -> patched text.  Each shared object is
+    relocated once per memo instead of once per load.  The main
+    executable is never memoized: it is the part of a layout that keeps
+    changing.
     """
 
     def __init__(
         self,
-        libraries: Sequence[Image] = (),
-        relocated: Optional[Dict[tuple, tuple]] = None,
+        libraries: Sequence[Image],
+        relocated: Dict[Layout, Tuple[Instruction, ...]],
     ) -> None:
         self.libraries = list(libraries)
         self.relocated = relocated
@@ -184,7 +185,7 @@ class Loader:
         loaded = [shim] + placements
         image_map = ImageMap(loaded)
 
-        texts = tuple(
+        layouts = tuple(
             self._map_one(memory, li, image_map) for li in loaded
         )
 
@@ -195,14 +196,14 @@ class Loader:
             initial_sp=sp,
             initial_stack_range=(sp, STACK_TOP),
             heap_base=HEAP_BASE,
-            texts=texts,
+            layouts=layouts,
         )
 
     # -- internals -----------------------------------------------------------
     def _map_one(
         self, memory: FlatMemory, li: LoadedImage, image_map: ImageMap
-    ) -> Tuple[Instruction, ...]:
-        """Map ``li`` (relocated text, then data) and return its text."""
+    ) -> Layout:
+        """Map ``li`` (relocated text, then data) and return its layout."""
         image = li.image
 
         def resolve(symbol: str) -> int:
@@ -216,39 +217,37 @@ class Loader:
                 )
             return addr
 
-        text = self._relocate(li, resolve)
-        memory.map_code(li.base, text)
+        layout = (
+            image,
+            li.base,
+            tuple(resolve(reloc.symbol) for reloc in image.text_relocations),
+        )
+        memory.map_code(li.base, self._relocate(layout, li.is_app))
         for off, value in image.data.items():
             memory.write(li.base + off, value)
         for dreloc in image.data_relocations:
             memory.write(li.base + dreloc.offset, resolve(dreloc.symbol))
-        return text
+        return layout
 
     def _relocate(
-        self, li: LoadedImage, resolve
+        self, layout: Layout, is_app: bool
     ) -> Tuple[Instruction, ...]:
-        """``li``'s text with every relocation patched in, reused from
-        the memo when text, base and resolved targets all match."""
-        image = li.image
-        relocations = image.text_relocations
-        if not relocations:
+        """The layout's text with every relocation patched in, from the
+        memo for a shared object relocated before."""
+        image, _base, targets = layout
+        if not targets:
             return image.text
-        targets = tuple(resolve(reloc.symbol) for reloc in relocations)
-        memo = None if li.is_app else self.relocated
-        if memo is not None:
-            key = (id(image.text), li.base, targets)
-            entry = memo.get(key)
-            if entry is not None:
-                return entry[1]
-        patched: List[Instruction] = list(image.text)
-        for reloc, target in zip(relocations, targets):
-            new_imm = Imm(target, symbol=reloc.symbol)
-            patched[reloc.index] = replace(
-                patched[reloc.index], **{reloc.slot: new_imm}
-            )
-        text = tuple(patched)
-        if memo is not None:
-            memo[key] = (image.text, text)
+        text = None if is_app else self.relocated.get(layout)
+        if text is None:
+            patched: List[Instruction] = list(image.text)
+            for reloc, target in zip(image.text_relocations, targets):
+                new_imm = Imm(target, symbol=reloc.symbol)
+                patched[reloc.index] = replace(
+                    patched[reloc.index], **{reloc.slot: new_imm}
+                )
+            text = tuple(patched)
+            if not is_app:
+                self.relocated[layout] = text
         return text
 
     @staticmethod

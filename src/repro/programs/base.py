@@ -76,8 +76,10 @@ class Workload:
         defaults, so the row's ``harrier_config`` applies only when
         ``options`` carry none.
         """
+        from repro.core.engine import EngineCache
         from repro.core.hth import HTH
 
+        engine = engine if engine is not None else EngineCache()
         options = options if options is not None else RunOptions()
         if options.harrier_config is None and self.harrier_config is not None:
             options = options.replaced(harrier_config=self.harrier_config)
@@ -85,17 +87,10 @@ class Workload:
         if self.extra_libraries:
             from repro.programs.libc import libc_image
 
-            if engine is not None:
-                extra = [
-                    engine.image(path, source)
-                    for path, source in self.extra_libraries
-                ]
-            else:
-                extra = [
-                    assemble(path, source)
-                    for path, source in self.extra_libraries
-                ]
-            libraries = [libc_image()] + extra
+            libraries = [libc_image()] + [
+                engine.image(path, source)
+                for path, source in self.extra_libraries
+            ]
         hth = HTH(
             libraries=libraries,
             telemetry=telemetry,
@@ -128,7 +123,7 @@ class Workload:
             analyzer=analyzer,
         )
         return hth.run(
-            self.image(engine=engine),
+            self.image(engine=hth.engine),
             argv=self.argv or [self.program_path],
             env=self.env,
             stdin=self.stdin,

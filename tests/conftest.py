@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.hth import HTH
 from repro.core.report import RunReport
+from repro.harrier.blockcache import BlockCacheStore
 from repro.isa.assembler import assemble
 from repro.kernel.kernel import Kernel
 from repro.programs.libc import libc_image
@@ -50,4 +51,4 @@ def guest() -> GuestRunner:
 @pytest.fixture
 def bare_kernel() -> Kernel:
     """A kernel with libc but no monitor."""
-    return Kernel(libraries=[libc_image()])
+    return Kernel(BlockCacheStore(), libraries=[libc_image()])

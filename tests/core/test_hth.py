@@ -1,7 +1,7 @@
 """HTH facade and report tests."""
 
 from repro import api
-from repro.core import HTH, RunReport, Verdict, stub_binary
+from repro.core import HTH, RunReport, Verdict
 from repro.core.hth import STANDARD_BINARIES
 from repro.isa import assemble
 from repro.secpert.warnings import Severity
@@ -43,19 +43,6 @@ class TestFacade:
         hth = HTH()
         for path in STANDARD_BINARIES:
             assert path in hth.kernel.binaries
-
-    def test_stub_binary_instances_are_isolated(self):
-        # Assembly is cached, but each call gets its own mutable
-        # containers so one machine's loader state can't leak into
-        # another (the shared-lru_cache hazard).
-        a, b = stub_binary("/bin/x"), stub_binary("/bin/x")
-        assert a is not b
-        assert a.name == b.name and a.text is b.text
-        a.data[999] = 42
-        a.symbols["mutant"] = 1
-        assert 999 not in b.data
-        assert "mutant" not in b.symbols
-        assert 999 not in stub_binary("/bin/x").data
 
     def test_provide_input(self):
         src = """

@@ -1,7 +1,7 @@
 """BlockCache behavior: hit/miss accounting, telemetry counters, capacity
 flush, and the kernel's cache lifecycle (spawn/fork/execve)."""
 
-from repro.harrier.blockcache import BlockCache
+from repro.harrier.blockcache import BlockCache, BlockCacheStore
 from repro.isa import (
     FlatMemory,
     Imm,
@@ -80,7 +80,7 @@ class TestCacheAccounting:
 
 
 def make_kernel(**kwargs):
-    return Kernel(libraries=[libc_image()], **kwargs)
+    return Kernel(BlockCacheStore(), libraries=[libc_image()], **kwargs)
 
 
 FORK_SRC = r"""
@@ -147,7 +147,7 @@ class TestKernelLifecycle:
 
     def test_execve_flush_metric(self):
         telemetry = Telemetry.enabled()
-        k = Kernel(libraries=[libc_image()], telemetry=telemetry)
+        k = make_kernel(telemetry=telemetry)
         k.register_binary(
             assemble("/bin/ls", "main:\n  mov eax, 0\n  ret")
         )

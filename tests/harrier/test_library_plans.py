@@ -20,7 +20,7 @@ import pytest
 from repro.api import Session
 from repro.harrier import blockcache
 from repro.harrier.blockcache import BlockCache, BlockCacheStore
-from repro.isa import FlatMemory, Imm, Instruction, Opcode, Reg
+from repro.isa import FlatMemory, Image, Imm, Instruction, Opcode, Reg
 from repro.isa.memory import LIBRARY_BASE
 from repro.programs.libc import libc_image
 from repro.programs.mutate import MUTATION_CLASSES, variants
@@ -166,13 +166,14 @@ class TestBlockCacheLibraries:
         assert cache.lookup(memory, 0) is plan
         assert cache.flushes == 1
 
-    def test_store_table_per_relocated_text(self):
+    def test_store_table_per_library_layout(self):
         store = BlockCacheStore()
-        text, other = tuple(self.PROG), tuple(self.PROG)
-        table = store.library_plans("/lib/x.so", 0x100, text)
-        assert store.library_plans("/lib/x.so", 0x100, text) is table
-        assert store.library_plans("/lib/x.so", 0x100, other) is not table
-        assert store.library_plans("/lib/x.so", 0x200, text) is not table
+        image = Image("/lib/x.so", tuple(self.PROG))
+        twin = Image("/lib/x.so", tuple(self.PROG))
+        table = store.library_plans((image, 0x100, ()))
+        assert store.library_plans((image, 0x100, ())) is table
+        assert store.library_plans((twin, 0x100, ())) is not table
+        assert store.library_plans((image, 0x200, ())) is not table
         table[0] = object()
         assert store.library_stats() == {
             "library_entries": 3, "library_plans": 1,

@@ -82,7 +82,7 @@ from tests.oracles import (
     reference_interpreter,
     trace_every_loop,
 )
-from tests.oracles.cachestats import block_cache_stats
+from tests.oracles.cachestats import block_cache_stats, kernel_caches
 from tests.oracles.interpreter import step as interpret
 from tests.oracles.readers import cell_tags
 
@@ -840,7 +840,7 @@ DIV_BY_IMMEDIATE = DIV_BY_REGISTER.replace("div eax, ebx", "div eax, 7")
 def _traces(hth):
     return [
         plan
-        for _, cache in hth.kernel._block_caches.values()
+        for cache in kernel_caches(hth.kernel)
         for plan in cache.plans.values()
         if plan.trace is not None
     ]
@@ -1424,7 +1424,7 @@ class TestGuestValuesNeverReachSource:
         assert report.exit_code == 0
         plans = [
             plan
-            for _, cache in hth.kernel._block_caches.values()
+            for cache in kernel_caches(hth.kernel)
             for plan in cache.plans.values()
         ]
         fused = [plan for plan in plans if plan.fused is not None]

@@ -14,7 +14,7 @@ from repro.kernel.hooks import CompositeHooks, KernelHooks, NullHooks
 from repro.programs.micro.execflow import table4_workloads
 from repro.programs.micro.infoflow import table6_workloads
 from tests.oracles import closure_only
-from tests.oracles.cachestats import block_cache_stats
+from tests.oracles.cachestats import block_cache_stats, kernel_caches
 
 #: Runs its loop body 60 times: well past ``JIT_THRESHOLD``.
 HOT_LOOP = """
@@ -46,7 +46,7 @@ class BlockCounter(KernelHooks):
 def _fused(hth):
     return [
         plan
-        for _, cache in hth.kernel._block_caches.values()
+        for cache in kernel_caches(hth.kernel)
         for plan in cache.plans.values()
         if plan.fused is not None
     ]

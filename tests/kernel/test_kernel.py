@@ -3,6 +3,7 @@ monitor kill, virtual-clock jumps."""
 
 import pytest
 
+from repro.harrier.blockcache import BlockCacheStore
 from repro.isa import assemble
 from repro.kernel import (
     EXIT_FAULT,
@@ -15,7 +16,7 @@ from repro.programs.libc import libc_image
 
 
 def make_kernel(hooks=None):
-    return Kernel(hooks=hooks, libraries=[libc_image()])
+    return Kernel(BlockCacheStore(), hooks=hooks, libraries=[libc_image()])
 
 
 class TestSpawn:

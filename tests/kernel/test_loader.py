@@ -32,7 +32,7 @@ def loaded():
     lib = assemble("/lib/test.so", LIB_SOURCE)
     app = assemble("/bin/app", APP_SOURCE)
     memory = FlatMemory()
-    result = Loader([lib]).load(memory, app, argv=["/bin/app", "arg1"],
+    result = Loader([lib], {}).load(memory, app, argv=["/bin/app", "arg1"],
                                 env={"KEY": "VAL"})
     return memory, result, app, lib
 
@@ -80,12 +80,12 @@ class TestRelocation:
     def test_unresolved_symbol_raises(self):
         app = assemble("/bin/app", "main:\n  call ghost_symbol\n")
         with pytest.raises(LoaderError):
-            Loader([]).load(FlatMemory(), app, argv=[], env={})
+            Loader([], {}).load(FlatMemory(), app, argv=[], env={})
 
     def test_missing_main_raises(self):
         app = assemble("/bin/app", "start:\n  nop\n")
         with pytest.raises(LoaderError):
-            Loader([]).load(FlatMemory(), app, argv=[], env={})
+            Loader([], {}).load(FlatMemory(), app, argv=[], env={})
 
 
 class TestInitialStack:
@@ -123,7 +123,7 @@ class TestImageMap:
 
 class TestRelocationMemo:
     """A shared object is relocated once per memo, and its patched text
-    is reused only for the same source text, base and targets."""
+    is reused only for the same image, base and targets."""
 
     HOOKED_LIB = "lib_entry:\n    call app_hook\n    ret\n"
 
@@ -140,11 +140,17 @@ class TestRelocationMemo:
 
     @staticmethod
     def _lib_text(loader, app):
-        result = loader.load(FlatMemory(), app, argv=[], env={})
-        (text,) = [
-            text for li, text in zip(result.image_map, result.texts)
-            if li.name == "/lib/hooked.so"
+        memory = FlatMemory()
+        result = loader.load(memory, app, argv=[], env={})
+        (layout,) = [
+            layout for layout in result.layouts
+            if layout[0].name == "/lib/hooked.so"
         ]
+        text = loader.relocated[layout]
+        base = layout[1]
+        assert all(
+            memory.code[base + i] is instr for i, instr in enumerate(text)
+        )
         return text
 
     def test_library_relocated_once(self):
@@ -153,24 +159,24 @@ class TestRelocationMemo:
         memo = {}
         libc = libc_image()
         app = assemble("/bin/app", "main:\n    call exit\n    ret\n")
-        first = Loader([libc], relocated=memo).load(
+        first = Loader([libc], memo).load(
             FlatMemory(), app, argv=[], env={}
         )
-        again = Loader([libc], relocated=memo).load(
+        again = Loader([libc], memo).load(
             FlatMemory(), app, argv=[], env={}
         )
         assert libc.text_relocations and len(memo) == 1
         # image_map order: startup shim, app, libc.
-        assert again.texts[2] is first.texts[2]
-        assert again.texts[2] is not libc.text
+        assert again.layouts[2] == first.layouts[2]
+        assert memo[first.layouts[2]] is not libc.text
         # The app is patched per load, never memoized.
-        assert again.texts[1] is not first.texts[1]
-        assert again.texts[1] == first.texts[1]
+        assert again.layouts[1] == first.layouts[1]
+        assert first.layouts[1] not in memo
 
     def test_relocation_into_the_app_is_never_shared(self):
         memo = {}
         lib = assemble("/lib/hooked.so", self.HOOKED_LIB)
-        loader = Loader([lib], relocated=memo)
+        loader = Loader([lib], memo)
         app_a, app_b = self._app(1), self._app(3)
         text_a = self._lib_text(loader, app_a)
         text_b = self._lib_text(loader, app_b)
@@ -179,7 +185,7 @@ class TestRelocationMemo:
         assert text_b[0].a.value == APP_BASE + app_b.symbols["app_hook"]
         assert len(memo) == 2
         # A fresh loader over the same memo reuses each app's own text.
-        reloader = Loader([lib], relocated=memo)
+        reloader = Loader([lib], memo)
         assert self._lib_text(reloader, app_b) is text_b
         assert self._lib_text(reloader, self._app(1)) is text_a
         assert len(memo) == 2
@@ -187,7 +193,7 @@ class TestRelocationMemo:
     def test_same_targets_share_one_text(self):
         memo = {}
         lib = assemble("/lib/hooked.so", self.HOOKED_LIB)
-        loader = Loader([lib], relocated=memo)
+        loader = Loader([lib], memo)
         # Two different apps whose app_hook lands on the same address
         # patch the library identically: one text serves both.
         text = self._lib_text(loader, self._app(2))

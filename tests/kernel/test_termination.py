@@ -2,6 +2,7 @@
 reasons ('all-exited', 'max-ticks', 'deadlock', 'watchdog') and the two
 abnormal exit codes (EXIT_FAULT, EXIT_KILLED_BY_MONITOR)."""
 
+from repro.harrier.blockcache import BlockCacheStore
 from repro.isa import assemble
 from repro.kernel import (
     EXIT_FAULT,
@@ -47,7 +48,7 @@ tgt: .asciz "/bin/ls"
 
 
 def make_kernel(hooks=None):
-    return Kernel(hooks=hooks, libraries=[libc_image()])
+    return Kernel(BlockCacheStore(), hooks=hooks, libraries=[libc_image()])
 
 
 class TestRunReasons:

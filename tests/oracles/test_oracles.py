@@ -20,7 +20,7 @@ from tests.oracles import (
     template_replay,
     trace_every_loop,
 )
-from tests.oracles.cachestats import block_cache_stats
+from tests.oracles.cachestats import block_cache_stats, kernel_caches
 from tests.oracles.matcher import NaiveNetwork
 
 LOOP = """
@@ -163,7 +163,7 @@ class TestApplierCalls:
 def _plans(hth):
     return [
         plan
-        for _, cache in hth.kernel._block_caches.values()
+        for cache in kernel_caches(hth.kernel)
         for plan in cache.plans.values()
     ]
 
