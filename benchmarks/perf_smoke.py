@@ -64,6 +64,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import statistics
 import sys
 import time
 
@@ -95,6 +96,12 @@ FLEET_REPS = 3
 #: The evidence recorder rides the existing event stream, so a
 #: provenance-on run may cost at most this factor over provenance-off.
 PROVENANCE_OVERHEAD = 1.5
+#: The provenance gate reads the median of this many on/off ratios, each
+#: from an adjacent pair of samples (order alternating pair to pair), and
+#: each sample times a batch of PROVENANCE_BATCH runs of about 10 ms: one
+#: unusually fast or slow sample moves one ratio, not the median.
+PROVENANCE_PAIRS = 9
+PROVENANCE_BATCH = 4
 
 #: A warm verdict-cache hit (p50 over many lookups) must beat fresh
 #: execution of the Section 9 workload by at least this factor — a hit
@@ -161,6 +168,30 @@ def interleaved(run_a, run_b) -> tuple:
         run_b()
         best_b = min(best_b, time.perf_counter() - start)
     return best_a, best_b
+
+
+def paired_median(run_a, run_b, pairs: int, batch: int) -> tuple:
+    """Median per-sample times of two calls and the median of their
+    pairwise ratios ``a / b``.
+
+    A sample times ``batch`` back-to-back calls; the two samples of a
+    pair run adjacent, in alternating order, so drift cancels within a
+    pair and one outlying sample moves one ratio of ``pairs``.
+    """
+    run_a()  # warm-up: imports, assembly
+    run_b()
+    times_a: list = []
+    times_b: list = []
+    for index in range(pairs):
+        sides = [(run_a, times_a), (run_b, times_b)]
+        for run, times in sides if index % 2 == 0 else reversed(sides):
+            start = time.perf_counter()
+            for _ in range(batch):
+                run()
+            times.append((time.perf_counter() - start) / batch)
+    ratios = [a / b for a, b in zip(times_a, times_b)]
+    return (statistics.median(times_a), statistics.median(times_b),
+            statistics.median(ratios))
 
 
 def measure(name_a: str, name_b: str) -> tuple:
@@ -455,14 +486,18 @@ def check_provenance() -> int:
             file=sys.stderr,
         )
         return 1
-    on, off = measure("harrier-full", "harrier-provenance-off")
-    ratio = on / off if off else float("inf")
+    on, off, ratio = paired_median(
+        lambda: run_workload("harrier-full"),
+        lambda: run_workload("harrier-provenance-off"),
+        PROVENANCE_PAIRS, PROVENANCE_BATCH,
+    )
     print(
         f"perf smoke: provenance-on={on * 1000:.2f} ms "
-        f"provenance-off={off * 1000:.2f} ms "
-        f"overhead={ratio:.2f}x"
+        f"provenance-off={off * 1000:.2f} ms (medians) "
+        f"overhead={ratio:.2f}x (median of {PROVENANCE_PAIRS} paired "
+        "ratios)"
     )
-    if off > on * NOISE_MARGIN:
+    if ratio * NOISE_MARGIN < 1.0:
         print(
             "FAIL: disabling provenance made the run slower "
             f"(margin {NOISE_MARGIN}x) — the off switch is not a no-op",

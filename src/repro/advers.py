@@ -6,7 +6,9 @@ mutation class, the whole set fans out through the fleet engine (the
 parent process only plans refs and hands each worker its next one as
 it finishes one; every worker mutates, assembles and runs its own
 variants), and the verdicts come back as a detection-rate matrix —
-variant class x policy rule x verdict.
+variant class x policy rule x verdict.  A worker parses each parent's
+source once and assembles each variant from its statements, with no
+text parse in between (see :mod:`repro.programs.mutate`).
 
 The point of the exercise is the *evasions*: any variant whose verdict
 lands **below** its parent's expected severity is a detector blind
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.options import RunOptions
-from repro.fleet.engine import run_fleet
+from repro.fleet.engine import DEFAULT_WORKERS, run_fleet
 from repro.fleet.refs import WorkloadRef
 from repro.fleet.report import FleetReport
 from repro.programs.mutate import MUTATION_CLASSES, variant_name
@@ -308,7 +310,7 @@ def run_sweep(
     per_class: int = 1,
     seed: int = 0,
     options: Optional[RunOptions] = None,
-    workers: int = 4,
+    workers: int = DEFAULT_WORKERS,
     max_retries: int = 1,
     cache_dir: Optional[str] = None,
 ) -> SweepResult:

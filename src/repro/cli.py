@@ -55,6 +55,7 @@ from repro.cache import CacheEnv, DiskStore, VerdictCache
 from repro.core.options import DEFAULT_MAX_TICKS, RunOptions
 from repro.core.report import RunReport
 from repro.fleet import (
+    DEFAULT_WORKERS,
     REGISTRIES,
     REGISTRY_ORDER,
     FleetRunRecord,
@@ -962,8 +963,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "table, 62 workloads)")
     fleet.add_argument("--workload", action="append", metavar="NAME",
                        help="restrict to named workload(s) (repeat)")
-    fleet.add_argument("--workers", type=int, default=4,
-                       help="worker processes (default: 4; clamped to "
+    fleet.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
+                       help="worker processes (default: one per CPU, at "
+                            f"most 4, here {DEFAULT_WORKERS}; clamped to "
                             "the task count)")
     fleet.add_argument("--max-retries", type=int, default=1,
                        help="retries per run on watchdog/monitor-fault "
@@ -999,8 +1001,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0,
                        help="base seed; same seed => bit-identical "
                             "matrix (default: 0)")
-    sweep.add_argument("--workers", type=int, default=4,
-                       help="fleet worker processes (default: 4)")
+    sweep.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
+                       help="fleet worker processes (default: one per "
+                            f"CPU, at most 4, here {DEFAULT_WORKERS})")
     sweep.add_argument("--max-retries", type=int, default=1,
                        help="retries per run on watchdog/monitor-fault "
                             "outcomes (default: 1)")

@@ -38,10 +38,10 @@ at a time (fleet workers each build their own).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.harrier.blockcache import BlockCacheStore
-from repro.isa.assembler import assemble
+from repro.isa.assembler import SourceStmt, assemble
 from repro.isa.image import Image
 from repro.taint.tags import TagSetInterner
 
@@ -66,13 +66,22 @@ class EngineCache:
         self.max_images = max_images
         self._images: "OrderedDict[Tuple[str, str], Image]" = OrderedDict()
 
-    def image(self, path: str, source: str) -> Image:
+    def image(
+        self,
+        path: str,
+        source: str,
+        statements: Optional[Sequence[SourceStmt]] = None,
+    ) -> Image:
         """Assemble ``source`` as ``path``, memoized per session: every
-        call returns the same (immutable) image."""
+        call returns the same (immutable) image.  ``statements``, when
+        given, are the parsed rows of ``source`` (line numbers of that
+        text); a miss assembles them instead of parsing the text."""
         key = (path, source)
         image = self._images.get(key)
         if image is None:
-            image = self._images[key] = assemble(path, source)
+            image = self._images[key] = assemble(
+                path, source if statements is None else statements
+            )
         if self.max_images is not None:
             self._images.move_to_end(key)
             while len(self._images) > self.max_images:

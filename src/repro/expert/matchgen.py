@@ -72,7 +72,8 @@ def _steps(pattern: Pattern, bound: AbstractSet[str]
         elif isinstance(constraint, P):
             arity = constraint._arity
             steps.append(("pred", arity))
-            consts.append(constraint.fn if arity else constraint)
+            # Signature unknown (arity 0): P.check probes both forms.
+            consts.append(constraint.fn if arity else constraint.check)
         else:
             steps.append(("literal",))
             consts.append(constraint)
@@ -119,12 +120,10 @@ def _source(shape: Shape) -> str:
         elif kind == "pred":
             params.append(f"_p{i}")
             arity = step[1]
-            if arity == 2:
-                test = f"not _p{i}({value}, {scope()})"
-            elif arity == 1:
+            if arity == 1:
                 test = f"not _p{i}({value})"
-            else:  # signature unknown: P.check probes
-                test = f"not _p{i}.check({value}, {scope()})"
+            else:
+                test = f"not _p{i}({value}, {scope()})"
         else:
             params.append(f"_c{i}")
             test = f"{value} != _c{i}"

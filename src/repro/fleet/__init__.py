@@ -24,7 +24,7 @@ Entry points: ``repro fleet`` on the command line, or::
     assert not fleet.failures
 """
 
-from repro.fleet.engine import run_fleet
+from repro.fleet.engine import DEFAULT_WORKERS, run_fleet
 from repro.fleet.merge import (
     fleet_chrome_trace,
     merged_telemetry,
@@ -53,6 +53,7 @@ from repro.fleet.worker import (
 
 __all__ = [
     "run_fleet",
+    "DEFAULT_WORKERS",
     "REGISTRIES",
     "REGISTRY_ORDER",
     "WorkloadRef",

@@ -21,13 +21,21 @@ Syntax (one statement per line, ``;`` or ``#`` starts a comment)::
 Addressing: ``load dst, [reg+off]`` / ``store [reg+off], src``.  Every
 instruction and every data cell occupies one address unit; strings store one
 character code per cell, NUL-terminated.
+
+Text is parsed once, by :func:`parse_source`, into frozen
+:class:`SourceStmt` rows; :class:`Assembler` lowers the rows to
+instructions and data, lays out symbols, and emits the image.  A caller
+that already holds the rows of a text (the adversarial mutator, which
+renders its variants with :func:`render_statements`) assembles them
+directly: the rows carry the text's line numbers, so the image equals,
+digest for digest, the one assembled from the text.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.isa.image import DataRelocation, Image, TextRelocation
 from repro.isa.instructions import (
@@ -55,6 +63,21 @@ class AssemblyError(Exception):
 
 
 _MNEMONICS: Dict[str, Opcode] = {op.value: op for op in Opcode}
+
+_DST = ("destination", (Reg,))
+_SRC = ("source", (Reg, Imm))
+#: Opcode -> (role, accepted operand types) of each of its operands.
+_OPERAND_SHAPES: Dict[Opcode, Tuple[Tuple[str, Tuple[type, ...]], ...]] = {
+    **{op: (_DST, _SRC) for op in ALU_OPCODES | {Opcode.MOV, Opcode.CMP}},
+    **{op: (("target", (Imm,)),) for op in CONTROL_TRANSFER_OPCODES},
+    **{op: () for op in (Opcode.RET, Opcode.CPUID, Opcode.NOP, Opcode.HLT)},
+    Opcode.LOAD: (_DST, ("source", (Mem,))),
+    Opcode.STORE: (("destination", (Mem,)), _SRC),
+    Opcode.CALL: (("target", (Imm, Reg)),),
+    Opcode.PUSH: (("operand", (Reg, Imm)),),
+    Opcode.POP: (_DST,),
+    Opcode.INT: (("vector", (Imm,)),),
+}
 
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
 _MEM_RE = re.compile(
@@ -153,13 +176,132 @@ def _split_operands(text: str, line: int) -> List[str]:
     return parts
 
 
+def _strip_comment(line: str) -> str:
+    quote: Optional[str] = None
+    i = 0
+    while i < len(line):
+        ch = line[i]
+        if quote:
+            if ch == "\\":
+                i += 2  # an escape consumes the following character
+                continue
+            if ch == quote:
+                quote = None
+        elif ch in "\"'":
+            quote = ch
+        elif ch in ";#":
+            return line[:i]
+        i += 1
+    return line
+
+
+# -- the statement model ------------------------------------------------------
+#
+# Every assembly goes text -> statements -> image.  A statement keeps the
+# raw spelling of every operand, so the adversarial mutator
+# (repro.programs.mutate) rewrites programs at this level and renders
+# the result back to text that parses to the same statements.
+
+@dataclass(frozen=True)
+class SourceStmt:
+    """One source statement, raw enough to re-render byte-for-byte.
+
+    ``mnemonic`` is the lowered instruction mnemonic, or the directive
+    name with its leading dot (``".asciz"``); ``operands`` are the raw
+    comma-split operand spellings (string literals keep their quotes).
+    ``line`` is the statement's line in its text; it becomes
+    ``Instruction.line``, which the image digest covers.  Frozen, so
+    one parse can be shared by every program derived from it.
+    """
+
+    section: str                      # ".text" | ".data"
+    labels: Tuple[str, ...] = ()
+    mnemonic: str = "nop"
+    operands: Tuple[str, ...] = ()
+    line: int = 0
+
+    @property
+    def is_instr(self) -> bool:
+        return self.section == ".text"
+
+
+_DATA_DIRECTIVES = (".asciz", ".ascii", ".word", ".space")
+_LABEL_DEF_RE = re.compile(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*")
+_INSTR_RE = re.compile(r"^([A-Za-z]+)\b\s*(.*)$")
+
+
+def parse_source(source: str) -> List[SourceStmt]:
+    """Parse assembly text into :class:`SourceStmt` rows, one per
+    instruction or data directive, in text order (raises
+    :class:`AssemblyError` on a syntax error).  The assembler's only
+    line parser: mnemonics and operand shapes are checked when the rows
+    are assembled."""
+    stmts: List[SourceStmt] = []
+    section = ".text"
+    pending: List[str] = []
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        line = _strip_comment(raw).strip()
+        if not line:
+            continue
+        # Peel leading labels (there may be several on one line).
+        while True:
+            match = _LABEL_DEF_RE.match(line)
+            if not match or match.group(1) in _MNEMONICS:
+                break
+            pending.append(match.group(1))
+            line = line[match.end():]
+        if not line:
+            continue
+        if line.startswith("."):
+            directive, _, rest = line.partition(" ")
+            directive = directive.strip()
+            rest = rest.strip()
+            if directive in (".text", ".data"):
+                if pending:
+                    raise AssemblyError(
+                        "label immediately before section directive", lineno
+                    )
+                section = directive
+                continue
+            if directive in (".global", ".globl", ".extern"):
+                continue  # informative only; all symbols are global
+            if directive not in _DATA_DIRECTIVES:
+                raise AssemblyError(f"unknown directive {directive}", lineno)
+            operands = (
+                (rest,) if directive in (".asciz", ".ascii")
+                else tuple(_split_operands(rest, lineno))
+            )
+            stmts.append(SourceStmt(".data", tuple(pending), directive,
+                                    operands, lineno))
+            pending = []
+            continue
+        if section != ".text":
+            raise AssemblyError("instruction outside .text", lineno)
+        match = _INSTR_RE.match(line)
+        if not match:
+            raise AssemblyError(f"cannot parse {line!r}", lineno)
+        operand_text = match.group(2).strip()
+        operands = (
+            tuple(_split_operands(operand_text, lineno)) if operand_text
+            else ()
+        )
+        stmts.append(SourceStmt(".text", tuple(pending),
+                                match.group(1).lower(), operands, lineno))
+        pending = []
+    if pending:
+        # Trailing labels bind to the end of the current section; attach
+        # a NOP so they address something executable.
+        stmts.append(SourceStmt(".text", tuple(pending), "nop", (), 0))
+    return stmts
+
+
 class _Statement:
-    """One parsed source statement (pass 1 output)."""
+    """One lowered source statement (layout and emit input)."""
 
     __slots__ = ("labels", "kind", "payload", "line")
 
     def __init__(
-        self, labels: List[str], kind: str, payload: object, line: int
+        self, labels: Sequence[str], kind: str, payload: object, line: int
     ) -> None:
         self.labels = labels
         self.kind = kind  # 'instr' | 'asciz' | 'ascii' | 'word' | 'space'
@@ -168,139 +310,90 @@ class _Statement:
 
 
 class Assembler:
-    """Assemble mini-ISA source text into an :class:`Image`."""
+    """Assemble mini-ISA source into an :class:`Image`.
 
-    def __init__(self, name: str, source: str) -> None:
+    ``source`` is assembly text or the :class:`SourceStmt` rows of some
+    text; text goes through :func:`parse_source`, the one line parser,
+    so both spellings of a program assemble to the same image as long
+    as the rows carry the line numbers of that text.
+    """
+
+    def __init__(
+        self, name: str, source: Union[str, Sequence[SourceStmt]]
+    ) -> None:
         self._name = name
         self._source = source
 
     def assemble(self) -> Image:
-        text_stmts, data_stmts = self._parse()
+        stmts = self._source
+        if isinstance(stmts, str):
+            stmts = parse_source(stmts)
+        text_stmts, data_stmts = self._lower(stmts)
         symbols, text_size, data_size = self._layout(text_stmts, data_stmts)
         return self._emit(text_stmts, data_stmts, symbols, text_size, data_size)
 
-    # -- pass 0: parse ----------------------------------------------------
-    def _parse(self) -> Tuple[List[_Statement], List[_Statement]]:
-        section = ".text"
+    # -- pass 0: statements -> instructions and data ----------------------
+    def _lower(
+        self, stmts: Sequence[SourceStmt]
+    ) -> Tuple[List[_Statement], List[_Statement]]:
         text_stmts: List[_Statement] = []
         data_stmts: List[_Statement] = []
-        pending_labels: List[str] = []
-
-        for lineno, raw in enumerate(self._source.splitlines(), start=1):
-            line = self._strip_comment(raw).strip()
-            if not line:
-                continue
-
-            # Peel leading labels (there may be several on one line).
-            while True:
-                match = re.match(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*", line)
-                if not match or match.group(1) in _MNEMONICS:
-                    break
-                pending_labels.append(match.group(1))
-                line = line[match.end():]
-            if not line:
-                continue
-
-            if line.startswith("."):
-                directive, _, rest = line.partition(" ")
-                directive = directive.strip()
-                rest = rest.strip()
-                if directive in (".text", ".data"):
-                    if pending_labels:
-                        raise AssemblyError(
-                            "label immediately before section directive",
-                            lineno,
-                        )
-                    section = directive
-                    continue
-                if directive in (".global", ".globl", ".extern"):
-                    continue  # informative only; all symbols are global
-                stmt = self._parse_data_directive(directive, rest, lineno)
-                stmt.labels = pending_labels
-                pending_labels = []
-                if section != ".data" and directive not in (".asciz", ".ascii",
-                                                            ".word", ".space"):
-                    raise AssemblyError(
-                        f"directive {directive} outside .data", lineno
-                    )
-                data_stmts.append(stmt)
-                continue
-
-            if section != ".text":
-                raise AssemblyError("instruction outside .text", lineno)
-            instr = self._parse_instruction(line, lineno)
-            text_stmts.append(_Statement(pending_labels, "instr", instr, lineno))
-            pending_labels = []
-
-        if pending_labels:
-            # Trailing labels bind to the end of the current section; attach
-            # a NOP so they address something executable.
-            text_stmts.append(
-                _Statement(pending_labels, "instr", Instruction(Opcode.NOP), 0)
-            )
+        for stmt in stmts:
+            if stmt.section == ".text":
+                instr = self._instruction(stmt)
+                text_stmts.append(
+                    _Statement(stmt.labels, "instr", instr, stmt.line)
+                )
+            else:
+                data_stmts.append(self._data(stmt))
         return text_stmts, data_stmts
 
     @staticmethod
-    def _strip_comment(line: str) -> str:
-        quote: Optional[str] = None
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if quote:
-                if ch == "\\":
-                    i += 2  # an escape consumes the following character
-                    continue
-                if ch == quote:
-                    quote = None
-            elif ch in "\"'":
-                quote = ch
-            elif ch in ";#":
-                return line[:i]
-            i += 1
-        return line
-
-    def _parse_data_directive(
-        self, directive: str, rest: str, lineno: int
-    ) -> _Statement:
+    def _data(stmt: SourceStmt) -> _Statement:
+        directive, tokens, lineno = stmt.mnemonic, stmt.operands, stmt.line
         if directive in (".asciz", ".ascii"):
-            rest = rest.strip()
+            rest = ", ".join(tokens)
             if len(rest) < 2 or rest[0] != '"' or rest[-1] != '"':
                 raise AssemblyError(f"{directive} expects a string literal", lineno)
             value = _unescape(rest[1:-1], lineno)
-            return _Statement([], directive[1:], value, lineno)
+            return _Statement(stmt.labels, directive[1:], value, lineno)
         if directive == ".word":
-            tokens = _split_operands(rest, lineno)
             if not tokens:
                 raise AssemblyError(".word expects at least one value", lineno)
-            return _Statement([], "word", tokens, lineno)
+            return _Statement(stmt.labels, "word", tokens, lineno)
         if directive == ".space":
-            tokens = _split_operands(rest, lineno)
             if len(tokens) not in (1, 2):
                 raise AssemblyError(".space expects SIZE [, FILL]", lineno)
             size = _parse_int(tokens[0])
             fill = _parse_int(tokens[1]) if len(tokens) == 2 else 0
             if size is None or size < 0 or fill is None:
                 raise AssemblyError("bad .space arguments", lineno)
-            return _Statement([], "space", (size, fill), lineno)
+            return _Statement(stmt.labels, "space", (size, fill), lineno)
         raise AssemblyError(f"unknown directive {directive}", lineno)
 
-    def _parse_instruction(self, line: str, lineno: int) -> Instruction:
-        match = re.match(r"^([A-Za-z]+)\b\s*(.*)$", line)
-        if not match:
-            raise AssemblyError(f"cannot parse {line!r}", lineno)
-        mnemonic = match.group(1).lower()
-        opcode = _MNEMONICS.get(mnemonic)
+    def _instruction(self, stmt: SourceStmt) -> Instruction:
+        lineno = stmt.line
+        opcode = _MNEMONICS.get(stmt.mnemonic)
         if opcode is None:
-            raise AssemblyError(f"unknown mnemonic {mnemonic!r}", lineno)
-        operand_text = match.group(2).strip()
-        operands = (
-            [self._parse_operand(tok, lineno) for tok in
-             _split_operands(operand_text, lineno)]
-            if operand_text
-            else []
-        )
-        instr = self._build_instruction(opcode, operands, lineno)
-        return instr
+            raise AssemblyError(f"unknown mnemonic {stmt.mnemonic!r}", lineno)
+        operands = [self._parse_operand(tok, lineno) for tok in stmt.operands]
+        shape = _OPERAND_SHAPES[opcode]
+        if len(operands) != len(shape):
+            raise AssemblyError(
+                f"{opcode.value} expects {len(shape)} operand(s), "
+                f"got {len(operands)}",
+                lineno,
+            )
+        for op, (what, kinds) in zip(operands, shape):
+            if not isinstance(op, kinds):
+                raise AssemblyError(
+                    f"{opcode.value}: {what} must be "
+                    f"{'/'.join(k.__name__ for k in kinds)}, got {op}",
+                    lineno,
+                )
+        a = operands[0] if operands else None
+        b = operands[1] if len(operands) > 1 else None
+        return Instruction(opcode, a, b, line=lineno)
 
     def _parse_operand(self, token: str, lineno: int) -> Operand:
         token = token.strip()
@@ -326,62 +419,6 @@ class Assembler:
         if _LABEL_RE.match(token):
             return Imm(0, symbol=token)
         raise AssemblyError(f"cannot parse operand {token!r}", lineno)
-
-    def _build_instruction(
-        self, opcode: Opcode, operands: List[Operand], lineno: int
-    ) -> Instruction:
-        def need(count: int) -> None:
-            if len(operands) != count:
-                raise AssemblyError(
-                    f"{opcode.value} expects {count} operand(s), "
-                    f"got {len(operands)}",
-                    lineno,
-                )
-
-        def check(op: Operand, kinds: Tuple[type, ...], what: str) -> None:
-            if not isinstance(op, kinds):
-                raise AssemblyError(
-                    f"{opcode.value}: {what} must be "
-                    f"{'/'.join(k.__name__ for k in kinds)}, got {op}",
-                    lineno,
-                )
-
-        if opcode is Opcode.MOV or opcode in ALU_OPCODES or opcode is Opcode.CMP:
-            need(2)
-            check(operands[0], (Reg,), "destination")
-            check(operands[1], (Reg, Imm), "source")
-        elif opcode is Opcode.LOAD:
-            need(2)
-            check(operands[0], (Reg,), "destination")
-            check(operands[1], (Mem,), "source")
-        elif opcode is Opcode.STORE:
-            need(2)
-            check(operands[0], (Mem,), "destination")
-            check(operands[1], (Reg, Imm), "source")
-        elif opcode in CONTROL_TRANSFER_OPCODES - {Opcode.CALL, Opcode.RET,
-                                                   Opcode.HLT}:
-            need(1)
-            check(operands[0], (Imm,), "target")
-        elif opcode is Opcode.CALL:
-            need(1)
-            check(operands[0], (Imm, Reg), "target")
-        elif opcode is Opcode.PUSH:
-            need(1)
-            check(operands[0], (Reg, Imm), "operand")
-        elif opcode is Opcode.POP:
-            need(1)
-            check(operands[0], (Reg,), "destination")
-        elif opcode is Opcode.INT:
-            need(1)
-            check(operands[0], (Imm,), "vector")
-        elif opcode in (Opcode.RET, Opcode.CPUID, Opcode.NOP, Opcode.HLT):
-            need(0)
-        else:  # pragma: no cover - exhaustive above
-            raise AssemblyError(f"unhandled opcode {opcode}", lineno)
-
-        a = operands[0] if operands else None
-        b = operands[1] if len(operands) > 1 else None
-        return Instruction(opcode, a, b, line=lineno)
 
     # -- pass 1: layout ---------------------------------------------------
     def _layout(
@@ -515,119 +552,43 @@ class Assembler:
         return leaders
 
 
-def assemble(name: str, source: str) -> Image:
-    """Assemble ``source`` into an image called ``name``."""
+def assemble(name: str, source: Union[str, Sequence[SourceStmt]]) -> Image:
+    """Assemble ``source`` (text, or the statements of some text) into
+    an image called ``name``."""
     return Assembler(name, source).assemble()
 
 
-# -- source-level rewriting hooks ------------------------------------------
-#
-# The adversarial mutator (repro.programs.mutate) rewrites guest sources
-# rather than images: a statement-level view of the text keeps label
-# definitions, operand tokens, and section membership explicit while
-# preserving the raw spelling of every operand, so a parse/render round
-# trip assembles to the same program.
+def render_statements(
+    stmts: Sequence[SourceStmt],
+) -> Tuple[str, Tuple[SourceStmt, ...]]:
+    """Render statements to canonical assembly text (text section first,
+    then one ``.data`` section; statement order preserved).
 
-@dataclass
-class SourceStmt:
-    """One source statement, raw enough to re-render byte-for-byte.
-
-    ``mnemonic`` is the lowered instruction mnemonic, or the directive
-    name with its leading dot (``".asciz"``); ``operands`` are the raw
-    comma-split operand spellings (string literals keep their quotes).
+    Returns the text and the statements in text order, each stamped with
+    its line in that text, so ``parse_source(text)`` equals them and
+    assembling either gives the same image.
     """
-
-    section: str                      # ".text" | ".data"
-    labels: List[str] = field(default_factory=list)
-    mnemonic: str = "nop"
-    operands: List[str] = field(default_factory=list)
-    line: int = 0
-
-    @property
-    def is_instr(self) -> bool:
-        return self.section == ".text"
-
-
-_DATA_DIRECTIVES = (".asciz", ".ascii", ".word", ".space")
-
-
-def parse_source(source: str) -> List[SourceStmt]:
-    """Parse assembly text into :class:`SourceStmt` rows (syntax checked
-    exactly like pass 0 of the assembler; raises :class:`AssemblyError`)."""
-    stmts: List[SourceStmt] = []
-    section = ".text"
-    pending: List[str] = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = Assembler._strip_comment(raw).strip()
-        if not line:
-            continue
-        while True:
-            match = re.match(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*", line)
-            if not match or match.group(1) in _MNEMONICS:
-                break
-            pending.append(match.group(1))
-            line = line[match.end():]
-        if not line:
-            continue
-        if line.startswith("."):
-            directive, _, rest = line.partition(" ")
-            directive = directive.strip()
-            rest = rest.strip()
-            if directive in (".text", ".data"):
-                if pending:
-                    raise AssemblyError(
-                        "label immediately before section directive", lineno
-                    )
-                section = directive
-                continue
-            if directive in (".global", ".globl", ".extern"):
-                continue
-            if directive not in _DATA_DIRECTIVES:
-                raise AssemblyError(f"unknown directive {directive}", lineno)
-            operands = (
-                [rest] if directive in (".asciz", ".ascii")
-                else _split_operands(rest, lineno)
-            )
-            stmts.append(SourceStmt(".data", pending, directive, operands,
-                                    lineno))
-            pending = []
-            continue
-        if section != ".text":
-            raise AssemblyError("instruction outside .text", lineno)
-        match = re.match(r"^([A-Za-z]+)\b\s*(.*)$", line)
-        if not match:
-            raise AssemblyError(f"cannot parse {line!r}", lineno)
-        operand_text = match.group(2).strip()
-        operands = (
-            _split_operands(operand_text, lineno) if operand_text else []
-        )
-        stmts.append(SourceStmt(".text", pending, match.group(1).lower(),
-                                operands, lineno))
-        pending = []
-    if pending:
-        # Same rule as the assembler: trailing labels bind to a NOP.
-        stmts.append(SourceStmt(".text", pending, "nop", [], 0))
-    return stmts
-
-
-def render_source(stmts: List[SourceStmt]) -> str:
-    """Render statements back to canonical assembly text (text section
-    first, then one ``.data`` section; statement order preserved)."""
+    lines: List[str] = []
+    placed: List[SourceStmt] = []
     text = [s for s in stmts if s.section == ".text"]
     data = [s for s in stmts if s.section == ".data"]
-    lines: List[str] = []
     for stmt in text:
         for label in stmt.labels:
             lines.append(f"{label}:")
         operands = ", ".join(stmt.operands)
         lines.append(f"    {stmt.mnemonic} {operands}".rstrip())
+        placed.append(SourceStmt(stmt.section, stmt.labels, stmt.mnemonic,
+                                 stmt.operands, len(lines)))
     if data:
         lines.append(".data")
         for stmt in data:
             prefix = "".join(f"{label}: " for label in stmt.labels)
             operands = ", ".join(stmt.operands)
             lines.append(f"{prefix}{stmt.mnemonic} {operands}".rstrip())
-    return "\n".join(lines) + "\n"
+            placed.append(SourceStmt(stmt.section, stmt.labels,
+                                     stmt.mnemonic, stmt.operands,
+                                     len(lines)))
+    return "\n".join(lines) + "\n", tuple(placed)
 
 
 def is_symbol_token(token: str) -> bool:

@@ -18,7 +18,7 @@ from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 from repro.core.options import DEFAULT_MAX_TICKS, RunOptions
 from repro.core.report import RunReport, Verdict
 from repro.harrier.config import HarrierConfig
-from repro.isa.assembler import assemble
+from repro.isa.assembler import SourceStmt, assemble
 from repro.isa.image import Image
 
 SetupFn = Callable[["HTH"], None]  # noqa: F821 - resolved lazily
@@ -57,11 +57,19 @@ class Workload:
     #: For generated variants: the :class:`repro.programs.mutate.
     #: MutationRecipe` that produced this row from its parent.
     recipe: Optional[object] = None
+    #: For generated variants: the parsed statements of ``source``, set
+    #: by the mutator so the image assembles without parsing the text
+    #: (a copy given another ``source`` must drop them).
+    statements: Optional[Tuple[SourceStmt, ...]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def image(self, engine=None) -> Image:
         if engine is not None:
-            return engine.image(self.program_path, self.source)
-        return assemble(self.program_path, self.source)
+            return engine.image(
+                self.program_path, self.source, self.statements
+            )
+        return assemble(self.program_path, self.statements or self.source)
 
     def build_machine(
         self,

@@ -44,10 +44,18 @@ times any original instruction executes.  Determinism contract:
 ``(parent name, class, seed)`` fully determines the variant — the RNG
 is seeded with that string triple (hash-independent across processes
 and ``PYTHONHASHSEED``), and no mutation iterates an unordered set.
+
+Parse once: a parent's source is parsed once per process (a bounded
+memo keyed by the source text) into frozen statements that every
+variant shares; a mutation builds new statements, never edits them.
+The variant carries its rendered text as ``source`` and that text's
+statements, stamped with their rendered line numbers, as
+``statements``, which is what its image assembles from.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -56,7 +64,7 @@ from repro.isa.assembler import (
     SourceStmt,
     is_symbol_token,
     parse_source,
-    render_source,
+    render_statements,
 )
 from repro.isa.registers import is_register
 from repro.programs.base import Workload
@@ -159,26 +167,15 @@ def _fresh_label(rng: random.Random, taken: set) -> str:
             return name
 
 
-def _clone(stmt: SourceStmt, **changes: object) -> SourceStmt:
-    fresh = replace(
-        stmt,
-        labels=list(stmt.labels),
-        operands=list(stmt.operands),
-    )
-    for key, value in changes.items():
-        setattr(fresh, key, value)
-    return fresh
-
-
 def _instr(mnemonic: str, operands: Sequence[str],
            labels: Sequence[str] = ()) -> SourceStmt:
-    return SourceStmt(".text", list(labels), mnemonic, list(operands))
+    return SourceStmt(".text", tuple(labels), mnemonic, tuple(operands))
 
 
 # -- mutation classes --------------------------------------------------------
 
 def _mut_rename_labels(
-    stmts: List[SourceStmt], rng: random.Random
+    stmts: Sequence[SourceStmt], rng: random.Random
 ) -> Tuple[List[SourceStmt], List[str]]:
     defined = [
         label for label in _defined_labels(stmts)
@@ -188,13 +185,14 @@ def _mut_rename_labels(
     mapping = {old: _fresh_label(rng, taken) for old in defined}
     out: List[SourceStmt] = []
     for stmt in stmts:
-        fresh = _clone(stmt)
-        fresh.labels = [mapping.get(label, label) for label in fresh.labels]
+        operands = stmt.operands
         if stmt.mnemonic not in (".asciz", ".ascii", ".space"):
-            fresh.operands = [
-                mapping.get(op.strip(), op) for op in fresh.operands
-            ]
-        out.append(fresh)
+            operands = tuple(mapping.get(op.strip(), op) for op in operands)
+        out.append(replace(
+            stmt,
+            labels=tuple(mapping.get(label, label) for label in stmt.labels),
+            operands=operands,
+        ))
     ops = [f"rename {old}->{new}" for old, new in mapping.items()]
     return out, ops or ["no-op (nothing to rename)"]
 
@@ -239,7 +237,7 @@ def _new_install_path(
 
 
 def _mut_substitute(
-    stmts: List[SourceStmt], rng: random.Random
+    stmts: Sequence[SourceStmt], rng: random.Random
 ) -> Tuple[List[SourceStmt], List[str]]:
     candidates: List[int] = []
     for index, stmt in enumerate(stmts):
@@ -266,7 +264,7 @@ def _mut_substitute(
     ops: List[str] = []
     for index, stmt in enumerate(stmts):
         if index not in chosen:
-            out.append(_clone(stmt))
+            out.append(stmt)
             continue
         dst = stmt.operands[0].strip()
         src = stmt.operands[1].strip()
@@ -298,7 +296,7 @@ def _junk_instr(rng: random.Random) -> SourceStmt:
 
 
 def _mut_deadcode(
-    stmts: List[SourceStmt], rng: random.Random
+    stmts: Sequence[SourceStmt], rng: random.Random
 ) -> Tuple[List[SourceStmt], List[str]]:
     text, data = _split_sections(stmts)
     taken = set(_defined_labels(stmts)) | set(_referenced_symbols(stmts))
@@ -341,7 +339,7 @@ def _chunk_text(text: List[SourceStmt]) -> List[List[SourceStmt]]:
 
 
 def _mut_reorder(
-    stmts: List[SourceStmt], rng: random.Random
+    stmts: Sequence[SourceStmt], rng: random.Random
 ) -> Tuple[List[SourceStmt], List[str]]:
     text, data = _split_sections(stmts)
     ops: List[str] = []
@@ -360,9 +358,7 @@ def _mut_reorder(
         ]
         if perm != movable:
             ops.append(f"reorder text chunks {movable} -> {perm}")
-    text = [
-        _clone(stmt) for chunk in chunks for stmt in chunk
-    ]
+    text = [stmt for chunk in chunks for stmt in chunk]
     # -- data: labelled groups are address-free thanks to relocation.
     groups: List[List[SourceStmt]] = []
     current: List[SourceStmt] = []
@@ -385,15 +381,14 @@ def _mut_reorder(
         ]
         if perm != movable_data:
             ops.append(f"reorder data groups {movable_data} -> {perm}")
-    data = [_clone(stmt) for group in groups for stmt in group]
+    data = [stmt for group in groups for stmt in group]
     return text + data, ops or ["no-op (no independent blocks)"]
 
 
 def _mut_split_merge(
-    stmts: List[SourceStmt], rng: random.Random
+    stmts: Sequence[SourceStmt], rng: random.Random
 ) -> Tuple[List[SourceStmt], List[str]]:
     text, data = _split_sections(stmts)
-    text = [_clone(stmt) for stmt in text]
     taken = set(_defined_labels(stmts)) | set(_referenced_symbols(stmts))
     ops: List[str] = []
     # -- split: explicit jmp-to-next bridges at random block points.
@@ -402,13 +397,13 @@ def _mut_split_merge(
         for pos in sorted(rng.sample(range(1, len(text)), count),
                           reverse=True):
             bridge = _fresh_label(rng, taken)
-            text[pos].labels.insert(0, bridge)
+            text[pos] = replace(text[pos], labels=(bridge,) + text[pos].labels)
             text.insert(pos, _instr("jmp", [bridge]))
             ops.append(f"split@{pos}")
         ops.reverse()
     # -- merge: drop a random subset of unreferenced labels.
     referenced = set(_referenced_symbols(text + data))
-    for stmt in text:
+    for index, stmt in enumerate(text):
         keep: List[str] = []
         for label in stmt.labels:
             if (label != "main" and label not in referenced
@@ -416,15 +411,15 @@ def _mut_split_merge(
                 ops.append(f"merge drop {label}")
             else:
                 keep.append(label)
-        stmt.labels = keep
+        if len(keep) != len(stmt.labels):
+            text[index] = replace(stmt, labels=tuple(keep))
     return text + data, ops or ["no-op (nothing to split)"]
 
 
 def _mut_syscall_order(
-    stmts: List[SourceStmt], rng: random.Random
+    stmts: Sequence[SourceStmt], rng: random.Random
 ) -> Tuple[List[SourceStmt], List[str]]:
     text, data = _split_sections(stmts)
-    text = [_clone(stmt) for stmt in text]
     candidates: List[int] = []
     for i in range(len(text) - 1):
         a, b = text[i], text[i + 1]
@@ -455,17 +450,16 @@ def _mut_syscall_order(
     ops: List[str] = []
     for i in selected:
         a, b = text[i], text[i + 1]
-        a.mnemonic, b.mnemonic = b.mnemonic, a.mnemonic
-        a.operands, b.operands = b.operands, a.operands
-        ops.append(
-            f"swap mov@{i}: {b.operands[0]}<->{a.operands[0]}"
-        )
+        # Each statement keeps its labels; the instructions trade places.
+        text[i] = replace(a, mnemonic=b.mnemonic, operands=b.operands)
+        text[i + 1] = replace(b, mnemonic=a.mnemonic, operands=a.operands)
+        ops.append(f"swap mov@{i}: {a.operands[0]}<->{b.operands[0]}")
     return text + data, ops or ["no-op (no independent mov pairs)"]
 
 
 _MUTATORS: Dict[
     str,
-    Callable[[List[SourceStmt], random.Random],
+    Callable[[Sequence[SourceStmt], random.Random],
              Tuple[List[SourceStmt], List[str]]],
 ] = {
     "rename-labels": _mut_rename_labels,
@@ -478,6 +472,16 @@ _MUTATORS: Dict[
 
 
 # -- the public mutator ------------------------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def _parse_parent(source: str) -> Tuple[SourceStmt, ...]:
+    """The statements of a parent's source, parsed once per process.
+
+    Statements are frozen, so every variant shares them.  Bounded, so a
+    process fed ever-new parents keeps a fixed footprint; 64 holds every
+    default sweep parent."""
+    return tuple(parse_source(source))
+
 
 def mutate_workload(parent: Workload, klass: str, seed: int) -> Workload:
     """One semantics-preserving variant of ``parent``.
@@ -492,7 +496,7 @@ def mutate_workload(parent: Workload, klass: str, seed: int) -> Workload:
             f"choose from {', '.join(MUTATION_CLASSES)}"
         )
     rng = random.Random(f"{parent.name}|{klass}|{seed}")
-    stmts = parse_source(parent.source)
+    stmts = _parse_parent(parent.source)
     program_path = parent.program_path
     argv = list(parent.argv) if parent.argv is not None else None
     if klass == "rename-paths":
@@ -500,14 +504,16 @@ def mutate_workload(parent: Workload, klass: str, seed: int) -> Workload:
         program_path, op = _new_install_path(rng, old, stmts)
         if argv:
             argv = [program_path if arg == old else arg for arg in argv]
-        mutated, ops = [_clone(s) for s in stmts], [op]
+        mutated, ops = stmts, [op]
     else:
         mutated, ops = _MUTATORS[klass](stmts, rng)
+    source, statements = render_statements(mutated)
     return replace(
         parent,
         name=variant_name(parent.name, klass, seed),
         program_path=program_path,
-        source=render_source(mutated),
+        source=source,
+        statements=statements,
         description=f"{klass} variant of {parent.name!r} (seed {seed})",
         argv=argv,
         recipe=MutationRecipe(parent.name, klass, seed, tuple(ops)),

@@ -5,7 +5,11 @@ refactor of how images, options or environments are represented must
 not move one.  ``golden_keys.json`` holds the keys of a tree from
 before images became read-only mappings: ``workload_key`` for every
 registry row, ``image_digest(libc_image())``, and the ``run_key`` and
-``submission_key`` of two inline sources.  ``golden_disk/`` holds the
+``submission_key`` of two inline sources.  ``variants`` holds the
+``workload_key`` of every variant of one sweep round
+(``plan_sweep(per_class=1, seed=7)``) from a tree that assembled
+variants from their rendered text: a variant assembled from its
+statements must key the same, so a line-number slip fails here.  ``golden_disk/`` holds the
 disk entry that tree's ``Session`` wrote for the first inline source;
 it must still answer that run.
 
@@ -21,6 +25,7 @@ import os
 import shutil
 import sys
 
+from repro.advers import plan_sweep
 from repro.api import Session, VerdictCache
 from repro.cache.digest import (
     KEY_SCHEMA,
@@ -41,6 +46,8 @@ from repro.serve.protocol import Submission
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_keys.json")
 GOLDEN_DISK = os.path.join(HERE, "golden_disk")
+#: The sweep round whose variant keys are golden.
+VARIANT_SEED = 7
 
 #: Two inline guests with every environment ingredient a key hashes.
 INLINE = (
@@ -115,6 +122,10 @@ def current_keys():
             submission_key(_submission(guest), EngineCache())
             for guest in INLINE
         ],
+        "variants": {
+            planned.ref.name: workload_key(planned.ref.resolve(), options)
+            for planned in plan_sweep(per_class=1, seed=VARIANT_SEED)
+        },
     }
 
 
@@ -136,6 +147,12 @@ def test_every_key_equals_its_golden_value():
     assert moved == []
     assert current["runs"] == golden["runs"]
     assert current["submissions"] == golden["submissions"]
+    assert set(current["variants"]) == set(golden["variants"])
+    moved = sorted(
+        name for name, key in current["variants"].items()
+        if golden["variants"][name] != key
+    )
+    assert moved == []
 
 
 def test_read_only_mapping_encodes_as_a_mapping():

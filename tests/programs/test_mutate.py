@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from repro.api import Session
-from repro.isa.assembler import parse_source, render_source
+from repro.isa.assembler import parse_source, render_statements
 from repro.programs.mutate import (
     MUTATION_CLASSES,
     MutationRecipe,
@@ -23,6 +23,10 @@ from repro.programs.registry import get
 #: calls + data section (loop forker), string building + argv/env
 #: (nlspath), stdin + taint flow (grabem).
 FAST_PARENTS = ("loop forker", "nlspath", "grabem")
+
+
+def render_source(stmts):
+    return render_statements(stmts)[0]
 
 
 class TestSourceModelRoundTrip:
