@@ -15,7 +15,7 @@ configurations:
                       instead of the block translation cache, the
                       PIN-without-code-cache counterfactual
 * harrier-closures  — the full monitor with the block JIT off: every
-                      block runs its per-instruction closures
+                      block runs its generated per-op functions
                       (``tests/oracles`` ``closure_only``)
 * harrier-record-path — the full monitor with hot blocks fused but the
                       monitor not inlined into them: every block

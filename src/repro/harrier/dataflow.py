@@ -96,8 +96,7 @@ class InstructionDataFlow:
         instructions and cache it on the plan — ``plan.taint_apply`` for
         a full execution, ``plan.prefix_apply[executed]`` for a partial
         one.  The applier is a closure ``applier(shadow, holes)`` (the
-        execution's memory address trace, ``BlockRecord.holes``),
-        mirroring how the translator compiles ``body_ops``: the
+        execution's memory address trace, ``BlockRecord.holes``): the
         summary's shape is frozen into closure cells so the
         per-execution cost is the entry-key build, one cache probe, and
         the output writes.  A prefix's summary keeps the full block's

@@ -1,14 +1,20 @@
-"""Block JIT: one generated Python function per hot translated block,
-and one per hot loop.
+"""Block JIT: the one place every opcode's semantics is written, as
+code generated per instruction, per hot translated block and per hot
+loop.
 
-The translator (:mod:`repro.isa.translate`) compiles every instruction
-into a closure, so a block execution is one Python call per instruction,
-a dict access per register operand and two flag stores per ALU op.  PIN
-goes one step further and compiles the whole block into one stretch of
-native code (paper sections 7 and 9); this module is that step for the
-mini-ISA.  Once a block has run :data:`~repro.isa.translate.JIT_THRESHOLD`
-times in full, :func:`fuse` gives it a single generated function in
-which
+:class:`_Emitter` writes Python source from *shapes*: per instruction,
+the opcode and its GP register names (:attr:`BlockPlan.shape` items).
+For one instruction it writes a per-op function (:func:`op_source`),
+compiled once per op shape into the op table beside :data:`CODE_CACHE`
+and bound to each instruction's constants by the translator
+(:func:`op_function`); that is how every instruction runs in a cold
+block and in any partial execution, one Python call per instruction
+with a dict access per register operand and a flag store per ALU op.
+PIN goes one step further and compiles the whole block into one stretch
+of native code (paper sections 7 and 9); the block functions are that
+step for the mini-ISA.  Once a block has run
+:data:`~repro.isa.translate.JIT_THRESHOLD` times in full, :func:`fuse`
+gives it a single generated function in which
 
 * the registers the block touches are loaded into locals at entry and
   written back once, at the exit or at a fault;
@@ -40,15 +46,17 @@ The source is generated from the block's *shape* only — per instruction,
 the opcode and its GP register names (:attr:`BlockPlan.shape`).  Every
 guest value (immediates, offsets, branch targets, fall-through and fault
 addresses, fault messages, the block's own address) is a default
-argument bound from :attr:`BlockPlan.consts` and :attr:`BlockPlan.start`,
-so no guest-controlled text reaches
-``compile()``, and a register name that is not in ``GP_REGISTERS``
-stops the emitter.  The compiled code objects are cached process-wide by
-shape, instrumentation and taint layout in :data:`CODE_CACHE` (bounded, least
-recently used first out): a new block of a known shape costs one
+argument bound from :attr:`BlockPlan.consts` and :attr:`BlockPlan.start`
+(an op's own slice of them, for a per-op function), so no
+guest-controlled text reaches ``compile()``, and a register name that
+is not in ``GP_REGISTERS`` stops the emitter.  The compiled code objects
+are cached process-wide in :data:`CODE_CACHE`: block and trace code by
+shape, instrumentation and taint layout (bounded, least recently used
+first out), so a new block of a known shape costs one
 ``types.FunctionType`` call instead of a ``compile()``, and so does
 re-fusing a plan for another instrumentation (plans are shared across
-monitor configurations by a warm engine cache).
+monitor configurations by a warm engine cache); per-op code by op shape,
+in a table the ISA bounds (:data:`OP_SHAPES`), so it evicts nothing.
 
 A generated function is called ``fused(plan, cpu, m)`` with the hook's
 per-process :class:`MonitorContext` ``m`` (None for no monitor work).
@@ -82,34 +90,36 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from types import CodeType, FunctionType
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.isa.cpu import CpuFault
+from repro.isa.record import EXIT_FAULT, EXIT_HALT, EXIT_SYSCALL, BlockRecord
 from repro.isa.registers import CPUID_REGISTERS, GP_REGISTERS
-from repro.isa.translate import (
-    EXIT_FAULT,
-    EXIT_HALT,
-    EXIT_SYSCALL,
-    SHAPE_IMM,
-    BlockPlan,
-    BlockRecord,
-    TaintSummary,
-)
 from repro.taint.shadow import PAGE_SHIFT
 from repro.taint.tags import EMPTY
 
-#: Code objects kept in :data:`CODE_CACHE`.  One 210-variant sweep
-#: round translates 6,420 blocks of 326 distinct shapes (32 of them hot
-#: enough to fuse), so the bound only caps adversarial shape churn: a
-#: code object takes about 1.4 kB for a 2-instruction block and 7.7 kB
-#: for a 64-instruction one, so a full cache of blocks holds at most
-#: ~8 MB.  Loop traces share the bound; one over four 64-instruction
-#: blocks takes about four times a block's, so ~32 MB at worst.
+if TYPE_CHECKING:
+    from repro.isa.translate import BlockPlan, TaintSummary
+
+#: Shape-item marker for an immediate operand (its value is a constant).
+SHAPE_IMM = "#"
+
+#: Block and trace code objects kept in :data:`CODE_CACHE`.  One
+#: in-process 210-variant sweep round (seed 7) translates 2,647 blocks
+#: of 321 distinct shapes, 59 of them hot enough to fuse (66 block and
+#: trace code objects in all), so the bound only caps adversarial shape
+#: churn: a code object takes about 1.4 kB for a 2-instruction block
+#: and 7.7 kB for a 64-instruction one, so a full cache of blocks holds
+#: at most ~8 MB.  Loop traces share the bound; one over four
+#: 64-instruction blocks takes about four times a block's, so ~32 MB at
+#: worst.  The op table is not under this bound: it holds at most
+#: :data:`OP_SHAPES` code objects, about 1.5 MB when full (99 after
+#: that round).
 CODE_CACHE_MAX = 1024
 
 #: Full executions of a fused block (see ``BlockPlan.runs``) after which
 #: the kernel tries to make it the head of a loop trace.  The first
-#: JIT_THRESHOLD of them run on the closure path, so a loop head is
+#: JIT_THRESHOLD of them run on the per-op path, so a loop head is
 #: tried after 16 plain exits of its fused function: by then every
 #: block of its cycle has run (and been translated) at least once.
 TRACE_THRESHOLD = 32
@@ -208,11 +218,18 @@ def taint_layout(summary: TaintSummary) -> Optional[Layout]:
 
 
 class _Emitter:
-    """Writes the body of one block function from its shape."""
+    """Writes the body of one block function from its shape, or of one
+    op's function from its op shape (:func:`op_source`)."""
 
     def __init__(self, instrumentation: Optional[Tuple[str, ...]],
-                 noop: bool, layout: Optional[Layout]) -> None:
+                 noop: bool, layout: Optional[Layout],
+                 per_op: bool = False) -> None:
         self.instrumentation = instrumentation
+        #: Writing one op's function: the register file, memory, address
+        #: trace and record are its arguments, each address is appended
+        #: to ``holes`` as it is made, a fault raises, and an exit only
+        #: sets the pc and the record's fields.
+        self.per_op = per_op
         self.noop = noop
         self.layout = layout
         self.nconsts = 0
@@ -284,13 +301,27 @@ class _Emitter:
         if not self.dead:
             self.lines.append(self.pad + indent + line)
 
+    def track(self, addr: str) -> None:
+        """An op's address goes to the trace as it is made (a block's
+        stay in locals until its exit)."""
+        if self.per_op:
+            self.emit(f"holes.append({addr})")
+
+    def load(self, addr: str) -> str:
+        """The value of the data cell at ``addr`` (0 if never written):
+        a block binds ``cells.get`` once, an op calls it in place."""
+        if self.per_op:
+            return f"cells.get({addr}, 0)"
+        self.uses_cget = True
+        return f"cget({addr}, 0)"
+
     def prologue(self) -> List[str]:
         """The function's first lines: the register file, memory and
         register locals its body reads."""
         lines = []
-        if self.entry or self.written:
+        if not self.per_op and (self.entry or self.written):
             lines.append("    regs = cpu.regs._values")
-        if self.uses_cells or self.uses_cget:
+        if not self.per_op and (self.uses_cells or self.uses_cget):
             lines.append("    cells = cpu.memory.cells")
         if self.uses_cget:
             lines.append("    cget = cells.get")
@@ -309,7 +340,13 @@ class _Emitter:
     def record(self, pc: str, fields: Tuple[str, ...] = (),
                indent: str = "") -> None:
         """Set the pc, build the record (with the address trace and
-        ``fields``) and return it."""
+        ``fields``) and return it; an op sets the pc and ``fields`` on
+        its caller's record."""
+        if self.per_op:
+            self.emit(f"cpu.pc = {pc}", indent)
+            for line in fields:
+                self.emit(line, indent)
+            return
         self.emit("rec = BlockRecord(plan)", indent)
         holes = self.holes()
         if holes:
@@ -417,9 +454,16 @@ class _Emitter:
 
     def fault(self, halt: bool, indent: str = "") -> None:
         """The exit of a fault at the current instruction (not retired;
-        the pc moves past it, as the interpreter leaves it)."""
+        the pc moves past it, as the interpreter leaves it).  An op
+        raises instead, having written no register: its plan settles
+        the record and the pc."""
         message = self.const()
         pc = self.const()
+        if self.per_op:
+            if halt:
+                self.emit("cpu.halted = True", indent)
+            self.emit(f"raise CpuFault({message})", indent)
+            return
         self.state(indent)
         if halt:
             self.emit("cpu.halted = True", indent)
@@ -439,13 +483,14 @@ class _Emitter:
             base = self.read(item[2])
             addr = self.hole()
             self.emit(f"{addr} = {base} + {offset}")
-            self.uses_cget = True
-            self.emit(f"{self.write(item[1])} = cget({addr}, 0)")
+            self.track(addr)
+            self.emit(f"{self.write(item[1])} = {self.load(addr)}")
         elif op == "store":
             offset = self.const()
             base = self.read(item[1])
             addr = self.hole()
             self.emit(f"{addr} = {base} + {offset}")
+            self.track(addr)
             self.uses_cells = True
             self.emit(f"cells[{addr}] = {self.src(item[2])}")
         elif op in _ARITH or op in _SHIFTS:
@@ -465,7 +510,10 @@ class _Emitter:
                 value = self.read(item[2])
                 self.emit(f"if {value} == 0:")
                 self.fault(halt=True, indent="    ")
-            # Truncating division, exact at any size (_trunc_div).
+            # Truncating division, exact at any size: floor division,
+            # then one step back toward zero when the quotient is
+            # negative and inexact (a float quotient would overflow past
+            # 2**1024 and lose digits past 2**53).
             self.emit(f"q = {dst} // {value}")
             self.emit(f"if q < 0 and q * {value} != {dst}:")
             self.emit("q += 1", "    ")
@@ -485,14 +533,21 @@ class _Emitter:
             self.write("esp")
             addr = self.hole()
             self.uses_cells = True
-            # push esp stores the decremented esp, like the closure.
-            self.emit(f"esp = {addr} = esp - 1")
-            self.emit(f"cells[{addr}] = {value}")
+            if value == "esp":
+                # push esp stores esp as it was before the push.
+                self.emit(f"{addr} = esp - 1")
+                self.track(addr)
+                self.emit(f"cells[{addr}] = esp")
+                self.emit(f"esp = {addr}")
+            else:
+                self.emit(f"esp = {addr} = esp - 1")
+                self.track(addr)
+                self.emit(f"cells[{addr}] = {value}")
         elif op == "pop":
             addr = self.hole()
             self.emit(f"{addr} = {self.read('esp')}")
-            self.uses_cget = True
-            self.emit(f"{self.write(item[1])} = cget({addr}, 0)")
+            self.track(addr)
+            self.emit(f"{self.write(item[1])} = {self.load(addr)}")
             self.emit(f"{self.write('esp')} = {addr} + 1")
         elif op == "cpuid":
             for name in CPUID_REGISTERS:
@@ -533,14 +588,14 @@ class _Emitter:
             addr = self.hole()
             self.uses_cells = True
             self.emit(f"esp = {addr} = esp - 1")
+            self.track(addr)
             self.emit(f"cells[{addr}] = {ret}")
             fields = (f"rec.call_target = {pc}",
                       f"rec.call_return_addr = {ret}")
         elif op == "ret":
             # The return-address read is no taint hole (RET moves no
             # tags), so it records no address.
-            self.uses_cget = True
-            self.emit(f"t = cget({self.read('esp')}, 0)")
+            self.emit(f"t = {self.load(self.read('esp'))}")
             self.emit(f"{self.write('esp')} = esp + 1")
             pc = "t"
             fields = ("rec.ret_target = t",)
@@ -592,6 +647,37 @@ def block_source(shape: Tuple[tuple, ...],
     )
     return "\n".join([f"def block({params}):"] + em.prologue()
                      + em.lines) + "\n"
+
+
+def op_source(key: tuple) -> str:
+    """The Python source of the per-op function for the op shape
+    ``key``: a straight-line shape item (a ``plan.shape`` entry) gives
+    ``op(cpu, regs, cells, holes, k0, ...)``, a block terminator's shape
+    items give ``op(cpu, regs, cells, holes, rec, k0, ...)``.
+
+    It is :class:`_Emitter`'s code for the item, on the register dict
+    ``regs`` and the data cells ``cells``: it writes back what it
+    changed and stores ZF/SF after a flag-setting op, appends each
+    address to ``holes``, and at a fault sets ``cpu.halted`` where the
+    instruction halts and raises CpuFault before writing any register.
+    A terminator sets ``cpu.pc`` and ``rec``'s kind and CALL/RET fields.
+    Raises ValueError for a name the emitter does not know, like
+    :func:`block_source`.
+    """
+    em = _Emitter(None, False, None, per_op=True)
+    params = ["cpu", "regs", "cells", "holes"]
+    if type(key[0]) is tuple:
+        for item in key[:-1]:
+            em.straight(item)
+        em.exit(key[-1])
+        params.append("rec")
+    else:
+        em.straight(key)
+        em.state()
+    params += [f"k{i}" for i in range(em.nconsts)]
+    body = em.prologue() + em.lines
+    return "\n".join([f"def op({', '.join(params)}):"]
+                     + (body or ["    pass"])) + "\n"
 
 
 #: Ops that set ZF/SF.
@@ -750,6 +836,10 @@ def _function_code(source: str, filename: str) -> CodeType:
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
+def _compile_op(key: tuple) -> CodeType:
+    return _function_code(op_source(key), "<blockjit-op>")
+
+
 def _compile_trace(*args) -> CodeType:
     return _function_code(trace_source(*args), "<blockjit-trace>")
 
@@ -763,14 +853,33 @@ def compile_shape(shape: Tuple[tuple, ...],
                                        layout), "<blockjit>")
 
 
+_R = len(GP_REGISTERS)
+#: Straight-line shape items the decoder can produce: mov, cmp and the
+#: ten ALU ops into a register from a register or an immediate, load
+#: from a base register, store through one of a register or an
+#: immediate, push either, pop, cpuid, nop and the two decode-time
+#: faults.
+_STRAIGHT_SHAPES = (12 * _R * (_R + 1) + _R * _R + _R * (_R + 1)
+                    + (_R + 1) + _R + 4)
+#: Op shapes the decoder can produce, the op table's bound (2,063): the
+#: straight items, and the terminators — the seven jumps, call through
+#: a register or to an immediate, ret, int, hlt, the two faults, and
+#: each straight item ending a cut block.
+OP_SHAPES = 2 * _STRAIGHT_SHAPES + 7 + (_R + 1) + 3 + 2
+
+
 class CodeCache:
     """Block shape (or loop-trace shapes), instrumentation and taint
-    layout -> compiled code object, bounded.
+    layout -> compiled code object, bounded; and the op table, op shape
+    -> compiled code object of its per-op function.
 
-    The least recently *used* key is evicted first once ``max_entries``
-    is exceeded.  Eviction drops only the cache's reference: functions
-    already built from the code keep it.  Hits and misses happen once
-    per fused block or built trace, never per execution.
+    The least recently *used* block or trace key is evicted first once
+    ``max_entries`` is exceeded.  Eviction drops only the cache's
+    reference: functions already built from the code keep it.  Hits and
+    misses happen once per fused block or built trace, never per
+    execution.  The op table is bounded by the ISA (:data:`OP_SHAPES`),
+    so it keeps every entry; it is probed once per translated
+    instruction.
     """
 
     def __init__(self, max_entries: int = CODE_CACHE_MAX) -> None:
@@ -784,6 +893,20 @@ class CodeCache:
         #: misses together.
         self.fused = 0
         self.traces = 0
+        self._ops: Dict[tuple, CodeType] = {}
+        self.op_compiles = 0
+
+    def op_code(self, key: tuple) -> CodeType:
+        """The code of the per-op function for the op shape ``key``
+        (:func:`op_source`), compiled on its first use in the process."""
+        code = self._ops.get(key)
+        if code is None:
+            with self._lock:
+                code = self._ops.get(key)
+                if code is None:
+                    code = self._ops[key] = _compile_op(key)
+                    self.op_compiles += 1
+        return code
 
     def code_for(self, shape: Tuple[tuple, ...],
                  instrumentation: Optional[Tuple[str, ...]],
@@ -838,6 +961,8 @@ class CodeCache:
             "evictions": self.evictions,
             "fused_blocks": self.fused,
             "traces": self.traces,
+            "op_codes": len(self._ops),
+            "op_compiles": self.op_compiles,
         }
 
 
@@ -851,6 +976,8 @@ GAUGES = {
     "blockjit_evictions": "evictions",
     "blockjit_fused_blocks": "fused_blocks",
     "blockjit_traces": "traces",
+    "blockjit_op_codes": "op_codes",
+    "blockjit_op_compiles": "op_compiles",
 }
 
 
@@ -862,6 +989,16 @@ def sample_gauges(registry, stats: Optional[Dict[str, int]] = None,
         stats = CODE_CACHE.stats()
     for gauge, key in GAUGES.items():
         registry.gauge(gauge, **labels).set(float(stats.get(key, 0) or 0))
+
+
+#: The per-op functions' globals: the fault they raise, no builtins.
+_OP_GLOBALS: Dict[str, object] = {"__builtins__": {}, "CpuFault": CpuFault}
+
+
+def op_function(key: tuple, consts: tuple):
+    """The per-op function for the op shape ``key``, with the op's
+    ``consts`` (its decoded constants) bound as default arguments."""
+    return FunctionType(CODE_CACHE.op_code(key), _OP_GLOBALS, "op", consts)
 
 
 def fuse(plan: BlockPlan,

@@ -6,25 +6,27 @@ translated block is re-executed cheaply on every later visit (paper
 sections 7 and 9).  This module reproduces that idea for the mini-ISA.
 
 ``translate_block`` walks the instruction stream from a block leader and
-compiles every instruction into a closure with its operand accessors
-resolved ahead of time — no ``isinstance`` checks and no if/elif opcode
-dispatch remain on the hot path.  Alongside each closure it precomputes a
-*static taint-transfer template*: the dst/src location shapes of what
-the instruction moves are known at decode time for everything except
+decodes every instruction into a *shape item* (its opcode and GP
+register names), a tuple of constants (immediates, offsets, targets,
+fall-through and fault addresses, fault messages) and a *static
+taint-transfer template*: the dst/src location shapes of what the
+instruction moves are known at decode time for everything except
 dynamic ``Mem`` addresses, which get a hole (:data:`MEM_HOLE`) filled
 from the runtime address trace.
 
-Each instruction also decodes into a *shape item* (its opcode and GP
-register names) and a tuple of constants (immediates, offsets, targets,
-fall-through and fault addresses, fault messages).  A block that has
-run :data:`JIT_THRESHOLD` times in full is fused by the block JIT
-(:mod:`repro.isa.blockjit`) into one generated function built from the
-block's shape alone, with the constants bound as default arguments;
-the closures keep serving cold blocks and every partial execution.
-Both executors are held to the same records and machine state.  A hot
-fused block that heads a short static cycle of blocks becomes the head
-of a loop trace (``BlockPlan.trace``), which the kernel runs for whole
-iterations at a time instead of block by block.
+Every opcode's semantics is written once, in the block JIT's emitter
+(:mod:`repro.isa.blockjit`).  Each instruction runs as the per-op
+function the emitter generates for its shape item, compiled once per
+process and bound to the instruction's constants as default arguments
+(:func:`~repro.isa.blockjit.op_function`), so no ``isinstance`` checks
+and no if/elif opcode dispatch remain on the hot path.  A block that
+has run :data:`JIT_THRESHOLD` times in full is fused into one generated
+function built from the block's shape alone, with the constants bound
+the same way; the per-op functions keep serving cold blocks and every
+partial execution.  A hot fused block that heads a short static cycle
+of blocks becomes the head of a loop trace (``BlockPlan.trace``), which
+the kernel runs for whole iterations at a time instead of block by
+block.
 
 A :class:`BlockPlan` executes with explicit exit conditions: it returns a
 :class:`BlockRecord` whose ``kind`` says *why* the block stopped —
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.isa.blockjit import SHAPE_IMM, fuse, op_function
 from repro.isa.cpu import (
     CPUID_VALUES,
     CpuFault,
@@ -54,28 +57,19 @@ from repro.isa.instructions import (
     CONTROL_TRANSFER_OPCODES,
     Imm,
     Instruction,
-    Mem,
     Opcode,
     Reg,
 )
 from repro.isa.memory import FlatMemory, MemoryFault
+from repro.isa.record import (
+    EXIT_BUDGET,
+    EXIT_CONTINUE,  # noqa: F401 - the exit codes are importable here too
+    EXIT_FAULT,
+    EXIT_HALT,  # noqa: F401
+    EXIT_SYSCALL,  # noqa: F401
+    BlockRecord,
+)
 from repro.isa.registers import CPUID_REGISTERS
-
-#: Why a block's execution stopped.
-EXIT_CONTINUE = 0   # fall-through or control transfer; keep scheduling
-EXIT_SYSCALL = 1    # int 0x80 retired; the kernel must service it
-EXIT_HALT = 2       # HLT retired (counted, then treated as a fault)
-EXIT_FAULT = 3      # a CpuFault fired; the faulting instruction is NOT
-                    # included in ``executed`` (interpreter semantics)
-EXIT_BUDGET = 4     # quantum/deadline expired mid-block; resume at next_pc
-
-EXIT_NAMES = {
-    EXIT_CONTINUE: "continue",
-    EXIT_SYSCALL: "syscall",
-    EXIT_HALT: "halt",
-    EXIT_FAULT: "fault",
-    EXIT_BUDGET: "budget",
-}
 
 #: Placeholder in a taint template for a run-time memory address.  At most
 #: one dynamic address exists per instruction in this ISA (LOAD/STORE
@@ -91,13 +85,15 @@ MAX_BLOCK_LEN = 64
 #: function (:mod:`repro.isa.blockjit`).  Fusing costs a ``compile()``
 #: (about 0.4 ms) the first time a block shape is seen and a function
 #: object after that, and pays back only over repeated runs: in one
-#: 210-variant sweep round 76% of the 6,420 translated blocks run
-#: exactly once (mean 4.35 full runs), while the hot blocks of a long
-#: guest run tens of thousands of times.  See docs/performance.md
-#: ("Block JIT").
+#: in-process 210-variant sweep round (seed 7) 83% of the 2,647
+#: translated blocks run exactly once (mean 2.7 full runs), while the
+#: hot blocks of a long guest run tens of thousands of times.  Until
+#: then a block runs its per-op functions, whose code is compiled per
+#: op shape, not per block (99 op shapes against 321 block shapes in
+#: that round).  See docs/performance.md ("Block JIT").
 JIT_THRESHOLD = 16
 
-#: A compiled straight-line op: ``op(cpu, regs, cells, holes)``.
+#: A straight-line op's function: ``op(cpu, regs, cells, holes)``.
 BodyOp = Callable[[object, dict, dict, list], None]
 
 #: Taint template: ``None`` (no transfers) or ``(has_hole, transfers)``
@@ -248,51 +244,9 @@ def summarize_taint(
     )
 
 
-class BlockRecord:
-    """One execution of a (prefix of a) translated block.
-
-    ``executed`` counts retired instructions; a faulting instruction is
-    not retired, matching the interpreter (the kernel never advanced the
-    clock or fired the hook for it).  ``holes`` is the dynamic memory
-    address trace, in retirement order, consumed positionally by the
-    taint templates.  ``call_target``/``call_return_addr``/``ret_target``
-    carry the CALL/RET bookkeeping the routine short-circuit module
-    consumes (CALL/RET always terminate a block).
-    """
-
-    __slots__ = (
-        "plan",
-        "executed",
-        "kind",
-        "holes",
-        "fault",
-        "call_target",
-        "call_return_addr",
-        "ret_target",
-        "next_pc",
-    )
-
-    def __init__(self, plan: "BlockPlan") -> None:
-        self.plan = plan
-        self.executed = 0
-        self.kind = EXIT_CONTINUE
-        self.holes: List[int] = []
-        self.fault: Optional[CpuFault] = None
-        self.call_target: Optional[int] = None
-        self.call_return_addr: Optional[int] = None
-        self.ret_target: Optional[int] = None
-        self.next_pc = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"BlockRecord(start={self.plan.start:#x}, "
-            f"executed={self.executed}/{self.plan.length}, "
-            f"kind={EXIT_NAMES[self.kind]})"
-        )
-
-
 class BlockPlan:
-    """A translated basic block: closures, taint templates, JIT shape."""
+    """A translated basic block: per-op functions, taint templates, JIT
+    shape."""
 
     __slots__ = (
         "start",
@@ -329,6 +283,9 @@ class BlockPlan:
         self.start = start
         self.pcs = pcs
         self.instructions = instructions
+        #: The per-op functions of the straight-line ops and of the
+        #: terminator (``term_op`` also takes the record), each the
+        #: emitter's code for its op shape with its constants bound.
         self.body_ops = body_ops
         self.term_op = term_op
         self.taint = taint
@@ -336,10 +293,10 @@ class BlockPlan:
         #: and GP register names only (plus the exit), so blocks that
         #: differ only in immediates, offsets and addresses share it.
         self.shape = shape
-        #: Every other value the fused function needs, in emitter order;
+        #: Every other value the generated code needs, in emitter order;
         #: bound as default arguments, never written into source text.
         self.consts = consts
-        #: Full executions so far: on the closure path, then (counted
+        #: Full executions so far: on the per-op path, then (counted
         #: by the kernel) the fused function's plain exits until the
         #: block is tried as a loop-trace head.
         self.runs = 0
@@ -360,8 +317,7 @@ class BlockPlan:
         #: The compiled summary applier for full executions, installed
         #: lazily (``InstructionDataFlow.install_applier``) the first time
         #: this block's taint effects are applied — a closure shaped to
-        #: this block's summary, with its own entry-values memo, just as
-        #: ``body_ops`` are closures shaped to the instructions.
+        #: this block's summary, with its own entry-values memo.
         self.taint_apply = None
         #: The steady state a memory-touching ``taint_apply`` publishes
         #: (``repro.harrier.dataflow.SteadyState``), which fused blocks
@@ -386,12 +342,12 @@ class BlockPlan:
 
         A full execution runs the block's fused function once the block
         has run :data:`JIT_THRESHOLD` times in full; before that, and
-        for every partial execution, the per-instruction closures run.
+        for every partial execution, the per-op functions run.
         The fused function is generated for the hook's
         ``instrumentation`` (regenerated when it changes) and gets its
         per-process ``monitor`` context: on a plain exit it does the
         monitor's block work itself and returns None instead of a
-        record.  The closures always return the record.
+        record.  The per-op path always returns the record.
         """
         if limit >= self.length:
             fused = self.fused
@@ -400,9 +356,6 @@ class BlockPlan:
             if fused is None:
                 self.runs += 1
             if fused is not None or self.runs >= JIT_THRESHOLD:
-                # Imported here: blockjit builds on this module.
-                from repro.isa.blockjit import fuse
-
                 return fuse(self, instrumentation)(self, cpu, monitor)
         rec = BlockRecord(self)
         holes = rec.holes
@@ -450,410 +403,123 @@ class BlockPlan:
 
 
 # ---------------------------------------------------------------------------
-# Per-opcode compilation.  Each compiler returns (closure, taint_template,
-# shape_item, constants).  Closures receive (cpu, regs, cells, holes): regs
-# is the raw register dict, cells the raw data-cell dict — both prebound
-# per execution — and holes the dynamic address trace the taint templates
-# consume.  The shape item names the opcode and the GP registers it uses
-# (:data:`SHAPE_IMM` for an immediate operand); ``constants`` holds every
-# other value the instruction needs, in the order the block JIT's emitter
-# (:mod:`repro.isa.blockjit`) consumes them.
+# Decoding.  Each instruction decodes into (taint template, shape item,
+# constants).  The shape item names the opcode and the GP registers it
+# uses (:data:`SHAPE_IMM` for an immediate operand); ``constants`` holds
+# every other value the instruction needs, in the order the block JIT's
+# emitter consumes them.  The emitter writes the instruction's per-op
+# function from its shape item alone (:func:`blockjit.op_function`) and
+# the constants are bound as its default arguments, as in a fused block.
 # ---------------------------------------------------------------------------
 
-#: Shape-item marker for an immediate operand (its value is a constant).
-SHAPE_IMM = "#"
+
+def _fault(message: str, halt: bool, pc: int):
+    """An op that always faults (decode-time-known errors)."""
+    return None, ("fault", "halt") if halt else ("fault",), (message, pc + 1)
 
 
-def _trunc_div(lhs: int, rhs: int) -> int:
-    """Integer quotient rounded toward zero, like x86 ``idiv``.
-
-    Exact at any operand size: floor division, then one step back
-    toward zero when the quotient is negative and inexact.  (A float
-    quotient would overflow past 2**1024 and lose digits past 2**53.)
-    The block JIT emits the same three statements inline.
-    """
-    q = lhs // rhs
-    if q < 0 and q * rhs != lhs:
-        q += 1
-    return q
+def _source(operand):
+    """``(shape operand, constants, taint location)`` of a Reg or Imm
+    source operand, None for any other."""
+    if type(operand) is Reg:
+        return operand.name, (), ("reg", operand.name)
+    if type(operand) is Imm:
+        return SHAPE_IMM, (operand.value,), LOC_IMM
+    return None
 
 
-def _fault_body(message: str, halt: bool, pc: int):
-    """A compiled op that always faults (decode-time-known errors)."""
-    def op(cpu, regs, cells, holes, _m=message, _h=halt):
-        if _h:
-            cpu.halted = True
-        raise CpuFault(_m)
-    item = ("fault", "halt") if halt else ("fault",)
-    return op, None, item, (message, pc + 1)
-
-
-def _fault_term(message: str, halt: bool, pc: int):
-    def term(cpu, regs, cells, holes, rec, _m=message, _h=halt):
-        if _h:
-            cpu.halted = True
-        raise CpuFault(_m)
-    item = ("fault", "halt") if halt else ("fault",)
-    return term, None, (item,), (message, pc + 1)
-
-
-def _bad_operand(operand, pc: int):
-    return _fault_body(f"bad source operand {operand}", False, pc)
-
-
-def _nop_op(cpu, regs, cells, holes) -> None:
-    pass
-
-
-def _c_mov(instr: Instruction, pc: int):
-    d = instr.a.name
-    b = instr.b
-    dloc = ("reg", d)
-    if type(b) is Reg:
-        s = b.name
-        def op(cpu, regs, cells, holes, _d=d, _s=s):
-            regs[_d] = regs[_s]
-        return op, (False, ((dloc, (("reg", s),)),)), ("mov", d, s), ()
-    if type(b) is Imm:
-        v = b.value
-        def op(cpu, regs, cells, holes, _d=d, _v=v):
-            regs[_d] = _v
-        return op, (False, ((dloc, (LOC_IMM,)),)), ("mov", d, SHAPE_IMM), (v,)
-    return _bad_operand(b, pc)
-
-
-def _c_load(instr: Instruction, pc: int):
-    d = instr.a.name
-    m: Mem = instr.b
-    base, off = m.base, m.offset
-    def op(cpu, regs, cells, holes, _d=d, _b=base, _o=off):
-        addr = regs[_b] + _o
-        holes.append(addr)
-        regs[_d] = cells.get(addr, 0)
-    tmpl = (True, ((("reg", d), (MEM_HOLE,)),))
-    return op, tmpl, ("load", d, base), (off,)
-
-
-def _c_store(instr: Instruction, pc: int):
-    m: Mem = instr.a
-    base, off = m.base, m.offset
-    b = instr.b
-    if type(b) is Reg:
-        s = b.name
-        def op(cpu, regs, cells, holes, _b=base, _o=off, _s=s):
-            addr = regs[_b] + _o
-            holes.append(addr)
-            cells[addr] = regs[_s]
-        srcs: Tuple[tuple, ...] = (("reg", s),)
-        item, consts = ("store", base, s), (off,)
-    elif type(b) is Imm:
-        v = b.value
-        def op(cpu, regs, cells, holes, _b=base, _o=off, _v=v):
-            addr = regs[_b] + _o
-            holes.append(addr)
-            cells[addr] = _v
-        srcs = (LOC_IMM,)
-        item, consts = ("store", base, SHAPE_IMM), (off, v)
-    else:
-        return _bad_operand(b, pc)
-    return op, (True, ((MEM_HOLE, srcs),)), item, consts
-
-
-#: Plain binary ALU value functions.  Shift counts are masked to 0-63
-#: like x86 (keeps guest-controlled counts from allocating huge ints);
-#: the reference interpreter in ``tests/oracles`` applies the same mask.
-_ALU_FUNCS = {
-    Opcode.ADD: lambda l, r: l + r,
-    Opcode.SUB: lambda l, r: l - r,
-    Opcode.MUL: lambda l, r: l * r,
-    Opcode.XOR: lambda l, r: l ^ r,
-    Opcode.AND: lambda l, r: l & r,
-    Opcode.OR: lambda l, r: l | r,
-    Opcode.SHL: lambda l, r: l << (r & 63),
-    Opcode.SHR: lambda l, r: l >> (r & 63),
-}
-
-
-def _c_alu(instr: Instruction, pc: int):
+def _decode_straight(instr: Instruction, pc: int):
+    """Decode a straight-line instruction into (taint, shape item,
+    constants)."""
     opcode = instr.opcode
+    name = opcode._value_
+    if opcode is Opcode.LOAD:
+        d, m = instr.a.name, instr.b
+        return ((True, ((("reg", d), (MEM_HOLE,)),)), (name, d, m.base),
+                (m.offset,))
+    if opcode is Opcode.POP:
+        d = instr.a.name
+        return (True, ((("reg", d), (MEM_HOLE,)),)), (name, d), ()
+    if opcode is Opcode.CPUID:
+        tmpl = (
+            False,
+            tuple((("reg", r), (LOC_HARDWARE,)) for r in CPUID_REGISTERS),
+        )
+        return tmpl, (name,), tuple(CPUID_VALUES[r] for r in CPUID_REGISTERS)
+    if opcode is Opcode.NOP:
+        return None, (name,), ()
+    operand = instr.a if opcode is Opcode.PUSH else instr.b
+    source = _source(operand)
+    if source is None:
+        return _fault(f"bad source operand {operand}", False, pc)
+    s, values, sloc = source
+    if opcode is Opcode.PUSH:
+        return (True, ((MEM_HOLE, (sloc,)),)), (name, s), values
+    if opcode is Opcode.STORE:
+        m = instr.a
+        return ((True, ((MEM_HOLE, (sloc,)),)), (name, m.base, s),
+                (m.offset,) + values)
     d = instr.a.name
-    b = instr.b
     dloc = ("reg", d)
-    is_reg = type(b) is Reg
-    if not is_reg and type(b) is not Imm:
-        return _bad_operand(b, pc)
-    if opcode in (Opcode.XOR, Opcode.SUB) and is_reg and b.name == d:
+    if opcode is Opcode.MOV:
+        return (False, ((dloc, (sloc,)),)), (name, d, s), values
+    if opcode is Opcode.CMP:
+        return None, (name, d, s), values
+    # Every other straight-line opcode is one of ALU_OPCODES.
+    if opcode in (Opcode.XOR, Opcode.SUB) and s == d:
         # xor r,r / sub r,r: constant zero carries no data.
         srcs: Tuple[tuple, ...] = (LOC_ZERO,)
-    elif is_reg:
-        srcs = (dloc, ("reg", b.name))
     else:
-        srcs = (dloc, LOC_IMM)
+        srcs = (dloc, sloc)
     tmpl = (False, ((dloc, srcs),))
-    name = opcode.value
-
     if opcode in (Opcode.DIV, Opcode.MOD):
-        msg = f"division by zero at {pc:#x}"
-        is_mod = opcode is Opcode.MOD
-        if is_reg:
-            s = b.name
-            def op(cpu, regs, cells, holes, _d=d, _s=s, _mod=is_mod,
-                   _m=msg):
-                lhs = regs[_d]
-                rhs = regs[_s]
-                if rhs == 0:
-                    cpu.halted = True
-                    raise CpuFault(_m)
-                q = _trunc_div(lhs, rhs)
-                value = lhs - q * rhs if _mod else q
-                regs[_d] = value
-                cpu.zf = value == 0
-                cpu.sf = value < 0
-            return op, tmpl, (name, d, s), (msg, pc + 1)
-        v = b.value
-        if v == 0:
-            op, _, item, consts = _fault_body(msg, True, pc)
-            return op, tmpl, item, consts
-        def op(cpu, regs, cells, holes, _d=d, _v=v, _mod=is_mod):
-            lhs = regs[_d]
-            q = _trunc_div(lhs, _v)
-            value = lhs - q * _v if _mod else q
-            regs[_d] = value
-            cpu.zf = value == 0
-            cpu.sf = value < 0
-        return op, tmpl, (name, d, SHAPE_IMM), (v,)
-
-    fn = _ALU_FUNCS[opcode]
-    if is_reg:
-        s = b.name
-        def op(cpu, regs, cells, holes, _d=d, _s=s, _fn=fn):
-            value = _fn(regs[_d], regs[_s])
-            regs[_d] = value
-            cpu.zf = value == 0
-            cpu.sf = value < 0
-        return op, tmpl, (name, d, s), ()
-    v = b.value
-    def op(cpu, regs, cells, holes, _d=d, _v=v, _fn=fn):
-        value = _fn(regs[_d], _v)
-        regs[_d] = value
-        cpu.zf = value == 0
-        cpu.sf = value < 0
-    return op, tmpl, (name, d, SHAPE_IMM), (v,)
+        message = f"division by zero at {pc:#x}"
+        if s != SHAPE_IMM:
+            return tmpl, (name, d, s), (message, pc + 1)
+        if values == (0,):
+            _, item, values = _fault(message, True, pc)
+            return tmpl, item, values
+    return tmpl, (name, d, s), values
 
 
-def _c_cmp(instr: Instruction, pc: int):
-    a = instr.a.name
-    b = instr.b
-    if type(b) is Reg:
-        s = b.name
-        def op(cpu, regs, cells, holes, _a=a, _s=s):
-            value = regs[_a] - regs[_s]
-            cpu.zf = value == 0
-            cpu.sf = value < 0
-        return op, None, ("cmp", a, s), ()
-    if type(b) is Imm:
-        v = b.value
-        def op(cpu, regs, cells, holes, _a=a, _v=v):
-            value = regs[_a] - _v
-            cpu.zf = value == 0
-            cpu.sf = value < 0
-        return op, None, ("cmp", a, SHAPE_IMM), (v,)
-    return _bad_operand(b, pc)
+#: A CALL's taint: the pushed return address is a constant.
+_CALL_TAINT = (True, ((MEM_HOLE, (LOC_ZERO,)),))
 
 
-def _c_push(instr: Instruction, pc: int):
-    a = instr.a
-    if type(a) is Reg:
-        s = a.name
-        def op(cpu, regs, cells, holes, _s=s):
-            sp = regs["esp"] - 1
-            regs["esp"] = sp
-            holes.append(sp)
-            cells[sp] = regs[_s]
-        srcs: Tuple[tuple, ...] = (("reg", s),)
-        item, consts = ("push", s), ()
-    elif type(a) is Imm:
-        v = a.value
-        def op(cpu, regs, cells, holes, _v=v):
-            sp = regs["esp"] - 1
-            regs["esp"] = sp
-            holes.append(sp)
-            cells[sp] = _v
-        srcs = (LOC_IMM,)
-        item, consts = ("push", SHAPE_IMM), (v,)
-    else:
-        return _bad_operand(a, pc)
-    return op, (True, ((MEM_HOLE, srcs),)), item, consts
-
-
-def _c_pop(instr: Instruction, pc: int):
-    d = instr.a.name
-    def op(cpu, regs, cells, holes, _d=d):
-        sp = regs["esp"]
-        holes.append(sp)
-        regs[_d] = cells.get(sp, 0)
-        regs["esp"] = sp + 1
-    return op, (True, ((("reg", d), (MEM_HOLE,)),)), ("pop", d), ()
-
-
-def _c_cpuid(instr: Instruction, pc: int):
-    values = tuple((r, CPUID_VALUES[r]) for r in CPUID_REGISTERS)
-    def op(cpu, regs, cells, holes, _vals=values):
-        for reg, val in _vals:
-            regs[reg] = val
-    tmpl = (
-        False,
-        tuple((("reg", r), (LOC_HARDWARE,)) for r in CPUID_REGISTERS),
-    )
-    return op, tmpl, ("cpuid",), tuple(v for _, v in values)
-
-
-def _c_nop(instr: Instruction, pc: int):
-    return _nop_op, None, ("nop",), ()
-
-
-_STRAIGHT_COMPILERS: Dict[Opcode, Callable] = {
-    Opcode.MOV: _c_mov,
-    Opcode.LOAD: _c_load,
-    Opcode.STORE: _c_store,
-    Opcode.ADD: _c_alu,
-    Opcode.SUB: _c_alu,
-    Opcode.MUL: _c_alu,
-    Opcode.DIV: _c_alu,
-    Opcode.MOD: _c_alu,
-    Opcode.XOR: _c_alu,
-    Opcode.AND: _c_alu,
-    Opcode.OR: _c_alu,
-    Opcode.SHL: _c_alu,
-    Opcode.SHR: _c_alu,
-    Opcode.CMP: _c_cmp,
-    Opcode.PUSH: _c_push,
-    Opcode.POP: _c_pop,
-    Opcode.CPUID: _c_cpuid,
-    Opcode.NOP: _c_nop,
-}
-
-
-def _compile_straight(instr: Instruction, pc: int):
-    compiler = _STRAIGHT_COMPILERS.get(instr.opcode)
-    if compiler is None:  # pragma: no cover - exhaustive opcode table
-        return _fault_body(f"unimplemented opcode {instr.opcode}",
-                           False, pc)
-    return compiler(instr, pc)
-
-
-# -- terminators ------------------------------------------------------------
-
-_JCC_CONDS = {
-    Opcode.JZ: lambda cpu: cpu.zf,
-    Opcode.JNZ: lambda cpu: not cpu.zf,
-    Opcode.JL: lambda cpu: cpu.sf,
-    Opcode.JLE: lambda cpu: cpu.sf or cpu.zf,
-    Opcode.JG: lambda cpu: not (cpu.sf or cpu.zf),
-    Opcode.JGE: lambda cpu: not cpu.sf,
-}
-
-
-def _compile_terminator(instr: Instruction, pc: int):
-    """Compile the block's last instruction.
-
-    Returns (term_op, taint, shape_items, constants): one shape item for
-    a control transfer, INT or HLT, or the straight op's item followed
-    by ``("fall",)`` for a cut block.
-    """
+def _decode_terminator(instr: Instruction, pc: int):
+    """Decode the block's last instruction into (taint, shape items,
+    constants): one shape item for a control transfer, INT or HLT, or
+    the straight op's item followed by ``("fall",)`` for a cut block.
+    The items together are the terminator's op shape."""
     opcode = instr.opcode
-    name = opcode.value
-
-    if opcode is Opcode.JMP:
-        a = instr.a
-        if type(a) is not Imm:
-            return _fault_term(f"expected immediate, got {a}", False, pc)
-        target = a.value
-        def term(cpu, regs, cells, holes, rec, _t=target):
-            cpu.pc = _t
-        return term, None, ((name,),), (target,)
-
-    cond = _JCC_CONDS.get(opcode)
-    if cond is not None:
-        a = instr.a
-        if type(a) is not Imm:
-            return _fault_term(f"expected immediate, got {a}", False, pc)
-        target = a.value
-        fall = pc + 1
-        def term(cpu, regs, cells, holes, rec, _t=target, _f=fall,
-                 _c=cond):
-            cpu.pc = _t if _c(cpu) else _f
-        return term, None, ((name,),), (target, fall)
-
-    if opcode is Opcode.CALL:
-        a = instr.a
-        ret = pc + 1
-        if type(a) is Reg:
-            s = a.name
-            def term(cpu, regs, cells, holes, rec, _s=s, _r=ret):
-                target = regs[_s]
-                sp = regs["esp"] - 1
-                regs["esp"] = sp
-                holes.append(sp)
-                cells[sp] = _r
-                cpu.pc = target
-                rec.call_target = target
-                rec.call_return_addr = _r
-            item, consts = (name, s), (ret,)
-        elif type(a) is Imm:
-            target = a.value
-            def term(cpu, regs, cells, holes, rec, _t=target, _r=ret):
-                sp = regs["esp"] - 1
-                regs["esp"] = sp
-                holes.append(sp)
-                cells[sp] = _r
-                cpu.pc = _t
-                rec.call_target = _t
-                rec.call_return_addr = _r
-            item, consts = (name, SHAPE_IMM), (target, ret)
-        else:
-            return _fault_term(f"expected immediate, got {a}", False, pc)
-        return term, (True, ((MEM_HOLE, (LOC_ZERO,)),)), (item,), consts
-
+    name = opcode._value_
+    a = instr.a
     if opcode is Opcode.RET:
-        def term(cpu, regs, cells, holes, rec):
-            sp = regs["esp"]
-            target = cells.get(sp, 0)
-            regs["esp"] = sp + 1
-            cpu.pc = target
-            rec.ret_target = target
-        return term, None, ((name,),), ()
-
-    if opcode is Opcode.INT:
-        a = instr.a
-        if type(a) is not Imm:
-            return _fault_term(f"expected immediate, got {a}", False, pc)
-        if a.value != 0x80:
-            return _fault_term(
-                f"unsupported interrupt {a.value:#x} at {pc:#x}", True, pc
-            )
-        nxt = pc + 1
-        def term(cpu, regs, cells, holes, rec, _n=nxt):
-            cpu.pc = _n
-            rec.kind = EXIT_SYSCALL
-        return term, None, ((name,),), (nxt,)
-
+        return None, ((name,),), ()
     if opcode is Opcode.HLT:
-        nxt = pc + 1
-        def term(cpu, regs, cells, holes, rec, _n=nxt):
-            cpu.halted = True
-            cpu.pc = _n
-            rec.kind = EXIT_HALT
-        return term, None, ((name,),), (nxt,)
-
+        return None, ((name,),), (pc + 1,)
+    if opcode is Opcode.CALL and type(a) is Reg:
+        return _CALL_TAINT, ((name, a.name),), (pc + 1,)
+    if opcode in CONTROL_TRANSFER_OPCODES or opcode is Opcode.INT:
+        if type(a) is not Imm:
+            tmpl, item, values = _fault(f"expected immediate, got {a}",
+                                        False, pc)
+            return tmpl, (item,), values
+        if opcode is Opcode.CALL:
+            return _CALL_TAINT, ((name, SHAPE_IMM),), (a.value, pc + 1)
+        if opcode is Opcode.JMP:
+            return None, ((name,),), (a.value,)
+        if opcode is not Opcode.INT:  # a conditional branch
+            return None, ((name,),), (a.value, pc + 1)
+        if a.value != 0x80:
+            tmpl, item, values = _fault(
+                f"unsupported interrupt {a.value:#x} at {pc:#x}", True, pc)
+            return tmpl, (item,), values
+        return None, ((name,),), (pc + 1,)
     # A cut block (leader / unmapped successor / max length): the last
     # instruction is an ordinary straight-line op plus a fall-through.
-    op, tmpl, item, consts = _compile_straight(instr, pc)
-    nxt = pc + 1
-    def term(cpu, regs, cells, holes, rec, _op=op, _n=nxt):
-        _op(cpu, regs, cells, holes)
-        cpu.pc = _n
-    return term, tmpl, (item, ("fall",)), consts + (nxt,)
+    tmpl, item, values = _decode_straight(instr, pc)
+    return tmpl, (item, ("fall",)), values + (pc + 1,)
 
 
 #: Straight-line opcodes that load / store through a run-time address
@@ -910,12 +576,12 @@ def translate_block(
     shape: List[tuple] = []
     consts: list = []
     for i in range(len(pcs) - 1):
-        op, tmpl, item, values = _compile_straight(instrs[i], pcs[i])
-        body_ops.append(op)
+        tmpl, item, values = _decode_straight(instrs[i], pcs[i])
+        body_ops.append(op_function(item, values))
         taint.append(tmpl)
         shape.append(item)
         consts.extend(values)
-    term_op, tmpl, items, values = _compile_terminator(instrs[-1], pcs[-1])
+    tmpl, items, values = _decode_terminator(instrs[-1], pcs[-1])
     taint.append(tmpl)
     shape.extend(items)
     consts.extend(values)
@@ -924,7 +590,7 @@ def translate_block(
         pcs=tuple(pcs),
         instructions=tuple(instrs),
         body_ops=tuple(body_ops),
-        term_op=term_op,
+        term_op=op_function(items, values),
         taint=tuple(taint),
         shape=tuple(shape),
         consts=tuple(consts),

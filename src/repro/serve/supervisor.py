@@ -395,7 +395,7 @@ class Supervisor:
     def _absorb_code_caches(self, msg: Dict[str, object],
                             wid: object) -> None:
         """Mirror a worker's block-JIT code cache (size, compiles,
-        evictions, fused blocks), rule-matcher code cache and library
+        evictions, fused blocks, op table), rule-matcher code cache and library
         plan tables (entries, plans) into per-worker ``blockjit_*``,
         ``secpert_matcher_*`` and ``blockcache_library_*`` gauges."""
         if self._metrics is None:

@@ -1,10 +1,14 @@
-"""Block JIT: fused execution == closure execution, and nothing else.
+"""Block JIT: fused execution == per-op execution, and nothing else.
 
 The contract under test: a block's generated function
 (:func:`repro.isa.blockjit.fuse`) leaves the machine and the block
-record exactly as the per-instruction closures do — registers, flags,
+record exactly as the block's per-op functions do — registers, flags,
 ``halted``, pc, memory, and every record field — for any straight-line
-body under any terminator, faults included.  Plus what the JIT adds:
+body under any terminator, faults included.  Both come from one
+emitter, so the independent check of each op's semantics is the Python
+model and the reference interpreter (``tests/isa/test_properties.py``
+and the exact-division cases here).  Plus what the JIT adds: the op
+table (every op shape the decoder can produce, within its ISA bound),
 the threshold, the bounded shape-keyed code cache and its gauges, no
 plan <-> applier reference cycles, exact DIV/MOD at any operand size,
 monitor work inlined into fused blocks that leaves everything as
@@ -55,16 +59,17 @@ from repro.isa.blockjit import (
     block_source,
     compile_shape,
     fuse,
+    op_source,
     taint_layout,
     trace_source,
 )
+from repro.isa.instructions import ALU_OPCODES
 from repro.isa.registers import GP_REGISTERS
 from repro.isa.translate import (
     EXIT_BUDGET,
     EXIT_CONTINUE,
     EXIT_HALT,
     MAX_BLOCK_LEN,
-    _trunc_div,
     translate_block,
 )
 from repro.kernel.hooks import CompositeHooks
@@ -691,6 +696,7 @@ class TestCodeCache:
             assert samples[gauge] == stats[key], gauge
         assert samples["blockjit_compiles"] >= 1
         assert samples["blockjit_traces"] >= 1
+        assert samples["blockjit_op_codes"] >= 1
 
     def test_sample_gauges_from_foreign_stats(self):
         registry = MetricsRegistry()
@@ -702,6 +708,96 @@ class TestCodeCache:
         assert registry.value("blockjit_compiles", worker="1") == 9
         assert registry.value("blockjit_traces", worker="1") == 3
         assert registry.value("blockjit_evictions", worker="1") == 0
+
+
+# -- the op table -------------------------------------------------------------
+
+#: Source operands the decoder reads: every register, immediates (zero,
+#: the syscall vector, another) and a memory operand (a bad source).
+_SOURCES = [Reg(r) for r in GP_REGISTERS] + [
+    Imm(0), Imm(0x80), Imm(7), Mem("eax", 1)]
+_DESTS = [Reg(r) for r in GP_REGISTERS]
+_BASES = [Mem(r, 1) for r in GP_REGISTERS]
+
+
+def _every_instruction():
+    """Every operand shape of every opcode, as the decoder reads it."""
+    for opcode in Opcode:
+        if opcode is Opcode.LOAD:
+            pairs = itertools.product(_DESTS, _BASES)
+        elif opcode is Opcode.STORE:
+            pairs = itertools.product(_BASES, _SOURCES)
+        elif opcode in ALU_OPCODES or opcode in (Opcode.MOV, Opcode.CMP):
+            pairs = itertools.product(_DESTS, _SOURCES)
+        elif opcode is Opcode.POP:
+            pairs = ((dst, None) for dst in _DESTS)
+        elif opcode in (Opcode.RET, Opcode.CPUID, Opcode.NOP, Opcode.HLT):
+            pairs = [(None, None)]
+        else:  # push, call, the jumps and int: one source
+            pairs = ((src, None) for src in _SOURCES)
+        for a, b in pairs:
+            yield Instruction(opcode, a, b)
+
+
+def _ops(plan):
+    """``(op shape, per-op function, fixed arguments)`` of each of a
+    plan's ops."""
+    body = len(plan.body_ops)
+    return [(item, op, 4) for item, op in zip(plan.shape, plan.body_ops)] \
+        + [(plan.shape[body:], plan.term_op, 5)]
+
+
+class TestOpTable:
+    def test_every_op_shape_compiles_within_the_isa_bound(self):
+        """Each instruction alone (a terminator or a cut block) and
+        before a RET (a body op): every opcode decodes, every op's
+        function takes exactly its slice of the plan's constants, and
+        the distinct op shapes are the op table's bound."""
+        keys = set()
+        decoded = set()
+        for instr in _every_instruction():
+            for code in ([instr], [instr, Instruction(Opcode.RET)]):
+                mem = FlatMemory()
+                mem.map_code(0, code)
+                plan = translate_block(mem, 0)
+                decoded.add(instr.opcode)
+                consts = ()
+                for key, op, fixed in _ops(plan):
+                    bound = op.__defaults__ or ()
+                    assert op.__code__.co_argcount == fixed + len(bound)
+                    assert op.__code__ is blockjit.CODE_CACHE.op_code(key)
+                    consts += bound
+                    keys.add(key)
+                assert consts == plan.consts
+        assert decoded == set(Opcode)
+        cache = CodeCache()
+        for key in keys:
+            cache.op_code(key)
+        stats = cache.stats()
+        assert len(keys) == blockjit.OP_SHAPES
+        assert stats["op_codes"] == stats["op_compiles"] == len(keys)
+
+    def test_same_op_shape_shares_its_code(self):
+        def plan(value, target):
+            mem = FlatMemory()
+            mem.map_code(0, [Instruction(Opcode.ADD, Reg("eax"), Imm(value)),
+                             Instruction(Opcode.JMP, Imm(target))])
+            return translate_block(mem, 0)
+
+        first = plan(5, 9)
+        compiles = blockjit.CODE_CACHE.stats()["op_compiles"]
+        second = plan(-70, 1234)
+        assert blockjit.CODE_CACHE.stats()["op_compiles"] == compiles
+        assert first.body_ops[0].__code__ is second.body_ops[0].__code__
+        assert first.term_op.__code__ is second.term_op.__code__
+        assert first.body_ops[0].__defaults__ == (5,)
+        assert second.term_op.__defaults__ == (1234,)
+
+    def test_op_emitter_rejects_unknown_names(self):
+        for key in (("mov", "__import__", "eax"), ("os.system", "eax"),
+                    (("nop",), ("exec('1')",)), (("exec('1')",),)):
+            with pytest.raises(ValueError):
+                op_source(key)
 
 
 class TestNoReferenceCycles:
@@ -1212,17 +1308,35 @@ def _exact(lhs, rhs):
 
 @pytest.mark.parametrize("lhs_sign", (1, -1))
 @pytest.mark.parametrize("rhs_sign", (1, -1))
-@pytest.mark.parametrize("rhs", (3, 7, 2 ** 60 + 1, _HUGE // 5 + 2))
+@pytest.mark.parametrize(
+    "rhs", (1, 3, 7, 2 ** 60 + 1, _HUGE // 5 + 2, _HUGE + 1, _HUGE + 2))
 class TestExactDivision:
     def _operands(self, lhs_sign, rhs_sign, rhs):
         return lhs_sign * (_HUGE + 1), rhs_sign * rhs
 
     def test_trunc_div(self, lhs_sign, rhs_sign, rhs):
+        """Each DIV/MOD op's own function, run alone: the quotient
+        truncates toward zero and the remainder takes the dividend's
+        sign, exactly, by a register and by an immediate."""
         lhs, rhs = self._operands(lhs_sign, rhs_sign, rhs)
-        assert _trunc_div(lhs, rhs) == _exact(lhs, rhs)
+        quotient = _exact(lhs, rhs)
+        for opcode, want in ((Opcode.DIV, quotient),
+                             (Opcode.MOD, lhs - quotient * rhs)):
+            for divisor in (Reg("ebx"), Imm(rhs)):
+                code = [Instruction(opcode, Reg("eax"), divisor),
+                        Instruction(Opcode.HLT)]
+                cpu = _machine(code, [("eax", lhs), ("ebx", rhs)])
+                plan = translate_block(cpu.memory, 0)
+                plan.body_ops[0](cpu, cpu.regs._values, cpu.memory.cells,
+                                 [])
+                assert cpu.regs.get("eax") == want, (opcode, divisor)
+                assert cpu.regs.get("ebx") == rhs
 
     def test_closure_fused_and_interpreter_agree(self, lhs_sign, rhs_sign,
                                                  rhs):
+        """Exact and inexact quotients of each sign, against
+        ``Fraction``: the per-op functions, a fused block and the
+        reference interpreter."""
         lhs, rhs = self._operands(lhs_sign, rhs_sign, rhs)
         code = [
             Instruction(Opcode.DIV, Reg("eax"), Reg("ebx")),
@@ -1376,14 +1490,21 @@ NEEDLES = ("__import__", "0x41414141", str(0x41414141), "'os'", "exec(",
            str(0x22272729))
 
 
+#: What a per-op function's code and source may contain beyond a
+#: block's: the address trace's append and the fault it raises, and its
+#: own arguments and statements.
+OP_CO_NAMES_ALLOWED = CO_NAMES_ALLOWED | {"append", "CpuFault"}
+OP_NAMES_ALLOWED = {"op", "holes", "append", "raise", "pass"}
+
+
 def _check_generated(code, source, small, names=frozenset(),
-                     locals_pattern=r"[kh]\d+"):
+                     locals_pattern=r"[kh]\d+", co_names=CO_NAMES_ALLOWED):
     """Only register names and shape-derived small literals (``small``)
     reach the code object and the source; every identifier is allowed."""
     co_consts_allowed = set(GP_REGISTERS) | small | {None, True, ()}
     numbers_allowed = {str(n) for n in small}
     strings_allowed = {repr(reg) for reg in GP_REGISTERS}
-    assert set(code.co_names) <= CO_NAMES_ALLOWED, source
+    assert set(code.co_names) <= co_names, source
     assert set(code.co_consts) <= co_consts_allowed, source
     assert not any(needle in source for needle in NEEDLES), source
     for kind, text in _tokens(source):
@@ -1439,6 +1560,11 @@ class TestGuestValuesNeverReachSource:
         layouts = [taint_layout(plan.taint_summary) for plan in fused]
         # Loads and stores: some blocks inline the applier's steady state.
         assert any(layouts)
+        for plan in plans:
+            for key, op, _ in _ops(plan):
+                _check_generated(op.__code__, op_source(key), small,
+                                 OP_NAMES_ALLOWED,
+                                 co_names=OP_CO_NAMES_ALLOWED)
         for plan, layout in zip(fused, layouts):
             _check_generated(plan.fused.__code__, block_source(
                 plan.shape, plan.fused_for, plan.taint_summary.is_noop,

@@ -1,8 +1,8 @@
 """Reference implementations the production paths must match bit for bit.
 
 The runtime has one execution engine (the block translation cache,
-whose blocks run as per-instruction closures until the block JIT fuses
-the hot ones), one taint path (compiled block and block-prefix
+whose blocks run as generated per-op functions until the block JIT
+fuses the hot ones, both from one emitter), one taint path (compiled block and block-prefix
 summaries) and one rule matcher (Rete).  The simpler implementations
 they replaced live here, as differential oracles only, beside the
 switches that pin the block JIT to one executor:
@@ -23,7 +23,7 @@ switches that pin the block JIT to one executor:
 * :mod:`tests.oracles.cachestats` — block-cache hit, miss and
   translation counts summed over a kernel's caches;
 * :mod:`tests.oracles.jit` — block-JIT switches: fuse every block from
-  its first execution, run the per-instruction closures only, keep
+  its first execution, run the per-op functions only, keep
   fused blocks on the record path (the monitor in ``on_block``), trace
   every loop from its first fused exit, or never trace one, or have
   generated code call every taint applier instead of inlining its

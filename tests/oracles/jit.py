@@ -13,8 +13,13 @@ managers patch those module constants, the way
   block's first, runs generated code (the differential suites use it to
   hold fused execution to the reference interpreter on every block,
   not only the hot ones);
-* :func:`closure_only` — no block is ever fused: the per-instruction
-  closure path, the baseline the JIT's perf gate compares against;
+* :func:`closure_only` — no block is ever fused: every instruction runs
+  as its per-op function (:func:`repro.isa.blockjit.op_function`, the
+  emitter's code for its shape item), the baseline the JIT's perf gate
+  compares against.  Per-op and fused code come from one emitter, so
+  neither is an independent check of an op's semantics: that is the
+  reference interpreter's and the Python model's job
+  (``tests/isa/test_properties.py``);
 * :func:`record_path` — hot blocks still fuse, but no hook declares a
   block instrumentation, so every execution returns a record and the
   monitor runs in ``on_block`` (the baseline of the inlined monitor's
@@ -29,7 +34,7 @@ managers patch those module constants, the way
   inline (``BlockPlan.taint_steady`` stays None), the reference the
   inlined hit path must match.
 
-Plans fused or traced inside a block stay so after it (fused, closure
+Plans fused or traced inside a block stay so after it (fused, per-op
 and traced execution are interchangeable by contract), so run
 :func:`closure_only` and :func:`no_traces` on fresh machines.
 """
@@ -57,7 +62,7 @@ def fuse_every_block():
 
 
 def closure_only():
-    """Never fuse a block: every execution runs the closures."""
+    """Never fuse a block: every execution runs the per-op functions."""
     return _threshold(float("inf"))
 
 

@@ -362,8 +362,12 @@ class TestHttpFront:
         assert value(warm["text"], "harrier_events_emitted_total") >= 1
         # The worker's block-JIT code cache, as of its last result.
         for gauge in ("blockjit_code_objects", "blockjit_compiles",
-                      "blockjit_evictions", "blockjit_fused_blocks"):
+                      "blockjit_evictions", "blockjit_fused_blocks",
+                      "blockjit_op_codes", "blockjit_op_compiles"):
             assert value(warm["text"], f'{gauge}{{worker="0"}}') >= 0
+        # ... and its op table: every translated instruction runs a
+        # per-op function compiled from its op shape.
+        assert value(warm["text"], 'blockjit_op_codes{worker="0"}') >= 1
         # ... and its rule-matcher code cache: Secpert's shapes, built
         # at least once per run.
         for gauge in ("secpert_matcher_shapes", "secpert_matcher_compiles",
