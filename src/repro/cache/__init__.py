@@ -1,4 +1,4 @@
-"""repro.cache — content-addressed verdict cache + static triage.
+"""repro.cache — content-addressed verdict cache.
 
 The fastest run is the one you never execute: hash the assembled image,
 the frozen options, and the guest-visible environment; if the exact run
@@ -35,14 +35,6 @@ from repro.cache.store import (
     cacheable_report_dict,
     merge_cache_stats,
 )
-from repro.cache.triage import (
-    TriageProfile,
-    cluster_order,
-    hamming64,
-    similarity,
-    simhash64,
-    triage_image,
-)
 
 __all__ = [
     "BYPASS_ANALYZER",
@@ -56,23 +48,17 @@ __all__ = [
     "DiskStore",
     "KEY_SCHEMA",
     "MemoryLRU",
-    "TriageProfile",
     "VerdictCache",
     "bypass_reason",
     "cacheable_report",
     "cacheable_report_dict",
     "canon_bytes",
-    "cluster_order",
     "content_digest",
     "environment_digest",
-    "hamming64",
     "image_digest",
     "merge_cache_stats",
     "options_fingerprint",
     "run_key",
-    "similarity",
-    "simhash64",
     "submission_key",
-    "triage_image",
     "workload_key",
 ]

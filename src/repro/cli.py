@@ -660,7 +660,6 @@ def _submission_from_args(args: argparse.Namespace):
             workload=(args.table, args.workload),
             options=options, tenant=args.tenant,
             name=args.workload,
-            triage=args.triage,
         )
     if not args.source:
         raise SystemExit("need a guest source file or --table/--workload")
@@ -677,7 +676,6 @@ def _submission_from_args(args: argparse.Namespace):
         options=options,
         tenant=args.tenant,
         name=path.name,
-        triage=args.triage,
     )
 
 
@@ -697,13 +695,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
             cached = " [cached]" if event.get("cached") else ""
             print(f"accepted as {event['job']} "
                   f"(queue depth {event['queue_depth']}){cached}")
-        elif kind == "triage":
-            p = event["profile"]
-            print(f"  triage: {p.get('text_size', 0)} insn, "
-                  f"entropy {p.get('entropy', 0):.2f}, "
-                  f"{len(p.get('strings') or ())} string(s), "
-                  f"{len(p.get('iocs') or ())} IOC(s), "
-                  f"simhash {p.get('simhash')}")
         elif kind == "warning":
             w = event["warning"]
             print(f"  [{w['severity']:6s}] {w['rule']}: {w['headline']}")
@@ -1110,9 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--no-cache", action="store_true",
                         help="ask the daemon to execute fresh instead of "
                              "answering from its verdict cache")
-    submit.add_argument("--triage", action="store_true",
-                        help="stream the static triage profile of the "
-                             "submitted image before the run")
     submit.add_argument("--fail-on", choices=("low", "medium", "high"),
                         help="exit nonzero when warnings reach this "
                              "severity")

@@ -58,7 +58,7 @@ class EngineCache:
         #: (path, source) -> assembled image.  ``max_images`` bounds
         #: the memo LRU-style; front-ends that assemble *untrusted,
         #: ever-varying* sources without executing them (the serve
-        #: daemon's key/triage path) must set it, or a client can grow
+        #: daemon's cache-key path) must set it, or a client can grow
         #: daemon memory without bound by varying one byte per
         #: submission.  Execution sessions keep the default ``None``:
         #: eviction would re-assemble and hand out a new image,

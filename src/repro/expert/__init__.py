@@ -11,8 +11,6 @@ Three components, mirroring the paper's description of CLIPS:
 from repro.expert.clips_format import (
     render_assert,
     render_fact,
-    render_fire_trace,
-    render_firing,
 )
 from repro.expert.conditions import Not, P, Pattern, Test, V
 from repro.expert.engine import (
@@ -46,6 +44,4 @@ __all__ = [
     "MatchStats",
     "render_fact",
     "render_assert",
-    "render_firing",
-    "render_fire_trace",
 ]

@@ -1,23 +1,20 @@
 """CLIPS s-expression rendering (paper Appendix A).
 
-The paper shows Secpert's artifacts in CLIPS syntax — asserted facts
-(A.1), rule firings (A.3).  These renderers produce the same shapes from
-the live objects, so traces read like the appendix::
+The paper shows Secpert's asserted facts in CLIPS syntax (A.1).  These
+renderers produce the same shape from the live objects, so traces read
+like the appendix::
 
     CLIPS> (assert (system_call_access
         (system_call_name SYS_execve)
         (resource_name "/bin/ls")
         ...))
-
-    FIRE 1 check_execve: f-43,f-42,f-5
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, List
+from typing import Any
 
-from repro.expert.engine import FiredRule
 from repro.expert.template import Fact
 from repro.taint.tags import Tag, TagSet
 
@@ -62,15 +59,3 @@ def render_fact(fact: Fact, indent: int = 4) -> str:
 def render_assert(fact: Fact) -> str:
     """With the interactive prompt, exactly as the appendix shows."""
     return "CLIPS> " + render_fact(fact)
-
-
-def render_firing(index: int, fired: FiredRule) -> str:
-    """One agenda firing (Appendix A.3 style)."""
-    ids = ",".join(f"f-{fid}" for fid in fired.fact_ids)
-    return f"FIRE {index} {fired.rule_name}: {ids}"
-
-
-def render_fire_trace(trace: List[FiredRule]) -> str:
-    return "\n".join(
-        render_firing(i, fired) for i, fired in enumerate(trace, start=1)
-    )

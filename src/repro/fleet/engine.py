@@ -42,21 +42,23 @@ from __future__ import annotations
 
 import collections
 import functools
+import hashlib
 import os
 import signal
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api import Session
 from repro.cache.store import VerdictCache, merge_cache_stats
-from repro.cache.triage import cluster_order, simhash64
 from repro.core.options import RunOptions
 from repro.core.procs import WorkerProcess, mp_context, wait
 from repro.fleet.merge import merged_telemetry
 from repro.fleet.refs import FleetTask, WorkloadRef, make_tasks
 from repro.fleet.report import CANCELLED_PREFIX, FleetReport, FleetRunRecord
 from repro.fleet.worker import run_task_with_retry, worker_main
+from repro.isa.instructions import Instruction
 
 #: Tasks a worker holds at once: the one it runs and the next.  With
 #: one, every task waits a coordinator round trip before it starts;
@@ -80,18 +82,18 @@ NO_WORKER = -1
 
 
 # Uncalled: tasks go to workers in index order, so nothing orders
-# them by similarity any more.  It stays (with ``cluster_order`` and
-# ``hamming64``) only because ``perfbench/tracer.py`` wraps
+# them by similarity any more.  It stays (with the three helpers
+# below it) only because ``perfbench/tracer.py`` wraps
 # ``repro.fleet.engine.cluster_tasks`` by name and fails to install
-# without it; all three go once that tracer row does.
+# without it; all four go once that tracer row does.
 def cluster_tasks(tasks: Sequence[FleetTask]) -> List[FleetTask]:
     """Tasks reordered so statically-similar workloads are adjacent.
 
     Each task's workload is resolved and assembled (deterministic, no
-    execution) and its triage simhash drives a nearest-neighbour chain.
-    A task whose workload will not resolve keeps simhash 0 — it keeps
-    a place in the order, and the failure surfaces as a normal run
-    record.
+    execution) and a simhash of its opcodes drives a nearest-neighbour
+    chain.  A task whose workload will not resolve keeps simhash 0 — it
+    keeps a place in the order, and the failure surfaces as a normal
+    run record.
     """
     pairs = []
     for task in tasks:
@@ -100,8 +102,86 @@ def cluster_tasks(tasks: Sequence[FleetTask]) -> List[FleetTask]:
         except Exception:
             pairs.append((task, 0))
         else:
-            pairs.append((task, simhash64(image.text)))
-    return cluster_order(pairs)
+            pairs.append((task, _simhash64(image.text)))
+    return _cluster_order(pairs)
+
+
+_NGRAM = 3
+
+
+def _feature_hash(feature: str) -> int:
+    digest = hashlib.sha256(feature.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def _simhash64(text: Sequence[Instruction], ngram: int = _NGRAM) -> int:
+    """64-bit simhash over opcode n-grams.
+
+    Classic Charikar construction: each weighted feature votes +w/-w on
+    every bit of its (stable, sha256-based) 64-bit hash; the result
+    keeps the sign.  Images differing by a patched constant share every
+    n-gram and collide; structurally different programs diverge.
+    """
+    weights: Dict[str, int] = {}
+    opcodes = [inst.opcode.name for inst in text]
+    if not opcodes:
+        return 0
+    if len(opcodes) < ngram:
+        weights["|".join(opcodes)] = 1
+    else:
+        for i in range(len(opcodes) - ngram + 1):
+            feature = "|".join(opcodes[i:i + ngram])
+            weights[feature] = weights.get(feature, 0) + 1
+    vector = [0] * 64
+    for feature, weight in weights.items():
+        bits = _feature_hash(feature)
+        for bit in range(64):
+            if bits & (1 << bit):
+                vector[bit] += weight
+            else:
+                vector[bit] -= weight
+    value = 0
+    for bit in range(64):
+        if vector[bit] > 0:
+            value |= 1 << bit
+    return value
+
+
+def _hamming64(a: int, b: int) -> int:
+    return bin((a ^ b) & 0xFFFFFFFFFFFFFFFF).count("1")
+
+
+@dataclass
+class _Clustered:
+    index: int
+    simhash: int
+    item: object = field(repr=False, default=None)
+
+
+def _cluster_order(pairs: Sequence[Tuple[object, int]]) -> List[object]:
+    """Order items so near-duplicates are adjacent.
+
+    ``pairs`` is ``(item, simhash)``.  Greedy nearest-neighbour chaining
+    from the smallest simhash: deterministic, O(n²) on n≤ hundreds of
+    workloads, and good enough to keep a variant family together.
+    """
+    remaining = [
+        _Clustered(index=i, simhash=s, item=item)
+        for i, (item, s) in enumerate(pairs)
+    ]
+    if not remaining:
+        return []
+    remaining.sort(key=lambda c: (c.simhash, c.index))
+    ordered = [remaining.pop(0)]
+    while remaining:
+        head = ordered[-1]
+        best = min(
+            remaining,
+            key=lambda c: (_hamming64(head.simhash, c.simhash), c.index),
+        )
+        remaining.remove(best)
+        ordered.append(best)
+    return [c.item for c in ordered]
 
 
 def _normalize_tasks(

@@ -6,11 +6,9 @@ analyzer interface the policy side implements.
 """
 
 from repro.harrier.analyzer import (
-    CollectingAnalyzer,
     DecisionPolicy,
     EventAnalyzer,
     always_continue,
-    always_kill,
 )
 from repro.harrier.bbfreq import CodeExecutionPatterns
 from repro.harrier.blockcache import BlockCache
@@ -35,10 +33,8 @@ __all__ = [
     "HarrierConfig",
     "DEFAULT_TRUSTED_IMAGES",
     "EventAnalyzer",
-    "CollectingAnalyzer",
     "DecisionPolicy",
     "always_continue",
-    "always_kill",
     "SecurityEvent",
     "ResourceAccessEvent",
     "DataTransferEvent",

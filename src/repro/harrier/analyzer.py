@@ -8,7 +8,7 @@ whether execution may continue.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 from repro.harrier.events import SecurityEvent
 
@@ -21,17 +21,6 @@ class EventAnalyzer:
         return ()
 
 
-class CollectingAnalyzer(EventAnalyzer):
-    """Keeps every event (useful for tests and trace inspection)."""
-
-    def __init__(self) -> None:
-        self.events: List[SecurityEvent] = []
-
-    def analyze(self, event: SecurityEvent) -> Sequence[object]:
-        self.events.append(event)
-        return ()
-
-
 #: Decision callback: warning -> True to continue, False to kill the
 #: process.  Models the paper's "the user makes his decision to continue
 #: or kill the application".
@@ -40,7 +29,3 @@ DecisionPolicy = Callable[[object], bool]
 
 def always_continue(warning: object) -> bool:
     return True
-
-
-def always_kill(warning: object) -> bool:
-    return False

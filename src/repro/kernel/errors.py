@@ -67,14 +67,6 @@ def errno_name(code: int) -> str:
     return ERRNO_NAMES.get(code, f"errno{code}")
 
 
-class KernelError(Exception):
-    """Base class for kernel implementation errors (not guest errors)."""
-
-
-class DeadlockError(KernelError):
-    """All live processes are blocked with no event that could wake them."""
-
-
 class WouldBlock(Exception):
     """Raised by a syscall handler that cannot complete yet.
 

@@ -17,7 +17,7 @@ Layer map (one module per concern):
 ``supervisor``     dispatch, deadlines, crash containment, self-healing
                    restarts
 ``server``         the asyncio daemon (unix NDJSON + minimal HTTP/1.1)
-``client``         blocking/async/HTTP clients
+``client``         blocking and async NDJSON clients
 =================  ========================================================
 """
 
@@ -32,9 +32,6 @@ from repro.serve.admission import (
 from repro.serve.client import (
     ServeClient,
     ServeError,
-    http_get,
-    http_get_text,
-    http_submit,
     submit_async,
 )
 from repro.serve.protocol import (
@@ -63,9 +60,6 @@ __all__ = [
     "TERMINAL_KINDS",
     "TapAnalyzer",
     "TokenBucket",
-    "http_get",
-    "http_get_text",
-    "http_submit",
     "run_daemon",
     "submit_async",
     "warning_to_wire",

@@ -165,7 +165,7 @@ class AdmissionController:
 
         This is deliberately cheap (no queue slot, no tick spend) so the
         daemon can run it *before* any per-submission work — assembling
-        untrusted sources, digesting cache keys, triage.  It charges a
+        untrusted sources, digesting cache keys.  It charges a
         rate token for every submission, cache hits included: a client
         replaying a cached submission is still metered, so replay storms
         stay bounded even though hits never claim a queue slot.

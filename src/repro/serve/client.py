@@ -4,15 +4,12 @@ The native protocol is one NDJSON submission line in, a stream of NDJSON
 event lines out, over the daemon's unix socket.  :class:`ServeClient`
 wraps that for synchronous callers; :func:`submit_async` is the same
 exchange on asyncio streams so the load bench can hold a thousand
-submissions open from one event loop.  The HTTP helpers use nothing but
-the standard library (``http.client`` handles the chunked decoding of
-the streamed response).
+submissions open from one event loop.  The daemon's HTTP front needs
+no client here: ``curl`` or ``http.client`` speak it.
 """
 
 from __future__ import annotations
 
-import http.client
-import json
 import socket
 from typing import Callable, Dict, List, Optional
 
@@ -107,87 +104,3 @@ async def submit_async(
             await writer.wait_closed()
         except Exception:
             pass
-
-
-# ---------------------------------------------------------------------------
-# HTTP helpers (stdlib only)
-
-
-def http_get(host: str, port: int, path: str, timeout: float = 10.0) -> Dict:
-    """GET a JSON endpoint (``/healthz``, ``/stats``)."""
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        conn.request("GET", path)
-        resp = conn.getresponse()
-        return {
-            "status": resp.status,
-            "body": json.loads(resp.read().decode("utf-8")),
-        }
-    finally:
-        conn.close()
-
-
-def http_get_text(
-    host: str, port: int, path: str, timeout: float = 10.0
-) -> Dict:
-    """GET a text endpoint (``/metrics``) without JSON-decoding it."""
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        conn.request("GET", path)
-        resp = conn.getresponse()
-        return {
-            "status": resp.status,
-            "content_type": resp.getheader("Content-Type", ""),
-            "text": resp.read().decode("utf-8"),
-        }
-    finally:
-        conn.close()
-
-
-def http_submit(
-    host: str,
-    port: int,
-    submission: Submission,
-    on_event: Optional[EventCallback] = None,
-    timeout: float = 120.0,
-) -> List[Dict[str, object]]:
-    """POST /submit and stream the chunked NDJSON response.
-
-    Returns the full event list; a rejection (HTTP 429/503/400) comes
-    back as a one-element list holding the ``rejected`` event, with the
-    status attached under ``http_status``.
-    """
-    body = encode_event(submission.to_wire())
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
-    events: List[Dict[str, object]] = []
-    try:
-        conn.request(
-            "POST", "/submit", body=body,
-            headers={"Content-Type": "application/x-ndjson"},
-        )
-        resp = conn.getresponse()
-        if resp.status != 200:
-            event = decode_line(resp.read())
-            event["http_status"] = resp.status
-            events.append(event)
-            if on_event is not None:
-                on_event(event)
-            return events
-        while True:
-            line = resp.readline()
-            if not line:
-                break
-            event = decode_line(line)
-            events.append(event)
-            if on_event is not None:
-                on_event(event)
-            if event.get("kind") in TERMINAL_KINDS:
-                break
-        if not events or events[-1].get("kind") not in TERMINAL_KINDS:
-            raise ServeError(
-                "HTTP stream ended without a terminal event "
-                f"(got {[e.get('kind') for e in events]})"
-            )
-        return events
-    finally:
-        conn.close()

@@ -33,10 +33,14 @@ Schema discipline mirrors the fleet wire format: every stream opens with
 an event carrying ``schema_version`` (:data:`SERVE_SCHEMA_VERSION`);
 bump it on any breaking layout change.
 
-v2 (verdict cache): submissions may carry ``options.cache`` and a
-``triage`` flag; ``accepted``/``report`` events carry ``cached: bool``
-and a ``triage`` event (non-terminal) streams the static profile when
-requested.  A submission labelled with any other version is rejected.
+v2 (verdict cache): submissions may carry ``options.cache``;
+``accepted``/``report`` events carry ``cached: bool``.
+
+v3: the v2 static-profile submission flag and its non-terminal event
+are gone (a v2 client asking for the profile would otherwise get
+neither the event nor an error).  A submission labelled with any other
+version is rejected, and so is one whose fields have the wrong JSON
+shape.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from repro.core.options import DEFAULT_MAX_TICKS, RunOptions
 
 #: Version of the serve wire format (submissions and events), the only
 #: one this daemon accepts.
-SERVE_SCHEMA_VERSION = 2
+SERVE_SCHEMA_VERSION = 3
 
 #: Terminal event kinds — after one of these the stream is complete.
 TERMINAL_KINDS = frozenset({"rejected", "report", "error"})
@@ -97,13 +101,28 @@ def options_to_wire(options: RunOptions) -> Dict[str, object]:
     return wire
 
 
+def _shaped(data: Mapping[str, object], key: str, kind: type) -> object:
+    """``data.get(key)``, which must be null or a ``kind`` (a JSON
+    object decodes to a Mapping, an array to a list); any other shape
+    is a ProtocolError."""
+    value = data.get(key)
+    if value is not None and not isinstance(value, kind):
+        raise ProtocolError(
+            f"field {key!r} must be a JSON "
+            f"{'object' if kind is Mapping else 'array'}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
 def options_from_wire(data: Optional[Mapping[str, object]]) -> RunOptions:
     """Rebuild a :class:`RunOptions` from its wire dict (missing keys
     keep their defaults, unknown keys are rejected)."""
     if data is None:
         return RunOptions()
     data = dict(data)
-    fault = data.pop("fault", None)
+    fault = _shaped(data, "fault", Mapping)
+    data.pop("fault", None)
     allowed = {
         "provenance", "metrics", "max_ticks", "wall_timeout", "cache",
     }
@@ -138,7 +157,10 @@ def options_from_wire(data: Optional[Mapping[str, object]]) -> RunOptions:
         from repro.faultinject.plan import FaultProfile
 
         fault = dict(fault)
-        seed = int(fault.pop("seed", 0))
+        try:
+            seed = int(fault.pop("seed", 0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ProtocolError(f"bad fault seed: {exc}") from None
         unknown = set(fault) - set(_FAULT_SCALARS)
         if unknown:
             raise ProtocolError(
@@ -178,9 +200,6 @@ class Submission:
     tenant: str = "default"
     #: Free-form label echoed back in events (debugging, load tests).
     name: str = ""
-    #: Stream a static :class:`~repro.cache.triage.TriageProfile` event
-    #: (non-terminal) before the run/hit.  Wire schema v2.
-    triage: bool = False
 
     def __post_init__(self) -> None:
         if (self.source is None) == (self.workload is None):
@@ -210,8 +229,6 @@ class Submission:
                 wire["files"] = dict(self.files)
             if self.peers:
                 wire["peers"] = dict(self.peers)
-        if self.triage:
-            wire["triage"] = True
         return wire
 
     @classmethod
@@ -224,13 +241,20 @@ class Submission:
                 f"unsupported schema_version {version!r} "
                 f"(this daemon speaks {SERVE_SCHEMA_VERSION})"
             )
-        workload = data.get("workload")
+        workload = _shaped(data, "workload", Mapping)
         if workload is not None:
-            workload = (str(workload["table"]), str(workload["name"]))
+            try:
+                workload = (str(workload["table"]), str(workload["name"]))
+            except KeyError as exc:
+                raise ProtocolError(
+                    f"field 'workload' lacks key {exc}"
+                ) from None
         source = data.get("source")
         if source is not None:
             source = str(source)
-        argv = data.get("argv")
+        argv = _shaped(data, "argv", list)
+        files = _shaped(data, "files", Mapping) or {}
+        peers = _shaped(data, "peers", Mapping) or {}
         return cls(
             source=source,
             workload=workload,
@@ -239,16 +263,11 @@ class Submission:
             stdin=(
                 str(data["stdin"]) if data.get("stdin") is not None else None
             ),
-            files={
-                str(k): str(v) for k, v in (data.get("files") or {}).items()
-            },
-            peers={
-                str(k): str(v) for k, v in (data.get("peers") or {}).items()
-            },
-            options=options_from_wire(data.get("options")),
+            files={str(k): str(v) for k, v in files.items()},
+            peers={str(k): str(v) for k, v in peers.items()},
+            options=options_from_wire(_shaped(data, "options", Mapping)),
             tenant=str(data.get("tenant", "default")),
             name=str(data.get("name", "")),
-            triage=bool(data.get("triage", False)),
         )
 
 
@@ -280,16 +299,6 @@ def accepted_event(
         "job": job,
         "queue_depth": queue_depth,
         "cached": cached,
-    }
-
-
-def triage_event(job: str, profile: Dict[str, object]) -> Dict[str, object]:
-    """Non-terminal: the static triage profile of the submitted image."""
-    return {
-        "kind": "triage",
-        "schema_version": SERVE_SCHEMA_VERSION,
-        "job": job,
-        "profile": profile,
     }
 
 

@@ -8,7 +8,7 @@ endpoints — ``/healthz``, ``/stats``, and an OpenMetrics ``/metrics``
 exposition).  Each accepted submission flows::
 
     client -> admission precheck (draining + tenant rate, hits charged)
-           -> cache key + triage (digest thread, off the event loop)
+           -> cache key (digest thread, off the event loop)
            -> verdict-cache hit?  -> replayed event stream (no slot)
            -> miss: admission slot (bounded queue, tick budget)
            -> pending deque -> supervisor dispatch (idle worker)
@@ -17,10 +17,10 @@ exposition).  Each accepted submission flows::
 
 The ordering is deliberate: the per-tenant rate bucket is charged
 *before* the daemon does any per-submission work — assembling an
-untrusted inline source, digesting keys, triage — so a rate-limited
+untrusted inline source, digesting keys — so a rate-limited
 client cannot burn daemon CPU or memory, and replaying a cached
 submission is still metered even though hits never claim a queue slot
-or tick budget.  Assembly/digest/triage run on a dedicated single
+or tick budget.  Assembly and digests run on a dedicated single
 thread (the daemon's ``EngineCache`` assemble memo is bounded, so
 ever-varying sources cannot grow memory without bound), keeping the
 event loop free to accept connections and serve scrapes.
@@ -58,7 +58,6 @@ from repro.cache.store import (
     bypass_reason,
     cacheable_report_dict,
 )
-from repro.cache.triage import triage_image
 from repro.core.engine import EngineCache
 from repro.core.options import RunOptions
 from repro.serve import admission as adm
@@ -71,7 +70,6 @@ from repro.serve.protocol import (
     decode_line,
     encode_event,
     rejected_event,
-    triage_event,
 )
 from repro.serve.supervisor import (
     DEFAULT_JOB_TIMEOUT,
@@ -83,7 +81,7 @@ from repro.telemetry.metrics import MetricsRegistry, render_openmetrics
 MAX_SUBMISSION_BYTES = 4 * 1024 * 1024
 
 #: Bound on the daemon's assemble memo (distinct inline sources kept
-#: warm for key/triage computation).  Past this, least-recently-seen
+#: warm for key computation).  Past this, least-recently-seen
 #: templates are dropped and simply re-assemble on next sight.
 ASSEMBLE_MEMO_CAPACITY = 128
 
@@ -172,12 +170,12 @@ class ServeDaemon:
                 namespace="serve",
             ) if cache else None
         )
-        #: Warm assemble memo for key computation and triage profiling.
+        #: Warm assemble memo for key computation.
         #: Bounded: clients feeding ever-varying sources must not grow
         #: daemon memory (the templates are only a digest warm-up here —
         #: execution happens in worker processes with their own caches).
         self._engine = EngineCache(max_images=ASSEMBLE_MEMO_CAPACITY)
-        #: All assembly/digest/triage of untrusted submissions happens
+        #: All assembly and digesting of untrusted submissions happens
         #: on this one thread, never on the event loop.
         self._digester = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-digest"
@@ -304,8 +302,8 @@ class ServeDaemon:
 
         Order matters (module docstring): the admission *precheck*
         (draining + per-tenant rate, hits charged too) runs before any
-        per-submission compute; key digests and triage then run on the
-        digest thread; only a cache miss claims a queue slot and tick
+        per-submission compute; the key digest then runs on the digest
+        thread; only a cache miss claims a queue slot and tick
         budget.
         """
         try:
@@ -320,7 +318,7 @@ class ServeDaemon:
         reason = self.admission.precheck(submission.tenant)
         if reason is not None:
             return None, rejected_event(reason)
-        cache_key, profile = await self._loop.run_in_executor(
+        cache_key = await self._loop.run_in_executor(
             self._digester, self._inspect_submission, submission
         )
         if cache_key is not None:
@@ -336,7 +334,7 @@ class ServeDaemon:
                     admitted=False,
                     cached=True,
                 )
-                self._enqueue_hit(job, hit, profile)
+                self._enqueue_hit(job, hit)
                 return job, None
         reason = self.admission.claim_slot(
             submission.tenant, submission.options.max_ticks
@@ -354,23 +352,14 @@ class ServeDaemon:
             ),
             cache_key=cache_key,
         )
-        if profile is not None:
-            job.queue.put_nowait(triage_event(job.job_id, profile))
         self._pending.append(job)
         self._kick()
         return job, None
 
-    def _inspect_submission(
-        self, submission: Submission
-    ) -> Tuple[Optional[str], Optional[Dict[str, object]]]:
-        """Cache key + optional triage profile (digest thread; this
-        assembles untrusted sources but never executes them)."""
-        return self._cache_key(submission), (
-            self._triage_profile(submission) if submission.triage else None
-        )
-
-    def _cache_key(self, submission: Submission) -> Optional[str]:
-        """The submission's cache key, or None (bypass counted)."""
+    def _inspect_submission(self, submission: Submission) -> Optional[str]:
+        """The submission's cache key, or None (bypass counted).  Runs
+        on the digest thread: it assembles untrusted sources but never
+        executes them."""
         if self.cache is None:
             return None
         reason = bypass_reason(submission.options)
@@ -384,37 +373,12 @@ class ServeDaemon:
             # worker produce the real protocol error.
             return None
 
-    def _triage_profile(
-        self, submission: Submission
-    ) -> Optional[Dict[str, object]]:
-        """Static triage of the submitted image (never executes)."""
-        try:
-            if submission.workload is not None:
-                from repro.fleet.refs import WorkloadRef
-
-                table, name = submission.workload
-                image = WorkloadRef.from_registry(
-                    table, name
-                ).resolve().image(engine=self._engine)
-            else:
-                image = self._engine.image(
-                    submission.path, submission.source
-                )
-        except Exception:
-            return None
-        return triage_image(image).to_dict()
-
     def _enqueue_hit(
-        self,
-        job: _PendingJob,
-        hit: Dict[str, object],
-        profile: Optional[Dict[str, object]],
+        self, job: _PendingJob, hit: Dict[str, object]
     ) -> None:
         """Replay a cached result as the exact event stream a fresh run
-        produces: optional triage, each warning in order, then the
-        terminal report with ``cached: True`` and zeroed timing."""
-        if profile is not None:
-            job.queue.put_nowait(triage_event(job.job_id, profile))
+        produces: each warning in order, then the terminal report with
+        ``cached: True`` and zeroed timing."""
         for seq, warning in enumerate(hit.get("warnings") or ()):
             job.queue.put_nowait({
                 "kind": "warning",
@@ -585,7 +549,10 @@ class ServeDaemon:
                 pass
 
     async def _http_submit(self, reader, writer, headers) -> None:
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            length = 0
         if length <= 0 or length > MAX_SUBMISSION_BYTES:
             await self._http_json(
                 writer, 400, "Bad Request",

@@ -19,7 +19,6 @@ from repro.taint.tags import (
     Tag,
     TagSet,
     TagSetInterner,
-    union_all,
 )
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "TagSet",
     "TagSetInterner",
     "EMPTY",
-    "union_all",
     "ShadowRegisters",
     "ShadowMemory",
     "PAGE_SIZE",

@@ -239,11 +239,3 @@ class TagSetInterner:
 
     def __len__(self) -> int:
         return len(self._table)
-
-
-def union_all(tagsets: Iterable[TagSet]) -> TagSet:
-    """Union an iterable of tag sets (empty iterable -> empty set)."""
-    result = TagSet.empty()
-    for ts in tagsets:
-        result = result.union(ts)
-    return result

@@ -36,7 +36,6 @@ from repro.telemetry.metrics import (
     merge_sample_lists,
     render_openmetrics,
     render_samples,
-    validate_openmetrics,
 )
 from repro.telemetry.provenance import (
     EVIDENCE_SCHEMA_VERSION,
@@ -157,7 +156,6 @@ __all__ = [
     "merge_sample_lists",
     "render_samples",
     "render_openmetrics",
-    "validate_openmetrics",
     "ProvenanceRecorder",
     "render_evidence",
     "EVIDENCE_SCHEMA_VERSION",

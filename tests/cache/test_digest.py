@@ -8,6 +8,7 @@ RunOptions field and the key moves).
 """
 
 import dataclasses
+import math
 import subprocess
 import sys
 
@@ -74,7 +75,9 @@ class TestCanonBytes:
             canon_bytes(lambda: None)
 
     def test_float_bit_pattern(self):
-        assert canon_bytes(0.1) != canon_bytes(0.1 + 1e-17) or True
+        # Adjacent doubles and the two zeros differ only in their bits.
+        assert canon_bytes(0.1) != canon_bytes(math.nextafter(0.1, 1))
+        assert canon_bytes(-0.0) != canon_bytes(0.0)
         assert canon_bytes(1.5) != canon_bytes(1.25)
 
 

@@ -7,14 +7,25 @@ from repro.expert import (
     Template,
     render_assert,
     render_fact,
-    render_fire_trace,
-    render_firing,
 )
 from repro.expert.engine import FiredRule
 from repro.harrier.events import ResourceAccessEvent, ResourceId
 from repro.kernel.process import ResourceKind
 from repro.secpert.facts import fact_of
 from repro.taint import DataSource, TagSet
+
+
+def render_firing(index, fired):
+    """One agenda firing (Appendix A.3 style)."""
+    ids = ",".join(f"f-{fid}" for fid in fired.fact_ids)
+    return f"FIRE {index} {fired.rule_name}: {ids}"
+
+
+def render_fire_trace(trace):
+    """A whole agenda run, one ``render_firing`` line per firing."""
+    return "\n".join(
+        render_firing(i, fired) for i, fired in enumerate(trace, start=1)
+    )
 
 
 class TestFactRendering:

@@ -2,13 +2,24 @@
 operation."""
 
 from repro.core.hth import HTH
-from repro.harrier import (
-    CollectingAnalyzer,
-    EventAnalyzer,
-    always_continue,
-    always_kill,
-)
+from repro.harrier import EventAnalyzer, always_continue
 from repro.isa import assemble
+
+
+class CollectingAnalyzer(EventAnalyzer):
+    """Keeps every event and raises no warnings."""
+
+    def __init__(self):
+        self.events = []
+
+    def analyze(self, event):
+        self.events.append(event)
+        return ()
+
+
+def always_kill(warning):
+    """The decision policy that kills the process on any warning."""
+    return False
 
 
 class TestDecisionPolicies:

@@ -29,14 +29,19 @@ switches that pin the block JIT to one executor:
   generated code call every taint applier instead of inlining its
   steady state;
 * :mod:`tests.oracles.schedule` — one quantum per process per
-  scheduler pass, with no multi-quantum slice for a lone process.
+  scheduler pass, with no multi-quantum slice for a lone process;
+* :mod:`tests.oracles.httpclient` — a stdlib client for the serve
+  daemon's HTTP front (``/healthz``, ``/stats``, ``/metrics``, a
+  streamed ``/submit``);
+* :mod:`tests.oracles.openmetrics` — a minimal validator of an
+  OpenMetrics exposition.
 
 Each path oracle is installed with a context manager that patches the
 one production path it stands in for, so no product constructor, option
-or CLI flag selects it; the readers, the event copy and the cache
-counts are plain functions the tests call beside the production ones.
-A patch made before a fork is inherited by fork-started fleet and serve
-workers.
+or CLI flag selects it; the readers, the event copy, the cache counts,
+the HTTP client and the validator are plain functions the tests call
+beside the production ones.  A patch made before a fork is inherited
+by fork-started fleet and serve workers.
 """
 
 from tests.oracles.interpreter import reference_interpreter

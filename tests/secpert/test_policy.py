@@ -1,11 +1,13 @@
 """PolicyConfig filter/predicate tests."""
 
 from repro.secpert.policy import PolicyConfig
-from repro.taint import DataSource, TagSet, union_all
+from repro.taint import DataSource, TagSet
 
 
 def ts(*pairs):
-    return union_all([TagSet.of(src, name) for src, name in pairs])
+    return TagSet.empty().union(
+        *(TagSet.of(src, name) for src, name in pairs)
+    )
 
 
 class TestFilters:

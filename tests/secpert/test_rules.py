@@ -11,7 +11,7 @@ from repro.harrier.events import (
 )
 from repro.kernel.process import ResourceKind
 from repro.secpert import PolicyConfig, Secpert, Severity
-from repro.taint import DataSource, Tag, TagSet, union_all
+from repro.taint import DataSource, Tag, TagSet
 
 APP = "/home/evil/a.out"
 BIN = TagSet.of(DataSource.BINARY, APP)
@@ -148,10 +148,9 @@ class TestBinaryFlows:
         assert warnings[0].rule == "check_binary_to_socket"
 
     def test_one_warning_per_untrusted_binary_source(self, secpert):
-        data = union_all([
-            TagSet.of(DataSource.BINARY, "/lib/libcrypto.so.4"),
+        data = TagSet.of(DataSource.BINARY, "/lib/libcrypto.so.4").union(
             TagSet.of(DataSource.BINARY, "/usr/lib/libreadline.so.4"),
-        ])
+        )
         warnings = secpert.analyze(
             write_event(ResourceKind.SOCKET, "duero:40400", data, BIN)
         )

@@ -4,9 +4,10 @@ Serve-specific cache promises: a repeat submission is answered from the
 daemon-level cache without a queue slot or tick spend (its tenant rate
 token is still charged, so replay storms stay bounded), the reply
 (report *and* streamed warnings) is bit-identical to the fresh stream,
-``accepted``/``report`` events carry ``cached``, v1 submissions are
-rejected, fault/chaos submissions always execute, and no per-submission compute
-(assembly, key digests, triage) happens for rate-limited clients.
+``accepted``/``report`` events carry ``cached``, submissions of an older
+wire version are rejected, fault/chaos submissions always execute, and
+no per-submission compute (assembly, key digests) happens for
+rate-limited clients.
 """
 
 import asyncio
@@ -307,46 +308,17 @@ class TestServeCacheBypasses:
         assert healthz["cache"] == {"enabled": False}
 
 
-class TestTriageEvent:
-    def test_triage_streams_on_fresh_and_cached(self, tmp_path):
-        async def main():
-            async with daemon(tmp_path) as d:
-                sub = Submission(workload=TROJAN, triage=True)
-                fresh = await submit_async(d.unix_path, sub)
-                hit = await submit_async(d.unix_path, sub)
-                return fresh, hit
-
-        fresh, hit = run(main())
-        for events in (fresh, hit):
-            ks = kinds(events)
-            assert "triage" in ks
-            assert ks.index("triage") < ks.index("report")
-        profile = next(e for e in fresh if e["kind"] == "triage")["profile"]
-        assert profile["text_size"] > 0
-        assert len(profile["simhash"]) == 16
-        hit_profile = next(
-            e for e in hit if e["kind"] == "triage"
-        )["profile"]
-        assert dumps(profile) == dumps(hit_profile)
-
-
 class TestWireVersion:
     """The daemon speaks only the current wire schema."""
 
-    def test_v1_submission_over_the_wire_is_rejected(self, tmp_path):
+    @staticmethod
+    def _send_raw(tmp_path, wire):
         async def main():
             async with daemon(tmp_path) as d:
-                v1 = {
-                    "schema_version": 1,
-                    "tenant": "legacy",
-                    "name": "old-client",
-                    "workload": {"table": TROJAN[0], "name": TROJAN[1]},
-                    "options": {"max_ticks": 5_000_000},
-                }
                 reader, writer = await asyncio.open_unix_connection(
                     d.unix_path
                 )
-                writer.write(encode_event(v1))
+                writer.write(encode_event(wire))
                 await writer.drain()
                 events = []
                 while True:
@@ -358,16 +330,39 @@ class TestWireVersion:
                 writer.close()
                 return events
 
-        events = run(main())
+        return run(main())
+
+    def test_v1_submission_over_the_wire_is_rejected(self, tmp_path):
+        events = self._send_raw(tmp_path, {
+            "schema_version": 1,
+            "tenant": "legacy",
+            "name": "old-client",
+            "workload": {"table": TROJAN[0], "name": TROJAN[1]},
+            "options": {"max_ticks": 5_000_000},
+        })
         assert [e["kind"] for e in events] == ["rejected"]
         assert "schema_version 1" in events[0]["detail"]
 
+    def test_v2_submission_asking_for_a_profile_is_rejected(self, tmp_path):
+        # A v2 client could ask for the static-profile event v3 removed;
+        # it gets a rejection, not a stream that silently lacks it.
+        events = self._send_raw(tmp_path, {
+            "schema_version": 2,
+            "workload": {"table": TROJAN[0], "name": TROJAN[1]},
+            "triage": True,
+        })
+        assert [e["kind"] for e in events] == ["rejected"]
+        assert events[0]["reason"] == "invalid-submission"
+        assert "schema_version 2" in events[0]["detail"]
+
     def test_only_the_current_version_decodes(self):
-        assert SERVE_SCHEMA_VERSION == 2
+        assert SERVE_SCHEMA_VERSION == 3
         wire = Submission(source="main:\n ret\n").to_wire()
         assert Submission.from_wire(wire).source == "main:\n ret\n"
         with pytest.raises(ProtocolError, match="schema_version"):
             Submission.from_wire(dict(wire, schema_version=1))
+        with pytest.raises(ProtocolError, match="schema_version"):
+            Submission.from_wire(dict(wire, schema_version=2))
 
     def test_options_wire_round_trip_carries_cache(self):
         options = RunOptions(cache=False, max_ticks=123)

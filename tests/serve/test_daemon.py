@@ -24,9 +24,6 @@ from repro.serve import (
     ServeClient,
     ServeDaemon,
     Submission,
-    http_get,
-    http_get_text,
-    http_submit,
     submit_async,
 )
 from repro.serve.admission import (
@@ -35,6 +32,8 @@ from repro.serve.admission import (
     REASON_SHUTTING_DOWN,
     REASON_TICK_BUDGET,
 )
+from tests.oracles.httpclient import http_get, http_get_text, http_submit
+from tests.oracles.openmetrics import validate_openmetrics
 
 BENIGN = Submission(
     source="main:\n    mov eax, 0\n    ret\n", name="benign"
@@ -86,6 +85,40 @@ async def wait_until(predicate, timeout=15.0):
 
 def kinds(events):
     return [e.get("kind") for e in events]
+
+
+#: Submissions whose fields have the wrong JSON shape: each must end in
+#: one ``rejected``/``invalid-submission`` event (HTTP 400), never a
+#: dropped connection.
+WRONG_SHAPES = [
+    {"workload": "x"},
+    {"workload": {}},
+    {"source": "nop", "files": [1]},
+    {"source": "nop", "peers": "ab"},
+    {"source": "nop", "argv": 5},
+    {"source": "nop", "options": "x"},
+]
+
+
+def invalid_count(d):
+    """``serve_rejected_total{reason="invalid-submission"}``."""
+    return d.metrics.counter(
+        "serve_rejected_total", tenant="default",
+        reason="invalid-submission",
+    ).value
+
+
+async def http_exchange(port, head, body=b""):
+    """One raw HTTP request; returns (status, decoded JSON body)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(head + body)
+    await writer.drain()
+    response = await reader.read()
+    writer.close()
+    status_line, _, rest = response.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(
+        rest.partition(b"\r\n\r\n")[2]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +294,31 @@ class TestBackpressure:
         assert rejected["reason"] == "invalid-submission"
         assert "exactly one" in rejected["detail"]
 
+    def test_wrong_field_shapes_end_in_rejected(self, tmp_path):
+        async def main():
+            async with daemon(tmp_path) as d:
+                streams = []
+                for wire in WRONG_SHAPES:
+                    reader, writer = await asyncio.open_unix_connection(
+                        d.unix_path
+                    )
+                    writer.write((json.dumps(wire) + "\n").encode())
+                    await writer.drain()
+                    streams.append([
+                        json.loads(line) for line in
+                        (await reader.read()).splitlines()
+                    ])
+                    writer.close()
+                ok = await submit_async(d.unix_path, BENIGN)
+                return streams, invalid_count(d), ok
+
+        streams, counted, ok = run(main())
+        for stream in streams:
+            assert kinds(stream) == ["rejected"]
+            assert stream[0]["reason"] == "invalid-submission"
+        assert counted == len(WRONG_SHAPES)
+        assert kinds(ok)[-1] == "report"
+
 
 # ---------------------------------------------------------------------------
 # HTTP front
@@ -317,8 +375,6 @@ class TestHttpFront:
         assert health["provenance_enabled"] is True
 
     def test_metrics_endpoint_serves_valid_openmetrics(self, tmp_path):
-        from repro.telemetry.metrics import validate_openmetrics
-
         async def main():
             async with daemon(
                 tmp_path, unix_path=None, host="127.0.0.1", port=0
@@ -383,6 +439,38 @@ class TestHttpFront:
         assert value(
             warm["text"], 'blockcache_library_plans{worker="0"}'
         ) >= 1
+
+    def test_wrong_field_shapes_are_answered_400(self, tmp_path):
+        async def main():
+            async with daemon(
+                tmp_path, unix_path=None, host="127.0.0.1", port=0
+            ) as d:
+                answers = []
+                for wire in WRONG_SHAPES:
+                    body = json.dumps(wire).encode()
+                    answers.append(await http_exchange(
+                        d.port,
+                        b"POST /submit HTTP/1.1\r\nContent-Length: "
+                        + str(len(body)).encode() + b"\r\n\r\n",
+                        body,
+                    ))
+                bad_length = await http_exchange(
+                    d.port,
+                    b"POST /submit HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+                )
+                health = await asyncio.get_running_loop().run_in_executor(
+                    None, http_get, "127.0.0.1", d.port, "/healthz"
+                )
+                return answers, bad_length, invalid_count(d), health
+
+        answers, bad_length, counted, health = run(main())
+        for status, event in answers + [bad_length]:
+            assert status == 400
+            assert event["kind"] == "rejected"
+            assert event["reason"] == "invalid-submission"
+        assert bad_length[1]["detail"] == "bad content-length"
+        assert counted == len(WRONG_SHAPES)
+        assert health["status"] == 200
 
     def test_http_backpressure_maps_to_429(self, tmp_path):
         async def main():

@@ -6,6 +6,8 @@ RunOptions subset and fault-profile scalars), and everything malformed
 must be a typed :class:`ProtocolError`, never a stack trace mid-stream.
 """
 
+import re
+
 import pytest
 
 from repro.core.options import DEFAULT_MAX_TICKS, RunOptions
@@ -72,6 +74,45 @@ class TestSubmissionRoundTrip:
             Submission.from_wire(["not", "a", "mapping"])
 
 
+#: Submissions whose fields have the wrong JSON shape, each with the
+#: words its ProtocolError names.
+MALFORMED = [
+    ({"workload": "x"}, "'workload' must be a JSON object"),
+    ({"workload": {}}, "lacks key 'table'"),
+    ({"workload": {"table": "4"}}, "lacks key 'name'"),
+    ({"source": "nop", "files": [1]}, "'files' must be a JSON object"),
+    ({"source": "nop", "peers": "ab"}, "'peers' must be a JSON object"),
+    ({"source": "nop", "argv": 5}, "'argv' must be a JSON array"),
+    ({"source": "nop", "argv": "ab"}, "'argv' must be a JSON array"),
+    ({"source": "nop", "options": "x"}, "'options' must be a JSON object"),
+    ({"source": "nop", "options": {"fault": "x"}},
+     "'fault' must be a JSON object"),
+    ({"source": "nop", "options": {"fault": {"seed": "x"}}},
+     "bad fault seed"),
+]
+
+
+class TestMalformedSubmissions:
+    """Every wrong shape is a ProtocolError, which the daemon answers
+    with ``rejected``/``invalid-submission``; any other exception would
+    drop the connection with no terminal event."""
+
+    @pytest.mark.parametrize(
+        "wire, words", MALFORMED, ids=[repr(w) for w, _ in MALFORMED]
+    )
+    def test_wrong_shape_is_a_protocol_error(self, wire, words):
+        with pytest.raises(ProtocolError, match=re.escape(words)):
+            Submission.from_wire(wire)
+
+    def test_null_collections_mean_empty(self):
+        sub = Submission.from_wire({
+            "source": "nop", "argv": None, "files": None, "peers": None,
+            "options": None,
+        })
+        assert sub.argv is None and not sub.files and not sub.peers
+        assert sub.options == RunOptions()
+
+
 class TestOptionsOnTheWire:
     def test_missing_options_means_defaults(self):
         assert options_from_wire(None) == RunOptions()
@@ -123,12 +164,12 @@ class TestOptionsOnTheWire:
             options_from_wire({"wall_timeout": wall_timeout})
 
     def test_tick_budget_bypass_submission_rejected(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="max_ticks"):
             Submission.from_wire({
                 "source": "nop",
                 "options": {"max_ticks": -10 ** 12,
                             "wall_timeout": float("nan")},
-                "schema_version": 2,
+                "schema_version": SERVE_SCHEMA_VERSION,
             })
 
     def test_fault_profile_scalars_travel(self):

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.taint import EMPTY, DataSource, Tag, TagSet, union_all
+from repro.taint import EMPTY, DataSource, Tag, TagSet
+
+
+def union_all(tagsets):
+    """Union an iterable of tag sets (empty iterable -> empty set)."""
+    return TagSet.empty().union(*tagsets)
 
 
 def test_tag_requires_data_source():

@@ -6,11 +6,8 @@ declarations, the ``_total`` family convention, cumulative ``le=``
 buckets, label escaping, and the terminal ``# EOF``.
 """
 
-from repro.telemetry.metrics import (
-    MetricsRegistry,
-    render_openmetrics,
-    validate_openmetrics,
-)
+from repro.telemetry.metrics import MetricsRegistry, render_openmetrics
+from tests.oracles.openmetrics import validate_openmetrics
 
 
 def registry_with_everything():

@@ -5,10 +5,12 @@ A definition only tests call is code the program does not run: a test
 that needs such a helper keeps it in ``tests/oracles``.  The scan walks
 the syntax trees of ``src/``, ``benchmarks/``, ``perfbench/`` and
 ``examples/`` and counts a definition's name where code refers to it:
-a name, an attribute, an import, or a string constant that is exactly
-the name (``getattr`` targets, ``perfbench/tracer.py``'s ``TARGETS``
-rows).  Words in docstrings and comments do not count.  Dunder names
-are exempt; the runtime calls them.
+a name, an attribute, or a string constant that is exactly the name
+(``getattr`` targets, ``perfbench/tracer.py``'s ``TARGETS`` rows).  An
+import and an ``__all__`` entry do not count: a package that only
+re-exports a definition does not call it.  Words in docstrings and
+comments do not count either.  Dunder names are exempt; the runtime
+calls them.
 """
 
 from __future__ import annotations
@@ -44,18 +46,36 @@ def _definitions(trees: Dict[pathlib.Path, ast.AST]) -> Dict[str, List[str]]:
     return found
 
 
+def _exports(tree: ast.AST) -> set:
+    """The string constants inside ``tree``'s ``__all__`` assignments."""
+    return {
+        const
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign))
+        and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target]
+            )
+        )
+        for const in ast.walk(node.value)
+        if isinstance(const, ast.Constant)
+    }
+
+
 def _references(tree: ast.AST) -> Counter:
-    """Names ``tree``'s code refers to (a definition names nothing)."""
+    """Names ``tree``'s code refers to (a definition, an import and an
+    ``__all__`` entry name nothing)."""
+    exports = _exports(tree)
     refs: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
             refs[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            refs[node.name.rpartition(".")[2]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and node.value.isidentifier():
+                and node.value.isidentifier() and node not in exports:
             refs[node.value] += 1
     return refs
 
@@ -63,13 +83,16 @@ def _references(tree: ast.AST) -> Counter:
 def test_references_are_code_not_words():
     tree = ast.parse(
         'import a.b as c\n'
+        'from q import r, s as t\n'
+        '__all__ = ["u", "v"]\n'
+        '__all__ += ["w"]\n'
         'def f():\n'
         '    """g h"""\n'
         '    # i\n'
-        '    return j.k, getattr(m, "n"), "o p"\n'
+        '    return j.k, getattr(m, "n"), "o p", t\n'
     )
     refs = _references(tree)
-    assert set(refs) == {"b", "j", "k", "getattr", "m", "n"}
+    assert set(refs) == {"__all__", "j", "k", "getattr", "m", "n", "t"}
 
 
 def test_every_src_definition_is_used_outside_its_definition():
