@@ -368,7 +368,12 @@ def _chaos_profile(args: argparse.Namespace):
                      "resolve_fail_rate", "quantum_jitter", "max_faults")
         if getattr(args, name) is not None
     }
-    return _dc_replace(profile, **overrides) if overrides else profile
+    if not overrides:
+        return profile
+    try:
+        return _dc_replace(profile, **overrides)
+    except ValueError as exc:  # a rate outside [0, 1], a negative cap
+        args.parser.error(str(exc))
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -942,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the (workload x seed) grid on this "
                             "many worker processes (default: 1, serial)")
     _add_telemetry_options(chaos)
-    chaos.set_defaults(func=cmd_chaos)
+    chaos.set_defaults(func=cmd_chaos, parser=chaos)
 
     fleet = sub.add_parser(
         "fleet",

@@ -20,7 +20,6 @@ from typing import Dict, Optional, Sequence, Union
 from repro.core.engine import EngineCache
 from repro.core.options import RunOptions
 from repro.core.report import RunReport
-from repro.expert import matchgen
 from repro.harrier.analyzer import DecisionPolicy, always_continue
 from repro.harrier.config import HarrierConfig
 from repro.harrier.monitor import Harrier
@@ -191,7 +190,6 @@ class HTH:
         if self.telemetry.is_enabled:
             self.harrier.sample_state_gauges()
             blockjit.sample_gauges(self.telemetry.metrics)
-            matchgen.sample_gauges(self.telemetry.metrics)
         injector = self.kernel.fault_injector
         return RunReport(
             program=proc.command,

@@ -84,10 +84,6 @@ class Pattern:
 
     ``bind_as`` binds the whole fact to a name (CLIPS ``?f <- (...)``),
     so actions can retract it.
-
-    A pattern is data; matching runs code generated for its shape
-    (:mod:`repro.expert.matchgen`).  A Rete node builds its matcher once,
-    for the names bound above it.
     """
 
     def __init__(
@@ -101,10 +97,41 @@ class Pattern:
         self.constraints = constraints
 
     def match(self, fact: Fact, bindings: Bindings) -> Optional[Bindings]:
-        """Return extended bindings when ``fact`` matches, else None."""
-        from repro.expert.matchgen import build_matcher
+        """Return extended bindings when ``fact`` matches, else None.
 
-        return build_matcher(self, bindings.keys())(fact, bindings)
+        Constraints are read in declaration order: the fact's template
+        must have the slot; a variable already bound must equal the
+        slot's value (``bound != value`` fails) and an unbound one binds
+        it; a predicate sees the bindings so far, including variables
+        bound earlier in this pattern; a literal must equal the value.
+        The result is a new dict: ``bindings``, then the variables this
+        pattern bound in slot order, then ``bind_as``.
+        """
+        template = fact.template
+        if template.name != self.template:
+            return None
+        readers = template.readers
+        record = fact.record
+        scope = dict(bindings)
+        for slot, constraint in self.constraints.items():
+            read = readers.get(slot)
+            if read is None:
+                return None
+            value = read(record)
+            if isinstance(constraint, V):
+                name = constraint.name
+                if name not in scope:
+                    scope[name] = value
+                elif scope[name] != value:
+                    return None
+            elif isinstance(constraint, P):
+                if not constraint.check(value, scope):
+                    return None
+            elif value != constraint:
+                return None
+        if self.bind_as is not None:
+            scope[self.bind_as] = fact
+        return scope
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Pattern({self.template!r}, {self.constraints})"

@@ -39,14 +39,14 @@ This module is that network:
   and fact tuples in ascending fact-id order, so for equal (salience,
   recency) the naive order *is* (rule_index, fact_ids).
 
-Each alpha-fed node matches with its pattern's generated matcher
-(:mod:`repro.expert.matchgen`), built once for the names bound above the
-node; it is the single arbiter of match semantics — the alpha constants
-and join-key hashing only prune candidates, and values that are
-unhashable fall back to scan lists, so the network can never accept or
-reject a pairing the naive matcher would not.  A fact no alpha memory
-takes can change nothing while the agenda is empty
-(:meth:`ReteNetwork.accepts`), so the engine's caller may skip it.
+Each alpha-fed node matches with :meth:`Pattern.match`, the same
+reading of a pattern the naive matcher uses; it is the single arbiter of
+match semantics — the alpha constants and join-key hashing only prune
+candidates, and values that are unhashable fall back to scan lists, so
+the network can never accept or reject a pairing the naive matcher
+would not.  A fact no alpha memory takes can change nothing while the
+agenda is empty (:meth:`ReteNetwork.accepts`), so the engine's caller
+may skip it.
 
 Propagation ordering (the classic Rete pitfalls):
 
@@ -74,7 +74,6 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.expert.conditions import Not, P, Pattern, Test, V
 from repro.expert.engine import Activation, Rule
-from repro.expert.matchgen import build_matcher
 from repro.expert.template import Fact
 
 #: Sentinel for join keys containing unhashable values: those tokens and
@@ -188,7 +187,7 @@ class _AlphaFedNode:
     (alpha) input: hashed indexes on both sides, scan-list fallbacks,
     and the outgoing edges."""
 
-    __slots__ = ("network", "pattern", "match", "alpha", "join_slots",
+    __slots__ = ("network", "pattern", "alpha", "join_slots",
                  "edges", "rule_index", "position", "tokens", "left_index",
                  "left_scan", "right_index", "right_scan")
 
@@ -197,8 +196,6 @@ class _AlphaFedNode:
                  rule_index: int, position: int) -> None:
         self.network = network
         self.pattern = pattern
-        #: The generated matcher: every token here binds ``bound``.
-        self.match = build_matcher(pattern, bound)
         self.alpha = alpha
         self.join_slots = _join_slots(pattern, bound)
         #: ``(tests, target)``: an output reaches ``target`` when every
@@ -317,7 +314,7 @@ class JoinNode(_AlphaFedNode):
 
     def _join(self, token: Token, edges: Iterable[Edge]) -> None:
         for fact in self._right_candidates(token):
-            extended = self.match(fact, token.bindings)
+            extended = self.pattern.match(fact, token.bindings)
             if extended is not None:
                 self._emit(edges, token, fact, extended)
 
@@ -328,7 +325,7 @@ class JoinNode(_AlphaFedNode):
     def right_assert(self, fact: Fact) -> None:
         key = self._index_right(fact)
         for token in list(self._left_candidates(key)):
-            extended = self.match(fact, token.bindings)
+            extended = self.pattern.match(fact, token.bindings)
             if extended is not None:
                 self._emit(self.edges, token, fact, extended)
 
@@ -347,7 +344,7 @@ class NegNode(_AlphaFedNode):
         self._store_token(token)
         count = 0
         for fact in self._right_candidates(token):
-            if self.match(fact, token.bindings) is not None:
+            if self.pattern.match(fact, token.bindings) is not None:
                 count += 1
         token.neg_count = count
         if count == 0:
@@ -361,7 +358,7 @@ class NegNode(_AlphaFedNode):
     def right_assert(self, fact: Fact) -> None:
         key = self._index_right(fact)
         for token in list(self._left_candidates(key)):
-            if self.match(fact, token.bindings) is not None:
+            if self.pattern.match(fact, token.bindings) is not None:
                 token.neg_count += 1
                 if token.neg_count == 1:
                     for child in list(token.children):
@@ -370,7 +367,7 @@ class NegNode(_AlphaFedNode):
     def right_retract(self, fact: Fact) -> None:
         self._unindex_right(fact)
         for token in list(self._left_candidates(self._right_key(fact))):
-            if self.match(fact, token.bindings) is not None:
+            if self.pattern.match(fact, token.bindings) is not None:
                 token.neg_count -= 1
                 if token.neg_count == 0:
                     self._emit(self.edges, token, None, token.bindings)

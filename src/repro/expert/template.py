@@ -2,7 +2,7 @@
 
 A fact is a template plus a *record*, and the template names, for each
 slot, the reader that takes the slot's value from the record.  Every
-consumer — alpha tests, join keys, generated matchers, rendering — reads
+consumer — alpha tests, join keys, pattern matching, rendering — reads
 a slot as ``template.readers[slot](record)``, whatever the record is.
 
 * A generic template's record is the dict :meth:`Template.make` builds,

@@ -21,6 +21,7 @@ chaos harness may assert:
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
@@ -82,6 +83,25 @@ class FaultProfile:
     #: Hard cap on injected faults per run (None = unlimited).  Stalls and
     #: errno/connect/resolve faults count; quantum jitter does not.
     max_faults: int | None = None
+
+    def __post_init__(self) -> None:
+        """Reject a rate outside [0, 1] or a negative cap (``ValueError``)
+        here, not at the first syscall the injector sees."""
+        for name in ("stall_rate", "errno_rate", "connect_reset_rate",
+                     "resolve_fail_rate", "quantum_jitter"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Real)
+                    or not 0 <= value <= 1):
+                raise ValueError(
+                    f"{name} must be a number in [0, 1], not {value!r}"
+                )
+        cap = self.max_faults
+        if cap is not None and (isinstance(cap, bool)
+                                or not isinstance(cap, int) or cap < 0):
+            raise ValueError(
+                f"max_faults must be null or an int >= 0, not {cap!r}"
+            )
 
 
 #: Semantics-preserving chaos: stalls plus scheduling jitter.  Used by the

@@ -166,7 +166,10 @@ def options_from_wire(data: Optional[Mapping[str, object]]) -> RunOptions:
             raise ProtocolError(
                 f"unknown fault field(s): {sorted(unknown)}"
             )
-        profile = FaultProfile(**fault)
+        try:
+            profile = FaultProfile(**fault)
+        except ValueError as exc:
+            raise ProtocolError(f"bad fault profile: {exc}") from None
         options = replace(
             options, fault_profile=profile, fault_seed=seed
         )

@@ -214,7 +214,8 @@ class ServeDaemon:
         self.supervisor.start()
         if self.unix_path is not None:
             self._servers.append(await asyncio.start_unix_server(
-                self._handle_ndjson, path=self.unix_path
+                self._handle_ndjson, path=self.unix_path,
+                limit=MAX_SUBMISSION_BYTES,
             ))
         if self.host is not None:
             server = await asyncio.start_server(
@@ -292,6 +293,15 @@ class ServeDaemon:
         return on_event
 
     # -- one submission, protocol-independent ------------------------------
+    def _invalid(self, detail: str,
+                 tenant: str = "default") -> Dict[str, object]:
+        """Count one ``invalid-submission`` rejection and return its
+        event; every front answers a malformed submission through here."""
+        self.metrics.counter(
+            "serve_rejected_total", tenant=tenant, reason=adm.REASON_INVALID,
+        ).inc()
+        return rejected_event(adm.REASON_INVALID, detail)
+
     async def _admit(
         self, raw: Dict[str, object]
     ) -> Tuple[Optional[_PendingJob], Optional[Dict[str, object]]]:
@@ -309,12 +319,9 @@ class ServeDaemon:
         try:
             submission = Submission.from_wire(raw)
         except ProtocolError as exc:
-            self.metrics.counter(
-                "serve_rejected_total",
-                tenant=str(raw.get("tenant", "default")),
-                reason=adm.REASON_INVALID,
-            ).inc()
-            return None, rejected_event(adm.REASON_INVALID, str(exc))
+            return None, self._invalid(
+                str(exc), str(raw.get("tenant", "default"))
+            )
         reason = self.admission.precheck(submission.tenant)
         if reason is not None:
             return None, rejected_event(reason)
@@ -467,21 +474,21 @@ class ServeDaemon:
         try:
             try:
                 line = await reader.readline()
-            except (ValueError, ConnectionError):
+            except ConnectionError:
                 return
-            if not line.strip():
+            except ValueError:  # longer than the stream's limit
+                line = None
+            if line is not None and not line.strip():
                 return
-            if len(line) > MAX_SUBMISSION_BYTES:
+            if line is None or len(line) > MAX_SUBMISSION_BYTES:
                 await write(encode_event(
-                    rejected_event(adm.REASON_INVALID, "submission too large")
+                    self._invalid("submission too large")
                 ))
                 return
             try:
                 raw = decode_line(line)
             except ProtocolError as exc:
-                await write(encode_event(
-                    rejected_event(adm.REASON_INVALID, str(exc))
-                ))
+                await write(encode_event(self._invalid(str(exc))))
                 return
             job, rejection = await self._admit(raw)
             if rejection is not None:
@@ -556,16 +563,21 @@ class ServeDaemon:
         if length <= 0 or length > MAX_SUBMISSION_BYTES:
             await self._http_json(
                 writer, 400, "Bad Request",
-                rejected_event(adm.REASON_INVALID, "bad content-length"),
+                self._invalid("bad content-length"),
             )
             return
-        body = await reader.readexactly(length)
+        try:
+            body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError:  # closed before Content-Length
+            await self._http_json(
+                writer, 400, "Bad Request", self._invalid("truncated body")
+            )
+            return
         try:
             raw = decode_line(body)
         except ProtocolError as exc:
             await self._http_json(
-                writer, 400, "Bad Request",
-                rejected_event(adm.REASON_INVALID, str(exc)),
+                writer, 400, "Bad Request", self._invalid(str(exc))
             )
             return
         job, rejection = await self._admit(raw)

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.procs import WorkerProcess, mp_context, retry_delay, wait
-from repro.expert import matchgen
 from repro.isa import blockjit
 from repro.serve.worker import serve_worker_main
 
@@ -395,17 +394,14 @@ class Supervisor:
     def _absorb_code_caches(self, msg: Dict[str, object],
                             wid: object) -> None:
         """Mirror a worker's block-JIT code cache (size, compiles,
-        evictions, fused blocks, op table), rule-matcher code cache and library
-        plan tables (entries, plans) into per-worker ``blockjit_*``,
-        ``secpert_matcher_*`` and ``blockcache_library_*`` gauges."""
+        evictions, fused blocks, op table) and library plan tables
+        (entries, plans) into per-worker ``blockjit_*`` and
+        ``blockcache_library_*`` gauges."""
         if self._metrics is None:
             return
         jit, library = msg.get("jit"), msg.get("library")
         if isinstance(jit, dict):
             blockjit.sample_gauges(self._metrics, jit, worker=str(wid))
-        matcher = msg.get("matcher")
-        if isinstance(matcher, dict):
-            matchgen.sample_gauges(self._metrics, matcher, worker=str(wid))
         if isinstance(library, dict):
             for key, value in library.items():
                 self._metrics.gauge(

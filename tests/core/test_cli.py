@@ -249,6 +249,17 @@ class TestChaosCommand:
         with pytest.raises(SystemExit):
             main(["chaos", "--table", "8", "--workload", "nope"])
 
+    @pytest.mark.parametrize("flags", [
+        ["--stall-rate", "1.5"],
+        ["--quantum-jitter", "nan"],
+        ["--max-faults", "-1"],
+    ])
+    def test_fault_value_out_of_range_is_a_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--table", "8", "--workload", "pma"] + flags)
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
     def test_pool_metrics_are_merged(self, capsys):
         argv = ["chaos", "--table", "8", "--workload", "pma",
                 "--trials", "2", "--metrics"]

@@ -106,6 +106,37 @@ class TestPatternMatch:
         Pattern("access", resource=V("r")).match(fact, original)
         assert original == {}
 
+    def test_predicate_sees_variables_bound_before_it(self, access):
+        seen = []
+
+        def probe(value, bindings):
+            seen.append(dict(bindings))
+            return True
+
+        fact = access.make(call="open", resource="/a", severity=3)
+        pattern = Pattern("access", call=V("c"), resource=P(probe),
+                          severity=V("s"))
+        assert pattern.match(fact, {"x": 0}) == {"x": 0, "c": "open",
+                                                 "s": 3}
+        assert seen == [{"x": 0, "c": "open"}]
+
+    def test_repeated_variable_compares(self, access):
+        pattern = Pattern("access", call=V("v"), resource=V("v"))
+        assert pattern.match(access.make(call="a", resource="a"), {}) \
+            == {"v": "a"}
+        assert pattern.match(access.make(call="a", resource="b"), {}) \
+            is None
+
+    def test_key_order(self, access):
+        # Incoming bindings, then new variables in slot order, then
+        # bind_as — FiredRule.bindings and reports depend on it.
+        fact = access.make(call="open", resource="/a", severity=3)
+        pattern = Pattern("access", bind_as="f", severity=V("s"),
+                          call=V("c"), resource=V("r"))
+        result = pattern.match(fact, {"z": 1, "r": "/a"})
+        assert list(result) == ["z", "r", "s", "c", "f"]
+        assert result["f"] is fact
+
 
 class TestMatchLhs:
     def test_single_pattern_all_matches(self, access):

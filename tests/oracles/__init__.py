@@ -11,9 +11,7 @@ switches that pin the block JIT to one executor:
   (and its ``fetch``) with Harrier's per-instruction taint replay;
 * :mod:`tests.oracles.replay` — template replay of every block's taint,
   transfer by transfer (the compiled summaries never run);
-* :mod:`tests.oracles.matcher` — the naive full-rejoin rule matcher
-  and the interpreted reading of a pattern the generated matchers
-  replace;
+* :mod:`tests.oracles.matcher` — the naive full-rejoin rule matcher;
 * :mod:`tests.oracles.readers` — per-cell guest-memory and shadow-tag
   readers (strings, buffers, a range's tags, a string's NUL scan, every
   live cell's tags, the application image);

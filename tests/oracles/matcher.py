@@ -1,15 +1,14 @@
 """Naive full-rejoin matcher: the agenda recomputed from scratch.
 
 ``InferenceEngine`` maintains its agenda through a Rete network
-(``repro.expert.rete.ReteNetwork``) whose nodes match with generated
-code (``repro.expert.matchgen``).  :func:`interpreted_match` is the
-reference reading of a :class:`Pattern`, constraint by constraint, and
-:class:`NaiveNetwork` offers the network's interface but keeps no
-memories: every agenda request re-runs :func:`match_lhs` for every rule
-over the whole working memory and sorts by (salience, recency) — the
-reference matching semantics the Rete network must reproduce activation
-for activation.  It accepts every fact, so an engine built on it never
-skips one.
+(``repro.expert.rete.ReteNetwork``) that joins incrementally; both it
+and this matcher read a fact against one pattern with
+:meth:`Pattern.match`.  :class:`NaiveNetwork` offers the network's
+interface but keeps no memories: every agenda request re-runs
+:func:`match_lhs` for every rule over the whole working memory and sorts
+by (salience, recency) — the reference join, negation and agenda the
+Rete network must reproduce activation for activation.  It accepts every
+fact, so an engine built on it never skips one.
 
 :func:`naive_matcher` patches the network class, so engines constructed
 inside the block match naively.  An engine keeps its network class for
@@ -24,56 +23,16 @@ from typing import Any, Dict, Iterable, List, Optional
 from unittest import mock
 
 from repro.expert import rete
-from repro.expert.conditions import Not, P, Pattern, Test, V
+from repro.expert.conditions import Bindings, Not, Pattern, Test
 from repro.expert.engine import Activation
 from repro.expert.template import Fact
-
-Bindings = Dict[str, Any]
-
-
-def interpreted_match(pattern: Pattern, fact: Fact,
-                      bindings: Bindings) -> Optional[Bindings]:
-    """Extended bindings when ``fact`` matches ``pattern``, else None."""
-    if fact.name != pattern.template:
-        return None
-    new_bindings: Optional[Bindings] = None
-
-    def ensure() -> Bindings:
-        nonlocal new_bindings
-        if new_bindings is None:
-            new_bindings = dict(bindings)
-        return new_bindings
-
-    for slot, constraint in pattern.constraints.items():
-        if slot not in fact.template.slots:
-            return None
-        value = fact.get(slot)
-        if isinstance(constraint, V):
-            scope = new_bindings if new_bindings is not None else bindings
-            if constraint.name in scope:
-                if scope[constraint.name] != value:
-                    return None
-            else:
-                ensure()[constraint.name] = value
-        elif isinstance(constraint, P):
-            scope = new_bindings if new_bindings is not None else bindings
-            if not constraint.check(value, scope):
-                return None
-        else:  # literal
-            if value != constraint:
-                return None
-    result = new_bindings if new_bindings is not None else dict(bindings)
-    if pattern.bind_as is not None:
-        result = dict(result)
-        result[pattern.bind_as] = fact
-    return result
 
 
 def not_holds(element: Not, facts: Iterable[Fact],
               bindings: Bindings) -> bool:
     """Negation as failure: no fact matches the pattern."""
     for fact in facts:
-        if interpreted_match(element.pattern, fact, bindings) is not None:
+        if element.pattern.match(fact, bindings) is not None:
             return False
     return True
 
@@ -93,7 +52,7 @@ def match_lhs(lhs: List[Any], facts: List[Fact]) -> List[Dict[str, Any]]:
         element = lhs[index]
         if isinstance(element, Pattern):
             for fact in facts:
-                extended = interpreted_match(element, fact, bindings)
+                extended = element.match(fact, bindings)
                 if extended is not None:
                     matched.append(fact)
                     extend(index + 1, extended, matched)

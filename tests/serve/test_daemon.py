@@ -32,6 +32,7 @@ from repro.serve.admission import (
     REASON_SHUTTING_DOWN,
     REASON_TICK_BUDGET,
 )
+from repro.serve.server import MAX_SUBMISSION_BYTES
 from tests.oracles.httpclient import http_get, http_get_text, http_submit
 from tests.oracles.openmetrics import validate_openmetrics
 
@@ -319,6 +320,35 @@ class TestBackpressure:
         assert counted == len(WRONG_SHAPES)
         assert kinds(ok)[-1] == "report"
 
+    def test_unreadable_lines_are_rejected_and_counted(self, tmp_path):
+        # One line past the submission bound, one that is not JSON.
+        lines = [b"{" + b" " * MAX_SUBMISSION_BYTES + b"}\n",
+                 b"{not json\n"]
+
+        async def main():
+            async with daemon(tmp_path) as d:
+                streams = []
+                for line in lines:
+                    reader, writer = await asyncio.open_unix_connection(
+                        d.unix_path
+                    )
+                    writer.write(line)
+                    await writer.drain()
+                    streams.append([
+                        json.loads(answer) for answer in
+                        (await reader.read()).splitlines()
+                    ])
+                    writer.close()
+                return streams, invalid_count(d)
+
+        (oversize, undecodable), counted = run(main())
+        for stream in (oversize, undecodable):
+            assert kinds(stream) == ["rejected"]
+            assert stream[0]["reason"] == "invalid-submission"
+        assert oversize[0]["detail"] == "submission too large"
+        assert "undecodable" in undecodable[0]["detail"]
+        assert counted == 2
+
 
 # ---------------------------------------------------------------------------
 # HTTP front
@@ -424,14 +454,6 @@ class TestHttpFront:
         # ... and its op table: every translated instruction runs a
         # per-op function compiled from its op shape.
         assert value(warm["text"], 'blockjit_op_codes{worker="0"}') >= 1
-        # ... and its rule-matcher code cache: Secpert's shapes, built
-        # at least once per run.
-        for gauge in ("secpert_matcher_shapes", "secpert_matcher_compiles",
-                      "secpert_matcher_evictions", "secpert_matcher_builds"):
-            assert value(warm["text"], f'{gauge}{{worker="0"}}') >= 0
-        assert value(
-            warm["text"], 'secpert_matcher_shapes{worker="0"}'
-        ) >= 1
         # ... and its library plan tables: libc and the startup shim.
         assert value(
             warm["text"], 'blockcache_library_entries{worker="0"}'
@@ -458,19 +480,48 @@ class TestHttpFront:
                     d.port,
                     b"POST /submit HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
                 )
+                undecodable = await http_exchange(
+                    d.port,
+                    b"POST /submit HTTP/1.1\r\nContent-Length: 5\r\n\r\n",
+                    b"{nope",
+                )
                 health = await asyncio.get_running_loop().run_in_executor(
                     None, http_get, "127.0.0.1", d.port, "/healthz"
                 )
-                return answers, bad_length, invalid_count(d), health
+                return (answers, bad_length, undecodable, invalid_count(d),
+                        health)
 
-        answers, bad_length, counted, health = run(main())
-        for status, event in answers + [bad_length]:
+        answers, bad_length, undecodable, counted, health = run(main())
+        for status, event in answers + [bad_length, undecodable]:
             assert status == 400
             assert event["kind"] == "rejected"
             assert event["reason"] == "invalid-submission"
         assert bad_length[1]["detail"] == "bad content-length"
-        assert counted == len(WRONG_SHAPES)
+        assert "undecodable" in undecodable[1]["detail"]
+        assert counted == len(WRONG_SHAPES) + 2
         assert health["status"] == 200
+
+    def test_truncated_body_is_answered_400_and_counted(self, tmp_path):
+        async def main():
+            async with daemon(
+                tmp_path, unix_path=None, host="127.0.0.1", port=0
+            ) as d:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", d.port
+                )
+                writer.write(b"POST /submit HTTP/1.1\r\n"
+                             b"Content-Length: 100\r\n\r\n{}")
+                writer.write_eof()  # 98 bytes short
+                response = await reader.read()
+                writer.close()
+                return response, invalid_count(d)
+
+        response, counted = run(main())
+        assert response.startswith(b"HTTP/1.1 400 ")
+        event = json.loads(response.partition(b"\r\n\r\n")[2])
+        assert event["reason"] == "invalid-submission"
+        assert event["detail"] == "truncated body"
+        assert counted == 1
 
     def test_http_backpressure_maps_to_429(self, tmp_path):
         async def main():

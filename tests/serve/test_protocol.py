@@ -186,6 +186,32 @@ class TestOptionsOnTheWire:
         with pytest.raises(ProtocolError, match="unknown fault"):
             options_from_wire({"fault": {"seed": 1, "blast_radius": 9}})
 
+    @pytest.mark.parametrize("fault", [
+        {"stall_rate": "x"},
+        {"stall_rate": True},
+        {"errno_rate": -3},
+        {"connect_reset_rate": 1.5},
+        {"resolve_fail_rate": float("inf")},
+        {"quantum_jitter": float("nan")},
+        {"max_faults": "many"},
+        {"max_faults": True},
+        {"max_faults": -1},
+        {"max_faults": 2.0},
+    ])
+    def test_bad_fault_values_rejected(self, fault):
+        with pytest.raises(ProtocolError, match="bad fault profile"):
+            options_from_wire({"fault": fault})
+
+    @pytest.mark.parametrize("fault", [
+        {"stall_rate": 0, "errno_rate": 1},
+        {"quantum_jitter": 1.0, "max_faults": 0},
+        {"connect_reset_rate": 0.5, "max_faults": None},
+    ])
+    def test_fault_values_at_the_bounds_accepted(self, fault):
+        profile = options_from_wire({"fault": fault}).fault_profile
+        for name, value in fault.items():
+            assert getattr(profile, name) == value
+
     def test_defaults_survive_an_empty_wire_dict(self):
         options = options_from_wire({})
         assert options.max_ticks == DEFAULT_MAX_TICKS
