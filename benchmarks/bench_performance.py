@@ -314,10 +314,10 @@ def bench_profiler_breakdown(benchmark):
 def bench_nullsink_overhead(benchmark):
     """Disabled telemetry must not slow the monitored hot path.
 
-    The NullSink wiring caches ``None`` handles in the kernel and
-    Harrier, so a run with telemetry omitted and a run with an enabled
-    registry differ only by the instrument updates; the disabled path
-    must not measurably exceed the enabled one.
+    The layers count in plain fields either way, so a run with
+    telemetry omitted and a run with an enabled registry differ only by
+    the end-of-run sampling and Secpert's wall-time histograms; the
+    disabled path must not measurably exceed the enabled one.
     """
     import time
 

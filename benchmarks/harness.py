@@ -64,7 +64,7 @@ FOOTPRINT_METRICS = (
 def workload_footprint(workload: Workload) -> dict:
     """Run one workload under an enabled hub; return registry totals.
 
-    The numbers come from the live telemetry registry, not from ad-hoc
+    The numbers come from the run's telemetry registry, not from ad-hoc
     counters in the benchmark — the benchmarks consume the same metrics
     the rest of the stack exposes.
     """

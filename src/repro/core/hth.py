@@ -33,7 +33,7 @@ from repro.kernel.network import Network
 from repro.programs.libc import libc_image
 from repro.secpert.policy import PolicyConfig
 from repro.secpert.secpert import Secpert
-from repro.telemetry import Telemetry
+from repro.telemetry import Sampler, Telemetry
 
 #: Paths commonly exec'd by the paper's workloads; HTH pre-registers tiny
 #: stub binaries for them so execve targets exist (detection happens at
@@ -95,6 +95,11 @@ class HTH:
         self.telemetry = telemetry if telemetry is not None else (
             Telemetry.disabled()
         )
+        #: Reads the layers' counts into the registry when a run ends.
+        self._sampler = (
+            Sampler(self.telemetry.metrics)
+            if self.telemetry.is_enabled else None
+        )
         #: The analysis side: Secpert by default, or any EventAnalyzer
         #: exposing a ``warnings`` list (e.g. the cross-session or
         #: multi-program wrappers).
@@ -152,6 +157,17 @@ class HTH:
         self.kernel.console.provide_input(data)
 
     # -- running ----------------------------------------------------------
+    def _sample_metrics(self) -> None:
+        """Write the run's counts into the registry: the kernel's (with
+        its block caches'), Harrier's and, when it reports to this hub,
+        the Secpert engine's; then the block JIT's gauges."""
+        layers = [self.kernel, self.harrier]
+        secpert = self.secpert
+        if secpert is not None and secpert.metrics is self.telemetry.metrics:
+            layers.append(secpert.engine)
+        self._sampler.sample(layers)
+        blockjit.sample_gauges(self.telemetry.metrics)
+
     def run(
         self,
         program: Union[str, Image],
@@ -187,9 +203,8 @@ class HTH:
         result = self.kernel.run(
             max_ticks=max_ticks, wall_timeout=self.options.wall_timeout
         )
-        if self.telemetry.is_enabled:
-            self.harrier.sample_state_gauges()
-            blockjit.sample_gauges(self.telemetry.metrics)
+        if self._sampler is not None:
+            self._sample_metrics()
         injector = self.kernel.fault_injector
         return RunReport(
             program=proc.command,

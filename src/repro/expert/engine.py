@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.expert.conditions import ConditionalElement
 from repro.expert.template import Fact, Template
@@ -100,21 +100,6 @@ class RuleContext:
         return self.engine.context
 
 
-class _Instruments:
-    """Stable registry handles for the match-cost metric families."""
-
-    __slots__ = ("match_seconds", "alpha_activations", "beta_tokens_live",
-                 "agenda_size")
-
-    def __init__(self, registry: Any) -> None:
-        self.match_seconds = registry.histogram("secpert_match_seconds")
-        self.alpha_activations = registry.counter(
-            "secpert_alpha_activations_total"
-        )
-        self.beta_tokens_live = registry.gauge("secpert_beta_tokens_live")
-        self.agenda_size = registry.gauge("secpert_agenda_size")
-
-
 class InferenceEngine:
     def __init__(self) -> None:
         self.templates: Dict[str, Template] = {}
@@ -139,28 +124,18 @@ class InferenceEngine:
         #: event; the quarantine survives reset() because the defect is
         #: in the rule, not the working memory.
         self.quarantined: Dict[str, str] = {}
-        self._metrics: Any = None
-        self._instruments: Optional[_Instruments] = None
+        #: Rule firings by rule name (a quarantined rule's included).
+        self.firings: Dict[str, int] = {}
+        #: Optional registry for the wall-time histograms no count can
+        #: stand for (``secpert_match_seconds``,
+        #: ``secpert_rule_latency_seconds``); counts go by :meth:`readings`.
+        self.metrics: Any = None
         from repro.expert.rete import MatchStats, ReteNetwork
 
         #: Always-on match instrumentation, cheap enough to keep without
         #: a registry (see :class:`repro.expert.rete.MatchStats`).
         self.stats = MatchStats()
         self._rete = ReteNetwork(self)
-
-    #: Optional telemetry registry (repro.telemetry.MetricsRegistry).
-    #: When set, the engine records facts asserted, per-rule firing
-    #: counts, per-rule action latency, and match-cost families
-    #: (secpert_match_seconds, secpert_alpha_activations_total,
-    #: secpert_beta_tokens_live, secpert_agenda_size).
-    @property
-    def metrics(self) -> Any:
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry: Any) -> None:
-        self._metrics = registry
-        self._instruments = None if registry is None else _Instruments(registry)
 
     # -- definitions ---------------------------------------------------------
     def define_template(self, template: Template) -> Template:
@@ -206,8 +181,6 @@ class InferenceEngine:
         self._recency += 1
         fact.recency = self._recency
         self.stats.facts_asserted += 1
-        if self._metrics is not None:
-            self._metrics.counter("secpert_facts_asserted_total").inc()
 
     def retract(self, fact: Fact) -> None:
         if fact.fact_id is None or fact.fact_id not in self._facts:
@@ -246,7 +219,6 @@ class InferenceEngine:
 
     def _propagate(self, step: Callable[[Fact], None], fact: Fact) -> None:
         stats = self.stats
-        alpha_before = stats.alpha_activations
         start = perf_counter()
         step(fact)
         elapsed = perf_counter() - start
@@ -255,14 +227,8 @@ class InferenceEngine:
         stats.agenda_size = self._rete.agenda_size()
         if stats.agenda_size > stats.agenda_peak:
             stats.agenda_peak = stats.agenda_size
-        instruments = self._instruments
-        if instruments is not None:
-            instruments.match_seconds.observe(elapsed)
-            delta = stats.alpha_activations - alpha_before
-            if delta:
-                instruments.alpha_activations.inc(delta)
-            instruments.beta_tokens_live.set(stats.beta_tokens_live)
-            instruments.agenda_size.set(stats.agenda_size)
+        if self.metrics is not None:
+            self.metrics.histogram("secpert_match_seconds").observe(elapsed)
 
     # -- agenda -----------------------------------------------------------------
     def agenda(self) -> List[Activation]:
@@ -271,6 +237,20 @@ class InferenceEngine:
     def match_stats(self) -> Dict[str, Any]:
         """Wire-friendly snapshot of the always-on match instrumentation."""
         return self.stats.to_dict()
+
+    def readings(self) -> Iterator[tuple]:
+        """The engine's counts, in the shape
+        :class:`repro.telemetry.Sampler` writes into a registry."""
+        stats = self.stats
+        if stats.facts_asserted:
+            yield "counter", "secpert_facts_asserted_total", {}, stats.facts_asserted
+        yield "counter", "secpert_alpha_activations_total", {}, stats.alpha_activations
+        for rule, count in self.firings.items():
+            yield "counter", "secpert_rule_firings_total", {"rule": rule}, count
+        # The network's size after the latest match step (0 before any).
+        matched = stats.match_calls > 0
+        yield "gauge", "secpert_beta_tokens_live", {}, stats.beta_tokens_live if matched else 0
+        yield "gauge", "secpert_agenda_size", {}, stats.agenda_size if matched else 0
 
     def run(self, limit: int = 10_000) -> int:
         """Fire until quiescent; returns the number of rules fired."""
@@ -299,11 +279,9 @@ class InferenceEngine:
                     f"{type(exc).__name__}: {exc}"
                 )
             finally:
+                name = activation.rule.name
+                self.firings[name] = self.firings.get(name, 0) + 1
                 if self.metrics is not None:
-                    name = activation.rule.name
-                    self.metrics.counter(
-                        "secpert_rule_firings_total", rule=name
-                    ).inc()
                     self.metrics.histogram(
                         "secpert_rule_latency_seconds", rule=name
                     ).observe(perf_counter() - action_start)

@@ -83,12 +83,12 @@ _UNINDEXED = object()
 
 @dataclass
 class MatchStats:
-    """Always-on match instrumentation (cheap scalars, no registry needed).
+    """Always-on match instrumentation (cheap scalars).
 
-    ``InferenceEngine`` keeps one of these regardless of whether a
-    telemetry registry is attached; the serve worker ships it on the
-    result wire so the supervisor can fold it into daemon-lifetime
-    metrics.
+    ``InferenceEngine`` keeps one of these and a run's registry reads it
+    when the run ends (``InferenceEngine.readings``); the serve worker
+    ships it on the result wire so the supervisor can fold it into
+    daemon-lifetime metrics.
     """
 
     facts_asserted: int = 0

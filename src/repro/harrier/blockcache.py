@@ -12,13 +12,13 @@ Shared objects are the same code in every layout, so a warm
 a new layout's cache starts with every library block already
 translated, and writes the library blocks it translates back.
 
-Hit/miss/translation counts are kept as plain ints (always, they feed
-the benchmark JSON) and mirrored into ``repro.telemetry`` counters when a
-metrics registry is attached:
-
-* ``blockcache_hits_total`` / ``blockcache_misses_total``
-* ``blockcache_translated_instructions_total``
-* ``blockcache_flushes_total`` (incremented by the kernel on execve)
+Hit/miss/translation counts are plain ints.  A cache outlives the runs
+that warm it, so the kernel notes each cache's counts when it first
+uses one, and a run's registry gets the difference when the run ends
+(``blockcache_hits_total``, ``blockcache_misses_total``,
+``blockcache_translated_instructions_total``; see
+:meth:`repro.kernel.kernel.Kernel.readings`, which also reports the
+execve swaps as ``blockcache_flushes_total``).
 """
 
 from __future__ import annotations
@@ -44,15 +44,11 @@ class BlockCache:
         "flushes",
         "translated_instructions",
         "max_blocks",
-        "_c_hits",
-        "_c_misses",
-        "_c_translated",
     )
 
     def __init__(
         self,
         leaders: FrozenSet[int] = frozenset(),
-        metrics=None,
         max_blocks: int = 65536,
         libraries: Sequence[LibraryRange] = (),
     ) -> None:
@@ -73,25 +69,6 @@ class BlockCache:
         #: Defensive bound; a full cache is flushed wholesale, like PIN's
         #: code cache under pressure.
         self.max_blocks = max_blocks
-        self.bind_metrics(metrics)
-
-    def bind_metrics(self, metrics) -> None:
-        """(Re)wire the telemetry mirrors to ``metrics``.
-
-        Warm caches outlive single runs (see :class:`BlockCacheStore`),
-        so each run re-binds the counter handles to its own registry —
-        or to ``None``, which keeps the hot path at two attribute loads.
-        """
-        if metrics is not None:
-            self._c_hits = metrics.counter("blockcache_hits_total")
-            self._c_misses = metrics.counter("blockcache_misses_total")
-            self._c_translated = metrics.counter(
-                "blockcache_translated_instructions_total"
-            )
-        else:
-            self._c_hits = None
-            self._c_misses = None
-            self._c_translated = None
 
     def lookup(self, memory: FlatMemory, pc: int) -> BlockPlan:
         """The cached plan entered at ``pc``, translating on first miss.
@@ -102,13 +79,9 @@ class BlockCache:
         plan = self.plans.get(pc)
         if plan is not None:
             self.hits += 1
-            if self._c_hits is not None:
-                self._c_hits.inc()
             return plan
         plan = translate_block(memory, pc, self.leaders)
         self.misses += 1
-        if self._c_misses is not None:
-            self._c_misses.inc()
         if len(self.plans) >= self.max_blocks:
             self.flush()
         for start, end, shared in self.libraries:
@@ -120,16 +93,12 @@ class BlockCache:
                 break
         self.plans[pc] = plan
         self.translated_instructions += plan.length
-        if self._c_translated is not None:
-            self._c_translated.inc(plan.length)
         return plan
 
     def count_hits(self, entries: int) -> None:
         """Count ``entries`` block entries a loop trace made without a
         lookup, so hits still count every block entry."""
         self.hits += entries
-        if self._c_hits is not None:
-            self._c_hits.inc(entries)
 
     def flush(self) -> None:
         """Drop every translated block (refilled lazily on next lookup;

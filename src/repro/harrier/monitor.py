@@ -15,9 +15,9 @@ through the :class:`KernelHooks` interface and
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.harrier.analyzer import (
     DecisionPolicy,
@@ -93,7 +93,7 @@ class Harrier(KernelHooks):
         self.bbfreq = CodeExecutionPatterns()
         self.routines = RoutineShortCircuit(self.dataflow)
         #: The per-run evidence recorder (None when disabled — hot paths
-        #: pay one cached None check, NullSink-style).  HTH passes
+        #: pay one cached None check).  HTH passes
         #: ``RunOptions.provenance`` here.
         self.provenance = ProvenanceRecorder() if provenance else None
         self._prov = self.provenance
@@ -122,22 +122,20 @@ class Harrier(KernelHooks):
         self._events: Deque[SecurityEvent] = deque(
             maxlen=self.config.max_event_log
         )
-        #: Events discarded because the bounded log was full.
+        #: Events emitted to the analyzer, and those discarded because
+        #: the bounded log was full.
+        self.events_emitted: int = 0
         self.events_dropped: int = 0
         #: Block applications of a full block / of a prefix (a partial
-        #: execution); always counted — the perf benchmarks read them
-        #: without a metrics registry attached.
+        #: execution).
         self.fastpath_blocks: int = 0
         self.slowpath_blocks: int = 0
         #: (event, warning) pairs where the decision policy said "kill".
         self.kills: List[Tuple[SecurityEvent, object]] = []
         #: Contained analysis failures (see :class:`MonitorFault`).
         self.monitor_faults: List[MonitorFault] = []
-        # Telemetry wiring (attach_telemetry); None keeps hot paths free.
-        self._metrics = None
+        #: The hub's span tracer (attach_telemetry), or None.
         self._tracer = None
-        self._c_emitted = None
-        self._c_dropped = None
 
     @property
     def events(self) -> List[SecurityEvent]:
@@ -151,15 +149,8 @@ class Harrier(KernelHooks):
         return self
 
     def attach_telemetry(self, telemetry: "Telemetry") -> "Harrier":
-        """Wire the observability hub (see :mod:`repro.telemetry`)."""
+        """Wire the hub's span tracer (see :mod:`repro.telemetry`)."""
         self._tracer = telemetry.tracer
-        if telemetry.is_enabled:
-            m = telemetry.metrics
-            self._metrics = m
-            self._c_emitted = m.counter("harrier_events_emitted_total")
-            self._c_dropped = m.counter("harrier_events_dropped_total")
-        else:
-            self._metrics = None
         return self
 
     @property
@@ -351,16 +342,13 @@ class Harrier(KernelHooks):
                     proceed = True
                 if not proceed:
                     self.kills.append((event, warning))
-                    if self._metrics is not None:
-                        self._metrics.counter("harrier_kills_total").inc()
                     return False
         return True
 
     def _log_event(self, event: SecurityEvent) -> None:
         if self._prov is not None:
             self._prov.observe_event(event)
-        if self._c_emitted is not None:
-            self._c_emitted.inc()
+        self.events_emitted += 1
         if not self.config.keep_event_log:
             return
         log = self._events
@@ -368,8 +356,6 @@ class Harrier(KernelHooks):
             # append below evicts the oldest entry (or is a no-op when
             # maxlen == 0); either way one event is lost.
             self.events_dropped += 1
-            if self._c_dropped is not None:
-                self._c_dropped.inc()
         log.append(event)
 
     def _contain(self, event: SecurityEvent, exc: Exception,
@@ -383,21 +369,25 @@ class Harrier(KernelHooks):
                 event=event,
             )
         )
-        if self._metrics is not None:
-            self._metrics.counter(
-                "harrier_monitor_faults_total", stage=stage
-            ).inc()
 
-    # -- end-of-run state sampling ------------------------------------------
-    def sample_state_gauges(self) -> None:
-        """Record the monitor's state footprint as gauges.
+    # -- end-of-run sampling ---------------------------------------------------
+    def readings(self) -> Iterator[tuple]:
+        """The monitor's counts, and its state footprint as gauges, in
+        the shape :class:`repro.telemetry.Sampler` writes into a registry.
 
-        Called once per run (cheap relative to the run itself): tainted
+        Read once per run (cheap relative to the run itself): tainted
         shadow cells, live taint-set cardinality, and application
         basic-block totals across every process the kernel still knows.
         """
-        m = self._metrics
-        if m is None or self.kernel is None:
+        yield "counter", "harrier_events_emitted_total", {}, self.events_emitted
+        yield "counter", "harrier_events_dropped_total", {}, self.events_dropped
+        if self.kills:
+            yield "counter", "harrier_kills_total", {}, len(self.kills)
+        for stage, count in Counter(f.stage for f in self.monitor_faults).items():
+            yield "counter", "harrier_monitor_faults_total", {"stage": stage}, count
+        if self._prov is not None:
+            yield from self._prov.readings()
+        if self.kernel is None:
             return
         tainted_cells = 0
         shadow_pages = 0
@@ -418,16 +408,14 @@ class Harrier(KernelHooks):
                     max_cardinality = len(tags)
             bb_executions += sum(shadow.bb_counts.values())
             app_blocks += len(shadow.bb_counts)
-        m.gauge("harrier_tainted_memory_cells").set(tainted_cells)
-        m.gauge("harrier_shadow_pages_live").set(shadow_pages)
-        m.gauge("harrier_taint_sets_live").set(len(tag_sets))
-        m.gauge("harrier_taint_set_max_cardinality").set(max_cardinality)
-        m.gauge("harrier_bb_executions").set(bb_executions)
-        m.gauge("harrier_app_basic_blocks").set(app_blocks)
-        m.gauge("harrier_fastpath_blocks").set(self.fastpath_blocks)
-        m.gauge("harrier_slowpath_blocks").set(self.slowpath_blocks)
-        if self._prov is not None:
-            self._prov.sample_gauges(m)
+        yield "gauge", "harrier_tainted_memory_cells", {}, tainted_cells
+        yield "gauge", "harrier_shadow_pages_live", {}, shadow_pages
+        yield "gauge", "harrier_taint_sets_live", {}, len(tag_sets)
+        yield "gauge", "harrier_taint_set_max_cardinality", {}, max_cardinality
+        yield "gauge", "harrier_bb_executions", {}, bb_executions
+        yield "gauge", "harrier_app_basic_blocks", {}, app_blocks
+        yield "gauge", "harrier_fastpath_blocks", {}, self.fastpath_blocks
+        yield "gauge", "harrier_slowpath_blocks", {}, self.slowpath_blocks
 
     # -- process lifecycle -------------------------------------------------------
     def on_fork(self, parent: Process, child: Process) -> None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 from repro.isa import blockjit
 from repro.isa.cpu import CPU
@@ -60,7 +60,7 @@ from repro.kernel.process import (
     ProcessState,
     ResourceKind,
 )
-from repro.kernel.syscalls import NO_RESULT, SYS_RESOLVE, SyscallTable
+from repro.kernel.syscalls import NO_RESULT, SYS_RESOLVE, SyscallTable, syscall_name
 from repro.telemetry import (
     CATEGORY_PROCESS,
     CATEGORY_RUN,
@@ -84,9 +84,16 @@ _NEVER = float("inf")
 #: docs/performance.md) and keeps the watchdog's overshoot small.
 SLICE_QUANTA = 8
 
+#: The fault-log entry of a process that executed HLT (not a CPU fault).
+HALT_FAULT = "HLT executed"
+
 #: Exit codes for abnormal termination.
 EXIT_KILLED_BY_MONITOR = 137   # 128 + SIGKILL
 EXIT_FAULT = 139               # 128 + SIGSEGV
+
+
+def _cache_counts(cache: "BlockCache") -> Tuple[int, int, int]:
+    return cache.hits, cache.misses, cache.translated_instructions
 
 
 @dataclass(frozen=True)
@@ -125,8 +132,8 @@ class Kernel:
         self.hooks = hooks or NullHooks()
         #: Optional deterministic chaos source (see repro.faultinject).
         self.fault_injector = fault_injector
-        #: Observability hub (see repro.telemetry).  A disabled hub wires
-        #: the NullSink, so the guards below stay on the cheap path.
+        #: Observability hub (see repro.telemetry); the kernel uses its
+        #: tracer.  Its registry reads :meth:`readings` when a run ends.
         self.telemetry = telemetry if telemetry is not None else (
             Telemetry.disabled()
         )
@@ -134,22 +141,6 @@ class Kernel:
         #: The syscall span currently being serviced (analysis spans from
         #: Harrier attach themselves under it).
         self.current_syscall_span: Optional["Span"] = None
-        if self.telemetry.is_enabled:
-            m = self.telemetry.metrics
-            self._metrics = m
-            self._c_instructions = m.counter("cpu_instructions_total")
-            self._c_quanta = m.counter("cpu_quanta_total")
-            self._h_quantum = m.histogram("cpu_ticks_per_quantum")
-            self._c_cpu_faults = m.counter("cpu_faults_total")
-            self._c_fs = m.counter("kernel_fs_ops_total")
-            self._c_net = m.counter("kernel_net_ops_total")
-            self._c_injected = m.counter("kernel_faults_injected_total")
-            self._c_spawned = m.counter("kernel_processes_spawned_total")
-            self._c_exited = m.counter("kernel_process_exits_total")
-            self._c_bc_flushes = m.counter("blockcache_flushes_total")
-            self._syscall_counters: Dict[int, object] = {}
-        else:
-            self._metrics = None
         self.fs = FileSystem()
         self.network = Network()
         self.console = Console()
@@ -160,6 +151,15 @@ class Kernel:
         self.now = 0
         self.instructions = 0
         self.quantum = quantum
+        #: Scheduler turns a process ran (one quantum, or a slice of
+        #: :data:`SLICE_QUANTA`), and how many ran each tick count.
+        self.quanta = 0
+        self.ticks_per_quantum: Dict[int, int] = {}
+        #: Syscalls serviced, by number; those naming a path (fs ops) or
+        #: the network (net ops), once each however often they block.
+        self.syscall_counts: Dict[int, int] = {}
+        self.fs_ops = 0
+        self.net_ops = 0
         self._next_pid = 1
         self._fault_log: List[Tuple[int, str]] = []
         #: Translated-block caches by code layout, shared by every
@@ -168,6 +168,9 @@ class Kernel:
         self.block_cache_store = block_cache_store
         #: Times a process's cache was invalidated (execve swaps images).
         self.block_cache_flushes = 0
+        #: Every cache this machine used, with its counts when first used:
+        #: a warm cache counts only this machine's lookups.
+        self._cache_starts: Dict["BlockCache", Tuple[int, int, int]] = {}
 
     # -- setup -----------------------------------------------------------------
     def register_binary(self, image: Image, path: Optional[str] = None) -> str:
@@ -199,29 +202,24 @@ class Kernel:
         """
         store = self.block_cache_store
         cache = store.get(load.layouts)
-        if cache is not None:
-            cache.bind_metrics(self._metrics)
-            return cache
-        # Imported lazily: repro.harrier pulls in the monitor stack, which
-        # imports this module.
-        from repro.harrier.blockcache import BlockCache
+        if cache is None:
+            # Imported lazily: repro.harrier pulls in the monitor stack,
+            # which imports this module.
+            from repro.harrier.blockcache import BlockCache
 
-        leaders = set()
-        libraries = []
-        for loaded, layout in zip(load.image_map, load.layouts):
-            leaders.update(loaded.abs_bb_leaders())
-            if not loaded.is_app:
-                libraries.append((
-                    loaded.text_start,
-                    loaded.text_end,
-                    store.library_plans(layout),
-                ))
-        cache = BlockCache(
-            leaders=frozenset(leaders),
-            metrics=self._metrics,
-            libraries=libraries,
-        )
-        store.put(load.layouts, cache)
+            leaders = set()
+            libraries = []
+            for loaded, layout in zip(load.image_map, load.layouts):
+                leaders.update(loaded.abs_bb_leaders())
+                if not loaded.is_app:
+                    libraries.append((
+                        loaded.text_start,
+                        loaded.text_end,
+                        store.library_plans(layout),
+                    ))
+            cache = BlockCache(leaders=frozenset(leaders), libraries=libraries)
+            store.put(load.layouts, cache)
+        self._cache_starts.setdefault(cache, _cache_counts(cache))
         return cache
 
     # -- process lifecycle ---------------------------------------------------
@@ -266,12 +264,10 @@ class Kernel:
         self.procs[proc.pid] = proc
         self._announce_load(proc, load)
         self.hooks.on_process_start(proc)
-        self._telemetry_process_start(proc)
+        self._trace_process_start(proc)
         return proc
 
-    def _telemetry_process_start(self, proc: Process) -> None:
-        if self._metrics is not None:
-            self._c_spawned.inc()
+    def _trace_process_start(self, proc: Process) -> None:
         if self.tracer is not None:
             proc.meta[_PROC_SPAN_KEY] = self.tracer.start(
                 f"pid{proc.pid} {proc.command}",
@@ -328,7 +324,7 @@ class Kernel:
         self.procs[child.pid] = child
         self.hooks.on_fork(parent, child)
         self.hooks.on_process_start(child)
-        self._telemetry_process_start(child)
+        self._trace_process_start(child)
         return child
 
     def exec_process(
@@ -368,8 +364,6 @@ class Kernel:
         # Table 8 in code-cache terms.
         proc.block_cache = self._block_cache_for(load)
         self.block_cache_flushes += 1
-        if self._metrics is not None:
-            self._c_bc_flushes.inc()
         self._announce_load(proc, load)
         return 0
 
@@ -383,8 +377,6 @@ class Kernel:
             if open_file is not None:
                 self.release_open_file(open_file)
         self.hooks.on_process_exit(proc, code)
-        if self._metrics is not None:
-            self._c_exited.inc()
         if self.tracer is not None:
             span = proc.meta.pop(_PROC_SPAN_KEY, None)
             if span is not None:
@@ -413,6 +405,46 @@ class Kernel:
 
     def faults(self) -> List[Tuple[int, str]]:
         return list(self._fault_log)
+
+    def readings(self) -> Iterator[tuple]:
+        """This machine's counts so far, as
+        :class:`repro.telemetry.Sampler` writes them into a registry."""
+        injected = 0
+        if self.fault_injector is not None:
+            from repro.faultinject.plan import FaultKind
+
+            # A stalled call blocks instead of failing.
+            injected = sum(fault.kind is not FaultKind.STALL
+                           for fault in self.fault_injector.injected)
+        cached = (0, 0, 0)
+        for cache, start in self._cache_starts.items():
+            cached = tuple(total + now - then for total, now, then
+                           in zip(cached, _cache_counts(cache), start))
+        for name, value in (
+            ("cpu_instructions_total", self.instructions),
+            ("cpu_quanta_total", self.quanta),
+            ("cpu_faults_total",
+             sum(what != HALT_FAULT for _, what in self._fault_log)),
+            ("kernel_fs_ops_total", self.fs_ops),
+            ("kernel_net_ops_total", self.net_ops),
+            ("kernel_faults_injected_total", injected),
+            ("kernel_processes_spawned_total", self._next_pid - 1),
+            ("kernel_process_exits_total",
+             sum(not proc.alive() for proc in self.procs.values())),
+            ("blockcache_flushes_total", self.block_cache_flushes),
+            ("blockcache_hits_total", cached[0]),
+            ("blockcache_misses_total", cached[1]),
+            ("blockcache_translated_instructions_total", cached[2]),
+        ):
+            yield "counter", name, {}, value
+        for sysno, count in self.syscall_counts.items():
+            yield ("counter", "kernel_syscalls_total",
+                   {"name": syscall_name(sysno)}, count)
+        # Powers of two up to the longest slice, then the slice itself.
+        longest = self.quantum * SLICE_QUANTA
+        buckets = tuple(1 << i for i in range((longest - 1).bit_length()))
+        yield ("histogram", "cpu_ticks_per_quantum", {},
+               (buckets + (longest,), self.ticks_per_quantum))
 
     # -- scheduler ---------------------------------------------------------------
     def run(
@@ -473,7 +505,13 @@ class Kernel:
                 continue
             for proc in runnable:
                 if proc.state is ProcessState.RUNNABLE:
-                    self._run_quantum(proc, deadline)
+                    start = self.instructions
+                    self._exec_quantum(proc, deadline)
+                    self.quanta += 1
+                    ticks = self.instructions - start
+                    if ticks:
+                        tally = self.ticks_per_quantum
+                        tally[ticks] = tally.get(ticks, 0) + 1
                 if self.now >= deadline:
                     break
         return self._result("max-ticks")
@@ -514,20 +552,6 @@ class Kernel:
         self.now = target
         return True
 
-    def _run_quantum(self, proc: Process, deadline: int) -> None:
-        if self._metrics is None:
-            self._exec_quantum(proc, deadline)
-            return
-        start = self.instructions
-        try:
-            self._exec_quantum(proc, deadline)
-        finally:
-            executed = self.instructions - start
-            self._c_quanta.inc()
-            if executed:
-                self._c_instructions.inc(executed)
-                self._h_quantum.observe(executed)
-
     def _slice_quanta(self, proc: Process) -> int:
         """Quanta ``proc`` may run before the next scheduler pass:
         :data:`SLICE_QUANTA` when no pass boundary could do anything
@@ -566,8 +590,6 @@ class Kernel:
                 # fetch message, pc unchanged.
                 cpu.halted = True
                 self._fault_log.append((proc.pid, str(fault)))
-                if self._metrics is not None:
-                    self._c_cpu_faults.inc()
                 self.exit_process(proc, EXIT_FAULT)
                 return
             limit = deadline - self.now
@@ -611,13 +633,11 @@ class Kernel:
                     # the hooks keep for this process.
                     monitor = hooks.block_context(proc)
             elif kind == BLOCK_HALT:
-                self._fault_log.append((proc.pid, "HLT executed"))
+                self._fault_log.append((proc.pid, HALT_FAULT))
                 self.exit_process(proc, EXIT_FAULT)
                 return
             else:  # a fault (translate.EXIT_FAULT)
                 self._fault_log.append((proc.pid, str(rec.fault)))
-                if self._metrics is not None:
-                    self._c_cpu_faults.inc()
                 self.exit_process(proc, EXIT_FAULT)
                 return
 
@@ -649,19 +669,12 @@ class Kernel:
         sysno = regs.get("eax")
         args = tuple(map(regs.get, SYSCALL_ARG_REGISTERS))
         info = self.syscalls.describe(proc, sysno, args)
-        name = str(info.get("name", sysno))
-        if self._metrics is not None:
-            counter = self._syscall_counters.get(sysno)
-            if counter is None:
-                counter = self._metrics.counter(
-                    "kernel_syscalls_total", name=name
-                )
-                self._syscall_counters[sysno] = counter
-            counter.inc()
+        counts = self.syscall_counts
+        counts[sysno] = counts.get(sysno, 0) + 1
         span = None
         if self.tracer is not None:
             span = self.tracer.start(
-                name,
+                str(info.get("name", sysno)),
                 CATEGORY_SYSCALL,
                 self.now,
                 parent=proc.meta.get(_PROC_SPAN_KEY),
@@ -676,6 +689,10 @@ class Kernel:
                 if span is not None:
                     self.tracer.end(span, self.now, vetoed=True)
                 return
+            if "path" in info:
+                self.fs_ops += 1
+            if "socketcall" in info or sysno == SYS_RESOLVE:
+                self.net_ops += 1
             self._attempt_syscall(proc, sysno, args, info)
         finally:
             if span is not None:
@@ -691,11 +708,6 @@ class Kernel:
         args: Tuple[int, int, int, int, int],
         info: Dict[str, object],
     ) -> None:
-        if self._metrics is not None:
-            if "path" in info:
-                self._c_fs.inc()
-            if "socketcall" in info or sysno == SYS_RESOLVE:
-                self._c_net.inc()
         try:
             injected = None
             if self.fault_injector is not None:
@@ -706,8 +718,6 @@ class Kernel:
                 # The monitor saw the attempt (pre-event already fired);
                 # the injected errno replaces the handler's execution.
                 result, extra = injected, {"injected_fault": True}
-                if self._metrics is not None:
-                    self._c_injected.inc()
             else:
                 result, extra = self.syscalls.dispatch(
                     proc, sysno, args, info

@@ -27,6 +27,9 @@ class Secpert(EventAnalyzer):
     def __init__(self, policy: Optional[PolicyConfig] = None) -> None:
         self.policy = policy or PolicyConfig()
         self.sink = WarningSink()
+        #: The registry the engine's wall-time histograms go to
+        #: (attach_telemetry), kept for every engine this Secpert builds.
+        self.metrics = None
         self.engine = self._build_engine()
         #: Optional ProvenanceRecorder (repro.telemetry.provenance).
         #: When attached, every stamped warning carries an evidence
@@ -36,6 +39,7 @@ class Secpert(EventAnalyzer):
 
     def _build_engine(self) -> InferenceEngine:
         engine = InferenceEngine()
+        engine.metrics = self.metrics
         for template in ALL_TEMPLATES:
             engine.define_template(template)
         # The rules' trust filters, memoised for this engine only.
@@ -55,23 +59,24 @@ class Secpert(EventAnalyzer):
 
         The policy is baked into every rule closure at engine-build
         time, so narrowing it means rebuilding the engine — the warning
-        sink, provenance recorder, and any attached metrics registry
-        carry over.  Called by :meth:`repro.core.hth.HTH.run` before
-        spawn when the monitored program itself carries a trusted name
-        (the masquerade evasion; see docs/adversarial.md).
+        sink, provenance recorder, and metrics registry stay.  Called by
+        :meth:`repro.core.hth.HTH.run` before spawn when the monitored
+        program itself carries a trusted name (the masquerade evasion;
+        see docs/adversarial.md).
         """
         if name not in self.policy.trusted_binaries:
             return
-        metrics = self.engine.metrics
         self.policy = self.policy.distrusting(name)
         self.engine = self._build_engine()
-        self.engine.metrics = metrics
         self._rule_docs = {r.name: r.doc for r in self.engine.rules}
 
     def attach_telemetry(self, telemetry) -> None:
-        """Wire the engine's metrics hooks to a live registry."""
+        """Report to ``telemetry``'s registry: the engine's wall-time
+        histograms live, its counts when the run ends."""
         if getattr(telemetry, "is_enabled", False):
-            self.engine.metrics = telemetry.metrics
+            self.metrics = self.engine.metrics = telemetry.metrics
+            # Reported even when the run matches nothing.
+            self.metrics.histogram("secpert_match_seconds")
 
     def attach_provenance(self, recorder) -> None:
         """Stamp evidence trails onto warnings via this recorder."""

@@ -32,6 +32,9 @@ REASON_TICK_BUDGET = "tick-budget"
 REASON_SHUTTING_DOWN = "shutting-down"
 REASON_INVALID = "invalid-submission"
 
+#: Tenants the table may hold before it first drops the idle ones.
+_FIRST_SWEEP = 64
+
 
 class TokenBucket:
     """A classic token bucket with lazy refill and injectable clock."""
@@ -82,6 +85,14 @@ class _TenantState:
     submissions: TokenBucket
     ticks: Optional[TokenBucket]
 
+    def full(self) -> bool:
+        """Whether every bucket is back at its burst, so the tenant gets
+        the answers a tenant never seen would."""
+        return all(
+            bucket is None or bucket.tokens >= bucket.burst
+            for bucket in (self.submissions, self.ticks)
+        )
+
 
 class AdmissionController:
     """Decide, per submission, between a queue slot and a typed rejection.
@@ -91,7 +102,11 @@ class AdmissionController:
     it when the submission is answered — by a report, a contained error,
     or a rejection further down the line.  Tenant limiters are created
     on first sight of a tenant name; ``rate=None`` / ``tick_rate=None``
-    disable that meter entirely (the bench harness runs wide open).
+    disable that meter entirely (the bench harness runs wide open), and
+    with both off no tenant is kept.  A tenant whose buckets have all
+    refilled to their burst behaves exactly like a new one, so such
+    tenants are dropped whenever the table has doubled since the last
+    sweep: a client cycling tenant names cannot grow it without bound.
 
     Admission is two-phase so the daemon can order it around the verdict
     cache: :meth:`precheck` (draining + submission rate) runs before any
@@ -122,6 +137,7 @@ class AdmissionController:
         )
         self._clock = clock
         self._tenants: Dict[str, _TenantState] = {}
+        self._sweep_at = _FIRST_SWEEP
         self.depth = 0
         self.draining = False
         self._metrics = metrics
@@ -144,6 +160,12 @@ class AdmissionController:
     def _tenant(self, name: str) -> _TenantState:
         state = self._tenants.get(name)
         if state is None:
+            if len(self._tenants) >= self._sweep_at:
+                self._tenants = {
+                    tenant: kept for tenant, kept in self._tenants.items()
+                    if not kept.full()
+                }
+                self._sweep_at = max(_FIRST_SWEEP, 2 * len(self._tenants))
             state = _TenantState(
                 submissions=TokenBucket(
                     self.rate or 1.0, self.burst or 1.0, self._clock
@@ -190,10 +212,9 @@ class AdmissionController:
         if self.depth >= self.queue_limit:
             self._count(False, tenant, REASON_QUEUE_FULL)
             return REASON_QUEUE_FULL
-        state = self._tenant(tenant)
-        if state.ticks is not None and not state.ticks.try_take(
-            float(max_ticks)
-        ):
+        if self.tick_rate is not None and not self._tenant(
+            tenant
+        ).ticks.try_take(float(max_ticks)):
             self._count(False, tenant, REASON_TICK_BUDGET)
             return REASON_TICK_BUDGET
         self.depth += 1

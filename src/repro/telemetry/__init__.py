@@ -1,21 +1,21 @@
 """repro.telemetry — metrics, span tracing and the §9 overhead study.
 
 The observability layer for the whole HTH stack.  One :class:`Telemetry`
-hub travels from :class:`repro.core.hth.HTH` into the kernel, Harrier,
-and Secpert; each layer feeds the hub's
+hub belongs to a :class:`repro.core.hth.HTH` machine and holds
 
-* **metrics registry** — counters/gauges/histograms with labels
+* a **metrics registry** — counters/gauges/histograms with labels
   (instructions retired, syscalls by name, Harrier event volumes, taint
   footprint, Secpert rule firings and latencies — the numbers behind the
-  paper's Tables 1/8 and §9);
-* **span tracer** — a run → process → syscall → analysis span tree with
-  virtual-tick *and* wall timestamps, exportable as JSONL or Chrome
-  trace-event JSON (Perfetto-loadable).
+  paper's Tables 1/8 and §9).  The kernel, the block caches, Harrier
+  and Secpert count in their own plain fields; when a run ends, one
+  :class:`Sampler` step reads them into the registry;
+* a **span tracer** — a run → process → syscall → analysis span tree
+  with virtual-tick *and* wall timestamps, exportable as JSONL or
+  Chrome trace-event JSON (Perfetto-loadable).
 
-Disabled telemetry (the default) wires a :class:`NullSink` registry and
-a ``None`` tracer so the monitored hot paths pay nothing.  No setting
-here changes which code a run executes: an enabled hub observes the
-same inlined block path as a disabled one.
+Disabled telemetry (the default) has neither: no registry and a
+``None`` tracer.  No setting here changes which code a run executes:
+an enabled hub observes the same inlined block path as a disabled one.
 
 The paper's §9 overhead study is not a hub feature: it is measured by
 running the guest under each monitor configuration
@@ -32,7 +32,7 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullSink,
+    Sampler,
     merge_sample_lists,
     render_openmetrics,
     render_samples,
@@ -114,20 +114,20 @@ class Telemetry:
     """The hub: one registry + optional tracer.
 
     Build with :meth:`enabled` to measure, :meth:`disabled` (the default
-    everywhere) for the zero-overhead null wiring.
+    everywhere) for a hub with no registry and no tracer.
     """
 
     def __init__(
         self,
-        metrics=None,
+        metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
     ) -> None:
-        self.metrics = metrics if metrics is not None else NullSink()
+        self.metrics = metrics
         self.tracer = tracer
 
     @classmethod
     def disabled(cls) -> "Telemetry":
-        return cls(metrics=NullSink())
+        return cls()
 
     @classmethod
     def enabled(cls, trace: bool = False) -> "Telemetry":
@@ -138,12 +138,12 @@ class Telemetry:
 
     @property
     def is_enabled(self) -> bool:
-        return bool(getattr(self.metrics, "enabled", False))
+        return self.metrics is not None
 
     def snapshot(self) -> TelemetrySnapshot:
         return TelemetrySnapshot(
             enabled=self.is_enabled,
-            metrics=self.metrics.samples(),
+            metrics=self.metrics.samples() if self.is_enabled else [],
             span_count=len(self.tracer) if self.tracer is not None else 0,
         )
 
@@ -152,7 +152,7 @@ __all__ = [
     "Telemetry",
     "TelemetrySnapshot",
     "MetricsRegistry",
-    "NullSink",
+    "Sampler",
     "merge_sample_lists",
     "render_samples",
     "render_openmetrics",

@@ -1,21 +1,23 @@
 """Metrics: counters, gauges, and histograms with labels.
 
-The registry is the always-on half of the telemetry layer (the paper's
-evaluation is built on exactly these numbers: Table 1's instruction /
-syscall / basic-block counts, §8's per-feature event volumes, §9's
-overhead study).  Instruments are get-or-create and the returned handles
-are stable, so hot paths resolve an instrument once and call ``inc()`` /
-``observe()`` on the cached handle.
+The registry holds the numbers the paper's evaluation is built on
+(Table 1's instruction / syscall / basic-block counts, §8's per-feature
+event volumes, §9's overhead study).  Instruments are get-or-create and
+the returned handles are stable.
 
-When telemetry is disabled the stack is wired to :class:`NullSink`, whose
-instruments are shared no-op singletons — the disabled path costs one
-attribute load and a no-op call at worst, and most call sites skip even
-that by caching ``None``.
+The layers of a run (kernel, block caches, Harrier, Secpert) keep their
+counts in their own plain fields and never touch a registry while the
+guest runs.  When the run ends, a :class:`Sampler` reads each layer's
+``readings()`` once and writes them into the run's registry; a disabled
+hub has no registry at all.  Only a few wall-time histograms (Secpert's
+match and rule-action latencies) are observed live, because no layer
+keeps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -105,8 +107,6 @@ class MetricsRegistry:
     :class:`Counter` object on every call with the same name+labels.
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, str, LabelKey], object] = {}
 
@@ -124,8 +124,11 @@ class MetricsRegistry:
     def gauge(self, name: str, /, **labels: str) -> Gauge:
         return self._get("gauge", name, labels, Gauge)
 
-    def histogram(self, name: str, /, **labels: str) -> Histogram:
-        return self._get("histogram", name, labels, Histogram)
+    def histogram(self, name: str, /, buckets: Optional[Tuple[float, ...]] = None,
+                  **labels: str) -> Histogram:
+        """``buckets`` (default: the seconds ladder) apply if this creates it."""
+        factory = Histogram if buckets is None else partial(Histogram, buckets=buckets)
+        return self._get("histogram", name, labels, factory)
 
     # -- reading -----------------------------------------------------------
     def __iter__(self) -> Iterable[object]:
@@ -364,64 +367,39 @@ def render_openmetrics(samples: Iterable[Dict[str, object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram."""
+class Sampler:
+    """Writes the counts a run's layers keep themselves into a registry.
 
-    __slots__ = ()
-    name = "null"
-    labels: LabelKey = ()
-    value = 0.0
-    count = 0
-    total = 0.0
-    min = None
-    max = None
-    mean = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullSink:
-    """Zero-overhead registry stand-in used when telemetry is disabled.
-
-    Every lookup returns one shared inert instrument; nothing is stored,
-    nothing is counted, ``samples()`` is always empty.
+    A layer offers ``readings()``: ``(kind, name, labels, value)``
+    tuples.  A counter's value is its total so far, a gauge's its
+    current value, and a histogram's a ``(buckets, tally)`` pair whose
+    tally maps each observed value to the times it was seen.  Counters
+    and histograms are written as the change since this sampler last
+    read the same layer, so a layer that outlives a run (a machine that
+    runs twice) adds only what is new; gauges are set.
     """
 
-    enabled = False
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+        self._last: Dict[tuple, object] = {}
 
-    def counter(self, name: str, /, **labels: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, /, **labels: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, /, **labels: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def value(self, name: str, /, **labels: str) -> Optional[float]:
-        return None
-
-    def total(self, name: str) -> float:
-        return 0.0
-
-    def samples(self) -> List[Dict[str, object]]:
-        return []
-
-    def render(self) -> str:
-        return "(telemetry disabled)"
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
+    def sample(self, layers: Iterable[object]) -> None:
+        registry, last, now = self.registry, self._last, {}
+        for layer in layers:
+            for kind, name, labels, value in layer.readings():
+                if kind == "gauge":
+                    registry.gauge(name, **labels).set(value)
+                    continue
+                key = (layer, kind, name, _label_key(labels))
+                before = last.get(key)
+                if kind == "counter":
+                    registry.counter(name, **labels).inc(value - (before or 0))
+                    now[key] = value
+                    continue
+                buckets, tally = value
+                histogram = registry.histogram(name, buckets, **labels)
+                for observed, times in tally.items():
+                    for _ in range(times - (before or {}).get(observed, 0)):
+                        histogram.observe(observed)
+                now[key] = dict(tally)
+        self._last = now

@@ -37,7 +37,7 @@ not be.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 #: Version stamp carried inside every evidence object (and the report's
 #: ``provenance`` summary) so downstream consumers can detect shape
@@ -289,17 +289,17 @@ class ProvenanceRecorder:
             "trail_drops": self.trail_drops,
         }
 
-    def sample_gauges(self, registry) -> None:
-        """Write the recorder's state into ``provenance_*`` gauges."""
-        registry.gauge("provenance_sources").set(len(self.sources))
-        registry.gauge("provenance_tokens_trailed").set(len(self.trails))
-        registry.gauge("provenance_waypoints").set(
-            sum(len(t) for t in self.trails.values())
-        )
-        registry.gauge("provenance_evidence_built").set(self.evidence_built)
-        registry.gauge("provenance_trail_drops").set(self.trail_drops)
-        registry.gauge("provenance_blocks_observed").set(self.blocks_observed)
-        registry.gauge("provenance_block_tokens").set(self.block_tokens)
+    def readings(self) -> Iterator[tuple]:
+        """The recorder's state as ``provenance_*`` gauges, in the shape
+        :class:`repro.telemetry.Sampler` writes into a registry."""
+        waypoints = sum(len(t) for t in self.trails.values())
+        yield "gauge", "provenance_sources", {}, len(self.sources)
+        yield "gauge", "provenance_tokens_trailed", {}, len(self.trails)
+        yield "gauge", "provenance_waypoints", {}, waypoints
+        yield "gauge", "provenance_evidence_built", {}, self.evidence_built
+        yield "gauge", "provenance_trail_drops", {}, self.trail_drops
+        yield "gauge", "provenance_blocks_observed", {}, self.blocks_observed
+        yield "gauge", "provenance_block_tokens", {}, self.block_tokens
 
 
 def _event_tokens(event) -> List[str]:

@@ -427,15 +427,16 @@ class TestMatchStats:
         assert stats["facts_asserted"] == 2
 
     def test_metric_families_exported(self):
-        from repro.telemetry.metrics import MetricsRegistry
+        from repro.telemetry.metrics import MetricsRegistry, Sampler
 
         eng = build(True, [JOIN_RULE])
-        eng.metrics = MetricsRegistry()
         state(eng, lvl=0)
         ev(eng, val=5)
         eng.run()
-        names = {s["name"] for s in eng.metrics.samples()}
-        assert "secpert_match_seconds" in names
+        registry = MetricsRegistry()
+        Sampler(registry).sample([eng])
+        names = {s["name"] for s in registry.samples()}
+        assert registry.value("secpert_facts_asserted_total") == 2
         assert "secpert_alpha_activations_total" in names
         assert "secpert_beta_tokens_live" in names
         assert "secpert_agenda_size" in names

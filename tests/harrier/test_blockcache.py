@@ -1,4 +1,4 @@
-"""BlockCache behavior: hit/miss accounting, telemetry counters, capacity
+"""BlockCache behavior: hit/miss accounting, sampled counters, capacity
 flush, and the kernel's cache lifecycle (spawn/fork/execve)."""
 
 from repro.harrier.blockcache import BlockCache, BlockCacheStore
@@ -13,7 +13,7 @@ from repro.isa import (
 from repro.isa.memory import MemoryFault
 from repro.kernel import Kernel
 from repro.programs.libc import libc_image
-from repro.telemetry import Telemetry
+from repro.telemetry import MetricsRegistry, Sampler
 from tests.oracles import reference_interpreter
 from tests.oracles.cachestats import block_cache_stats
 
@@ -66,17 +66,17 @@ class TestCacheAccounting:
         assert len(cache) == 1  # flushed at the third insert
 
     def test_metrics_counters(self):
-        telemetry = Telemetry.enabled()
-        cache = BlockCache(metrics=telemetry.metrics)
-        mem = make_memory(PROG)
-        cache.lookup(mem, 0)
-        cache.lookup(mem, 0)
-        registry = telemetry.metrics
-        assert registry.total("blockcache_hits_total") == 1
-        assert registry.total("blockcache_misses_total") == 1
+        kernel = make_kernel()
+        kernel.spawn(assemble("/bin/p", "main:\n  mov eax, 0\n  ret"))
+        kernel.run()
+        registry = MetricsRegistry()
+        Sampler(registry).sample([kernel])
+        stats = kernel.block_cache_store.stats()
+        assert registry.total("blockcache_hits_total") == stats["hits"]
+        assert registry.total("blockcache_misses_total") == stats["misses"] > 0
         assert registry.total(
             "blockcache_translated_instructions_total"
-        ) == 2
+        ) == stats["translated_instructions"] > 0
 
 
 def make_kernel(**kwargs):
@@ -146,14 +146,15 @@ class TestKernelLifecycle:
         assert proc.block_cache is not before
 
     def test_execve_flush_metric(self):
-        telemetry = Telemetry.enabled()
-        k = make_kernel(telemetry=telemetry)
+        k = make_kernel()
         k.register_binary(
             assemble("/bin/ls", "main:\n  mov eax, 0\n  ret")
         )
         k.spawn(assemble("/bin/p", EXEC_SRC))
         k.run()
-        assert telemetry.metrics.total("blockcache_flushes_total") == 1
+        registry = MetricsRegistry()
+        Sampler(registry).sample([k])
+        assert registry.total("blockcache_flushes_total") == 1
 
     def test_stats_aggregate(self):
         k = make_kernel()

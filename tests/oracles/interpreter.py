@@ -453,8 +453,6 @@ def exec_quantum(kernel: Kernel, proc, deadline: int) -> None:
             result = step(proc.cpu)
         except CpuFault as fault:
             kernel._fault_log.append((proc.pid, str(fault)))
-            if kernel._metrics is not None:
-                kernel._c_cpu_faults.inc()
             kernel.exit_process(proc, EXIT_FAULT)
             return
         kernel.now += 1

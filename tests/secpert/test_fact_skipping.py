@@ -21,7 +21,7 @@ from repro.harrier.events import (
 from repro.kernel.process import ResourceKind
 from repro.secpert.secpert import Secpert
 from repro.taint.tags import DataSource, TagSet
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, Sampler
 from tests.oracles import naive_matcher
 
 BINARY = TagSet.of(DataSource.BINARY, "/bin/trojan")
@@ -45,17 +45,17 @@ def _write(time):
 
 
 def _feed(events, naive):
-    registry = MetricsRegistry()
     if naive:
         with naive_matcher():
             secpert = Secpert()
     else:
         secpert = Secpert()
-    secpert.engine.metrics = registry
     skipped = []
     skip = secpert.engine.skip_fact
     secpert.engine.skip_fact = lambda fact: skipped.append(skip(fact))
     results = [secpert.analyze(event) for event in events]
+    registry = MetricsRegistry()
+    Sampler(registry).sample([secpert.engine])
     return secpert, registry, skipped, results
 
 

@@ -154,6 +154,64 @@ class TestTenantMeters:
         assert admit(admission, "a", 1) == REASON_RATE_LIMITED
 
 
+class TestTenantTable:
+    """Tenant state exists only while it could change an answer."""
+
+    def test_no_state_without_a_meter(self):
+        admission = AdmissionController(queue_limit=10_000)
+        for n in range(100):
+            assert admit(admission, f"t{n}", 1) is None
+        assert admission._tenants == {}
+
+    def test_distinct_names_leave_a_small_table(self):
+        clock = FakeClock()
+        admission = AdmissionController(
+            queue_limit=10, rate=1.0, burst=1.0, clock=clock
+        )
+        for n in range(5000):
+            assert admission.precheck(f"tenant-{n}") is None
+            clock.advance(0.01)
+        # A tenant refills within 1 s (100 calls); only those are kept.
+        assert len(admission._tenants) <= 200
+
+    def test_seeded_sequence_keeps_its_answers(self):
+        """400 seeded submissions from three hot tenants and a stream of
+        one-off ones; the answers are those of a table that never
+        drops a tenant (recorded before tenants were dropped)."""
+        import random
+
+        rng = random.Random(11)
+        clock = FakeClock(0.0)
+        admission = AdmissionController(
+            queue_limit=8, rate=1.0, burst=2.0,
+            tick_rate=1000.0, tick_burst=2500.0, clock=clock,
+        )
+        code = {None: ".", REASON_RATE_LIMITED: "r",
+                REASON_QUEUE_FULL: "q", REASON_TICK_BUDGET: "t"}
+        answers = []
+        for step in range(400):
+            clock.advance(rng.choice((0.0, 0.0, 0.1, 0.3, 1.0, 2.5)))
+            tenant = rng.choice(("a", "b", "c", f"t{step}"))
+            verdict = admission.precheck(tenant)
+            if verdict is None:
+                verdict = admission.claim_slot(
+                    tenant, rng.choice((100, 800, 2000))
+                )
+            answers.append(code[verdict])
+            if admission.depth and rng.random() < 0.8:
+                admission.release()
+        assert "".join(answers) == (
+        ".................qrr.r.t.......r......t.......rt...tr..........."
+        "........r......................r....q..t...t.q...rrr.r.r........"
+        "..r.....t............rr.............qq..q..q....q.q..........r.."
+        ".......q.r..q................t...t.......r....t.r....rt..r..r..r"
+        "r.tr...............r.......t.t......trt..............t.r......r."
+        ".................trr..r.....t...........................q......."
+        ".rr.........q..."
+        )
+        assert len(admission._tenants) < 100
+
+
 class TestTwoPhaseAdmission:
     """The precheck/claim_slot split the daemon orders around the
     verdict cache: rate is metered before any per-submission compute

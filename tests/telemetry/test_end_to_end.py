@@ -182,7 +182,7 @@ class TestDisabledPath:
         telemetry = Telemetry.disabled()
         report = run_exfil(telemetry)
         assert report.telemetry is None
-        assert telemetry.metrics.samples() == []
+        assert telemetry.metrics is None
         assert telemetry.tracer is None
 
     def test_to_json_without_telemetry(self):

@@ -1,9 +1,8 @@
-"""Metrics registry: instruments, labels, the NullSink contract."""
+"""Metrics registry: instruments, labels, and the end-of-run sampler."""
 
 import pytest
 
-from repro.telemetry import MetricsRegistry, NullSink
-from repro.telemetry.metrics import _NULL_INSTRUMENT
+from repro.telemetry import MetricsRegistry, Sampler, Telemetry
 
 
 class TestCounter:
@@ -110,23 +109,78 @@ class TestRegistryReading:
         assert len(reg) == 3
 
 
-class TestNullSink:
-    def test_disabled_flag(self):
-        assert NullSink().enabled is False
-        assert MetricsRegistry().enabled is True
+class TestDisabledHub:
+    def test_a_disabled_hub_has_no_registry(self):
+        hub = Telemetry.disabled()
+        assert hub.metrics is None and not hub.is_enabled
+        assert hub.snapshot().metrics == []
+        assert Telemetry.enabled().is_enabled
 
-    def test_all_instruments_are_the_shared_noop(self):
-        sink = NullSink()
-        assert sink.counter("a") is _NULL_INSTRUMENT
-        assert sink.gauge("b", l="1") is _NULL_INSTRUMENT
-        assert sink.histogram("c") is _NULL_INSTRUMENT
 
-    def test_noop_instrument_accepts_all_updates(self):
-        sink = NullSink()
-        sink.counter("a").inc(5)
-        sink.gauge("b").set(3)
-        sink.histogram("c").observe(1.0)
-        assert sink.samples() == []
-        assert sink.total("a") == 0.0
-        assert sink.value("a") is None
-        assert len(sink) == 0
+class _Layer:
+    """A layer that keeps plain counts and offers them as readings."""
+
+    def __init__(self):
+        self.hits = 0
+        self.level = 0
+        self.tally = {}
+        self.by_rule = {}
+
+    def readings(self):
+        yield "counter", "hits_total", {}, self.hits
+        yield "gauge", "level", {}, self.level
+        yield "histogram", "sizes", {}, ((10, 100), self.tally)
+        for rule, count in self.by_rule.items():
+            yield "counter", "fired_total", {"rule": rule}, count
+
+
+class TestSampler:
+    def test_counters_and_histograms_are_written_as_deltas(self):
+        reg = MetricsRegistry()
+        sampler = Sampler(reg)
+        layer = _Layer()
+        layer.hits, layer.level, layer.tally = 3, 7, {5: 2, 50: 1}
+        sampler.sample([layer])
+        layer.hits, layer.level, layer.tally = 4, 2, {5: 2, 50: 1, 500: 1}
+        sampler.sample([layer])
+        assert reg.value("hits_total") == 4
+        assert reg.value("level") == 2
+        sizes = reg.histogram("sizes")
+        assert sizes.buckets == (10, 100)
+        assert sizes.count == 4 and sizes.total == 560
+        assert sizes.bucket_counts == [2, 1, 1]
+
+    def test_zero_families_are_created(self):
+        reg = MetricsRegistry()
+        Sampler(reg).sample([_Layer()])
+        assert reg.value("hits_total") == 0
+        assert reg.histogram("sizes").count == 0
+        assert reg.value("fired_total", rule="r") is None
+
+    def test_two_samplers_on_one_registry_accumulate(self):
+        reg = MetricsRegistry()
+        for hits in (2, 5):
+            layer = _Layer()
+            layer.hits = hits
+            layer.by_rule = {"r": 1}
+            Sampler(reg).sample([layer])
+        assert reg.value("hits_total") == 7
+        assert reg.value("fired_total", rule="r") == 2
+
+    def test_a_replaced_layer_counts_from_zero(self):
+        reg = MetricsRegistry()
+        sampler = Sampler(reg)
+        old, new = _Layer(), _Layer()
+        old.hits, new.hits = 5, 2
+        sampler.sample([old])
+        sampler.sample([new])
+        assert reg.value("hits_total") == 7
+
+
+class TestHistogramBuckets:
+    def test_buckets_apply_when_the_call_creates_it(self):
+        reg = MetricsRegistry()
+        ticks = reg.histogram("ticks", (1, 2, 4), cpu="0")
+        assert ticks.buckets == (1, 2, 4)
+        assert reg.histogram("ticks", (8,), cpu="0") is ticks
+        assert reg.histogram("latency").buckets[0] == 1e-6

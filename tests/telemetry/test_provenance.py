@@ -13,7 +13,7 @@ from typing import Tuple
 
 from repro.expert.engine import FiredRule
 from repro.secpert.warnings import SecurityWarning, Severity
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, Sampler
 from repro.telemetry.provenance import (
     EVIDENCE_SCHEMA_VERSION,
     ProvenanceRecorder,
@@ -151,7 +151,7 @@ class TestEvidence:
         rec = ProvenanceRecorder()
         rec.record_source(["a"], pid=1, tick=0, resource="r", via="v")
         registry = MetricsRegistry()
-        rec.sample_gauges(registry)
+        Sampler(registry).sample([rec])
         assert registry.value("provenance_sources") == 1
         assert registry.value("provenance_evidence_built") == 0
 
